@@ -10,11 +10,16 @@ its natural logarithm.
 Formula identifiers ("thm_1_1", "lem_4_2", ...) are stable strings fixed
 by the report format; consumers match on them, not on the prose notes.
 
-Two bound pipelines are assembled:
+FORMULAS, near the end of this module, is the one list of the bound
+chains: each row gives a formula id, its targets, whether it bounds their
+logarithm, its note, the function that evaluates it, the inputs it reads
+(earlier rows, or the intermediates in SHARED such as ln N_S, u(g) and
+Omega) and the conditions it needs (CONDITIONS: g = 2, d = 1, c_delta
+known, abc given, H_Lambda or zograf).  Two chains are walked in row
+order, every row and intermediate evaluated once:
 
-  * a-priori: the three main theorems plus the route through the
-    archimedean invariant mu_X (lem_5_2_i -> lem_5_1 -> eq_fhux ->
-    lem_4_4_ii -> lem_4_3 -> lem_4_4_i, and lem_6_2),
+  * apriori: the three main theorems plus the route through the
+    archimedean invariant mu_X, and the abc-conditional bounds,
   * empirical: Belyi degree from the multiplicative height of the
     branch-point cross-ratios (lem_4_2, or the modular-curve bound when
     the caller asserts it), then lem_4_1 -> lem_4_3 -> lem_4_4_i.
@@ -27,6 +32,7 @@ an "incomplete constant" caveat unless the caller supplies a value.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -219,11 +225,6 @@ def thm_cyclic_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogM
     return _power_product(v, p.d * v, p.n_s * p.d_k, v, precision)
 
 
-def general_invariants_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """Same value as thm_cyclic_bound; bounds log max(e, delta, h_F, Delta)."""
-    return thm_cyclic_bound(p, precision)
-
-
 def thm_hyper_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(8^g*d*nu) * (N_S*D_K)^nu; bounds the Neron-Tate sum over the
     Weierstrass points."""
@@ -383,31 +384,6 @@ def mu_upper(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     return _power_product(v, Fraction(p.d * v, 8), p.n_s * p.d_k, v, precision)
 
 
-def mu_upper_abc(p: BoundParams, a: AbcParams, precision: int = DEFAULT_PRECISION):
-    """(d*r + eps)*ln N_S + eps*ln D_K + c*; bounds d*mu_X under abc.
-    Returns (value, caveats)."""
-    c_star, caveat = a.constant("c_star")
-    t = lm_mul(
-        LogMag.from_fraction(p.d * a.r + a.epsilon, precision, UP),
-        lm_log(LogMag.from_int(p.n_s, precision, UP), precision, UP),
-        precision,
-        UP,
-    )
-    t = lm_add(
-        t,
-        lm_mul(
-            LogMag.from_fraction(a.epsilon, precision, UP),
-            lm_log(LogMag.from_int(p.d_k, precision, UP), precision, UP),
-            precision,
-            UP,
-        ),
-        precision,
-        UP,
-    )
-    t = lm_add(t, LogMag.from_fraction(c_star, precision, UP), precision, UP)
-    return t, ([caveat] if caveat else [])
-
-
 def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(nu/2) * mu_X; bounds the LOGARITHM of the Belyi degree."""
     m = _as_logmag(mu, precision)
@@ -419,10 +395,15 @@ def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogM
 
 def hF_from_mu(g: int, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
     """u(g) * mu_X; bounds the Faltings height of the Jacobian."""
+    return hF_from_u_mu(u_g(g, precision), mu, precision)
+
+
+def hF_from_u_mu(ug: LogMag, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """hF_from_mu with u(g) already evaluated."""
     m = _as_logmag(mu, precision)
     if m.sign < 0:
         raise ValueError("mu must be nonnegative")
-    return lm_mul(u_g(g, precision), m, precision, UP)
+    return lm_mul(ug, m, precision, UP)
 
 
 def weierstrass_sum_bound(hF_bound, g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -435,158 +416,238 @@ def weierstrass_sum_bound(hF_bound, g: int, precision: int = DEFAULT_PRECISION) 
     return lm_add(t, LogMag.from_int(293 * g**5, precision, UP), precision, UP)
 
 
-def abc_omega(p: BoundParams, a: AbcParams, precision: int = DEFAULT_PRECISION) -> LogMag:
+# ---------------------------------------------------------------------------
+# the formulas conditional on abc.  ln_ns, ln_dk and ln_nd are ln N_S,
+# ln D_K and their sum, all rounded up; the chains compute each once.
+
+
+def ln_int(n: int, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """ln n rounded up."""
+    return lm_log(LogMag.from_int(n, precision, UP), precision, UP)
+
+
+def _plus(t: LogMag, c, precision: int) -> LogMag:
+    """t + c for a rational c, rounded up."""
+    return lm_add(t, LogMag.from_fraction(c, precision, UP), precision, UP)
+
+
+def abc_omega(
+    p: BoundParams, a: AbcParams, ln_ns, ln_dk, precision: int = DEFAULT_PRECISION
+) -> LogMag:
     """Omega = (r + eps/d)*ln N_S + (eps/d)*ln D_K."""
-    t = lm_mul(
-        LogMag.from_fraction(a.r + Fraction(a.epsilon, 1) / p.d, precision, UP),
-        lm_log(LogMag.from_int(p.n_s, precision, UP), precision, UP),
-        precision,
-        UP,
-    )
-    return lm_add(
-        t,
-        lm_mul(
-            LogMag.from_fraction(Fraction(a.epsilon, 1) / p.d, precision, UP),
-            lm_log(LogMag.from_int(p.d_k, precision, UP), precision, UP),
-            precision,
-            UP,
-        ),
-        precision,
-        UP,
-    )
+    eps_d = Fraction(a.epsilon, 1) / p.d
+    t = lm_mul(LogMag.from_fraction(a.r + eps_d, precision, UP), ln_ns, precision, UP)
+    u = lm_mul(LogMag.from_fraction(eps_d, precision, UP), ln_dk, precision, UP)
+    return lm_add(t, u, precision, UP)
 
 
-def prop_abc_bounds(p: BoundParams, a: AbcParams, precision: int = DEFAULT_PRECISION):
-    """Conditional on abc: (i) nu^nu*Omega + c1 bounding log max(h_NT, h);
-    (ii) u(g)(3g-1)(8g+4)*Omega + c2 bounding the Weierstrass sum;
-    (iii) genus 2 only, 6*u(2)*Omega + c3 bounding h (and h_NT <= 4h).
-    Returns (dict of values, caveats)."""
-    omega = abc_omega(p, a, precision)
-    caveats = []
-    c1, cav = a.constant("c1")
-    if cav:
-        caveats.append(cav)
-    c2, cav = a.constant("c2")
-    if cav:
-        caveats.append(cav)
-    out = {}
+def mu_upper_abc(
+    p: BoundParams, a: AbcParams, ln_ns, ln_dk, c_star, precision: int = DEFAULT_PRECISION
+) -> LogMag:
+    """(d*r + eps)*ln N_S + eps*ln D_K + c*; bounds d*mu_X under abc."""
+    t = lm_mul(LogMag.from_fraction(p.d * a.r + a.epsilon, precision, UP), ln_ns, precision, UP)
+    u = lm_mul(LogMag.from_fraction(a.epsilon, precision, UP), ln_dk, precision, UP)
+    return _plus(lm_add(t, u, precision, UP), c_star, precision)
+
+
+def prop_abc_i(p: BoundParams, omega, c1, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """nu^nu * Omega + c1; bounds log max(h_NT, h) under abc."""
     v = nu(p)
-    out["i"] = lm_add(
-        lm_mul(lm_pow(v, v, precision, UP), omega, precision, UP),
-        LogMag.from_fraction(c1, precision, UP),
-        precision,
-        UP,
-    )
-    t = lm_mul(u_g(p.g, precision), LogMag.from_int((3 * p.g - 1) * (8 * p.g + 4), precision, UP), precision, UP)
-    out["ii"] = lm_add(
-        lm_mul(t, omega, precision, UP),
-        LogMag.from_fraction(c2, precision, UP),
-        precision,
-        UP,
-    )
-    if p.g == 2:
-        c3, cav = a.constant("c3")
-        if cav:
-            caveats.append(cav)
-        out["iii"] = lm_add(
-            lm_mul(lm_mul(LogMag.from_int(6, precision, UP), u_g(2, precision), precision, UP), omega, precision, UP),
-            LogMag.from_fraction(c3, precision, UP),
-            precision,
-            UP,
-        )
-    return out, caveats
+    return _plus(lm_mul(lm_pow(v, v, precision, UP), omega, precision, UP), c1, precision)
 
 
-def prop_cyclic_bounds(
-    p: BoundParams,
-    a: AbcParams | None = None,
-    precision: int = DEFAULT_PRECISION,
-):
-    """(i) nu^(8^g*d*nu)*(D_K*N_S)^nu - c_delta bounding h (requires
-    c_delta); (ii) under abc, 6*u(g)/(g-1)*Omega + c1' - c_delta/(2g-2),
-    also bounding h.  Returns (dict of values, caveats)."""
-    if p.c_delta is None:
-        raise ValueError(
-            "ineffective constant required: no proven lower bound for the "
-            f"delta-invariant minimum in genus {p.g}; supply c_delta"
-        )
-    caveats = []
-    out = {}
-    main = thm_hyper_bound(p, precision)
-    out["i"] = lm_add(main, LogMag.from_fraction(-p.c_delta, precision, UP), precision, UP)
-    if a is not None:
-        c1p, cav = a.constant("c1_prime")
-        if cav:
-            caveats.append(cav)
-        omega = abc_omega(p, a, precision)
-        lead = lm_div(
-            lm_mul(lm_mul(LogMag.from_int(6, precision, UP), u_g(p.g, precision), precision, UP), omega, precision, UP),
-            LogMag.from_int(p.g - 1, precision, UP),
-            precision,
-            UP,
-        )
-        tail = c1p - p.c_delta / (2 * p.g - 2)
-        out["ii"] = lm_add(lead, LogMag.from_fraction(tail, precision, UP), precision, UP)
-    return out, caveats
+def prop_abc_ii(g: int, ug, omega, c2, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """u(g)(3g-1)(8g+4) * Omega + c2; bounds the Weierstrass sum under abc."""
+    t = lm_mul(ug, LogMag.from_int((3 * g - 1) * (8 * g + 4), precision, UP), precision, UP)
+    return _plus(lm_mul(t, omega, precision, UP), c2, precision)
 
 
-def lemma_conj_bounds(
-    p: BoundParams,
-    eps,
-    h_x0=None,
-    kappa: Fraction | None = None,
-    precision: int = DEFAULT_PRECISION,
-):
-    """(i) 4g^2(g-1)*h(x_0) + eps bounding h_NT, given the height of a
-    point x_0 with 4(g-1)h(x_0) <= e(X) + eps; (ii) conditional bounds
-    12g^2(g+2eps/d)(ln N_S + ln D_K) - g*c_delta + kappa for h_NT and
-    (3g/(g-1))(g+2eps/d)(ln N_S + ln D_K) - c_delta/(4(g-1)) + kappa
-    for h.  Returns (dict, caveats)."""
-    eps = _rational(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    out = {}
-    caveats = []
-    if h_x0 is not None:
-        h0 = _as_logmag(h_x0, precision)
-        if h0.sign < 0:
-            raise ValueError("h(x_0) must be nonnegative")
-        t = lm_mul(LogMag.from_int(4 * p.g**2 * (p.g - 1), precision, UP), h0, precision, UP)
-        out["i"] = lm_add(t, LogMag.from_fraction(eps, precision, UP), precision, UP)
-    if p.c_delta is None:
-        raise ValueError(
-            "ineffective constant required: no proven lower bound for the "
-            f"delta-invariant minimum in genus {p.g}; supply c_delta"
-        )
-    if kappa is None:
-        kappa = Fraction(0)
-        caveats.append("incomplete constant kappa defaulted to 0")
-    else:
-        kappa = _rational(kappa)
-    ln_nd = lm_add(
-        lm_log(LogMag.from_int(p.n_s, precision, UP), precision, UP),
-        lm_log(LogMag.from_int(p.d_k, precision, UP), precision, UP),
-        precision,
-        UP,
-    )
-    slope = p.g + Fraction(2, 1) * eps / p.d
+def prop_abc_iii(ug, omega, c3, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """Genus 2: 6*u(2) * Omega + c3; bounds h under abc (and h_NT <= 4h)."""
+    t = lm_mul(LogMag.from_int(6, precision, UP), ug, precision, UP)
+    return _plus(lm_mul(t, omega, precision, UP), c3, precision)
+
+
+def prop_cyclic_i(hyper_bound, c_delta, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """nu^(8^g*d*nu)*(D_K*N_S)^nu - c_delta, i.e. thm_hyper_bound less
+    c_delta; bounds h."""
+    return _plus(hyper_bound, -c_delta, precision)
+
+
+def prop_cyclic_ii(
+    g: int, c_delta, ug, omega, c1_prime, precision: int = DEFAULT_PRECISION
+) -> LogMag:
+    """6*u(g)/(g-1) * Omega + c1' - c_delta/(2g-2); bounds h under abc."""
+    t = lm_mul(lm_mul(LogMag.from_int(6, precision, UP), ug, precision, UP), omega, precision, UP)
+    lead = lm_div(t, LogMag.from_int(g - 1, precision, UP), precision, UP)
+    return _plus(lead, c1_prime - c_delta / (2 * g - 2), precision)
+
+
+def lemma_conj_nt(
+    p: BoundParams, a: AbcParams, ln_nd, kappa, precision: int = DEFAULT_PRECISION
+) -> LogMag:
+    """12g^2(g+2eps/d)(ln N_S + ln D_K) - g*c_delta + kappa; bounds h_NT
+    under abc."""
+    slope = p.g + Fraction(2, 1) * a.epsilon / p.d
     t = lm_mul(LogMag.from_fraction(12 * p.g**2 * slope, precision, UP), ln_nd, precision, UP)
-    out["ii_nt"] = lm_add(
-        t, LogMag.from_fraction(-p.g * p.c_delta + kappa, precision, UP), precision, UP
+    return _plus(t, -p.g * p.c_delta + kappa, precision)
+
+
+def lemma_conj_h(
+    p: BoundParams, a: AbcParams, ln_nd, kappa, precision: int = DEFAULT_PRECISION
+) -> LogMag:
+    """(3g/(g-1))(g+2eps/d)(ln N_S + ln D_K) - c_delta/(4(g-1)) + kappa;
+    bounds h under abc."""
+    slope = Fraction(3 * p.g, p.g - 1) * (p.g + Fraction(2, 1) * a.epsilon / p.d)
+    t = lm_mul(LogMag.from_fraction(slope, precision, UP), ln_nd, precision, UP)
+    return _plus(t, -p.c_delta / (4 * (p.g - 1)) + kappa, precision)
+
+
+# ---------------------------------------------------------------------------
+# the formula table
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One row of a bound chain.  fn receives the values named in inputs,
+    then the precision; its value becomes one entry per target.  An input
+    names an earlier row, a shared intermediate (SHARED), an abc constant,
+    or a value the chain was given.  The row is skipped unless every
+    condition in `when` holds.  Later rows read the value under `name`,
+    which defaults to the formula id."""
+
+    formula_id: str
+    targets: tuple[str, ...]
+    log: bool
+    note: str | None
+    fn: Callable[..., LogMag]
+    inputs: tuple[str, ...]
+    when: tuple[str, ...] = ()
+    name: str | None = None
+
+
+# condition -> (test on the chain's given values, caveat added once when
+# the condition drops a row)
+CONDITIONS = {
+    "g=2": (lambda x: x["g"] == 2, None),
+    "d=1": (lambda x: x["d"] == 1, None),
+    "c_delta": (
+        lambda x: x["c_delta"] is not None,
+        "no delta-invariant constant for genus {g}; the mu-route stops at h_F "
+        "and the delta-dependent bounds are omitted",
+    ),
+    "abc": (lambda x: x["abc"] is not None, None),
+    # the Belyi degree comes from H_Lambda unless zograf is asserted
+    "H_Lambda": (lambda x: not x["use_zograf"], None),
+    "zograf": (lambda x: x["use_zograf"], None),
+}
+
+# intermediates that several rows read: name -> (fn, inputs), like a row
+SHARED = {
+    "ln_ns": (ln_int, ("n_s",)),
+    "ln_dk": (ln_int, ("d_k",)),
+    "ln_nd": (lambda a, b, precision: lm_add(a, b, precision, UP), ("ln_ns", "ln_dk")),
+    "u_g": (u_g, ("g",)),
+    "omega": (abc_omega, ("p", "abc", "ln_ns", "ln_dk")),
+}
+
+# read from AbcParams.constant, which also gives the caveat for a default
+ABC_CONSTANTS = ("c1", "c2", "c3", "c_star", "kappa", "c1_prime")
+
+_ABC = "conditional on abc"
+
+# Each chain is walked in order; the entries and caveats of a report come
+# out in row order.
+FORMULAS = {
+    "apriori": (
+        Formula("thm_1_1", ("h_NT", "h"), True, None, thm_cyclic_bound, ("p",)),
+        # the same value as thm_1_1, for the four general invariants
+        Formula("eq_general", ("e_X", "delta_X", "h_F", "Delta_X"), True, None,
+                lambda v, precision: v, ("thm_1_1",)),
+        Formula("thm_1_2", ("weierstrass_sum",), False, None, thm_hyper_bound, ("p",)),
+        Formula("thm_1_3", ("h_NT", "h"), False, None, thm_genus2_bound, ("p",), ("g=2",)),
+        Formula("intro_genus2", ("h_NT", "h"), False, "packaged form",
+                genus2_intro_bound, ("n_s",), ("g=2", "d=1")),
+        Formula("lem_5_2_i", ("mu_X",), False, None, mu_upper, ("p",)),
+        Formula("lem_5_1", ("deg_B",), True, "via lem_5_2_i", degB_from_mu, ("p", "lem_5_2_i")),
+        Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i", hF_from_u_mu, ("u_g", "lem_5_2_i")),
+        Formula("lem_6_2", ("weierstrass_sum",), False, "via eq_fhux",
+                weierstrass_sum_bound, ("eq_fhux", "g")),
+        Formula("lem_4_4_ii", ("e_X",), False, "via eq_fhux",
+                noether_ex_bound, ("eq_fhux", "g", "c_delta"), ("c_delta",)),
+        Formula("lem_4_3", ("h",), False, "for all but finitely many points; via lem_4_4_ii",
+                zhang_height_bound, ("lem_4_4_ii", "g", "eps"), ("c_delta",)),
+        Formula("lem_4_4_i", ("h_NT",), False, "via lem_4_3",
+                nt_from_h, ("lem_4_3", "g"), ("c_delta",)),
+        Formula("prop_5_3_i", ("h",), False, None,
+                prop_cyclic_i, ("thm_1_2", "c_delta"), ("c_delta",)),
+        Formula("prop_5_3_ii", ("h",), False, _ABC, prop_cyclic_ii,
+                ("g", "c_delta", "u_g", "omega", "c1_prime"), ("c_delta", "abc")),
+        Formula("prop_3_4_i", ("h_NT", "h"), True, _ABC,
+                prop_abc_i, ("p", "omega", "c1"), ("abc",)),
+        Formula("prop_3_4_ii", ("weierstrass_sum",), False, _ABC,
+                prop_abc_ii, ("g", "u_g", "omega", "c2"), ("abc",)),
+        Formula("prop_3_4_iii", ("h",), False, _ABC + "; also h_NT <= 4h",
+                prop_abc_iii, ("u_g", "omega", "c3"), ("abc", "g=2")),
+        Formula("lem_5_2_ii", ("mu_X",), False, _ABC + "; the value bounds d*mu_X",
+                mu_upper_abc, ("p", "abc", "ln_ns", "ln_dk", "c_star"), ("abc",)),
+        Formula("lem_4_6_ii", ("h_NT",), False, _ABC,
+                lemma_conj_nt, ("p", "abc", "ln_nd", "kappa"), ("abc", "c_delta")),
+        Formula("lem_4_6_ii", ("h",), False, _ABC,
+                lemma_conj_h, ("p", "abc", "ln_nd", "kappa"), ("abc", "c_delta")),
+    ),
+    "empirical": (
+        Formula("zograf", ("deg_B",), False, "caller asserts a classical congruence modular curve",
+                zograf_degB_bound, ("g",), ("zograf",), name="belyi"),
+        Formula("lem_4_2", ("deg_B",), False, None, khadjavi_degB_bound,
+                ("d", "g", "deg_phi", "H_Lambda"), ("H_Lambda",), name="belyi"),
+        Formula("lem_4_1", ("e_X",), False, "via the Belyi degree bound",
+                ex_from_degB, ("belyi", "g")),
+        Formula("lem_4_3", ("h",), False, "for all but finitely many points; via lem_4_1",
+                zhang_height_bound, ("lem_4_1", "g", "eps")),
+        Formula("lem_4_4_i", ("h_NT",), False, "via lem_4_3", nt_from_h, ("lem_4_3", "g")),
+    ),
+}
+
+
+def formula_conditions(formula_id: str) -> frozenset[str]:
+    """Every condition that some row with this formula id is gated on."""
+    return frozenset(
+        c for rows in FORMULAS.values() for f in rows if f.formula_id == formula_id for c in f.when
     )
-    t = lm_mul(
-        LogMag.from_fraction(Fraction(3 * p.g, p.g - 1) * slope, precision, UP),
-        ln_nd,
-        precision,
-        UP,
-    )
-    out["ii_h"] = lm_add(
-        t,
-        LogMag.from_fraction(-p.c_delta / (4 * (p.g - 1)) + kappa, precision, UP),
-        precision,
-        UP,
-    )
-    return out, caveats
+
+
+def _walk(chain: str, p: BoundParams, precision: int, **given):
+    """Evaluate the rows of one chain in order, each row and each shared
+    intermediate at most once.  Returns (entries, caveats)."""
+    values = dict(p=p, d=p.d, g=p.g, n_s=p.n_s, d_k=p.d_k, c_delta=p.c_delta, **given)
+    known = dict(values)
+    entries: list[BoundEntry] = []
+    caveats: list[str] = []
+
+    def get(name):
+        if name not in known:
+            if name in ABC_CONSTANTS:
+                known[name], caveat = known["abc"].constant(name)
+                if caveat:
+                    caveats.append(caveat)
+            else:
+                fn, inputs = SHARED[name]
+                known[name] = fn(*map(get, inputs), precision)
+        return known[name]
+
+    for f in FORMULAS[chain]:
+        unmet = [c for c in f.when if not CONDITIONS[c][0](values)]
+        if unmet:
+            for c in unmet:
+                caveat = CONDITIONS[c][1] and CONDITIONS[c][1].format(**values)
+                if caveat and caveat not in caveats:
+                    caveats.append(caveat)
+            continue
+        value = f.fn(*map(get, f.inputs), precision)
+        known[f.name or f.formula_id] = value
+        entries.extend(BoundEntry(f.formula_id, t, value, f.log, f.note) for t in f.targets)
+    return entries, caveats
 
 
 def _echo_inputs(p: BoundParams, precision: int, extra: dict | None = None) -> dict:
@@ -603,6 +664,16 @@ def _echo_inputs(p: BoundParams, precision: int, extra: dict | None = None) -> d
     return out
 
 
+def _abc_echo(a: AbcParams | None):
+    if a is None:
+        return None
+    out = {"r": str(a.r), "epsilon": str(a.epsilon), "c": str(a.c)}
+    for name in ABC_CONSTANTS:
+        v = getattr(a, name)
+        out[name] = None if v is None else str(v)
+    return out
+
+
 def pipeline_apriori(
     p: BoundParams,
     abc: AbcParams | None = None,
@@ -611,130 +682,9 @@ def pipeline_apriori(
 ) -> BoundReport:
     """Every bound computable from (d, g, N_S, D_K) alone, plus the
     conditional ones when abc parameters are supplied."""
-    entries: list[BoundEntry] = []
-    caveats: list[str] = []
-
-    v11 = thm_cyclic_bound(p, precision)
-    for target in ("h_NT", "h"):
-        entries.append(BoundEntry("thm_1_1", target, v11, True))
-    vgen = general_invariants_bound(p, precision)
-    for target in ("e_X", "delta_X", "h_F", "Delta_X"):
-        entries.append(BoundEntry("eq_general", target, vgen, True))
-    entries.append(BoundEntry("thm_1_2", "weierstrass_sum", thm_hyper_bound(p, precision), False))
-    if p.g == 2:
-        v13 = thm_genus2_bound(p, precision)
-        for target in ("h_NT", "h"):
-            entries.append(BoundEntry("thm_1_3", target, v13, False))
-        if p.d == 1:
-            vintro = genus2_intro_bound(p.n_s, precision)
-            for target in ("h_NT", "h"):
-                entries.append(
-                    BoundEntry("intro_genus2", target, vintro, False, note="packaged form")
-                )
-
-    vmu = mu_upper(p, precision)
-    entries.append(BoundEntry("lem_5_2_i", "mu_X", vmu, False))
-    entries.append(
-        BoundEntry("lem_5_1", "deg_B", degB_from_mu(p, vmu, precision), True, note="via lem_5_2_i")
-    )
-    vhF = hF_from_mu(p.g, vmu, precision)
-    entries.append(BoundEntry("eq_fhux", "h_F", vhF, False, note="via lem_5_2_i"))
-    entries.append(
-        BoundEntry(
-            "lem_6_2",
-            "weierstrass_sum",
-            weierstrass_sum_bound(vhF, p.g, precision),
-            False,
-            note="via eq_fhux",
-        )
-    )
-    if p.c_delta is not None:
-        ve = noether_ex_bound(vhF, p.g, p.c_delta, precision)
-        entries.append(BoundEntry("lem_4_4_ii", "e_X", ve, False, note="via eq_fhux"))
-        vh = zhang_height_bound(ve, p.g, eps, precision)
-        entries.append(
-            BoundEntry(
-                "lem_4_3",
-                "h",
-                vh,
-                False,
-                note="for all but finitely many points; via lem_4_4_ii",
-            )
-        )
-        entries.append(
-            BoundEntry("lem_4_4_i", "h_NT", nt_from_h(vh, p.g, precision), False, note="via lem_4_3")
-        )
-        pc, pc_cav = prop_cyclic_bounds(p, abc, precision)
-        caveats.extend(pc_cav)
-        entries.append(BoundEntry("prop_5_3_i", "h", pc["i"], False))
-        if "ii" in pc:
-            entries.append(BoundEntry("prop_5_3_ii", "h", pc["ii"], False, note="conditional on abc"))
-    else:
-        caveats.append(
-            f"no delta-invariant constant for genus {p.g}; the mu-route stops at h_F "
-            "and the delta-dependent bounds are omitted"
-        )
-
-    if abc is not None:
-        pa, pa_cav = prop_abc_bounds(p, abc, precision)
-        caveats.extend(pa_cav)
-        for target in ("h_NT", "h"):
-            entries.append(
-                BoundEntry("prop_3_4_i", target, pa["i"], True, note="conditional on abc")
-            )
-        entries.append(
-            BoundEntry("prop_3_4_ii", "weierstrass_sum", pa["ii"], False, note="conditional on abc")
-        )
-        if "iii" in pa:
-            entries.append(
-                BoundEntry(
-                    "prop_3_4_iii",
-                    "h",
-                    pa["iii"],
-                    False,
-                    note="conditional on abc; also h_NT <= 4h",
-                )
-            )
-        vmu2, mu_cav = mu_upper_abc(p, abc, precision)
-        caveats.extend(mu_cav)
-        entries.append(
-            BoundEntry(
-                "lem_5_2_ii",
-                "mu_X",
-                vmu2,
-                False,
-                note="conditional on abc; the value bounds d*mu_X",
-            )
-        )
-        if p.c_delta is not None:
-            lc, lc_cav = lemma_conj_bounds(p, abc.epsilon, None, abc.kappa, precision)
-            caveats.extend(lc_cav)
-            entries.append(
-                BoundEntry("lem_4_6_ii", "h_NT", lc["ii_nt"], False, note="conditional on abc")
-            )
-            entries.append(
-                BoundEntry("lem_4_6_ii", "h", lc["ii_h"], False, note="conditional on abc")
-            )
-
-    return BoundReport(
-        inputs=_echo_inputs(
-            p,
-            precision,
-            {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": _abc_echo(abc)},
-        ),
-        entries=entries,
-        caveats=caveats,
-    )
-
-
-def _abc_echo(a: AbcParams | None):
-    if a is None:
-        return None
-    out = {"r": str(a.r), "epsilon": str(a.epsilon), "c": str(a.c)}
-    for name in ("c1", "c2", "c3", "c_star", "kappa", "c1_prime"):
-        v = getattr(a, name)
-        out[name] = None if v is None else str(v)
-    return out
+    entries, caveats = _walk("apriori", p, precision, eps=eps, abc=abc)
+    extra = {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": _abc_echo(abc)}
+    return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)
 
 
 def pipeline_empirical(
@@ -749,30 +699,9 @@ def pipeline_empirical(
     Belyi degree, then e(X), then h, then h_NT.  With use_zograf the
     caller asserts the curve is a classical congruence modular curve and
     the 128(g+1) degree bound replaces the H_Lambda step."""
-    entries: list[BoundEntry] = []
-    caveats: list[str] = []
-    if use_zograf:
-        degB = zograf_degB_bound(p.g, precision)
-        entries.append(
-            BoundEntry(
-                "zograf",
-                "deg_B",
-                degB,
-                False,
-                note="caller asserts a classical congruence modular curve",
-            )
-        )
-    else:
-        degB = khadjavi_degB_bound(p.d, p.g, deg_phi, H_Lambda, precision)
-        entries.append(BoundEntry("lem_4_2", "deg_B", degB, False))
-    ve = ex_from_degB(degB, p.g, precision)
-    entries.append(BoundEntry("lem_4_1", "e_X", ve, False, note="via the Belyi degree bound"))
-    vh = zhang_height_bound(ve, p.g, eps, precision)
-    entries.append(
-        BoundEntry("lem_4_3", "h", vh, False, note="for all but finitely many points; via lem_4_1")
-    )
-    entries.append(
-        BoundEntry("lem_4_4_i", "h_NT", nt_from_h(vh, p.g, precision), False, note="via lem_4_3")
+    entries, caveats = _walk(
+        "empirical", p, precision,
+        eps=eps, H_Lambda=H_Lambda, deg_phi=deg_phi, use_zograf=use_zograf,
     )
     extra = {
         "pipeline": "empirical",
@@ -781,9 +710,7 @@ def pipeline_empirical(
         "eps": str(_rational(eps)),
         "H_Lambda": None if use_zograf else _as_logmag(H_Lambda, precision).to_json_value(),
     }
-    return BoundReport(
-        inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats
-    )
+    return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)
 
 
 def _direct_h_entry(report: BoundReport) -> BoundEntry | None:
@@ -844,18 +771,11 @@ def full_report(
         entries.extend(em.entries)
         caveats.extend(em.caveats)
         comparison = compare_pipelines(ap, em, precision)
-    inputs = _echo_inputs(
-        p,
-        precision,
-        {
-            "eps": str(_rational(eps)),
-            "abc": _abc_echo(abc),
-            "deg_phi": deg_phi,
-            "use_zograf": use_zograf,
-            "H_Lambda": None
-            if H_Lambda is None
-            else _as_logmag(H_Lambda, precision).to_json_value(),
-        },
+    inputs = {k: v for k, v in ap.inputs.items() if k != "pipeline"}
+    inputs["deg_phi"] = deg_phi
+    inputs["use_zograf"] = use_zograf
+    inputs["H_Lambda"] = (
+        None if H_Lambda is None else _as_logmag(H_Lambda, precision).to_json_value()
     )
     if extra_inputs:
         inputs.update(extra_inputs)

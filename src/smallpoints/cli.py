@@ -22,13 +22,7 @@ import sys
 from fractions import Fraction
 
 from .algebraic import algebraic_roots, weil_height
-from .bounds import (
-    AbcParams,
-    BoundParams,
-    full_report,
-    thm_cyclic_bound,
-    thm_genus2_bound,
-)
+from .bounds import AbcParams, BoundParams, formula_conditions, full_report
 from .curve import analyze_curve
 from .numeric import DEFAULT_PRECISION
 from .polynomial import parse_poly, render_poly
@@ -202,16 +196,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_C_DELTA_FORMULAS = {
-    "lem_4_4_ii",
-    "lem_4_3",
-    "lem_4_4_i",
-    "prop_5_3_i",
-    "prop_5_3_ii",
-    "lem_4_6_ii",
-}
-
-
 def cmd_bound(args) -> int:
     try:
         p = BoundParams(d=args.d, g=args.g, n_s=args.ns, d_k=args.dk, c_delta=args.cdelta)
@@ -231,7 +215,7 @@ def cmd_bound(args) -> int:
         for fid in args.formula:
             if fid in available:
                 continue
-            if fid in _C_DELTA_FORMULAS and p.c_delta is None:
+            if "c_delta" in formula_conditions(fid) and p.c_delta is None:
                 print(
                     f"smallpoints: formula {fid} needs c_delta and no proven value "
                     f"exists for genus {p.g}; pass --cdelta to assert one",
@@ -240,21 +224,13 @@ def cmd_bound(args) -> int:
             else:
                 print(f"smallpoints: no formula {fid} for these inputs", file=sys.stderr)
             return EXIT_INPUT
-        rep.entries = [e for e in rep.entries if e.formula_id in set(args.formula)]
     if args.format == "json":
+        if args.formula:
+            rep.entries = [e for e in rep.entries if e.formula_id in set(args.formula)]
         _emit(json.dumps(rep.to_dict(), indent=2), args.out)
     else:
-        thm = repr(
-            thm_genus2_bound(p, args.precision).log10_float()
-            if p.g == 2
-            else thm_cyclic_bound(p, args.precision).log10_float()
-        )
-        emp = "-"
-        chain = "-"
-        if rep.comparison is not None and "empirical" in rep.comparison:
-            emp = repr(rep.comparison["empirical"]["log10_of_bound"])
-            chain = rep.comparison["sharper_chain"]
-        _emit(TSV_HEADER + "\n" + f"-\t{p.g}\t{p.n_s}\t{thm}\t{emp}\t{chain}", args.out)
+        # the summary row reads the whole report; --formula only filters JSON
+        _emit(TSV_HEADER + "\n" + _tsv_row("-", p.g, p.n_s, rep), args.out)
     return EXIT_OK
 
 

@@ -184,10 +184,6 @@ def csub(u, v):
     return u[0] - v[0], u[1] - v[1]
 
 
-def cneg(u):
-    return -u[0], -u[1]
-
-
 def cmul(u, v):
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
@@ -203,10 +199,6 @@ def cinv(u):
     return u[0] / d, -u[1] / d
 
 
-def cdiv(u, v):
-    return cmul(u, cinv(v))
-
-
 class Box:
     """Axis-aligned rectangle in the complex plane with exact rational sides."""
 
@@ -219,10 +211,6 @@ class Box:
     @staticmethod
     def point(re, im=0) -> "Box":
         return Box(Interval(_fr(re)), Interval(_fr(im)))
-
-    @staticmethod
-    def from_bounds(a, b, c, d) -> "Box":
-        return Box(Interval(a, b), Interval(c, d))
 
     def __repr__(self):
         return f"Box([{self.re.lo}, {self.re.hi}] + [{self.im.lo}, {self.im.hi}]i)"
@@ -258,10 +246,6 @@ class Box:
         return self.re.is_interior_subset(other.re) and self.im.is_interior_subset(
             other.im
         )
-
-    def is_real_line_symmetric_free(self) -> bool:
-        """True if the box cannot meet the real axis."""
-        return not self.im.contains_zero()
 
     def intersect(self, other: "Box") -> "Box | None":
         re = self.re.intersect(other.re)

@@ -132,11 +132,34 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _int_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m and k >= 2 minimal, or None.  Only for m whose
+    prime factors all exceed 10**6: then r > 2**19, so k <= bits / 19."""
+    for k in range(2, m.bit_length() // 19 + 1):
+        r = _int_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
 
     factor(1) is the empty list.  Trial division by all primes below 10**6,
-    then Pollard rho with Miller-Rabin primality on the cofactors.
+    then Pollard rho with Miller-Rabin primality on the cofactors.  A
+    cofactor that is a perfect power is split by an integer root first:
+    rho on p**2 needs about sqrt(p) steps, because gcd(x - y, p**2) only
+    exposes p after the sequence cycles mod p.
     """
     if n < 1:
         raise ValueError("factor requires a positive integer")
@@ -155,15 +178,14 @@ def factor(n: int) -> list[tuple[int, int]]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.extend([power[0]] * power[1])
+            continue
         d = _pollard_rho(m) if m % 2 else 2
         stack.append(d)
         stack.append(m // d)
     return sorted(out.items())
-
-
-def radical(n: int) -> list[int]:
-    """Sorted distinct prime divisors of n >= 1."""
-    return [p for p, _ in factor(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     # -- calculus and transforms
 
     def derivative(self) -> "Poly":
@@ -183,10 +180,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * inner + Poly((c,))
         return acc
-
-    def reverse(self) -> "Poly":
-        """x**deg * f(1/x); note a root at zero drops the degree."""
-        return Poly(tuple(reversed(self.coeffs)))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -282,15 +275,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     _, gp = g.primitive()
     h = _int_gcd_primitive(fp.to_int_coeffs(), gp.to_int_coeffs())
     return Poly(h).monic()
-
-
-def squarefree_part(f: Poly) -> Poly:
-    """f / gcd(f, f'), as a primitive integer polynomial with positive lc."""
-    if f.degree() < 1:
-        raise ValueError("squarefree part needs positive degree")
-    g = poly_gcd(f, f.derivative())
-    _, part = (f // g).primitive()
-    return part
 
 
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -714,13 +698,6 @@ def factor_over_z(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     content *= prim.lc() / rebuilt_lc
     out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
     return content, out
-
-
-def is_irreducible(f: Poly) -> bool:
-    if f.degree() < 1:
-        return False
-    _, factors = factor_over_z(f)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -87,26 +87,6 @@ def _variations_at(chain, x: Fraction) -> int:
     return _variations([_sign(p.eval(x)) for p in chain])
 
 
-def _variations_at_inf(chain, direction: int) -> int:
-    signs = []
-    for p in chain:
-        s = _sign(p.lc())
-        if direction < 0 and p.degree() % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def count_real_roots(f: Poly, a=None, b=None) -> int:
-    """Number of real roots of a squarefree f in (a, b]; None means the
-    corresponding infinity.  Finite endpoints must not be roots."""
-    _require_squarefree(f)
-    chain = sturm_chain(f)
-    va = _variations_at_inf(chain, -1) if a is None else _variations_at(chain, Fraction(a))
-    vb = _variations_at_inf(chain, +1) if b is None else _variations_at(chain, Fraction(b))
-    return va - vb
-
-
 def isolate_real_roots(f: Poly) -> list[Interval]:
     """Closed intervals, each containing exactly one real root of the
     squarefree f, in increasing order.  Endpoints are never roots, though

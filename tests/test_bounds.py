@@ -8,31 +8,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dec_ln
+from smallpoints import numeric
 from smallpoints.bounds import (
+    ABC_CONSTANTS,
     AbcParams,
     BoundEntry,
     BoundParams,
-    BoundReport,
+    CONDITIONS,
+    FORMULAS,
+    SHARED,
+    TARGETS,
     abc_omega,
-    compare_pipelines,
     degB_from_mu,
     ex_from_degB,
+    formula_conditions,
     full_report,
-    general_invariants_bound,
     genus2_intro_bound,
     hF_from_mu,
     khadjavi_degB_bound,
-    lemma_conj_bounds,
+    lemma_conj_nt,
     ln_factorial_upper,
+    ln_int,
     mu_upper,
-    mu_upper_abc,
     noether_ex_bound,
     nt_from_h,
     nu,
     pipeline_apriori,
     pipeline_empirical,
-    prop_abc_bounds,
-    prop_cyclic_bounds,
     thm_cyclic_bound,
     thm_genus2_bound,
     thm_hyper_bound,
@@ -137,7 +139,9 @@ def test_thm_cyclic():
 
 
 def test_general_equals_cyclic():
-    assert general_invariants_bound(P2) == thm_cyclic_bound(P2)
+    rep = pipeline_apriori(P2)
+    for target in ("e_X", "delta_X", "h_F", "Delta_X"):
+        assert rep.entry("eq_general", target).value == thm_cyclic_bound(P2)
 
 
 def test_thm_hyper():
@@ -270,16 +274,16 @@ def test_mu_upper():
 
 def test_mu_upper_abc():
     a = AbcParams(r=2, epsilon=2)
-    v, cav = mu_upper_abc(P2, a)
+    rep = pipeline_apriori(P2, abc=a)
+    v = rep.entry("lem_5_2_ii", "mu_X").value
     oracle = 4 * dec_ln(Fraction(2))
     assert oracle <= v.to_fraction() <= oracle * (1 + Fraction(1, 10**30))
-    assert cav == ["incomplete constant c_star defaulted to 0"]
-    v0, _ = mu_upper_abc(BoundParams(1, 2, 1, 1), a)
+    assert "incomplete constant c_star defaulted to 0" in rep.caveats
+    v0 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=a).entry("lem_5_2_ii").value
     assert v0.to_fraction() == 0
-    v5, cav5 = mu_upper_abc(
-        BoundParams(1, 2, 1, 1), AbcParams(r=2, epsilon=2, c_star=5)
-    )
-    assert v5.to_fraction() == 5 and cav5 == []
+    rep5 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=AbcParams(r=2, epsilon=2, c_star=5))
+    assert rep5.entry("lem_5_2_ii").value.to_fraction() == 5
+    assert not any("c_star" in c for c in rep5.caveats)
 
 
 def test_degB_from_mu():
@@ -306,47 +310,48 @@ def test_weierstrass_sum():
 
 def test_abc_omega_and_prop34():
     a = AbcParams(r=2, epsilon=2)
-    om = abc_omega(P2, a)
+    om = abc_omega(P2, a, ln_int(2), ln_int(1))
     oracle = 4 * dec_ln(Fraction(2))
     assert oracle <= om.to_fraction() <= oracle * (1 + Fraction(1, 10**30))
-    out, cav = prop_abc_bounds(P2, a)
-    assert abs(out["i"].log10_float() - 500000.4429) < 0.001
-    assert sorted(cav) == [
+    rep = pipeline_apriori(P2, abc=a)
+    for target in ("h_NT", "h"):
+        assert abs(rep.entry("prop_3_4_i", target).value.log10_float() - 500000.4429) < 0.001
+    assert {
         "incomplete constant c1 defaulted to 0",
         "incomplete constant c2 defaulted to 0",
         "incomplete constant c3 defaulted to 0",
-    ]
-    assert "iii" in out
-    out3, _ = prop_abc_bounds(BoundParams(1, 3, 2, 1), a)
-    assert "iii" not in out3
+    } <= set(rep.caveats)
+    assert rep.entry("prop_3_4_iii", "h")
+    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), abc=a)
+    assert "prop_3_4_iii" not in {e.formula_id for e in rep3.entries}
+    assert not any("c3" in c for c in rep3.caveats)
     # unit inputs collapse (i) to the supplied c1
-    out1, _ = prop_abc_bounds(
-        BoundParams(1, 2, 1, 1), AbcParams(r=2, epsilon=2, c1=7)
-    )
-    assert out1["i"].to_fraction() == 7
+    rep1 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=AbcParams(r=2, epsilon=2, c1=7))
+    assert rep1.entry("prop_3_4_i", "h").value.to_fraction() == 7
 
 
 def test_prop_cyclic():
-    out, _ = prop_cyclic_bounds(P2)
-    assert out["i"] >= thm_hyper_bound(P2)
-    out0, cav = prop_cyclic_bounds(BoundParams(1, 2, 1, 1), AbcParams(r=2, epsilon=2))
-    assert out0["ii"].to_fraction() == 93
-    assert cav == ["incomplete constant c1_prime defaulted to 0"]
-    with pytest.raises(ValueError, match="ineffective constant required"):
-        prop_cyclic_bounds(BoundParams(1, 3, 2, 1))
+    assert pipeline_apriori(P2).entry("prop_5_3_i", "h").value >= thm_hyper_bound(P2)
+    rep0 = pipeline_apriori(BoundParams(1, 2, 1, 1), AbcParams(r=2, epsilon=2))
+    assert rep0.entry("prop_5_3_ii", "h").value.to_fraction() == 93
+    # c1_prime is the first constant the chain reads
+    assert rep0.caveats[0] == "incomplete constant c1_prime defaulted to 0"
+    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), AbcParams(r=2, epsilon=2))
+    assert not {"prop_5_3_i", "prop_5_3_ii"} & {e.formula_id for e in rep3.entries}
+    assert "delta-invariant" in rep3.caveats[0]
 
 
 def test_lemma_conj():
-    out, cav = lemma_conj_bounds(P2, Fraction(1, 2), h_x0=1, kappa=0)
-    assert out["i"].to_fraction() == Fraction(33, 2)
-    assert cav == []
-    out2, cav2 = lemma_conj_bounds(P2, 2, h_x0=0)
-    assert out2["i"].to_fraction() == 2
-    assert cav2 == ["incomplete constant kappa defaulted to 0"]
-    v = out2["ii_nt"].to_fraction()
+    rep = pipeline_apriori(P2, abc=AbcParams(r=2, epsilon=2, kappa=0))
+    assert not any("kappa" in c for c in rep.caveats)
+    rep2 = pipeline_apriori(P2, abc=AbcParams(r=2, epsilon=2))
+    assert rep2.caveats[-1] == "incomplete constant kappa defaulted to 0"
+    v = rep2.entry("lem_4_6_ii", "h_NT").value.to_fraction()
     assert Fraction(5716, 10) < v < Fraction(5717, 10)
-    with pytest.raises(ValueError, match="ineffective constant required"):
-        lemma_conj_bounds(BoundParams(1, 3, 2, 1), 1, h_x0=0)
+    ln_nd = ln_int(2)
+    assert lemma_conj_nt(P2, AbcParams(r=2, epsilon=2), ln_nd, 0).to_fraction() == v
+    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), abc=AbcParams(r=2, epsilon=2))
+    assert "lem_4_6_ii" not in {e.formula_id for e in rep3.entries}
 
 
 def test_pipeline_apriori_genus2():
@@ -424,6 +429,52 @@ def test_full_report_genus3_comparison_undetermined():
     jsonschema.validate(instance=rep.to_dict(), schema=REPORT_SCHEMA)
 
 
+def test_formula_table_rows_read_only_what_exists():
+    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "abc", "H_Lambda", "deg_phi", "use_zograf"}
+    for chain, rows in FORMULAS.items():
+        # conditions every row producing a name is gated on
+        gated: dict[str, set] = {}
+        for f in rows:
+            when = set(f.when)
+            assert set(f.targets) <= set(TARGETS), f
+            assert when <= set(CONDITIONS), f
+            for name in f.inputs:
+                if name in gated:
+                    # a row never reads a value that may have been skipped
+                    assert gated[name] <= when, (chain, f.formula_id, name)
+                else:
+                    assert name in given_names | set(SHARED) | set(ABC_CONSTANTS), name
+                if name in ("omega", "abc") or name in ABC_CONSTANTS:
+                    assert "abc" in when, (chain, f.formula_id, name)
+            key = f.name or f.formula_id
+            gated[key] = gated[key] & when if key in gated else when
+
+
+def test_formula_conditions_name_the_c_delta_formulas():
+    ids = {f.formula_id for rows in FORMULAS.values() for f in rows}
+    assert {fid for fid in ids if "c_delta" in formula_conditions(fid)} == {
+        "lem_4_4_ii", "lem_4_3", "lem_4_4_i", "prop_5_3_i", "prop_5_3_ii", "lem_4_6_ii"
+    }
+    assert formula_conditions("thm_1_3") == {"g=2"}
+    assert formula_conditions("intro_genus2") == {"g=2", "d=1"}
+    assert formula_conditions("thm_9_9") == frozenset()
+
+
+@pytest.mark.parametrize("g, d, zograf, logs", [(5, 3, True, 9), (2, 1, False, 3)])
+def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, logs):
+    calls = []
+    ln_of_dyadic = numeric._ln_of_dyadic
+
+    def counting(*args):
+        calls.append(args)
+        return ln_of_dyadic(*args)
+
+    monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
+    p = BoundParams(d=d, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
+    full_report(p, abc=AbcParams(r=2, epsilon=2), use_zograf=zograf, precision=2048)
+    assert len(calls) == len(set(calls)) == logs
+
+
 def test_entry_rejects_unknown_target():
     with pytest.raises(ValueError):
         BoundEntry("x", "unknown", LogMag.zero(), False)
@@ -471,7 +522,9 @@ def test_coarser_precision_rounds_further_up():
         lambda prec: mu_upper(P2, prec),
         lambda prec: noether_ex_bound(10, 2, None, prec),
         lambda prec: zhang_height_bound(Fraction(1, 3), 2, Fraction(1, 7), prec),
-        lambda prec: prop_abc_bounds(P2, AbcParams(r=2, epsilon=2), prec)[0]["i"],
+        lambda prec: pipeline_apriori(P2, AbcParams(r=2, epsilon=2), precision=prec)
+        .entry("prop_3_4_i", "h")
+        .value,
     ]
     for fn in cases:
         assert fn(64) >= fn(256)

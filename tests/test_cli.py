@@ -6,7 +6,8 @@ import math
 import jsonschema
 import pytest
 
-from smallpoints.cli import main
+from smallpoints.bounds import BoundParams, pipeline_apriori
+from smallpoints.cli import TSV_HEADER, main
 from test_bounds import REPORT_SCHEMA
 
 X5X = "y^2 = x^5 - x"
@@ -152,6 +153,20 @@ def test_bound_unknown_formula_exits_1(capsys):
     )
     assert code == 1
     assert "thm_9_9" in err
+
+
+@pytest.mark.parametrize("g, thm_id", [(2, "thm_1_3"), (3, "thm_1_1")])
+@pytest.mark.parametrize("formula", [[], ["--formula", "thm_1_1"]])
+def test_bound_tsv_reads_the_theorem_entry(capsys, g, thm_id, formula):
+    code, out, _ = run(
+        capsys, ["bound", "--d", "1", "--g", str(g), "--ns", "10", "--format", "tsv", *formula]
+    )
+    assert code == 0
+    lines = out.rstrip("\n").split("\n")
+    assert lines[0] == TSV_HEADER
+    cells = lines[1].split("\t")
+    expected = pipeline_apriori(BoundParams(1, g, 10, 1)).entry(thm_id, "h").value.log10_float()
+    assert cells == ["-", str(g), "10", repr(expected), "-", "-"]
 
 
 def test_bound_invalid_genus_exits_1(capsys):

@@ -1,0 +1,130 @@
+"""Golden output of the `bound` and `analyze` commands.
+
+`tests/data/golden_cli.json` stores, for each command below, its exit code
+and the sha256 of its stdout.  A refactor of the bound chains must keep
+every one of them byte-identical.  Regenerate the file only when a change
+to the output is intended, and list that change in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+`bound` output depends on its argv alone, so those commands run in
+process.  In-process `analyze` output depends on what the process has
+analyzed before, so each `analyze` command runs in a fresh interpreter.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import smallpoints
+from smallpoints.cli import main
+
+DATA = Path(__file__).parent / "data" / "golden_cli.json"
+
+
+def _bound_commands() -> list[list[str]]:
+    cmds = []
+    for g, d, abc, cdelta, zograf, prec in itertools.product(
+        (2, 3, 5), (1, 2), (None, "2,2"), (None, "-1000"), (False, True), (64, 2048)
+    ):
+        argv = ["bound", "--d", str(d), "--g", str(g), "--ns", "30", "--dk", "1" if d == 1 else "5"]
+        if abc:
+            argv += ["--abc", abc]
+        if cdelta:
+            argv += ["--cdelta", cdelta]
+        if zograf:
+            argv.append("--zograf")
+        argv += ["--precision", str(prec)]
+        cmds.append(argv)
+    base = ["bound", "--d", "1", "--ns", "10"]
+    for g in ("2", "3"):
+        cmds.append(base + ["--g", g, "--format", "tsv"])
+        cmds.append(base + ["--g", g, "--format", "tsv", "--formula", "thm_1_1"])
+        cmds.append(base + ["--g", g, "--format", "tsv", "--zograf", "--abc", "2,2"])
+        cmds.append(base + ["--g", g, "--formula", "lem_4_3", "--formula", "thm_1_1"])
+        cmds.append(base + ["--g", g, "--formula", "prop_5_3_ii", "--abc", "3/2,5/4,1"])
+        cmds.append(base + ["--g", g, "--formula", "zograf", "--zograf", "--epsilon", "1/3"])
+        cmds.append(base + ["--g", g, "--formula", "thm_9_9"])
+    return cmds
+
+
+X5X = "y^2 = x^5 - x"
+# (x^2 - 1)(x^2 - 4)(x^2 - 9): six rational branch points
+SIX = "y^2 = x^6 - 14*x^4 + 49*x^2 - 36"
+
+ANALYZE = [
+    ["analyze", "--curve", X5X],
+    ["analyze", "--curve", X5X, "--abc", "2,2", "--zograf", "--format", "tsv"],
+    ["analyze", "--curve", SIX],
+    ["analyze", "--curve", SIX, "--abc", "2,2", "--cdelta", "-1000", "--precision", "2048"],
+    ["analyze", "--curve", SIX, "--format", "tsv"],
+]
+
+
+def _digest(code: int, out: str) -> dict:
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+def run_in_process(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return _digest(code, out.getvalue())
+
+
+def run_in_subprocess(argv: list[str]) -> dict:
+    env = dict(os.environ)
+    src = str(Path(smallpoints.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "smallpoints.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return _digest(proc.returncode, proc.stdout)
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv)
+
+
+def _current() -> dict:
+    out = {_key(a): run_in_process(a) for a in _bound_commands()}
+    out.update({_key(a): run_in_subprocess(a) for a in ANALYZE})
+    return out
+
+
+def _check(commands, runner):
+    stored = json.loads(DATA.read_text())
+    wrong = []
+    for argv in commands:
+        key = _key(argv)
+        assert key in stored, f"no golden record for {key!r}; regenerate"
+        if runner(argv) != stored[key]:
+            wrong.append(key)
+    assert wrong == []
+
+
+def test_golden_file_covers_every_command():
+    stored = json.loads(DATA.read_text())
+    assert set(stored) == {_key(a) for a in _bound_commands() + ANALYZE}
+
+
+def test_bound_output_matches_golden():
+    _check(_bound_commands(), run_in_process)
+
+
+def test_analyze_output_matches_golden():
+    _check(ANALYZE, run_in_subprocess)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(_current(), indent=1, sort_keys=True) + "\n")

@@ -34,7 +34,6 @@ from smallpoints.numeric import (
     lm_pow,
     lm_sub,
     lm_sum,
-    radical,
 )
 
 # ---------------------------------------------------------------------------
@@ -72,6 +71,23 @@ def test_factor_large_semiprimes():
     assert factor(2**61 - 1) == [(2**61 - 1, 1)]
 
 
+def test_factor_splits_prime_powers_without_rho(monkeypatch):
+    import sympy
+
+    from smallpoints import numeric
+
+    rho = numeric._pollard_rho
+
+    def rho_on_non_powers(n):
+        assert sympy.perfect_power(n) is False, n
+        return rho(n)
+
+    monkeypatch.setattr(numeric, "_pollard_rho", rho_on_non_powers)
+    p, q = 1000003, sympy.nextprime(10**12)
+    for n in (p * q**2, p * q**3, q**2, (p * q) ** 2):
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+
+
 def test_is_prime():
     # 3215031751 is the smallest strong pseudoprime to bases 2, 3, 5, 7
     assert not is_prime(3215031751)
@@ -88,12 +104,6 @@ def test_primality_certainty_flags():
     assert ok and how == "probabilistic"
     ok, how = is_prime_with_certainty((2**61 - 1) ** 2)
     assert not ok
-
-
-def test_radical():
-    assert radical(720) == [2, 3, 5]
-    assert radical(1) == []
-    assert radical(97) == [97]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from smallpoints.intervals import Box, Interval
 from smallpoints.polynomial import Poly, cyclotomic_poly, parse_poly
 from smallpoints.roots import (
     cauchy_root_bound,
-    count_real_roots,
     isolate_real_roots,
     isolate_roots,
     krawczyk_test,
@@ -63,18 +62,6 @@ def test_cauchy_bound():
     assert cauchy_root_bound(Poly([0, 0, 1])) == 1
     with pytest.raises(ValueError):
         cauchy_root_bound(Poly([3]))
-
-
-def test_sturm_counts():
-    assert count_real_roots(parse_poly("x^2 + 1")) == 0
-    assert count_real_roots(parse_poly("x^2 - 2")) == 2
-    assert count_real_roots(parse_poly("x^3 - x")) == 3
-    assert count_real_roots(parse_poly("x^5 - x")) == 3
-    assert count_real_roots(parse_poly("x^3 - 2")) == 1
-    assert count_real_roots(cyclotomic_poly(5)) == 0
-    assert count_real_roots(parse_poly("x^2 - 2"), 0, 2) == 1
-    assert count_real_roots(parse_poly("x^2 - 2"), -2, 0) == 1
-    assert count_real_roots(parse_poly("x^2 - 2"), 2, 9) == 0
 
 
 def test_sturm_chain_shape():
@@ -230,8 +217,6 @@ def test_errors():
         isolate_roots(parse_poly("x^2 + 2x + 1"))
     with pytest.raises(ValueError):
         isolate_real_roots(Poly([5]))
-    with pytest.raises(ValueError):
-        count_real_roots(parse_poly("x^2 - 2x + 1"))
 
 
 def test_deterministic():
