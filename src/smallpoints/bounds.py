@@ -766,17 +766,20 @@ def full_report(
     entries = list(ap.entries)
     caveats = list(ap.caveats)
     comparison = None
+    h_echo = None
     if H_Lambda is not None or use_zograf:
         em = pipeline_empirical(p, H_Lambda, deg_phi, use_zograf, eps, precision)
         entries.extend(em.entries)
         caveats.extend(em.caveats)
         comparison = compare_pipelines(ap, em, precision)
+        h_echo = em.inputs["H_Lambda"]
+    if h_echo is None and H_Lambda is not None:
+        # the zograf chain ignores H_Lambda, but the report still echoes it
+        h_echo = _as_logmag(H_Lambda, precision).to_json_value()
     inputs = {k: v for k, v in ap.inputs.items() if k != "pipeline"}
     inputs["deg_phi"] = deg_phi
     inputs["use_zograf"] = use_zograf
-    inputs["H_Lambda"] = (
-        None if H_Lambda is None else _as_logmag(H_Lambda, precision).to_json_value()
-    )
+    inputs["H_Lambda"] = h_echo
     if extra_inputs:
         inputs.update(extra_inputs)
     if extra_caveats:

@@ -165,7 +165,9 @@ def _point_descriptor(p) -> dict:
         return {"kind": "infinity"}
     if p.is_rational:
         return {"kind": "rational", "value": str(p.as_fraction())}
-    m = p.box.mid()
+    # at least 64 bits, so the printed doubles do not hinge on earlier work
+    # having refined the box past the 32 bits of its first isolation
+    m = p.refined_box(64).mid()
     return {
         "kind": "algebraic",
         "minpoly": render_poly(p.minpoly),

@@ -1,23 +1,25 @@
 """Certified complex root isolation for squarefree rational polynomials.
 
-Real roots are isolated by Sturm bisection and sharpened with interval
-Newton steps.  Nonreal roots are found by quadtree subdivision of the upper
-half plane: boxes that provably contain no root are discarded (interval
-Horner, then a centered form), surviving boxes are grouped into connected
-clusters, and a Krawczyk operator applied to the cluster hull certifies
-existence and uniqueness.  Clustering matters because a root sitting exactly
-on a subdivision grid line is interior to no single cell, only to the union
-of its neighbours.
+Aberth-Ehrlich iteration (the MPSolve design of Bini and Fiorentino)
+approximates all roots at once in fixed-point Gaussian-integer arithmetic,
+starting from an off-axis circle that encloses them, at 64 fractional bits
+and then at doubling precision until the estimates are proved.  The proof
+is a Krawczyk test, in exact Fraction arithmetic, on a small box around
+each estimate (Rump, "Verification methods", Acta Numerica 2010): a
+certified box holds exactly one root, and one symmetric about the real
+axis holds a real root.  deg(f) pairwise disjoint certified boxes, counting
+each box above the axis with its mirror image, prove that none is missing.
 
-Everything runs in exact Fraction arithmetic, so certificates carry no
-rounding error; outward dyadic snapping between refinement steps keeps
-denominators from exploding.  Conjugate roots are mirrored exactly, real
-roots come back as flat boxes with a point imaginary part, and the returned
-boxes are pairwise disjoint.
+Refinement shrinks a box inside itself (interval Newton or bisection on
+the real line, Krawczyk contraction off it), so the boxes stay disjoint;
+outward dyadic snapping between steps keeps denominators small.  Real roots
+come back as flat boxes, nonreal ones in exactly mirrored conjugate pairs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from .intervals import (
@@ -62,67 +64,14 @@ def _require_squarefree(f: Poly) -> None:
 
 
 # ---------------------------------------------------------------------------
-# real roots: Sturm counting, bisection isolation, interval Newton refinement
+# refinement of isolating enclosures
 
 
-def sturm_chain(f: Poly) -> list[Poly]:
-    """Sturm sequence of a squarefree f.  Remainders are rescaled only by
-    positive rationals, which keeps the sign pattern intact."""
-    chain = [f, f.derivative()]
-    while chain[-1].degree() > 0:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero():
-            break
-        c, prim = r.primitive()
-        chain.append(prim if c > 0 else -prim)
-    return chain
-
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations([_sign(p.eval(x)) for p in chain])
-
-
-def isolate_real_roots(f: Poly) -> list[Interval]:
-    """Closed intervals, each containing exactly one real root of the
-    squarefree f, in increasing order.  Endpoints are never roots, though
-    adjacent intervals may share one."""
-    _require_squarefree(f)
-    M = cauchy_root_bound(f)
-    chain = sturm_chain(f)
-    out = []
-    va0 = _variations_at(chain, -M)
-    vb0 = _variations_at(chain, M)
-    stack = [(-M, M, va0, vb0)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(Interval(a, b))
-            continue
-        c = (a + b) / 2
-        k = 4
-        while f.eval(c) == 0:
-            # an off-center cut with a fresh denominator; f has finitely
-            # many roots so this terminates
-            c = a + (b - a) * Fraction((1 << k) - 1, (1 << k) + 1)
-            k += 1
-        vc = _variations_at(chain, c)
-        stack.append((a, c, va, vc))
-        stack.append((c, b, vc, vb))
-    out.sort(key=lambda j: (j.lo, j.hi))
-    return out
-
-
-def _snap_real(j: Interval, precision: int, outer: Interval) -> Interval:
-    s = j.outward(precision + 16).intersect(outer)
-    return s if s is not None else j
+def _snap(x, precision: int, outer):
+    """x (an Interval or a Box inside outer) with its ends moved outward to
+    the 2**-(precision + 16) grid, but not past outer."""
+    s = x.outward(precision + 16).intersect(outer)
+    return s if s is not None else x
 
 
 def refine_real_root(f: Poly, iv: Interval, precision: int) -> Interval:
@@ -150,7 +99,7 @@ def refine_real_root(f: Poly, iv: Interval, precision: int) -> Interval:
             if cand is None:
                 raise RuntimeError("interval Newton lost the root")
             if 4 * cand.width() <= 3 * iv.width():
-                iv = _snap_real(cand, precision, iv)
+                iv = _snap(cand, precision, iv)
                 continue
         m = iv.mid()
         fm = f.eval(m)
@@ -217,10 +166,7 @@ def _contract_once(f: Poly, df: Poly, b: Box) -> Box:
     kids = [k for k in b.split4() if not _excludes_root(f, df, k)]
     if not kids:
         raise RuntimeError("contraction lost the root")
-    h = kids[0]
-    for k in kids[1:]:
-        h = h.hull(k)
-    return h
+    return functools.reduce(Box.hull, kids)
 
 
 def _box_small_enough(box: Box, precision: int) -> bool:
@@ -228,11 +174,6 @@ def _box_small_enough(box: Box, precision: int) -> bool:
     m = box.mid()
     t = Fraction(1, 1 << precision)
     return r * r <= t * t * max(Fraction(1), m[0] * m[0] + m[1] * m[1])
-
-
-def _snap_box(nb: Box, precision: int, outer: Box) -> Box:
-    s = nb.outward(precision + 16).intersect(outer)
-    return s if s is not None else nb
 
 
 def refine_complex_root(f: Poly, box: Box, precision: int, df: Poly | None = None) -> Box:
@@ -246,89 +187,126 @@ def refine_complex_root(f: Poly, box: Box, precision: int, df: Poly | None = Non
         steps += 1
         if steps > limit:
             raise RuntimeError("complex root refinement stalled")
-        box = _snap_box(_contract_once(f, df, box), precision, box)
+        box = _snap(_contract_once(f, df, box), precision, box)
     return box
 
 
 # ---------------------------------------------------------------------------
-# full isolation
+# full isolation: Aberth estimates, Krawczyk certificates
+
+# Fixed-point complex numbers are int pairs (a, b) meaning (a + b*i) / 2**w.
+_START_BITS = 64
+_MAX_BITS = 1 << 14
 
 
-def _connected_components(boxes: list[Box]) -> list[list[Box]]:
-    n = len(boxes)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if boxes[i].intersects(boxes[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[Box]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(boxes[i])
-    return list(groups.values())
+def _start_exponent(c: list[int]) -> int:
+    """Least k >= -32 with |c_n| 2^(kn) > sum |c_i| 2^(ki) over i < n: then
+    2^k exceeds the Cauchy radius, so every root has modulus below 2^k."""
+    n = len(c) - 1
+    k = -32
+    while True:
+        low = min(0, k) * n  # scales both sides to integers
+        lower = sum(abs(ci) << (k * i - low) for i, ci in enumerate(c[:n]))
+        if abs(c[n]) << (k * n - low) > lower:
+            return k
+        k += 1
 
 
-def _accept_new_root(f: Poly, df: Poly, results: list[Box], cand: Box) -> bool:
-    """Append a certified box unless its root is already represented.
-    Overlapping certified boxes are contracted until they separate; if a
-    Krawczyk test on their joint hull ever certifies a single root, the two
-    boxes hold the same root and the candidate is dropped."""
-    for i in range(len(results)):
-        r = results[i]
-        steps = 0
-        while cand.intersects(r):
-            if krawczyk_test(f, cand.hull(r), df) is not None:
-                return False
-            cand = _contract_once(f, df, cand)
-            r = _contract_once(f, df, r)
-            results[i] = r
-            steps += 1
-            if steps > 4096:
-                raise RuntimeError("could not separate certified root boxes")
-    results.append(cand)
-    return True
+def _start_points(c: list[int], w: int) -> list[tuple[int, int]]:
+    """n points on the circle of radius 2^k, turned off the real axis so
+    that none is real and no two are conjugate.  Only their spread
+    matters, so cosines and sines rounded to 30 bits will do."""
+    n = len(c) - 1
+    k = _start_exponent(c)
+    pts = []
+    for j in range(n):
+        t = 2 * math.pi * j / n + 0.7
+        a, b = round(math.cos(t) * (1 << 30)), round(math.sin(t) * (1 << 30))
+        pts.append(((a << (k + w)) >> 30, (b << (k + w)) >> 30))
+    return pts
 
 
-def _certify_upper_roots(f: Poly, M: Fraction, target: int) -> list[Box]:
-    """Certified boxes for the `target` roots with positive imaginary part.
+def _aberth(c: list[int], z: list[tuple[int, int]], w: int) -> list[tuple[int, int]]:
+    """Gauss-Seidel Aberth-Ehrlich sweeps at w fractional bits.
 
-    A real root always sits on the bottom edge of any hull that contains it,
-    so the interiority requirement of the Krawczyk test can never certify
-    one here; clusters hugging a real root just keep splitting and are
-    abandoned once every nonreal root has been found.  That count driven
-    stop is what makes the search terminate.
+    An estimate stops moving once |f(z)| is within the rounding noise of
+    fixed-point Horner evaluation, about sqrt(2) units of 2^-w per step
+    carried by |z|^j, or once its correction rounds to zero.  The sweep
+    cap only bounds this call: isolate_roots resumes from its estimates.
     """
-    df = f.derivative()
-    results: list[Box] = []
-    level = [Box(Interval(-M, M), Interval(0, M))]
-    rounds = 0
-    while len(results) < target:
-        rounds += 1
-        if rounds > 4096 or not level:
-            raise RuntimeError("upper half plane search failed to converge")
-        survivors = [B for B in level if not _excludes_root(f, df, B)]
-        level = []
-        for cluster in _connected_components(survivors):
-            if len(results) == target:
-                break
-            H = cluster[0]
-            for b in cluster[1:]:
-                H = H.hull(b)
-            K = krawczyk_test(f, H, df)
-            if K is not None:
-                # interiority forces K.im.lo > H.im.lo >= 0: the root is
-                # strictly above the axis, hence nonreal
-                _accept_new_root(f, df, results, K)
+    n = len(c) - 1
+    one = 1 << w
+    cw = [ci << w for ci in c]
+    lower = cw[n - 1::-1]
+    z = list(z)
+    moving = [True] * n
+    for _ in range(64 + 4 * n):
+        if not any(moving):
+            break
+        for k in range(n):
+            if not moving[k]:
                 continue
-            for b in cluster:
-                level.extend(b.split4())
-    return results
+            a, b = z[k]
+            pa, pb, da, db = cw[n], 0, 0, 0
+            for ci in lower:
+                da, db = ((da * a - db * b) >> w) + pa, ((da * b + db * a) >> w) + pb
+                pa, pb = ((pa * a - pb * b) >> w) + ci, (pa * b + pb * a) >> w
+            m = max(one, math.isqrt(a * a + b * b))
+            noise = 0
+            for _ in range(n):
+                noise = ((noise * m) >> w) + one
+            if abs(pa) + abs(pb) <= 4 * ((noise >> w) + 1):
+                moving[k] = False
+                continue
+            # s = sum over j != k of 1 / (z_k - z_j)
+            sa = sb = 0
+            for j, (aj, bj) in enumerate(z):
+                xa, xb = a - aj, b - bj
+                q = xa * xa + xb * xb
+                if j != k and q:
+                    sa += (xa << 2 * w) // q
+                    sb -= (xb << 2 * w) // q
+            # correction f / (f' - f s)
+            ya = da - ((pa * sa - pb * sb) >> w)
+            yb = db - ((pa * sb + pb * sa) >> w)
+            q = ya * ya + yb * yb
+            ea = ((pa * ya + pb * yb) << w) // q if q else 0
+            eb = ((pb * ya - pa * yb) << w) // q if q else 0
+            moving[k] = bool(ea or eb)
+            z[k] = (a - ea, b - eb)
+    return z
+
+
+def _certify(f: Poly, df: Poly, z: list[tuple[int, int]], w: int):
+    """Certified (real, upper) boxes of radius 2^(-w/2) max(1, |z|) around
+    the estimates, or None unless #real + 2 #upper == deg(f) and they are
+    pairwise disjoint.  An estimate that close to the real axis gets a box
+    symmetric about it; those below it are left to the mirror images."""
+    s = 1 << w
+    real, upper = [], []
+    for a, b in z:
+        r = max(1 << (w // 2), max(abs(a), abs(b)) >> (w // 2))
+        if abs(b) <= r:
+            b = 0
+        elif b < 0:
+            continue
+        box = Box(
+            Interval(Fraction(a - r, s), Fraction(a + r, s)),
+            Interval(Fraction(b - r, s), Fraction(b + r, s)),
+        )
+        K = krawczyk_test(f, box, df)
+        if K is None:
+            return None
+        # box corners lie on the 2^-w grid, so the snapped K stays inside
+        (real if b == 0 else upper).append(K.outward(w))
+    found = real + upper
+    if len(real) + 2 * len(upper) != f.degree() or any(
+        found[i].intersects(found[j])
+        for i in range(len(found))
+        for j in range(i + 1, len(found))
+    ):
+        return None
+    return real, upper
 
 
 def isolate_roots(f: Poly, precision: int = 32) -> list[Box]:
@@ -339,47 +317,24 @@ def isolate_roots(f: Poly, precision: int = 32) -> list[Box]:
     2**-precision * max(1, |mid|) and contains exactly one root.
     """
     _require_squarefree(f)
-    M = cauchy_root_bound(f)
-    real_ivs = [refine_real_root(f, iv, precision) for iv in isolate_real_roots(f)]
-    n = f.degree()
-    target = n - len(real_ivs)
-    if target % 2 != 0:
-        raise RuntimeError("nonreal roots of a real polynomial must pair up")
-    target //= 2
-    upper = _certify_upper_roots(f, M, target) if target else []
-    upper = [refine_complex_root(f, b, precision) for b in upper]
-
-    # separate any touching enclosures; the roots are distinct so deeper
-    # refinement always succeeds
-    p = precision
+    df = f.derivative()
+    den = math.lcm(*(x.denominator for x in f.coeffs))
+    c = [int(x * den) for x in f.coeffs]
+    w = _START_BITS
+    z = _start_points(c, w)
     while True:
-        real_ivs.sort(key=lambda j: (j.lo, j.hi))
-        touching = [
-            i
-            for i in range(len(real_ivs) - 1)
-            if real_ivs[i].intersects(real_ivs[i + 1])
-        ]
-        if not touching:
+        z = _aberth(c, z, w)
+        found = _certify(f, df, z, w)
+        if found is not None:
             break
-        p += 16
-        for i in touching:
-            real_ivs[i] = refine_real_root(f, real_ivs[i], p)
-            real_ivs[i + 1] = refine_real_root(f, real_ivs[i + 1], p)
-    while True:
-        pairs = [
-            (i, j)
-            for i in range(len(upper))
-            for j in range(i + 1, len(upper))
-            if upper[i].intersects(upper[j])
-        ]
-        if not pairs:
-            break
-        p += 16
-        for i, j in pairs:
-            upper[i] = refine_complex_root(f, upper[i], p)
-            upper[j] = refine_complex_root(f, upper[j], p)
-
-    boxes = [Box(Interval(j.lo, j.hi), Interval(0)) for j in real_ivs]
+        if w >= _MAX_BITS:
+            raise RuntimeError("root isolation did not certify at the precision cap")
+        z = [(a << w, b << w) for a, b in z]
+        w *= 2
+    # refinement keeps each box inside the certified one, so they stay disjoint
+    real, upper = found
+    boxes = [Box(refine_real_root(f, K.re, precision), Interval(0)) for K in real]
+    upper = [refine_complex_root(f, K, precision, df) for K in upper]
     boxes.extend(upper)
     boxes.extend(b.conjugate() for b in upper)
     boxes.sort(key=lambda b: (b.re.lo, b.re.hi, b.im.lo, b.im.hi))
@@ -389,8 +344,7 @@ def isolate_roots(f: Poly, precision: int = 32) -> list[Box]:
 def refine_root_box(f: Poly, box: Box, precision: int) -> Box:
     """Sharpen any box produced by isolate_roots to a new radius target."""
     if box.im.is_point() and box.im.lo == 0:
-        iv = refine_real_root(f, Interval(box.re.lo, box.re.hi), precision)
-        return Box(iv, Interval(0))
+        return Box(refine_real_root(f, box.re, precision), Interval(0))
     if box.im.hi < 0:
         return refine_complex_root(f, box.conjugate(), precision).conjugate()
     return refine_complex_root(f, box, precision)

@@ -460,8 +460,16 @@ def test_formula_conditions_name_the_c_delta_formulas():
     assert formula_conditions("thm_9_9") == frozenset()
 
 
-@pytest.mark.parametrize("g, d, zograf, logs", [(5, 3, True, 9), (2, 1, False, 3)])
-def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, logs):
+@pytest.mark.parametrize(
+    "g, d, zograf, h_lambda, logs",
+    [
+        pytest.param(5, 3, True, None, 9, id="5-3-True-9"),
+        pytest.param(2, 1, False, None, 3, id="2-1-False-3"),
+        pytest.param(2, 1, False, Fraction(7, 3), 8, id="2-1-False-H-8"),
+        pytest.param(5, 3, True, Fraction(7, 3), 10, id="5-3-True-H-10"),
+    ],
+)
+def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, logs):
     calls = []
     ln_of_dyadic = numeric._ln_of_dyadic
 
@@ -471,7 +479,9 @@ def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, logs):
 
     monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
     p = BoundParams(d=d, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
-    full_report(p, abc=AbcParams(r=2, epsilon=2), use_zograf=zograf, precision=2048)
+    full_report(
+        p, H_Lambda=h_lambda, abc=AbcParams(r=2, epsilon=2), use_zograf=zograf, precision=2048
+    )
     assert len(calls) == len(set(calls)) == logs
 
 

@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import smallpoints
 from smallpoints.cli import main
 
@@ -57,6 +59,12 @@ def _bound_commands() -> list[list[str]]:
 X5X = "y^2 = x^5 - x"
 # (x^2 - 1)(x^2 - 4)(x^2 - 9): six rational branch points
 SIX = "y^2 = x^6 - 14*x^4 + 49*x^2 - 36"
+# fewer than three rational branch points, so the normalization search
+# runs on certified complex roots of cross-ratio minimal polynomials:
+# (x^2 - 1)(x^2 - 2)(x^2 - 3) has two, x^5 - 2 only the one at infinity
+IRRATIONAL = ["y^2 = x^6 - 6*x^4 + 11*x^2 - 6", "y^2 = x^5 - 2"]
+# an irreducible quintic: every triple of branch points is irrational
+QUINTIC = "y^2 = x^5 + 3*x^4 - 7*x^3 + 2*x - 11"
 
 ANALYZE = [
     ["analyze", "--curve", X5X],
@@ -64,7 +72,7 @@ ANALYZE = [
     ["analyze", "--curve", SIX],
     ["analyze", "--curve", SIX, "--abc", "2,2", "--cdelta", "-1000", "--precision", "2048"],
     ["analyze", "--curve", SIX, "--format", "tsv"],
-]
+] + [["analyze", "--curve", c] for c in IRRATIONAL]
 
 
 def _digest(code: int, out: str) -> dict:
@@ -78,13 +86,13 @@ def run_in_process(argv: list[str]) -> dict:
     return _digest(code, out.getvalue())
 
 
-def run_in_subprocess(argv: list[str]) -> dict:
+def run_in_subprocess(argv: list[str], timeout: float = 300) -> dict:
     env = dict(os.environ)
     src = str(Path(smallpoints.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "smallpoints.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return _digest(proc.returncode, proc.stdout)
 
@@ -121,6 +129,11 @@ def test_bound_output_matches_golden():
 
 def test_analyze_output_matches_golden():
     _check(ANALYZE, run_in_subprocess)
+
+
+@pytest.mark.parametrize("curve", ["y^2 = x^5 - 2", QUINTIC])
+def test_hard_curves_finish_in_a_minute(curve):
+    assert run_in_subprocess(["analyze", "--curve", curve], timeout=60)["exit"] == 0
 
 
 if __name__ == "__main__":

@@ -5,22 +5,24 @@ invariants (disjointness, conjugate pairing, radius targets, one root per
 box) are checked on every isolation result.
 """
 
+import functools
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallpoints import roots
 from smallpoints.intervals import Box, Interval
 from smallpoints.polynomial import Poly, cyclotomic_poly, parse_poly
 from smallpoints.roots import (
     cauchy_root_bound,
-    isolate_real_roots,
     isolate_roots,
     krawczyk_test,
     refine_complex_root,
     refine_real_root,
     refine_root_box,
-    sturm_chain,
 )
 
 from oracles import DEC_TOL, dec_exp, dec_ln, dec_sqrt
@@ -64,15 +66,14 @@ def test_cauchy_bound():
         cauchy_root_bound(Poly([3]))
 
 
-def test_sturm_chain_shape():
-    chain = sturm_chain(parse_poly("x^2 - 2"))
-    assert chain[0].degree() == 2 and chain[1].degree() == 1
-    assert chain[-1].degree() == 0 and not chain[-1].is_zero()
+def _real_intervals(f: Poly) -> list[Interval]:
+    """The flat boxes of isolate_roots as intervals, in increasing order."""
+    return [b.re for b in isolate_roots(f) if b.im.is_point() and b.im.lo == 0]
 
 
 def test_isolate_real_sqrt2():
     f = parse_poly("x^2 - 2")
-    ivs = isolate_real_roots(f)
+    ivs = _real_intervals(f)
     assert len(ivs) == 2
     for iv in ivs:
         assert f.eval(iv.lo) * f.eval(iv.hi) < 0
@@ -81,7 +82,7 @@ def test_isolate_real_sqrt2():
 
 def test_refine_real_sqrt2():
     f = parse_poly("x^2 - 2")
-    iv = isolate_real_roots(f)[1]
+    iv = _real_intervals(f)[1]
     r = refine_real_root(f, iv, 80)
     assert r.width() <= Fraction(2, 1 << 80) * 2
     assert _near(r, SQRT2)
@@ -90,7 +91,7 @@ def test_refine_real_sqrt2():
 
 def test_refine_real_cbrt2():
     f = parse_poly("x^3 - 2")
-    (iv,) = isolate_real_roots(f)
+    (iv,) = _real_intervals(f)
     r = refine_real_root(f, iv, 100)
     assert _near(r, CBRT2)
     assert abs(r.mid() - CBRT2) <= Fraction(1, 1 << 98)
@@ -98,7 +99,7 @@ def test_refine_real_cbrt2():
 
 def test_refine_rational_root_exact_or_tight():
     f = parse_poly("x^3 - x")
-    ivs = isolate_real_roots(f)
+    ivs = _real_intervals(f)
     assert len(ivs) == 3
     refined = [refine_real_root(f, iv, 60) for iv in ivs]
     for r, root in zip(refined, (-1, 0, 1)):
@@ -216,7 +217,18 @@ def test_errors():
     with pytest.raises(ValueError):
         isolate_roots(parse_poly("x^2 + 2x + 1"))
     with pytest.raises(ValueError):
-        isolate_real_roots(Poly([5]))
+        isolate_roots(Poly([5]))
+
+
+def test_certificate_needs_every_root_once():
+    """The count and disjointness checks are what prove no root is missing."""
+    f = parse_poly("x^3 - 2x")
+    c = [int(x) for x in f.coeffs]
+    z = roots._aberth(c, roots._start_points(c, 64), 64)
+    assert roots._certify(f, f.derivative(), z, 64) is not None
+    # a root left out; a root counted twice in place of another
+    assert roots._certify(f, f.derivative(), z[:2], 64) is None
+    assert roots._certify(f, f.derivative(), [z[0], z[0], z[1]], 64) is None
 
 
 def test_deterministic():
@@ -264,3 +276,46 @@ def test_mixed_real_nonreal(a, rs):
     assert len(flats) == len(rs)
     for r in rs:
         assert any(b.contains_point((Fraction(r), Fraction(0))) for b in flats)
+
+
+def _random_poly(seed: int, degree: int, constant=None) -> Poly:
+    """Seeded 7-digit integer coefficients, optionally a given constant term."""
+    rng = random.Random(seed)
+    cs = [rng.choice((-1, 1)) * rng.randint(10**6, 10**7 - 1) for _ in range(degree + 1)]
+    if constant is not None:
+        cs[0] = constant
+    return Poly(cs)
+
+
+_X = Poly([0, 1])
+_ORACLE_INPUTS = (
+    # Mignotte x^n - 2(ax - 1)^2: for large a, two real roots near 1/a
+    # about sqrt(2) a^(-n/2-1) apart
+    [_X ** n - 2 * (a * _X - 1) ** 2 for n in (3, 6, 9, 12) for a in (7, 1000)]
+    + [_random_poly(1, 16), _random_poly(2, 27), _random_poly(3, 40)]
+    + [_random_poly(4, 20, constant=10**30)]
+    + [functools.reduce(lambda p, k: p * (_X - k), range(1, 13), Poly([1]))]
+)
+
+
+@pytest.mark.parametrize("f", _ORACLE_INPUTS, ids=range(len(_ORACLE_INPUTS)))
+def test_boxes_hold_the_mpmath_roots(f):
+    """Each 60-digit mpmath root lies in exactly one certified box, up to
+    the oracle's own 1e-45 relative tolerance."""
+    boxes = isolate_roots(f, 40)
+    _check_invariants(f, boxes, 40)
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(c.numerator) for c in reversed(f.coeffs)]
+        zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=60)
+        edges = [
+            [mpmath.mpf(x.numerator) / x.denominator for x in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)]
+            for b in boxes
+        ]
+        for z in zs:
+            tol = mpmath.mpf(10) ** -45 * max(1, abs(z))
+            x, y = mpmath.re(z), mpmath.im(z)
+            hits = [
+                e for e in edges
+                if e[0] - tol <= x <= e[1] + tol and e[2] - tol <= y <= e[3] + tol
+            ]
+            assert len(hits) == 1, (f, z)
