@@ -4,10 +4,18 @@ Endpoints are Fractions and every operation is exact, so enclosures are
 rigorous with no rounding analysis needed.  The price is denominator growth
 under iteration; outward() snaps endpoints to a dyadic grid (always outward,
 so containment survives) and is worth calling between refinement steps.
+
+The Horner evaluators (poly_eval_box, poly_eval_interval, poly_eval_point)
+share one integer kernel: coefficients over one common denominator,
+endpoints over another, so every intermediate endpoint is an integer over a
+known power of them and no gcd is paid at each step.  Only the final
+endpoints become Fractions, with exactly the values that Box and Interval
+arithmetic would give.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -172,14 +180,6 @@ def _ceil_scaled(x: Fraction, scale: int) -> int:
 # exact complex rational points, as (re, im) Fraction pairs
 
 
-def cpoint(re, im=0) -> tuple[Fraction, Fraction]:
-    return _fr(re), _fr(im)
-
-
-def cadd(u, v):
-    return u[0] + v[0], u[1] + v[1]
-
-
 def csub(u, v):
     return u[0] - v[0], u[1] - v[1]
 
@@ -309,24 +309,53 @@ class Box:
         return Box(self.re, -self.im)
 
 
+def _horner(coeffs, re_lo, re_hi, im_lo, im_hi):
+    """Horner evaluation of a polynomial (coefficients low to high, exact
+    rationals) on the box [re_lo, re_hi] + [im_lo, im_hi]i, in integers.
+
+    The coefficients are brought to one denominator L and the endpoints to
+    one denominator D, so after k steps every endpoint of the accumulator is
+    an integer over L * D**k.  The interval products are the min and max of
+    the four endpoint products, as in Interval.__mul__ and Box.__mul__, so
+    the four endpoints returned (re lo, re hi, im lo, im hi) are exactly
+    those of the same loop run on Box values.
+    """
+    cs = [_fr(c) for c in coeffs]
+    xs = [_fr(x) for x in (re_lo, re_hi, im_lo, im_hi)]
+    lcd = math.lcm(*(c.denominator for c in cs))
+    d = math.lcm(*(x.denominator for x in xs))
+    xa, xb, ya, yb = (x.numerator * (d // x.denominator) for x in xs)
+    a = b = u = v = 0  # the accumulator [a, b] + [u, v]i
+    scale = 1  # D**k
+    for c in reversed(cs):
+        scale *= d
+        t = c.numerator * (lcd // c.denominator) * scale
+        p = (a * xa, a * xb, b * xa, b * xb)  # re * re
+        q = (u * ya, u * yb, v * ya, v * yb)  # im * im
+        r = (a * ya, a * yb, b * ya, b * yb)  # re * im
+        s = (u * xa, u * xb, v * xa, v * xb)  # im * re
+        a, b, u, v = (
+            min(p) - max(q) + t,
+            max(p) - min(q) + t,
+            min(r) + min(s),
+            max(r) + max(s),
+        )
+    den = lcd * scale
+    return Fraction(a, den), Fraction(b, den), Fraction(u, den), Fraction(v, den)
+
+
 def poly_eval_box(coeffs, box: Box) -> Box:
     """Horner evaluation of a polynomial (coefficients low to high, exact
     rationals) on a box."""
-    acc = Box.point(0)
-    for c in reversed(coeffs):
-        acc = acc * box + Box.point(c)
-    return acc
+    a, b, u, v = _horner(coeffs, box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    return Box(Interval(a, b), Interval(u, v))
 
 
 def poly_eval_point(coeffs, z) -> tuple[Fraction, Fraction]:
-    acc = cpoint(0)
-    for c in reversed(coeffs):
-        acc = cadd(cmul(acc, z), cpoint(c))
-    return acc
+    a, _, u, _ = _horner(coeffs, z[0], z[0], z[1], z[1])
+    return a, u
 
 
 def poly_eval_interval(coeffs, iv: Interval) -> Interval:
-    acc = Interval(0)
-    for c in reversed(coeffs):
-        acc = acc * iv + _fr(c)
-    return acc
+    a, b, _, _ = _horner(coeffs, iv.lo, iv.hi, 0, 0)
+    return Interval(a, b)

@@ -46,16 +46,6 @@ def _bits(x: Fraction) -> int:
     return max(0, abs(x.numerator).bit_length() - x.denominator.bit_length() + 1)
 
 
-def cauchy_root_bound(f: Poly) -> Fraction:
-    """A strict bound: every complex root z of f satisfies |z| < the result."""
-    n = f.degree()
-    if n < 1:
-        raise ValueError("need a nonconstant polynomial")
-    an = abs(f.lc())
-    m = max((abs(c) for c in f.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / an
-
-
 def _require_squarefree(f: Poly) -> None:
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")

@@ -166,13 +166,15 @@ def test_mu_hat_zero_for_unit_branch_points():
 
 
 def test_analysis_is_deterministic():
-    a = analyze_curve("y^2 = x^6 - 1")
-    b = analyze_curve("y^2 = x^6 - 1")
-    assert a.normalization.triple == b.normalization.triple
-    assert [r.value for r in a.normalization.records] == [
-        r.value for r in b.normalization.records
-    ]
-    assert a.to_dict() == b.to_dict()
+    # the second analysis of each curve runs warm, on what the first left
+    for curve in ("y^2 = x^6 - 1", "y^2 = x^5 - 1", "y^2 = x^6 - x"):
+        a = analyze_curve(curve)
+        b = analyze_curve(curve)
+        assert a.normalization.triple == b.normalization.triple
+        assert [r.value for r in a.normalization.records] == [
+            r.value for r in b.normalization.records
+        ]
+        assert a.to_dict() == b.to_dict(), curve
 
 
 def test_to_dict_is_json_serializable():

@@ -1,17 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallpoints.intervals import (
     Box,
     Interval,
     cabs_sq,
-    cadd,
     cinv,
     cmul,
-    cpoint,
     csub,
     poly_eval_box,
     poly_eval_interval,
@@ -98,20 +96,20 @@ def test_interval_arithmetic_preserves_membership(ap, bp):
 
 
 def test_complex_point_helpers():
-    i = cpoint(0, 1)
-    assert cmul(i, i) == cpoint(-1, 0)
-    z = cpoint(Fraction(3), Fraction(4))
+    i = (Fraction(0), Fraction(1))
+    assert cmul(i, i) == (-1, 0)
+    z = (Fraction(3), Fraction(4))
     assert cabs_sq(z) == 25
-    assert cmul(z, cinv(z)) == cpoint(1, 0)
-    assert cadd(z, csub(cpoint(0), z)) == cpoint(0, 0)
+    assert cmul(z, cinv(z)) == (1, 0)
+    assert csub(z, z) == (0, 0)
     with pytest.raises(ZeroDivisionError):
-        cinv(cpoint(0, 0))
+        cinv((Fraction(0), Fraction(0)))
 
 
 def test_box_basics():
     b = Box(Interval(-1, 1), Interval(-1, 1))
     assert b.contains_zero()
-    assert b.contains_point(cpoint(Fraction(1, 2), Fraction(-1, 2)))
+    assert b.contains_point((Fraction(1, 2), Fraction(-1, 2)))
     assert b.rad() == 1
     assert b.abs_sq() == Interval(0, 2)
     inner = Box(Interval(Fraction(-1, 2), Fraction(1, 2)), Interval(0, Fraction(1, 4)))
@@ -127,7 +125,7 @@ def test_box_basics():
 def test_box_arithmetic_preserves_membership(ap, bp):
     a, u = ap
     b, v = bp
-    assert (a + b).contains_point(cadd(u, v))
+    assert (a + b).contains_point((u[0] + v[0], u[1] + v[1]))
     assert (a - b).contains_point(csub(u, v))
     assert (a * b).contains_point(cmul(u, v))
     assert a.abs_sq().contains(cabs_sq(u))
@@ -147,9 +145,88 @@ def test_poly_evaluation_memberships(bp):
         )
 
 
+# ---------------------------------------------------------------------------
+# the Horner evaluators against a plain Fraction Horner loop: exact equality
+
+
+def _ref_mul(x, y):
+    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(ps), max(ps)
+
+
+def _ref_box(coeffs, re, im):
+    """Horner on (lo, hi) Fraction pairs: acc = acc * (re + im i) + c."""
+    ar = ai = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        p, q = _ref_mul(ar, re), _ref_mul(ai, im)
+        r, s = _ref_mul(ar, im), _ref_mul(ai, re)
+        ar, ai = (p[0] - q[1] + c, p[1] - q[0] + c), (r[0] + s[0], r[1] + s[1])
+    return ar, ai
+
+
+def _ref_interval(coeffs, iv):
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        p = _ref_mul(acc, iv)
+        acc = (p[0] + c, p[1] + c)
+    return acc
+
+
+def _ref_point(coeffs, z):
+    a = b = Fraction(0)
+    for c in reversed(coeffs):
+        a, b = a * z[0] - b * z[1] + c, a * z[1] + b * z[0]
+    return a, b
+
+
+# thirds, sevenths, dyadics and large coprime denominators
+_denominator = st.sampled_from([1, 3, 7, 21, 1 << 20, 999983, 10**9 + 7, 3**40])
+_endpoint = st.builds(
+    Fraction, st.integers(min_value=-(10**12), max_value=10**12), _denominator
+)
+_coeff = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.builds(Fraction, st.integers(min_value=-(10**6), max_value=10**6), _denominator),
+)
+
+
+@st.composite
+def _eval_box(draw):
+    """A box that is general, flat (on the real line), a point or a real point."""
+    re = sorted((draw(_endpoint), draw(_endpoint)))
+    im = sorted((draw(_endpoint), draw(_endpoint)))
+    shape = draw(st.sampled_from(["box", "flat", "point", "real point"]))
+    if shape in ("flat", "real point"):
+        im = [Fraction(0), Fraction(0)]
+    if shape in ("point", "real point"):
+        re, im = [re[0], re[0]], [im[0], im[0]]
+    return Box(Interval(*re), Interval(*im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.one_of(st.just([]), st.lists(_coeff, min_size=1, max_size=41)),
+    b=_eval_box(),
+)
+@example(coeffs=[], b=Box(Interval(Fraction(1, 3), 2), Interval(-1, Fraction(1, 7))))
+@example(
+    coeffs=[Fraction(-5, 7)], b=Box(Interval(Fraction(1, 3), 2), Interval(-1, 0))
+)
+def test_poly_evaluation_is_exact(coeffs, b):
+    re, im = _ref_box(coeffs, (b.re.lo, b.re.hi), (b.im.lo, b.im.hi))
+    got = poly_eval_box(coeffs, b)
+    assert (got.re.lo, got.re.hi, got.im.lo, got.im.hi) == re + im
+    a, v = poly_eval_point(coeffs, (b.re.lo, b.im.lo))
+    assert (a, v) == _ref_point(coeffs, (b.re.lo, b.im.lo))
+    assert type(a) is Fraction and type(v) is Fraction
+    iv = poly_eval_interval(coeffs, b.re)
+    assert (iv.lo, iv.hi) == _ref_interval(coeffs, (b.re.lo, b.re.hi))
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+
+
 def test_poly_eval_examples():
     # x^2 + 1 at i is 0
-    assert poly_eval_point([1, 0, 1], cpoint(0, 1)) == cpoint(0, 0)
+    assert poly_eval_point([1, 0, 1], (0, 1)) == (0, 0)
     v = poly_eval_interval([Fraction(-2), 0, 1], Interval(1, 2))
     assert v.contains(-1) and v.contains(2)
 

@@ -17,7 +17,6 @@ from smallpoints import roots
 from smallpoints.intervals import Box, Interval
 from smallpoints.polynomial import Poly, cyclotomic_poly, parse_poly
 from smallpoints.roots import (
-    cauchy_root_bound,
     isolate_roots,
     krawczyk_test,
     refine_complex_root,
@@ -56,14 +55,6 @@ def _check_invariants(f: Poly, boxes: list[Box], precision: int):
         assert b.rad() ** 2 <= tol * tol * max(Fraction(1), m[0] ** 2 + m[1] ** 2)
     keys = [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes]
     assert keys == sorted(keys)
-
-
-def test_cauchy_bound():
-    assert cauchy_root_bound(parse_poly("x^2 - 2")) == 3
-    assert cauchy_root_bound(parse_poly("2x^3 + 8x - 6")) == 5
-    assert cauchy_root_bound(Poly([0, 0, 1])) == 1
-    with pytest.raises(ValueError):
-        cauchy_root_bound(Poly([3]))
 
 
 def _real_intervals(f: Poly) -> list[Interval]:
