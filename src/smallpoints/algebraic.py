@@ -2,10 +2,12 @@
 
 A value is represented by its minimal polynomial (primitive, irreducible,
 integer coefficients, positive leading coefficient) together with the index
-of its root in a canonical ordering.  The ordering is fixed once, at the
-first certified isolation of the polynomial's roots, and boxes are only
-ever refined in place afterwards, so equal values always canonicalize to
-the same (minpoly, index) pair and equality is a tuple comparison.
+of its root in a canonical ordering.  The ordering is fixed by one
+certified isolation at _CANONICAL_PRECISION, and every box at a finer
+precision is refined from that canonical box.  Root boxes and heights are
+cached as pure functions of (minimal polynomial, precision), so equal
+values always canonicalize to the same (minpoly, index) pair, equality is
+a tuple comparison, and no result depends on what was computed before.
 
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
 polynomial and stay exact.  Sums and products of two irrational values go
@@ -22,9 +24,9 @@ measure, with an exact zero for roots of unity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
 
-from .intervals import Box, Interval, poly_eval_box
+from .intervals import Box, poly_eval_box
 from .numeric import (
     DEFAULT_PRECISION,
     DOWN,
@@ -63,43 +65,31 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-# minpoly coeffs -> [achieved precision, canonical ordered boxes]
-_root_cache: dict[tuple, list] = {}
-# minpoly coeffs -> (achieved precision, lower LogMag, upper LogMag)
-_height_cache: dict[tuple, tuple] = {}
-# (f coeffs, g coeffs, op) -> irreducible factors of the resultant
-_op_cache: dict[tuple, list[Poly]] = {}
 
-
-def _roots_at(f: Poly, precision: int) -> list[Box]:
-    """Canonical root boxes of an irreducible f, refined to precision.
-    List positions never change after the first call."""
-    ent = _root_cache.get(f.coeffs)
-    if ent is None:
-        if f.degree() == 1:
-            ent = [1 << 62, [Box.point(-f[0] / f[1])]]
-        else:
-            ent = [_CANONICAL_PRECISION, isolate_roots(f, _CANONICAL_PRECISION)]
-        _root_cache[f.coeffs] = ent
-    if ent[0] < precision:
-        ent[1] = [refine_root_box(f, b, precision) for b in ent[1]]
-        ent[0] = precision
-    return ent[1]
+@lru_cache(maxsize=None)
+def _roots_of(coeffs: tuple, precision: int) -> tuple[Box, ...]:
+    """Root boxes of the irreducible polynomial with these coefficients, of
+    degree at least 2, in canonical order and at exactly this precision.
+    The order is that of the isolation at _CANONICAL_PRECISION, which any
+    lower precision also returns; finer boxes are refined from it."""
+    f = Poly(coeffs)
+    if precision <= _CANONICAL_PRECISION:
+        return tuple(isolate_roots(f, _CANONICAL_PRECISION))
+    canonical = _roots_of(coeffs, _CANONICAL_PRECISION)
+    return tuple(refine_root_box(f, b, precision) for b in canonical)
 
 
 class AlgebraicNumber:
-    __slots__ = ("minpoly", "index", "box")
+    __slots__ = ("minpoly", "index")
 
-    def __init__(self, minpoly: Poly, index: int, box: Box):
+    def __init__(self, minpoly: Poly, index: int):
         self.minpoly = minpoly
         self.index = index
-        self.box = box
 
     @staticmethod
     def from_rational(value) -> "AlgebraicNumber":
         v = Fraction(value)
-        mp = Poly([-v.numerator, v.denominator])
-        return AlgebraicNumber(mp, 0, Box.point(v))
+        return AlgebraicNumber(Poly([-v.numerator, v.denominator]), 0)
 
     # -- basics
 
@@ -119,9 +109,16 @@ class AlgebraicNumber:
     def is_zero(self) -> bool:
         return self.is_rational and self.minpoly[0] == 0
 
+    @property
+    def box(self) -> Box:
+        """The enclosure from the canonical isolation."""
+        return self.refined_box(_CANONICAL_PRECISION)
+
     def refined_box(self, precision: int) -> Box:
-        self.box = _roots_at(self.minpoly, precision)[self.index]
-        return self.box
+        """The enclosure at exactly this precision; a point if rational."""
+        if self.is_rational:
+            return Box.point(self.as_fraction())
+        return _roots_of(self.minpoly.coeffs, precision)[self.index]
 
     def sort_key(self):
         return (self.minpoly.degree(), self.minpoly.coeffs, self.index)
@@ -189,7 +186,7 @@ class AlgebraicNumber:
                 return None
             return num * den.inverse()
 
-        return _resolve_among([P], box_fn)
+        return _resolve_among((P,), box_fn)
 
     def __neg__(self):
         if self.is_rational:
@@ -276,7 +273,7 @@ def ensure_algebraic(x) -> AlgebraicNumber:
     return a
 
 
-def _resolve_among(factors: list[Poly], box_fn) -> AlgebraicNumber:
+def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     """Pick the unique (factor, root) pair compatible with ever sharper
     enclosures of the value.  box_fn(p) returns a box certain to contain
     the value, or None when p is still too coarse to build one."""
@@ -293,14 +290,14 @@ def _resolve_among(factors: list[Poly], box_fn) -> AlgebraicNumber:
                     if probe.contains_point((-h[0] / h[1], Fraction(0))):
                         hits.append((h, 0))
                 else:
-                    for i, rb in enumerate(_roots_at(h, p)):
+                    for i, rb in enumerate(_roots_of(h.coeffs, p)):
                         if rb.intersects(probe):
                             hits.append((h, i))
             if len(hits) == 1:
                 h, i = hits[0]
                 if h.degree() == 1:
                     return AlgebraicNumber.from_rational(-h[0] / h[1])
-                return AlgebraicNumber(h, i, _roots_at(h, p)[i])
+                return AlgebraicNumber(h, i)
         p *= 2
     raise RuntimeError("could not resolve which root the value is")
 
@@ -318,15 +315,13 @@ def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> Poly:
     return P
 
 
-def _op_factors(f: Poly, g: Poly, kind: str) -> list[Poly]:
+@lru_cache(maxsize=None)
+def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]:
     """Irreducible factors of the resultant whose roots are all sums (or
     products) of a root of f and a root of g."""
-    key = (f.coeffs, g.coeffs, kind)
-    hit = _op_cache.get(key)
-    if hit is not None:
-        return hit
     from .polynomial import resultant
 
+    f, g = Poly(f_coeffs), Poly(g_coeffs)
     m, n = f.degree(), g.degree()
     D = m * n
     xs = []
@@ -351,9 +346,7 @@ def _op_factors(f: Poly, g: Poly, kind: str) -> list[Poly]:
     if H.degree() != D:
         raise RuntimeError("resultant interpolation degree mismatch")
     _, fac = factor_over_z(H)
-    out = [h for h, _ in fac]
-    _op_cache[key] = out
-    return out
+    return tuple(h for h, _ in fac)
 
 
 def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumber:
@@ -362,7 +355,7 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
         raise DegreeCapExceeded(
             f"operation needs a degree {m * n} resultant (cap {RESULTANT_DEGREE_CAP})"
         )
-    factors = _op_factors(a.minpoly, b.minpoly, kind)
+    factors = _op_factors(a.minpoly.coeffs, b.minpoly.coeffs, kind)
     if kind == "add":
         box_fn = lambda p: a.refined_box(p) + b.refined_box(p)
     else:
@@ -381,8 +374,7 @@ def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
         if h.degree() == 1:
             out.append(AlgebraicNumber.from_rational(-h[0] / h[1]))
         else:
-            boxes = _roots_at(h, _CANONICAL_PRECISION)
-            out.extend(AlgebraicNumber(h, i, boxes[i]) for i in range(len(boxes)))
+            out.extend(AlgebraicNumber(h, i) for i in range(h.degree()))
     return out
 
 
@@ -448,15 +440,16 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
     an exact [0, 0]; so does any rational with numerator and denominator of
     absolute value at most 1.
     """
-    a = ensure_algebraic(alpha)
-    f = a.minpoly
-    key = f.coeffs
-    hit = _height_cache.get(key)
-    if hit is not None and hit[0] >= precision:
-        return hit[1], hit[2]
+    return _height(ensure_algebraic(alpha).minpoly.coeffs, precision)
+
+
+@lru_cache(maxsize=None)
+def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
+    """weil_height of a root of the minimal polynomial with these
+    coefficients."""
+    f = Poly(coeffs)
     if f.lc() == 1 and cyclotomic_index(f) is not None:
         z = LogMag.zero(precision)
-        _height_cache[key] = (1 << 62, z, z)
         return z, z
     n = f.degree()
     an = int(f.lc())
@@ -467,7 +460,7 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
         if n == 1:
             boxes = [Box.point(-f[0] / f[1])]
         else:
-            boxes = _roots_at(f, p)
+            boxes = _roots_of(coeffs, p)
         lo_terms = [lm_log(an, wp, DOWN)]
         hi_terms = [lm_log(an, wp, UP)]
         for b in boxes:
@@ -477,7 +470,6 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
         lo = lm_div(lm_sum(lo_terms, wp, DOWN), n, wp, DOWN)
         hi = lm_div(lm_sum(hi_terms, wp, UP), n, wp, UP)
         if lm_sub(hi, lo, wp, UP) <= target:
-            _height_cache[key] = (precision, lo, hi)
             return lo, hi
         p *= 2
     raise RuntimeError("height enclosure did not converge")

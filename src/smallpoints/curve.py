@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebraic import (
     INFINITY,
@@ -165,8 +164,7 @@ def _point_descriptor(p) -> dict:
         return {"kind": "infinity"}
     if p.is_rational:
         return {"kind": "rational", "value": str(p.as_fraction())}
-    # at least 64 bits, so the printed doubles do not hinge on earlier work
-    # having refined the box past the 32 bits of its first isolation
+    # a 64-bit box: the 32-bit canonical box would print fewer correct digits
     m = p.refined_box(64).mid()
     return {
         "kind": "algebraic",

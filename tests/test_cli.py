@@ -227,6 +227,18 @@ def test_batch_deterministic_bytes(tmp_path, capsys):
     assert summary["min_log10_thm_bound"] <= summary["max_log10_thm_bound"]
 
 
+def test_batch_lines_do_not_depend_on_order(tmp_path, capsys):
+    curves = ["y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 - 6*x^4 + 11*x^2 - 6", X5X]
+    lines = {}
+    for order in (curves, curves[::-1]):
+        corpus = corpus_file(tmp_path, [json.dumps({"curve": c}) for c in order])
+        code, out, _ = run(capsys, ["batch", corpus])
+        assert code == 0
+        for curve, line in zip(order, out.rstrip("\n").split("\n")):
+            lines.setdefault(curve, []).append(line)
+    assert all(first == second for first, second in lines.values())
+
+
 def test_batch_partial_failure_exits_3(tmp_path, capsys):
     corpus = corpus_file(
         tmp_path,

@@ -12,6 +12,7 @@ from smallpoints.curve import (
     parse_curve,
 )
 from smallpoints.polynomial import Poly, render_poly
+from test_golden import fresh_interpreter
 
 
 def test_parse_rejects_low_degree():
@@ -165,16 +166,34 @@ def test_mu_hat_zero_for_unit_branch_points():
     assert a.mu_hat[0].sign == 0 and a.mu_hat[1].sign == 0
 
 
+def _cold_analysis(curve: str) -> str:
+    """JSON of the curve's analysis in a fresh interpreter."""
+    code = (
+        "import json, sys\n"
+        "from smallpoints.curve import analyze_curve\n"
+        "print(json.dumps(analyze_curve(sys.argv[1]).to_dict()))"
+    )
+    proc = fresh_interpreter(["-c", code, curve], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_analysis_is_deterministic():
-    # the second analysis of each curve runs warm, on what the first left
-    for curve in ("y^2 = x^6 - 1", "y^2 = x^5 - 1", "y^2 = x^6 - x"):
-        a = analyze_curve(curve)
-        b = analyze_curve(curve)
-        assert a.normalization.triple == b.normalization.triple
-        assert [r.value for r in a.normalization.records] == [
-            r.value for r in b.normalization.records
-        ]
-        assert a.to_dict() == b.to_dict(), curve
+    # three states: cold, warm on what the first analysis left, and after a
+    # different curve
+    curves = [
+        "y^2 = x^6 - 1",
+        "y^2 = x^5 - 1",
+        "y^2 = x^6 - x",
+        "y^2 = x^5 - 4*x^3 + 3*x",
+    ]
+    for curve, other in zip(curves, curves[1:] + curves[:1]):
+        cold = _cold_analysis(curve)
+        first = json.dumps(analyze_curve(curve).to_dict())
+        warm = json.dumps(analyze_curve(curve).to_dict())
+        analyze_curve(other)
+        after_other = json.dumps(analyze_curve(curve).to_dict())
+        assert first == warm == after_other == cold, curve
 
 
 def test_to_dict_is_json_serializable():

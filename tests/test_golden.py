@@ -7,9 +7,9 @@ to the output is intended, and list that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-`bound` output depends on its argv alone, so those commands run in
-process.  In-process `analyze` output depends on what the process has
-analyzed before, so each `analyze` command runs in a fresh interpreter.
+Every command runs in process.  Output depends on the argv alone, so the
+`analyze` commands are checked twice, in list order and then reversed,
+against the same digests.
 """
 
 import contextlib
@@ -86,15 +86,15 @@ def run_in_process(argv: list[str]) -> dict:
     return _digest(code, out.getvalue())
 
 
-def run_in_subprocess(argv: list[str], timeout: float = 300) -> dict:
+def fresh_interpreter(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this checkout's
+    package: a cold process, killed after timeout seconds."""
     env = dict(os.environ)
     src = str(Path(smallpoints.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "smallpoints.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
-    return _digest(proc.returncode, proc.stdout)
 
 
 def _key(argv: list[str]) -> str:
@@ -102,18 +102,16 @@ def _key(argv: list[str]) -> str:
 
 
 def _current() -> dict:
-    out = {_key(a): run_in_process(a) for a in _bound_commands()}
-    out.update({_key(a): run_in_subprocess(a) for a in ANALYZE})
-    return out
+    return {_key(a): run_in_process(a) for a in _bound_commands() + ANALYZE}
 
 
-def _check(commands, runner):
+def _check(commands):
     stored = json.loads(DATA.read_text())
     wrong = []
     for argv in commands:
         key = _key(argv)
         assert key in stored, f"no golden record for {key!r}; regenerate"
-        if runner(argv) != stored[key]:
+        if run_in_process(argv) != stored[key]:
             wrong.append(key)
     assert wrong == []
 
@@ -124,16 +122,19 @@ def test_golden_file_covers_every_command():
 
 
 def test_bound_output_matches_golden():
-    _check(_bound_commands(), run_in_process)
+    _check(_bound_commands())
 
 
 def test_analyze_output_matches_golden():
-    _check(ANALYZE, run_in_subprocess)
+    # the reversed pass runs each command after the ones that followed it
+    _check(ANALYZE)
+    _check(ANALYZE[::-1])
 
 
 @pytest.mark.parametrize("curve", ["y^2 = x^5 - 2", QUINTIC])
 def test_hard_curves_finish_in_a_minute(curve):
-    assert run_in_subprocess(["analyze", "--curve", curve], timeout=60)["exit"] == 0
+    argv = ["-m", "smallpoints.cli", "analyze", "--curve", curve]
+    assert fresh_interpreter(argv, timeout=60).returncode == 0
 
 
 if __name__ == "__main__":
