@@ -10,12 +10,13 @@ values always canonicalize to the same (minpoly, index) pair, equality is
 a tuple comparison, and no result depends on what was computed before.
 
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
-polynomial and stay exact.  Sums and products of two irrational values go
-through resultants, computed by interpolation, followed by factoring and a
-box membership search to pick the right irreducible factor and root.  The
-membership search refines operand boxes until exactly one candidate root
-remains; it terminates because distinct algebraic numbers eventually
-separate.
+polynomial and stay exact; an operation with one rational operand is one
+such transform of the other.  Sums, differences, products and quotients of
+two irrational values are resultant kinds: each resultant is computed by
+interpolation and factored, and one resolve, a box membership search,
+picks the right irreducible factor and root.  The search refines operand
+boxes until exactly one candidate root remains; it terminates because
+distinct algebraic numbers eventually separate.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
 measure, with an exact zero for roots of unity.
@@ -23,6 +24,7 @@ measure, with an exact zero for roots of unity.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,6 +81,15 @@ def _roots_of(coeffs: tuple, precision: int) -> tuple[Box, ...]:
     return tuple(refine_root_box(f, b, precision) for b in canonical)
 
 
+def _boxes(coeffs: tuple, precision: int) -> tuple[Box, ...]:
+    """Root boxes of an irreducible polynomial at this precision: the
+    exact point of a linear one, never stored in _roots_of, or the
+    _roots_of boxes of one of higher degree."""
+    if len(coeffs) == 2:
+        return (Box.point(-coeffs[0] / coeffs[1]),)
+    return _roots_of(coeffs, precision)
+
+
 class AlgebraicNumber:
     __slots__ = ("minpoly", "index")
 
@@ -116,9 +127,7 @@ class AlgebraicNumber:
 
     def refined_box(self, precision: int) -> Box:
         """The enclosure at exactly this precision; a point if rational."""
-        if self.is_rational:
-            return Box.point(self.as_fraction())
-        return _roots_of(self.minpoly.coeffs, precision)[self.index]
+        return _boxes(self.minpoly.coeffs, precision)[self.index]
 
     def sort_key(self):
         return (self.minpoly.degree(), self.minpoly.coeffs, self.index)
@@ -146,10 +155,12 @@ class AlgebraicNumber:
 
     def mobius(self, a, b, c, d) -> "AlgebraicNumber":
         """The value (a*x + b)/(c*x + d) with rational a, b, c, d and
-        nonzero determinant."""
+        nonzero determinant; the identity gives back this very value."""
         a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
         if a * d - b * c == 0:
             raise ValueError("mobius transform must be invertible")
+        if b == c == 0 and a == d:
+            return self
         if self.is_rational:
             r = self.as_fraction()
             den = c * r + d
@@ -189,73 +200,63 @@ class AlgebraicNumber:
         return _resolve_among((P,), box_fn)
 
     def __neg__(self):
-        if self.is_rational:
-            return AlgebraicNumber.from_rational(-self.as_fraction())
         return self.mobius(-1, 0, 0, 1)
-
-    def _inverse(self) -> "AlgebraicNumber":
-        if self.is_rational:
-            return AlgebraicNumber.from_rational(1 / self.as_fraction())
-        return self.mobius(0, 1, 1, 0)
 
     # -- binary arithmetic
 
     def __add__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        if self.is_rational and o.is_rational:
-            return AlgebraicNumber.from_rational(self.as_fraction() + o.as_fraction())
-        if o.is_rational:
-            r = o.as_fraction()
-            return self if r == 0 else self.mobius(1, r, 0, 1)
-        if self.is_rational:
-            r = self.as_fraction()
-            return o if r == 0 else o.mobius(1, r, 0, 1)
-        return _binary(self, o, "add")
+        return _arith(self, other, "add")
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _arith(other, self, "add")
 
     def __sub__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return _arith(self, other, "sub")
 
     def __rsub__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return _arith(other, self, "sub")
 
     def __mul__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        if self.is_rational and o.is_rational:
-            return AlgebraicNumber.from_rational(self.as_fraction() * o.as_fraction())
-        if o.is_rational or self.is_rational:
-            alg, r = (self, o.as_fraction()) if o.is_rational else (o, self.as_fraction())
-            if r == 0:
-                return AlgebraicNumber.from_rational(0)
-            return alg.mobius(r, 0, 0, 1)
-        return _binary(self, o, "mul")
+        return _arith(self, other, "mul")
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return _arith(other, self, "mul")
 
     def __truediv__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero algebraic number")
-        return self * o._inverse()
+        return _arith(self, other, "div")
 
     def __rtruediv__(self, other):
-        o = _as_algebraic(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _arith(other, self, "div")
+
+
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _arith(a, b, kind: str):
+    """a op b for kind in add, sub, mul, div: Fraction arithmetic for two
+    rationals; with one rational operand r, the Mobius matrix of x op r or
+    r op x applied to the other operand x; with two irrationals, one
+    resultant."""
+    a, b = _as_algebraic(a), _as_algebraic(b)
+    if a is None or b is None:
+        return NotImplemented
+    if kind == "div" and b.is_zero():
+        raise ZeroDivisionError("division by zero algebraic number")
+    if a.is_rational and b.is_rational:
+        return AlgebraicNumber.from_rational(_OPS[kind](a.as_fraction(), b.as_fraction()))
+    if b.is_rational:
+        x, r = a, b.as_fraction()
+        matrix = {"add": (1, r, 0, 1), "sub": (1, -r, 0, 1),
+                  "mul": (r, 0, 0, 1), "div": (1, 0, 0, r)}
+    elif a.is_rational:
+        x, r = b, a.as_fraction()
+        matrix = {"add": (1, r, 0, 1), "sub": (-1, r, 0, 1),
+                  "mul": (r, 0, 0, 1), "div": (0, r, 1, 0)}
+    else:
+        return _binary(a, b, kind)
+    if r == 0 and kind in ("mul", "div"):
+        return AlgebraicNumber.from_rational(0)
+    return x.mobius(*matrix[kind])
 
 
 def _as_algebraic(x) -> AlgebraicNumber | None:
@@ -284,20 +285,14 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
             live = [
                 h for h in factors if poly_eval_box(h.coeffs, probe).contains_zero()
             ]
-            hits = []
-            for h in live:
-                if h.degree() == 1:
-                    if probe.contains_point((-h[0] / h[1], Fraction(0))):
-                        hits.append((h, 0))
-                else:
-                    for i, rb in enumerate(_roots_of(h.coeffs, p)):
-                        if rb.intersects(probe):
-                            hits.append((h, i))
+            hits = [
+                (h, i)
+                for h in live
+                for i, rb in enumerate(_boxes(h.coeffs, p))
+                if rb.intersects(probe)
+            ]
             if len(hits) == 1:
-                h, i = hits[0]
-                if h.degree() == 1:
-                    return AlgebraicNumber.from_rational(-h[0] / h[1])
-                return AlgebraicNumber(h, i)
+                return AlgebraicNumber(*hits[0])
         p *= 2
     raise RuntimeError("could not resolve which root the value is")
 
@@ -349,18 +344,32 @@ def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]
     return tuple(h for h, _ in fac)
 
 
+# the value's enclosure from its operands' boxes; None until 1/y is bounded
+_BOX_OPS = dict(_OPS, div=lambda x, y: None if y.contains_zero() else x * y.inverse())
+
+
 def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumber:
+    """a op b for two irrationals.  A difference is the sum with the roots
+    of g(-x) and a quotient the product with the roots of reversed g, where
+    g is the minimal polynomial of b; made positive-leading these are the
+    minimal polynomials of -b and 1/b, so the _op_factors keys stay
+    canonical."""
     m, n = a.minpoly.degree(), b.minpoly.degree()
     if m * n > RESULTANT_DEGREE_CAP:
         raise DegreeCapExceeded(
             f"operation needs a degree {m * n} resultant (cap {RESULTANT_DEGREE_CAP})"
         )
-    factors = _op_factors(a.minpoly.coeffs, b.minpoly.coeffs, kind)
-    if kind == "add":
-        box_fn = lambda p: a.refined_box(p) + b.refined_box(p)
-    else:
-        box_fn = lambda p: a.refined_box(p) * b.refined_box(p)
-    return _resolve_among(factors, box_fn)
+    g = b.minpoly
+    if kind == "sub":
+        g = Poly([-c if j % 2 else c for j, c in enumerate(g.coeffs)])
+    elif kind == "div":
+        g = Poly(g.coeffs[::-1])
+    if g.lc() < 0:
+        g = -g
+    resultant_kind = "add" if kind in ("add", "sub") else "mul"
+    factors = _op_factors(a.minpoly.coeffs, g.coeffs, resultant_kind)
+    op = _BOX_OPS[kind]
+    return _resolve_among(factors, lambda p: op(a.refined_box(p), b.refined_box(p)))
 
 
 def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
@@ -371,10 +380,7 @@ def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
     _, fac = factor_over_z(f)
     out = []
     for h, _ in fac:
-        if h.degree() == 1:
-            out.append(AlgebraicNumber.from_rational(-h[0] / h[1]))
-        else:
-            out.extend(AlgebraicNumber(h, i) for i in range(h.degree()))
+        out.extend(AlgebraicNumber(h, i) for i in range(h.degree()))
     return out
 
 
@@ -387,16 +393,8 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     usual limits when one argument is INFINITY.  The four points must be
     distinct, which keeps the value away from 0, 1 and infinity."""
     pts = [x if x is INFINITY else ensure_algebraic(x) for x in (p1, p2, p3, z)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            same = (
-                pts[i] is INFINITY and pts[j] is INFINITY
-                or pts[i] is not INFINITY
-                and pts[j] is not INFINITY
-                and pts[i] == pts[j]
-            )
-            if same:
-                raise ValueError("cross-ratio needs four distinct points")
+    if len(set(pts)) < 4:
+        raise ValueError("cross-ratio needs four distinct points")
     q1, q2, q3, w = pts
     if q1 is INFINITY:
         return (w - q2) / (q3 - q2)
@@ -457,10 +455,7 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     target = Fraction(1, 1 << (precision // 2))
     p = max(64, precision)
     for _ in range(16):
-        if n == 1:
-            boxes = [Box.point(-f[0] / f[1])]
-        else:
-            boxes = _roots_of(coeffs, p)
+        boxes = _boxes(coeffs, p)
         lo_terms = [lm_log(an, wp, DOWN)]
         hi_terms = [lm_log(an, wp, UP)]
         for b in boxes:

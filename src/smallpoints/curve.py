@@ -178,16 +178,14 @@ def _enclosure_dict(enc: tuple[LogMag, LogMag]) -> dict:
     return {"lower": enc[0].to_json_value(), "upper": enc[1].to_json_value()}
 
 
-def bad_prime_superset(f: Poly) -> tuple[list[int], int, list[str]]:
+def bad_prime_superset(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
     """S = {2} union primes of lc(f) * disc(f), with caveats when a factor's
     primality is only probabilistic."""
-    lc = int(f.lc())
-    disc = discriminant(f)
     if disc == 0:
         raise ValueError("discriminant is zero; the model is singular")
     primes = {2}
     caveats = []
-    for m in (abs(lc), abs(int(disc))):
+    for m in (abs(lc), abs(disc)):
         for p, _ in factor(m):
             _, kind = is_prime_with_certainty(p)
             if kind == "probabilistic":
@@ -281,7 +279,8 @@ def _normalization_search(branch: list, precision: int):
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
     f = parse_curve(text)
     genus = (f.degree() - 1) // 2
-    s_primes, n_s, caveats = bad_prime_superset(f)
+    disc = int(discriminant(f))
+    s_primes, n_s, caveats = bad_prime_superset(int(f.lc()), disc)
     branch = branch_point_list(f, genus)
 
     triple, lams, norm_caveats = _normalization_search(branch, precision)
@@ -326,7 +325,7 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         f=f,
         genus=genus,
         leading_coefficient=int(f.lc()),
-        disc=int(discriminant(f)),
+        disc=disc,
         s_primes=s_primes,
         n_s=n_s,
         branch_points=branch,

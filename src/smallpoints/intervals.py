@@ -67,15 +67,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def abs_hi(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
-
-    def abs_lo(self) -> Fraction:
-        """Mignitude: min |x| over the interval."""
-        if self.contains_zero():
-            return Fraction(0)
-        return min(abs(self.lo), abs(self.hi))
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -855,16 +855,6 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     return _round_dyadic(s, q - wp, prec, direction)
 
 
-def lm_ln2(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
-    wp = prec + 32
-    return _round_dyadic(_ln2_fixed(wp, mode), -wp, prec, mode)
-
-
-def lm_ln10(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
-    wp = prec + 32
-    return _round_dyadic(_ln10_fixed(wp, mode), -wp, prec, mode)
-
-
 def lm_ln_two_pi(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
     """Directed ln(2*pi)."""
     wp = prec + 48

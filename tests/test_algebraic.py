@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smallpoints.algebraic as alg
 from smallpoints.algebraic import (
     INFINITY,
     AlgebraicNumber,
@@ -114,8 +115,113 @@ def test_rational_fast_paths():
     s2 = sqrt2()
     assert (s2 + 0) == s2
     assert (s2 * 1) == s2
+    assert s2.mobius(3, 0, 0, 3) is s2
     half = s2 / 2
     assert half.minpoly == Poly([-1, 0, 2])
+
+
+def _operand_zoo():
+    s2, s3, phi, i = sqrt2(), sqrt3(), golden(), imag_unit()
+    s2_bar = _root_where(parse_poly("x^2 - 2"), lambda r: r.box.re.hi < 0)
+    phi_bar = _root_where(parse_poly("x^2 - x - 1"), lambda r: r.box.re.hi < 0)
+    i_bar = _root_where(parse_poly("x^2 + 1"), lambda r: r.box.im.hi < 0)
+    cbrt2 = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.is_point())
+    cbrt2_c = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+    return {
+        "sqrt2": s2,
+        "-sqrt2": s2_bar,
+        "sqrt3": s3,
+        "phi": phi,
+        "phi_bar": phi_bar,
+        "i": i,
+        "-i": i_bar,
+        "cbrt2": cbrt2,
+        "cbrt2_c": cbrt2_c,
+    }
+
+
+_IRRATIONAL_PAIRS = [
+    ("sqrt2", "sqrt3"),
+    ("sqrt3", "sqrt2"),
+    ("sqrt2", "-sqrt2"),
+    ("phi", "phi_bar"),
+    ("i", "-i"),
+    ("i", "sqrt2"),
+    ("phi", "i"),
+    ("cbrt2", "sqrt2"),
+    ("cbrt2", "cbrt2_c"),
+    ("cbrt2_c", "phi"),
+]
+
+
+def test_difference_and_quotient_match_composed_forms():
+    zoo = _operand_zoo()
+    for x, y in _IRRATIONAL_PAIRS:
+        a, b = zoo[x], zoo[y]
+        assert a - b == a + (-b), (x, y)
+        assert a / b == a * (1 / b), (x, y)
+    for a in zoo.values():
+        assert a - a == 0 and (a - a).is_rational
+        assert a / a == 1 and (a / a).is_rational
+        for r in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7)):
+            assert r - a == r + (-a), (a, r)
+            assert r / a == r * (1 / a), (a, r)
+            assert a - r == a + (-r), (a, r)
+            if r:
+                assert a / r == a * (1 / r), (a, r)
+
+
+def test_difference_and_quotient_share_resultant_keys():
+    # cbrt2 has odd degree, so g(-x) and reversed g need their sign fixed
+    zoo = _operand_zoo()
+    b = zoo["cbrt2"]
+    for a in (zoo["sqrt2"], zoo["phi"]):
+        for composed, direct in ((lambda: a + (-b), lambda: a - b),
+                                 (lambda: a * (1 / b), lambda: a / b)):
+            composed()
+            hits = alg._op_factors.cache_info().hits
+            direct()
+            assert alg._op_factors.cache_info().hits == hits + 1
+
+
+def test_each_operation_resolves_once(monkeypatch):
+    s2, s3 = sqrt2(), sqrt3()
+    calls = []
+    resolve = alg._resolve_among
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(alg, "_resolve_among", counting)
+    cases = {
+        "sqrt2 - sqrt3": lambda: s2 - s3,
+        "sqrt2 / sqrt3": lambda: s2 / s3,
+        "1 - sqrt2": lambda: 1 - s2,
+        "2 / sqrt2": lambda: 2 / s2,
+    }
+    for name, op in cases.items():
+        calls.clear()
+        op()
+        assert len(calls) == 1, name
+
+
+def test_linear_minpolys_bypass_the_root_table(monkeypatch):
+    degrees = []
+    roots_of = alg._roots_of
+
+    def recording(coeffs, precision):
+        degrees.append(len(coeffs) - 1)
+        return roots_of(coeffs, precision)
+
+    monkeypatch.setattr(alg, "_roots_of", recording)
+    s2 = sqrt2()
+    assert s2 * s2 == 2 and s2 / s2 == 1 and s2 - s2 == 0
+    r = AlgebraicNumber.from_rational(Fraction(-3, 5))
+    box = r.refined_box(200)
+    assert box.is_point() and box.contains_point((Fraction(-3, 5), 0))
+    weil_height(Fraction(22, 7), 80)
+    assert degrees and min(degrees) >= 2
 
 
 def test_degree_cap():
@@ -164,6 +270,13 @@ def test_cross_ratio_distinctness():
         cross_ratio(INFINITY, INFINITY, 1, 2)
     with pytest.raises(ValueError):
         cross_ratio(sqrt2(), 0, 1, sqrt2())
+    # one rational written two ways, and once more as a product of irrationals
+    with pytest.raises(ValueError):
+        cross_ratio(Fraction(1, 2), 0, Fraction(2, 4), 3)
+    with pytest.raises(ValueError):
+        cross_ratio(2, 0, 1, sqrt2() * sqrt2())
+    with pytest.raises(ValueError):
+        cross_ratio(INFINITY, 1, AlgebraicNumber.from_rational(Fraction(3, 3)), 5)
 
 
 def test_anharmonic_orbit_rational():
@@ -283,4 +396,4 @@ def test_mobius_group_properties(d, abcd):
     # applying the inverse matrix undoes the transform
     back = v.mobius(dd, -b, -c, a)
     assert back == base
-    assert v._inverse()._inverse() == v if not v.is_zero() else True
+    assert 1 / (1 / v) == v

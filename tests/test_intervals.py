@@ -49,13 +49,6 @@ def test_interval_basics():
         Interval(0.5)
 
 
-def test_interval_abs_bounds():
-    assert Interval(-3, 2).abs_hi() == 3
-    assert Interval(-3, 2).abs_lo() == 0
-    assert Interval(-5, -2).abs_lo() == 2
-    assert Interval(Fraction(1, 2), 4).abs_lo() == Fraction(1, 2)
-
-
 def test_interval_division():
     q = Interval(1, 2) / Interval(Fraction(1, 2), 1)
     assert q.lo == 1 and q.hi == 4

@@ -19,14 +19,14 @@ from smallpoints.numeric import (
     DOWN,
     UP,
     LogMag,
+    _ln2_fixed,
+    _ln10_fixed,
     factor,
     is_prime,
     is_prime_with_certainty,
     lm_add,
     lm_div,
     lm_exp,
-    lm_ln2,
-    lm_ln10,
     lm_ln_two_pi,
     lm_log,
     lm_max,
@@ -329,12 +329,12 @@ def test_exp_argument_cap():
 
 
 def test_constants_bracket_oracles():
-    _assert_brackets(
-        lm_ln2(192, DOWN), lm_ln2(192, UP), dec_ln(2), Fraction(1, 2**160)
-    )
-    _assert_brackets(
-        lm_ln10(192, DOWN), lm_ln10(192, UP), dec_ln(10), Fraction(1, 2**160)
-    )
+    for fixed, x in ((_ln2_fixed, 2), (_ln10_fixed, 10)):
+        wp = 192
+        lo, hi = Fraction(fixed(wp, DOWN), 2**wp), Fraction(fixed(wp, UP), 2**wp)
+        assert lo <= dec_ln(x) + DEC_TOL
+        assert hi >= dec_ln(x) - DEC_TOL
+        assert hi - lo <= Fraction(1, 2**160)
     _assert_brackets(
         lm_ln_two_pi(192, DOWN),
         lm_ln_two_pi(192, UP),
