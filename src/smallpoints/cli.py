@@ -50,6 +50,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def _abc(text: str) -> AbcParams:
     parts = text.split(",")
     if len(parts) not in (2, 3):
@@ -84,7 +91,7 @@ def _add_bound_flags(p: argparse.ArgumentParser) -> None:
                    help="abc-conjecture parameters r,eps[,c] (enables conditional bounds)")
     p.add_argument("--cdelta", type=_fraction, default=None,
                    help="asserted lower bound for the delta-invariant minimum")
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1),
+    p.add_argument("--epsilon", type=_positive_fraction, default=Fraction(1),
                    help="slack in the height-from-e(X) step (default 1)")
     p.add_argument("--zograf", action="store_true",
                    help="assert a classical congruence modular curve and use the "

@@ -64,6 +64,18 @@ def mp_ln_two_pi() -> Fraction:
         return Fraction(Decimal(mpmath.nstr(mpmath.log(2 * mpmath.pi), 55)))
 
 
+def mp_ln_dyadic_fixed(m: int, e: int, wp: int) -> Fraction:
+    """ln(m * 2**e) * 2**wp, correct to about 2**-100 absolute."""
+    import mpmath
+
+    bits = wp + 128 + abs(e).bit_length() + m.bit_length()
+    with mpmath.workprec(bits):
+        v = (mpmath.log(m) + e * mpmath.log(2)) * mpmath.mpf(2) ** wp
+        sign = -1 if v < 0 else 1
+        man, exp = v.man_exp  # man_exp drops the sign
+    return sign * Fraction(man) * Fraction(2) ** exp
+
+
 DEC_TOL = Fraction(1, 10**45)
 
 

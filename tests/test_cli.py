@@ -210,6 +210,14 @@ def test_bad_abc_triple_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_nonpositive_epsilon_exits_1(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--d", "1", "--g", "2", "--ns", "6", f"--epsilon={eps}"])
+    assert exc.value.code == 1
+    assert "argument --epsilon: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # batch
 

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     dec_ln,
     dec_pow,
     dec_sqrt,
+    mp_ln_dyadic_fixed,
     mp_ln_two_pi,
     trial_division_factor,
 )
@@ -21,6 +23,10 @@ from smallpoints.numeric import (
     LogMag,
     _ln2_fixed,
     _ln10_fixed,
+    _ln_of_dyadic,
+    _pow_int,
+    _round_dyadic,
+    _shift_dir,
     factor,
     is_prime,
     is_prime_with_certainty,
@@ -239,6 +245,79 @@ def test_ops_directed_on_stored_values(a, b, mode):
     _check_directed(lm_pow(x, 3, mode=mode), xf**3, mode, slack=32)
 
 
+# ---------------------------------------------------------------------------
+# rounding by powers of two, checked for equality with Fraction floor/ceil
+
+
+def _floor_or_ceil(x: Fraction, direction: int) -> int:
+    return math.floor(x) if direction == DOWN else math.ceil(x)
+
+
+_shifts = st.integers(-40, 400)
+_wide_ints = st.integers(-(2**600), 2**600)
+
+
+@settings(max_examples=300)
+@given(a=_wide_ints, shift=_shifts, direction=_modes)
+def test_shift_dir_is_exact_floor_or_ceil(a, shift, direction):
+    assert _shift_dir(a, shift, direction) == _floor_or_ceil(
+        Fraction(a) / Fraction(2) ** shift, direction
+    )
+
+
+@settings(max_examples=300)
+@given(m=_wide_ints, e=st.integers(-500, 500), prec=_precs, direction=_modes)
+def test_round_dyadic_is_exact_floor_or_ceil(m, e, prec, direction):
+    got = _round_dyadic(m, e, prec, direction)
+    assert got.mode == direction
+    if m == 0:
+        assert got.is_zero()
+        return
+    # prec-bit values near |m| * 2**e lie on a grid of spacing ulp
+    ulp = Fraction(2) ** (e + abs(m).bit_length() - prec)
+    expected = _floor_or_ceil(m * Fraction(2) ** e / ulp, direction) * ulp
+    assert got.to_fraction() == expected
+
+
+def _pow_int_reference(base: LogMag, e: int, prec: int, mode: int) -> Fraction:
+    """Square-and-multiply on (mantissa, exponent) pairs as _pow_int does
+    it, each trim of a mantissa to prec + 8 bits taken by Fraction
+    floor/ceil."""
+    sign = -1 if (base.sign < 0 and e % 2) else 1
+    mag_dir = mode if sign > 0 else -mode
+    work = prec + 8
+
+    def trim(mm: int, ee: int) -> tuple[int, int]:
+        shift = max(0, mm.bit_length() - work)
+        return _floor_or_ceil(Fraction(mm, 2**shift), mag_dir), ee + shift
+
+    cur = (base.man, base.exp - base.prec)
+    acc = None
+    for bit in reversed(bin(e)[2:]):
+        if bit == "1":
+            acc = cur if acc is None else trim(acc[0] * cur[0], acc[1] + cur[1])
+        cur = trim(cur[0] * cur[0], cur[1] * 2)
+    ulp = Fraction(2) ** (acc[1] + acc[0].bit_length() - prec)
+    value = sign * acc[0] * Fraction(2) ** acc[1]
+    return _floor_or_ceil(value / ulp, mode) * ulp
+
+
+@settings(max_examples=200)
+@given(
+    negative=st.booleans(),
+    frac=st.integers(0, 2**200),
+    exp=st.integers(-60, 60),
+    e=st.integers(1, 40),
+    prec=_precs,
+    mode=_modes,
+)
+def test_pow_int_trims_exactly(negative, frac, exp, e, prec, mode):
+    man = (1 << (prec - 1)) + frac % (1 << (prec - 1))
+    base = LogMag(-1 if negative else 1, man, exp, prec, mode)
+    got = _pow_int(base, e, prec, mode)
+    assert got.to_fraction() == _pow_int_reference(base, e, prec, mode)
+
+
 def test_mixed_sign_regressions():
     # rounding the operands toward the result direction would be unsound here
     r = lm_sub(0, Fraction(1, 3), prec=128, mode=UP)
@@ -293,6 +372,27 @@ def test_log_brackets_oracle():
         lo = lm_log(v, prec=192, mode=DOWN)
         hi = lm_log(v, prec=192, mode=UP)
         _assert_brackets(lo, hi, dec_ln(v), Fraction(1, 2**150))
+
+
+def test_ln_kernel_brackets_mpmath_across_precisions():
+    """The fixed-point ln kernel, at working precisions from the smallest
+    LogMag ones up to those of 2048-bit bound reports and their decimal
+    rendering, brackets the mpmath value within a few ulps per unit of
+    binary exponent (ln 2 is the only other inexact input)."""
+    bl = 128
+    h = 1 << (bl - 1)
+    rng = random.Random(2100)
+    mantissas = (h, h + (h >> 50), 2 * h - 1, rng.randrange(h, 2 * h))
+    for wp in (40, 80, 200, 560, 2100, 8200):
+        for m in mantissas:
+            for binexp in (-3000, -1, 0, 5, 10**6):
+                e = binexp - (bl - 1)
+                lo = _ln_of_dyadic(m, e, wp, DOWN)
+                hi = _ln_of_dyadic(m, e, wp, UP)
+                exact = mp_ln_dyadic_fixed(m, e, wp)
+                tol = Fraction(1, 2**64)
+                assert lo <= exact + tol and hi >= exact - tol, (wp, m, binexp)
+                assert hi - lo <= 4 * (abs(binexp) + 1) + 64, (wp, m, binexp)
 
 
 def test_log_of_one_is_exact_zero():
