@@ -8,6 +8,14 @@ carrying mode UP is >= the exact value of the operation applied to the operand
 values, and a result carrying mode DOWN is <=.  Mantissas hold a fixed number
 of bits (default 128).
 
+Every LogMag is made by one function, `_round(n, d, e, prec, direction)`: the
+prec-bit directed rounding of the exact rational (n/d) * 2**e.  `_exact` reads
+any operand (LogMag, int, Fraction) as such a triple, so + - * / hand `_round`
+the exact result and round once.  The prec-bit values form a fixed grid and
+an exact value has exactly one nearest grid point on each side, so the bits
+of a result depend only on the exact value and the direction, not on how the
+value was formed.
+
 Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
 explicit tail bound added on the upper side, so the directed contract holds
@@ -225,20 +233,7 @@ def _bucket(wp: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ln2_cached(wp: int, direction: int) -> int:
-    # ln 2 = 2 atanh(1/3) = sum over k of 2 / ((2k+1) * 3^(2k+1))
-    total = 0
-    two_wp = 2 << wp
-    k = 0
-    while True:
-        den = (2 * k + 1) * 3 ** (2 * k + 1)
-        if two_wp // den == 0:
-            break
-        total += _div_dir(two_wp, den, direction)
-        k += 1
-    if direction == UP:
-        # all remaining terms sum below (9/8) * (first omitted term + 1 ulp)
-        total += 3
-    return total
+    return _ln_atanh_series(2, 1, wp, direction)
 
 
 def _ln2_fixed(wp: int, direction: int) -> int:
@@ -248,7 +243,13 @@ def _ln2_fixed(wp: int, direction: int) -> int:
 
 
 def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
-    """ln(p/q) * 2**wp directed, for 1 <= p/q < 2, via 2*atanh((p-q)/(p+q))."""
+    """ln(p/q) * 2**wp directed, for 1 <= p/q <= 2, via 2*atanh((p-q)/(p+q)).
+
+    The upper end p/q = 2 is included because ln 2 itself is this series at
+    z = 1/3 (`_ln2_cached`).  For any p/q in range z = (p-q)/(p+q) <= 1/3, at
+    most 1/3 + 1 ulp once rounded up, so z**2 < 1/9 + 1 ulp and the terms
+    dropped after t <= 2 sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.
+    """
     if p == q:
         return 0
     num, den = p - q, p + q
@@ -262,7 +263,6 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
         t = _fx_mul(t, z2, wp, direction)
         k += 2
     if direction == UP:
-        # z < 1/3 so the dropped terms sum below t * 9/8 <= 3 ulps
         total += 3
     return 2 * total
 
@@ -364,11 +364,6 @@ def _exp_series(r: int, wp: int, direction: int) -> int:
     return total
 
 
-def _recip_fixed(a: int, wp: int, direction: int) -> int:
-    """2**(2*wp) / a directed (a > 0), i.e. the fixed-point reciprocal."""
-    return _div_dir(1 << (2 * wp), a, direction)
-
-
 # ---------------------------------------------------------------------------
 # LogMag
 
@@ -415,12 +410,12 @@ class LogMag:
 
     @staticmethod
     def from_int(n: int, prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
-        return _round_dyadic(n, 0, prec, mode)
+        return _round(n, 1, 0, prec, mode)
 
     @staticmethod
     def from_fraction(value, prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
         fr = Fraction(value)
-        return _round_fraction(fr.numerator, fr.denominator, prec, mode)
+        return _round(fr.numerator, fr.denominator, 0, prec, mode)
 
     # -- exact views
 
@@ -573,59 +568,52 @@ class LogMag:
         )
 
 
-def _round_dyadic(m: int, e: int, prec: int, direction: int) -> LogMag:
-    """LogMag nearest in the given direction to m * 2**e."""
-    if m == 0:
-        return LogMag(0, 0, 0, prec, direction)
-    sign = 1 if m > 0 else -1
-    a = abs(m)
-    bl = a.bit_length()
-    shift = bl - prec
-    exp = e + bl
-    if shift <= 0:
-        return LogMag(sign, a << -shift, exp, prec, direction)
-    q = a >> shift
-    if a & ((1 << shift) - 1) and (direction == UP) == (sign > 0):
-        q += 1
-        if q == 1 << prec:
-            q >>= 1
-            exp += 1
-    return LogMag(sign, q, exp, prec, direction)
+def _exact(x) -> tuple[int, int, int]:
+    """(n, d, e) with d > 0 and exact value (n/d) * 2**e: a LogMag, an int, or
+    anything Fraction accepts."""
+    if isinstance(x, LogMag):
+        return x.sign * x.man, 1, x.exp - x.prec
+    if isinstance(x, int):
+        return x, 1, 0
+    fr = Fraction(x)
+    return fr.numerator, fr.denominator, 0
 
 
-def _round_fraction(
-    n: int, d: int, prec: int, direction: int, exp_offset: int = 0
-) -> LogMag:
-    """Directed rounding of (n/d) * 2**exp_offset; d > 0."""
+def _round(n: int, d: int, e: int, prec: int, direction: int) -> LogMag:
+    """The prec-bit LogMag next to (n/d) * 2**e in direction; d > 0.  With
+    2**(b-1) <= |n|/d < 2**b the magnitude |n|/d * 2**(prec-b) is rounded by
+    a shift and a sticky-bit test when d == 1, else by one directed division."""
     if n == 0:
         return LogMag(0, 0, 0, prec, direction)
     sign = 1 if n > 0 else -1
+    mag_dir = direction * sign
     a = abs(n)
-    bl = a.bit_length() - d.bit_length()
-    if (a << max(0, -bl)) >= (d << max(0, bl)):
-        e = bl + 1
+    if d == 1:
+        b = a.bit_length()
+        shift = b - prec
+        if shift <= 0:
+            return LogMag(sign, a << -shift, e + b, prec, direction)
+        q = a >> shift
+        if mag_dir == UP and a & ((1 << shift) - 1):
+            q += 1
     else:
-        e = bl
-    k = prec - e
-    num = a << max(0, k)
-    den = d << max(0, -k)
-    q, r = divmod(num, den)
-    exp = e
-    if r and (direction == UP) == (sign > 0):
-        q += 1
-        if q == 1 << prec:
-            q >>= 1
-            exp += 1
-    return LogMag(sign, q, exp + exp_offset, prec, direction)
+        b = a.bit_length() - d.bit_length()
+        if (a << max(0, -b)) >= (d << max(0, b)):
+            b += 1
+        shift = b - prec
+        q = _div_dir(a << max(0, -shift), d << max(0, shift), mag_dir)
+    if q == 1 << prec:
+        # rounding away from zero carried into a new leading bit
+        q >>= 1
+        b += 1
+    return LogMag(sign, q, e + b, prec, direction)
 
 
 def _coerce(x, prec: int, mode: int) -> LogMag:
     if isinstance(x, LogMag):
         return x
-    if isinstance(x, int):
-        return _round_dyadic(x, 0, prec, mode)
-    if isinstance(x, Fraction):
-        return _round_fraction(x.numerator, x.denominator, prec, mode)
+    if isinstance(x, (int, Fraction)):
+        return _round(*_exact(x), prec, mode)
     raise TypeError(f"cannot mix LogMag with {type(x).__name__}")
 
 
@@ -654,96 +642,48 @@ def lm_add(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
     a = _coerce(a, prec, mode)
     b = _coerce(b, prec, mode)
     if a.sign == 0:
-        return _round_dyadic(*b.dyadic(), prec, mode)
+        return _round(*_exact(b), prec, mode)
     if b.sign == 0:
-        return _round_dyadic(*a.dyadic(), prec, mode)
+        return _round(*_exact(a), prec, mode)
     ma, ea = a.dyadic()
     mb, eb = b.dyadic()
     if ea < eb:
         ma, ea, mb, eb = mb, eb, ma, ea
     gap = ea - eb
     if gap <= max(a.prec, b.prec) + prec + 16:
-        return _round_dyadic((ma << gap) + mb, eb, prec, mode)
+        return _round((ma << gap) + mb, 1, eb, prec, mode)
     ext = 8
     m = ma << ext
     if mode == UP and mb > 0:
         m += 1
     elif mode == DOWN and mb < 0:
         m -= 1
-    return _round_dyadic(m, ea - ext, prec, mode)
+    return _round(m, 1, ea - ext, prec, mode)
 
 
 def lm_sub(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
     prec, mode = _resolve(a, b, prec, mode)
-    if isinstance(b, LogMag):
-        if b.sign:
-            b = LogMag(-b.sign, b.man, b.exp, b.prec, b.mode)
-    else:
-        b = -Fraction(b)
-    return lm_add(a, b, prec, mode)
+    return lm_add(a, -b if isinstance(b, LogMag) else -Fraction(b), prec, mode)
 
 
 def lm_mul(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
     """Directed a * b: the exact product of the operand values, rounded once."""
     prec, mode = _resolve(a, b, prec, mode)
-    if isinstance(a, LogMag) and isinstance(b, LogMag):
-        if a.sign == 0 or b.sign == 0:
-            return LogMag(0, 0, 0, prec, mode)
-        ma, ea = a.dyadic()
-        mb, eb = b.dyadic()
-        return _round_dyadic(ma * mb, ea + eb, prec, mode)
-    if not isinstance(a, LogMag) and not isinstance(b, LogMag):
-        fr = Fraction(a) * Fraction(b)
-        return _round_fraction(fr.numerator, fr.denominator, prec, mode)
-    x, other = (a, b) if isinstance(a, LogMag) else (b, a)
-    fr = Fraction(other)
-    if x.sign == 0 or fr == 0:
-        return LogMag(0, 0, 0, prec, mode)
-    m, e = x.dyadic()
-    return _round_fraction(m * fr.numerator, fr.denominator, prec, mode, e)
+    na, da, ea = _exact(a)
+    nb, db, eb = _exact(b)
+    return _round(na * nb, da * db, ea + eb, prec, mode)
 
 
 def lm_div(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
-    """Directed a / b: the exact quotient of the operand values, rounded once
-    (two same-direction roundings when both operands are LogMag, which still
-    satisfies the contract)."""
+    """Directed a / b: the exact quotient of the operand values, rounded once."""
     prec, mode = _resolve(a, b, prec, mode)
-    if not isinstance(b, LogMag):
-        fr = Fraction(b)
-        if fr == 0:
-            raise ZeroDivisionError("LogMag division by zero")
-        if not isinstance(a, LogMag):
-            q = Fraction(a) / fr
-            return _round_fraction(q.numerator, q.denominator, prec, mode)
-        if a.sign == 0:
-            return LogMag(0, 0, 0, prec, mode)
-        m, e = a.dyadic()
-        n = m * fr.denominator
-        d = fr.numerator
-        if d < 0:
-            n, d = -n, -d
-        return _round_fraction(n, d, prec, mode, e)
-    if b.sign == 0:
+    na, da, ea = _exact(a)
+    nb, db, eb = _exact(b)
+    if nb == 0:
         raise ZeroDivisionError("LogMag division by zero")
-    if not isinstance(a, LogMag):
-        fr = Fraction(a)
-        if fr == 0:
-            return LogMag(0, 0, 0, prec, mode)
-        mb, eb = b.dyadic()
-        n = fr.numerator
-        d = fr.denominator * mb
-        if d < 0:
-            n, d = -n, -d
-        return _round_fraction(n, d, prec, mode, -eb)
-    if a.sign == 0:
-        return LogMag(0, 0, 0, prec, mode)
-    sign = a.sign * b.sign
-    s = prec + 2
-    q, r = divmod(a.man << s, b.man)
-    if r and (mode == UP) == (sign > 0):
-        q += 1
-    e = (a.exp - a.prec) - (b.exp - b.prec) - s
-    return _round_dyadic(sign * q, e, prec, mode)
+    if nb < 0:
+        na, nb = -na, -nb
+    return _round(na * db, da * nb, ea - eb, prec, mode)
 
 
 def lm_pow(base, e, prec: int | None = None, mode: int | None = None) -> LogMag:
@@ -810,14 +750,8 @@ def _pow_int(base: LogMag, e: int, prec: int, mode: int) -> LogMag:
     work = prec + 8
 
     def trim(mm: int, ee: int) -> tuple[int, int]:
-        bl = mm.bit_length()
-        if bl <= work:
-            return mm, ee
-        shift = bl - work
-        q = mm >> shift
-        if mag_dir == UP and mm & ((1 << shift) - 1):
-            q += 1
-        return q, ee + shift
+        shift = max(0, mm.bit_length() - work)
+        return _shift_dir(mm, shift, mag_dir), ee + shift
 
     # square-and-multiply on the magnitude, every step rounded toward mag_dir
     cur = (base.man, base.exp - base.prec)
@@ -827,7 +761,7 @@ def _pow_int(base: LogMag, e: int, prec: int, mode: int) -> LogMag:
             acc = cur if acc is None else trim(acc[0] * cur[0], acc[1] + cur[1])
         cur = trim(cur[0] * cur[0], cur[1] * 2)
     assert acc is not None
-    return _round_dyadic(sign * acc[0], acc[1], prec, mode)
+    return _round(sign * acc[0], 1, acc[1], prec, mode)
 
 
 def lm_log(x, prec: int | None = None, mode: int | None = None) -> LogMag:
@@ -844,7 +778,7 @@ def lm_log(x, prec: int | None = None, mode: int | None = None) -> LogMag:
         return LogMag(0, 0, 0, prec, mode)
     wp = prec + 48 + abs(x.exp).bit_length()
     total = _ln_of_dyadic(x.man, x.exp - x.prec, wp, mode)
-    return _round_dyadic(total, -wp, prec, mode)
+    return _round(total, 1, -wp, prec, mode)
 
 
 _EXP_ARG_LIMIT = 1 << 16
@@ -883,8 +817,9 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     if r >= 0:
         s = _exp_series(r, wp, direction)
     else:
-        s = _recip_fixed(_exp_series(-r, wp, -direction), wp, direction)
-    return _round_dyadic(s, q - wp, prec, direction)
+        # exp(r) = 1 / exp(-r), the fixed-point reciprocal 2**(2*wp) / exp(-r)
+        s = _div_dir(1 << (2 * wp), _exp_series(-r, wp, -direction), direction)
+    return _round(s, 1, q - wp, prec, direction)
 
 
 def lm_ln_two_pi(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
@@ -892,7 +827,7 @@ def lm_ln_two_pi(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
     wp = prec + 48
     tp = _two_pi_fixed(wp, mode)
     total = _ln_of_dyadic(tp, -wp, wp, mode)
-    return _round_dyadic(total, -wp, prec, mode)
+    return _round(total, 1, -wp, prec, mode)
 
 
 def lm_max(*values: LogMag) -> LogMag:

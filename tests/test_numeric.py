@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     trial_division_factor,
 )
 from smallpoints.numeric import (
+    DEFAULT_PRECISION,
     DOWN,
     UP,
     LogMag,
@@ -25,7 +26,7 @@ from smallpoints.numeric import (
     _ln10_fixed,
     _ln_of_dyadic,
     _pow_int,
-    _round_dyadic,
+    _round,
     _shift_dir,
     factor,
     is_prime,
@@ -265,18 +266,83 @@ def test_shift_dir_is_exact_floor_or_ceil(a, shift, direction):
     )
 
 
+def _grid_round(x: Fraction, prec: int, direction: int) -> Fraction:
+    """x rounded in direction to the grid of prec-bit values around it."""
+    if x == 0:
+        return Fraction(0)
+    b = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    while abs(x) >= Fraction(2) ** b:
+        b += 1
+    while abs(x) < Fraction(2) ** (b - 1):
+        b -= 1
+    # 2**(b-1) <= |x| < 2**b, so prec-bit values near x have spacing ulp
+    ulp = Fraction(2) ** (b - prec)
+    return _floor_or_ceil(x / ulp, direction) * ulp
+
+
 @settings(max_examples=300)
-@given(m=_wide_ints, e=st.integers(-500, 500), prec=_precs, direction=_modes)
-def test_round_dyadic_is_exact_floor_or_ceil(m, e, prec, direction):
-    got = _round_dyadic(m, e, prec, direction)
-    assert got.mode == direction
-    if m == 0:
-        assert got.is_zero()
+@given(
+    m=_wide_ints,
+    d=st.one_of(st.just(1), st.integers(1, 2**300)),
+    e=st.integers(-500, 500),
+    prec=_precs,
+    direction=_modes,
+)
+def test_round_is_exact_floor_or_ceil(m, d, e, prec, direction):
+    got = _round(m, d, e, prec, direction)
+    assert (got.mode, got.prec) == (direction, prec)
+    assert got.to_fraction() == _grid_round(Fraction(m, d) * Fraction(2) ** e, prec, direction)
+
+
+def _logmags(draw_prec):
+    return st.builds(
+        lambda sign, frac, exp, prec, mode: LogMag(
+            sign, (1 << (prec - 1)) + frac % (1 << (prec - 1)), exp, prec, mode
+        ),
+        st.sampled_from([1, -1]),
+        st.integers(0, 2**300),
+        st.integers(-80, 80),
+        draw_prec,
+        _modes,
+    )
+
+
+_operands = st.one_of(
+    _logmags(st.sampled_from([8, 16, 53, 64, 128, 300])),
+    st.integers(-(2**200), 2**200),
+    _fracs,
+)
+
+
+def _exact_value(x) -> Fraction:
+    return x.to_fraction() if isinstance(x, LogMag) else Fraction(x)
+
+
+@settings(max_examples=400)
+@given(a=_operands, b=_operands, prec=st.one_of(st.none(), _precs), mode=_modes)
+@example(
+    a=LogMag(1, 3 << 14, 0, 16, UP),
+    b=LogMag(1, (1 << 299) + 12345, 0, 300, UP),
+    prec=None,
+    mode=UP,
+)
+def test_mul_div_round_exact_value_once(a, b, prec, mode):
+    """lm_mul and lm_div on any LogMag/int/Fraction pair, LogMags of mixed
+    precisions included, equal the exact result rounded once at the
+    resolved precision."""
+    precs = [x.prec for x in (a, b) if isinstance(x, LogMag)] + ([prec] if prec else [])
+    want_prec = max(precs, default=DEFAULT_PRECISION)
+    xa, xb = _exact_value(a), _exact_value(b)
+    got = lm_mul(a, b, prec=prec, mode=mode)
+    assert (got.mode, got.prec) == (mode, want_prec)
+    assert got.to_fraction() == _grid_round(xa * xb, want_prec, mode)
+    if xb == 0:
+        with pytest.raises(ZeroDivisionError):
+            lm_div(a, b, prec=prec, mode=mode)
         return
-    # prec-bit values near |m| * 2**e lie on a grid of spacing ulp
-    ulp = Fraction(2) ** (e + abs(m).bit_length() - prec)
-    expected = _floor_or_ceil(m * Fraction(2) ** e / ulp, direction) * ulp
-    assert got.to_fraction() == expected
+    got = lm_div(a, b, prec=prec, mode=mode)
+    assert (got.mode, got.prec) == (mode, want_prec)
+    assert got.to_fraction() == _grid_round(xa / xb, want_prec, mode)
 
 
 def _pow_int_reference(base: LogMag, e: int, prec: int, mode: int) -> Fraction:
