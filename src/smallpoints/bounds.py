@@ -393,13 +393,8 @@ def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogM
     return lm_mul(lm_pow(v, Fraction(v, 2), precision, UP), m, precision, UP)
 
 
-def hF_from_mu(g: int, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """u(g) * mu_X; bounds the Faltings height of the Jacobian."""
-    return hF_from_u_mu(u_g(g, precision), mu, precision)
-
-
 def hF_from_u_mu(ug: LogMag, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """hF_from_mu with u(g) already evaluated."""
+    """u(g) * mu_X, given ug = u(g); bounds the Faltings height of the Jacobian."""
     m = _as_logmag(mu, precision)
     if m.sign < 0:
         raise ValueError("mu must be nonnegative")
@@ -723,6 +718,15 @@ def _direct_h_entry(report: BoundReport) -> BoundEntry | None:
     return best
 
 
+def _log10_or_none(value: LogMag) -> float | None:
+    """log10 of a bound as a float, or None once it is past float range (the
+    empirical bound of genus 6 and up has an exponent thousands of bits long)."""
+    try:
+        return value.log10_float()
+    except OverflowError:
+        return None
+
+
 def compare_pipelines(
     apriori: BoundReport, empirical: BoundReport, precision: int = DEFAULT_PRECISION
 ) -> dict:
@@ -735,13 +739,13 @@ def compare_pipelines(
         out["apriori"] = {
             "formula_id": ea.formula_id,
             "ln_of_bound": lm_log(ea.value, precision, UP).to_json_value(),
-            "log10_of_bound": ea.value.log10_float(),
+            "log10_of_bound": _log10_or_none(ea.value),
         }
     if ee is not None:
         out["empirical"] = {
             "formula_id": ee.formula_id,
             "ln_of_bound": lm_log(ee.value, precision, UP).to_json_value(),
-            "log10_of_bound": ee.value.log10_float(),
+            "log10_of_bound": _log10_or_none(ee.value),
         }
     if ea is None or ee is None:
         out["sharper_chain"] = "undetermined"

@@ -17,6 +17,7 @@ partial batch failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -98,7 +99,10 @@ def _add_bound_flags(p: argparse.ArgumentParser) -> None:
                         "128(g+1) Belyi degree bound")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # building costs about a fifth of a `bound` report
     p = _Parser(prog="smallpoints",
                 description="Height bounds for small points on hyperelliptic curves over Q.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -175,7 +179,8 @@ def _tsv_row(curve_text: str, g: int, n_s: int, rep) -> str:
     chain = "-"
     if rep.comparison is not None:
         if "empirical" in rep.comparison:
-            emp = repr(rep.comparison["empirical"]["log10_of_bound"])
+            log10 = rep.comparison["empirical"]["log10_of_bound"]
+            emp = "inf" if log10 is None else repr(log10)
         chain = rep.comparison["sharper_chain"]
     return f"{curve_text}\t{g}\t{n_s}\t{thm}\t{emp}\t{chain}"
 

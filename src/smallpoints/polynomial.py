@@ -744,11 +744,15 @@ def parse_poly(text: str) -> Poly:
             raise ValueError(f"missing sign between terms near {s[pos:pos + 20]!r}")
         sgn = -1 if mt.group("sign") == "-" else 1
         if mt.group("const") is not None:
-            c, e = Fraction(mt.group("const")), 0
+            ctext, e = mt.group("const"), 0
         elif mt.group("coeff") is not None:
-            c, e = Fraction(mt.group("coeff")), int(mt.group("exp1") or 1)
+            ctext, e = mt.group("coeff"), int(mt.group("exp1") or 1)
         else:
-            c, e = Fraction(1), int(mt.group("exp2") or 1)
+            ctext, e = "1", int(mt.group("exp2") or 1)
+        try:
+            c = Fraction(ctext)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {ctext!r}") from None
         terms[e] = terms.get(e, Fraction(0)) + sgn * c
         pos = mt.end()
         first = False

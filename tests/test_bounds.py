@@ -24,7 +24,7 @@ from smallpoints.bounds import (
     formula_conditions,
     full_report,
     genus2_intro_bound,
-    hF_from_mu,
+    hF_from_u_mu,
     khadjavi_degB_bound,
     lemma_conj_nt,
     ln_factorial_upper,
@@ -295,10 +295,11 @@ def test_degB_from_mu():
 
 
 def test_hF_from_mu():
-    assert hF_from_mu(2, 0).to_fraction() == 0
-    v = hF_from_mu(2, 1)
+    ug = u_g(2, 128)
+    assert hF_from_u_mu(ug, 0, 128).to_fraction() == 0
+    v = hF_from_u_mu(ug, 1, 128)
     assert abs(v.log10_float() - 615430.54) < 0.1
-    v2 = hF_from_mu(2, 2)
+    v2 = hF_from_u_mu(ug, 2, 128)
     assert v2.man == v.man and v2.exp == v.exp + 1
 
 
@@ -427,6 +428,18 @@ def test_full_report_genus3_comparison_undetermined():
     rep = full_report(BoundParams(1, 3, 6, 1), H_Lambda=1)
     assert rep.comparison["sharper_chain"] == "undetermined"
     jsonschema.validate(instance=rep.to_dict(), schema=REPORT_SCHEMA)
+
+
+def test_full_report_log10_is_null_past_float_range():
+    # from genus 6 on the empirical bound's exponent is thousands of bits long
+    rep = full_report(BoundParams(d=1, g=6, n_s=30, d_k=1), H_Lambda=12)
+    empirical = rep.comparison["empirical"]
+    assert empirical["formula_id"] == "lem_4_3"
+    assert empirical["log10_of_bound"] is None
+    assert empirical["ln_of_bound"]["rounding"] == "up"
+    json.dumps(rep.to_dict(), allow_nan=False)
+    rep5 = full_report(BoundParams(d=1, g=5, n_s=30, d_k=1), H_Lambda=12)
+    assert math.isfinite(rep5.comparison["empirical"]["log10_of_bound"])
 
 
 def test_formula_table_rows_read_only_what_exists():

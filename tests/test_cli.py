@@ -74,6 +74,40 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     assert err
 
 
+def test_analyze_zero_denominator_exits_1(capsys):
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 1/0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("smallpoints: ") and "zero denominator" in err
+
+
+# x(x-1)...(x-12) and x(x-1)...(x-10): genus 6 and 5, four rational branch points
+FALLING_13 = (
+    "y^2 = x^13 - 78*x^12 + 2717*x^11 - 55770*x^10 + 749463*x^9 - 6926634*x^8"
+    " + 44990231*x^7 - 206070150*x^6 + 657206836*x^5 - 1414014888*x^4"
+    " + 1931559552*x^3 - 1486442880*x^2 + 479001600*x"
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_analyze_genus6_bound_past_float_range(capsys):
+    """The genus-6 empirical bound has an exponent thousands of bits long:
+    its log10 is null in strict JSON and inf in the tsv column."""
+    code, out, _ = run(capsys, ["analyze", "--curve", FALLING_13])
+    assert code == 0
+    comparison = json.loads(out, parse_constant=_reject_constant)["bounds"]["comparison"]
+    assert comparison["empirical"]["formula_id"] == "lem_4_3"
+    assert comparison["empirical"]["log10_of_bound"] is None
+    assert comparison["empirical"]["ln_of_bound"]["rounding"] == "up"
+    code, out, _ = run(capsys, ["analyze", "--curve", FALLING_13, "--format", "tsv"])
+    assert code == 0
+    cells = out.rstrip("\n").split("\n")[1].split("\t")
+    assert cells[1] == "6" and cells[4] == "inf"
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["analyze", "--curve", X5X, "--out", str(path)])
@@ -179,6 +213,25 @@ def test_bound_tsv_reads_the_theorem_entry(capsys, g, thm_id, formula):
     assert cells == ["-", str(g), "10", repr(expected), "-", "-"]
 
 
+def test_in_process_calls_share_no_state(capsys):
+    """main reuses one parser: a flag given in one call is gone in the next."""
+    base = ["bound", "--d", "1", "--g", "2", "--ns", "10"]
+    code, out, _ = run(capsys, base + ["--formula", "thm_1_1"])
+    assert code == 0
+    assert {e["formula_id"] for e in json.loads(out)["entries"]} == {"thm_1_1"}
+    code, out, _ = run(capsys, base)
+    assert code == 0
+    plain = json.loads(out)
+    assert len({e["formula_id"] for e in plain["entries"]}) > 1
+    assert plain["inputs"]["use_zograf"] is False
+    code, out, _ = run(capsys, base + ["--zograf"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["use_zograf"] is True
+    code, out, _ = run(capsys, base)
+    assert code == 0
+    assert json.loads(out) == plain
+
+
 def test_bound_invalid_genus_exits_1(capsys):
     code, _, err = run(capsys, ["bound", "--d", "1", "--g", "1", "--ns", "2"])
     assert code == 1
@@ -278,6 +331,18 @@ def test_batch_partial_failure_exits_3(tmp_path, capsys):
     assert {e["line"] for e in errors} == {2, 3, 4, 5}
     summary = docs[-1]["summary"]
     assert summary["failed"] == 4 and summary["parshin_ok"] == "2/2"
+
+
+def test_batch_reports_zero_denominator_line(tmp_path, capsys):
+    corpus = corpus_file(
+        tmp_path, [json.dumps({"curve": "y^2 = x^5 - 1/0"}), json.dumps({"curve": X5X})]
+    )
+    code, out, _ = run(capsys, ["batch", corpus])
+    assert code == 3
+    docs = [json.loads(l) for l in out.rstrip("\n").split("\n")]
+    assert docs[0] == {"line": 1, "error": "zero denominator in coefficient '1/0'"}
+    assert docs[1]["curve"]["equation"] == X5X
+    assert docs[2]["summary"]["failed"] == 1 and docs[2]["summary"]["parshin_ok"] == "1/1"
 
 
 def test_batch_empty_file_exits_0(tmp_path, capsys):
