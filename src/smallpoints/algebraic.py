@@ -393,22 +393,20 @@ def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
 
 
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
-    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the projective line, with the
-    usual limits when one argument is INFINITY.  The four points must be
-    distinct, which keeps the value away from 0, 1 and infinity."""
+    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the projective line.  Each point
+    sits in one factor above the bar and one below, and in homogeneous
+    coordinates a point at infinity makes both factors 1 (or both -1), so a
+    difference with INFINITY reads as 1.  The four points must be distinct,
+    which keeps the value away from 0, 1 and infinity."""
     pts = [x if x is INFINITY else ensure_algebraic(x) for x in (p1, p2, p3, z)]
     if len(set(pts)) < 4:
         raise ValueError("cross-ratio needs four distinct points")
     q1, q2, q3, w = pts
-    if q1 is INFINITY:
-        return (w - q2) / (q3 - q2)
-    if q2 is INFINITY:
-        return (q3 - q1) / (w - q1)
-    if q3 is INFINITY:
-        return (w - q2) / (w - q1)
-    if w is INFINITY:
-        return (q3 - q1) / (q3 - q2)
-    return ((q3 - q1) * (w - q2)) / ((q3 - q2) * (w - q1))
+
+    def d(u, v):
+        return 1 if u is INFINITY or v is INFINITY else u - v
+
+    return (d(q3, q1) * d(w, q2)) / (d(q3, q2) * d(w, q1))
 
 
 def anharmonic_orbit(lam) -> list[AlgebraicNumber]:

@@ -322,6 +322,10 @@ def _horner(coeffs, re_lo, re_hi, im_lo, im_hi):
         scale *= d
         t = c.numerator * (lcd // c.denominator) * scale
         p = (a * xa, a * xb, b * xa, b * xb)  # re * re
+        if not (ya or yb):
+            # on the real line the imaginary part stays [0, 0]
+            a, b = min(p) + t, max(p) + t
+            continue
         q = (u * ya, u * yb, v * ya, v * yb)  # im * im
         r = (a * ya, a * yb, b * ya, b * yb)  # re * im
         s = (u * xa, u * xb, v * xa, v * xb)  # im * re

@@ -19,13 +19,14 @@ value was formed.
 Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
 explicit tail bound added on the upper side, so the directed contract holds
-unconditionally rather than with high probability.  Rounding by a power of
-two is a shift: floor(a / 2**s) is a >> s and the ceiling is -((-a) >> s),
-negative a included.  ln reduces its argument by square roots before the
-atanh series (Brent & Zimmermann, Modern Computer Arithmetic, 4.4): at wp
-bits, k ~ sqrt(wp) / 2 directed integer square roots shrink the series
-argument to below 2**-(k+1), so the series needs about wp / (2k) terms
-instead of wp / 3.
+unconditionally rather than with high probability.  The constants ln 2, ln 10
+and 2*pi come from one cache, `_constant`, keyed by the working precision
+rounded up to a multiple of 64 bits.  Rounding by a power of two is a shift:
+floor(a / 2**s) is a >> s and the ceiling is -((-a) >> s), negative a
+included.  ln reduces its argument by square roots before the atanh series
+(Brent & Zimmermann, Modern Computer Arithmetic, 4.4): at wp bits, k ~
+sqrt(wp) / 2 directed integer square roots shrink the series argument to
+below 2**-(k+1), so the series needs about wp / (2k) terms instead of wp / 3.
 """
 
 from __future__ import annotations
@@ -227,28 +228,13 @@ def _fx_mul(a: int, b: int, wp: int, direction: int) -> int:
     return _shift_dir(a * b, wp, direction)
 
 
-def _bucket(wp: int) -> int:
-    return ((wp + 63) // 64) * 64
-
-
-@lru_cache(maxsize=None)
-def _ln2_cached(wp: int, direction: int) -> int:
-    return _ln_atanh_series(2, 1, wp, direction)
-
-
-def _ln2_fixed(wp: int, direction: int) -> int:
-    """ln 2 * 2**wp, a directed bound."""
-    wpb = _bucket(wp)
-    return _shift_dir(_ln2_cached(wpb, direction), wpb - wp, direction)
-
-
 def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     """ln(p/q) * 2**wp directed, for 1 <= p/q <= 2, via 2*atanh((p-q)/(p+q)).
 
     The upper end p/q = 2 is included because ln 2 itself is this series at
-    z = 1/3 (`_ln2_cached`).  For any p/q in range z = (p-q)/(p+q) <= 1/3, at
-    most 1/3 + 1 ulp once rounded up, so z**2 < 1/9 + 1 ulp and the terms
-    dropped after t <= 2 sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.
+    z = 1/3 (`_constant_table`).  For any p/q in range z = (p-q)/(p+q) <=
+    1/3, at most 1/3 + 1 ulp once rounded up, so z**2 < 1/9 + 1 ulp and the
+    terms dropped after t <= 2 sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.
     """
     if p == q:
         return 0
@@ -268,19 +254,15 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ln10_cached(wp: int, direction: int) -> int:
-    # ln 10 = 3 ln 2 + ln(5/4)
-    return 3 * _ln2_fixed(wp, direction) + _ln_atanh_series(5, 4, wp, direction)
-
-
-def _ln10_fixed(wp: int, direction: int) -> int:
-    wpb = _bucket(wp)
-    return _shift_dir(_ln10_cached(wpb, direction), wpb - wp, direction)
-
-
-@lru_cache(maxsize=None)
-def _two_pi_cached(wp: int, direction: int) -> int:
-    # Machin: pi = 16 atan(1/5) - 4 atan(1/239)
+def _constant_table(name: str, wp: int, direction: int) -> int:
+    """The constant name ("ln2", "ln10" or "two_pi") * 2**wp, directed."""
+    if name == "ln2":
+        return _ln_atanh_series(2, 1, wp, direction)
+    if name == "ln10":
+        # ln 10 = 3 ln 2 + ln(5/4)
+        ln2 = _constant_table("ln2", wp, direction)
+        return 3 * ln2 + _ln_atanh_series(5, 4, wp, direction)
+    # two_pi, by Machin: pi = 16 atan(1/5) - 4 atan(1/239)
 
     def atan_inv(x: int, d: int) -> int:
         # Alternating series.  Stopping after an added term gives an upper
@@ -304,10 +286,12 @@ def _two_pi_cached(wp: int, direction: int) -> int:
     return 32 * atan_inv(5, direction) - 8 * atan_inv(239, -direction)
 
 
-def _two_pi_fixed(wp: int, direction: int) -> int:
-    """2*pi * 2**wp directed."""
-    wpb = _bucket(wp)
-    return _shift_dir(_two_pi_cached(wpb, direction), wpb - wp, direction)
+def _constant(name: str, wp: int, direction: int) -> int:
+    """The constant name * 2**wp directed: taken from the table at wp rounded
+    up to a multiple of 64, so nearby precisions share one entry, and shifted
+    down in direction."""
+    wpb = -(-wp // 64) * 64
+    return _shift_dir(_constant_table(name, wpb, direction), wpb - wp, direction)
 
 
 def _sqrt_dir(a: int, wp: int, direction: int) -> int:
@@ -333,7 +317,7 @@ def _ln_of_dyadic(m: int, e: int, wp: int, direction: int) -> int:
     bl = m.bit_length()
     binexp = e + bl - 1
     if binexp:
-        l2 = _ln2_fixed(wp, direction if binexp > 0 else -direction)
+        l2 = _constant("ln2", wp, direction if binexp > 0 else -direction)
         total = binexp * l2
     else:
         total = 0
@@ -440,48 +424,24 @@ class LogMag:
     # -- comparisons
 
     def _cmp(self, other) -> int:
-        if isinstance(other, LogMag):
-            sa, sb = self.sign, other.sign
-            if sa != sb:
-                return -1 if sa < sb else 1
-            if sa == 0:
-                return 0
-            if self.exp != other.exp:
-                return (-1 if self.exp < other.exp else 1) * sa
-            ma = self.man << other.prec
-            mb = other.man << self.prec
-            if ma == mb:
-                return 0
-            return (-1 if ma < mb else 1) * sa
-        if isinstance(other, (int, Fraction)):
-            fr = Fraction(other)
-            return self._cmp_fraction(fr.numerator, fr.denominator)
-        raise TypeError(f"cannot compare LogMag with {type(other).__name__}")
-
-    def _cmp_fraction(self, p: int, q: int) -> int:
-        """Exact comparison with p/q (q > 0), safe for huge exponents."""
-        sf = 0 if p == 0 else (1 if p > 0 else -1)
-        if self.sign != sf:
-            return -1 if self.sign < sf else 1
-        if self.sign == 0:
-            return 0
-        a = abs(p)
-        fb = a.bit_length() - q.bit_length()
-        # |p/q| lies in (2^(fb-1), 2^(fb+1)); |self| in [2^(exp-1), 2^exp)
-        if self.exp - 1 >= fb + 1:
-            return self.sign
-        if self.exp <= fb - 1:
-            return -self.sign
-        s = self.exp - self.prec
-        lhs = self.man * q
-        if s >= 0:
-            lhs <<= s
-            rhs = a
-        else:
-            rhs = a << -s
-        if lhs == rhs:
-            return 0
-        return (1 if lhs > rhs else -1) * self.sign
+        """Exact comparison with a LogMag, int or Fraction, safe for huge
+        exponents: n/d * 2**e lies in (2**(b-1), 2**(b+1)) for b = bits(n) -
+        bits(d) + e, so b values 2 or more apart settle the order at once."""
+        if not isinstance(other, (LogMag, int, Fraction)):
+            raise TypeError(f"cannot compare LogMag with {type(other).__name__}")
+        na, da, ea = _exact(self)
+        nb, db, eb = _exact(other)
+        if (na > 0) != (nb > 0) or not na or not nb:
+            # the signs differ or one side is zero; d > 0, so n decides
+            return (na > nb) - (na < nb)
+        ba = na.bit_length() - da.bit_length() + ea
+        bb = nb.bit_length() - db.bit_length() + eb
+        if abs(ba - bb) >= 2:
+            return 1 if (ba > bb) == (na > 0) else -1
+        e = min(ea, eb)
+        lhs = (na * db) << (ea - e)
+        rhs = (nb * da) << (eb - e)
+        return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other):
         try:
@@ -806,11 +766,11 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     """exp(xf * 2**-wp) as a directed LogMag."""
     if xf == 0:
         return LogMag.one(prec, direction)
-    l2_near = _ln2_fixed(wp, DOWN)
+    l2_near = _constant("ln2", wp, DOWN)
     q = (2 * xf + l2_near) // (2 * l2_near)
     if q:
         # r = x - q ln2; an upper bound on r needs ln2 rounded against q's sign
-        l2 = _ln2_fixed(wp, -direction if q > 0 else direction)
+        l2 = _constant("ln2", wp, -direction if q > 0 else direction)
         r = xf - q * l2
     else:
         r = xf
@@ -825,7 +785,7 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
 def lm_ln_two_pi(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
     """Directed ln(2*pi)."""
     wp = prec + 48
-    tp = _two_pi_fixed(wp, mode)
+    tp = _constant("two_pi", wp, mode)
     total = _ln_of_dyadic(tp, -wp, wp, mode)
     return _round(total, 1, -wp, prec, mode)
 
@@ -857,11 +817,11 @@ def _decimal_string(x: LogMag, digits: int) -> str:
     pd = 4 * digits + 32
     wp = pd + abs(x.exp).bit_length()
     ln_val = _ln_of_dyadic(x.man, x.exp - x.prec, wp, UP)
-    l10 = _ln10_fixed(wp, DOWN)
+    l10 = _constant("ln10", wp, DOWN)
     d10 = (ln_val << wp) // l10
     e10 = d10 >> wp
     frac = d10 - (e10 << wp)
-    c = _exp_of_fixed(_fx_mul(frac, _ln10_fixed(wp, DOWN), wp, DOWN), wp, pd, UP)
+    c = _exp_of_fixed(_fx_mul(frac, l10, wp, DOWN), wp, pd, UP)
     cm, ce = c.dyadic()
     val = _shift_dir(cm * 10 ** (digits - 1), -ce, DOWN)
     s = str(val)

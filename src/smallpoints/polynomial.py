@@ -1,12 +1,12 @@
 """Dense univariate polynomials over the rationals, exactly.
 
 Coefficients are Fractions stored low to high.  On top of the ring ops this
-module provides the pieces the rest of the package leans on: resultants and
-discriminants through the subresultant PRS (fraction-free, so integer inputs
-stay integer), squarefree decomposition, full factorization over Z by the
-classical modular route (Cantor-Zassenhaus mod p, quadratic Hensel lifting,
-subset recombination under the Mignotte bound), cyclotomic recognition, and a
-small text format ("x^5 - x") used by the CLI.
+module provides the pieces the rest of the package leans on: gcds,
+resultants and discriminants, all from one subresultant PRS (fraction-free,
+so integer inputs stay integer), squarefree decomposition, full
+factorization over Z by the classical modular route (Cantor-Zassenhaus mod
+p, quadratic Hensel lifting, subset recombination under the Mignotte bound),
+cyclotomic recognition, and a small text format ("x^5 - x") used by the CLI.
 """
 
 from __future__ import annotations
@@ -168,13 +168,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval(self, x):
-        x = _fr(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -204,16 +197,14 @@ class Poly:
             return Fraction(0), self
         den = self.denominator_lcm()
         ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = _icontent(ints)
         if ints[-1] < 0:
             g = -g
         return Fraction(g, den), Poly([v // g for v in ints])
 
 
 # ---------------------------------------------------------------------------
-# gcd and squarefree structure
+# gcd, resultant and squarefree structure via one subresultant PRS
 
 
 def _icontent(cs: list[int]) -> int:
@@ -243,20 +234,48 @@ def _iprem(A: list[int], B: list[int]) -> list[int]:
     return R
 
 
-def _int_gcd_primitive(A: list[int], B: list[int]) -> list[int]:
-    """Primitive gcd of nonzero integer polynomials via the primitive PRS."""
-    A = [v // _icontent(A) for v in A]
-    B = [v // _icontent(B) for v in B]
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
+def _subresultant(A: list[int], B: list[int]) -> tuple[list[int], int]:
+    """(primitive gcd with positive lc, resultant) of nonzero integer
+    polynomials, from one subresultant PRS (Brown & Traub, J. ACM 18, 1971).
+    Every remainder is a constant multiple of the Euclidean one, so the gcd
+    is the primitive part of the last nonzero remainder; a zero remainder
+    means a common factor and a zero resultant."""
+    n, m = len(A) - 1, len(B) - 1
+    s = 1
+    if n < m:
+        if n % 2 == 1 and m % 2 == 1:
+            s = -1
+        A, B, n, m = B, A, m, n
+    if m == 0:
+        return [1], s * B[0] ** n if n > 0 else 1
+    a = _icontent(A)
+    A = [v // a for v in A]
+    b = _icontent(B)
+    B = [v // b for v in B]
+    t = a**m * b**n
+    g = h = 1
+    while True:
+        n, m = len(A) - 1, len(B) - 1
+        delta = n - m
+        if n % 2 == 1 and m % 2 == 1:
+            s = -s
         R = _iprem(A, B)
-        if R:
-            R = [v // _icontent(R) for v in R]
-        A, B = B, R
-    if A[-1] < 0:
-        A = [-v for v in A]
-    return A
+        if not R:
+            c = _icontent(B) if B[-1] > 0 else -_icontent(B)
+            return [v // c for v in B], 0
+        denom = g * h**delta
+        A, B = B, [v // denom for v in R]
+        g = A[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = g**delta // h ** (delta - 1)
+        if len(B) == 1:
+            break
+    n = len(A) - 1
+    c = B[0]
+    hf = c if n == 1 else c**n // h ** (n - 1)
+    return [1], s * t * hf
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -267,7 +286,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.monic()
     _, fp = f.primitive()
     _, gp = g.primitive()
-    h = _int_gcd_primitive(fp.to_int_coeffs(), gp.to_int_coeffs())
+    h, _ = _subresultant(fp.to_int_coeffs(), gp.to_int_coeffs())
     return Poly(h).monic()
 
 
@@ -296,45 +315,7 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# resultant and discriminant via the subresultant PRS
-
-
-def _int_resultant(A: list[int], B: list[int]) -> int:
-    n, m = len(A) - 1, len(B) - 1
-    s = 1
-    if n < m:
-        if n % 2 == 1 and m % 2 == 1:
-            s = -1
-        A, B, n, m = B, A, m, n
-    if m == 0:
-        return s * B[0] ** n if n > 0 else 1
-    a = _icontent(A)
-    A = [v // a for v in A]
-    b = _icontent(B)
-    B = [v // b for v in B]
-    t = a**m * b**n
-    g = h = 1
-    while True:
-        n, m = len(A) - 1, len(B) - 1
-        delta = n - m
-        if n % 2 == 1 and m % 2 == 1:
-            s = -s
-        R = _iprem(A, B)
-        if not R:
-            return 0
-        denom = g * h**delta
-        A, B = B, [v // denom for v in R]
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-        if len(B) == 1:
-            break
-    n = len(A) - 1
-    c = B[0]
-    hf = c if n == 1 else c**n // h ** (n - 1)
-    return s * t * hf
+# resultant and discriminant
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -345,7 +326,7 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     dg = g.denominator_lcm()
     F = (f * df).to_int_coeffs()
     G = (g * dg).to_int_coeffs()
-    r = _int_resultant(F, G)
+    _, r = _subresultant(F, G)
     return Fraction(r) / (Fraction(df) ** g.degree() * Fraction(dg) ** f.degree())
 
 

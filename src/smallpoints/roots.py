@@ -79,23 +79,19 @@ def refine_real_root(f: Poly, iv: Interval, precision: int) -> Interval:
         steps += 1
         if steps > limit:
             raise RuntimeError("real root refinement stalled")
+        m = iv.mid()
+        fm = poly_eval_point(f.coeffs, (m, 0))[0]
+        if fm == 0:
+            return Interval(m, m)
         dfi = poly_eval_interval(df.coeffs, iv)
         if not dfi.contains_zero():
-            m = iv.mid()
-            fm = f.eval(m)
-            if fm == 0:
-                return Interval(m, m)
             cand = (Interval(m) - Interval(fm) / dfi).intersect(iv)
             if cand is None:
                 raise RuntimeError("interval Newton lost the root")
             if 4 * cand.width() <= 3 * iv.width():
                 iv = _snap(cand, precision, iv)
                 continue
-        m = iv.mid()
-        fm = f.eval(m)
-        if fm == 0:
-            return Interval(m, m)
-        fl = f.eval(iv.lo)
+        fl = poly_eval_point(f.coeffs, (iv.lo, 0))[0]
         if fl == 0:
             return Interval(iv.lo, iv.lo)
         iv = Interval(iv.lo, m) if _sign(fm) != _sign(fl) else Interval(m, iv.hi)

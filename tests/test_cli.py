@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from smallpoints.bounds import BoundParams, pipeline_apriori
-from smallpoints.cli import TSV_HEADER, main
+from smallpoints.cli import TSV_HEADER, _precision, main
 from test_bounds import REPORT_SCHEMA
 
 X5X = "y^2 = x^5 - x"
@@ -255,6 +255,14 @@ def test_precision_below_32_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--d", "1", "--g", "2", "--ns", "2", "--precision", "16"])
     assert exc.value.code == 1
+
+
+def test_precision_above_16384_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--d", "1", "--g", "2", "--ns", "6", "--precision", "16385"])
+    assert exc.value.code == 1
+    assert "precision must be between 32 and 16384 bits" in capsys.readouterr().err
+    assert _precision("16384") == 16384
 
 
 def test_bad_abc_triple_exits_1(capsys):

@@ -22,8 +22,7 @@ from smallpoints.numeric import (
     DOWN,
     UP,
     LogMag,
-    _ln2_fixed,
-    _ln10_fixed,
+    _constant,
     _ln_of_dyadic,
     _pow_int,
     _round,
@@ -345,6 +344,39 @@ def test_mul_div_round_exact_value_once(a, b, prec, mode):
     assert got.to_fraction() == _grid_round(xa / xb, want_prec, mode)
 
 
+@settings(max_examples=400)
+@given(
+    a=st.one_of(_logmags(st.sampled_from([8, 16, 53, 64, 128, 300])), st.just(LogMag.zero())),
+    b=st.one_of(_operands, st.just(LogMag.zero(mode=DOWN))),
+    prec=_precs,
+)
+def test_cmp_matches_fraction_reference(a, b, prec):
+    """LogMag._cmp against LogMags of other precisions, ints, Fractions and
+    zero, including values next to a's own."""
+    x = a.to_fraction()
+    tie = Fraction(1, 2**400)
+    nearby = [_round(x.numerator, x.denominator, 0, prec, d) for d in (UP, DOWN)]
+    for other in [b, x, x + tie, x - tie] + nearby:
+        y = _exact_value(other)
+        assert a._cmp(other) == (x > y) - (x < y)
+        if isinstance(other, LogMag):
+            assert other._cmp(a) == (y > x) - (y < x)
+
+
+def test_cmp_exponents_near_2_pow_40():
+    # values near 2**(2**40) and 2**(-2**40): comparing them by forming the
+    # exact product would need a 2**40-bit integer
+    big = LogMag(1, 1 << 63, 2**40, 64, UP)
+    same = LogMag(1, 1 << 299, 2**40, 300, DOWN)
+    above = LogMag(1, (1 << 299) + 1, 2**40, 300, DOWN)
+    twice = LogMag(1, 1 << 63, 2**40 + 1, 64, UP)
+    tiny = LogMag(1, 1 << 63, -(2**40), 64, UP)
+    assert big > 3 and big > Fraction(10**30, 7) and -big < -(10**30)
+    assert 0 < tiny < Fraction(1, 10**30) and -tiny > Fraction(-1, 3)
+    assert big == same and big < above < twice and -twice < -above < -big
+    assert tiny < big and -big < -tiny and tiny != big
+
+
 def _pow_int_reference(base: LogMag, e: int, prec: int, mode: int) -> Fraction:
     """Square-and-multiply on (mantissa, exponent) pairs as _pow_int does
     it, each trim of a mantissa to prec + 8 bits taken by Fraction
@@ -495,9 +527,10 @@ def test_exp_argument_cap():
 
 
 def test_constants_bracket_oracles():
-    for fixed, x in ((_ln2_fixed, 2), (_ln10_fixed, 10)):
+    for name, x in (("ln2", 2), ("ln10", 10)):
         wp = 192
-        lo, hi = Fraction(fixed(wp, DOWN), 2**wp), Fraction(fixed(wp, UP), 2**wp)
+        lo = Fraction(_constant(name, wp, DOWN), 2**wp)
+        hi = Fraction(_constant(name, wp, UP), 2**wp)
         assert lo <= dec_ln(x) + DEC_TOL
         assert hi >= dec_ln(x) - DEC_TOL
         assert hi - lo <= Fraction(1, 2**160)
