@@ -20,7 +20,11 @@ root remains; it terminates because distinct algebraic numbers eventually
 separate.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
-measure, with an exact zero for roots of unity.
+measure, with an exact zero for roots of unity.  A height reads only the
+minimal polynomial, so anharmonic_heights gives those of the six anharmonic
+images of a cross-ratio without resolving any of them.  cross_ratio takes
+each difference of two points from a bounded cache keyed by their
+(minpoly, index) pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .intervals import Box, poly_eval_box
 from .numeric import (
@@ -392,38 +396,68 @@ def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
 # cross-ratios and the anharmonic group
 
 
+# the anharmonic group as Mobius matrices (a, b, c, d) of (ax + b)/(cx + d):
+# x, 1-x, 1/x, 1/(1-x), x/(x-1), (x-1)/x
+ANHARMONIC = (
+    (1, 0, 0, 1),
+    (-1, 1, 0, 1),
+    (0, 1, 1, 0),
+    (0, 1, -1, 1),
+    (1, 0, 1, -1),
+    (1, -1, 1, 0),
+)
+
+# differences _difference keeps: n branch points have n(n-1) ordered pairs,
+# so this holds several curves' worth, yet a long batch cannot grow it
+# without limit
+_DIFFERENCE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_DIFFERENCE_CACHE_SIZE)
+def _difference(u: AlgebraicNumber, v: AlgebraicNumber) -> AlgebraicNumber:
+    """u - v, a pure function of the two (minpoly, index) pairs."""
+    return u - v
+
+
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the projective line.  Each point
     sits in one factor above the bar and one below, and in homogeneous
     coordinates a point at infinity makes both factors 1 (or both -1), so a
-    difference with INFINITY reads as 1.  The four points must be distinct,
-    which keeps the value away from 0, 1 and infinity."""
+    difference with INFINITY is left out.  The four points must be
+    distinct, which keeps the value away from 0, 1 and infinity."""
     pts = [x if x is INFINITY else ensure_algebraic(x) for x in (p1, p2, p3, z)]
     if len(set(pts)) < 4:
         raise ValueError("cross-ratio needs four distinct points")
     q1, q2, q3, w = pts
 
-    def d(u, v):
-        return 1 if u is INFINITY or v is INFINITY else u - v
+    def product(*pairs):
+        return reduce(operator.mul, [
+            _difference(u, v) for u, v in pairs if u is not INFINITY and v is not INFINITY
+        ])
 
-    return (d(q3, q1) * d(w, q2)) / (d(q3, q2) * d(w, q1))
+    return product((q3, q1), (w, q2)) / product((q3, q2), (w, q1))
+
+
+def _orbit_base(lam) -> AlgebraicNumber:
+    a = ensure_algebraic(lam)
+    if a == 0 or a == 1:
+        raise ValueError("anharmonic orbit needs a value outside {0, 1}")
+    return a
 
 
 def anharmonic_orbit(lam) -> list[AlgebraicNumber]:
     """The six values [x, 1-x, 1/x, 1/(1-x), x/(x-1), (x-1)/x] obtained
     from a cross-ratio by permuting the points; needs lam outside {0, 1}."""
-    a = ensure_algebraic(lam)
-    if a == 0 or a == 1:
-        raise ValueError("anharmonic orbit needs a value outside {0, 1}")
-    specs = [
-        (1, 0, 0, 1),
-        (-1, 1, 0, 1),
-        (0, 1, 1, 0),
-        (0, 1, -1, 1),
-        (1, 0, 1, -1),
-        (1, -1, 1, 0),
-    ]
-    return [a.mobius(*s) for s in specs]
+    a = _orbit_base(lam)
+    return [a.mobius(*m) for m in ANHARMONIC]
+
+
+def anharmonic_heights(lam, precision: int) -> list[tuple[LogMag, LogMag]]:
+    """weil_height of each anharmonic_orbit value, in the same order, read
+    off the six image minimal polynomials alone: one Mobius image each and
+    no resolve of which root a value is."""
+    coeffs = _orbit_base(lam).minpoly.coeffs
+    return [_height(_mobius_image(coeffs, *m).coeffs, precision) for m in ANHARMONIC]
 
 
 # ---------------------------------------------------------------------------

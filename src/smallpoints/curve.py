@@ -11,7 +11,11 @@ curve unchanged), then:
   * a normalized cross-ratio vector: a Mobius transform sends three branch
     points to infinity, 0, 1, and the images of the remaining 2g-1 are
     cross-ratios; the triple is chosen to minimize the certified upper
-    bound on the largest Weil height, preferring rational triples,
+    bound on the largest Weil height, preferring rational triples.  The
+    search computes one cross-ratio per unordered triple and point, and
+    reads the heights of its six anharmonic images off their minimal
+    polynomials; only the chosen triple's 2g-1 values are resolved to a
+    root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception,
   * an empirical lower estimate mu_hat: the largest height among the
@@ -32,6 +36,7 @@ from .algebraic import (
     AlgebraicNumber,
     DegreeCapExceeded,
     algebraic_roots,
+    anharmonic_heights,
     anharmonic_orbit,
     cross_ratio,
     is_s_unit,
@@ -221,7 +226,12 @@ def branch_point_list(f: Poly, genus: int) -> list:
 def _normalization_search(branch: list, precision: int):
     """Choose the ordered triple minimizing the certified upper bound on the
     largest cross-ratio height.  Returns (triple, lambdas, caveats) with
-    triple None when every candidate hit the resultant degree cap."""
+    triple None when every candidate hit the resultant degree cap.
+
+    A height reads only a minimal polynomial, so the ranking takes each
+    orbit member's height from its Mobius image polynomial and never
+    resolves which root it is; only the winner's 2g-1 values are resolved,
+    through anharmonic_orbit."""
     n = len(branch)
     rational_idx = [
         i for i, p in enumerate(branch) if p is INFINITY or p.is_rational
@@ -236,12 +246,15 @@ def _normalization_search(branch: list, precision: int):
     orbit_cache: dict = {}
 
     def orbit_for(combo, z):
+        """(lambda, upper heights of its six orbit members), or None past
+        the degree cap."""
         key = (combo, z)
         if key not in orbit_cache:
             a, b, c = combo
             try:
                 lam = cross_ratio(branch[a], branch[b], branch[c], branch[z])
-                orbit_cache[key] = anharmonic_orbit(lam)
+                heights = anharmonic_heights(lam, _SEARCH_PRECISION)
+                orbit_cache[key] = (lam, [hi for _, hi in heights])
             except DegreeCapExceeded:
                 orbit_cache[key] = None
         return orbit_cache[key]
@@ -252,28 +265,27 @@ def _normalization_search(branch: list, precision: int):
         combo = tuple(sorted(triple))
         sigma = tuple(combo.index(t) for t in triple)
         pos = _ORDER_TO_ORBIT[sigma]
-        lams = []
-        feasible = True
+        orbits = []
         for z in range(n):
             if z in triple:
                 continue
             orb = orbit_for(combo, z)
             if orb is None:
-                feasible = False
                 break
-            lams.append((z, orb[pos]))
-        if not feasible:
+            orbits.append((z, orb))
+        if len(orbits) < n - 3:
             skipped += 1
             continue
-        h_up = lm_max(*[weil_height(lam, _SEARCH_PRECISION)[1] for _, lam in lams])
+        h_up = lm_max(*[uppers[pos] for _, (_, uppers) in orbits])
         if best is None or h_up < best[0]:
-            best = (h_up, triple, lams)
+            best = (h_up, triple, pos, orbits)
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    return best[1], best[2], caveats
+    _, triple, pos, orbits = best
+    return triple, [(z, anharmonic_orbit(lam)[pos]) for z, (lam, _) in orbits], caveats
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:

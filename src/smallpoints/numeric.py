@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -462,7 +463,13 @@ class LogMag:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.sign, self.man, self.exp))
+        """Python's numeric hash of the exact value man * 2**(exp - prec), so
+        that values equal under __eq__, ints and Fractions included, hash
+        alike; the power of two is taken modulo the hash modulus and never
+        formed."""
+        modulus = sys.hash_info.modulus
+        h = self.sign * (self.man * pow(2, self.exp - self.prec, modulus) % modulus)
+        return -2 if h == -1 else h
 
     # -- operators (direction and precision resolved from the operands)
 

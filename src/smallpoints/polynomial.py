@@ -559,7 +559,10 @@ def _next_prime(p: int) -> int:
 
 def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
     """An odd prime keeping the degree and squarefreeness of f, picked among
-    a handful of candidates to minimize the modular factor count."""
+    a handful of candidates to minimize the modular factor count, with the
+    factors of f mod that prime.  A candidate's count comes from its
+    distinct-degree split alone (a block of degree k holding factors of
+    degree d has k/d of them); only the chosen prime is fully split."""
     best = None
     found = 0
     p = 2
@@ -571,13 +574,15 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
         dfp = _pm_trim([i * v % p for i, v in enumerate(ints)][1:])
         if not dfp or len(_pm_gcd(fp, dfp, p)) != 1:
             continue
-        units = _factor_mod_p(_pm_monic(fp, p), p)
+        monic = _pm_monic(fp, p)
+        count = sum((len(block) - 1) // d for block, d in _distinct_degree(monic, p))
         found += 1
-        if best is None or len(units) < len(best[1]):
-            best = (p, units)
-            if len(units) == 1:
+        if best is None or count < best[1]:
+            best = (p, count, monic)
+            if count == 1:
                 break
-    return best
+    p, _, monic = best
+    return p, _factor_mod_p(monic, p)
 
 
 def _factor_squarefree_int(ints: list[int]) -> list[Poly]:

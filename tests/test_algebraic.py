@@ -13,6 +13,7 @@ from smallpoints.algebraic import (
     AlgebraicNumber,
     DegreeCapExceeded,
     algebraic_roots,
+    anharmonic_heights,
     anharmonic_orbit,
     cross_ratio,
     is_s_unit,
@@ -365,6 +366,22 @@ def test_anharmonic_orbit_irrational():
     lo1, hi1 = weil_height(phi)
     lo2, hi2 = weil_height(orb[2])
     assert _frac(lo2) <= _frac(hi1) and _frac(lo1) <= _frac(hi2)
+
+
+def test_anharmonic_heights_read_the_orbit_minpolys():
+    cubic = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+    values = [
+        Fraction(2),
+        Fraction(-3, 7),
+        golden(),
+        cubic,
+        cross_ratio(sqrt2(), 0, sqrt3(), 1),
+    ]
+    for lam in values:
+        want = [weil_height(v, 64) for v in anharmonic_orbit(lam)]
+        assert anharmonic_heights(lam, 64) == want
+    with pytest.raises(ValueError):
+        anharmonic_heights(Fraction(1), 64)
 
 
 GOLDEN_HEIGHT = dec_ln((1 + dec_sqrt(5)) / 2) / 2

@@ -1,16 +1,28 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from oracles import DEC_TOL, dec_ln
-from smallpoints.algebraic import INFINITY
+import smallpoints.curve as curve_mod
+from smallpoints.algebraic import (
+    INFINITY,
+    DegreeCapExceeded,
+    anharmonic_orbit,
+    cross_ratio,
+    weil_height,
+)
 from smallpoints.curve import (
+    _ORDER_TO_ORBIT,
+    _SEARCH_PRECISION,
+    _normalization_search,
     analyze_curve,
     bad_prime_superset,
     branch_point_list,
     parse_curve,
 )
+from smallpoints.numeric import lm_max
 from smallpoints.polynomial import Poly, discriminant, render_poly
 from test_golden import fresh_interpreter
 
@@ -212,3 +224,83 @@ def test_to_dict_is_json_serializable():
 def test_equation_normalized_form():
     a = analyze_curve("x^5-x")
     assert a.equation == "y^2 = x^5 - x"
+
+
+def _resolving_search(branch: list):
+    """The normalization search ranked on resolved values: every member of
+    every anharmonic orbit is resolved, and a triple's rank is the largest
+    weil_height of its 2g-1 cross-ratios."""
+    n = len(branch)
+    rational_idx = [i for i, p in enumerate(branch) if p is INFINITY or p.is_rational]
+    pool = rational_idx if len(rational_idx) >= 3 else list(range(n))
+    orbits = {}
+    best = None
+    skipped = 0
+    for triple in itertools.permutations(pool, 3):
+        combo = tuple(sorted(triple))
+        pos = _ORDER_TO_ORBIT[tuple(combo.index(t) for t in triple)]
+        lams = []
+        for z in (z for z in range(n) if z not in triple):
+            if (combo, z) not in orbits:
+                try:
+                    lam = cross_ratio(*(branch[i] for i in combo), branch[z])
+                    orbits[combo, z] = anharmonic_orbit(lam)
+                except DegreeCapExceeded:
+                    orbits[combo, z] = None
+            if orbits[combo, z] is None:
+                break
+            lams.append((z, orbits[combo, z][pos]))
+        if len(lams) < n - 3:
+            skipped += 1
+            continue
+        h_up = lm_max(*[weil_height(lam, _SEARCH_PRECISION)[1] for _, lam in lams])
+        if best is None or h_up < best[0]:
+            best = (h_up, triple, lams)
+    if best is None:
+        return None, [], skipped
+    return best[1], best[2], skipped
+
+
+SEARCH_CURVES = [
+    "y^2 = x^5 - 4*x^3 + 3*x",
+    "y^2 = x^6 - 7*x^4 + 6*x^2 - 1",
+    "y^2 = x^6 - 1",
+    "y^2 = x^6 - 6*x^4 + 11*x^2 - 6",
+    "y^2 = x^6 + 1",
+    "y^2 = x^5 - 1",
+    "y^2 = x^6 - x",
+    "y^2 = x^5 - x",
+    "y^2 = x^7 - x",
+    # three and four rational roots times an irreducible quadratic with
+    # 10-digit coefficients
+    "y^2 = 8930*x^5 - 86117117001107*x^4 + 272503726760196*x^3"
+    " - 108523902159227*x^2 - 178318160327560*x - 16240390182000",
+    "y^2 = 133770*x^6 - 515599195933283*x^5 - 43842484064771*x^4"
+    " + 4621247902133796*x^3 + 3256846668168204*x^2 - 5538004986411616*x"
+    " - 2779168795594240",
+]
+
+
+@pytest.mark.parametrize("curve", SEARCH_CURVES)
+def test_search_matches_ranking_on_resolved_values(curve):
+    f = parse_curve(curve)
+    branch = branch_point_list(f, (f.degree() - 1) // 2)
+    triple, lams, caveats = _normalization_search(branch, 128)
+    want_triple, want_lams, want_skipped = _resolving_search(branch)
+    assert triple == want_triple
+    assert lams == want_lams
+    assert all(lam.minpoly == want.minpoly for (_, lam), (_, want) in zip(lams, want_lams))
+    assert any("skipped" in c for c in caveats) == (want_skipped > 0)
+
+
+def test_search_resolves_only_the_winning_orbits(monkeypatch):
+    calls = []
+
+    def counting_orbit(lam):
+        calls.append(lam)
+        return anharmonic_orbit(lam)
+
+    monkeypatch.setattr(curve_mod, "anharmonic_orbit", counting_orbit)
+    a = analyze_curve("y^2 = x^6 - x")
+    assert len(calls) == 2 * a.genus - 1
+    assert a.normalization is not None and len(a.normalization.records) == len(calls)

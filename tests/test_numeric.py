@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -665,3 +666,27 @@ def test_to_fraction_refuses_gigantic_exponents():
     x = lm_pow(2, 1 << 25, prec=64, mode=UP)
     with pytest.raises(OverflowError):
         x.to_fraction()
+
+
+def test_hash_agrees_with_eq():
+    a = LogMag(1, 1 << 63, 5, 64, UP)
+    b = LogMag(1, 1 << 299, 5, 300, DOWN)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert LogMag.from_int(16) == 16 and hash(LogMag.from_int(16)) == hash(16)
+    for num in range(-40, 41):
+        for e in range(-12, 13):
+            value = Fraction(num) * Fraction(2) ** e
+            for prec in (8, 64, 200):
+                x = LogMag.from_fraction(value, prec=prec, mode=DOWN)
+                assert x == value and hash(x) == hash(value), (num, e, prec)
+
+
+def test_hash_of_huge_exponents():
+    # 2**(P-1) = 1 mod the hash modulus P (Fermat), so 2**(k(P-1)) hashes as 1
+    p = sys.hash_info.modulus
+    for k in (1, -1, 10**40, -(10**40)):
+        x = LogMag(1, 1 << 63, k * (p - 1) + 1, 64, UP)
+        assert hash(x) == hash(1)
+        assert hash(-x) == hash(-1) == -2
+    big = LogMag(1, 3 << 62, 10**40, 64, UP)
+    assert hash(big) == hash(LogMag(1, 3 << 198, 10**40, 200, DOWN))

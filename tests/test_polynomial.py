@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,12 @@ from hypothesis import strategies as st
 from oracles import sylvester_resultant
 from smallpoints.polynomial import (
     Poly,
+    _choose_prime,
+    _factor_mod_p,
+    _next_prime,
+    _pm_gcd,
+    _pm_monic,
+    _pm_trim,
     cyclotomic_index,
     cyclotomic_poly,
     discriminant,
@@ -234,6 +241,37 @@ def test_factor_irreducible():
     for f in (P(1, 1, 0, 0, 1), P(-2, 0, 1), P(1, 1, 1, 1, 1), P(7, -3, 0, 0, 0, 2)):
         c, fs = factor_over_z(f)
         assert c == 1 and fs == [(f, 1)], render_poly(f)
+
+
+def _choose_prime_by_full_split(ints):
+    """The first of five usable primes whose full modular split has the
+    fewest factors, stopping early at an irreducible reduction."""
+    best, found, p = None, 0, 2
+    while found < 5:
+        p = _next_prime(p)
+        fp = _pm_trim([v % p for v in ints])
+        dfp = _pm_trim([i * v % p for i, v in enumerate(ints)][1:])
+        if ints[-1] % p == 0 or not dfp or len(_pm_gcd(fp, dfp, p)) != 1:
+            continue
+        units = _factor_mod_p(_pm_monic(fp, p), p)
+        found += 1
+        if best is None or len(units) < len(best[1]):
+            best = (p, units)
+            if len(units) == 1:
+                break
+    return best
+
+
+def test_choose_prime_counts_factors_from_the_distinct_degree_split():
+    rng = random.Random(12)
+    checked = 0
+    while checked < 60:
+        ints = [rng.randint(-30, 30) for _ in range(rng.randint(3, 11))] + [rng.randint(1, 9)]
+        f = Poly(ints)
+        if poly_gcd(f, f.derivative()).degree() > 0:
+            continue
+        assert _choose_prime(ints) == _choose_prime_by_full_split(ints), ints
+        checked += 1
 
 
 def _sympy_factor_set(f: Poly):
