@@ -21,8 +21,9 @@ separate.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
 measure, with an exact zero for roots of unity.  A height reads only the
-minimal polynomial, so anharmonic_heights gives those of the six anharmonic
-images of a cross-ratio without resolving any of them.  cross_ratio takes
+minimal polynomial, so anharmonic_heights gives those of the anharmonic
+images of a cross-ratio without resolving any of them: three images, x,
+1-x and (x-1)/x, whose inverses share their enclosures.  cross_ratio takes
 each difference of two points from a bounded cache keyed by their
 (minpoly, index) pairs.
 """
@@ -190,9 +191,6 @@ class AlgebraicNumber:
             return num * den.inverse()
 
         return _resolve_among((P,), box_fn)
-
-    def __neg__(self):
-        return self.mobius(-1, 0, 0, 1)
 
     # -- binary arithmetic
 
@@ -453,11 +451,15 @@ def anharmonic_orbit(lam) -> list[AlgebraicNumber]:
 
 
 def anharmonic_heights(lam, precision: int) -> list[tuple[LogMag, LogMag]]:
-    """weil_height of each anharmonic_orbit value, in the same order, read
-    off the six image minimal polynomials alone: one Mobius image each and
-    no resolve of which root a value is."""
+    """weil_height enclosures of the anharmonic_orbit values, in the same
+    order, read off the image minimal polynomials alone: no resolve of
+    which root a value is.  Only x, 1-x and (x-1)/x get a Mobius image and
+    a height; 1/x, 1/(1-x) and x/(x-1), their inverses, have the same
+    height and share their enclosures."""
     coeffs = _orbit_base(lam).minpoly.coeffs
-    return [_height(_mobius_image(coeffs, *m).coeffs, precision) for m in ANHARMONIC]
+    h, h1, h5 = (_height(_mobius_image(coeffs, *ANHARMONIC[i]).coeffs, precision)
+                 for i in (0, 1, 5))
+    return [h, h1, h, h1, h5, h5]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ curve unchanged), then:
     points to infinity, 0, 1, and the images of the remaining 2g-1 are
     cross-ratios; the triple is chosen to minimize the certified upper
     bound on the largest Weil height, preferring rational triples.  The
-    search computes one cross-ratio per unordered triple and point, and
-    reads the heights of its six anharmonic images off their minimal
-    polynomials; only the chosen triple's 2g-1 values are resolved to a
-    root,
+    search computes one cross-ratio per unordered triple and point and
+    ranks three normalizations of the triple, one for each point sent to 1:
+    swapping the points sent to infinity and 0 inverts every cross-ratio,
+    which keeps its height and its S-unit flags.  Heights are read off
+    minimal polynomials; only the chosen triple's 2g-1 values are resolved
+    to a root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception,
   * an empirical lower estimate mu_hat: the largest height among the
@@ -58,16 +60,15 @@ _EQUATION_RE = re.compile(r"^\s*y\s*(?:\^|\*\*)\s*2\s*=\s*(.+)$", re.IGNORECASE)
 
 _SEARCH_PRECISION = 64
 
-# orbit position of cr(p_sigma(1), p_sigma(2), p_sigma(3), z) relative to the
-# orbit of cr(p1, p2, p3, z); keys are sigma as positions in the sorted triple
-_ORDER_TO_ORBIT = {
-    (0, 1, 2): 0,
-    (0, 2, 1): 1,
-    (1, 0, 2): 2,
-    (1, 2, 0): 5,
-    (2, 0, 1): 3,
-    (2, 1, 0): 4,
-}
+# the three normalizations of a sorted triple (a, b, c) as (positions in
+# the triple sent to infinity, 0 and 1; anharmonic_orbit position of their
+# cross-ratio relative to cr(a, b, c, z)): c, b or a goes to 1, and the
+# other two go to infinity and 0 in index order
+_NORMALIZATIONS = (
+    ((0, 1, 2), 0),
+    ((0, 2, 1), 1),
+    ((1, 2, 0), 5),
+)
 
 
 def parse_curve(text: str) -> Poly:
@@ -224,14 +225,18 @@ def branch_point_list(f: Poly, genus: int) -> list:
 
 
 def _normalization_search(branch: list, precision: int):
-    """Choose the ordered triple minimizing the certified upper bound on the
-    largest cross-ratio height.  Returns (triple, lambdas, caveats) with
-    triple None when every candidate hit the resultant degree cap.
+    """Choose the normalizing triple (p, q, r), sending p to infinity, q to
+    0 and r to 1, that minimizes the certified upper bound on the largest
+    cross-ratio height.  Returns (triple, lambdas, caveats) with triple None
+    when every candidate hit the resultant degree cap.
 
-    A height reads only a minimal polynomial, so the ranking takes each
-    orbit member's height from its Mobius image polynomial and never
-    resolves which root it is; only the winner's 2g-1 values are resolved,
-    through anharmonic_orbit."""
+    Swapping the points sent to infinity and 0 turns every lambda into
+    1/lambda, which has the same height and the same S-unit flags, so each
+    unordered triple is ranked in its three normalizations with p < q.
+    Equal upper bounds fall back to the lexicographically first triple.
+    A height reads only a minimal polynomial, so the ranking takes it from
+    anharmonic_heights and never resolves which root a value is; only the
+    winner's 2g-1 values are resolved, through anharmonic_orbit."""
     n = len(branch)
     rational_idx = [
         i for i, p in enumerate(branch) if p is INFINITY or p.is_rational
@@ -243,49 +248,29 @@ def _normalization_search(branch: list, precision: int):
             "fewer than three rational branch points; normalization searched "
             "over all triples"
         )
-    orbit_cache: dict = {}
-
-    def orbit_for(combo, z):
-        """(lambda, upper heights of its six orbit members), or None past
-        the degree cap."""
-        key = (combo, z)
-        if key not in orbit_cache:
-            a, b, c = combo
-            try:
-                lam = cross_ratio(branch[a], branch[b], branch[c], branch[z])
-                heights = anharmonic_heights(lam, _SEARCH_PRECISION)
-                orbit_cache[key] = (lam, [hi for _, hi in heights])
-            except DegreeCapExceeded:
-                orbit_cache[key] = None
-        return orbit_cache[key]
-
     best = None
     skipped = 0
-    for triple in itertools.permutations(pool, 3):
-        combo = tuple(sorted(triple))
-        sigma = tuple(combo.index(t) for t in triple)
-        pos = _ORDER_TO_ORBIT[sigma]
-        orbits = []
-        for z in range(n):
-            if z in triple:
-                continue
-            orb = orbit_for(combo, z)
-            if orb is None:
-                break
-            orbits.append((z, orb))
-        if len(orbits) < n - 3:
-            skipped += 1
+    for combo in itertools.combinations(pool, 3):
+        rest = [z for z in range(n) if z not in combo]
+        try:
+            lams = [cross_ratio(*(branch[i] for i in combo), branch[z]) for z in rest]
+            uppers = [[hi for _, hi in anharmonic_heights(lam, _SEARCH_PRECISION)]
+                      for lam in lams]
+        except DegreeCapExceeded:
+            skipped += len(_NORMALIZATIONS)
             continue
-        h_up = lm_max(*[uppers[pos] for _, (_, uppers) in orbits])
-        if best is None or h_up < best[0]:
-            best = (h_up, triple, pos, orbits)
+        for order, pos in _NORMALIZATIONS:
+            triple = tuple(combo[i] for i in order)
+            h_up = lm_max(*[u[pos] for u in uppers])
+            if best is None or (h_up, triple) < best[:2]:
+                best = (h_up, triple, pos, list(zip(rest, lams)))
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    _, triple, pos, orbits = best
-    return triple, [(z, anharmonic_orbit(lam)[pos]) for z, (lam, _) in orbits], caveats
+    _, triple, pos, lams = best
+    return triple, [(z, anharmonic_orbit(lam)[pos]) for z, lam in lams], caveats
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:

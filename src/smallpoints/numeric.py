@@ -10,11 +10,11 @@ of bits (default 128).
 
 Every LogMag is made by one function, `_round(n, d, e, prec, direction)`: the
 prec-bit directed rounding of the exact rational (n/d) * 2**e.  `_exact` reads
-any operand (LogMag, int, Fraction) as such a triple, so + - * / hand `_round`
-the exact result and round once.  The prec-bit values form a fixed grid and
-an exact value has exactly one nearest grid point on each side, so the bits
-of a result depend only on the exact value and the direction, not on how the
-value was formed.
+any operand (LogMag, int, Fraction) as such a triple, so lm_add, lm_sub,
+lm_mul and lm_div hand `_round` the exact result and round once.  The
+prec-bit values form a fixed grid and an exact value has exactly one nearest
+grid point on each side, so the bits of a result depend only on the exact
+value and the direction, not on how the value was formed.
 
 Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
@@ -470,24 +470,6 @@ class LogMag:
         modulus = sys.hash_info.modulus
         h = self.sign * (self.man * pow(2, self.exp - self.prec, modulus) % modulus)
         return -2 if h == -1 else h
-
-    # -- operators (direction and precision resolved from the operands)
-
-    def __add__(self, other):
-        return lm_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return lm_sub(self, other)
-
-    def __mul__(self, other):
-        return lm_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return lm_div(self, other)
 
     def __neg__(self):
         """Exact negation; the recorded direction flips with the sign."""

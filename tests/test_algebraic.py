@@ -85,7 +85,7 @@ def test_cancellation():
     s2 = sqrt2()
     assert (s2 - s2).is_zero()
     assert s2 / s2 == 1
-    assert s2 + (-s2) == 0
+    assert s2 + s2.mobius(-1, 0, 0, 1) == 0
 
 
 def test_golden_conjugate_identities():
@@ -161,13 +161,13 @@ def test_difference_and_quotient_match_composed_forms():
     zoo = _operand_zoo()
     for x, y in _IRRATIONAL_PAIRS:
         a, b = zoo[x], zoo[y]
-        assert a - b == a + (-b), (x, y)
+        assert a - b == a + b.mobius(-1, 0, 0, 1), (x, y)
         assert a / b == a * (1 / b), (x, y)
     for a in zoo.values():
         assert a - a == 0 and (a - a).is_rational
         assert a / a == 1 and (a / a).is_rational
         for r in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7)):
-            assert r - a == r + (-a), (a, r)
+            assert r - a == r + a.mobius(-1, 0, 0, 1), (a, r)
             assert r / a == r * (1 / a), (a, r)
             assert a - r == a + (-r), (a, r)
             if r:
@@ -179,7 +179,7 @@ def test_difference_and_quotient_share_resultant_keys():
     zoo = _operand_zoo()
     b = zoo["cbrt2"]
     for a in (zoo["sqrt2"], zoo["phi"]):
-        for composed, direct in ((lambda: a + (-b), lambda: a - b),
+        for composed, direct in ((lambda: a + b.mobius(-1, 0, 0, 1), lambda: a - b),
                                  (lambda: a * (1 / b), lambda: a / b)):
             composed()
             hits = alg._op_factors.cache_info().hits
@@ -378,8 +378,15 @@ def test_anharmonic_heights_read_the_orbit_minpolys():
         cross_ratio(sqrt2(), 0, sqrt3(), 1),
     ]
     for lam in values:
-        want = [weil_height(v, 64) for v in anharmonic_orbit(lam)]
-        assert anharmonic_heights(lam, 64) == want
+        orbit = anharmonic_orbit(lam)
+        got = anharmonic_heights(lam, 64)
+        assert len(got) == 6
+        # x, 1-x and (x-1)/x read their own minimal polynomials
+        for pos in (0, 1, 5):
+            assert got[pos] == weil_height(orbit[pos], 64), (lam, pos)
+        # 1/x, 1/(1-x) and x/(x-1) share the enclosure of their inverse
+        for pos, partner in ((2, 0), (3, 1), (4, 5)):
+            assert got[pos] == got[partner], (lam, pos)
     with pytest.raises(ValueError):
         anharmonic_heights(Fraction(1), 64)
 

@@ -14,7 +14,6 @@ from smallpoints.algebraic import (
     weil_height,
 )
 from smallpoints.curve import (
-    _ORDER_TO_ORBIT,
     _SEARCH_PRECISION,
     _normalization_search,
     analyze_curve,
@@ -226,10 +225,18 @@ def test_equation_normalized_form():
     assert a.equation == "y^2 = x^5 - x"
 
 
+# orbit position of cr(p_sigma(1), p_sigma(2), p_sigma(3), z) relative to the
+# orbit of cr(p1, p2, p3, z), for the orderings sigma of a sorted triple
+# that keep the first two points in index order
+_ORBIT_POSITION = {(0, 1, 2): 0, (0, 2, 1): 1, (1, 2, 0): 5}
+
+
 def _resolving_search(branch: list):
     """The normalization search ranked on resolved values: every member of
     every anharmonic orbit is resolved, and a triple's rank is the largest
-    weil_height of its 2g-1 cross-ratios."""
+    weil_height of its 2g-1 cross-ratios.  Only the orderings with
+    triple[0] < triple[1] are ranked: swapping the points sent to infinity
+    and 0 inverts every cross-ratio and keeps its height."""
     n = len(branch)
     rational_idx = [i for i, p in enumerate(branch) if p is INFINITY or p.is_rational]
     pool = rational_idx if len(rational_idx) >= 3 else list(range(n))
@@ -237,8 +244,10 @@ def _resolving_search(branch: list):
     best = None
     skipped = 0
     for triple in itertools.permutations(pool, 3):
+        if triple[0] > triple[1]:
+            continue
         combo = tuple(sorted(triple))
-        pos = _ORDER_TO_ORBIT[tuple(combo.index(t) for t in triple)]
+        pos = _ORBIT_POSITION[tuple(combo.index(t) for t in triple)]
         lams = []
         for z in (z for z in range(n) if z not in triple):
             if (combo, z) not in orbits:
@@ -288,9 +297,14 @@ def test_search_matches_ranking_on_resolved_values(curve):
     triple, lams, caveats = _normalization_search(branch, 128)
     want_triple, want_lams, want_skipped = _resolving_search(branch)
     assert triple == want_triple
+    assert triple is None or triple[0] < triple[1]
     assert lams == want_lams
     assert all(lam.minpoly == want.minpoly for (_, lam), (_, want) in zip(lams, want_lams))
-    assert any("skipped" in c for c in caveats) == (want_skipped > 0)
+    # the winner's values are its own cross-ratios, whatever orbit they came from
+    assert lams == [(z, cross_ratio(*(branch[i] for i in triple), branch[z])) for z, _ in lams]
+    skip_caveats = [c for c in caveats if "skipped" in c]
+    assert skip_caveats == ([f"{want_skipped} candidate triples skipped by the degree cap"]
+                            if want_skipped else [])
 
 
 def test_search_resolves_only_the_winning_orbits(monkeypatch):

@@ -7,6 +7,8 @@ to the output is intended, and list that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
+It prints each key whose digest changed, was added or was removed.
+
 Every command runs in process.  Output depends on the argv alone, so the
 `analyze` commands are checked twice, in list order and then reversed,
 against the same digests.
@@ -140,5 +142,14 @@ def test_hard_curves_finish_in_a_minute(curve):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    new = _current()
+    for label, keys in (
+        ("changed", [k for k in new if k in old and new[k] != old[k]]),
+        ("added", [k for k in new if k not in old]),
+        ("removed", [k for k in old if k not in new]),
+    ):
+        for key in sorted(keys):
+            print(f"{label}: {key}")
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(_current(), indent=1, sort_keys=True) + "\n")
+    DATA.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
