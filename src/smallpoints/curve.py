@@ -5,7 +5,10 @@ curve unchanged), then:
 
   * genus from the degree, rejecting genus < 2 and singular models,
   * a finite superset S of the bad primes: 2 together with every prime
-    dividing the leading coefficient or the discriminant of f,
+    dividing the leading coefficient or the discriminant of f, read off the
+    pieces of the one factorization f = c * prod f_i that also gives the
+    branch points: c, lc(f_i), disc(f_i) and res(f_i, f_j), each factored
+    on its own, never lc(f) * disc(f) whole,
   * the 2g+2 branch points (infinity when deg f is odd, plus the roots of
     f) in a deterministic order,
   * a normalized cross-ratio vector: a Mobius transform sends three branch
@@ -30,6 +33,7 @@ whole analysis is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -54,7 +58,15 @@ from .numeric import (
     lm_exp,
     lm_max,
 )
-from .polynomial import Poly, discriminant, factor_over_z, parse_poly, poly_gcd, render_poly
+from .polynomial import (
+    Poly,
+    discriminant,
+    factor_over_z,
+    parse_poly,
+    poly_gcd,
+    render_poly,
+    resultant,
+)
 
 _EQUATION_RE = re.compile(r"^\s*y\s*(?:\^|\*\*)\s*2\s*=\s*(.+)$", re.IGNORECASE)
 
@@ -184,24 +196,46 @@ def _enclosure_dict(enc: tuple[LogMag, LogMag]) -> dict:
     return {"lower": enc[0].to_json_value(), "upper": enc[1].to_json_value()}
 
 
-def bad_prime_superset(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
-    """S = {2} union primes of lc(f) * disc(f), with caveats when a factor's
-    primality is only probabilistic."""
+def bad_prime_superset(
+    f: Poly, factors: list[Poly], disc: int
+) -> tuple[list[int], int, list[str]]:
+    """S = {2} union the primes of lc(f) and of disc(f), with caveats when a
+    prime's primality is only probabilistic: lc primes ascending, then disc
+    primes ascending.
+
+    Both are read off the pieces of f = c * prod f_i, where factors are the
+    distinct irreducible f_i (f is squarefree):
+
+        lc(f)   = c * prod lc(f_i)
+        disc(f) = c^(2n-2) * prod disc(f_i) * prod_{i<j} res(f_i, f_j)^2
+
+    A large prime of a resultant is then factored once in a small piece,
+    not split off squared from one big integer by Pollard rho.  The pieces
+    must be integers whose product is disc exactly, sign included;
+    RuntimeError otherwise."""
     if disc == 0:
         raise ValueError("discriminant is zero; the model is singular")
+    c = f.lc()
+    for h in factors:
+        c /= h.lc()
+    lc_pieces = [c] + [h.lc() for h in factors]
+    discs = [discriminant(h) for h in factors if h.degree() >= 2]
+    resultants = [resultant(g, h) for g, h in itertools.combinations(factors, 2)]
+    product = math.prod(discs, start=c ** (2 * f.degree() - 2)) * math.prod(resultants) ** 2
+    disc_pieces = [c] + discs + resultants
+    if product != disc or any(m.denominator != 1 for m in lc_pieces + disc_pieces):
+        raise RuntimeError("the factors of f do not reproduce its discriminant")
     primes = {2}
     caveats = []
-    for m in (abs(lc), abs(disc)):
-        for p, _ in factor(m):
+    for pieces in (lc_pieces, disc_pieces):
+        found = sorted({p for m in {int(abs(m)) for m in pieces} - {1} for p, _ in factor(m)})
+        for p in found:
             _, kind = is_prime_with_certainty(p)
             if kind == "probabilistic":
                 caveats.append(f"primality of {p} in S is probabilistic")
-            primes.add(p)
+        primes.update(found)
     s = sorted(primes)
-    n_s = 1
-    for p in s:
-        n_s *= p
-    return s, n_s, caveats
+    return s, math.prod(s), caveats
 
 
 def branch_point_list(f: Poly, genus: int) -> list:
@@ -277,8 +311,11 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
     f = parse_curve(text)
     genus = (f.degree() - 1) // 2
     disc = int(discriminant(f))
-    s_primes, n_s, caveats = bad_prime_superset(int(f.lc()), disc)
     branch = branch_point_list(f, genus)
+    # the distinct minimal polynomials of the branch points are the
+    # irreducible factors of f, so f is factored over Z only once
+    factors = list(dict.fromkeys(p.minpoly for p in branch if p is not INFINITY))
+    s_primes, n_s, caveats = bad_prime_superset(f, factors, disc)
 
     triple, lams, norm_caveats = _normalization_search(branch, precision)
     caveats.extend(norm_caveats)

@@ -703,47 +703,117 @@ def cyclotomic_index(f: Poly) -> int | None:
 # text format
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*\*?\s*[xX](?:\s*(?:\^|\*\*)\s*(?P<exp1>\d+))?
-          | [xX](?:\s*(?:\^|\*\*)\s*(?P<exp2>\d+))?
-          | (?P<const>\d+(?:/\d+)?)
-        )\s*""",
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|\*\*|[-+*^()xX])")
+
+
+class _PolyParser:
+    """Recursive descent over the tokens of one polynomial text:
+
+        sum     := [sign] term (sign term)*
+        term    := factor ("*" factor)*
+        factor  := rational [x-power] | x-power | "(" sum ")" [power]
+        x-power := x [power]
+        power   := ("^" | "**") digits
+
+    A rational written right before x ("2x", "1/2 x") multiplies it, and a
+    power is a non-negative integer."""
+
+    def __init__(self, s: str):
+        self.s = s
+        self.tokens: list[tuple[str, int]] = []
+        pos = 0
+        while pos < len(s):
+            m = _TOKEN_RE.match(s, pos)
+            if not m:
+                raise ValueError(f"cannot parse polynomial near {s[pos:].lstrip()[:20]!r}")
+            self.tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        self.tokens.append(("", len(s)))
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def error(self, what: str = "cannot parse polynomial") -> ValueError:
+        pos = self.tokens[self.i][1]
+        if pos == len(self.s):
+            return ValueError(f"{what}: unexpected end of text")
+        return ValueError(f"{what} near {self.s[pos:pos + 20]!r}")
+
+    def starts_factor(self) -> bool:
+        tok = self.peek()
+        return tok[:1].isdigit() or tok in ("x", "X", "(")
+
+    def parse(self) -> Poly:
+        f = self.sum()
+        if self.peek():
+            raise self.error()
+        return f
+
+    def sum(self) -> Poly:
+        total = Poly.zero()
+        first = True
+        while True:
+            sign = self.peek()
+            if sign in ("+", "-"):
+                self.i += 1
+            elif not first:
+                return total
+            term = self.term()
+            total = total - term if sign == "-" else total + term
+            first = False
+            if self.starts_factor():
+                raise self.error("missing sign between terms")
+
+    def term(self) -> Poly:
+        f = self.factor()
+        while self.peek() == "*":
+            self.i += 1
+            f = f * self.factor()
+        return f
+
+    def factor(self) -> Poly:
+        tok = self.peek()
+        if tok[:1].isdigit():
+            self.i += 1
+            try:
+                c = Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            return self.x_power() * c if self.peek() in ("x", "X") else Poly.constant(c)
+        if tok in ("x", "X"):
+            return self.x_power()
+        if tok == "(":
+            self.i += 1
+            inner = self.sum()
+            if self.peek() != ")":
+                raise self.error()
+            self.i += 1
+            return inner ** self.power()
+        raise self.error()
+
+    def x_power(self) -> Poly:
+        self.i += 1
+        return Poly([0] * self.power() + [1])
+
+    def power(self) -> int:
+        if self.peek() not in ("^", "**"):
+            return 1
+        self.i += 1
+        tok = self.peek()
+        if not tok.isdigit():
+            raise self.error()
+        self.i += 1
+        return int(tok)
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse forms like "x^5 - x", "2x^3 + 1/2 x - 7", "x**6 - 1"."""
+    """Parse forms like "x^5 - x", "2x^3 + 1/2 x - 7", "x**6 - 1" and
+    products such as "x*(x-1)^2*(x + 3)"."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
-    pos = 0
-    terms: dict[int, Fraction] = {}
-    first = True
-    while pos < len(s):
-        mt = _TERM_RE.match(s, pos)
-        if not mt or mt.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {s[pos:pos + 20]!r}")
-        if mt.group("sign") is None and not first:
-            raise ValueError(f"missing sign between terms near {s[pos:pos + 20]!r}")
-        sgn = -1 if mt.group("sign") == "-" else 1
-        if mt.group("const") is not None:
-            ctext, e = mt.group("const"), 0
-        elif mt.group("coeff") is not None:
-            ctext, e = mt.group("coeff"), int(mt.group("exp1") or 1)
-        else:
-            ctext, e = "1", int(mt.group("exp2") or 1)
-        try:
-            c = Fraction(ctext)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {ctext!r}") from None
-        terms[e] = terms.get(e, Fraction(0)) + sgn * c
-        pos = mt.end()
-        first = False
-    n = max(terms)
-    return Poly([terms.get(i, Fraction(0)) for i in range(n + 1)])
+    return _PolyParser(s).parse()
 
 
 def render_poly(f: Poly) -> str:

@@ -74,6 +74,21 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     assert err
 
 
+def test_analyze_factored_curve_matches_expanded(capsys):
+    code, factored, _ = run(capsys, ["analyze", "--curve", "y^2 = x*(x-1)*(x-2)*(x-3)*(x-5)"])
+    assert code == 0
+    expanded = "y^2 = x^5 - 11*x^4 + 41*x^3 - 61*x^2 + 30*x"
+    assert (code, factored) == run(capsys, ["analyze", "--curve", expanded])[:2]
+
+
+@pytest.mark.parametrize("rhs", ["x*(x-1", "x^3*(x-1)^-2", "x^5*(x-1)^(1/2)"])
+def test_analyze_malformed_product_exits_1(capsys, rhs):
+    code, out, err = run(capsys, ["analyze", "--curve", f"y^2 = {rhs}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("smallpoints: cannot parse polynomial")
+
+
 def test_analyze_zero_denominator_exits_1(capsys):
     code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 1/0"])
     assert code == 1

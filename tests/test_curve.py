@@ -1,11 +1,16 @@
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from oracles import DEC_TOL, dec_ln
+import smallpoints.algebraic as algebraic_mod
 import smallpoints.curve as curve_mod
+import smallpoints.numeric as numeric_mod
 from smallpoints.algebraic import (
     INFINITY,
     DegreeCapExceeded,
@@ -21,8 +26,8 @@ from smallpoints.curve import (
     branch_point_list,
     parse_curve,
 )
-from smallpoints.numeric import lm_max
-from smallpoints.polynomial import Poly, discriminant, render_poly
+from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
+from smallpoints.polynomial import Poly, discriminant, factor_over_z, render_poly
 from test_golden import fresh_interpreter
 
 
@@ -108,13 +113,170 @@ def test_branch_points_even_degree():
     assert all(not p.is_rational for p in pts[2:])
 
 
+def _factors(f: Poly) -> list[Poly]:
+    _, fac = factor_over_z(f)
+    return [h for h, _ in fac]
+
+
 def test_bad_prime_superset_includes_two():
     f = Poly([3, 0, 0, 0, 0, 5])
-    s, n_s, caveats = bad_prime_superset(int(f.lc()), int(discriminant(f)))
+    s, n_s, caveats = bad_prime_superset(f, _factors(f), int(discriminant(f)))
     assert 2 in s
     assert 3 in s and 5 in s
     assert n_s % 2 == 0
     assert caveats == []
+
+
+def _whole_number_rule(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
+    """S, N_S and caveats from factoring |lc| and |disc| each as one integer:
+    the rule the factorization pieces replace, kept as their reference."""
+    primes = {2}
+    caveats = []
+    for m in (abs(lc), abs(disc)):
+        for p, _ in factor(m):
+            if is_prime_with_certainty(p)[1] == "probabilistic":
+                caveats.append(f"primality of {p} in S is probabilistic")
+            primes.add(p)
+    s = sorted(primes)
+    return s, math.prod(s), caveats
+
+
+def _seeded_curve(rng: random.Random) -> str:
+    """A curve of degree 5..8 with integer content, rational roots, an
+    optional quadratic or cubic factor and, one time in three, rational
+    coefficients that parse_curve clears."""
+    n = rng.randint(5, 8)
+    content = rng.choice([1, -1, 6, -35, 12])
+    f = Poly([content])
+    extra = rng.choice([0, 2, 3])
+    if extra:
+        f = f * Poly([rng.randint(-9999, 9999) for _ in range(extra)] + [1])
+    while f.degree() < n:
+        f = f * Poly([rng.randint(-30, 30), rng.randint(1, 12)])
+    if rng.randrange(3) == 0:
+        f = f * Fraction(1, rng.choice([2, 6, 35]))
+    return "y^2 = " + render_poly(f)
+
+
+def _seeded_curves(count: int) -> list[str]:
+    rng = random.Random(14)
+    out = []
+    while len(out) < count:
+        text = _seeded_curve(rng)
+        try:
+            parse_curve(text)
+        except ValueError:  # a repeated root
+            continue
+        out.append(text)
+    return out
+
+
+S_CURVES = _seeded_curves(24) + [
+    "y^2 = 6*x^5 + 12*x^4 + 6*x - 18",  # content 6: c^(2n-2) is a piece
+    "y^2 = -10*x^6 + 15*x^2 - 5",  # negative content, even degree
+    "y^2 = 1/6*x^5 - 7/4*x + 1/3",  # denominators cleared
+    "y^2 = x^5 - 3*x + 1",  # irreducible, odd degree
+    "y^2 = x^6 + x + 1",  # irreducible, even degree
+    "y^2 = 3*x^5 + x^4 + 1",  # 3 divides lc but not disc = 253381
+    "y^2 = (2*x - 3)*(5*x + 1)*(x^2 + 1)*(x^2 - 2)",  # even degree, lcs 2 and 5
+]
+
+
+@pytest.mark.parametrize("curve", S_CURVES)
+def test_bad_primes_match_whole_number_rule_and_sympy(curve):
+    f = parse_curve(curve)
+    lc, disc = int(f.lc()), int(discriminant(f))
+    got = bad_prime_superset(f, _factors(f), disc)
+    assert got == _whole_number_rule(lc, disc)
+    x = sympy.Symbol("x")
+    fx = sympy.Poly([int(c) for c in reversed(f.coeffs)], x)
+    assert sympy.discriminant(fx) == disc
+    want = sorted({2} | set(sympy.primefactors(lc)) | set(sympy.primefactors(disc)))
+    assert got[0] == want
+    assert got[1] == math.prod(want)
+
+
+def test_lc_prime_outside_disc_is_in_s():
+    f = parse_curve("y^2 = 3*x^5 + x^4 + 1")
+    disc = int(discriminant(f))
+    assert disc % 3 != 0
+    assert 3 in bad_prime_superset(f, _factors(f), disc)[0]
+
+
+def test_probabilistic_prime_of_a_linear_factor_keeps_its_caveat():
+    p = 2**64 + 13  # above the deterministic Miller-Rabin range
+    # roots 0, p, ..., 4p: disc is p^20 times 2s and 3s, which the whole
+    # number rule splits as a perfect power
+    a = analyze_curve(f"y^2 = x*(x - {p})*(x - {2 * p})*(x - {3 * p})*(x - {4 * p})")
+    want = _whole_number_rule(a.leading_coefficient, a.disc)
+    assert (a.s_primes, a.n_s) == want[:2] == ([2, 3, p], 6 * p)
+    assert want[2] == [f"primality of {p} in S is probabilistic"]
+    assert a.caveats[:1] == want[2]
+
+
+def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
+    p = 2**64 + 13
+    # disc is p^2 (p-1)^2 (p-2)^2 (p-3)^2 times small primes; the primes
+    # above 10^6 of the p - k are 2977518503 < 1345790039666561 <
+    # 658812288346769701 < p, which rho could only split from their product
+    # in about sqrt(1345790039666561) steps, but each p - k is a piece with
+    # one such prime
+    rho_calls = []
+    monkeypatch.setattr(numeric_mod, "_pollard_rho", rho_calls.append)
+    f = parse_curve(f"y^2 = x*(x-1)*(x-2)*(x-3)*(x-{p})")
+    s, n_s, caveats = bad_prime_superset(f, _factors(f), int(discriminant(f)))
+    want = {2, 3, p}
+    for k in (1, 2, 3):
+        want |= set(sympy.primefactors(p - k))
+    assert (s, n_s) == (sorted(want), math.prod(want))
+    assert caveats == [f"primality of {p} in S is probabilistic"]
+    assert rho_calls == []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda fs: fs[:-1],  # a factor missing
+        lambda fs: fs + [Poly([-7, 1])],  # a factor too many
+        lambda fs: fs[:-1] + [Poly([2, 0, 1])],  # x^2 + 2 for x^2 + 1
+        lambda fs: [fs[0] * 2] + fs[1:],  # content 1/2
+    ],
+)
+def test_bad_primes_reject_factors_that_miss_the_discriminant(corrupt):
+    f = parse_curve("y^2 = 3*x^5 - 3*x")
+    with pytest.raises(RuntimeError, match="discriminant"):
+        bad_prime_superset(f, corrupt(_factors(f)), int(discriminant(f)))
+
+
+# rational_batch seed 1: three rational roots and x^2 - 9643574129 x - 949730420,
+# whose resultant primes appear squared in disc f
+QUADRATIC_FACTOR_CURVE = (
+    "y^2 = 8930*x^5 - 86117117001107*x^4 + 272503726760196*x^3"
+    " - 108523902159227*x^2 - 178318160327560*x - 16240390182000"
+)
+
+
+def test_bad_primes_need_no_pollard_rho_and_one_factorization(monkeypatch):
+    f = parse_curve(QUADRATIC_FACTOR_CURVE)
+    rho_calls = []
+    factored = []
+
+    def counting_rho(n):
+        rho_calls.append(n)
+        return real_rho(n)
+
+    def counting_factor_over_z(g):
+        factored.append(g)
+        return factor_over_z(g)
+
+    real_rho = numeric_mod._pollard_rho
+    monkeypatch.setattr(numeric_mod, "_pollard_rho", counting_rho)
+    monkeypatch.setattr(curve_mod, "factor_over_z", counting_factor_over_z)
+    monkeypatch.setattr(algebraic_mod, "factor_over_z", counting_factor_over_z)
+    a = analyze_curve(QUADRATIC_FACTOR_CURVE)
+    assert rho_calls == []
+    assert factored.count(f) == 1
+    assert (a.s_primes, a.n_s) == _whole_number_rule(a.leading_coefficient, a.disc)[:2]
 
 
 def test_normalization_x5_minus_x_is_exactly_trivial():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -373,9 +374,111 @@ def test_parse_poly():
 
 
 def test_parse_poly_errors():
-    for bad in ("", "x + + 3", "y^2", "(x+1)^2", "x^-2", "1.5x", "x 3"):
+    for bad in ("", "x + + 3", "y^2", "x^-2", "1.5x", "x 3", "(x-1", "(x-1)^-2",
+                "(x-1)^(1/2)", "(x-1)(x+1)", "2^3", "x^2^3", "()", "x*", "(x-1)^"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+def test_parse_poly_products_and_powers():
+    assert parse_poly("(x+1)^2") == P(1, 2, 1)
+    assert parse_poly("x*(x-1)*(x-2)*(x-3)*(x-5)") == P(0, 30, -61, 41, -11, 1)
+    assert parse_poly("-2*(x - 1/2)**3 + x^0") == P(Fraction(5, 4), Fraction(-3, 2), 3, -2)
+    assert parse_poly("(x^2 + 1)^0 * 7") == P(7)
+    assert parse_poly("((x))^2*3x") == P(0, 0, 0, 3)
+
+
+def _sympy_coeffs(text: str) -> list:
+    x = sympy.Symbol("x")
+    expr = sympy.expand(sympy.sympify(text.replace("^", "**"), locals={"x": x}))
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+
+
+def _seeded_product(rng: random.Random) -> str:
+    factors = [str(rng.choice([1, 3, 12, "5/7"]))]
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.randint(1, 3)
+        cs = [rng.randint(-20, 20) for _ in range(deg)] + [rng.randint(1, 5)]
+        body = f"{cs[0]}" + "".join(
+            f" {'-' if c < 0 else '+'} {abs(c)}*x^{i}" for i, c in enumerate(cs) if i
+        )
+        power = rng.choice(["", "^2", "**3", "^0", " ^ 1"])
+        factors.append(f"({body}){power}")
+    return "*".join(factors)
+
+
+def test_parse_poly_products_match_sympy_expand():
+    rng = random.Random(7)
+    for _ in range(60):
+        text = rng.choice(["", "-"]) + _seeded_product(rng)
+        if rng.randrange(3) == 0:
+            text += rng.choice([" - ", " + "]) + _seeded_product(rng)
+        assert parse_poly(text) == Poly(_sympy_coeffs(text)), text
+
+
+_OLD_TERM_RE = re.compile(
+    r"""\s*(?P<sign>[+-])?\s*
+        (?:
+            (?P<coeff>\d+(?:/\d+)?)\s*\*?\s*[xX](?:\s*(?:\^|\*\*)\s*(?P<exp1>\d+))?
+          | [xX](?:\s*(?:\^|\*\*)\s*(?P<exp2>\d+))?
+          | (?P<const>\d+(?:/\d+)?)
+        )\s*""",
+    re.VERBOSE,
+)
+
+
+def _term_by_term_parse(s: str) -> Poly:
+    """The sum-of-terms parser that products and powers extend, kept as the
+    reference that every form it accepts still parses to the same Poly."""
+    pos = 0
+    terms: dict[int, Fraction] = {}
+    while pos < len(s):
+        mt = _OLD_TERM_RE.match(s, pos)
+        assert mt and mt.end() > pos and (mt.group("sign") or pos == 0)
+        sgn = -1 if mt.group("sign") == "-" else 1
+        if mt.group("const") is not None:
+            ctext, e = mt.group("const"), 0
+        elif mt.group("coeff") is not None:
+            ctext, e = mt.group("coeff"), int(mt.group("exp1") or 1)
+        else:
+            ctext, e = "1", int(mt.group("exp2") or 1)
+        terms[e] = terms.get(e, Fraction(0)) + sgn * Fraction(ctext)
+        pos = mt.end()
+    return Poly([terms.get(i, Fraction(0)) for i in range(max(terms) + 1)])
+
+
+_SPACE = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _term_texts(draw):
+    """Sums in the term-by-term format: signs, rational coefficients written
+    before x with or without '*', and powers with '^' or '**'."""
+    out = []
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        coeff = draw(st.one_of(
+            st.none(),
+            st.integers(0, 999).map(str),
+            st.tuples(st.integers(0, 99), st.integers(1, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+        ))
+        body = coeff
+        if coeff is None or draw(st.booleans()):
+            xs = draw(st.sampled_from(["x", "X"]))
+            power = draw(st.one_of(st.none(), st.integers(0, 12)))
+            if power is not None:
+                xs += draw(_SPACE) + draw(st.sampled_from(["^", "**"])) + draw(_SPACE) + str(power)
+            if coeff is not None:
+                xs = coeff + draw(_SPACE) + draw(st.sampled_from(["", "*"])) + draw(_SPACE) + xs
+            body = xs
+        out.append(sign + draw(_SPACE) + body)
+    return draw(_SPACE).join(out).strip()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_term_texts())
+def test_parse_poly_keeps_every_term_by_term_form(text):
+    assert parse_poly(text) == _term_by_term_parse(text)
 
 
 def test_render_poly():
