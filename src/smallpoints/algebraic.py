@@ -20,12 +20,18 @@ root remains; it terminates because distinct algebraic numbers eventually
 separate.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
-measure, with an exact zero for roots of unity.  A height reads only the
-minimal polynomial, so anharmonic_heights gives those of the anharmonic
-images of a cross-ratio without resolving any of them: three images, x,
-1-x and (x-1)/x, whose inverses share their enclosures.  cross_ratio takes
-each difference of two points from a bounded cache keyed by their
-(minpoly, index) pairs.
+measure, with an exact zero for roots of unity.  A height or an S-unit
+flag reads only the minimal polynomial, so weil_height and is_s_unit also
+take a minimal polynomial, and mobius_minpoly and anharmonic_minpolys give
+those of Mobius and anharmonic images without resolving any of them: three
+images, x, 1-x and (x-1)/x, stand for the orbit, whose other three values
+are their inverses.  coefficient_limits and height_exceeds certify from
+the coefficients alone, by Mahler's inequality, that a height lies above a
+bound.  The cross-ratio of a rational or infinite triple is one rational
+Mobius map of the fourth point, so cross_ratio resolves it once and
+cross_ratio_minpolys gives its minimal polynomials with no resolve; for
+other triples cross_ratio takes each difference of two points from a
+bounded cache keyed by their (minpoly, index) pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ from .numeric import (
     UP,
     LogMag,
     lm_div,
+    lm_exp,
     lm_log,
+    lm_mul,
     lm_sub,
     lm_sum,
 )
@@ -176,9 +184,7 @@ class AlgebraicNumber:
             return AlgebraicNumber.from_rational((a * r + b) / den)
         # for c != 0 the leading coefficient is (-c)^n f(-d/c) != 0 because
         # f is irreducible of degree >= 2, so the degree never drops
-        P = _mobius_image(self.minpoly.coeffs, a, b, c, d)
-        if P.degree() != self.degree:
-            raise RuntimeError("mobius transform dropped degree")
+        P = mobius_minpoly(self, a, b, c, d)
 
         def box_fn(p: int) -> Box | None:
             B = self.refined_box(p)
@@ -289,17 +295,40 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
 
 def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
     """Primitive part of sum f_i (dx - b)^i (a - cx)^(n-i), whose roots are
-    the images (ax + b)/(cx + d) of the roots of f: one homogeneous Horner
-    pass over integer lists, with a, b, c, d scaled to integers first."""
-    den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
-    a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
-    acc, vpow = [int(coeffs[-1])], [1]
-    for fi in reversed(coeffs[:-1]):
-        # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
-        acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
-        vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
-        acc = [s + int(fi) * v for s, v in zip(acc, vpow)]
-    return Poly(acc).primitive()[1]
+    the images (ax + b)/(cx + d) of the roots of the integer polynomial f
+    with these coefficients: one homogeneous Horner pass over integer
+    lists, with a, b, c, d scaled to integers first."""
+    if not all(type(t) is int for t in (a, b, c, d)):
+        den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
+        a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
+    if len(coeffs) == 2:
+        # the root p/q of qx - p goes to (ap + bq)/(cp + dq)
+        p, q = -coeffs[0].numerator, coeffs[1].numerator
+        acc = [-(a * p + b * q), c * p + d * q]
+    else:
+        acc, vpow = [coeffs[-1].numerator], [1]
+        for fi in reversed(coeffs[:-1]):
+            # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
+            acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
+            vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
+            acc = [s + fi.numerator * v for s, v in zip(acc, vpow)]
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    g = math.gcd(*acc)
+    return Poly([v // g for v in acc] if acc[-1] > 0 else [-v // g for v in acc])
+
+
+def mobius_minpoly(alpha, a, b, c, d) -> Poly:
+    """The minimal polynomial of (a*alpha + b)/(c*alpha + d), rational a, b,
+    c, d with nonzero determinant, read off that of alpha with no resolve
+    of which root the image is."""
+    f = ensure_algebraic(alpha).minpoly
+    if b == c == 0 and a == d:
+        return f
+    P = _mobius_image(f.coeffs, a, b, c, d)
+    if P.degree() != f.degree():
+        raise ZeroDivisionError("mobius transform sends the value to infinity")
+    return P
 
 
 def _power_sums(coeffs: tuple, count: int) -> list[int]:
@@ -417,16 +446,43 @@ def _difference(u: AlgebraicNumber, v: AlgebraicNumber) -> AlgebraicNumber:
     return u - v
 
 
+def _distinct_points(*points) -> list:
+    pts = [x if x is INFINITY else ensure_algebraic(x) for x in points]
+    if len(set(pts)) < len(pts):
+        raise ValueError("cross-ratio needs distinct points")
+    return pts
+
+
+def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
+    """Integers (a, b, c, d) with cross_ratio(p1, p2, p3, z) = (az + b)/(cz + d)
+    for every z, when p1, p2 and p3 are rational or INFINITY; None
+    otherwise.  With each point in homogeneous coordinates (x : y), INFINITY
+    being (1 : 0), and [i j] = x_i y_j - x_j y_i, the cross-ratio is
+    [3 1][z 2] / ([3 2][z 1]), so no case needs INFINITY left out."""
+    if any(p is not INFINITY and not p.is_rational for p in (p1, p2, p3)):
+        return None
+    (x1, y1), (x2, y2), (x3, y3) = (
+        (1, 0) if p is INFINITY else (int(-p.minpoly[0]), int(p.minpoly[1]))
+        for p in (p1, p2, p3)
+    )
+    top, bottom = x3 * y1 - x1 * y3, x3 * y2 - x2 * y3
+    return top * y2, -top * x2, bottom * y1, -bottom * x1
+
+
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the projective line.  Each point
     sits in one factor above the bar and one below, and in homogeneous
     coordinates a point at infinity makes both factors 1 (or both -1), so a
     difference with INFINITY is left out.  The four points must be
-    distinct, which keeps the value away from 0, 1 and infinity."""
-    pts = [x if x is INFINITY else ensure_algebraic(x) for x in (p1, p2, p3, z)]
-    if len(set(pts)) < 4:
-        raise ValueError("cross-ratio needs four distinct points")
-    q1, q2, q3, w = pts
+    distinct, which keeps the value away from 0, 1 and infinity.  For a
+    rational or infinite p1, p2, p3 the value is one rational Mobius image
+    of z, a single resolve."""
+    q1, q2, q3, w = _distinct_points(p1, p2, p3, z)
+    matrix = _cross_ratio_matrix(q1, q2, q3)
+    if matrix is not None:
+        if w is INFINITY:
+            return AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2]))
+        return w.mobius(*matrix)
 
     def product(*pairs):
         return reduce(operator.mul, [
@@ -436,6 +492,22 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     return product((q3, q1), (w, q2)) / product((q3, q2), (w, q1))
 
 
+def cross_ratio_minpolys(p1, p2, p3, zs) -> list[Poly]:
+    """The minimal polynomials of cross_ratio(p1, p2, p3, z) for each z in
+    zs, with p1, p2 and p3 rational or infinite: the cross-ratio is then
+    one rational Mobius map of z, so each is one image of the minimal
+    polynomial of z, with no resolve of which root the value is."""
+    q1, q2, q3, *ws = _distinct_points(p1, p2, p3, *zs)
+    matrix = _cross_ratio_matrix(q1, q2, q3)
+    if matrix is None:
+        raise ValueError("cross_ratio_minpolys needs rational or infinite p1, p2, p3")
+    return [
+        AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2])).minpoly
+        if w is INFINITY else mobius_minpoly(w, *matrix)
+        for w in ws
+    ]
+
+
 def _orbit_base(lam) -> AlgebraicNumber:
     a = ensure_algebraic(lam)
     if a == 0 or a == 1:
@@ -443,32 +515,59 @@ def _orbit_base(lam) -> AlgebraicNumber:
     return a
 
 
-def anharmonic_orbit(lam) -> list[AlgebraicNumber]:
-    """The six values [x, 1-x, 1/x, 1/(1-x), x/(x-1), (x-1)/x] obtained
-    from a cross-ratio by permuting the points; needs lam outside {0, 1}."""
+def anharmonic_orbit(lam, positions=range(6)) -> list[AlgebraicNumber]:
+    """The values at these positions of [x, 1-x, 1/x, 1/(1-x), x/(x-1),
+    (x-1)/x], obtained from a cross-ratio by permuting the points; needs
+    lam outside {0, 1}.  Each value other than x itself costs one resolve,
+    so a caller asks only for the values it keeps."""
     a = _orbit_base(lam)
-    return [a.mobius(*m) for m in ANHARMONIC]
+    return [a.mobius(*ANHARMONIC[p]) for p in positions]
 
 
-def anharmonic_heights(lam, precision: int) -> list[tuple[LogMag, LogMag]]:
-    """weil_height enclosures of the anharmonic_orbit values, in the same
-    order, read off the image minimal polynomials alone: no resolve of
-    which root a value is.  Only x, 1-x and (x-1)/x get a Mobius image and
-    a height; 1/x, 1/(1-x) and x/(x-1), their inverses, have the same
-    height and share their enclosures."""
-    coeffs = _orbit_base(lam).minpoly.coeffs
-    h, h1, h5 = (_height(_mobius_image(coeffs, *ANHARMONIC[i]).coeffs, precision)
-                 for i in (0, 1, 5))
-    return [h, h1, h, h1, h5, h5]
+def anharmonic_minpolys(minpoly: Poly) -> dict[int, Poly]:
+    """The minimal polynomials of the anharmonic_orbit values at positions
+    0, 1 and 5, x, 1-x and (x-1)/x, of a cross-ratio x with this minimal
+    polynomial: x's own, then two Mobius images, with no resolve.  The other
+    three values are their inverses, of the same height."""
+    if minpoly.degree() == 1 and minpoly[0] in (0, -minpoly[1]):
+        raise ValueError("anharmonic images need a value outside {0, 1}")
+    return {0: minpoly, **{p: _mobius_image(minpoly.coeffs, *ANHARMONIC[p]) for p in (1, 5)}}
+
+
+def coefficient_limits(d: int, bound: LogMag) -> tuple[int, ...]:
+    """floor(C(d, k) * E) for k = 0..d, with E = exp(d * bound) rounded up.
+    Mahler's inequality |a_k| <= C(d, k) M(f) (J. London Math. Soc. 37,
+    1962) makes max_k |a_k| / C(d, k) a lower bound on the Mahler measure
+    M(f), so a primitive minimal polynomial of degree d with some |a_k|
+    above its limit has M(f) > E >= exp(d * bound): every root has Weil
+    height ln(M(f)) / d > bound.  See height_exceeds."""
+    man, e = lm_exp(lm_mul(bound, d, mode=UP), mode=UP).dyadic()
+    return tuple((math.comb(d, k) * man << e) if e >= 0 else (math.comb(d, k) * man) >> -e
+                 for k in range(d + 1))
+
+
+def height_exceeds(coeffs: tuple, limits: tuple[int, ...]) -> bool:
+    """Whether the coefficients of an integer minimal polynomial of degree d
+    break the coefficient_limits(d, bound), which certifies that its roots
+    have Weil height above bound.  A rational p/q gives max(|p|, |q|) > E,
+    which is exact: its height is ln max(|p|, |q|)."""
+    return any(abs(a.numerator) > t for a, t in zip(coeffs, limits))
 
 
 # ---------------------------------------------------------------------------
 # heights and S-units
 
 
+def _minpoly(alpha) -> Poly:
+    """The minimal polynomial of an algebraic number or rational; a Poly is
+    taken to be one already."""
+    return alpha if isinstance(alpha, Poly) else ensure_algebraic(alpha).minpoly
+
+
 def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogMag]:
     """Directed enclosure (lower, upper) of the absolute logarithmic Weil
-    height, via the Mahler measure of the minimal polynomial:
+    height of alpha, or of a root of alpha when it is a minimal polynomial
+    (Poly), via the Mahler measure of the minimal polynomial:
 
         h = (1/n) (ln a_n + sum_i ln max(1, |alpha_i|)).
 
@@ -476,7 +575,7 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
     an exact [0, 0]; so does any rational with numerator and denominator of
     absolute value at most 1.
     """
-    return _height(ensure_algebraic(alpha).minpoly.coeffs, precision)
+    return _height(_minpoly(alpha).coeffs, precision)
 
 
 @lru_cache(maxsize=None)
@@ -519,8 +618,8 @@ def _factors_over(m: int, primes) -> bool:
 
 
 def is_s_unit(alpha, primes) -> bool:
-    """S-unit test: both the leading and the constant coefficient of the
+    """S-unit test on alpha, or on a root of alpha when it is a minimal
+    polynomial (Poly): both the leading and the constant coefficient of the
     minimal polynomial must factor completely over the given primes."""
-    a = ensure_algebraic(alpha)
-    f = a.minpoly
+    f = _minpoly(alpha)
     return _factors_over(int(f[0]), primes) and _factors_over(int(f.lc()), primes)

@@ -15,12 +15,16 @@ curve unchanged), then:
     points to infinity, 0, 1, and the images of the remaining 2g-1 are
     cross-ratios; the triple is chosen to minimize the certified upper
     bound on the largest Weil height, preferring rational triples.  The
-    search computes one cross-ratio per unordered triple and point and
+    search computes one cross-ratio minimal polynomial per unordered triple
+    and point (for a rational triple one Mobius image of the point's) and
     ranks three normalizations of the triple, one for each point sent to 1:
     swapping the points sent to infinity and 0 inverts every cross-ratio,
     which keeps its height and its S-unit flags.  Heights are read off
-    minimal polynomials; only the chosen triple's 2g-1 values are resolved
-    to a root,
+    minimal polynomials, best candidate first, and branch and bound skips
+    every normalization whose coefficients alone (Mahler's inequality)
+    certify a height above the best upper bound so far: such a candidate
+    cannot win, so the choice is the exhaustive one.  Only the chosen
+    triple's 2g-1 values are resolved to a root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception,
   * an empirical lower estimate mu_hat: the largest height among the
@@ -38,14 +42,19 @@ import re
 from dataclasses import dataclass, field
 
 from .algebraic import (
+    ANHARMONIC,
     INFINITY,
     AlgebraicNumber,
     DegreeCapExceeded,
     algebraic_roots,
-    anharmonic_heights,
+    anharmonic_minpolys,
     anharmonic_orbit,
+    coefficient_limits,
     cross_ratio,
+    cross_ratio_minpolys,
+    height_exceeds,
     is_s_unit,
+    mobius_minpoly,
     weil_height,
 )
 from .numeric import (
@@ -258,6 +267,16 @@ def branch_point_list(f: Poly, genus: int) -> list:
     return pts
 
 
+def _estimated_height(f: Poly) -> float:
+    """max_k ln(|a_k| / C(d, k)) / d in floating point: close to the
+    certified lower bound on the height of a root of f that
+    coefficient_limits and height_exceeds test, and used only to order
+    the search."""
+    d = f.degree()
+    return max(math.log(abs(a.numerator)) - math.log(math.comb(d, k))
+               for k, a in enumerate(f.coeffs) if a) / d
+
+
 def _normalization_search(branch: list, precision: int):
     """Choose the normalizing triple (p, q, r), sending p to infinity, q to
     0 and r to 1, that minimizes the certified upper bound on the largest
@@ -268,43 +287,93 @@ def _normalization_search(branch: list, precision: int):
     1/lambda, which has the same height and the same S-unit flags, so each
     unordered triple is ranked in its three normalizations with p < q.
     Equal upper bounds fall back to the lexicographically first triple.
-    A height reads only a minimal polynomial, so the ranking takes it from
-    anharmonic_heights and never resolves which root a value is; only the
-    winner's 2g-1 values are resolved, through anharmonic_orbit."""
+
+    A height reads only a minimal polynomial, so no candidate value is
+    resolved to a root.  In a pool of rational points and infinity the
+    cross-ratio of a triple is one rational Mobius map of z, and its minimal
+    polynomial one image of that of z; otherwise it comes from the
+    cross_ratio chain, run for every triple so that the degree-cap caveat
+    counts every capped one.  Only the winner's 2g-1 values are resolved.
+
+    Candidates are ranked by branch and bound, in the order of a floating
+    point estimate of their heights.  With u the best upper bound so far, a
+    normalization is dropped as soon as one of its value minimal
+    polynomials, of degree d, has some coefficient |a_k| > C(d, k) exp(d u),
+    the exponential rounded up (coefficient_limits, height_exceeds).  By
+    Mahler's inequality that value has height above u, so the candidate's
+    own upper bound exceeds u and it cannot win.  A survivor stops its
+    heights as soon as one of them loses to the best.  Any candidate that
+    could win or tie gets the same 64-bit heights as in an exhaustive
+    ranking, so neither the order nor the pruning can move the winner."""
     n = len(branch)
     rational_idx = [
         i for i, p in enumerate(branch) if p is INFINITY or p.is_rational
     ]
-    pool = rational_idx if len(rational_idx) >= 3 else list(range(n))
+    rational_pool = len(rational_idx) >= 3
+    pool = rational_idx if rational_pool else list(range(n))
     caveats = []
-    if len(rational_idx) < 3:
+    if not rational_pool:
         caveats.append(
             "fewer than three rational branch points; normalization searched "
             "over all triples"
         )
-    best = None
+    candidates = []
     skipped = 0
     for combo in itertools.combinations(pool, 3):
+        points = [branch[i] for i in combo]
         rest = [z for z in range(n) if z not in combo]
+        lams = None
         try:
-            lams = [cross_ratio(*(branch[i] for i in combo), branch[z]) for z in rest]
-            uppers = [[hi for _, hi in anharmonic_heights(lam, _SEARCH_PRECISION)]
-                      for lam in lams]
+            if rational_pool:
+                minpolys = cross_ratio_minpolys(*points, [branch[z] for z in rest])
+            else:
+                lams = [cross_ratio(*points, branch[z]) for z in rest]
+                minpolys = [lam.minpoly for lam in lams]
         except DegreeCapExceeded:
             skipped += len(_NORMALIZATIONS)
             continue
+        images = [anharmonic_minpolys(f) for f in minpolys]
         for order, pos in _NORMALIZATIONS:
-            triple = tuple(combo[i] for i in order)
-            h_up = lm_max(*[u[pos] for u in uppers])
+            polys = [im[pos] for im in images]
+            key = max(_estimated_height(f) for f in polys)
+            candidates.append((key, tuple(combo[i] for i in order), pos, polys, rest, lams))
+    # best first, so that the bound is tight early; the order decides only
+    # how much is pruned, never which candidate wins
+    candidates.sort(key=lambda c: c[:2])
+
+    best = None  # (upper bound, triple, pos, rest, resolved lambdas or None)
+    limits: dict[int, tuple] = {}  # degree d -> coefficient_limits(d, best upper bound)
+
+    def loses(f: Poly) -> bool:
+        d = f.degree()
+        if d not in limits:
+            limits[d] = coefficient_limits(d, best[0])
+        return height_exceeds(f.coeffs, limits[d])
+
+    for _, triple, pos, polys, rest, lams in candidates:
+        if best is not None and any(loses(f) for f in polys):
+            continue
+        uppers = []
+        for f in polys:
+            uppers.append(weil_height(f, _SEARCH_PRECISION)[1])
+            if best is not None and (uppers[-1], triple) > best[:2]:
+                break
+        else:
+            h_up = lm_max(*uppers)
             if best is None or (h_up, triple) < best[:2]:
-                best = (h_up, triple, pos, list(zip(rest, lams)))
+                best = (h_up, triple, pos, rest, lams)
+                limits.clear()
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    _, triple, pos, lams = best
-    return triple, [(z, anharmonic_orbit(lam)[pos]) for z, lam in lams], caveats
+    _, triple, pos, rest, lams = best
+    if lams is None:
+        values = [cross_ratio(*(branch[i] for i in triple), branch[z]) for z in rest]
+    else:
+        values = [anharmonic_orbit(lam, (pos,))[0] for lam in lams]
+    return triple, list(zip(rest, values)), caveats
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
@@ -326,13 +395,12 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         records = []
         for z, lam in lams:
             lo, hi = weil_height(lam, precision)
-            one_minus = lam.mobius(-1, 1, 0, 1)
             rec = CrossRatioRecord(
                 z_index=z,
                 value=lam,
                 height=(lo, hi),
                 lambda_s_unit=is_s_unit(lam, s_primes),
-                one_minus_s_unit=is_s_unit(one_minus, s_primes),
+                one_minus_s_unit=is_s_unit(mobius_minpoly(lam, *ANHARMONIC[1]), s_primes),
             )
             records.append(rec)
         for idx, rec in enumerate(records):

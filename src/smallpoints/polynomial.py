@@ -703,6 +703,11 @@ def cyclotomic_index(f: Poly) -> int | None:
 # text format
 
 
+# The largest degree parse_poly builds.  It is far above any curve the
+# pipeline can analyze, and a power or product of that degree expands in
+# well under a second; anything larger is rejected before it is built.
+MAX_PARSE_DEGREE = 256
+
 _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|\*\*|[-+*^()xX])")
 
 
@@ -716,7 +721,9 @@ class _PolyParser:
         power   := ("^" | "**") digits
 
     A rational written right before x ("2x", "1/2 x") multiplies it, and a
-    power is a non-negative integer."""
+    power is a non-negative integer.  No power exponent and no product or
+    power degree may exceed MAX_PARSE_DEGREE; each is checked before the
+    polynomial is expanded."""
 
     def __init__(self, s: str):
         self.s = s
@@ -769,7 +776,9 @@ class _PolyParser:
         f = self.factor()
         while self.peek() == "*":
             self.i += 1
-            f = f * self.factor()
+            g = self.factor()
+            _check_degree(f.degree() + g.degree())
+            f = f * g
         return f
 
     def factor(self) -> Poly:
@@ -789,7 +798,9 @@ class _PolyParser:
             if self.peek() != ")":
                 raise self.error()
             self.i += 1
-            return inner ** self.power()
+            e = self.power()
+            _check_degree(inner.degree() * e)
+            return inner ** e
         raise self.error()
 
     def x_power(self) -> Poly:
@@ -804,7 +815,17 @@ class _PolyParser:
         if not tok.isdigit():
             raise self.error()
         self.i += 1
+        # count the digits first, so a huge exponent is never converted
+        digits = len(tok.lstrip("0"))
+        if digits > len(str(MAX_PARSE_DEGREE)) or int(tok) > MAX_PARSE_DEGREE:
+            shown = tok if digits <= 20 else f"of {digits} digits"
+            raise ValueError(f"exponent {shown} exceeds the limit {MAX_PARSE_DEGREE}")
         return int(tok)
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_PARSE_DEGREE:
+        raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_PARSE_DEGREE}")
 
 
 def parse_poly(text: str) -> Poly:

@@ -1,8 +1,13 @@
 """Tests for exact algebraic number arithmetic, cross-ratios and heights."""
 
+import itertools
 import math
+import operator
+import random
 from fractions import Fraction
+from functools import reduce
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -13,14 +18,19 @@ from smallpoints.algebraic import (
     AlgebraicNumber,
     DegreeCapExceeded,
     algebraic_roots,
-    anharmonic_heights,
+    anharmonic_minpolys,
     anharmonic_orbit,
+    coefficient_limits,
     cross_ratio,
+    cross_ratio_minpolys,
+    ensure_algebraic,
+    height_exceeds,
     is_s_unit,
+    mobius_minpoly,
     weil_height,
 )
-from smallpoints.numeric import LogMag
-from smallpoints.polynomial import Poly, parse_poly
+from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
+from smallpoints.polynomial import Poly, factor_over_z, parse_poly
 
 from oracles import DEC_TOL, dec_ln, dec_sqrt
 
@@ -368,27 +378,167 @@ def test_anharmonic_orbit_irrational():
     assert _frac(lo2) <= _frac(hi1) and _frac(lo1) <= _frac(hi2)
 
 
-def test_anharmonic_heights_read_the_orbit_minpolys():
-    cubic = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+def _cubic_root():
+    return _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+
+
+def test_anharmonic_minpolys_are_the_orbit_minpolys(monkeypatch):
     values = [
         Fraction(2),
         Fraction(-3, 7),
         golden(),
-        cubic,
+        _cubic_root(),
         cross_ratio(sqrt2(), 0, sqrt3(), 1),
     ]
+    images_made = []
+    mobius_image = alg._mobius_image
+
+    def counting(*args):
+        images_made.append(args)
+        return mobius_image(*args)
+
     for lam in values:
+        lam = ensure_algebraic(lam)
         orbit = anharmonic_orbit(lam)
-        got = anharmonic_heights(lam, 64)
-        assert len(got) == 6
-        # x, 1-x and (x-1)/x read their own minimal polynomials
+        monkeypatch.setattr(alg, "_mobius_image", counting)
+        images = anharmonic_minpolys(lam.minpoly)
+        monkeypatch.setattr(alg, "_mobius_image", mobius_image)
+        assert sorted(images) == [0, 1, 5]
+        # x keeps its own minimal polynomial: only 1-x and (x-1)/x are images
+        assert images[0] is lam.minpoly
+        assert len(images_made) == 2
+        images_made.clear()
         for pos in (0, 1, 5):
-            assert got[pos] == weil_height(orbit[pos], 64), (lam, pos)
-        # 1/x, 1/(1-x) and x/(x-1) share the enclosure of their inverse
-        for pos, partner in ((2, 0), (3, 1), (4, 5)):
-            assert got[pos] == got[partner], (lam, pos)
+            assert images[pos] == orbit[pos].minpoly, (lam, pos)
+        # the orbit resolves only the positions asked for, in that order
+        assert anharmonic_orbit(lam, (5, 1)) == [orbit[5], orbit[1]]
+    for value in (0, 1):
+        with pytest.raises(ValueError):
+            anharmonic_minpolys(AlgebraicNumber.from_rational(value).minpoly)
+
+
+def test_mobius_minpoly_is_the_resolved_image_minpoly():
+    matrices = [(1, 0, 0, 1), (-1, 1, 0, 1), (1, -1, 1, 0), (2, Fraction(-1, 3), 5, 7)]
+    for lam in (sqrt2(), golden(), _cubic_root(), AlgebraicNumber.from_rational(Fraction(-4, 9))):
+        for m in matrices:
+            assert mobius_minpoly(lam, *m) == lam.mobius(*m).minpoly, (lam, m)
+    with pytest.raises(ZeroDivisionError):
+        mobius_minpoly(Fraction(3), 1, 0, 1, -3)
+
+
+def _chain_cross_ratio(p1, p2, p3, z):
+    """The cross-ratio from its four differences, a difference with
+    INFINITY left out, by the operators alone."""
+    def differences(*pairs):
+        return [ensure_algebraic(u) - ensure_algebraic(v)
+                for u, v in pairs if u is not INFINITY and v is not INFINITY]
+
+    def product(xs):
+        return reduce(operator.mul, xs, AlgebraicNumber.from_rational(1))
+
+    return product(differences((p3, p1), (z, p2))) / product(differences((p3, p2), (z, p1)))
+
+
+def test_rational_triple_cross_ratio_is_one_mobius_image(monkeypatch):
+    rationals = [INFINITY, Fraction(0), Fraction(-3, 2), Fraction(5), Fraction(1, 7)]
+    zs = [sqrt2(), golden(), _cubic_root(), Fraction(2, 3), Fraction(-1), INFINITY]
+    resolves = []
+    resolve = alg._resolve_among
+
+    def counting(*args):
+        resolves.append(args)
+        return resolve(*args)
+
+    for triple in itertools.permutations(rationals, 3):
+        for z in zs:
+            if z in triple:
+                continue
+            want = _chain_cross_ratio(*triple, z)
+            monkeypatch.setattr(alg, "_resolve_among", counting)
+            got = cross_ratio(*triple, z)
+            monkeypatch.setattr(alg, "_resolve_among", resolve)
+            assert got == want, (triple, z)
+            rational_z = z is INFINITY or ensure_algebraic(z).is_rational
+            assert len(resolves) == (0 if rational_z else 1), (triple, z)
+            resolves.clear()
+            assert cross_ratio_minpolys(*triple, [z]) == [want.minpoly], (triple, z)
     with pytest.raises(ValueError):
-        anharmonic_heights(Fraction(1), 64)
+        cross_ratio_minpolys(sqrt2(), 0, 1, [2])
+    with pytest.raises(ValueError):
+        cross_ratio_minpolys(INFINITY, 0, 1, [3, 0])
+
+
+def _seeded_minpolys(seed: str):
+    """Irreducible primitive integer polynomials of degree 1 to 12 with
+    positive leading coefficient, a few of each degree."""
+    rng = random.Random(seed)
+    out = []
+    for degree in range(1, 13):
+        found = 0
+        while found < 3:
+            cs = [rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(1, 12)]
+            _, fac = factor_over_z(Poly(cs))
+            if len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree() == degree:
+                f = fac[0][0]
+                if degree > 1 or f[0] not in (0, -f[1]):
+                    out.append(f)
+                    found += 1
+    return out
+
+
+def _mp_height(f: Poly):
+    """Weil height of a root of the minimal polynomial f, by mpmath roots."""
+    with mpmath.workdps(50):
+        cs = [mpmath.mpf(int(c)) for c in reversed(f.coeffs)]
+        roots = mpmath.polyroots(cs, maxsteps=200, extraprec=200) if f.degree() > 1 \
+            else [-cs[1] / cs[0]]
+        logs = [mpmath.log(abs(cs[0]))] + [mpmath.log(max(1, abs(r))) for r in roots]
+        return mpmath.fsum(logs) / f.degree()
+
+
+def test_coefficient_limits_certify_a_height_above_the_bound():
+    for f in _seeded_minpolys("mahler-bound"):
+        for g in anharmonic_minpolys(f).values():
+            d = g.degree()
+            h = _mp_height(g)
+            m = max(Fraction(abs(int(a)), math.comb(d, k)) for k, a in enumerate(g.coeffs))
+            with mpmath.workdps(50):
+                floor = (mpmath.log(m.numerator) - mpmath.log(m.denominator)) / d
+                assert floor <= h + mpmath.mpf(10) ** -40, g
+                if d == 1:
+                    assert abs(floor - h) < mpmath.mpf(10) ** -40, g
+                near = float(floor)
+            for u in (near - 1e-6, near + 1e-6, near / 2, 2 * near + 1, 0.0):
+                bound = LogMag.from_fraction(Fraction(u), 64, DOWN if u < near else UP)
+                limit = lm_exp(lm_mul(bound, d, mode=UP), mode=UP).to_fraction()
+                exceeds = height_exceeds(g.coeffs, coefficient_limits(d, bound))
+                # exactly the test m > exp(d * bound) rounded up, which
+                # certifies a height above the bound, and prunes below ln(m)/d
+                assert exceeds == (m > limit), (g, u)
+                b = bound.to_fraction()
+                if exceeds:
+                    assert h > mpmath.mpf(b.numerator) / b.denominator, (g, u)
+                if u < near:
+                    assert exceeds, (g, u)
+            # each limit is C(d, k) exp(d * bound) rounded down to an integer
+            # from above the exponential, never below it
+            big = LogMag.from_fraction(Fraction(2 * near + 30), 64, UP)
+            b = big.to_fraction()
+            with mpmath.workdps(400):
+                e = mpmath.exp(d * mpmath.mpf(b.numerator) / b.denominator)
+                for k, limit in enumerate(coefficient_limits(d, big)):
+                    exact = math.comb(d, k) * e
+                    assert exact - 1 < limit <= exact * (1 + mpmath.mpf(2) ** -40), (g, k)
+            # at ln(m)/d rounded up nothing is certified, however close
+            at = lm_div(lm_log(m, 64, UP), d, 64, UP)
+            assert not height_exceeds(g.coeffs, coefficient_limits(d, at)), g
+
+
+def test_height_and_s_unit_read_a_minimal_polynomial():
+    for value in (golden(), _cubic_root(), AlgebraicNumber.from_rational(Fraction(-8, 9))):
+        assert weil_height(value.minpoly, 64) == weil_height(value, 64)
+        for primes in ([], [2], [2, 3]):
+            assert is_s_unit(value.minpoly, primes) == is_s_unit(value, primes)
 
 
 GOLDEN_HEIGHT = dec_ln((1 + dec_sqrt(5)) / 2) / 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import jsonschema
 import pytest
@@ -72,6 +73,15 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     code, _, err = run(capsys, ["analyze", "--curve", "y^2 = zebra"])
     assert code == 1
     assert err
+
+
+def test_analyze_oversized_degree_exits_1_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^1000000 - 1"])
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 1
+    assert out == ""
+    assert "exceeds the limit" in err
 
 
 def test_analyze_factored_curve_matches_expanded(capsys):

@@ -398,13 +398,16 @@ def _resolving_search(branch: list):
     every anharmonic orbit is resolved, and a triple's rank is the largest
     weil_height of its 2g-1 cross-ratios.  Only the orderings with
     triple[0] < triple[1] are ranked: swapping the points sent to infinity
-    and 0 inverts every cross-ratio and keeps its height."""
+    and 0 inverts every cross-ratio and keeps its height.  Returns the
+    triple, its values, the skipped count and how many ranked triples tie
+    the winner's upper bound."""
     n = len(branch)
     rational_idx = [i for i, p in enumerate(branch) if p is INFINITY or p.is_rational]
     pool = rational_idx if len(rational_idx) >= 3 else list(range(n))
     orbits = {}
     best = None
     skipped = 0
+    ranks = []
     for triple in itertools.permutations(pool, 3):
         if triple[0] > triple[1]:
             continue
@@ -425,11 +428,12 @@ def _resolving_search(branch: list):
             skipped += 1
             continue
         h_up = lm_max(*[weil_height(lam, _SEARCH_PRECISION)[1] for _, lam in lams])
+        ranks.append(h_up)
         if best is None or h_up < best[0]:
             best = (h_up, triple, lams)
     if best is None:
-        return None, [], skipped
-    return best[1], best[2], skipped
+        return None, [], skipped, 0
+    return best[1], best[2], skipped, ranks.count(best[0])
 
 
 SEARCH_CURVES = [
@@ -456,8 +460,14 @@ SEARCH_CURVES = [
 def test_search_matches_ranking_on_resolved_values(curve):
     f = parse_curve(curve)
     branch = branch_point_list(f, (f.degree() - 1) // 2)
+    _check_search_against_resolving(branch)
+
+
+def _check_search_against_resolving(branch: list) -> int:
+    """Assert that the search picks what the resolving search picks; returns
+    how many triples tie the winner's upper bound."""
     triple, lams, caveats = _normalization_search(branch, 128)
-    want_triple, want_lams, want_skipped = _resolving_search(branch)
+    want_triple, want_lams, want_skipped, ties = _resolving_search(branch)
     assert triple == want_triple
     assert triple is None or triple[0] < triple[1]
     assert lams == want_lams
@@ -467,16 +477,112 @@ def test_search_matches_ranking_on_resolved_values(curve):
     skip_caveats = [c for c in caveats if "skipped" in c]
     assert skip_caveats == ([f"{want_skipped} candidate triples skipped by the degree cap"]
                             if want_skipped else [])
+    return ties
+
+
+def _rational_pool_curves(count: int) -> list[Poly]:
+    """Seeded squarefree integer f of degree 5 to 8 with at least three
+    rational roots, built to force exact ties between triples: roots come
+    as +-a pairs, reciprocal pairs a, 1/a (0 pairs with infinity), or
+    alone; every third curve carries an irreducible quadratic factor, and
+    odd degree puts infinity among the branch points."""
+    rng = random.Random("rational-pool-search")
+    curves = []
+    while len(curves) < count:
+        degree = 5 + len(curves) % 4
+        quadratic = len(curves) % 3 == 2
+        k = degree - 2 if quadratic else degree
+        roots: set = set()
+        while len(roots) < k:
+            a = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            style = rng.choice(("pm", "reciprocal", "alone", "zero"))
+            new = {"pm": {a, -a}, "reciprocal": {a, 1 / a}, "alone": {-a},
+                   "zero": {Fraction(0)}}[style]
+            if len(roots | new) <= k:
+                roots |= new
+        f = Poly([1])
+        for r in sorted(roots):
+            f = f * Poly([-r.numerator, r.denominator])
+        if quadratic:
+            b, c = rng.randint(-5, 5), rng.randint(1, 9)
+            disc = b * b - 4 * c
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                continue
+            f = f * Poly([c, b, 1])
+        curves.append(f)
+    return curves
+
+
+RATIONAL_POOL_CURVES = _rational_pool_curves(24)
+
+
+def test_pruned_search_matches_resolving_search_on_rational_pools():
+    tied = 0
+    for f in RATIONAL_POOL_CURVES:
+        branch = branch_point_list(f, (f.degree() - 1) // 2)
+        assert sum(p is INFINITY or p.is_rational for p in branch) >= 3
+        if _check_search_against_resolving(branch) > 1:
+            tied += 1
+    # the corpus reaches the tie-break, not only the height ranking
+    assert tied >= 5
+    assert any(f.degree() % 2 for f in RATIONAL_POOL_CURVES)
+    assert any(f.degree() % 2 == 0 for f in RATIONAL_POOL_CURVES)
+
+
+def test_search_prunes_exact_heights(monkeypatch):
+    f = parse_curve("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)")
+    branch = branch_point_list(f, (f.degree() - 1) // 2)
+    n = len(branch)
+    k = sum(p is INFINITY or p.is_rational for p in branch)
+    calls = []
+
+    def counting_height(alpha, precision=128):
+        calls.append(alpha)
+        return weil_height(alpha, precision)
+
+    monkeypatch.setattr(curve_mod, "weil_height", counting_height)
+    triple, _, _ = _normalization_search(branch, 128)
+    monkeypatch.undo()
+    assert triple == _resolving_search(branch)[0]
+    # fewer than an exhaustive ranking needs, and fewer than one per
+    # normalization: some are dropped on their coefficients alone
+    assert 0 < len(calls) < 3 * math.comb(k, 3) * (n - 3)
+    assert len(calls) < 3 * math.comb(k, 3)
+
+
+def test_search_resolves_only_the_winning_values(monkeypatch):
+    # a rational pool: each winning value of an irrational z is one resolve,
+    # and nothing else in the search resolves a root
+    resolves = []
+    resolve = algebraic_mod._resolve_among
+
+    def counting(*args):
+        resolves.append(args)
+        return resolve(*args)
+
+    for text in ("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)",
+                 "y^2 = (x^2 - 2)*(x^3 - 3*x + 1)*(x - 5)*(x + 1)*(x - 2)"):
+        f = parse_curve(text)
+        branch = branch_point_list(f, (f.degree() - 1) // 2)
+        monkeypatch.setattr(algebraic_mod, "_resolve_among", counting)
+        triple, lams, _ = _normalization_search(branch, 128)
+        monkeypatch.undo()
+        assert len(resolves) == sum(not lam.is_rational for _, lam in lams) > 0
+        resolves.clear()
 
 
 def test_search_resolves_only_the_winning_orbits(monkeypatch):
-    calls = []
+    # fewer than three rational points: the cross_ratio chain runs for every
+    # triple, and of the winner's orbits only the kept value is resolved
+    values = []
 
-    def counting_orbit(lam):
-        calls.append(lam)
-        return anharmonic_orbit(lam)
+    def counting_orbit(lam, positions=range(6)):
+        out = anharmonic_orbit(lam, positions)
+        values.extend(out)
+        return out
 
     monkeypatch.setattr(curve_mod, "anharmonic_orbit", counting_orbit)
     a = analyze_curve("y^2 = x^6 - x")
-    assert len(calls) == 2 * a.genus - 1
-    assert a.normalization is not None and len(a.normalization.records) == len(calls)
+    assert len(values) == 2 * a.genus - 1
+    assert a.normalization is not None
+    assert [r.value for r in a.normalization.records] == values

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import sylvester_resultant
 from smallpoints.polynomial import (
+    MAX_PARSE_DEGREE,
     Poly,
     _choose_prime,
     _factor_mod_p,
@@ -378,6 +380,33 @@ def test_parse_poly_errors():
                 "(x-1)^(1/2)", "(x-1)(x+1)", "2^3", "x^2^3", "()", "x*", "(x-1)^"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "x^1000000",
+    "x^" + "1" + "0" * 30,
+    "(x+1)^100000",
+    "x^5 - (x^2 + 1)^" + "9" * 40,
+    "(2)^1000000",
+    "x^200 * x^200",
+    "(x^3 - 1)^100",
+    "3*((x^2 + 1)^10)^20",
+])
+def test_parse_poly_rejects_oversized_degree_before_expanding(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PARSE_DEGREE}"):
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_parse_poly_accepts_degree_up_to_the_limit():
+    assert parse_poly(f"x^{MAX_PARSE_DEGREE} - 1").degree() == MAX_PARSE_DEGREE
+    assert parse_poly(f"x * (x + 1)^{MAX_PARSE_DEGREE - 1}").degree() == MAX_PARSE_DEGREE
+    assert parse_poly(f"x^{MAX_PARSE_DEGREE:07d}").degree() == MAX_PARSE_DEGREE
+    for text in (f"x^{MAX_PARSE_DEGREE + 1}", f"x * x^{MAX_PARSE_DEGREE}",
+                 f"(x^2 - 2)^{MAX_PARSE_DEGREE // 2 + 1}"):
+        with pytest.raises(ValueError):
+            parse_poly(text)
 
 
 def test_parse_poly_products_and_powers():
