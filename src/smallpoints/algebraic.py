@@ -298,20 +298,18 @@ def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
     the images (ax + b)/(cx + d) of the roots of the integer polynomial f
     with these coefficients: one homogeneous Horner pass over integer
     lists, with a, b, c, d scaled to integers first."""
+    # the search's matrices are integers and skip the Fraction scaling
     if not all(type(t) is int for t in (a, b, c, d)):
         den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
         a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
-    if len(coeffs) == 2:
-        # the root p/q of qx - p goes to (ap + bq)/(cp + dq)
-        p, q = -coeffs[0].numerator, coeffs[1].numerator
-        acc = [-(a * p + b * q), c * p + d * q]
-    else:
-        acc, vpow = [coeffs[-1].numerator], [1]
-        for fi in reversed(coeffs[:-1]):
-            # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
-            acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
-            vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
-            acc = [s + fi.numerator * v for s, v in zip(acc, vpow)]
+    acc, vpow = [coeffs[-1].numerator], [1]
+    for fi in reversed(coeffs[:-1]):
+        # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
+        acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
+        vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
+        acc = [s + fi.numerator * v for s, v in zip(acc, vpow)]
+    # the primitive part on plain ints, not through Poly.primitive, which
+    # converts every coefficient to Fraction and back
     while len(acc) > 1 and acc[-1] == 0:
         acc.pop()
     g = math.gcd(*acc)

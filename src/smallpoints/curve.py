@@ -291,7 +291,8 @@ def _normalization_search(branch: list, precision: int):
     A height reads only a minimal polynomial, so no candidate value is
     resolved to a root.  In a pool of rational points and infinity the
     cross-ratio of a triple is one rational Mobius map of z, and its minimal
-    polynomial one image of that of z; otherwise it comes from the
+    polynomial one image of that of z, with no resultant, so the degree cap
+    never skips a rational triple; otherwise it comes from the
     cross_ratio chain, run for every triple so that the degree-cap caveat
     counts every capped one.  Only the winner's 2g-1 values are resolved.
 

@@ -703,10 +703,16 @@ def cyclotomic_index(f: Poly) -> int | None:
 # text format
 
 
-# The largest degree parse_poly builds.  It is far above any curve the
-# pipeline can analyze, and a power or product of that degree expands in
-# well under a second; anything larger is rejected before it is built.
+# The largest degree parse_poly builds, far above any curve the pipeline
+# can analyze; anything larger is rejected before it is built.
 MAX_PARSE_DEGREE = 256
+# The largest power size parse_poly builds: a power f^e is rejected before
+# it is expanded when e * S exceeds this, with S the total bit length of
+# the numerators and denominators of f.  Every coefficient of f^e then has
+# numerator and denominator below 2^(e * S + MAX_PARSE_DEGREE), so nested
+# powers of a constant cannot blow up either.  The largest powers the two
+# limits admit, such as (x + 8191)^256, expand in about a second.
+MAX_PARSE_BITS = 1 << 12
 
 _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|\*\*|[-+*^()xX])")
 
@@ -722,8 +728,8 @@ class _PolyParser:
 
     A rational written right before x ("2x", "1/2 x") multiplies it, and a
     power is a non-negative integer.  No power exponent and no product or
-    power degree may exceed MAX_PARSE_DEGREE; each is checked before the
-    polynomial is expanded."""
+    power degree may exceed MAX_PARSE_DEGREE, and no power size
+    MAX_PARSE_BITS; each is checked before the polynomial is expanded."""
 
     def __init__(self, s: str):
         self.s = s
@@ -799,7 +805,7 @@ class _PolyParser:
                 raise self.error()
             self.i += 1
             e = self.power()
-            _check_degree(inner.degree() * e)
+            _check_power(inner, e)
             return inner ** e
         raise self.error()
 
@@ -826,6 +832,13 @@ class _PolyParser:
 def _check_degree(d: int) -> None:
     if d > MAX_PARSE_DEGREE:
         raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_PARSE_DEGREE}")
+
+
+def _check_power(f: Poly, e: int) -> None:
+    _check_degree(f.degree() * e)
+    size = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
+    if size * e > MAX_PARSE_BITS:
+        raise ValueError(f"power of {size * e} coefficient bits exceeds the limit {MAX_PARSE_BITS}")
 
 
 def parse_poly(text: str) -> Poly:

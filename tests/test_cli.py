@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 
 import jsonschema
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from smallpoints.bounds import BoundParams, pipeline_apriori
 from smallpoints.cli import TSV_HEADER, _precision, main
 from test_bounds import REPORT_SCHEMA
+from test_polynomial import forbid_oversized_polys
 
 X5X = "y^2 = x^5 - x"
 # x(x-1)(x+1)(x^2+x-1): squarefree, four rational branch points, disc 20
@@ -75,10 +75,10 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     assert err
 
 
-def test_analyze_oversized_degree_exits_1_at_once(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^1000000 - 1"])
-    assert time.perf_counter() - t0 < 0.1
+@pytest.mark.parametrize("curve", ["y^2 = x^1000000 - 1", "y^2 = x^5 - ((((2)^256)^256)^256)^256"])
+def test_analyze_oversized_curve_exits_1_before_expanding(monkeypatch, capsys, curve):
+    forbid_oversized_polys(monkeypatch)
+    code, out, err = run(capsys, ["analyze", "--curve", curve])
     assert code == 1
     assert out == ""
     assert "exceeds the limit" in err

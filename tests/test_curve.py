@@ -28,6 +28,7 @@ from smallpoints.curve import (
 )
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
 from smallpoints.polynomial import Poly, discriminant, factor_over_z, render_poly
+from test_algebraic import _chain_cross_ratio
 from test_golden import fresh_interpreter
 
 
@@ -527,6 +528,33 @@ def test_pruned_search_matches_resolving_search_on_rational_pools():
     assert tied >= 5
     assert any(f.degree() % 2 for f in RATIONAL_POOL_CURVES)
     assert any(f.degree() % 2 == 0 for f in RATIONAL_POOL_CURVES)
+
+
+def test_rational_triple_ignores_the_resultant_degree_cap():
+    """A rational triple's cross-ratio is one Mobius image of z, with no
+    resultant, so the degree cap no longer skips it when z has degree 9.
+    The four-difference chain still hits the cap on those values; where
+    it stays under the cap it agrees exactly, and elsewhere the values are
+    checked against the cross-ratio of the branch points' numeric roots."""
+    f = parse_curve("y^2 = x*(x-1)*(x-2)*(x^9-2)*(x^2-3)")
+    branch = branch_point_list(f, (f.degree() - 1) // 2)
+    triple, lams, caveats = _normalization_search(branch, 128)
+    assert triple is not None and len(lams) == len(branch) - 3
+    assert not [c for c in caveats if "degree cap" in c]
+
+    def point(p):
+        return complex(*(float(t) for t in p.refined_box(60).mid()))
+
+    p1, p2, p3 = (point(branch[i]) for i in triple)
+    for z, lam in lams:
+        if branch[z].degree <= 2:
+            assert lam == _chain_cross_ratio(*(branch[i] for i in triple), branch[z])
+            continue
+        assert lam.degree == 9
+        with pytest.raises(DegreeCapExceeded):
+            _chain_cross_ratio(*(branch[i] for i in triple), branch[z])
+        w = point(branch[z])
+        assert abs(point(lam) - (p3 - p1) * (w - p2) / ((p3 - p2) * (w - p1))) < 1e-9
 
 
 def test_search_prunes_exact_heights(monkeypatch):

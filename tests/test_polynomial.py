@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import sylvester_resultant
 from smallpoints.polynomial import (
+    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     Poly,
     _choose_prime,
@@ -382,21 +383,40 @@ def test_parse_poly_errors():
             parse_poly(bad)
 
 
-@pytest.mark.parametrize("text", [
-    "x^1000000",
-    "x^" + "1" + "0" * 30,
-    "(x+1)^100000",
-    "x^5 - (x^2 + 1)^" + "9" * 40,
-    "(2)^1000000",
-    "x^200 * x^200",
-    "(x^3 - 1)^100",
-    "3*((x^2 + 1)^10)^20",
+def forbid_oversized_polys(monkeypatch):
+    """Make building any Poly beyond what the parse limits admit fail at
+    once: above MAX_PARSE_DEGREE, or with a coefficient of more than
+    MAX_PARSE_BITS + MAX_PARSE_DEGREE bits.  A parse that checks its
+    limits before expanding never gets there."""
+    init = Poly.__init__
+
+    def checked(self, coeffs):
+        init(self, coeffs)
+        assert self.degree() <= MAX_PARSE_DEGREE, "oversized degree built"
+        assert all(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                   <= MAX_PARSE_BITS + MAX_PARSE_DEGREE for c in self.coeffs), "oversized coefficient built"
+
+    monkeypatch.setattr(Poly, "__init__", checked)
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("x^1000000", MAX_PARSE_DEGREE),
+    ("x^" + "1" + "0" * 30, MAX_PARSE_DEGREE),
+    ("(x+1)^100000", MAX_PARSE_DEGREE),
+    ("x^5 - (x^2 + 1)^" + "9" * 40, MAX_PARSE_DEGREE),
+    ("(2)^1000000", MAX_PARSE_DEGREE),
+    ("x^200 * x^200", MAX_PARSE_DEGREE),
+    ("(x^3 - 1)^100", MAX_PARSE_DEGREE),
+    ("3*((x^2 + 1)^10)^20", MAX_PARSE_DEGREE),
+    ("x^5 - ((((2)^256)^256)^256)^256", MAX_PARSE_BITS),
+    ("(x + ((2)^256)^256)^256", MAX_PARSE_BITS),
+    ("((1/3)^200)^200", MAX_PARSE_BITS),
+    ("(x + 8192)^256", MAX_PARSE_BITS),
 ])
-def test_parse_poly_rejects_oversized_degree_before_expanding(text):
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PARSE_DEGREE}"):
+def test_parse_poly_rejects_oversized_power_before_expanding(monkeypatch, text, limit):
+    forbid_oversized_polys(monkeypatch)
+    with pytest.raises(ValueError, match=f"exceeds the limit {limit}$"):
         parse_poly(text)
-    assert time.perf_counter() - t0 < 0.1
 
 
 def test_parse_poly_accepts_degree_up_to_the_limit():
@@ -406,6 +426,19 @@ def test_parse_poly_accepts_degree_up_to_the_limit():
     for text in (f"x^{MAX_PARSE_DEGREE + 1}", f"x * x^{MAX_PARSE_DEGREE}",
                  f"(x^2 - 2)^{MAX_PARSE_DEGREE // 2 + 1}"):
         with pytest.raises(ValueError):
+            parse_poly(text)
+
+
+def test_parse_poly_accepts_power_size_up_to_the_limit():
+    # 2^1020 has 1021 bits, so x + 2^1020 has size (1021 + 1) + (1 + 1) bits
+    # and its 4th power is at MAX_PARSE_BITS; 2^63 has size 64 + 1 bits
+    assert MAX_PARSE_BITS == 4096
+    c = 2 ** 1020
+    assert parse_poly(f"(x + {c})^4") == Poly([c, 1]) ** 4
+    assert parse_poly("((2)^63)^63") == Poly([2 ** (63 * 63)])
+    assert parse_poly("((1/3)^256)^10") == Poly([Fraction(1, 3 ** 2560)])
+    for text in (f"(x + {2 * c})^4", "((2)^63)^64", "((1/3)^256)^11"):
+        with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PARSE_BITS}$"):
             parse_poly(text)
 
 
