@@ -377,8 +377,7 @@ def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]
     # the roots of the monic H~ built from S are c times the wanted ones
     c = A * B
     H = Poly([h * c**i for i, h in enumerate(_from_power_sums(S))])
-    _, fac = factor_over_z(H)
-    return tuple(h for h, _ in fac)
+    return tuple(factor_over_z(H))
 
 
 # the value's enclosure from its operands' boxes; None until 1/y is bounded
@@ -410,9 +409,8 @@ def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
     first as exact values, ordered deterministically."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    _, fac = factor_over_z(f)
     out = []
-    for h, _ in fac:
+    for h in factor_over_z(f):
         out.extend(AlgebraicNumber(h, i) for i in range(h.degree()))
     return out
 

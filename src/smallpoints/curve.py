@@ -111,8 +111,7 @@ def parse_curve(text: str) -> Poly:
         f = f * (d * d)
     g = poly_gcd(f, f.derivative())
     if g.degree() > 0:
-        _, fac = factor_over_z(g)
-        names = ", ".join(render_poly(h) for h, _ in fac)
+        names = ", ".join(render_poly(h) for h in factor_over_z(g))
         raise ValueError(f"singular model: repeated factor {names}")
     return f
 

@@ -3,10 +3,10 @@
 Coefficients are Fractions stored low to high.  On top of the ring ops this
 module provides the pieces the rest of the package leans on: gcds,
 resultants and discriminants, all from one subresultant PRS (fraction-free,
-so integer inputs stay integer), squarefree decomposition, full
-factorization over Z by the classical modular route (Cantor-Zassenhaus mod
-p, quadratic Hensel lifting, subset recombination under the Mignotte bound),
-cyclotomic recognition, and a small text format ("x^5 - x") used by the CLI.
+so integer inputs stay integer), the distinct irreducible factors over Z by
+the classical modular route (Cantor-Zassenhaus mod p, quadratic Hensel
+lifting, subset recombination under the Mignotte bound), cyclotomic
+recognition, and a small text format ("x^5 - x") used by the CLI.
 """
 
 from __future__ import annotations
@@ -190,21 +190,21 @@ class Poly:
             out.append(c.numerator)
         return out
 
-    def primitive(self) -> tuple[Fraction, "Poly"]:
-        """(content, primitive part): self = content * part, part has coprime
+    def primitive(self) -> "Poly":
+        """The primitive part: self divided by a rational, with coprime
         integer coefficients and positive leading coefficient."""
         if self.is_zero():
-            return Fraction(0), self
+            return self
         den = self.denominator_lcm()
         ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = _icontent(ints)
         if ints[-1] < 0:
             g = -g
-        return Fraction(g, den), Poly([v // g for v in ints])
+        return Poly([v // g for v in ints])
 
 
 # ---------------------------------------------------------------------------
-# gcd, resultant and squarefree structure via one subresultant PRS
+# gcd and resultant via one subresultant PRS
 
 
 def _icontent(cs: list[int]) -> int:
@@ -284,34 +284,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    _, fp = f.primitive()
-    _, gp = g.primitive()
-    h, _ = _subresultant(fp.to_int_coeffs(), gp.to_int_coeffs())
+    h, _ = _subresultant(f.primitive().to_int_coeffs(), g.primitive().to_int_coeffs())
     return Poly(h).monic()
-
-
-def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition f = lc * prod a_i**i with the a_i pairwise
-    coprime, squarefree, monic; returned as (a_i, i) pairs with deg a_i > 0."""
-    if f.degree() < 1:
-        return []
-    f = f.monic()
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    out = []
-    b = f // g
-    c = df // g
-    d = c - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        a = poly_gcd(b, d)
-        if a.degree() > 0:
-            out.append((a, i))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +600,7 @@ def _factor_squarefree_int(ints: list[int]) -> list[Poly]:
             q, r = Poly(current).divmod(Poly(cand_prim))
             if r.is_zero():
                 out.append(Poly(cand_prim))
-                _, qprim = q.primitive()
-                current = qprim.to_int_coeffs()
+                current = q.primitive().to_int_coeffs()
                 remaining = [i for i in remaining if i not in combo]
                 progressed = True
                 break
@@ -639,28 +612,17 @@ def _factor_squarefree_int(ints: list[int]) -> list[Poly]:
     return out
 
 
-def factor_over_z(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Complete factorization over Q: f = content * prod(factor**mult) with
-    primitive irreducible integer factors of positive leading coefficient,
-    sorted by (degree, coefficients)."""
+def factor_over_z(f: Poly) -> list[Poly]:
+    """The distinct irreducible factors of f over Q, those of its squarefree
+    part f / gcd(f, f'): primitive integer polynomials with positive leading
+    coefficient, sorted by (degree, coefficients).  A constant has none."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    content, prim = f.primitive()
-    if prim.degree() < 1:
-        return content, []
-    out: list[tuple[Poly, int]] = []
-    for part, mult in yun_decomposition(prim):
-        _, ipart = part.primitive()
-        for irr in _factor_squarefree_int(ipart.to_int_coeffs()):
-            out.append((irr, mult))
-    # by Gauss's lemma the primitive factors multiply back to prim exactly,
-    # but recompute the leading ratio rather than rely on it
-    rebuilt_lc = Fraction(1)
-    for q, mult in out:
-        rebuilt_lc *= q.lc() ** mult
-    content *= prim.lc() / rebuilt_lc
-    out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-    return content, out
+    if f.degree() < 1:
+        return []
+    part = (f // poly_gcd(f, f.derivative())).primitive()
+    factors = _factor_squarefree_int(part.to_int_coeffs())
+    return sorted(factors, key=lambda h: (h.degree(), h.coeffs))
 
 
 # ---------------------------------------------------------------------------

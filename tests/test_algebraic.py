@@ -477,9 +477,8 @@ def _seeded_minpolys(seed: str):
         found = 0
         while found < 3:
             cs = [rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(1, 12)]
-            _, fac = factor_over_z(Poly(cs))
-            if len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree() == degree:
-                f = fac[0][0]
+            f = Poly(cs).primitive()
+            if factor_over_z(f) == [f]:
                 if degree > 1 or f[0] not in (0, -f[1]):
                     out.append(f)
                     found += 1

@@ -42,6 +42,10 @@ def test_parse_rejects_singular_model():
     with pytest.raises(ValueError, match="singular model") as exc:
         parse_curve("y^2 = x^5 - 2*x^4 + x^3")
     assert "x - 1" in str(exc.value)
+    # each repeated factor once, in (degree, coefficients) order
+    with pytest.raises(ValueError) as exc:
+        parse_curve("y^2 = (x^2+1)^3*(x-2)^2*(x+5)")
+    assert str(exc.value) == "singular model: repeated factor x - 2, x^2 + 1"
 
 
 def test_parse_rejects_garbage():
@@ -115,8 +119,7 @@ def test_branch_points_even_degree():
 
 
 def _factors(f: Poly) -> list[Poly]:
-    _, fac = factor_over_z(f)
-    return [h for h, _ in fac]
+    return factor_over_z(f)
 
 
 def test_bad_prime_superset_includes_two():

@@ -1,4 +1,4 @@
-"""Golden output of the `bound` and `analyze` commands.
+"""Golden output of the `bound`, `analyze`, `heights` and `batch` commands.
 
 `tests/data/golden_cli.json` stores, for each command below, its exit code
 and the sha256 of its stdout.  A refactor of the bound chains must keep
@@ -11,7 +11,8 @@ It prints each key whose digest changed, was added or was removed.
 
 Every command runs in process.  Output depends on the argv alone, so the
 `analyze` commands are checked twice, in list order and then reversed,
-against the same digests.
+against the same digests.  A `batch` corpus is named relative to this
+directory, so its key is the same in every checkout.
 """
 
 import contextlib
@@ -29,7 +30,8 @@ import pytest
 import smallpoints
 from smallpoints.cli import main
 
-DATA = Path(__file__).parent / "data" / "golden_cli.json"
+HERE = Path(__file__).parent
+DATA = HERE / "data" / "golden_cli.json"
 
 
 def _bound_commands() -> list[list[str]]:
@@ -74,7 +76,15 @@ ANALYZE = [
     ["analyze", "--curve", SIX],
     ["analyze", "--curve", SIX, "--abc", "2,2", "--cdelta", "-1000", "--precision", "2048"],
     ["analyze", "--curve", SIX, "--format", "tsv"],
+    ["analyze", "--curve", IRRATIONAL[0], "--format", "tsv"],
 ] + [["analyze", "--curve", c] for c in IRRATIONAL]
+
+# a rational, an irrational, one root of a polynomial, and a polynomial
+# that is not squarefree: each distinct root once
+HEIGHTS = ["heights", "3/4", "x^2-2", "x^5-x:2", "(x^2+1)^2*(x-3)"]
+# the corpus holds a blank line, a line that is not JSON and a singular
+# model, so the batch exits 3
+OTHER = [HEIGHTS, HEIGHTS + ["--format", "tsv"], ["batch", "data/golden_batch.jsonl"]]
 
 
 def _digest(code: int, out: str) -> dict:
@@ -82,6 +92,7 @@ def _digest(code: int, out: str) -> dict:
 
 
 def run_in_process(argv: list[str]) -> dict:
+    argv = [str(HERE / a) if a.startswith("data/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -104,7 +115,7 @@ def _key(argv: list[str]) -> str:
 
 
 def _current() -> dict:
-    return {_key(a): run_in_process(a) for a in _bound_commands() + ANALYZE}
+    return {_key(a): run_in_process(a) for a in _bound_commands() + ANALYZE + OTHER}
 
 
 def _check(commands):
@@ -120,7 +131,7 @@ def _check(commands):
 
 def test_golden_file_covers_every_command():
     stored = json.loads(DATA.read_text())
-    assert set(stored) == {_key(a) for a in _bound_commands() + ANALYZE}
+    assert set(stored) == {_key(a) for a in _bound_commands() + ANALYZE + OTHER}
 
 
 def test_bound_output_matches_golden():
@@ -131,6 +142,10 @@ def test_analyze_output_matches_golden():
     # the reversed pass runs each command after the ones that followed it
     _check(ANALYZE)
     _check(ANALYZE[::-1])
+
+
+def test_heights_and_batch_output_match_golden():
+    _check(OTHER)
 
 
 @pytest.mark.parametrize("curve", ["y^2 = x^5 - 2", QUINTIC])

@@ -28,7 +28,6 @@ from smallpoints.polynomial import (
     poly_gcd,
     render_poly,
     resultant,
-    yun_decomposition,
 )
 
 X = Poly.x()
@@ -77,17 +76,18 @@ def test_divmod():
 
 
 def test_primitive():
-    c, p = P(Fraction(2, 3), Fraction(4, 3)).primitive()
-    assert c == Fraction(2, 3) and p == P(1, 2)
-    c, p = P(-2, 0, -4).primitive()
-    assert c == -2 and p == P(1, 0, 2)
+    assert P(Fraction(2, 3), Fraction(4, 3)).primitive() == P(1, 2)
+    p = P(-2, 0, -4).primitive()
+    assert p == P(1, 0, 2)
     assert p.to_int_coeffs() == [1, 0, 2]
+    assert P(Fraction(-3, 5)).primitive() == P(1)
+    assert Poly.zero().primitive() == Poly.zero()
     with pytest.raises(ValueError):
         P(Fraction(1, 2)).to_int_coeffs()
 
 
 # ---------------------------------------------------------------------------
-# gcd, squarefree
+# gcd
 
 
 def test_gcd():
@@ -97,18 +97,6 @@ def test_gcd():
     assert poly_gcd(f, X + 5) == Poly.one()
     assert poly_gcd(Poly.zero(), 2 * X) == P(0, 1)
     assert poly_gcd(3 * f, Fraction(1, 7) * f) == f.monic()
-
-
-def test_yun():
-    f = (X - 1) ** 2 * X
-    assert yun_decomposition(f) == [(P(0, 1), 1), (P(-1, 1), 2)]
-    g = (X + 2) ** 3 * (X**2 + 1)
-    got = yun_decomposition(7 * g)
-    assert got == [(P(1, 0, 1), 1), (P(2, 1), 3)]
-    rebuilt = Poly.one()
-    for a, i in got:
-        rebuilt = rebuilt * a**i
-    assert rebuilt == g
 
 
 # ---------------------------------------------------------------------------
@@ -201,50 +189,45 @@ def test_resultant_multiplicative(f, g, h):
 # factorization
 
 
-def _as_set(factors):
-    return {(p.coeffs, m) for p, m in factors}
+def _coeffs(factors):
+    return [p.coeffs for p in factors]
 
 
 def test_factor_frozen():
-    c, fs = factor_over_z(P(0, -1, 0, 0, 0, 1))  # x^5 - x
-    assert c == 1
-    assert fs == [
-        (P(-1, 1), 1),
-        (P(0, 1), 1),
-        (P(1, 1), 1),
-        (P(1, 0, 1), 1),
+    assert factor_over_z(P(0, -1, 0, 0, 0, 1)) == [  # x^5 - x
+        P(-1, 1),
+        P(0, 1),
+        P(1, 1),
+        P(1, 0, 1),
     ]
-    c, fs = factor_over_z(2 * X**2 - 2)
-    assert c == 2 and _as_set(fs) == {((-1, 1), 1), ((1, 1), 1)}
-    c, fs = factor_over_z(P(-1, 0, 0, 0, 0, 0, 1))  # x^6 - 1
-    assert c == 1
-    assert _as_set(fs) == {
-        ((-1, 1), 1),
-        ((1, 1), 1),
-        ((1, -1, 1), 1),
-        ((1, 1, 1), 1),
-    }
-    c, fs = factor_over_z(P(4, 0, 0, 0, 1))  # x^4 + 4
-    assert c == 1 and _as_set(fs) == {((2, -2, 1), 1), ((2, 2, 1), 1)}
-    c, fs = factor_over_z(P(-1, 0, 9))
-    assert c == 1 and _as_set(fs) == {((-1, 3), 1), ((1, 3), 1)}
+    assert _coeffs(factor_over_z(2 * X**2 - 2)) == [(-1, 1), (1, 1)]
+    assert _coeffs(factor_over_z(P(-1, 0, 0, 0, 0, 0, 1))) == [  # x^6 - 1
+        (-1, 1),
+        (1, 1),
+        (1, -1, 1),
+        (1, 1, 1),
+    ]
+    assert _coeffs(factor_over_z(P(4, 0, 0, 0, 1))) == [(2, -2, 1), (2, 2, 1)]  # x^4 + 4
+    assert _coeffs(factor_over_z(P(-1, 0, 9))) == [(-1, 3), (1, 3)]
 
 
 def test_factor_multiplicities_and_content():
-    f = -6 * (X**2 + 1) ** 3 * (X - 2)
-    c, fs = factor_over_z(f)
-    assert c == -6
-    assert _as_set(fs) == {((1, 0, 1), 3), ((-2, 1), 1)}
-    c, fs = factor_over_z(P(Fraction(1, 2), Fraction(1, 2)))
-    assert c == Fraction(1, 2) and fs == [(P(1, 1), 1)]
-    c, fs = factor_over_z(P(7))
-    assert c == 7 and fs == []
+    # each repeated factor once, whatever its multiplicity; no content
+    assert factor_over_z(-6 * (X**2 + 1) ** 3 * (X - 2)) == [P(-2, 1), P(1, 0, 1)]
+    f = (X**2 + 1) ** 3 * (X - 2) ** 2 * (X + 5)
+    assert factor_over_z(f) == [P(-2, 1), P(5, 1), P(1, 0, 1)]
+    assert factor_over_z(Fraction(-1, 3) * (X - 1) ** 4) == [P(-1, 1)]
+    assert factor_over_z(P(Fraction(1, 2), Fraction(1, 2))) == [P(1, 1)]
+    assert factor_over_z(P(7)) == []
+    assert factor_over_z(P(Fraction(-2, 3))) == []
+    with pytest.raises(ValueError):
+        factor_over_z(Poly.zero())
 
 
 def test_factor_irreducible():
     for f in (P(1, 1, 0, 0, 1), P(-2, 0, 1), P(1, 1, 1, 1, 1), P(7, -3, 0, 0, 0, 2)):
-        c, fs = factor_over_z(f)
-        assert c == 1 and fs == [(f, 1)], render_poly(f)
+        assert factor_over_z(f) == [f], render_poly(f)
+        assert factor_over_z(-3 * f) == [f], render_poly(f)
 
 
 def _choose_prime_by_full_split(ints):
@@ -278,52 +261,56 @@ def test_choose_prime_counts_factors_from_the_distinct_degree_split():
         checked += 1
 
 
-def _sympy_factor_set(f: Poly):
-    import sympy
-
+def _sympy_factors(f: Poly) -> set:
+    """sympy's distinct irreducible factors of f, each primitive with
+    positive leading coefficient, as coefficient tuples."""
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.coeffs))
-    content, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
+    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
     out = set()
-    for poly, mult in factors:
+    for poly, _ in factors:
         cs = [Fraction(int(v.p), int(v.q)) for v in reversed(sympy.Poly(poly, x).all_coeffs())]
-        q = Poly(cs)
-        if q.lc() < 0:
-            q = -q
-            if mult % 2:
-                content = -content
-        out.add((q.coeffs, mult))
-    return Fraction(int(content.p), int(content.q)), out
+        out.add(Poly(cs).primitive().coeffs)
+    return out
+
+
+def _assert_sorted_primitive(fs):
+    assert fs == sorted(fs, key=lambda h: (h.degree(), h.coeffs))
+    assert len(set(fs)) == len(fs)
+    for h in fs:
+        assert h.degree() >= 1 and h.primitive() == h
 
 
 @settings(max_examples=40, deadline=None)
 @given(f=_int_poly(max_deg=7))
 def test_factor_matches_sympy_dense(f):
-    c, fs = factor_over_z(f)
-    oc, ofs = _sympy_factor_set(f)
-    assert c == oc
-    assert _as_set(fs) == ofs
-    rebuilt = Poly.one() * c
-    for q, m in fs:
-        rebuilt = rebuilt * q**m
-    assert rebuilt == f
+    fs = factor_over_z(f)
+    assert set(_coeffs(fs)) == _sympy_factors(f)
+    _assert_sorted_primitive(fs)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     parts=st.lists(
         st.tuples(_int_poly(max_deg=3), st.integers(1, 3)), min_size=1, max_size=3
-    )
+    ),
+    c=st.fractions(max_denominator=1000).filter(lambda c: c != 0),
 )
-def test_factor_matches_sympy_structured(parts):
+def test_factor_matches_sympy_structured(parts, c):
     f = Poly.one()
     for q, m in parts:
         f = f * q**m
     if f.degree() > 14:
         return
-    c, fs = factor_over_z(f)
-    oc, ofs = _sympy_factor_set(f)
-    assert c == oc and _as_set(fs) == ofs
+    fs = factor_over_z(f)
+    assert set(_coeffs(fs)) == _sympy_factors(f)
+    _assert_sorted_primitive(fs)
+    # a rational multiple and a power of one part leave the factors alone
+    (q, k), rest = parts[0], parts[1:]
+    g = Poly.one()
+    for r, _ in rest:
+        g = g * r
+    assert factor_over_z(c * q**k * g) == factor_over_z(q * g)
 
 
 # ---------------------------------------------------------------------------
