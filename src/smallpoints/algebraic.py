@@ -101,7 +101,7 @@ def _boxes(coeffs: tuple, precision: int) -> tuple[Box, ...]:
     exact point of a linear one, never stored in _roots_of, or the
     _roots_of boxes of one of higher degree."""
     if len(coeffs) == 2:
-        return (Box.point(-coeffs[0] / coeffs[1]),)
+        return (Box.point(Fraction(-coeffs[0], coeffs[1])),)
     return _roots_of(coeffs, precision)
 
 
@@ -130,7 +130,7 @@ class AlgebraicNumber:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("not a rational number")
-        return -self.minpoly[0] / self.minpoly[1]
+        return Fraction(-self.minpoly[0], self.minpoly[1])
 
     def is_zero(self) -> bool:
         return self.is_rational and self.minpoly[0] == 0
@@ -296,24 +296,19 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
 def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
     """Primitive part of sum f_i (dx - b)^i (a - cx)^(n-i), whose roots are
     the images (ax + b)/(cx + d) of the roots of the integer polynomial f
-    with these coefficients: one homogeneous Horner pass over integer
-    lists, with a, b, c, d scaled to integers first."""
+    with these coefficients: one homogeneous Horner pass over the integer
+    coefficients, with a, b, c, d scaled to integers first."""
     # the search's matrices are integers and skip the Fraction scaling
     if not all(type(t) is int for t in (a, b, c, d)):
         den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
         a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
-    acc, vpow = [coeffs[-1].numerator], [1]
+    acc, vpow = [coeffs[-1]], [1]
     for fi in reversed(coeffs[:-1]):
         # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
         acc = [-b * s + d * t for s, t in zip(acc + [0], [0] + acc)]
         vpow = [a * s - c * t for s, t in zip(vpow + [0], [0] + vpow)]
-        acc = [s + fi.numerator * v for s, v in zip(acc, vpow)]
-    # the primitive part on plain ints, not through Poly.primitive, which
-    # converts every coefficient to Fraction and back
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    g = math.gcd(*acc)
-    return Poly([v // g for v in acc] if acc[-1] > 0 else [-v // g for v in acc])
+        acc = [s + fi * v for s, v in zip(acc, vpow)]
+    return Poly(acc).primitive()
 
 
 def mobius_minpoly(alpha, a, b, c, d) -> Poly:
@@ -334,8 +329,8 @@ def _power_sums(coeffs: tuple, count: int) -> list[int]:
     polynomial f with these coefficients.  The lc*x are the roots of the
     monic integer polynomial lc^(n-1) f(x/lc), so Newton's identities keep
     every P_k an integer."""
-    n, lc = len(coeffs) - 1, int(coeffs[-1])
-    F = [int(fi) * lc ** (n - 1 - i) for i, fi in enumerate(coeffs[:-1])] + [1]
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    F = [fi * lc ** (n - 1 - i) for i, fi in enumerate(coeffs[:-1])] + [1]
     P = [n]
     for k in range(1, count + 1):
         s = k * F[n - k] if k <= n else 0
@@ -364,7 +359,7 @@ def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]
     has as power sums the binomial convolution of those of f and g, and a
     product c x y their termwise product (Bostan, Flajolet, Salvy, Schost,
     J. Symbolic Comput. 41, 2006)."""
-    A, B = int(f_coeffs[-1]), int(g_coeffs[-1])
+    A, B = f_coeffs[-1], g_coeffs[-1]
     D = (len(f_coeffs) - 1) * (len(g_coeffs) - 1)
     P, Q = _power_sums(f_coeffs, D), _power_sums(g_coeffs, D)
     if kind == "add":
@@ -405,7 +400,7 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
 
 
 def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
-    """The distinct roots of any nonzero rational polynomial, rationals
+    """The distinct roots of any nonzero integer polynomial, rationals
     first as exact values, ordered deterministically."""
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -458,7 +453,7 @@ def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
     if any(p is not INFINITY and not p.is_rational for p in (p1, p2, p3)):
         return None
     (x1, y1), (x2, y2), (x3, y3) = (
-        (1, 0) if p is INFINITY else (int(-p.minpoly[0]), int(p.minpoly[1]))
+        (1, 0) if p is INFINITY else (-p.minpoly[0], p.minpoly[1])
         for p in (p1, p2, p3)
     )
     top, bottom = x3 * y1 - x1 * y3, x3 * y2 - x2 * y3
@@ -547,7 +542,7 @@ def height_exceeds(coeffs: tuple, limits: tuple[int, ...]) -> bool:
     break the coefficient_limits(d, bound), which certifies that its roots
     have Weil height above bound.  A rational p/q gives max(|p|, |q|) > E,
     which is exact: its height is ln max(|p|, |q|)."""
-    return any(abs(a.numerator) > t for a, t in zip(coeffs, limits))
+    return any(abs(a) > t for a, t in zip(coeffs, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +578,7 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
         z = LogMag.zero(precision)
         return z, z
     n = f.degree()
-    an = int(f.lc())
+    an = f.lc()
     wp = precision + 16
     target = Fraction(1, 1 << (precision // 2))
     p = max(64, precision)
@@ -618,4 +613,4 @@ def is_s_unit(alpha, primes) -> bool:
     polynomial (Poly): both the leading and the constant coefficient of the
     minimal polynomial must factor completely over the given primes."""
     f = _minpoly(alpha)
-    return _factors_over(int(f[0]), primes) and _factors_over(int(f.lc()), primes)
+    return _factors_over(f[0], primes) and _factors_over(f.lc(), primes)

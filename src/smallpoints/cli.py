@@ -319,7 +319,7 @@ def _height_documents(token: str, precision: int) -> list[dict]:
     if ":" in token:
         text, _, tail = token.rpartition(":")
         index = int(tail)
-    f = parse_poly(text)
+    f, _ = parse_poly(text)
     roots = algebraic_roots(f)
     if index is not None:
         if not 0 <= index < len(roots):

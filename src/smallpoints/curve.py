@@ -1,7 +1,8 @@
 """Arithmetic invariants of hyperelliptic curves y^2 = f(x) over Q.
 
-The input model is cleared to integer coefficients (rescaling y leaves the
-curve unchanged), then:
+The parser clears the input's denominators once: a text polynomial f/d,
+with f over Z, gives the integral model d^2 (f/d) = d f (rescaling y
+leaves the curve unchanged), and every later stage reads integers:
 
   * genus from the degree, rejecting genus < 2 and singular models,
   * a finite superset S of the bad primes: 2 together with every prime
@@ -99,16 +100,14 @@ def parse_curve(text: str) -> Poly:
     repeated factor in the singular case.
     """
     m = _EQUATION_RE.match(text)
-    f = parse_poly(m.group(1) if m else text)
+    f, d = parse_poly(m.group(1) if m else text)
     if f.degree() < 5:
         raise ValueError(
             f"genus < 2: the right hand side must have degree at least 5, "
             f"got {f.degree()}"
         )
-    d = f.denominator_lcm()
-    if d != 1:
-        # y -> y/d turns y^2 = f into an integral model with rhs d^2 f
-        f = f * (d * d)
+    # y -> y/d turns y^2 = f/d into the integral model y^2 = d^2 (f/d) = d f
+    f = f * d
     g = poly_gcd(f, f.derivative())
     if g.degree() > 0:
         names = ", ".join(render_poly(h) for h in factor_over_z(g))
@@ -218,25 +217,23 @@ def bad_prime_superset(
         disc(f) = c^(2n-2) * prod disc(f_i) * prod_{i<j} res(f_i, f_j)^2
 
     A large prime of a resultant is then factored once in a small piece,
-    not split off squared from one big integer by Pollard rho.  The pieces
-    must be integers whose product is disc exactly, sign included;
-    RuntimeError otherwise."""
+    not split off squared from one big integer by Pollard rho.  The
+    product of the lc(f_i) must divide lc(f), and the pieces must multiply
+    to disc exactly, sign included; RuntimeError otherwise."""
     if disc == 0:
         raise ValueError("discriminant is zero; the model is singular")
-    c = f.lc()
-    for h in factors:
-        c /= h.lc()
+    c, rest = divmod(f.lc(), math.prod(h.lc() for h in factors))
     lc_pieces = [c] + [h.lc() for h in factors]
     discs = [discriminant(h) for h in factors if h.degree() >= 2]
     resultants = [resultant(g, h) for g, h in itertools.combinations(factors, 2)]
     product = math.prod(discs, start=c ** (2 * f.degree() - 2)) * math.prod(resultants) ** 2
     disc_pieces = [c] + discs + resultants
-    if product != disc or any(m.denominator != 1 for m in lc_pieces + disc_pieces):
+    if rest or product != disc:
         raise RuntimeError("the factors of f do not reproduce its discriminant")
     primes = {2}
     caveats = []
     for pieces in (lc_pieces, disc_pieces):
-        found = sorted({p for m in {int(abs(m)) for m in pieces} - {1} for p, _ in factor(m)})
+        found = sorted({p for m in {abs(m) for m in pieces} - {1} for p, _ in factor(m)})
         for p in found:
             _, kind = is_prime_with_certainty(p)
             if kind == "probabilistic":
@@ -272,7 +269,7 @@ def _estimated_height(f: Poly) -> float:
     coefficient_limits and height_exceeds test, and used only to order
     the search."""
     d = f.degree()
-    return max(math.log(abs(a.numerator)) - math.log(math.comb(d, k))
+    return max(math.log(abs(a)) - math.log(math.comb(d, k))
                for k, a in enumerate(f.coeffs) if a) / d
 
 
@@ -379,7 +376,7 @@ def _normalization_search(branch: list, precision: int):
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
     f = parse_curve(text)
     genus = (f.degree() - 1) // 2
-    disc = int(discriminant(f))
+    disc = discriminant(f)
     branch = branch_point_list(f, genus)
     # the distinct minimal polynomials of the branch points are the
     # irreducible factors of f, so f is factored over Z only once
@@ -426,7 +423,7 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         equation="y^2 = " + render_poly(f),
         f=f,
         genus=genus,
-        leading_coefficient=int(f.lc()),
+        leading_coefficient=f.lc(),
         disc=disc,
         s_primes=s_primes,
         n_s=n_s,

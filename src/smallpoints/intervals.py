@@ -6,11 +6,11 @@ under iteration; outward() snaps endpoints to a dyadic grid (always outward,
 so containment survives) and is worth calling between refinement steps.
 
 The Horner evaluators (poly_eval_box, poly_eval_interval, poly_eval_point)
-share one integer kernel: coefficients over one common denominator,
-endpoints over another, so every intermediate endpoint is an integer over a
-known power of them and no gcd is paid at each step.  Only the final
-endpoints become Fractions, with exactly the values that Box and Interval
-arithmetic would give.
+take integer coefficients and share one integer kernel: the endpoints are
+brought over one common denominator, so every intermediate endpoint is an
+integer over a known power of it and no gcd is paid at each step.  Only
+the final endpoints become Fractions, with exactly the values that Box and
+Interval arithmetic would give.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class Interval:
 
     # -- queries
 
-    def contains(self, x) -> bool:
-        x = _fr(x)
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -69,9 +65,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def is_subset(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
 
     def is_interior_subset(self, other: "Interval") -> bool:
         return other.lo < self.lo and self.hi < other.hi
@@ -211,9 +204,6 @@ class Box:
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
 
-    def contains_point(self, z) -> bool:
-        return self.re.contains(z[0]) and self.im.contains(z[1])
-
     def mid(self) -> tuple[Fraction, Fraction]:
         return self.re.mid(), self.im.mid()
 
@@ -229,9 +219,6 @@ class Box:
 
     def intersects(self, other: "Box") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
-
-    def is_subset(self, other: "Box") -> bool:
-        return self.re.is_subset(other.re) and self.im.is_subset(other.im)
 
     def is_interior_subset(self, other: "Box") -> bool:
         return self.re.is_interior_subset(other.re) and self.im.is_interior_subset(
@@ -301,26 +288,24 @@ class Box:
 
 
 def _horner(coeffs, re_lo, re_hi, im_lo, im_hi):
-    """Horner evaluation of a polynomial (coefficients low to high, exact
-    rationals) on the box [re_lo, re_hi] + [im_lo, im_hi]i, in integers.
+    """Horner evaluation of a polynomial (integer coefficients low to high)
+    on the box [re_lo, re_hi] + [im_lo, im_hi]i, in integers.
 
-    The coefficients are brought to one denominator L and the endpoints to
-    one denominator D, so after k steps every endpoint of the accumulator is
-    an integer over L * D**k.  The interval products are the min and max of
-    the four endpoint products, as in Interval.__mul__ and Box.__mul__, so
-    the four endpoints returned (re lo, re hi, im lo, im hi) are exactly
-    those of the same loop run on Box values.
+    The endpoints are brought to one denominator D, so after k steps every
+    endpoint of the accumulator is an integer over D**k.  The interval
+    products are the min and max of the four endpoint products, as in
+    Interval.__mul__ and Box.__mul__, so the four endpoints returned (re lo,
+    re hi, im lo, im hi) are exactly those of the same loop run on Box
+    values.
     """
-    cs = [_fr(c) for c in coeffs]
     xs = [_fr(x) for x in (re_lo, re_hi, im_lo, im_hi)]
-    lcd = math.lcm(*(c.denominator for c in cs))
     d = math.lcm(*(x.denominator for x in xs))
     xa, xb, ya, yb = (x.numerator * (d // x.denominator) for x in xs)
     a = b = u = v = 0  # the accumulator [a, b] + [u, v]i
     scale = 1  # D**k
-    for c in reversed(cs):
+    for c in reversed(coeffs):
         scale *= d
-        t = c.numerator * (lcd // c.denominator) * scale
+        t = c * scale
         p = (a * xa, a * xb, b * xa, b * xb)  # re * re
         if not (ya or yb):
             # on the real line the imaginary part stays [0, 0]
@@ -335,13 +320,12 @@ def _horner(coeffs, re_lo, re_hi, im_lo, im_hi):
             min(r) + min(s),
             max(r) + max(s),
         )
-    den = lcd * scale
-    return Fraction(a, den), Fraction(b, den), Fraction(u, den), Fraction(v, den)
+    return Fraction(a, scale), Fraction(b, scale), Fraction(u, scale), Fraction(v, scale)
 
 
 def poly_eval_box(coeffs, box: Box) -> Box:
-    """Horner evaluation of a polynomial (coefficients low to high, exact
-    rationals) on a box."""
+    """Horner evaluation of a polynomial (integer coefficients low to high)
+    on a box."""
     a, b, u, v = _horner(coeffs, box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     return Box(Interval(a, b), Interval(u, v))
 

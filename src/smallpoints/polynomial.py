@@ -1,12 +1,14 @@
-"""Dense univariate polynomials over the rationals, exactly.
+"""Dense univariate polynomials over the integers, exactly.
 
-Coefficients are Fractions stored low to high.  On top of the ring ops this
-module provides the pieces the rest of the package leans on: gcds,
-resultants and discriminants, all from one subresultant PRS (fraction-free,
-so integer inputs stay integer), the distinct irreducible factors over Z by
-the classical modular route (Cantor-Zassenhaus mod p, quadratic Hensel
-lifting, subset recombination under the Mignotte bound), cyclotomic
-recognition, and a small text format ("x^5 - x") used by the CLI.
+Coefficients are ints stored low to high; a rational input is cleared of
+its denominators once, by parse_poly, and every later stage reads integer
+data.  On top of the ring ops and exact division this module provides the
+pieces the rest of the package leans on: gcds, resultants and
+discriminants, all from one subresultant PRS, the distinct irreducible
+factors over Z by the classical modular route (Cantor-Zassenhaus mod p,
+quadratic Hensel lifting, subset recombination under the Mignotte bound),
+cyclotomic recognition, and a small text format ("x^5 - x") used by the
+CLI.
 """
 
 from __future__ import annotations
@@ -22,23 +24,24 @@ from .numeric import factor as int_factor
 from .numeric import is_prime
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(
-        f"polynomial coefficients must be exact rationals, got {type(x).__name__}"
-    )
+def _as_poly(other) -> "Poly":
+    if isinstance(other, Poly):
+        return other
+    if isinstance(other, int):
+        return Poly((other,))
+    raise TypeError(f"polynomial arithmetic needs a Poly or an int, got {type(other).__name__}")
 
 
 class Poly:
-    """Immutable dense polynomial; coeffs[i] multiplies x**i."""
+    """Immutable dense polynomial over Z; coeffs[i] multiplies x**i."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_fr(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"polynomial coefficients must be ints, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -56,14 +59,6 @@ class Poly:
     def one() -> "Poly":
         return Poly((1,))
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -71,18 +66,18 @@ class Poly:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def lc(self) -> Fraction:
+    def lc(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, i) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs == Poly((other,)).coeffs
         return NotImplemented
 
@@ -95,8 +90,7 @@ class Poly:
     # -- ring operations
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
+        other = _as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self[i] + other[i] for i in range(n)])
 
@@ -106,19 +100,18 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        return self + (-other)
+        return self + (-_as_poly(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly([c * other for c in self.coeffs])
+        other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -139,79 +132,45 @@ class Poly:
             e >>= 1
         return out
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def quo(self, other: "Poly") -> "Poly | None":
+        """The quotient self / other when it is a polynomial over Z, else
+        None.  Long division stops at the first quotient coefficient that
+        is not an integer.  By Gauss's lemma a primitive divisor of self
+        over Q always leaves an integer quotient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.lc()
         m = other.degree()
-        while len(r) - 1 >= m and r:
-            c = r[-1] / d
-            k = len(r) - 1 - m
+        d = other.lc()
+        r = list(self.coeffs)
+        q = [0] * max(0, len(r) - m)
+        for k in range(len(r) - 1 - m, -1, -1):
+            c, rem = divmod(r[k + m], d)
+            if rem:
+                return None
             q[k] = c
-            for i in range(m + 1):
-                r[i + k] -= c * other.coeffs[i]
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        return Poly(q), Poly(r)
+            if c:
+                for i, b in enumerate(other.coeffs):
+                    r[i + k] -= c * b
+        return Poly(q) if not any(r[:m]) else None
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    # -- calculus and transforms
+    # -- calculus and integer structure
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        d = self.lc()
-        return Poly([c / d for c in self.coeffs])
-
-    # -- integer structure
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-        return out
-
-    def to_int_coeffs(self) -> list[int]:
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("polynomial has non-integer coefficients")
-            out.append(c.numerator)
-        return out
-
     def primitive(self) -> "Poly":
-        """The primitive part: self divided by a rational, with coprime
-        integer coefficients and positive leading coefficient."""
+        """The primitive part: self divided by its content, with the sign
+        that makes the leading coefficient positive."""
         if self.is_zero():
             return self
-        den = self.denominator_lcm()
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = _icontent(ints)
-        if ints[-1] < 0:
+        g = math.gcd(*self.coeffs)
+        if self.coeffs[-1] < 0:
             g = -g
-        return Poly([v // g for v in ints])
+        return Poly([v // g for v in self.coeffs])
 
 
 # ---------------------------------------------------------------------------
 # gcd and resultant via one subresultant PRS
-
-
-def _icontent(cs: list[int]) -> int:
-    g = 0
-    for v in cs:
-        g = math.gcd(g, v)
-    return g or 1
 
 
 def _iprem(A: list[int], B: list[int]) -> list[int]:
@@ -248,9 +207,9 @@ def _subresultant(A: list[int], B: list[int]) -> tuple[list[int], int]:
         A, B, n, m = B, A, m, n
     if m == 0:
         return [1], s * B[0] ** n if n > 0 else 1
-    a = _icontent(A)
+    a = math.gcd(*A)
     A = [v // a for v in A]
-    b = _icontent(B)
+    b = math.gcd(*B)
     B = [v // b for v in B]
     t = a**m * b**n
     g = h = 1
@@ -261,7 +220,7 @@ def _subresultant(A: list[int], B: list[int]) -> tuple[list[int], int]:
             s = -s
         R = _iprem(A, B)
         if not R:
-            c = _icontent(B) if B[-1] > 0 else -_icontent(B)
+            c = math.gcd(*B) if B[-1] > 0 else -math.gcd(*B)
             return [v // c for v in B], 0
         denom = g * h**delta
         A, B = B, [v // denom for v in R]
@@ -279,39 +238,36 @@ def _subresultant(A: list[int], B: list[int]) -> tuple[list[int], int]:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q (gcd with zero is the other input made monic)."""
+    """The gcd, primitive with positive leading coefficient (the gcd with
+    zero is the primitive part of the other input)."""
     if f.is_zero():
-        return g.monic()
+        return g.primitive()
     if g.is_zero():
-        return f.monic()
-    h, _ = _subresultant(f.primitive().to_int_coeffs(), g.primitive().to_int_coeffs())
-    return Poly(h).monic()
+        return f.primitive()
+    h, _ = _subresultant(f.coeffs, g.coeffs)
+    return Poly(h)
 
 
 # ---------------------------------------------------------------------------
 # resultant and discriminant
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
+def resultant(f: Poly, g: Poly) -> int:
     """res(f, g); zero exactly when the inputs share a nonconstant factor."""
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    df = f.denominator_lcm()
-    dg = g.denominator_lcm()
-    F = (f * df).to_int_coeffs()
-    G = (g * dg).to_int_coeffs()
-    _, r = _subresultant(F, G)
-    return Fraction(r) / (Fraction(df) ** g.degree() * Fraction(dg) ** f.degree())
+    return _subresultant(f.coeffs, g.coeffs)[1]
 
 
-def discriminant(f: Poly) -> Fraction:
+def discriminant(f: Poly) -> int:
+    """(-1)^(n(n-1)/2) res(f, f') / lc(f), a division that is exact."""
     if f.degree() < 1:
         raise ValueError("discriminant needs positive degree")
     n = f.degree()
     if n == 1:
-        return Fraction(1)
+        return 1
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc()
+    return sign * resultant(f, f.derivative()) // f.lc()
 
 
 # ---------------------------------------------------------------------------
@@ -559,56 +515,46 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
     return p, _factor_mod_p(monic, p)
 
 
-def _factor_squarefree_int(ints: list[int]) -> list[Poly]:
+def _factor_squarefree_int(ints: tuple[int, ...]) -> list[Poly]:
     """Irreducible factors (primitive, positive lc) of a primitive squarefree
     integer polynomial of degree >= 1."""
-    if len(ints) == 2:
-        out = list(ints)
-        if out[-1] < 0:
-            out = [-v for v in out]
-        return [Poly(out)]
+    f = Poly(ints).primitive()
+    if f.degree() == 1:
+        return [f]
     p, units = _choose_prime(ints)
     if len(units) == 1:
-        f = Poly(ints)
-        return [f if f.lc() > 0 else -f]
+        return [f]
     target = 2 * _mignotte_bound(ints) + 1
     modulus = p
     while modulus < target:
         modulus = modulus * modulus
     lifted = _hensel_tree(ints, ints[-1], units, p, modulus)
     half = modulus // 2
-
-    def symmetric_primitive(cs: list[int]) -> list[int]:
-        sym = [v - modulus if v > half else v for v in cs]
-        g = _icontent(sym)
-        sym = [v // g for v in sym]
-        return [-v for v in sym] if sym[-1] < 0 else sym
-
     remaining = list(range(len(lifted)))
-    current = list(ints)
     out: list[Poly] = []
     c = 1
     while remaining and c <= len(remaining) // 2:
         progressed = False
         for combo in itertools.combinations(remaining, c):
-            if sum(len(lifted[i]) - 1 for i in combo) > len(current) - 1 - 1:
+            if sum(len(lifted[i]) - 1 for i in combo) > f.degree() - 1:
                 continue
-            cand = [current[-1] % modulus]
+            cand = [f.lc() % modulus]
             for i in combo:
                 cand = _pm_mul(cand, lifted[i], modulus)
-            cand_prim = symmetric_primitive(cand)
-            q, r = Poly(current).divmod(Poly(cand_prim))
-            if r.is_zero():
-                out.append(Poly(cand_prim))
-                current = q.primitive().to_int_coeffs()
+            # the primitive part of the symmetric residues divides f over Z
+            # if it divides it at all
+            h = Poly([v - modulus if v > half else v for v in cand]).primitive()
+            q = f.quo(h)
+            if q is not None:
+                out.append(h)
+                f = q
                 remaining = [i for i in remaining if i not in combo]
                 progressed = True
                 break
         if not progressed:
             c += 1
-    if len(current) > 1:
-        f = Poly(current)
-        out.append(f if f.lc() > 0 else -f)
+    if f.degree() > 0:
+        out.append(f)
     return out
 
 
@@ -620,8 +566,8 @@ def factor_over_z(f: Poly) -> list[Poly]:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 1:
         return []
-    part = (f // poly_gcd(f, f.derivative())).primitive()
-    factors = _factor_squarefree_int(part.to_int_coeffs())
+    part = f.quo(poly_gcd(f, f.derivative())).primitive()
+    factors = _factor_squarefree_int(part.coeffs)
     return sorted(factors, key=lambda h: (h.degree(), h.coeffs))
 
 
@@ -638,7 +584,7 @@ def cyclotomic_poly(m: int) -> Poly:
     num = Poly([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
-            num = num // cyclotomic_poly(d)
+            num = num.quo(cyclotomic_poly(d))
     return num
 
 
@@ -670,10 +616,11 @@ def cyclotomic_index(f: Poly) -> int | None:
 MAX_PARSE_DEGREE = 256
 # The largest power size parse_poly builds: a power f^e is rejected before
 # it is expanded when e * S exceeds this, with S the total bit length of
-# the numerators and denominators of f.  Every coefficient of f^e then has
-# numerator and denominator below 2^(e * S + MAX_PARSE_DEGREE), so nested
-# powers of a constant cannot blow up either.  The largest powers the two
-# limits admit, such as (x + 8191)^256, expand in about a second.
+# the numerators and denominators of the coefficients of f in lowest
+# terms.  Every coefficient of f^e then has numerator and denominator
+# below 2^(e * S + MAX_PARSE_DEGREE), so nested powers of a constant cannot
+# blow up either.  The largest powers the two limits admit, such as
+# (x + 8191)^256, expand in about half a second.
 MAX_PARSE_BITS = 1 << 12
 
 _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|\*\*|[-+*^()xX])")
@@ -691,7 +638,11 @@ class _PolyParser:
     A rational written right before x ("2x", "1/2 x") multiplies it, and a
     power is a non-negative integer.  No power exponent and no product or
     power degree may exceed MAX_PARSE_DEGREE, and no power size
-    MAX_PARSE_BITS; each is checked before the polynomial is expanded."""
+    MAX_PARSE_BITS; each is checked before the polynomial is expanded.
+
+    Each rule returns a pair (f, d) standing for f/d, with f over Z and
+    d >= 1 coprime to the content of f; sums and products are brought back
+    to lowest terms, and a power needs no reduction by Gauss's lemma."""
 
     def __init__(self, s: str):
         self.s = s
@@ -719,37 +670,37 @@ class _PolyParser:
         tok = self.peek()
         return tok[:1].isdigit() or tok in ("x", "X", "(")
 
-    def parse(self) -> Poly:
+    def parse(self) -> tuple[Poly, int]:
         f = self.sum()
         if self.peek():
             raise self.error()
         return f
 
-    def sum(self) -> Poly:
-        total = Poly.zero()
+    def sum(self) -> tuple[Poly, int]:
+        total, den = Poly.zero(), 1
         first = True
         while True:
             sign = self.peek()
             if sign in ("+", "-"):
                 self.i += 1
             elif not first:
-                return total
-            term = self.term()
-            total = total - term if sign == "-" else total + term
+                return total, den
+            f, d = self.term()
+            total, den = _lowest_terms(total * d + f * (-den if sign == "-" else den), den * d)
             first = False
             if self.starts_factor():
                 raise self.error("missing sign between terms")
 
-    def term(self) -> Poly:
-        f = self.factor()
+    def term(self) -> tuple[Poly, int]:
+        f, d = self.factor()
         while self.peek() == "*":
             self.i += 1
-            g = self.factor()
+            g, e = self.factor()
             _check_degree(f.degree() + g.degree())
-            f = f * g
-        return f
+            f, d = _lowest_terms(f * g, d * e)
+        return f, d
 
-    def factor(self) -> Poly:
+    def factor(self) -> tuple[Poly, int]:
         tok = self.peek()
         if tok[:1].isdigit():
             self.i += 1
@@ -757,18 +708,19 @@ class _PolyParser:
                 c = Fraction(tok)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in coefficient {tok!r}") from None
-            return self.x_power() * c if self.peek() in ("x", "X") else Poly.constant(c)
+            f = self.x_power() if self.peek() in ("x", "X") else Poly.one()
+            return f * c.numerator, c.denominator
         if tok in ("x", "X"):
-            return self.x_power()
+            return self.x_power(), 1
         if tok == "(":
             self.i += 1
-            inner = self.sum()
+            inner, d = self.sum()
             if self.peek() != ")":
                 raise self.error()
             self.i += 1
             e = self.power()
-            _check_power(inner, e)
-            return inner ** e
+            _check_power(inner, d, e)
+            return inner**e, d**e
         raise self.error()
 
     def x_power(self) -> Poly:
@@ -796,16 +748,31 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_PARSE_DEGREE}")
 
 
-def _check_power(f: Poly, e: int) -> None:
+def _lowest_terms(f: Poly, d: int) -> tuple[Poly, int]:
+    """f/d as (f', d') with d' >= 1 coprime to the content of f' (d' = 1
+    for the zero polynomial)."""
+    g = math.gcd(d, *f.coeffs)
+    return (f, d) if g == 1 else (Poly([c // g for c in f.coeffs]), d // g)
+
+
+def _check_power(f: Poly, d: int, e: int) -> None:
+    """Reject (f/d)^e before it is expanded when its degree or its size is
+    over the limit, the size read off the coefficients of f/d in lowest
+    terms."""
     _check_degree(f.degree() * e)
-    size = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in f.coeffs)
+    size = 0
+    for c in f.coeffs:
+        g = math.gcd(c, d)
+        size += (c // g).bit_length() + (d // g).bit_length()
     if size * e > MAX_PARSE_BITS:
         raise ValueError(f"power of {size * e} coefficient bits exceeds the limit {MAX_PARSE_BITS}")
 
 
-def parse_poly(text: str) -> Poly:
+def parse_poly(text: str) -> tuple[Poly, int]:
     """Parse forms like "x^5 - x", "2x^3 + 1/2 x - 7", "x**6 - 1" and
-    products such as "x*(x-1)^2*(x + 3)"."""
+    products such as "x*(x-1)^2*(x + 3)".  Returns (f, d) with f over Z,
+    d >= 1 and gcd(d, content f) = 1, such that the text's polynomial is
+    f/d: the denominators are cleared here, once."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")

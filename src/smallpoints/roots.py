@@ -1,4 +1,4 @@
-"""Certified complex root isolation for squarefree rational polynomials.
+"""Certified complex root isolation for squarefree integer polynomials.
 
 Aberth-Ehrlich iteration (the MPSolve design of Bini and Fiorentino)
 approximates all roots at once in fixed-point Gaussian-integer arithmetic,
@@ -304,8 +304,7 @@ def isolate_roots(f: Poly, precision: int = 32) -> list[Box]:
     """
     _require_squarefree(f)
     df = f.derivative()
-    den = math.lcm(*(x.denominator for x in f.coeffs))
-    c = [int(x * den) for x in f.coeffs]
+    c = list(f.coeffs)
     w = _START_BITS
     z = _start_points(c, w)
     while True:

@@ -67,7 +67,7 @@ def _random_rational_root_curve(rng, deg):
             roots.add(r)
     f = Poly([1])
     for r in sorted(roots):
-        f = f * Poly([-r, Fraction(1)])
+        f = f * Poly([-r.numerator, r.denominator])
     return "y^2 = " + render_poly(f)
 
 

@@ -29,6 +29,7 @@ from smallpoints.algebraic import (
     mobius_minpoly,
     weil_height,
 )
+from smallpoints.intervals import Box
 from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
 from smallpoints.polynomial import Poly, factor_over_z, parse_poly
 
@@ -42,19 +43,19 @@ def _root_where(f, pred):
 
 
 def sqrt2():
-    return _root_where(parse_poly("x^2 - 2"), lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - 2")[0], lambda r: r.box.re.lo > 0)
 
 
 def sqrt3():
-    return _root_where(parse_poly("x^2 - 3"), lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - 3")[0], lambda r: r.box.re.lo > 0)
 
 
 def golden():
-    return _root_where(parse_poly("x^2 - x - 1"), lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.lo > 0)
 
 
 def imag_unit():
-    return _root_where(parse_poly("x^2 + 1"), lambda r: r.box.im.lo > 0)
+    return _root_where(parse_poly("x^2 + 1")[0], lambda r: r.box.im.lo > 0)
 
 
 def _frac(lm: LogMag) -> Fraction:
@@ -71,7 +72,7 @@ def test_rational_canonical_form():
 
 
 def test_algebraic_roots_structure():
-    rts = algebraic_roots(parse_poly("x^2 - 2") * parse_poly("x - 3"))
+    rts = algebraic_roots(parse_poly("x^2 - 2")[0] * parse_poly("x - 3")[0])
     assert len(rts) == 3
     assert rts[0] == 3
     assert rts[1].degree == 2 and rts[2].degree == 2
@@ -80,7 +81,7 @@ def test_algebraic_roots_structure():
 
 def test_add_sqrt2_sqrt3():
     v = sqrt2() + sqrt3()
-    assert v.minpoly == parse_poly("x^4 - 10x^2 + 2") + Poly([-1])
+    assert v.minpoly == parse_poly("x^4 - 10x^2 + 2")[0] + Poly([-1])
     assert v.minpoly == Poly([1, 0, -10, 0, 1])
     assert v.box.re.lo > 3
 
@@ -100,7 +101,7 @@ def test_cancellation():
 
 def test_golden_conjugate_identities():
     phi = golden()
-    bar = _root_where(parse_poly("x^2 - x - 1"), lambda r: r.box.re.hi < 0)
+    bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.hi < 0)
     assert phi + bar == 1
     assert phi * bar == -1
 
@@ -135,11 +136,11 @@ def test_rational_fast_paths():
 
 def _operand_zoo():
     s2, s3, phi, i = sqrt2(), sqrt3(), golden(), imag_unit()
-    s2_bar = _root_where(parse_poly("x^2 - 2"), lambda r: r.box.re.hi < 0)
-    phi_bar = _root_where(parse_poly("x^2 - x - 1"), lambda r: r.box.re.hi < 0)
-    i_bar = _root_where(parse_poly("x^2 + 1"), lambda r: r.box.im.hi < 0)
-    cbrt2 = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.is_point())
-    cbrt2_c = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+    s2_bar = _root_where(parse_poly("x^2 - 2")[0], lambda r: r.box.re.hi < 0)
+    phi_bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.hi < 0)
+    i_bar = _root_where(parse_poly("x^2 + 1")[0], lambda r: r.box.im.hi < 0)
+    cbrt2 = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.is_point())
+    cbrt2_c = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.lo > 0)
     return {
         "sqrt2": s2,
         "-sqrt2": s2_bar,
@@ -204,7 +205,7 @@ def _sympy_coeffs(expr, x) -> tuple:
     den = math.lcm(*(c.denominator for c in cs))
     ints = [int(c * den) for c in cs]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
 def _sympy_op_factors(f: Poly, g: Poly, kind: str) -> set:
@@ -224,18 +225,18 @@ def _sympy_op_factors(f: Poly, g: Poly, kind: str) -> set:
 
 def test_op_factors_match_sympy_resultants():
     ops = [
-        (parse_poly("3x^2 - 2"), parse_poly("2x^2 + x + 3"), "add"),
-        (parse_poly("3x^2 - 2"), parse_poly("2x^2 + x + 3"), "mul"),
-        (parse_poly("2x^3 + 3x - 1"), parse_poly("3x^2 - 2"), "add"),
-        (parse_poly("2x^3 + 3x - 1"), parse_poly("5x^2 - x + 2"), "mul"),
-        (parse_poly("x^3 - 2"), parse_poly("x^3 - 2"), "mul"),
-        (parse_poly("x^2 - x - 1"), parse_poly("7x^3 - 4x^2 + 1"), "add"),
+        (parse_poly("3x^2 - 2")[0], parse_poly("2x^2 + x + 3")[0], "add"),
+        (parse_poly("3x^2 - 2")[0], parse_poly("2x^2 + x + 3")[0], "mul"),
+        (parse_poly("2x^3 + 3x - 1")[0], parse_poly("3x^2 - 2")[0], "add"),
+        (parse_poly("2x^3 + 3x - 1")[0], parse_poly("5x^2 - x + 2")[0], "mul"),
+        (parse_poly("x^3 - 2")[0], parse_poly("x^3 - 2")[0], "mul"),
+        (parse_poly("x^2 - x - 1")[0], parse_poly("7x^3 - 4x^2 + 1")[0], "add"),
     ]
     for f, g, kind in ops:
         got = {h.coeffs for h in alg._op_factors.__wrapped__(f.coeffs, g.coeffs, kind)}
         assert got == _sympy_op_factors(f, g, kind), (f, g, kind)
     # a repeated root: the sums of conjugates of sqrt2 are +-2 sqrt2 and 0 twice
-    s2 = parse_poly("x^2 - 2").coeffs
+    s2 = parse_poly("x^2 - 2")[0].coeffs
     got = {h.coeffs for h in alg._op_factors.__wrapped__(s2, s2, "add")}
     assert got == {(0, 1), (-8, 0, 1)}
 
@@ -250,7 +251,7 @@ def test_mobius_image_matches_sympy():
         (2, Fraction(-1, 7), 0, 3),
     ]
     for text in ("x^2 - 2", "3x^3 - x + 5", "2x^5 + x^4 - 3x^2 + 7"):
-        f = parse_poly(text)
+        f = parse_poly(text)[0]
         n = f.degree()
         for m in matrices:
             a, b, c, d = (sympy.Rational(t) for t in m)
@@ -295,13 +296,13 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     assert s2 * s2 == 2 and s2 / s2 == 1 and s2 - s2 == 0
     r = AlgebraicNumber.from_rational(Fraction(-3, 5))
     box = r.refined_box(200)
-    assert box.is_point() and box.contains_point((Fraction(-3, 5), 0))
+    assert box.is_point() and box.intersects(Box.point(Fraction(-3, 5)))
     weil_height(Fraction(22, 7), 80)
     assert degrees and min(degrees) >= 2
 
 
 def test_degree_cap():
-    r = algebraic_roots(parse_poly("x^9 - 2"))
+    r = algebraic_roots(parse_poly("x^9 - 2")[0])
     a = [x for x in r if x.degree == 9][0]
     with pytest.raises(DegreeCapExceeded):
         a * a
@@ -379,7 +380,7 @@ def test_anharmonic_orbit_irrational():
 
 
 def _cubic_root():
-    return _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.lo > 0)
+    return _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.lo > 0)
 
 
 def test_anharmonic_minpolys_are_the_orbit_minpolys(monkeypatch):
@@ -555,7 +556,7 @@ def test_height_roots_of_unity_exact():
     i = imag_unit()
     lo, hi = weil_height(i)
     assert lo.is_zero() and hi.is_zero()
-    z6 = _root_where(parse_poly("x^2 - x + 1"), lambda r: r.box.im.lo > 0)
+    z6 = _root_where(parse_poly("x^2 - x + 1")[0], lambda r: r.box.im.lo > 0)
     lo, hi = weil_height(z6)
     assert lo.is_zero() and hi.is_zero()
     for r in (Fraction(1), Fraction(-1), Fraction(0)):
@@ -564,7 +565,7 @@ def test_height_roots_of_unity_exact():
 
 
 def test_height_cbrt2():
-    v = _root_where(parse_poly("x^3 - 2"), lambda r: r.box.im.is_point())
+    v = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.is_point())
     lo, hi = weil_height(v)
     want = dec_ln(2) / 3
     assert _frac(lo) <= want + DEC_TOL and want - DEC_TOL <= _frac(hi)
@@ -581,7 +582,7 @@ def test_height_rational_formula():
 
 
 def test_height_conjugates_agree():
-    rs = algebraic_roots(parse_poly("x^2 - 2"))
+    rs = algebraic_roots(parse_poly("x^2 - 2")[0])
     h1 = weil_height(rs[0])
     h2 = weil_height(rs[1])
     assert _frac(h1[0]) == _frac(h2[0]) and _frac(h1[1]) == _frac(h2[1])

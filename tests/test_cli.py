@@ -439,6 +439,10 @@ def test_heights_index_out_of_range_exits_1(capsys):
     code, _, err = run(capsys, ["heights", "x^2-2:7"])
     assert code == 1
     assert "out of range" in err
+    # the parser clears denominators, so the message shows 2 x^2 - 1
+    code, _, err = run(capsys, ["heights", "x^2 - 1/2:5"])
+    assert code == 1
+    assert err == "smallpoints: 'x^2 - 1/2:5': root index 5 out of range for 2 x^2 - 1\n"
 
 
 def test_heights_tsv(capsys):

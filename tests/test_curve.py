@@ -27,7 +27,7 @@ from smallpoints.curve import (
     parse_curve,
 )
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
-from smallpoints.polynomial import Poly, discriminant, factor_over_z, render_poly
+from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
 from test_algebraic import _chain_cross_ratio
 from test_golden import fresh_interpreter
 
@@ -61,9 +61,14 @@ def test_parse_accepts_equation_and_bare_forms():
 
 
 def test_parse_clears_denominators():
-    f = parse_curve("y^2 = 1/4*x^5 - 1/4*x")
-    assert f == Poly([0, -4, 0, 0, 0, 4])
-    assert all(v.denominator == 1 for v in f.coeffs)
+    assert parse_curve("y^2 = 1/4*x^5 - 1/4*x") == Poly([0, -4, 0, 0, 0, 4])
+    assert parse_curve("y^2 = 1/6*x^5 - 7/4*x + 1/3") == Poly([48, -252, 0, 0, 0, 24])
+    # the model is d^2 times the text polynomial f/d: y -> y/d
+    for text in ("1/4*x^5 - 1/4*x", "1/6*x^5 - 7/4*x + 1/3", "(2/3*x + 1)^5 + 1/9",
+                 "3/5*x^6 - 2/7*x + 1/35", "(1/2*x - 1/3)^2*(x^3 + 1) + 1/5", "2*x^5 - 6"):
+        f, d = parse_poly(text)
+        model = parse_curve(f"y^2 = {text}")
+        assert [Fraction(c) for c in model.coeffs] == [d * d * Fraction(c, d) for c in f.coeffs]
 
 
 def test_invariants_x5_minus_x():
@@ -124,7 +129,7 @@ def _factors(f: Poly) -> list[Poly]:
 
 def test_bad_prime_superset_includes_two():
     f = Poly([3, 0, 0, 0, 0, 5])
-    s, n_s, caveats = bad_prime_superset(f, _factors(f), int(discriminant(f)))
+    s, n_s, caveats = bad_prime_superset(f, _factors(f), discriminant(f))
     assert 2 in s
     assert 3 in s and 5 in s
     assert n_s % 2 == 0
@@ -147,8 +152,8 @@ def _whole_number_rule(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
 
 def _seeded_curve(rng: random.Random) -> str:
     """A curve of degree 5..8 with integer content, rational roots, an
-    optional quadratic or cubic factor and, one time in three, rational
-    coefficients that parse_curve clears."""
+    optional quadratic or cubic factor and, one time in three, a
+    denominator that parse_curve clears."""
     n = rng.randint(5, 8)
     content = rng.choice([1, -1, 6, -35, 12])
     f = Poly([content])
@@ -158,8 +163,21 @@ def _seeded_curve(rng: random.Random) -> str:
     while f.degree() < n:
         f = f * Poly([rng.randint(-30, 30), rng.randint(1, 12)])
     if rng.randrange(3) == 0:
-        f = f * Fraction(1, rng.choice([2, 6, 35]))
+        return "y^2 = " + _render_over(f, rng.choice([2, 6, 35]))
     return "y^2 = " + render_poly(f)
+
+
+def _render_over(f: Poly, k: int) -> str:
+    """The text of the rational polynomial f/k, in render_poly's format."""
+    parts = []
+    for e in range(f.degree(), -1, -1):
+        c = Fraction(f[e], k)
+        if c:
+            xs = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+            body = str(abs(c)) if not xs else xs if abs(c) == 1 else f"{abs(c)} {xs}"
+            parts.append(("-" if c < 0 else "") + body if not parts
+                         else ("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
 
 
 def _seeded_curves(count: int) -> list[str]:
@@ -189,11 +207,11 @@ S_CURVES = _seeded_curves(24) + [
 @pytest.mark.parametrize("curve", S_CURVES)
 def test_bad_primes_match_whole_number_rule_and_sympy(curve):
     f = parse_curve(curve)
-    lc, disc = int(f.lc()), int(discriminant(f))
+    lc, disc = f.lc(), discriminant(f)
     got = bad_prime_superset(f, _factors(f), disc)
     assert got == _whole_number_rule(lc, disc)
     x = sympy.Symbol("x")
-    fx = sympy.Poly([int(c) for c in reversed(f.coeffs)], x)
+    fx = sympy.Poly(list(reversed(f.coeffs)), x)
     assert sympy.discriminant(fx) == disc
     want = sorted({2} | set(sympy.primefactors(lc)) | set(sympy.primefactors(disc)))
     assert got[0] == want
@@ -202,7 +220,7 @@ def test_bad_primes_match_whole_number_rule_and_sympy(curve):
 
 def test_lc_prime_outside_disc_is_in_s():
     f = parse_curve("y^2 = 3*x^5 + x^4 + 1")
-    disc = int(discriminant(f))
+    disc = discriminant(f)
     assert disc % 3 != 0
     assert 3 in bad_prime_superset(f, _factors(f), disc)[0]
 
@@ -228,7 +246,7 @@ def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
     rho_calls = []
     monkeypatch.setattr(numeric_mod, "_pollard_rho", rho_calls.append)
     f = parse_curve(f"y^2 = x*(x-1)*(x-2)*(x-3)*(x-{p})")
-    s, n_s, caveats = bad_prime_superset(f, _factors(f), int(discriminant(f)))
+    s, n_s, caveats = bad_prime_superset(f, _factors(f), discriminant(f))
     want = {2, 3, p}
     for k in (1, 2, 3):
         want |= set(sympy.primefactors(p - k))
@@ -243,13 +261,13 @@ def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
         lambda fs: fs[:-1],  # a factor missing
         lambda fs: fs + [Poly([-7, 1])],  # a factor too many
         lambda fs: fs[:-1] + [Poly([2, 0, 1])],  # x^2 + 2 for x^2 + 1
-        lambda fs: [fs[0] * 2] + fs[1:],  # content 1/2
+        lambda fs: [fs[0] * 2] + fs[1:],  # lc f not divisible by the lcs
     ],
 )
 def test_bad_primes_reject_factors_that_miss_the_discriminant(corrupt):
     f = parse_curve("y^2 = 3*x^5 - 3*x")
     with pytest.raises(RuntimeError, match="discriminant"):
-        bad_prime_superset(f, corrupt(_factors(f)), int(discriminant(f)))
+        bad_prime_superset(f, corrupt(_factors(f)), discriminant(f))
 
 
 # rational_batch seed 1: three rational roots and x^2 - 9643574129 x - 949730420,
@@ -315,7 +333,7 @@ def _dec_sqrt5():
 def _with_roots(*roots):
     f = Poly([1])
     for r in roots:
-        f = f * Poly([-Fraction(r), 1])
+        f = f * Poly([-r, 1])
     return render_poly(f)
 
 

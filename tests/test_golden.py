@@ -77,14 +77,24 @@ ANALYZE = [
     ["analyze", "--curve", SIX, "--abc", "2,2", "--cdelta", "-1000", "--precision", "2048"],
     ["analyze", "--curve", SIX, "--format", "tsv"],
     ["analyze", "--curve", IRRATIONAL[0], "--format", "tsv"],
-] + [["analyze", "--curve", c] for c in IRRATIONAL]
+] + [["analyze", "--curve", c] for c in IRRATIONAL] + [
+    # curves with denominators, which parse_curve clears to an integral model
+    ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
+    ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
+]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once
 HEIGHTS = ["heights", "3/4", "x^2-2", "x^5-x:2", "(x^2+1)^2*(x-3)"]
 # the corpus holds a blank line, a line that is not JSON and a singular
 # model, so the batch exits 3
-OTHER = [HEIGHTS, HEIGHTS + ["--format", "tsv"], ["batch", "data/golden_batch.jsonl"]]
+OTHER = [
+    HEIGHTS,
+    HEIGHTS + ["--format", "tsv"],
+    ["batch", "data/golden_batch.jsonl"],
+    # polynomials with denominators, which the parser clears
+    ["heights", "1/2*x^2 - 1/3", "(1/2*x - 1/3)^2*(x + 1)"],
+]
 
 
 def _digest(code: int, out: str) -> dict:

@@ -38,7 +38,7 @@ def _box_with_point(draw):
 
 def test_interval_basics():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
-    assert iv.contains(Fraction(2, 5))
+    assert iv.intersects(Interval(Fraction(2, 5)))
     assert not iv.contains_zero()
     assert iv.mid() == Fraction(5, 12)
     assert iv.width() == Fraction(1, 6)
@@ -66,7 +66,7 @@ def test_interval_sq_tighter_than_mul():
 def test_outward_and_split():
     iv = Interval(Fraction(1, 3), Fraction(2, 3))
     out = iv.outward(4)
-    assert iv.is_subset(out)
+    assert out.lo <= iv.lo and iv.hi <= out.hi
     assert out.lo.denominator <= 16 and out.hi.denominator <= 16
     a, b = iv.split()
     assert a.hi == b.lo == iv.mid()
@@ -78,14 +78,14 @@ def test_outward_and_split():
 def test_interval_arithmetic_preserves_membership(ap, bp):
     a, x = ap
     b, y = bp
-    assert (a + b).contains(x + y)
-    assert (a - b).contains(x - y)
-    assert (a * b).contains(x * y)
-    assert a.sq().contains(x * x)
-    assert (-a).contains(-x)
+    assert (a + b).intersects(Interval(x + y))
+    assert (a - b).intersects(Interval(x - y))
+    assert (a * b).intersects(Interval(x * y))
+    assert a.sq().intersects(Interval(x * x))
+    assert (-a).intersects(Interval(-x))
     if not b.contains_zero():
-        assert (a / b).contains(x / y)
-    assert a.outward(6).contains(x)
+        assert (a / b).intersects(Interval(x / y))
+    assert a.outward(6).intersects(Interval(x))
 
 
 def test_complex_point_helpers():
@@ -102,7 +102,7 @@ def test_complex_point_helpers():
 def test_box_basics():
     b = Box(Interval(-1, 1), Interval(-1, 1))
     assert b.contains_zero()
-    assert b.contains_point((Fraction(1, 2), Fraction(-1, 2)))
+    assert b.intersects(Box.point(Fraction(1, 2), Fraction(-1, 2)))
     assert b.rad() == 1
     assert b.abs_sq() == Interval(0, 2)
     inner = Box(Interval(Fraction(-1, 2), Fraction(1, 2)), Interval(0, Fraction(1, 4)))
@@ -110,7 +110,8 @@ def test_box_basics():
     assert not b.is_interior_subset(b)
     parts = b.split4()
     assert len(parts) == 4
-    assert all(p.is_subset(b) for p in parts)
+    assert all(b.re.lo <= p.re.lo and p.re.hi <= b.re.hi
+               and b.im.lo <= p.im.lo and p.im.hi <= b.im.hi for p in parts)
 
 
 @settings(max_examples=150)
@@ -118,23 +119,23 @@ def test_box_basics():
 def test_box_arithmetic_preserves_membership(ap, bp):
     a, u = ap
     b, v = bp
-    assert (a + b).contains_point((u[0] + v[0], u[1] + v[1]))
-    assert (a - b).contains_point(csub(u, v))
-    assert (a * b).contains_point(cmul(u, v))
-    assert a.abs_sq().contains(cabs_sq(u))
-    assert a.outward(5).contains_point(u)
-    assert a.conjugate().contains_point((u[0], -u[1]))
+    assert (a + b).intersects(Box.point(u[0] + v[0], u[1] + v[1]))
+    assert (a - b).intersects(Box.point(*csub(u, v)))
+    assert (a * b).intersects(Box.point(*cmul(u, v)))
+    assert a.abs_sq().intersects(Interval(cabs_sq(u)))
+    assert a.outward(5).intersects(Box.point(*u))
+    assert a.conjugate().intersects(Box.point(u[0], -u[1]))
 
 
 @settings(max_examples=80)
 @given(bp=_box_with_point())
 def test_poly_evaluation_memberships(bp):
     b, u = bp
-    coeffs = [Fraction(-1), Fraction(0), Fraction(2), Fraction(1)]
-    assert poly_eval_box(coeffs, b).contains_point(poly_eval_point(coeffs, u))
+    coeffs = [-1, 0, 2, 1]
+    assert poly_eval_box(coeffs, b).intersects(Box.point(*poly_eval_point(coeffs, u)))
     if u[1] == 0:
-        assert poly_eval_interval(coeffs, b.re).contains(
-            poly_eval_point(coeffs, (u[0], Fraction(0)))[0]
+        assert poly_eval_interval(coeffs, b.re).intersects(
+            Interval(poly_eval_point(coeffs, (u[0], Fraction(0)))[0])
         )
 
 
@@ -179,7 +180,7 @@ _endpoint = st.builds(
 )
 _coeff = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
-    st.builds(Fraction, st.integers(min_value=-(10**6), max_value=10**6), _denominator),
+    st.integers(min_value=-(10**40), max_value=10**40),
 )
 
 
@@ -203,7 +204,7 @@ def _eval_box(draw):
 )
 @example(coeffs=[], b=Box(Interval(Fraction(1, 3), 2), Interval(-1, Fraction(1, 7))))
 @example(
-    coeffs=[Fraction(-5, 7)], b=Box(Interval(Fraction(1, 3), 2), Interval(-1, 0))
+    coeffs=[-5], b=Box(Interval(Fraction(1, 3), 2), Interval(-1, 0))
 )
 def test_poly_evaluation_is_exact(coeffs, b):
     re, im = _ref_box(coeffs, (b.re.lo, b.re.hi), (b.im.lo, b.im.hi))
@@ -220,8 +221,8 @@ def test_poly_evaluation_is_exact(coeffs, b):
 def test_poly_eval_examples():
     # x^2 + 1 at i is 0
     assert poly_eval_point([1, 0, 1], (0, 1)) == (0, 0)
-    v = poly_eval_interval([Fraction(-2), 0, 1], Interval(1, 2))
-    assert v.contains(-1) and v.contains(2)
+    v = poly_eval_interval([-2, 0, 1], Interval(1, 2))
+    assert v.lo <= -1 and 2 <= v.hi
 
 
 def test_intersect():
@@ -243,6 +244,6 @@ def test_box_inverse():
     for re in (Fraction(1), Fraction(2), Fraction(3, 2)):
         for im in (Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
             d = re * re + im * im
-            assert inv.contains_point((re / d, -im / d))
+            assert inv.intersects(Box.point(re / d, -im / d))
     with pytest.raises(ZeroDivisionError):
         Box(Interval(-1, 1), Interval(-1, 1)).inverse()
