@@ -27,11 +27,11 @@ those of Mobius and anharmonic images without resolving any of them: three
 images, x, 1-x and (x-1)/x, stand for the orbit, whose other three values
 are their inverses.  coefficient_limits and height_exceeds certify from
 the coefficients alone, by Mahler's inequality, that a height lies above a
-bound.  The cross-ratio of a rational or infinite triple is one rational
-Mobius map of the fourth point, so cross_ratio resolves it once and
-cross_ratio_minpolys gives its minimal polynomials with no resolve; for
-other triples cross_ratio takes each difference of two points from a
-bounded cache keyed by their (minpoly, index) pairs.
+bound.  The cross-ratio of a rational or infinite triple is one integer
+Mobius map of the fourth point (_cross_ratio_matrix), so cross_ratio
+resolves it once and mobius_minpoly gives its minimal polynomial with no
+resolve; for other triples cross_ratio takes each difference of two points
+from a bounded cache keyed by their (minpoly, index) pairs.
 """
 
 from __future__ import annotations
@@ -481,22 +481,6 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
         ])
 
     return product((q3, q1), (w, q2)) / product((q3, q2), (w, q1))
-
-
-def cross_ratio_minpolys(p1, p2, p3, zs) -> list[Poly]:
-    """The minimal polynomials of cross_ratio(p1, p2, p3, z) for each z in
-    zs, with p1, p2 and p3 rational or infinite: the cross-ratio is then
-    one rational Mobius map of z, so each is one image of the minimal
-    polynomial of z, with no resolve of which root the value is."""
-    q1, q2, q3, *ws = _distinct_points(p1, p2, p3, *zs)
-    matrix = _cross_ratio_matrix(q1, q2, q3)
-    if matrix is None:
-        raise ValueError("cross_ratio_minpolys needs rational or infinite p1, p2, p3")
-    return [
-        AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2])).minpoly
-        if w is INFINITY else mobius_minpoly(w, *matrix)
-        for w in ws
-    ]
 
 
 def _orbit_base(lam) -> AlgebraicNumber:

@@ -16,23 +16,30 @@ leaves the curve unchanged), and every later stage reads integers:
     points to infinity, 0, 1, and the images of the remaining 2g-1 are
     cross-ratios; the triple is chosen to minimize the certified upper
     bound on the largest Weil height, preferring rational triples.  The
-    search computes one cross-ratio minimal polynomial per unordered triple
-    and point (for a rational triple one Mobius image of the point's) and
-    ranks three normalizations of the triple, one for each point sent to 1:
-    swapping the points sent to infinity and 0 inverts every cross-ratio,
-    which keeps its height and its S-unit flags.  Heights are read off
-    minimal polynomials, best candidate first, and branch and bound skips
-    every normalization whose coefficients alone (Mahler's inequality)
-    certify a height above the best upper bound so far: such a candidate
-    cannot win, so the choice is the exhaustive one.  Only the chosen
-    triple's 2g-1 values are resolved to a root,
+    search ranks three normalizations of each unordered triple, one for
+    each point sent to 1: swapping the points sent to infinity and 0
+    inverts every cross-ratio, which keeps its height and its S-unit
+    flags.  For a rational triple a rational point's cross-ratio p/q is
+    read on integers: its kept images have heights ln max(|p|, |q|),
+    ln max(|q-p|, |q|) and ln max(|p-q|, |p|), and one upper bound on the
+    largest of them ranks all of a candidate's rational values, so equal
+    heights rank equal.  An irrational point's cross-ratio gives one
+    minimal polynomial (for a rational triple one Mobius image of the
+    point's) and its anharmonic images.  Heights are bounded best
+    candidate first, and branch and bound skips every normalization whose
+    integers or coefficients alone (Mahler's inequality) certify a height
+    above the best upper bound so far: such a candidate cannot win, so the
+    choice is the exhaustive one.  Only the chosen triple's 2g-1 values
+    are resolved to a root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception,
   * an empirical lower estimate mu_hat: the largest height among the
     x-coordinates of the finite Weierstrass points.
 
 Equal upper bounds fall back to the lexicographically first triple, so the
-whole analysis is deterministic.
+whole analysis is deterministic; on the rational values of a rational
+triple equal bounds mean equal heights, so an exact tie goes to the first
+triple too.
 """
 
 from __future__ import annotations
@@ -47,12 +54,12 @@ from .algebraic import (
     INFINITY,
     AlgebraicNumber,
     DegreeCapExceeded,
+    _cross_ratio_matrix,
     algebraic_roots,
     anharmonic_minpolys,
     anharmonic_orbit,
     coefficient_limits,
     cross_ratio,
-    cross_ratio_minpolys,
     height_exceeds,
     is_s_unit,
     mobius_minpoly,
@@ -273,6 +280,28 @@ def _estimated_height(f: Poly) -> float:
                for k, a in enumerate(f.coeffs) if a) / d
 
 
+def _rational_orbit_heights(matrix: tuple, x: int, y: int) -> tuple[int, int, int]:
+    """exp of the heights of the kept anharmonic images of lambda =
+    (a z + b)/(c z + d), for the cross-ratio matrix (a, b, c, d) and z =
+    x/y (INFINITY being 1/0), in _NORMALIZATIONS order: lambda, 1 - lambda
+    and (lambda - 1)/lambda.  With lambda = p/q in lowest terms, those are
+    p/q, (q - p)/q and (p - q)/p, all in lowest terms, and a rational u/v
+    in lowest terms has height ln max(|u|, |v|)."""
+    a, b, c, d = matrix
+    p, q = a * x + b * y, c * x + d * y
+    g = math.gcd(p, q)
+    p, q, r = abs(p // g), abs(q // g), abs((p - q) // g)
+    return max(p, q), max(r, q), max(r, p)
+
+
+def _rational_rank_bits(H: int) -> int:
+    """Precision of the upper bound on ln H that ranks rational values:
+    _SEARCH_PRECISION up to 2^48, and H's bit length plus 16 beyond.  At
+    64 bits H and H + 1 first share a bound near 2^74; with 16 bits to
+    spare distinct H never do, so the rank of rational values is exact."""
+    return max(_SEARCH_PRECISION, H.bit_length() + 16)
+
+
 def _normalization_search(branch: list, precision: int):
     """Choose the normalizing triple (p, q, r), sending p to infinity, q to
     0 and r to 1, that minimizes the certified upper bound on the largest
@@ -286,28 +315,37 @@ def _normalization_search(branch: list, precision: int):
 
     A height reads only a minimal polynomial, so no candidate value is
     resolved to a root.  In a pool of rational points and infinity the
-    cross-ratio of a triple is one rational Mobius map of z, and its minimal
-    polynomial one image of that of z, with no resultant, so the degree cap
-    never skips a rational triple; otherwise it comes from the
-    cross_ratio chain, run for every triple so that the degree-cap caveat
-    counts every capped one.  Only the winner's 2g-1 values are resolved.
+    cross-ratio of a triple is one integer Mobius map of z, with no
+    resultant, so the degree cap never skips a rational triple.  A rational
+    or infinite z then gives a rational lambda = p/q, read on integers with
+    one gcd: the candidate's rational values have heights ln H_i for
+    integers H_i, and H, their largest, stands for all of them, ranked by
+    one upper bound on ln H read off H alone (_rational_rank_bits).  Equal
+    heights therefore rank equal, whatever the shape of each p/q, distinct
+    ones never do, and an exact tie goes to the triple.  An
+    irrational z gives one Mobius image of its minimal polynomial and the
+    anharmonic images of that.  Outside a rational pool every minimal
+    polynomial comes from the cross_ratio chain, run for every triple so
+    that the degree-cap caveat counts every capped one.  Only the winner's
+    2g-1 values are resolved.
 
     Candidates are ranked by branch and bound, in the order of a floating
-    point estimate of their heights.  With u the best upper bound so far, a
-    normalization is dropped as soon as one of its value minimal
-    polynomials, of degree d, has some coefficient |a_k| > C(d, k) exp(d u),
-    the exponential rounded up (coefficient_limits, height_exceeds).  By
-    Mahler's inequality that value has height above u, so the candidate's
-    own upper bound exceeds u and it cannot win.  A survivor stops its
-    heights as soon as one of them loses to the best.  Any candidate that
-    could win or tie gets the same 64-bit heights as in an exhaustive
-    ranking, so neither the order nor the pruning can move the winner."""
+    point estimate of their heights (ln H for the rational values).  With u
+    the best upper bound so far, a normalization is dropped as soon as
+    H > exp(u) or one of its value minimal polynomials, of degree d, has
+    some coefficient |a_k| > C(d, k) exp(d u), the exponential rounded up
+    (coefficient_limits, height_exceeds).  By Mahler's inequality that
+    value has height above u, so the candidate's own upper bound exceeds u
+    and it cannot win.  A survivor stops its heights as soon as one of them
+    loses to the best.  Any candidate that could win or tie gets the same
+    upper bounds as in an exhaustive ranking, so neither the order nor the
+    pruning can move the winner."""
     n = len(branch)
-    rational_idx = [
-        i for i, p in enumerate(branch) if p is INFINITY or p.is_rational
-    ]
-    rational_pool = len(rational_idx) >= 3
-    pool = rational_idx if rational_pool else list(range(n))
+    # homogeneous coordinates (x, y) of the rational points, INFINITY (1, 0)
+    coords = {i: (1, 0) if p is INFINITY else (-p.minpoly[0], p.minpoly[1])
+              for i, p in enumerate(branch) if p is INFINITY or p.is_rational}
+    rational_pool = len(coords) >= 3
+    pool = list(coords) if rational_pool else list(range(n))
     caveats = []
     if not rational_pool:
         caveats.append(
@@ -320,20 +358,25 @@ def _normalization_search(branch: list, precision: int):
         points = [branch[i] for i in combo]
         rest = [z for z in range(n) if z not in combo]
         lams = None
-        try:
-            if rational_pool:
-                minpolys = cross_ratio_minpolys(*points, [branch[z] for z in rest])
-            else:
+        tops = (0, 0, 0)  # the largest _rational_orbit_heights, 0 for none
+        if rational_pool:
+            matrix = _cross_ratio_matrix(*points)
+            rational = [_rational_orbit_heights(matrix, *coords[z]) for z in rest if z in coords]
+            if rational:
+                tops = tuple(map(max, zip(*rational)))
+            minpolys = [mobius_minpoly(branch[z], *matrix) for z in rest if z not in coords]
+        else:
+            try:
                 lams = [cross_ratio(*points, branch[z]) for z in rest]
-                minpolys = [lam.minpoly for lam in lams]
-        except DegreeCapExceeded:
-            skipped += len(_NORMALIZATIONS)
-            continue
+            except DegreeCapExceeded:
+                skipped += len(_NORMALIZATIONS)
+                continue
+            minpolys = [lam.minpoly for lam in lams]
         images = [anharmonic_minpolys(f) for f in minpolys]
-        for order, pos in _NORMALIZATIONS:
+        for (order, pos), H in zip(_NORMALIZATIONS, tops):
             polys = [im[pos] for im in images]
-            key = max(_estimated_height(f) for f in polys)
-            candidates.append((key, tuple(combo[i] for i in order), pos, polys, rest, lams))
+            key = max([math.log(H) if H else 0.0] + [_estimated_height(f) for f in polys])
+            candidates.append((key, tuple(combo[i] for i in order), pos, H, polys, rest, lams))
     # best first, so that the bound is tight early; the order decides only
     # how much is pruned, never which candidate wins
     candidates.sort(key=lambda c: c[:2])
@@ -341,18 +384,26 @@ def _normalization_search(branch: list, precision: int):
     best = None  # (upper bound, triple, pos, rest, resolved lambdas or None)
     limits: dict[int, tuple] = {}  # degree d -> coefficient_limits(d, best upper bound)
 
-    def loses(f: Poly) -> bool:
-        d = f.degree()
+    def limit(d: int) -> tuple:
         if d not in limits:
             limits[d] = coefficient_limits(d, best[0])
-        return height_exceeds(f.coeffs, limits[d])
+        return limits[d]
 
-    for _, triple, pos, polys, rest, lams in candidates:
-        if best is not None and any(loses(f) for f in polys):
+    for _, triple, pos, H, polys, rest, lams in candidates:
+        if best is not None and (
+            H > limit(1)[0] or any(height_exceeds(f.coeffs, limit(f.degree())) for f in polys)
+        ):
             continue
+        # (minimal polynomial, bits of its upper bound); H x - 1 stands for
+        # every rational value: its root 1/H has height ln H, the largest of
+        # theirs, and its leading coefficient H > 1 skips the root-of-unity
+        # test of x - H
+        ranked = [(f, _SEARCH_PRECISION) for f in polys]
+        if H:
+            ranked.insert(0, (Poly([-1, H]), _rational_rank_bits(H)))
         uppers = []
-        for f in polys:
-            uppers.append(weil_height(f, _SEARCH_PRECISION)[1])
+        for f, bits in ranked:
+            uppers.append(weil_height(f, bits)[1])
             if best is not None and (uppers[-1], triple) > best[:2]:
                 break
         else:

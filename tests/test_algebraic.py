@@ -22,7 +22,6 @@ from smallpoints.algebraic import (
     anharmonic_orbit,
     coefficient_limits,
     cross_ratio,
-    cross_ratio_minpolys,
     ensure_algebraic,
     height_exceeds,
     is_s_unit,
@@ -440,6 +439,10 @@ def _chain_cross_ratio(p1, p2, p3, z):
     return product(differences((p3, p1), (z, p2))) / product(differences((p3, p2), (z, p1)))
 
 
+def _point(p):
+    return p if p is INFINITY else ensure_algebraic(p)
+
+
 def test_rational_triple_cross_ratio_is_one_mobius_image(monkeypatch):
     rationals = [INFINITY, Fraction(0), Fraction(-3, 2), Fraction(5), Fraction(1, 7)]
     zs = [sqrt2(), golden(), _cubic_root(), Fraction(2, 3), Fraction(-1), INFINITY]
@@ -462,11 +465,16 @@ def test_rational_triple_cross_ratio_is_one_mobius_image(monkeypatch):
             rational_z = z is INFINITY or ensure_algebraic(z).is_rational
             assert len(resolves) == (0 if rational_z else 1), (triple, z)
             resolves.clear()
-            assert cross_ratio_minpolys(*triple, [z]) == [want.minpoly], (triple, z)
-    with pytest.raises(ValueError):
-        cross_ratio_minpolys(sqrt2(), 0, 1, [2])
-    with pytest.raises(ValueError):
-        cross_ratio_minpolys(INFINITY, 0, 1, [3, 0])
+            # the integer matrix gives the minimal polynomial with no resolve
+            a, b, c, d = alg._cross_ratio_matrix(*map(_point, triple))
+            if z is INFINITY:
+                assert want == Fraction(a, c), (triple, z)
+            else:
+                assert mobius_minpoly(z, a, b, c, d) == want.minpoly, (triple, z)
+    assert alg._cross_ratio_matrix(sqrt2(), _point(0), _point(1)) is None
+    # the matrix sends the first point to infinity
+    with pytest.raises(ZeroDivisionError):
+        mobius_minpoly(5, *alg._cross_ratio_matrix(_point(5), _point(0), _point(1)))
 
 
 def _seeded_minpolys(seed: str):

@@ -13,6 +13,7 @@ import smallpoints.curve as curve_mod
 import smallpoints.numeric as numeric_mod
 from smallpoints.algebraic import (
     INFINITY,
+    AlgebraicNumber,
     DegreeCapExceeded,
     anharmonic_orbit,
     cross_ratio,
@@ -21,6 +22,7 @@ from smallpoints.algebraic import (
 from smallpoints.curve import (
     _SEARCH_PRECISION,
     _normalization_search,
+    _rational_rank_bits,
     analyze_curve,
     bad_prime_superset,
     branch_point_list,
@@ -29,7 +31,7 @@ from smallpoints.curve import (
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
 from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
 from test_algebraic import _chain_cross_ratio
-from test_golden import fresh_interpreter
+from test_golden import EXACT_TIES, fresh_interpreter
 
 
 def test_parse_rejects_low_degree():
@@ -415,17 +417,36 @@ def test_equation_normalized_form():
 _ORBIT_POSITION = {(0, 1, 2): 0, (0, 2, 1): 1, (1, 2, 0): 5}
 
 
+def _rank(lams, rational_pool: bool):
+    """The upper bound a triple with these values ranks on.  Outside a
+    rational pool, the largest 64-bit weil_height upper bound of its values.
+    In a rational pool, the largest of those of its irrational values and of
+    one upper bound on ln H, read off H alone at _rational_rank_bits(H),
+    where ln H is the largest height of its rational values: equal heights
+    of rational values so rank equal, whatever the shapes of their
+    numerators and denominators."""
+    lams = list(lams)
+    rational = [lam.as_fraction() for lam in lams if rational_pool and lam.is_rational]
+    uppers = [weil_height(lam, _SEARCH_PRECISION)[1] for lam in lams
+              if not (rational_pool and lam.is_rational)]
+    if rational:
+        H = max(max(abs(r.numerator), r.denominator) for r in rational)
+        uppers.append(weil_height(Poly([-1, H]), _rational_rank_bits(H))[1])
+    return lm_max(*uppers)
+
+
 def _resolving_search(branch: list):
     """The normalization search ranked on resolved values: every member of
-    every anharmonic orbit is resolved, and a triple's rank is the largest
-    weil_height of its 2g-1 cross-ratios.  Only the orderings with
-    triple[0] < triple[1] are ranked: swapping the points sent to infinity
-    and 0 inverts every cross-ratio and keeps its height.  Returns the
+    every anharmonic orbit is resolved, and a triple's rank is _rank of its
+    2g-1 cross-ratios.  Only the orderings with triple[0] < triple[1] are
+    ranked: swapping the points sent to infinity and 0 inverts every
+    cross-ratio and keeps its height.  Returns the
     triple, its values, the skipped count and how many ranked triples tie
     the winner's upper bound."""
     n = len(branch)
     rational_idx = [i for i, p in enumerate(branch) if p is INFINITY or p.is_rational]
-    pool = rational_idx if len(rational_idx) >= 3 else list(range(n))
+    rational_pool = len(rational_idx) >= 3
+    pool = rational_idx if rational_pool else list(range(n))
     orbits = {}
     best = None
     skipped = 0
@@ -449,7 +470,7 @@ def _resolving_search(branch: list):
         if len(lams) < n - 3:
             skipped += 1
             continue
-        h_up = lm_max(*[weil_height(lam, _SEARCH_PRECISION)[1] for _, lam in lams])
+        h_up = _rank((lam for _, lam in lams), rational_pool)
         ranks.append(h_up)
         if best is None or h_up < best[0]:
             best = (h_up, triple, lams)
@@ -576,6 +597,95 @@ def test_rational_triple_ignores_the_resultant_degree_cap():
             _chain_cross_ratio(*(branch[i] for i in triple), branch[z])
         w = point(branch[z])
         assert abs(point(lam) - (p3 - p1) * (w - p2) / ((p3 - p2) * (w - p1))) < 1e-9
+
+
+def _fraction_cross_ratio(p1, p2, p3, z) -> Fraction:
+    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) in Fractions, each difference with
+    INFINITY left out."""
+    def product(*pairs):
+        return math.prod(u - v for u, v in pairs if u is not INFINITY and v is not INFINITY)
+
+    return Fraction(product((p3, p1), (z, p2))) / product((p3, p2), (z, p1))
+
+
+def _exact_max_heights(points: list) -> dict:
+    """exp of the largest exact height of the cross-ratios, for every
+    ordered triple of these rational or infinite points: a rational u/v in
+    lowest terms has height ln max(|u|, |v|)."""
+    n = len(points)
+    out = {}
+    for triple in itertools.permutations(range(n), 3):
+        lams = [_fraction_cross_ratio(*(points[i] for i in triple), points[z])
+                for z in range(n) if z not in triple]
+        out[triple] = max(max(abs(lam.numerator), lam.denominator) for lam in lams)
+    return out
+
+
+def _rational_branch_sets(count: int) -> list[list]:
+    """Seeded all-rational branch sets of 6 to 9 points, INFINITY first when
+    the count is odd, then the roots ascending (branch_point_list's order).
+    Roots come as +-a pairs, reciprocal pairs a, 1/a (0 pairs with
+    infinity) or alone, to force exact ties; every third set draws its
+    numerators with 20 to 22 digits, so heights pass 2^64."""
+    rng = random.Random("exact-rational-heights")
+    sets = []
+    while len(sets) < count:
+        degree = 5 + len(sets) % 4
+        digits = 22 if len(sets) % 3 == 2 else 1
+        roots: set = set()
+        while len(roots) < degree:
+            a = Fraction(rng.randint(1, 6 * 10 ** (digits - 1)), rng.randint(1, 3))
+            style = rng.choice(("pm", "reciprocal", "alone", "zero"))
+            new = {"pm": {a, -a}, "reciprocal": {a, 1 / a}, "alone": {-a},
+                   "zero": {Fraction(0)}}[style]
+            if len(roots | new) <= degree:
+                roots |= new
+        infinity = [INFINITY] if degree % 2 else []
+        sets.append(infinity + [AlgebraicNumber.from_rational(r) for r in sorted(roots)])
+    return sets
+
+
+def _check_search_against_exact_heights(branch: list) -> tuple[int, int]:
+    """Assert that the search's triple attains the least exact largest
+    height over all ordered triples, and that it is the lexicographically
+    first to do so, also where H passes 2^64 and a 64-bit bound would tie
+    H with H + 1; returns the least H and how many ordered triples attain
+    it."""
+    points = [p if p is INFINITY else p.as_fraction() for p in branch]
+    heights = _exact_max_heights(points)
+    least = min(heights.values())
+    winners = [t for t in sorted(heights) if heights[t] == least]
+    triple, lams, _ = _normalization_search(branch, 128)
+    assert heights[triple] == least
+    assert triple == winners[0]
+    assert [(z, lam.as_fraction()) for z, lam in lams] == [
+        (z, _fraction_cross_ratio(*(points[i] for i in triple), points[z]))
+        for z in range(len(points)) if z not in triple
+    ]
+    return least, len(winners)
+
+
+def test_search_attains_the_least_exact_height_on_rational_sets():
+    results = [_check_search_against_exact_heights(branch)
+               for branch in _rational_branch_sets(24)]
+    # swapping the points sent to infinity and 0 gives every least height
+    # twice; a tie between triples gives it more often
+    assert sum(count > 2 for _, count in results) >= 5
+    assert any(least > 2**64 for least, _ in results)
+    assert any(least < 2**53 for least, _ in results)
+
+
+# the normalization and the least H of the golden file's exact-tie curves,
+# where a ranking on each value's own enclosure broke the tie by rounding
+EXACT_TIE_CURVES = list(zip(EXACT_TIES, [(0, 5, 7), (3, 6, 7)], [1975, 55]))
+
+
+@pytest.mark.parametrize("curve, triple, least", EXACT_TIE_CURVES)
+def test_exact_ties_go_to_the_first_triple(curve, triple, least):
+    f = parse_curve(curve)
+    branch = branch_point_list(f, (f.degree() - 1) // 2)
+    assert _check_search_against_exact_heights(branch)[0] == least
+    assert analyze_curve(curve).normalization.triple == triple
 
 
 def test_search_prunes_exact_heights(monkeypatch):

@@ -70,6 +70,15 @@ IRRATIONAL = ["y^2 = x^6 - 6*x^4 + 11*x^2 - 6", "y^2 = x^5 - 2"]
 # an irreducible quintic: every triple of branch points is irrational
 QUINTIC = "y^2 = x^5 + 3*x^4 - 7*x^3 + 2*x - 11"
 
+# all-rational curves on which several triples attain the least largest
+# height exactly (ln 1975, ln 55): the first of them is the normalization
+EXACT_TIES = [
+    "y^2 = 175032900*x^8 + 866412855*x^7 - 1560455127*x^6 - 5044690581*x^5"
+    " + 11846444159*x^4 - 5323984122*x^3 - 4462946380*x^2 + 4621001400*x - 1115920000",
+    "y^2 = 1347570*x^7 - 10083219*x^6 - 433846*x^5 + 40411773*x^4 - 38942274*x^3"
+    " + 1145767*x^2 + 9300102*x - 2268945",
+]
+
 ANALYZE = [
     ["analyze", "--curve", X5X],
     ["analyze", "--curve", X5X, "--abc", "2,2", "--zograf", "--format", "tsv"],
@@ -81,7 +90,7 @@ ANALYZE = [
     # curves with denominators, which parse_curve clears to an integral model
     ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
     ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
-]
+] + [["analyze", "--curve", c] for c in EXACT_TIES]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once
