@@ -516,7 +516,7 @@ def coefficient_limits(d: int, bound: LogMag) -> tuple[int, ...]:
     M(f), so a primitive minimal polynomial of degree d with some |a_k|
     above its limit has M(f) > E >= exp(d * bound): every root has Weil
     height ln(M(f)) / d > bound.  See height_exceeds."""
-    man, e = lm_exp(lm_mul(bound, d, mode=UP), mode=UP).dyadic()
+    man, e = lm_exp(lm_mul(bound, d, bound.prec, UP), bound.prec, UP).dyadic()
     return tuple((math.comb(d, k) * man << e) if e >= 0 else (math.comb(d, k) * man) >> -e
                  for k in range(d + 1))
 
@@ -546,9 +546,10 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
 
         h = (1/n) (ln a_n + sum_i ln max(1, |alpha_i|)).
 
-    The enclosure width is at most 2**-(precision//2).  Roots of unity give
-    an exact [0, 0]; so does any rational with numerator and denominator of
-    absolute value at most 1.
+    Both ends are precision-bit LogMags, lower rounded DOWN and upper UP,
+    and the enclosure width is at most 2**-(precision//2).  Roots of unity
+    give an exact [0, 0]; so does any rational with numerator and
+    denominator of absolute value at most 1.
     """
     return _height(_minpoly(alpha).coeffs, precision)
 
@@ -556,11 +557,11 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
 @lru_cache(maxsize=None)
 def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     """weil_height of a root of the minimal polynomial with these
-    coefficients."""
+    coefficients.  The logarithms and their sums carry 16 guard bits, and
+    only the final division by the degree rounds to precision."""
     f = Poly(coeffs)
     if f.lc() == 1 and cyclotomic_index(f) is not None:
-        z = LogMag.zero(precision)
-        return z, z
+        return LogMag.zero(precision, DOWN), LogMag.zero(precision, UP)
     n = f.degree()
     an = f.lc()
     wp = precision + 16
@@ -574,8 +575,8 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
             s = b.abs_sq()
             lo_terms.append(lm_div(lm_log(max(Fraction(1), s.lo), wp, DOWN), 2, wp, DOWN))
             hi_terms.append(lm_div(lm_log(max(Fraction(1), s.hi), wp, UP), 2, wp, UP))
-        lo = lm_div(lm_sum(lo_terms, wp, DOWN), n, wp, DOWN)
-        hi = lm_div(lm_sum(hi_terms, wp, UP), n, wp, UP)
+        lo = lm_div(lm_sum(lo_terms, wp, DOWN), n, precision, DOWN)
+        hi = lm_div(lm_sum(hi_terms, wp, UP), n, precision, UP)
         if lm_sub(hi, lo, wp, UP) <= target:
             return lo, hi
         p *= 2

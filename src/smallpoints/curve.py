@@ -297,16 +297,19 @@ def _rational_orbit_heights(matrix: tuple, x: int, y: int) -> tuple[int, int, in
 def _rational_rank_bits(H: int) -> int:
     """Precision of the upper bound on ln H that ranks rational values:
     _SEARCH_PRECISION up to 2^48, and H's bit length plus 16 beyond.  At
-    64 bits H and H + 1 first share a bound near 2^74; with 16 bits to
-    spare distinct H never do, so the rank of rational values is exact."""
+    64 bits H and H + 1 first share a bound near 2^59, 11 bits above the
+    switch; at H's bit length plus 16 distinct H never do, so the rank of
+    rational values is exact."""
     return max(_SEARCH_PRECISION, H.bit_length() + 16)
 
 
-def _normalization_search(branch: list, precision: int):
+def _normalization_search(branch: list):
     """Choose the normalizing triple (p, q, r), sending p to infinity, q to
     0 and r to 1, that minimizes the certified upper bound on the largest
     cross-ratio height.  Returns (triple, lambdas, caveats) with triple None
-    when every candidate hit the resultant degree cap.
+    when every candidate hit the resultant degree cap.  Upper bounds are
+    _SEARCH_PRECISION-bit (64-bit) LogMags, rational values' at
+    _rational_rank_bits, whatever precision the report asks for.
 
     Swapping the points sent to infinity and 0 turns every lambda into
     1/lambda, which has the same height and the same S-unit flags, so each
@@ -434,7 +437,7 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
     factors = list(dict.fromkeys(p.minpoly for p in branch if p is not INFINITY))
     s_primes, n_s, caveats = bad_prime_superset(f, factors, disc)
 
-    triple, lams, norm_caveats = _normalization_search(branch, precision)
+    triple, lams, norm_caveats = _normalization_search(branch)
     caveats.extend(norm_caveats)
 
     normalization = None

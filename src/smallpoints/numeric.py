@@ -3,10 +3,11 @@
 The central type is LogMag: a sign / mantissa / exponent float whose exponent
 is an arbitrary-precision integer, so quantities like 10**(10**7) and the
 astronomically larger values produced by height-bound formulas stay
-representable.  Every operation rounds in a recorded direction: a result
-carrying mode UP is >= the exact value of the operation applied to the operand
-values, and a result carrying mode DOWN is <=.  Mantissas hold a fixed number
-of bits (default 128).
+representable.  Every operation and constructor takes the precision and the
+direction of its result as required arguments, prec and mode, and nothing
+else decides them: no operand's precision or mode carries over.  A result
+rounded UP is >= the exact value of the operation applied to the operand
+values, and one rounded DOWN is <=; the result records its own prec and mode.
 
 Every LogMag is made by one function, `_round(n, d, e, prec, direction)`: the
 prec-bit directed rounding of the exact rational (n/d) * 2**e.  `_exact` reads
@@ -40,6 +41,8 @@ from functools import lru_cache
 UP = 1
 DOWN = -1
 
+# the precision of the package's entry points (cli, analyze_curve, bounds)
+# when none is given; no function in this module defaults to it
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 8
 
@@ -358,8 +361,9 @@ class LogMag:
 
     sign is -1, 0 or +1; man is normalized to [2**(prec-1), 2**prec) so the
     mantissa man/2**prec lies in [1/2, 1); exp is an unbounded integer.  mode
-    (UP or DOWN) records the rounding direction every derived operation uses.
-    Instances are immutable; comparisons are exact on values and ignore mode.
+    (UP or DOWN) records how this value was rounded; an operation on it
+    rounds as its own caller says.  Instances are immutable; comparisons are
+    exact on values and ignore mode.
     """
 
     __slots__ = ("sign", "man", "exp", "prec", "mode")
@@ -386,19 +390,19 @@ class LogMag:
     # -- constructors
 
     @staticmethod
-    def zero(prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
+    def zero(prec: int, mode: int) -> "LogMag":
         return LogMag(0, 0, 0, prec, mode)
 
     @staticmethod
-    def one(prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
+    def one(prec: int, mode: int) -> "LogMag":
         return LogMag(1, 1 << (prec - 1), 1, prec, mode)
 
     @staticmethod
-    def from_int(n: int, prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
+    def from_int(n: int, prec: int, mode: int) -> "LogMag":
         return _round(n, 1, 0, prec, mode)
 
     @staticmethod
-    def from_fraction(value, prec: int = DEFAULT_PRECISION, mode: int = UP) -> "LogMag":
+    def from_fraction(value, prec: int, mode: int) -> "LogMag":
         fr = Fraction(value)
         return _round(fr.numerator, fr.denominator, 0, prec, mode)
 
@@ -566,28 +570,10 @@ def _coerce(x, prec: int, mode: int) -> LogMag:
     raise TypeError(f"cannot mix LogMag with {type(x).__name__}")
 
 
-def _resolve(a, b, prec, mode) -> tuple[int, int]:
-    """Common (prec, mode) for an operation: explicit arguments win, then the
-    first LogMag operand's mode; precision is the max seen."""
-    precs = [] if prec is None else [prec]
-    chosen = mode
-    for x in (a, b):
-        if isinstance(x, LogMag):
-            precs.append(x.prec)
-            if chosen is None:
-                chosen = x.mode
-    if not precs:
-        precs = [DEFAULT_PRECISION]
-    if chosen is None:
-        raise TypeError("no LogMag operand and no explicit mode")
-    return max(precs), chosen
-
-
-def lm_add(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_add(a, b, prec: int, mode: int) -> LogMag:
     """Directed a + b.  Exact (then rounded once) when exponents are close;
     otherwise the larger operand is nudged one ulp in the direction the
     smaller operand pulls, which preserves the directed contract."""
-    prec, mode = _resolve(a, b, prec, mode)
     a = _coerce(a, prec, mode)
     b = _coerce(b, prec, mode)
     if a.sign == 0:
@@ -610,22 +596,19 @@ def lm_add(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
     return _round(m, 1, ea - ext, prec, mode)
 
 
-def lm_sub(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
-    prec, mode = _resolve(a, b, prec, mode)
+def lm_sub(a, b, prec: int, mode: int) -> LogMag:
     return lm_add(a, -b if isinstance(b, LogMag) else -Fraction(b), prec, mode)
 
 
-def lm_mul(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_mul(a, b, prec: int, mode: int) -> LogMag:
     """Directed a * b: the exact product of the operand values, rounded once."""
-    prec, mode = _resolve(a, b, prec, mode)
     na, da, ea = _exact(a)
     nb, db, eb = _exact(b)
     return _round(na * nb, da * db, ea + eb, prec, mode)
 
 
-def lm_div(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_div(a, b, prec: int, mode: int) -> LogMag:
     """Directed a / b: the exact quotient of the operand values, rounded once."""
-    prec, mode = _resolve(a, b, prec, mode)
     na, da, ea = _exact(a)
     nb, db, eb = _exact(b)
     if nb == 0:
@@ -635,10 +618,9 @@ def lm_div(a, b, prec: int | None = None, mode: int | None = None) -> LogMag:
     return _round(na * db, da * nb, ea - eb, prec, mode)
 
 
-def lm_pow(base, e, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_pow(base, e, prec: int, mode: int) -> LogMag:
     """Directed base**e.  e may be an int, a Fraction, or a LogMag (taken at
     its exact dyadic value).  Non-integral exponents require base > 0."""
-    prec, mode = _resolve(base, None, prec, mode)
     if isinstance(e, LogMag):
         me, ee = e.dyadic()
         if ee >= 0:
@@ -713,13 +695,12 @@ def _pow_int(base: LogMag, e: int, prec: int, mode: int) -> LogMag:
     return _round(sign * acc[0], 1, acc[1], prec, mode)
 
 
-def lm_log(x, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_log(x, prec: int, mode: int) -> LogMag:
     """Directed natural log of a positive value.  ln 1 is exactly zero.
 
     Cost grows with the bit length of the exponent integer, which stays tiny
     (a few dozen bits) even for the largest bound values in this package.
     """
-    prec, mode = _resolve(x, None, prec, mode)
     x = _coerce(x, prec, mode)
     if x.sign <= 0:
         raise ValueError("log requires a positive value")
@@ -733,13 +714,12 @@ def lm_log(x, prec: int | None = None, mode: int | None = None) -> LogMag:
 _EXP_ARG_LIMIT = 1 << 16
 
 
-def lm_exp(x, prec: int | None = None, mode: int | None = None) -> LogMag:
+def lm_exp(x, prec: int, mode: int) -> LogMag:
     """Directed e**x.  exp(0) is exactly one.
 
     The argument's binary exponent is capped (|x| < 2**65536): beyond that
     the ln 2 precision needed for sound range reduction gets impractical.
     """
-    prec, mode = _resolve(x, None, prec, mode)
     x = _coerce(x, prec, mode)
     if x.sign == 0:
         return LogMag.one(prec, mode)
@@ -771,7 +751,7 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     return _round(s, 1, q - wp, prec, direction)
 
 
-def lm_ln_two_pi(prec: int = DEFAULT_PRECISION, mode: int = UP) -> LogMag:
+def lm_ln_two_pi(prec: int, mode: int) -> LogMag:
     """Directed ln(2*pi)."""
     wp = prec + 48
     tp = _constant("two_pi", wp, mode)
@@ -787,14 +767,10 @@ def lm_max(*values: LogMag) -> LogMag:
     return best
 
 
-def lm_sum(values, prec: int | None = None, mode: int | None = None) -> LogMag:
-    values = list(values)
-    if not values:
-        if prec is None or mode is None:
-            raise TypeError("empty sum needs explicit precision and mode")
-        return LogMag.zero(prec, mode)
-    total = values[0]
-    for v in values[1:]:
+def lm_sum(values, prec: int, mode: int) -> LogMag:
+    """Directed sum, each partial sum rounded in mode; the empty sum is 0."""
+    total = LogMag.zero(prec, mode)
+    for v in values:
         total = lm_add(total, v, prec, mode)
     return total
 

@@ -518,7 +518,7 @@ def test_coefficient_limits_certify_a_height_above_the_bound():
                 near = float(floor)
             for u in (near - 1e-6, near + 1e-6, near / 2, 2 * near + 1, 0.0):
                 bound = LogMag.from_fraction(Fraction(u), 64, DOWN if u < near else UP)
-                limit = lm_exp(lm_mul(bound, d, mode=UP), mode=UP).to_fraction()
+                limit = lm_exp(lm_mul(bound, d, 64, UP), 64, UP).to_fraction()
                 exceeds = height_exceeds(g.coeffs, coefficient_limits(d, bound))
                 # exactly the test m > exp(d * bound) rounded up, which
                 # certifies a height above the bound, and prunes below ln(m)/d

@@ -500,7 +500,7 @@ def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, lo
 
 def test_entry_rejects_unknown_target():
     with pytest.raises(ValueError):
-        BoundEntry("x", "unknown", LogMag.zero(), False)
+        BoundEntry("x", "unknown", LogMag.zero(128, UP), False)
 
 
 @settings(max_examples=40, deadline=None)

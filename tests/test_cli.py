@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -457,3 +458,42 @@ def test_heights_garbage_exits_1(capsys):
     code, _, err = run(capsys, ["heights", "zebra"])
     assert code == 1
     assert err
+
+
+# ---------------------------------------------------------------------------
+# precision of printed values
+
+
+def _printed_logmags(doc):
+    """Every serialized LogMag (an object with a mantissa_hex) in doc."""
+    if isinstance(doc, dict) and "mantissa_hex" in doc:
+        yield doc
+    elif isinstance(doc, (dict, list)):
+        for item in doc.values() if isinstance(doc, dict) else doc:
+            yield from _printed_logmags(item)
+
+
+@pytest.mark.parametrize(
+    "argv, precision",
+    [(["analyze", "--curve", "y^2 = x^6 - x", "--precision", str(p)], p) for p in (64, 128, 2048)]
+    + [
+        (["heights", "3/4", "x^2-2", "x^5-x:2"], 128),
+        (["batch", str(Path(__file__).parent / "data" / "golden_batch.jsonl")], 128),
+    ],
+)
+def test_every_printed_value_has_the_requested_precision(capsys, argv, precision):
+    # the guard bits of the height enclosures stay inside the computation
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 3)
+    docs = [json.loads(line) for line in out.splitlines()] if argv[0] == "batch" else [json.loads(out)]
+    values = list(_printed_logmags(docs))
+    assert len(values) >= 8
+    assert {v["precision"] for v in values} == {precision}
+
+
+def test_exact_zero_height_is_rounded_both_ways(capsys):
+    code, out, _ = run(capsys, ["heights", "x^2+1:0"])
+    assert code == 0
+    height = json.loads(out)[0]["height"]
+    assert height["lower"]["decimal"] == height["upper"]["decimal"] == "0"
+    assert (height["lower"]["rounding"], height["upper"]["rounding"]) == ("down", "up")

@@ -31,7 +31,7 @@ from smallpoints.curve import (
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
 from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
 from test_algebraic import _chain_cross_ratio
-from test_golden import EXACT_TIES, fresh_interpreter
+from test_golden import EXACT_TIES, TIED_IRRATIONAL, fresh_interpreter
 
 
 def test_parse_rejects_low_degree():
@@ -509,7 +509,7 @@ def test_search_matches_ranking_on_resolved_values(curve):
 def _check_search_against_resolving(branch: list) -> int:
     """Assert that the search picks what the resolving search picks; returns
     how many triples tie the winner's upper bound."""
-    triple, lams, caveats = _normalization_search(branch, 128)
+    triple, lams, caveats = _normalization_search(branch)
     want_triple, want_lams, want_skipped, ties = _resolving_search(branch)
     assert triple == want_triple
     assert triple is None or triple[0] < triple[1]
@@ -580,7 +580,7 @@ def test_rational_triple_ignores_the_resultant_degree_cap():
     checked against the cross-ratio of the branch points' numeric roots."""
     f = parse_curve("y^2 = x*(x-1)*(x-2)*(x^9-2)*(x^2-3)")
     branch = branch_point_list(f, (f.degree() - 1) // 2)
-    triple, lams, caveats = _normalization_search(branch, 128)
+    triple, lams, caveats = _normalization_search(branch)
     assert triple is not None and len(lams) == len(branch) - 3
     assert not [c for c in caveats if "degree cap" in c]
 
@@ -655,7 +655,7 @@ def _check_search_against_exact_heights(branch: list) -> tuple[int, int]:
     heights = _exact_max_heights(points)
     least = min(heights.values())
     winners = [t for t in sorted(heights) if heights[t] == least]
-    triple, lams, _ = _normalization_search(branch, 128)
+    triple, lams, _ = _normalization_search(branch)
     assert heights[triple] == least
     assert triple == winners[0]
     assert [(z, lam.as_fraction()) for z, lam in lams] == [
@@ -688,6 +688,26 @@ def test_exact_ties_go_to_the_first_triple(curve, triple, least):
     assert analyze_curve(curve).normalization.triple == triple
 
 
+@pytest.mark.parametrize("curve", TIED_IRRATIONAL)
+def test_tied_irrational_curves_go_to_the_first_triple(curve):
+    # several triples attain the least largest height exactly, and the
+    # search's 64-bit upper bounds tie with no rounding noise to break it
+    nz = analyze_curve(curve).normalization
+    assert nz.triple == (0, 1, 2)
+    assert [h.to_decimal_string() for h in nz.h_max] == ["2.40605912529801723748879e-1"] * 2
+
+
+def test_rational_rank_separates_consecutive_heights():
+    # at 64 bits H and H + 1 first share an upper bound near 2^59; the
+    # rank switches to H's bit length plus 16 bits at 2^48
+    def upper(H):
+        return weil_height(Poly([-1, H]), _rational_rank_bits(H))[1]
+
+    for e in [*range(40, 71), 100, 200]:
+        for H in (2**e - 1, 2**e, 2**e + 1):
+            assert upper(H) < upper(H + 1), H
+
+
 def test_search_prunes_exact_heights(monkeypatch):
     f = parse_curve("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)")
     branch = branch_point_list(f, (f.degree() - 1) // 2)
@@ -700,7 +720,7 @@ def test_search_prunes_exact_heights(monkeypatch):
         return weil_height(alpha, precision)
 
     monkeypatch.setattr(curve_mod, "weil_height", counting_height)
-    triple, _, _ = _normalization_search(branch, 128)
+    triple, _, _ = _normalization_search(branch)
     monkeypatch.undo()
     assert triple == _resolving_search(branch)[0]
     # fewer than an exhaustive ranking needs, and fewer than one per
@@ -724,7 +744,7 @@ def test_search_resolves_only_the_winning_values(monkeypatch):
         f = parse_curve(text)
         branch = branch_point_list(f, (f.degree() - 1) // 2)
         monkeypatch.setattr(algebraic_mod, "_resolve_among", counting)
-        triple, lams, _ = _normalization_search(branch, 128)
+        triple, lams, _ = _normalization_search(branch)
         monkeypatch.undo()
         assert len(resolves) == sum(not lam.is_rational for _, lam in lams) > 0
         resolves.clear()

@@ -79,6 +79,11 @@ EXACT_TIES = [
     " + 1145767*x^2 + 9300102*x - 2268945",
 ]
 
+# fewer than three rational branch points, with exact ties among the
+# triples: the 64-bit upper bounds of the search tie, so the first
+# triple, (0, 1, 2), is the normalization
+TIED_IRRATIONAL = ["y^2 = x^5 - 1", "y^2 = x^6 - x"]
+
 ANALYZE = [
     ["analyze", "--curve", X5X],
     ["analyze", "--curve", X5X, "--abc", "2,2", "--zograf", "--format", "tsv"],
@@ -90,7 +95,7 @@ ANALYZE = [
     # curves with denominators, which parse_curve clears to an integral model
     ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
     ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
-] + [["analyze", "--curve", c] for c in EXACT_TIES]
+] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once

@@ -19,7 +19,6 @@ from oracles import (
     trial_division_factor,
 )
 from smallpoints.numeric import (
-    DEFAULT_PRECISION,
     DOWN,
     UP,
     LogMag,
@@ -128,7 +127,7 @@ def test_from_int_exact_roundtrip():
 def test_from_fraction_dyadic_exact():
     x = LogMag.from_fraction(Fraction(3, 8), prec=64, mode=DOWN)
     assert x.to_fraction() == Fraction(3, 8)
-    assert LogMag.zero().is_zero()
+    assert LogMag.zero(128, UP).is_zero()
     assert LogMag.one(96, DOWN).to_fraction() == 1
 
 
@@ -141,20 +140,20 @@ def test_directed_construction_is_strict_for_non_dyadic():
 
 
 def test_immutable():
-    x = LogMag.from_int(3)
+    x = LogMag.from_int(3, 128, UP)
     with pytest.raises(AttributeError):
         x.man = 5
 
 
 def test_comparisons():
-    a = LogMag.from_int(5)
+    a = LogMag.from_int(5, 128, UP)
     assert a == 5
     assert a == Fraction(5)
     assert a < 6 and a > 4
     assert a <= Fraction(11, 2)
-    big = lm_pow(LogMag.from_int(2), 2000, mode=UP)
+    big = lm_pow(LogMag.from_int(2, 128, UP), 2000, 128, UP)
     assert big == 2**2000
-    assert lm_pow(LogMag.from_int(2), 2001, mode=UP) > big
+    assert lm_pow(LogMag.from_int(2, 128, UP), 2001, 128, UP) > big
     with pytest.raises(TypeError):
         a < "5"
 
@@ -164,16 +163,6 @@ def test_negation_flips_sign_and_mode():
     y = -x
     assert y.sign == -1 and y.mode == DOWN
     assert y.to_fraction() == -x.to_fraction()
-
-
-def test_mode_resolution():
-    u = LogMag.from_int(3, mode=UP)
-    d = LogMag.from_int(5, mode=DOWN)
-    assert lm_add(u, d).mode == UP
-    assert lm_add(d, u).mode == DOWN
-    assert lm_add(u, d, mode=DOWN).mode == DOWN
-    with pytest.raises(TypeError):
-        lm_add(Fraction(1), Fraction(2))  # no mode anywhere
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +227,12 @@ def test_ops_directed_on_stored_values(a, b, mode):
     y = LogMag.from_fraction(b, prec=64, mode=-mode)
     xf, yf = x.to_fraction(), y.to_fraction()
     opscale = max(abs(xf), abs(yf))
-    _check_directed(lm_add(x, y, mode=mode), xf + yf, mode, scale=opscale)
-    _check_directed(lm_sub(x, y, mode=mode), xf - yf, mode, scale=opscale)
-    _check_directed(lm_mul(x, y, mode=mode), xf * yf, mode)
+    _check_directed(lm_add(x, y, 64, mode), xf + yf, mode, scale=opscale)
+    _check_directed(lm_sub(x, y, 64, mode), xf - yf, mode, scale=opscale)
+    _check_directed(lm_mul(x, y, 64, mode), xf * yf, mode)
     if y.sign != 0:
-        _check_directed(lm_div(x, y, mode=mode), xf / yf, mode)
-    _check_directed(lm_pow(x, 3, mode=mode), xf**3, mode, slack=32)
+        _check_directed(lm_div(x, y, 64, mode), xf / yf, mode)
+    _check_directed(lm_pow(x, 3, 64, mode), xf**3, mode, slack=32)
 
 
 # ---------------------------------------------------------------------------
@@ -319,36 +308,34 @@ def _exact_value(x) -> Fraction:
 
 
 @settings(max_examples=400)
-@given(a=_operands, b=_operands, prec=st.one_of(st.none(), _precs), mode=_modes)
+@given(a=_operands, b=_operands, prec=_precs, mode=_modes)
 @example(
     a=LogMag(1, 3 << 14, 0, 16, UP),
     b=LogMag(1, (1 << 299) + 12345, 0, 300, UP),
-    prec=None,
+    prec=16,
     mode=UP,
 )
 def test_mul_div_round_exact_value_once(a, b, prec, mode):
     """lm_mul and lm_div on any LogMag/int/Fraction pair, LogMags of mixed
     precisions included, equal the exact result rounded once at the
-    resolved precision."""
-    precs = [x.prec for x in (a, b) if isinstance(x, LogMag)] + ([prec] if prec else [])
-    want_prec = max(precs, default=DEFAULT_PRECISION)
+    requested precision."""
     xa, xb = _exact_value(a), _exact_value(b)
     got = lm_mul(a, b, prec=prec, mode=mode)
-    assert (got.mode, got.prec) == (mode, want_prec)
-    assert got.to_fraction() == _grid_round(xa * xb, want_prec, mode)
+    assert (got.mode, got.prec) == (mode, prec)
+    assert got.to_fraction() == _grid_round(xa * xb, prec, mode)
     if xb == 0:
         with pytest.raises(ZeroDivisionError):
             lm_div(a, b, prec=prec, mode=mode)
         return
     got = lm_div(a, b, prec=prec, mode=mode)
-    assert (got.mode, got.prec) == (mode, want_prec)
-    assert got.to_fraction() == _grid_round(xa / xb, want_prec, mode)
+    assert (got.mode, got.prec) == (mode, prec)
+    assert got.to_fraction() == _grid_round(xa / xb, prec, mode)
 
 
 @settings(max_examples=400)
 @given(
-    a=st.one_of(_logmags(st.sampled_from([8, 16, 53, 64, 128, 300])), st.just(LogMag.zero())),
-    b=st.one_of(_operands, st.just(LogMag.zero(mode=DOWN))),
+    a=st.one_of(_logmags(st.sampled_from([8, 16, 53, 64, 128, 300])), st.just(LogMag.zero(128, UP))),
+    b=st.one_of(_operands, st.just(LogMag.zero(128, DOWN))),
     prec=_precs,
 )
 def test_cmp_matches_fraction_reference(a, b, prec):
@@ -421,9 +408,9 @@ def test_mixed_sign_regressions():
     # rounding the operands toward the result direction would be unsound here
     r = lm_sub(0, Fraction(1, 3), prec=128, mode=UP)
     assert r.to_fraction() >= Fraction(-1, 3)
-    r = lm_mul(LogMag.from_int(-1, mode=UP), Fraction(1, 3))
+    r = lm_mul(LogMag.from_int(-1, 128, UP), Fraction(1, 3), 128, UP)
     assert r.to_fraction() >= Fraction(-1, 3)
-    r = lm_div(LogMag.from_int(1, mode=DOWN), Fraction(-3))
+    r = lm_div(LogMag.from_int(1, 128, DOWN), Fraction(-3), 128, DOWN)
     assert r.to_fraction() <= Fraction(-1, 3)
     r = lm_pow(Fraction(-3, 7), 2, prec=64, mode=UP)
     assert r.to_fraction() >= Fraction(9, 49)
@@ -432,27 +419,27 @@ def test_mixed_sign_regressions():
 
 
 def test_add_with_far_apart_exponents():
-    big = lm_pow(LogMag.from_int(2, mode=UP), 10**6)
+    big = lm_pow(LogMag.from_int(2, 128, UP), 10**6, 128, UP)
     tiny = Fraction(1, 3)
-    up = lm_add(big, tiny, mode=UP)
+    up = lm_add(big, tiny, 128, UP)
     assert up >= 2 ** (10**6)  # exact comparison despite the huge exponent
-    dn = lm_sub(lm_pow(LogMag.from_int(2, mode=DOWN), 10**6), tiny, mode=DOWN)
+    dn = lm_sub(lm_pow(LogMag.from_int(2, 128, DOWN), 10**6, 128, DOWN), tiny, 128, DOWN)
     assert dn <= 2 ** (10**6)
 
 
 def test_zero_arithmetic():
-    z = LogMag.zero(mode=UP)
-    x = LogMag.from_int(7)
-    assert lm_add(z, x) == 7
-    assert lm_mul(z, x).is_zero()
+    z = LogMag.zero(128, UP)
+    x = LogMag.from_int(7, 128, UP)
+    assert lm_add(z, x, 128, UP) == 7
+    assert lm_mul(z, x, 128, UP).is_zero()
     with pytest.raises(ZeroDivisionError):
-        lm_div(x, z)
+        lm_div(x, z, 128, UP)
     with pytest.raises(ZeroDivisionError):
-        lm_div(x, 0)
+        lm_div(x, 0, 128, UP)
     with pytest.raises(ValueError):
-        lm_pow(z, 0)
+        lm_pow(z, 0, 128, UP)
     with pytest.raises(ZeroDivisionError):
-        lm_pow(z, -2)
+        lm_pow(z, -2, 128, UP)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +483,7 @@ def test_ln_kernel_brackets_mpmath_across_precisions():
 
 def test_log_of_one_is_exact_zero():
     assert lm_log(1, prec=64, mode=UP).is_zero()
-    assert lm_log(LogMag.one(128, DOWN), mode=DOWN).is_zero()
+    assert lm_log(LogMag.one(128, DOWN), 128, DOWN).is_zero()
     with pytest.raises(ValueError):
         lm_log(0, prec=64, mode=UP)
     with pytest.raises(ValueError):
@@ -512,19 +499,19 @@ def test_exp_brackets_oracle():
 
 def test_exp_of_zero_is_exact_one():
     assert lm_exp(0, prec=64, mode=DOWN) == 1
-    assert lm_exp(LogMag.zero(), prec=64, mode=UP) == 1
+    assert lm_exp(LogMag.zero(128, UP), prec=64, mode=UP) == 1
 
 
 def test_exp_log_round_trip_encloses():
     for v in (Fraction(17, 5), 3, Fraction(1, 7)):
-        lo = lm_exp(lm_log(v, prec=160, mode=DOWN), mode=DOWN)
-        hi = lm_exp(lm_log(v, prec=160, mode=UP), mode=UP)
+        lo = lm_exp(lm_log(v, prec=160, mode=DOWN), 160, DOWN)
+        hi = lm_exp(lm_log(v, prec=160, mode=UP), 160, UP)
         assert lo.to_fraction() <= v <= hi.to_fraction()
 
 
 def test_exp_argument_cap():
     with pytest.raises(OverflowError):
-        lm_exp(lm_pow(LogMag.from_int(2, mode=UP), 2**17), mode=UP)
+        lm_exp(lm_pow(LogMag.from_int(2, 128, UP), 2**17, 128, UP), 128, UP)
 
 
 def test_constants_bracket_oracles():
@@ -546,7 +533,7 @@ def test_constants_bracket_oracles():
 def test_pow_exact_dyadic_cases():
     for mode in (UP, DOWN):
         assert lm_pow(2, 34, prec=64, mode=mode) == 17179869184
-        assert lm_pow(LogMag.from_int(3, mode=mode), 5) == 243
+        assert lm_pow(LogMag.from_int(3, 128, mode), 5, 128, mode) == 243
         assert lm_pow(Fraction(1, 2), 10, prec=64, mode=mode) == Fraction(1, 1024)
 
 
@@ -599,9 +586,9 @@ def test_coarse_up_dominates_fine_up():
 
 
 def test_max_and_sum():
-    xs = [LogMag.from_int(n, mode=UP) for n in (3, -5, 7, 2)]
+    xs = [LogMag.from_int(n, 128, UP) for n in (3, -5, 7, 2)]
     assert lm_max(*xs) == 7
-    assert lm_sum(xs) == 7
+    assert lm_sum(xs, 128, UP) == 7
     assert lm_sum([], prec=64, mode=UP).is_zero()
     with pytest.raises(TypeError):
         lm_sum([])
@@ -643,8 +630,8 @@ def test_decimal_string_accuracy():
     assert s.startswith("-1.0000") and s.endswith("e-6")
     assert abs(_parsed(s) / z.to_fraction() - 1) < Fraction(1, 10**21)
 
-    assert LogMag.zero().to_decimal_string() == "0"
-    one = LogMag.one()
+    assert LogMag.zero(128, UP).to_decimal_string() == "0"
+    one = LogMag.one(128, UP)
     assert _parsed(one.to_decimal_string(30)) == 1
 
 
@@ -655,11 +642,11 @@ def test_decimal_string_more_digits():
 
 
 def test_log10_float():
-    assert abs(LogMag.from_int(1000).log10_float() - 3.0) < 1e-12
+    assert abs(LogMag.from_int(1000, 128, UP).log10_float() - 3.0) < 1e-12
     x = lm_pow(10, 100, prec=512, mode=UP)
     assert abs(x.log10_float() - 100.0) < 1e-9
     with pytest.raises(ValueError):
-        LogMag.zero().log10_float()
+        LogMag.zero(128, UP).log10_float()
 
 
 def test_to_fraction_refuses_gigantic_exponents():
@@ -672,7 +659,7 @@ def test_hash_agrees_with_eq():
     a = LogMag(1, 1 << 63, 5, 64, UP)
     b = LogMag(1, 1 << 299, 5, 300, DOWN)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert LogMag.from_int(16) == 16 and hash(LogMag.from_int(16)) == hash(16)
+    assert LogMag.from_int(16, 128, UP) == 16 and hash(LogMag.from_int(16, 128, UP)) == hash(16)
     for num in range(-40, 41):
         for e in range(-12, 13):
             value = Fraction(num) * Fraction(2) ** e
