@@ -5,9 +5,10 @@ integer coefficients, positive leading coefficient) together with the index
 of its root in a canonical ordering.  The ordering is fixed by one
 certified isolation at _CANONICAL_PRECISION, and every box at a finer
 precision is refined from that canonical box.  Root boxes and heights are
-cached as pure functions of (minimal polynomial, precision), so equal
-values always canonicalize to the same (minpoly, index) pair, equality is
-a tuple comparison, and no result depends on what was computed before.
+cached, in tables of bounded size, as pure functions of (minimal
+polynomial, precision), so equal values always canonicalize to the same
+(minpoly, index) pair, equality is a tuple comparison, and no result
+depends on what was computed before or on what a table evicted.
 
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
 polynomial and stay exact; an operation with one rational operand is one
@@ -17,7 +18,10 @@ products) of conjugates is built from Newton power sums and factored, and
 one resolve, a box membership search, picks the right irreducible factor
 and root.  The search refines operand boxes until exactly one candidate
 root remains; it terminates because distinct algebraic numbers eventually
-separate.
+separate.  A resolve, including that of a Mobius image, computes its
+enclosures on integer fixed-point boxes (intervals.fx_*) with outward
+rounding: any enclosure that leaves one candidate names the true one, so
+the rounding can cost a precision doubling but never changes a result.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
 measure, with an exact zero for roots of unity.  A height or an S-unit
@@ -41,7 +45,21 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .intervals import Box, poly_eval_box
+# poly_eval_box stays importable here: the traced benchmark
+# (perfbench/layers.py) wraps it under this module's name
+from .intervals import (
+    Box,
+    fx_add,
+    fx_affine,
+    fx_box,
+    fx_contains_zero,
+    fx_horner,
+    fx_intersects,
+    fx_inverse,
+    fx_mul,
+    fx_sub,
+    poly_eval_box,  # noqa: F401
+)
 from .numeric import (
     DEFAULT_PRECISION,
     DOWN,
@@ -61,6 +79,14 @@ RESULTANT_DEGREE_CAP = 64
 
 _CANONICAL_PRECISION = 32
 _MAX_RESOLVE_PRECISION = 1 << 16
+# a resolve at precision p works on fixed-point boxes with p + _GUARD_BITS
+# fractional bits, the grid refined root boxes are snapped to
+_GUARD_BITS = 16
+# entries each of the tables _roots_of, _op_factors and _height keeps: far
+# more than a benchmark round fills, yet a long batch cannot grow them
+# without limit.  An entry is a pure function of its key, so an eviction
+# never changes output.
+_TABLE_CACHE_SIZE = 4096
 
 
 class DegreeCapExceeded(Exception):
@@ -83,7 +109,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _roots_of(coeffs: tuple, precision: int) -> tuple[Box, ...]:
     """Root boxes of the irreducible polynomial with these coefficients, of
     degree at least 2, in canonical order and at exactly this precision.
@@ -144,6 +170,10 @@ class AlgebraicNumber:
         """The enclosure at exactly this precision; a point if rational."""
         return _boxes(self.minpoly.coeffs, precision)[self.index]
 
+    def _fixed_box(self, p: int):
+        """refined_box(p) as a fixed-point box with p + _GUARD_BITS bits."""
+        return fx_box(self.refined_box(p), p + _GUARD_BITS)
+
     def sort_key(self):
         return (self.minpoly.degree(), self.minpoly.coeffs, self.index)
 
@@ -184,17 +214,14 @@ class AlgebraicNumber:
             return AlgebraicNumber.from_rational((a * r + b) / den)
         # for c != 0 the leading coefficient is (-c)^n f(-d/c) != 0 because
         # f is irreducible of degree >= 2, so the degree never drops
+        a, b, c, d = _integer_matrix(a, b, c, d)
         P = mobius_minpoly(self, a, b, c, d)
 
-        def box_fn(p: int) -> Box | None:
-            B = self.refined_box(p)
-            num = B * a + b
-            if c == 0:
-                return num * (1 / d)
-            den = B * c + d
-            if den.contains_zero():
-                return None
-            return num * den.inverse()
+        def box_fn(p: int):
+            w = p + _GUARD_BITS
+            x = self._fixed_box(p)
+            den = fx_inverse(fx_affine(x, c, d, w), w)
+            return None if den is None else fx_mul(fx_affine(x, a, b, w), den, w)
 
         return _resolve_among((P,), box_fn)
 
@@ -272,20 +299,22 @@ def ensure_algebraic(x) -> AlgebraicNumber:
 
 def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     """Pick the unique (factor, root) pair compatible with ever sharper
-    enclosures of the value.  box_fn(p) returns a box certain to contain
-    the value, or None when p is still too coarse to build one."""
+    enclosures of the value.  box_fn(p) returns a fixed-point box with
+    p + _GUARD_BITS fractional bits certain to contain the value, or None
+    when p is still too coarse to build one.  The true pair always
+    qualifies, so any enclosure that leaves one pair gives that pair, and a
+    looser one can only cost another doubling of p."""
     p = _CANONICAL_PRECISION
     while p <= _MAX_RESOLVE_PRECISION:
         probe = box_fn(p)
         if probe is not None:
-            live = [
-                h for h in factors if poly_eval_box(h.coeffs, probe).contains_zero()
-            ]
+            w = p + _GUARD_BITS
+            live = [h for h in factors if fx_contains_zero(fx_horner(h.coeffs, probe, w))]
             hits = [
                 (h, i)
                 for h in live
                 for i, rb in enumerate(_boxes(h.coeffs, p))
-                if rb.intersects(probe)
+                if fx_intersects(fx_box(rb, w), probe)
             ]
             if len(hits) == 1:
                 return AlgebraicNumber(*hits[0])
@@ -293,15 +322,20 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     raise RuntimeError("could not resolve which root the value is")
 
 
+def _integer_matrix(a, b, c, d) -> tuple[int, int, int, int]:
+    """A rational Mobius matrix scaled to integers, the same map."""
+    if all(type(t) is int for t in (a, b, c, d)):
+        return a, b, c, d
+    den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
+    return tuple(int(Fraction(t) * den) for t in (a, b, c, d))
+
+
 def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
     """Primitive part of sum f_i (dx - b)^i (a - cx)^(n-i), whose roots are
     the images (ax + b)/(cx + d) of the roots of the integer polynomial f
     with these coefficients: one homogeneous Horner pass over the integer
     coefficients, with a, b, c, d scaled to integers first."""
-    # the search's matrices are integers and skip the Fraction scaling
-    if not all(type(t) is int for t in (a, b, c, d)):
-        den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
-        a, b, c, d = (int(Fraction(t) * den) for t in (a, b, c, d))
+    a, b, c, d = _integer_matrix(a, b, c, d)
     acc, vpow = [coeffs[-1]], [1]
     for fi in reversed(coeffs[:-1]):
         # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
@@ -351,7 +385,7 @@ def _from_power_sums(P: list[int]) -> list[int]:
     return C
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]:
     """Irreducible factors of the degree m*n polynomial whose roots, with
     multiplicity, are all sums (or products) of a root of f and a root of g.
@@ -375,10 +409,6 @@ def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]
     return tuple(factor_over_z(H))
 
 
-# the value's enclosure from its operands' boxes; None until 1/y is bounded
-_BOX_OPS = dict(_OPS, div=lambda x, y: None if y.contains_zero() else x * y.inverse())
-
-
 def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumber:
     """a op b for two irrationals.  A difference is the sum with -b and a
     quotient the product with 1/b; their minimal polynomials are Mobius
@@ -395,8 +425,23 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
         g = _mobius_image(g.coeffs, 0, 1, 1, 0)
     resultant_kind = "add" if kind in ("add", "sub") else "mul"
     factors = _op_factors(a.minpoly.coeffs, g.coeffs, resultant_kind)
-    op = _BOX_OPS[kind]
-    return _resolve_among(factors, lambda p: op(a.refined_box(p), b.refined_box(p)))
+
+    def box_fn(p: int):
+        # the value's enclosure from its operands' boxes; None until 1/y
+        # is bounded
+        w = p + _GUARD_BITS
+        x, y = a._fixed_box(p), b._fixed_box(p)
+        if kind == "add":
+            return fx_add(x, y)
+        if kind == "sub":
+            return fx_sub(x, y)
+        if kind == "div":
+            y = fx_inverse(y, w)
+            if y is None:
+                return None
+        return fx_mul(x, y, w)
+
+    return _resolve_among(factors, box_fn)
 
 
 def algebraic_roots(f: Poly) -> list[AlgebraicNumber]:
@@ -554,7 +599,7 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
     return _height(_minpoly(alpha).coeffs, precision)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     """weil_height of a root of the minimal polynomial with these
     coefficients.  The logarithms and their sums carry 16 guard bits, and

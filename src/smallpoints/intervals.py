@@ -11,6 +11,11 @@ brought over one common denominator, so every intermediate endpoint is an
 integer over a known power of it and no gcd is paid at each step.  Only
 the final endpoints become Fractions, with exactly the values that Box and
 Interval arithmetic would give.
+
+The fx_* functions are a second kernel, on fixed-point boxes of four ints
+over a power of two: rounded outward at every step, so rigorous but not
+exact, and much cheaper.  Resolves use it; root isolation, whose boxes are
+printed, keeps the exact one.
 """
 
 from __future__ import annotations
@@ -236,23 +241,15 @@ class Box:
         return Box(-self.re, -self.im)
 
     def _wrap(self, other) -> "Box":
-        if isinstance(other, Box):
-            return other
-        if isinstance(other, tuple):
-            return Box.point(other[0], other[1])
-        return Box.point(_fr(other))
+        """other, a Box or an exact complex point (re, im), as a Box."""
+        return Box.point(*other) if isinstance(other, tuple) else other
 
     def __add__(self, other):
         o = self._wrap(other)
         return Box(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -260,15 +257,6 @@ class Box:
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Box":
-        """Enclosure of 1/z; the box must exclude the origin."""
-        d = self.abs_sq()
-        if d.lo <= 0:
-            raise ZeroDivisionError("inverse of a box containing zero")
-        return Box(self.re / d, -self.im / d)
 
     # -- structure
 
@@ -338,3 +326,123 @@ def poly_eval_point(coeffs, z) -> tuple[Fraction, Fraction]:
 def poly_eval_interval(coeffs, iv: Interval) -> Interval:
     a, b, _, _ = _horner(coeffs, iv.lo, iv.hi, 0, 0)
     return Interval(a, b)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point boxes
+#
+# Two evaluators on purpose.  Root isolation and refinement need the exact
+# Box arithmetic above, because their boxes are printed and fix the
+# canonical order of the roots.  A resolve (algebraic._resolve_among) only
+# needs some enclosure of a value, so it runs on fixed-point boxes: four
+# ints (re_lo, re_hi, im_lo, im_hi) standing for the box
+# [re_lo, re_hi] / 2**w + [im_lo, im_hi] / 2**w i.  Every rounding step
+# moves a lower end down (>> s) and an upper end up (-((-x) >> s)), so each
+# result encloses the exact one (Rump, "Verification methods", Acta
+# Numerica 19, 2010) at the cost of integer arithmetic, with no gcd.
+
+
+def fx_box(box: Box, w: int) -> tuple[int, int, int, int]:
+    """The least fixed-point box at w fractional bits that holds box;
+    exact when the endpoints of box lie on the 2**-w grid."""
+    scale = 1 << w
+    return (
+        _floor_scaled(box.re.lo, scale),
+        _ceil_scaled(box.re.hi, scale),
+        _floor_scaled(box.im.lo, scale),
+        _ceil_scaled(box.im.hi, scale),
+    )
+
+
+def fx_affine(x, k: int, n: int, w: int) -> tuple[int, int, int, int]:
+    """k * x + n for integers k and n, exactly."""
+    a, b, u, v = x
+    n <<= w
+    if k >= 0:
+        return k * a + n, k * b + n, k * u, k * v
+    return k * b + n, k * a + n, k * v, k * u
+
+
+def fx_add(x, y) -> tuple[int, int, int, int]:
+    return x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
+
+
+def fx_sub(x, y) -> tuple[int, int, int, int]:
+    return x[0] - y[1], x[1] - y[0], x[2] - y[3], x[3] - y[2]
+
+
+def fx_mul(x, y, w: int) -> tuple[int, int, int, int]:
+    """x * y at w fractional bits: each interval product is the min and max
+    of its four endpoint products, exact over 2**(2w), then rounded
+    outward to 2**-w."""
+    a, b, u, v = x
+    c, d, s, t = y
+    p = (a * c, a * d, b * c, b * d)  # re * re
+    q = (u * s, u * t, v * s, v * t)  # im * im
+    r = (a * s, a * t, b * s, b * t)  # re * im
+    m = (u * c, u * d, v * c, v * d)  # im * re
+    return (
+        (min(p) - max(q)) >> w,
+        -((min(q) - max(p)) >> w),
+        (min(r) + min(m)) >> w,
+        -((-max(r) - max(m)) >> w),
+    )
+
+
+def _sq_lo(lo: int, hi: int) -> int:
+    """The least square on [lo, hi]."""
+    if lo <= 0 <= hi:
+        return 0
+    return min(lo * lo, hi * hi)
+
+
+def fx_inverse(y, w: int) -> tuple[int, int, int, int] | None:
+    """1/y = conj(y) / |y|**2 at w fractional bits, or None when y holds 0.
+    |y|**2 is kept exact over 2**(2w), and only the quotients round."""
+    a, b, u, v = y
+    d_lo = _sq_lo(a, b) + _sq_lo(u, v)
+    if d_lo == 0:
+        return None
+    d_hi = max(a * a, b * b) + max(u * u, v * v)
+    s = 2 * w
+    # an end e over 2**w divided by d over 2**(2w) is (e << 2w) / d over 2**w
+    return (
+        (a << s) // (d_hi if a >= 0 else d_lo),
+        -((-b << s) // (d_lo if b >= 0 else d_hi)),
+        (-v << s) // (d_lo if v > 0 else d_hi),
+        -((u << s) // (d_hi if u > 0 else d_lo)),
+    )
+
+
+def fx_horner(coeffs, z, w: int) -> tuple[int, int, int, int]:
+    """Horner evaluation of a polynomial (integer coefficients low to high)
+    on the fixed-point box z, rounded outward at every step."""
+    xa, xb, ya, yb = z
+    a = b = coeffs[-1] << w  # the accumulator [a, b] + [u, v]i
+    u = v = 0
+    real = not (ya or yb)
+    for c in coeffs[-2::-1]:
+        t = c << w
+        p = (a * xa, a * xb, b * xa, b * xb)  # re * re
+        if real:
+            # on the real line the imaginary part stays [0, 0]
+            a, b = (min(p) >> w) + t, t - ((-max(p)) >> w)
+            continue
+        q = (u * ya, u * yb, v * ya, v * yb)  # im * im
+        r = (a * ya, a * yb, b * ya, b * yb)  # re * im
+        s = (u * xa, u * xb, v * xa, v * xb)  # im * re
+        a, b, u, v = (
+            ((min(p) - max(q)) >> w) + t,
+            t - ((min(q) - max(p)) >> w),
+            (min(r) + min(s)) >> w,
+            -((-max(r) - max(s)) >> w),
+        )
+    return a, b, u, v
+
+
+def fx_contains_zero(x) -> bool:
+    return x[0] <= 0 <= x[1] and x[2] <= 0 <= x[3]
+
+
+def fx_intersects(x, y) -> bool:
+    return x[0] <= y[1] and y[0] <= x[1] and x[2] <= y[3] and y[2] <= x[3]

@@ -28,6 +28,7 @@ from smallpoints.algebraic import (
     mobius_minpoly,
     weil_height,
 )
+from smallpoints.cli import main
 from smallpoints.intervals import Box
 from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
 from smallpoints.polynomial import Poly, factor_over_z, parse_poly
@@ -298,6 +299,39 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     assert box.is_point() and box.intersects(Box.point(Fraction(-3, 5)))
     weil_height(Fraction(22, 7), 80)
     assert degrees and min(degrees) >= 2
+
+
+_TABLES = (alg._roots_of, alg._op_factors, alg._height)
+
+
+def test_tables_are_bounded():
+    for table in _TABLES:
+        assert table.cache_info().maxsize == alg._TABLE_CACHE_SIZE
+    # a stream of more distinct keys than a table holds; linear minimal
+    # polynomials keep each entry cheap
+    for k in range(1, alg._TABLE_CACHE_SIZE + 9):
+        alg._op_factors((-k, 1), (-1, 1), "add")
+        alg._height((-k, 1), 16)
+    try:
+        for table in (alg._op_factors, alg._height):
+            info = table.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+    finally:
+        for table in _TABLES:
+            table.cache_clear()
+
+
+def test_analyze_output_survives_clearing_every_table(capsys):
+    def report(curve):
+        assert main(["analyze", "--curve", curve]) == 0
+        return capsys.readouterr().out
+
+    hard = ["y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
+    warm = [report(c) for c in hard]
+    for table in _TABLES + (alg._difference,):
+        table.cache_clear()
+    assert [report(c) for c in reversed(hard)] == warm[::-1]
+    assert all(table.cache_info().currsize for table in _TABLES)
 
 
 def test_degree_cap():

@@ -84,6 +84,15 @@ EXACT_TIES = [
 # triple, (0, 1, 2), is the normalization
 TIED_IRRATIONAL = ["y^2 = x^5 - 1", "y^2 = x^6 - x"]
 
+# the other curves of the hard_repeat benchmark workload, so that every one
+# of them is pinned here; x^6 + 1 has no real root
+HARD = [
+    "y^2 = x^5 - 4*x^3 + 3*x",
+    "y^2 = x^6 - 7*x^4 + 6*x^2 - 1",
+    "y^2 = x^6 - 1",
+    "y^2 = x^6 + 1",
+]
+
 ANALYZE = [
     ["analyze", "--curve", X5X],
     ["analyze", "--curve", X5X, "--abc", "2,2", "--zograf", "--format", "tsv"],
@@ -95,7 +104,7 @@ ANALYZE = [
     # curves with denominators, which parse_curve clears to an integral model
     ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
     ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
-] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL]
+] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL + HARD]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once

@@ -11,6 +11,15 @@ from smallpoints.intervals import (
     cinv,
     cmul,
     csub,
+    fx_add,
+    fx_affine,
+    fx_box,
+    fx_contains_zero,
+    fx_horner,
+    fx_intersects,
+    fx_inverse,
+    fx_mul,
+    fx_sub,
     poly_eval_box,
     poly_eval_interval,
     poly_eval_point,
@@ -238,12 +247,106 @@ def test_intersect():
     assert ba.intersect(Box(Interval(5, 6), Interval(0, 1))) is None
 
 
-def test_box_inverse():
-    b = Box(Interval(1, 2), Interval(Fraction(-1, 2), Fraction(1, 2)))
-    inv = b.inverse()
-    for re in (Fraction(1), Fraction(2), Fraction(3, 2)):
-        for im in (Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
-            d = re * re + im * im
-            assert inv.intersects(Box.point(re / d, -im / d))
-    with pytest.raises(ZeroDivisionError):
-        Box(Interval(-1, 1), Interval(-1, 1)).inverse()
+# ---------------------------------------------------------------------------
+# fixed-point boxes
+
+
+@st.composite
+def _fx_side(draw, w):
+    """Ends (lo, hi) of one side at w fractional bits, and an exact point
+    between them: a wide side, one that straddles zero, or one within a few
+    units of 2**-w of zero."""
+    kind = draw(st.sampled_from(["wide", "straddle", "tiny"]))
+    if kind == "tiny":
+        lo = draw(st.integers(-3, 3))
+        hi = lo + draw(st.integers(0, 3))
+    elif kind == "straddle":
+        lo = -draw(st.integers(0, 1 << (w + 4)))
+        hi = draw(st.integers(0, 1 << (w + 4)))
+    else:
+        lo = draw(st.integers(-(1 << (w + 8)), 1 << (w + 8)))
+        hi = lo + draw(st.integers(0, 1 << (w + 2)))
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=64))
+    return (lo, hi), Fraction(lo, 1 << w) + Fraction(hi - lo, 1 << w) * t
+
+
+@st.composite
+def _fx_boxes(draw, count=2):
+    """w and count fixed-point boxes at w fractional bits, each with an
+    exact complex point inside it."""
+    w = draw(st.integers(0, 80))
+    out = []
+    for _ in range(count):
+        (a, b), x = draw(_fx_side(w))
+        (u, v), y = draw(_fx_side(w))
+        out.append(((a, b, u, v), (x, y)))
+    return w, out
+
+
+def _holds(box, z, w) -> bool:
+    return (Fraction(box[0], 1 << w) <= z[0] <= Fraction(box[1], 1 << w)
+            and Fraction(box[2], 1 << w) <= z[1] <= Fraction(box[3], 1 << w))
+
+
+def _as_box(x, w) -> Box:
+    s = 1 << w
+    return Box(Interval(Fraction(x[0], s), Fraction(x[1], s)),
+               Interval(Fraction(x[2], s), Fraction(x[3], s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_fx_boxes(), k=st.integers(-50, 50), n=st.integers(-50, 50))
+def test_fixed_point_arithmetic_encloses_exact_values(data, k, n):
+    w, ((x, u), (y, v)) = data
+    assert _holds(x, u, w) and _holds(y, v, w)
+    assert _holds(fx_add(x, y), (u[0] + v[0], u[1] + v[1]), w)
+    assert _holds(fx_sub(x, y), csub(u, v), w)
+    assert _holds(fx_mul(x, y, w), cmul(u, v), w)
+    assert _holds(fx_affine(x, k, n, w), (k * u[0] + n, k * u[1]), w)
+    inv = fx_inverse(y, w)
+    if inv is None:
+        assert fx_contains_zero(y)
+    else:
+        assert not fx_contains_zero(y)
+        assert _holds(inv, cinv(v), w)
+    assert fx_intersects(x, y) == _as_box(x, w).intersects(_as_box(y, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_fx_boxes(count=1), coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+def test_fixed_point_horner_encloses_the_exact_value(data, coeffs):
+    w, ((x, u),) = data
+    value = fx_horner(coeffs, x, w)
+    assert _holds(value, poly_eval_point(coeffs, u), w)
+    if x[2] == x[3] == 0:
+        assert value[2] == value[3] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(0, 200), p=st.integers(0, 200), data=st.data())
+def test_fixed_point_conversion(w, p, data):
+    # a box on the 2**-w grid converts exactly, any other box to the least
+    # fixed-point box that holds it
+    ends = sorted(data.draw(st.integers(-(1 << (w + 8)), 1 << (w + 8))) for _ in range(2))
+    ims = sorted(data.draw(st.integers(-(1 << (w + 8)), 1 << (w + 8))) for _ in range(2))
+    x = (*ends, *ims)
+    assert fx_box(_as_box(x, w), w) == x
+    b = _as_box(x, p)
+    y = [Fraction(e, 1 << w) for e in fx_box(b, w)]
+    unit = Fraction(1, 1 << w)
+    for lo, hi, iv in ((y[0], y[1], b.re), (y[2], y[3], b.im)):
+        assert lo <= iv.lo < lo + unit and hi - unit < iv.hi <= hi
+
+
+def test_fixed_point_examples():
+    w = 8
+    one = (1 << w, 1 << w, 0, 0)
+    i = (0, 0, 1 << w, 1 << w)
+    assert fx_mul(i, i, w) == (-(1 << w), -(1 << w), 0, 0)
+    assert fx_inverse(i, w) == (0, 0, -(1 << w), -(1 << w))
+    assert fx_inverse((-1, 1, 0, 0), w) is None
+    # 1/3 rounds outward to the two neighbouring grid points
+    assert fx_inverse((3 << w, 3 << w, 0, 0), w) == (85, 86, 0, 0)
+    # x^2 + 1 at i holds 0, at 1 it is 2
+    assert fx_contains_zero(fx_horner([1, 0, 1], i, w))
+    assert fx_horner([1, 0, 1], one, w) == (2 << w, 2 << w, 0, 0)
