@@ -20,14 +20,24 @@ value and the direction, not on how the value was formed.
 Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
 explicit tail bound added on the upper side, so the directed contract holds
-unconditionally rather than with high probability.  The constants ln 2, ln 10
-and 2*pi come from one cache, `_constant`, keyed by the working precision
-rounded up to a multiple of 64 bits.  Rounding by a power of two is a shift:
-floor(a / 2**s) is a >> s and the ceiling is -((-a) >> s), negative a
-included.  ln reduces its argument by square roots before the atanh series
-(Brent & Zimmermann, Modern Computer Arithmetic, 4.4): at wp bits, k ~
-sqrt(wp) / 2 directed integer square roots shrink the series argument to
-below 2**-(k+1), so the series needs about wp / (2k) terms instead of wp / 3.
+unconditionally rather than with high probability.  The constants ln 2,
+log2 10 and 2*pi come from one cache, `_constant`, keyed by the working
+precision rounded up to a multiple of 64 bits.  Rounding by a power of two is
+a shift: floor(a / 2**s) is a >> s and the ceiling is -((-a) >> s), negative
+a included.  Both series shrink their argument first (Brent & Zimmermann,
+Modern Computer Arithmetic, 4.4): at wp bits, ln takes k ~ sqrt(wp) / 2
+directed integer square roots, so the atanh argument is below 2**-(k+1), and
+exp divides its argument by 2**k and squares the result k times; either
+series then needs about wp / (2k) terms instead of wp / 3.  The series loops
+are written out per direction, with no helper call per term.
+
+A decimal string is the exact |x| truncated toward zero to its significant
+digits, so it depends on the value alone and no kernel's rounding can move
+it: 1/2 prints as 5.000...e-1, and a DOWN value just below 1157 prints as
+1.1569999...e+3, never above the bound it shows.  Moderate exponents are
+scaled exactly with integers; huge or tiny values evaluate 2**frac by one
+directed exp, with the working precision raised until both ends of the
+enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
 """
 
 from __future__ import annotations
@@ -228,10 +238,6 @@ def _shift_dir(a: int, shift: int, direction: int) -> int:
     return -((-a) >> shift)
 
 
-def _fx_mul(a: int, b: int, wp: int, direction: int) -> int:
-    return _shift_dir(a * b, wp, direction)
-
-
 def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     """ln(p/q) * 2**wp directed, for 1 <= p/q <= 2, via 2*atanh((p-q)/(p+q)).
 
@@ -239,33 +245,42 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     z = 1/3 (`_constant_table`).  For any p/q in range z = (p-q)/(p+q) <=
     1/3, at most 1/3 + 1 ulp once rounded up, so z**2 < 1/9 + 1 ulp and the
     terms dropped after t <= 2 sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.
+    Every quantity is positive, so a floor is // or >> and a ceiling is the
+    negated floor of the negation.
     """
     if p == q:
         return 0
     num, den = p - q, p + q
-    z = _div_dir(num << wp, den, direction)
-    z2 = _fx_mul(z, z, wp, direction)
     total = 0
-    t = z
     k = 1
-    while t > 2:
-        total += _div_dir(t, k, direction)
-        t = _fx_mul(t, z2, wp, direction)
-        k += 2
-    if direction == UP:
+    if direction == DOWN:
+        t = (num << wp) // den
+        z2 = (t * t) >> wp
+        while t > 2:
+            total += t // k
+            t = (t * z2) >> wp
+            k += 2
+    else:
+        t = -((-num << wp) // den)
+        z2 = -((-t * t) >> wp)
+        while t > 2:
+            total -= -t // k
+            t = -((-t * z2) >> wp)
+            k += 2
         total += 3
     return 2 * total
 
 
 @lru_cache(maxsize=None)
 def _constant_table(name: str, wp: int, direction: int) -> int:
-    """The constant name ("ln2", "ln10" or "two_pi") * 2**wp, directed."""
+    """The constant name ("ln2", "log2_10" or "two_pi") * 2**wp, directed."""
     if name == "ln2":
         return _ln_atanh_series(2, 1, wp, direction)
-    if name == "ln10":
-        # ln 10 = 3 ln 2 + ln(5/4)
-        ln2 = _constant_table("ln2", wp, direction)
-        return 3 * ln2 + _ln_atanh_series(5, 4, wp, direction)
+    if name == "log2_10":
+        # log2 10 = 3 + ln(5/4) / ln 2, ln 2 rounded against direction
+        ln54 = _ln_atanh_series(5, 4, wp, direction)
+        ln2 = _constant_table("ln2", wp, -direction)
+        return (3 << wp) + _div_dir(ln54 << wp, ln2, direction)
     # two_pi, by Machin: pi = 16 atan(1/5) - 4 atan(1/239)
 
     def atan_inv(x: int, d: int) -> int:
@@ -337,19 +352,40 @@ def _ln_of_dyadic(m: int, e: int, wp: int, direction: int) -> int:
 
 
 def _exp_series(r: int, wp: int, direction: int) -> int:
-    """exp(r * 2**-wp) * 2**wp directed, for 0 <= r < 0.37 * 2**wp."""
-    one = 1 << wp
-    total = one
-    t = one
-    k = 1
+    """exp(r * 2**-wp) * 2**wp directed, for 0 <= r < 0.74 * 2**wp.
+
+    exp(r) = exp(r / 2**k) ** (2**k), with k = isqrt(wp): a square is
+    cheaper than a term, so k is twice that of `_ln_of_dyadic`.  At
+    w = wp + k + 4 bits r / 2**k is exactly r << 4, so the series argument
+    is below 0.74 * 2**-k <= 0.37 and needs about w / (k + 1) terms.
+    Squaring is increasing on positive values, so each square rounded in
+    direction keeps the directed contract.  The squarings scale a relative
+    error by 2**k: the series' roundings, about one ulp per term, its 4 ulp
+    tail bound and the rounded squares come to (terms + 5) * 2**k ulps at w,
+    (terms + 5) / 16 ulps at wp.
+    """
+    k = math.isqrt(wp)
+    w = wp + k + 4
+    r <<= 4
+    total = t = 1 << w
+    i = 1
+    if direction == DOWN:
+        while t > 2:
+            t = ((t * r) >> w) // i
+            total += t
+            i += 1
+        for _ in range(k):
+            total = (total * total) >> w
+        return total >> (w - wp)
     while t > 2:
-        t = _div_dir(_fx_mul(t, r, wp, direction), k, direction)
+        t = -((((-t) * r) >> w) // i)
         total += t
-        k += 1
-    if direction == UP:
-        # r < 0.37 so the dropped terms sum below t / (1 - 0.37) <= 4 ulps
-        total += 4
-    return total
+        i += 1
+    # r / 2**k < 0.37 so the dropped terms sum below t / (1 - 0.37) <= 4 ulps
+    total += 4
+    for _ in range(k):
+        total = -((-(total * total)) >> w)
+    return -((-total) >> (w - wp))
 
 
 # ---------------------------------------------------------------------------
@@ -677,22 +713,33 @@ def _pow_int(base: LogMag, e: int, prec: int, mode: int) -> LogMag:
         inv = _pow_int(base, -e, prec, -mode)
         return lm_div(LogMag.one(prec, mode), inv, prec, mode)
     sign = -1 if (base.sign < 0 and e % 2) else 1
-    mag_dir = mode if sign > 0 else -mode
+    up = (mode if sign > 0 else -mode) == UP
     work = prec + 8
-
-    def trim(mm: int, ee: int) -> tuple[int, int]:
-        shift = max(0, mm.bit_length() - work)
-        return _shift_dir(mm, shift, mag_dir), ee + shift
-
-    # square-and-multiply on the magnitude, every step rounded toward mag_dir
-    cur = (base.man, base.exp - base.prec)
-    acc: tuple[int, int] | None = None
-    for bit in reversed(bin(e)[2:]):
-        if bit == "1":
-            acc = cur if acc is None else trim(acc[0] * cur[0], acc[1] + cur[1])
-        cur = trim(cur[0] * cur[0], cur[1] * 2)
-    assert acc is not None
-    return _round(sign * acc[0], 1, acc[1], prec, mode)
+    # square-and-multiply on the magnitude from the low bit of e, every
+    # product trimmed to work bits toward the magnitude's direction
+    cm, ce = base.man, base.exp - base.prec
+    am = ae = 0
+    while True:
+        if e & 1:
+            if am:
+                am *= cm
+                ae += ce
+                s = am.bit_length() - work
+                if s > 0:
+                    am = -((-am) >> s) if up else am >> s
+                    ae += s
+            else:
+                am, ae = cm, ce
+        e >>= 1
+        if not e:
+            break
+        cm *= cm
+        ce *= 2
+        s = cm.bit_length() - work
+        if s > 0:
+            cm = -((-cm) >> s) if up else cm >> s
+            ce += s
+    return _round(sign * am, 1, ae, prec, mode)
 
 
 def lm_log(x, prec: int, mode: int) -> LogMag:
@@ -776,22 +823,59 @@ def lm_sum(values, prec: int, mode: int) -> LogMag:
 
 
 def _decimal_string(x: LogMag, digits: int) -> str:
+    """|x| truncated toward zero to max(digits, 2) significant digits, with
+    x's sign, as d.ddd...e+N.
+
+    With X = x.exp, 2**(X-1) <= |x| and floor((X-1) / log2 10), taken with
+    log2 10 rounded up (X > 1) or down, is a decimal exponent e10 at most 2
+    below the true one.  So n = floor(|x| * 10**k), k = digits - 1 - e10,
+    has digits to digits + 2 digits, and cutting its string to digits is
+    again an exact truncation.  For |X| <= 2 prec + 4 digits + 128 n comes
+    from integers alone.  Beyond that n is never an integer (for X > 0,
+    k < 0 and 5**-k > man; for X < 0, n has a factor 2 in its denominator),
+    so `_scaled_floor` finds it.
+    """
     if x.sign == 0:
         return "0"
     digits = max(digits, 2)
-    pd = 4 * digits + 32
-    wp = pd + abs(x.exp).bit_length()
-    ln_val = _ln_of_dyadic(x.man, x.exp - x.prec, wp, UP)
-    l10 = _constant("ln10", wp, DOWN)
-    d10 = (ln_val << wp) // l10
-    e10 = d10 >> wp
-    frac = d10 - (e10 << wp)
-    c = _exp_of_fixed(_fx_mul(frac, l10, wp, DOWN), wp, pd, UP)
-    cm, ce = c.dyadic()
-    val = _shift_dir(cm * 10 ** (digits - 1), -ce, DOWN)
-    s = str(val)
-    if len(s) > digits:
-        e10 += len(s) - digits
-        s = s[:digits]
+    m, e = x.man, x.exp - x.prec
+    a = x.exp - 1
+    w = a.bit_length() + 64
+    e10 = (a << w) // _constant("log2_10", w, UP if a > 0 else DOWN)
+    k = digits - 1 - e10
+    if abs(x.exp) <= 2 * x.prec + 4 * digits + 128:
+        n = (m * 10 ** max(k, 0) << max(e, 0)) // (10 ** max(-k, 0) << max(-e, 0))
+    else:
+        n = _scaled_floor(m, e, k, 4 * digits + 32)
+    s = str(n)
+    e10 += len(s) - digits
     sign = "-" if x.sign < 0 else ""
-    return f"{sign}{s[0]}.{s[1:]}e{'+' if e10 >= 0 else ''}{e10}"
+    return f"{sign}{s[0]}.{s[1:digits]}e{'+' if e10 >= 0 else ''}{e10}"
+
+
+def _scaled_floor(m: int, e: int, k: int, wp: int) -> int:
+    """floor(m * 2**e * 10**k) for m > 0 and a value that is not an integer.
+
+    The value is m * 2**(t_int + f) for t = e + k log2 10 split at an
+    integer t_int.  With log2 10 directed at w = wp + bits(k) bits, t has an
+    enclosure about 2**-wp wide; f's ends, rounded outward to wp bits, lie
+    in [0, 1 + 2**-wp], and 2**f = exp(f ln 2), f ln 2 < 0.7, is one
+    directed `_exp_series` at each end.  If the two ends floor to different
+    integers, wp doubles: the value is not an integer, so some wp separates
+    it from both neighbours (Ziv, ACM TOMS 17, 1991).
+    """
+    while True:
+        w = wp + abs(k).bit_length()
+        lo_dir = DOWN if k >= 0 else UP
+        t_lo = (e << w) + k * _constant("log2_10", w, lo_dir)
+        t_hi = (e << w) + k * _constant("log2_10", w, -lo_dir)
+        t_int = t_lo >> w
+        f_lo = (t_lo - (t_int << w)) >> (w - wp)
+        f_hi = -(((t_int << w) - t_hi) >> (w - wp))
+        lo = _exp_series((f_lo * _constant("ln2", wp, DOWN)) >> wp, wp, DOWN)
+        hi = _exp_series(-((-f_hi * _constant("ln2", wp, UP)) >> wp), wp, UP)
+        n_lo = _shift_dir(m * lo, wp - t_int, DOWN)
+        n_hi = _shift_dir(m * hi, wp - t_int, DOWN)
+        if n_lo == n_hi:
+            return n_lo
+        wp *= 2

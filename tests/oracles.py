@@ -76,6 +76,15 @@ def mp_ln_dyadic_fixed(m: int, e: int, wp: int) -> Fraction:
     return sign * Fraction(man) * Fraction(2) ** exp
 
 
+def mp_exp_fixed(xf: int, wp: int) -> Fraction:
+    """exp(xf * 2**-wp), correct to about 2**-(wp + 100) relative."""
+    import mpmath
+
+    with mpmath.workprec(wp + 128 + abs(xf).bit_length()):
+        man, exp = mpmath.exp(mpmath.ldexp(mpmath.mpf(xf), -wp)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 DEC_TOL = Fraction(1, 10**45)
 
 
@@ -164,3 +173,29 @@ def v_p(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def mp_decimal_truncation(man: int, e: int, digits: int) -> str:
+    """man * 2**e (man > 0) truncated toward zero to digits significant
+    digits, as d.ddd...e+N.  mpmath evaluates it at two working precisions,
+    the second twice the first, which must agree."""
+    import mpmath
+
+    found = set()
+    for scale in (1, 2):
+        bits = scale * (man.bit_length() + abs(e).bit_length() + 4 * digits + 128)
+        with mpmath.workprec(bits):
+            v = mpmath.ldexp(mpmath.mpf(man), e)
+            e10 = int(mpmath.floor(mpmath.log10(v)))
+            while True:
+                n = int(mpmath.floor(v * mpmath.mpf(10) ** (digits - 1 - e10)))
+                if n >= 10**digits:
+                    e10 += 1
+                elif n < 10 ** (digits - 1):
+                    e10 -= 1
+                else:
+                    break
+        found.add((n, e10))
+    assert len(found) == 1, found
+    s = str(n)
+    return f"{s[0]}.{s[1:]}e{'+' if e10 >= 0 else ''}{e10}"

@@ -476,10 +476,10 @@ def test_formula_conditions_name_the_c_delta_formulas():
 @pytest.mark.parametrize(
     "g, d, zograf, h_lambda, logs",
     [
-        pytest.param(5, 3, True, None, 9, id="5-3-True-9"),
+        pytest.param(5, 3, True, None, 7, id="5-3-True-7"),
         pytest.param(2, 1, False, None, 3, id="2-1-False-3"),
-        pytest.param(2, 1, False, Fraction(7, 3), 8, id="2-1-False-H-8"),
-        pytest.param(5, 3, True, Fraction(7, 3), 10, id="5-3-True-H-10"),
+        pytest.param(2, 1, False, Fraction(7, 3), 5, id="2-1-False-H-5"),
+        pytest.param(5, 3, True, Fraction(7, 3), 7, id="5-3-True-H-7"),
     ],
 )
 def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, logs):

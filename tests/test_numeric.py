@@ -14,15 +14,19 @@ from oracles import (
     dec_ln,
     dec_pow,
     dec_sqrt,
+    mp_decimal_truncation,
+    mp_exp_fixed,
     mp_ln_dyadic_fixed,
     mp_ln_two_pi,
     trial_division_factor,
 )
+from test_golden import fresh_interpreter
 from smallpoints.numeric import (
     DOWN,
     UP,
     LogMag,
     _constant,
+    _exp_of_fixed,
     _ln_of_dyadic,
     _pow_int,
     _round,
@@ -481,6 +485,37 @@ def test_ln_kernel_brackets_mpmath_across_precisions():
                 assert hi - lo <= 4 * (abs(binexp) + 1) + 64, (wp, m, binexp)
 
 
+def test_exp_kernel_brackets_mpmath_across_precisions():
+    """_exp_of_fixed and lm_exp, at working precisions from the smallest
+    LogMag ones up to those of 2048-bit bound reports, bracket the mpmath
+    value within a few ulps: at zero and tiny arguments, next to +-ln2/2,
+    where the range reduction changes q, and next to 2**-k, which the k
+    halvings in _exp_series take to 2**-2k.
+    _exp_of_fixed is read at prec = wp, where the reduction by q ln 2,
+    |q| <= 1 here, adds up to twice the width of the cached ln 2 (46 ulps
+    at wp = 64)."""
+    for wp in (64, 160, 600, 2100):
+        k = math.isqrt(wp)
+        ln2_width = _constant("ln2", wp, UP) - _constant("ln2", wp, DOWN)
+        half_ln2 = _constant("ln2", wp, DOWN) // 2
+        cut = 1 << (wp - k)
+        args = [0, 1, -1, 1 << (wp // 2), cut - 1, cut, cut + 1, -cut]
+        args += [s * (half_ln2 + d) for s in (1, -1) for d in (-2, -1, 0, 1, 2)]
+        for xf in args:
+            exact = mp_exp_fixed(xf, wp)
+            tol = exact / 2 ** (wp + 64)
+            x = Fraction(xf, 2**wp)
+            for lo, hi, ulps in (
+                (_exp_of_fixed(xf, wp, wp, DOWN), _exp_of_fixed(xf, wp, wp, UP),
+                 4 + 2 * ln2_width),
+                (lm_exp(x, wp, DOWN), lm_exp(x, wp, UP), 2),
+            ):
+                lof, hif = lo.to_fraction(), hi.to_fraction()
+                assert lof <= exact + tol and hif >= exact - tol, (wp, xf)
+                ulp = Fraction(2) ** (hi.exp - hi.prec)
+                assert hif - lof <= ulps * ulp, (wp, xf, (hif - lof) / ulp)
+
+
 def test_log_of_one_is_exact_zero():
     assert lm_log(1, prec=64, mode=UP).is_zero()
     assert lm_log(LogMag.one(128, DOWN), 128, DOWN).is_zero()
@@ -515,12 +550,12 @@ def test_exp_argument_cap():
 
 
 def test_constants_bracket_oracles():
-    for name, x in (("ln2", 2), ("ln10", 10)):
+    for name, exact in (("ln2", dec_ln(2)), ("log2_10", dec_ln(10) / dec_ln(2))):
         wp = 192
         lo = Fraction(_constant(name, wp, DOWN), 2**wp)
         hi = Fraction(_constant(name, wp, UP), 2**wp)
-        assert lo <= dec_ln(x) + DEC_TOL
-        assert hi >= dec_ln(x) - DEC_TOL
+        assert lo <= exact + DEC_TOL
+        assert hi >= exact - DEC_TOL
         assert hi - lo <= Fraction(1, 2**160)
     _assert_brackets(
         lm_ln_two_pi(192, DOWN),
@@ -639,6 +674,93 @@ def test_decimal_string_more_digits():
     x = LogMag.from_fraction(Fraction(1, 3), prec=256, mode=DOWN)
     rel = abs(_parsed(x.to_decimal_string(60)) / x.to_fraction() - 1)
     assert rel < Fraction(1, 10**55)
+
+
+def _truncation(x: LogMag, digits: int = 24) -> str:
+    m, e = x.dyadic()
+    s = mp_decimal_truncation(abs(m), e, max(digits, 2))
+    return "-" + s if m < 0 else s
+
+
+def test_decimal_string_truncates_the_exact_value():
+    half = LogMag.from_fraction(Fraction(1, 2), 128, UP)
+    assert half.to_decimal_string() == "5.00000000000000000000000e-1"
+    # a lower bound just below 1157 must not print above it
+    below = LogMag(1, 0x909FFFFFFFFFFFFFFFFFFFFFFFFFFFFF, 11, 128, DOWN)
+    assert below < 1157
+    assert below.to_decimal_string() == "1.15699999999999999999999e+3"
+    up = LogMag.from_int(10**30, 64, UP)
+    down = LogMag.from_int(10**30, 64, DOWN)
+    assert down < 10**30 < up
+    assert up.to_decimal_string() == _truncation(up)
+    assert up.to_decimal_string().startswith("1.000000000000000000")
+    assert down.to_decimal_string() == _truncation(down)
+    assert down.to_decimal_string().startswith("9.999999999999999999")
+    assert down.to_decimal_string().endswith("e+29")
+    x = lm_pow(7, 10**5, 128, UP)
+    assert x.to_decimal_string() == _truncation(x)
+    for mode in (UP, DOWN):
+        x = lm_pow(10, 1100000, 128, mode)
+        assert x.to_decimal_string() == _truncation(x)
+    assert lm_pow(10, 1100000, 128, UP).to_decimal_string().endswith("e+1100000")
+    neg = LogMag.from_fraction(Fraction(-22, 7), 128, DOWN)
+    assert neg.to_decimal_string() == _truncation(neg) == "-3.14285714285714285714285e+0"
+    third = LogMag.from_fraction(Fraction(1, 3), 256, DOWN)
+    assert third.to_decimal_string(2) == "3.3e-1"
+    assert third.to_decimal_string(1) == "3.3e-1"
+    assert third.to_decimal_string(60) == _truncation(third, 60)
+    assert third.to_decimal_string(60) == "3." + "3" * 59 + "e-1"
+
+
+_LONG_MANTISSAS = """
+import time
+from fractions import Fraction
+from smallpoints.numeric import DOWN, UP, LogMag
+start = time.perf_counter()
+half = LogMag.from_fraction(Fraction(1, 2), 16384, UP).to_decimal_string()
+big = LogMag.from_int(10**3000, 16384, DOWN).to_decimal_string()
+print(half, big, time.perf_counter() - start)
+"""
+
+
+def test_decimal_string_of_long_mantissas_returns():
+    """At 16384 bits 1/2 and 10**3000 are exact, and scaled to 24 digits
+    they are integers, which Ziv's loop can never separate from both
+    neighbours; the switch on |exp| must keep them on the integer path
+    although their mantissas lie more than 8192 bits above their units.
+    Run in a fresh interpreter, so a hang fails the test, not the suite."""
+    proc = fresh_interpreter(["-c", _LONG_MANTISSAS], timeout=60)
+    half, big, seconds = proc.stdout.split()
+    assert half == "5.00000000000000000000000e-1"
+    assert big == "1.00000000000000000000000e+3000"
+    assert float(seconds) < 1
+
+
+# binary exponents within 2048 of the exact/Ziv switch at |exp| = 2 prec +
+# 4 digits + 128, on either side of zero
+_straddlers = st.builds(
+    lambda sign, frac, prec, side, offset, mode, digits: (
+        LogMag(sign, (1 << (prec - 1)) + frac % (1 << (prec - 1)),
+               side * (2 * prec + 4 * digits + 128 + offset), prec, mode),
+        digits,
+    ),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**2048),
+    st.sampled_from([8, 16, 64, 128, 300, 1024, 2048]),
+    st.sampled_from([1, -1]),
+    st.integers(-2048, 2048),
+    _modes,
+    st.sampled_from([2, 12, 24, 60]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_straddlers)
+@example(case=(LogMag(1, (1 << 127) + 1, 2 * 128 + 4 * 24 + 129, 128, UP), 24))
+@example(case=(LogMag(1, (1 << 127) + 1, -(2 * 128 + 4 * 24 + 129), 128, UP), 24))
+def test_decimal_string_matches_truncation_oracle(case):
+    x, digits = case
+    assert x.to_decimal_string(digits) == _truncation(x, digits)
 
 
 def test_log10_float():
