@@ -34,8 +34,17 @@ the coefficients alone, by Mahler's inequality, that a height lies above a
 bound.  The cross-ratio of a rational or infinite triple is one integer
 Mobius map of the fourth point (_cross_ratio_matrix), so cross_ratio
 resolves it once and mobius_minpoly gives its minimal polynomial with no
-resolve; for other triples cross_ratio takes each difference of two points
-from a bounded cache keyed by their (minpoly, index) pairs.
+resolve.
+
+For other triples cross_ratio is the quotient of two pairings of its four
+points, products (u - v)(w - x) over a split of the points into two pairs
+(a difference with INFINITY left out).  Four points have three pairings,
+and each is computed once, from cached differences, into a bounded table:
+both differences are oriented later point first in the point_key order,
+so a pairing asked for in the other orientation is the table's value
+under x -> -x.  An entry is None when the degree cap stops a difference
+or the product, so cross_ratio_capped reads off two pairings' degrees,
+with no quotient, whether cross_ratio raises DegreeCapExceeded.
 """
 
 from __future__ import annotations
@@ -424,7 +433,9 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
     elif kind == "div":
         g = _mobius_image(g.coeffs, 0, 1, 1, 0)
     resultant_kind = "add" if kind in ("add", "sub") else "mul"
-    factors = _op_factors(a.minpoly.coeffs, g.coeffs, resultant_kind)
+    # the sums and the products of two sets of conjugates do not depend on
+    # which set comes first, so the key is the sorted pair
+    factors = _op_factors(*sorted((a.minpoly.coeffs, g.coeffs)), resultant_kind)
 
     def box_fn(p: int):
         # the value's enclosure from its operands' boxes; None until 1/y
@@ -470,16 +481,59 @@ ANHARMONIC = (
     (1, -1, 1, 0),
 )
 
-# differences _difference keeps: n branch points have n(n-1) ordered pairs,
-# so this holds several curves' worth, yet a long batch cannot grow it
-# without limit
+# entries each of _difference and _pairing_value keeps: n branch points
+# have n(n-1)/2 differences and 3 C(n, 4) pairings, so this holds several
+# curves' worth, yet a long batch cannot grow them without limit
 _DIFFERENCE_CACHE_SIZE = 1024
+
+
+def point_key(p) -> tuple:
+    """The canonical order of points on the projective line: INFINITY, then
+    the rationals ascending, then the irrationals by sort_key.  Branch
+    points are listed in it, and it orients every difference a pairing
+    takes."""
+    if p is INFINITY:
+        return (0,)
+    if p.is_rational:
+        return (1, p.as_fraction())
+    return (2, p.sort_key())
 
 
 @lru_cache(maxsize=_DIFFERENCE_CACHE_SIZE)
 def _difference(u: AlgebraicNumber, v: AlgebraicNumber) -> AlgebraicNumber:
     """u - v, a pure function of the two (minpoly, index) pairs."""
     return u - v
+
+
+@lru_cache(maxsize=_DIFFERENCE_CACHE_SIZE)
+def _pairing_value(pairs: tuple) -> AlgebraicNumber | None:
+    """The product of u - v over the canonically oriented pairs (u, v) of a
+    pairing, a difference with INFINITY left out; None when the degree cap
+    stops a difference or the product."""
+    try:
+        return reduce(operator.mul, [
+            _difference(u, v) for u, v in pairs if u is not INFINITY and v is not INFINITY
+        ])
+    except DegreeCapExceeded:
+        return None
+
+
+def _pairing(*pairs) -> tuple[AlgebraicNumber | None, bool]:
+    """(u1 - v1)(u2 - v2) for two disjoint pairs of points, as (the
+    canonically oriented product from _pairing_value, whether the product
+    asked for is its negative).  Each pair is oriented later point first in
+    the point_key order and the two pairs are sorted, so the three pairings
+    of a set of four points have one table entry each; a pair with
+    INFINITY flips the sign like any other, which cancels in a
+    cross-ratio."""
+    flips = 0
+    oriented = []
+    for u, v in pairs:
+        if point_key(u) < point_key(v):
+            u, v = v, u
+            flips += 1
+        oriented.append((u, v))
+    return _pairing_value(tuple(sorted(oriented, key=lambda uv: point_key(uv[0])))), flips == 1
 
 
 def _distinct_points(*points) -> list:
@@ -505,6 +559,22 @@ def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
     return top * y2, -top * x2, bottom * y1, -bottom * x1
 
 
+def _cross_ratio_pairings(q1, q2, q3, w):
+    """(numerator, denominator, flipped) with cross_ratio(q1, q2, q3, w)
+    equal to numerator / denominator, negated when flipped: the pairings
+    (q3 - q1)(w - q2) and (q3 - q2)(w - q1) from the table.  None exactly
+    when cross_ratio raises DegreeCapExceeded: a pairing is capped, or the
+    quotient of two irrational ones needs a resultant beyond the cap."""
+    num, s = _pairing((q3, q1), (w, q2))
+    den, t = _pairing((q3, q2), (w, q1))
+    if num is None or den is None or (
+        not num.is_rational and not den.is_rational
+        and num.degree * den.degree > RESULTANT_DEGREE_CAP
+    ):
+        return None
+    return num, den, s != t
+
+
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the projective line.  Each point
     sits in one factor above the bar and one below, and in homogeneous
@@ -512,20 +582,30 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     difference with INFINITY is left out.  The four points must be
     distinct, which keeps the value away from 0, 1 and infinity.  For a
     rational or infinite p1, p2, p3 the value is one rational Mobius image
-    of z, a single resolve."""
+    of z, a single resolve.  Otherwise it is the quotient of two pairings
+    from the table, and a numerator and denominator of opposite
+    orientations cost one more resolve, of x -> -x."""
     q1, q2, q3, w = _distinct_points(p1, p2, p3, z)
     matrix = _cross_ratio_matrix(q1, q2, q3)
     if matrix is not None:
         if w is INFINITY:
             return AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2]))
         return w.mobius(*matrix)
+    pairings = _cross_ratio_pairings(q1, q2, q3, w)
+    if pairings is None:
+        raise DegreeCapExceeded(
+            f"a cross-ratio needs a resultant beyond degree {RESULTANT_DEGREE_CAP}"
+        )
+    num, den, flipped = pairings
+    value = num / den
+    return value.mobius(-1, 0, 0, 1) if flipped else value
 
-    def product(*pairs):
-        return reduce(operator.mul, [
-            _difference(u, v) for u, v in pairs if u is not INFINITY and v is not INFINITY
-        ])
 
-    return product((q3, q1), (w, q2)) / product((q3, q2), (w, q1))
+def cross_ratio_capped(p1, p2, p3, z) -> bool:
+    """Whether cross_ratio(p1, p2, p3, z) raises DegreeCapExceeded, read off
+    the degrees of its two pairings with no quotient taken."""
+    q1, q2, q3, w = _distinct_points(p1, p2, p3, z)
+    return _cross_ratio_matrix(q1, q2, q3) is None and _cross_ratio_pairings(q1, q2, q3, w) is None
 
 
 def _orbit_base(lam) -> AlgebraicNumber:

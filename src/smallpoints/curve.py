@@ -24,13 +24,16 @@ leaves the curve unchanged), and every later stage reads integers:
     ln max(|q-p|, |q|) and ln max(|p-q|, |p|), and one upper bound on the
     largest of them ranks all of a candidate's rational values, so equal
     heights rank equal.  An irrational point's cross-ratio gives one
-    minimal polynomial (for a rational triple one Mobius image of the
-    point's) and its anharmonic images.  Heights are bounded best
-    candidate first, and branch and bound skips every normalization whose
-    integers or coefficients alone (Mahler's inequality) certify a height
-    above the best upper bound so far: such a candidate cannot win, so the
-    choice is the exhaustive one.  Only the chosen triple's 2g-1 values
-    are resolved to a root,
+    minimal polynomial and its anharmonic images: for a rational triple a
+    Mobius image of the point's, and otherwise an anharmonic image of the
+    one cross-ratio resolved for each set of four branch points, since the
+    orderings of four points permute their cross-ratio within its
+    anharmonic orbit.  Heights are bounded best candidate first, and
+    branch and bound skips every normalization whose integers or
+    coefficients alone (Mahler's inequality) certify a height above the
+    best upper bound so far: such a candidate cannot win, so the choice is
+    the exhaustive one.  Of the candidate values only the chosen triple's
+    2g-1 are resolved to a root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception,
   * an empirical lower estimate mu_hat: the largest height among the
@@ -48,6 +51,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebraic import (
     ANHARMONIC,
@@ -60,9 +64,11 @@ from .algebraic import (
     anharmonic_orbit,
     coefficient_limits,
     cross_ratio,
+    cross_ratio_capped,
     height_exceeds,
     is_s_unit,
     mobius_minpoly,
+    point_key,
     weil_height,
 )
 from .numeric import (
@@ -98,6 +104,46 @@ _NORMALIZATIONS = (
     ((0, 2, 1), 1),
     ((1, 2, 0), 5),
 )
+
+
+def _set_images() -> dict[tuple[int, int, int], int]:
+    """j with value = ANHARMONIC[j](reference) for every candidate value of
+    a set of four branch points, keyed (r, t, pos).  In the four orderings
+    of the set, t = 0..3 names the point z, in index order, and the other
+    three are the triple in index order; the reference is the cross-ratio
+    of ordering r, and the candidate value that of ordering t's triple in
+    the _NORMALIZATIONS order with anharmonic position pos.  Permuting four
+    points acts on their cross-ratio through the anharmonic group, the same
+    way for any four points, so the table is read off one integer stand-in
+    set, whose anharmonic orbits have six distinct values each."""
+    stand_in = (0, 1, 3, 7)
+
+    def cr(p1, p2, p3, z):
+        return Fraction((p3 - p1) * (z - p2), (p3 - p2) * (z - p1))
+
+    def ordering(t):
+        return [stand_in[i] for i in range(4) if i != t], stand_in[t]
+
+    table = {}
+    for r in range(4):
+        triple, z = ordering(r)
+        x = cr(*triple, z)
+        orbit = {(a * x + b) / (c * x + d): k for k, (a, b, c, d) in enumerate(ANHARMONIC)}
+        if len(orbit) != len(ANHARMONIC):
+            raise ArithmeticError("the stand-in set has a degenerate cross-ratio")
+        for t in range(4):
+            triple, z = ordering(t)
+            for order, pos in _NORMALIZATIONS:
+                table[r, t, pos] = orbit[cr(*(triple[i] for i in order), z)]
+    return table
+
+
+_SET_IMAGES = _set_images()
+# the reference ordering of a set is the first uncapped one in this order:
+# with differences oriented by point_key, which is the index order of the
+# branch points, orderings 3, 2 and 0 take their numerator and denominator
+# pairings in the same orientation, so their cross_ratio needs no x -> -x
+_REFERENCE_ORDER = (3, 2, 0, 1)
 
 
 def parse_curve(text: str) -> Poly:
@@ -252,19 +298,10 @@ def bad_prime_superset(
 
 def branch_point_list(f: Poly, genus: int) -> list:
     """Infinity first (odd degree only), then rational roots ascending,
-    then irrational roots by (minpoly degree, coefficients, root index)."""
-    pts: list = []
-    if f.degree() % 2 == 1:
-        pts.append(INFINITY)
-    roots = algebraic_roots(f)
-    rationals = sorted(
-        (r for r in roots if r.is_rational), key=lambda r: r.as_fraction()
-    )
-    irrationals = sorted(
-        (r for r in roots if not r.is_rational), key=lambda r: r.sort_key()
-    )
-    pts.extend(rationals)
-    pts.extend(irrationals)
+    then irrational roots by (minpoly degree, coefficients, root index):
+    the point_key order."""
+    pts = [INFINITY] if f.degree() % 2 == 1 else []
+    pts.extend(sorted(algebraic_roots(f), key=point_key))
     if len(pts) != 2 * genus + 2:
         raise RuntimeError("branch point count mismatch")
     return pts
@@ -327,10 +364,21 @@ def _normalization_search(branch: list):
     heights therefore rank equal, whatever the shape of each p/q, distinct
     ones never do, and an exact tie goes to the triple.  An
     irrational z gives one Mobius image of its minimal polynomial and the
-    anharmonic images of that.  Outside a rational pool every minimal
-    polynomial comes from the cross_ratio chain, run for every triple so
-    that the degree-cap caveat counts every capped one.  Only the winner's
-    2g-1 values are resolved.
+    anharmonic images of that.  Only the winner's irrational values are
+    resolved, one Mobius image of z each.
+
+    Outside a rational pool the candidates come from sets of four branch
+    points.  The four orderings (triple, z) of a set, and the three
+    normalizations of each, have cross-ratios in one anharmonic orbit, so
+    a set resolves one reference cross-ratio, a quotient of two pairings
+    from algebraic's table, and each of its twelve candidate values has the
+    minimal polynomial of an anharmonic image of the reference
+    (_SET_IMAGES), with no resolve.  A triple is skipped, and counted in the
+    degree-cap caveat, exactly when the cross_ratio of one of its
+    (triple, z) would raise DegreeCapExceeded, which cross_ratio_capped
+    reads off the two pairings' degrees.  The winner's 2g-1 values are
+    anharmonic images of their sets' references, one resolve each.  The
+    sets live for one search, so nothing carries over to the next analysis.
 
     Candidates are ranked by branch and bound, in the order of a floating
     point estimate of their heights (ln H for the rational values).  With u
@@ -357,34 +405,62 @@ def _normalization_search(branch: list):
         )
     candidates = []
     skipped = 0
+    # outside a rational pool, a set of four branch points, sorted -> (the
+    # capped flag of each of its orderings, the reference ordering r or
+    # None when all four are capped, and the minimal polynomials of the
+    # reference's anharmonic orbit, by ANHARMONIC position)
+    sets: dict[tuple, tuple] = {}
+
+    def set_entry(quad: tuple) -> tuple:
+        if quad not in sets:
+            pts = [branch[i] for i in quad]
+            orderings = [pts[:t] + pts[t + 1:] + [pts[t]] for t in range(4)]
+            capped = [cross_ratio_capped(*o) for o in orderings]
+            r = next((t for t in _REFERENCE_ORDER if not capped[t]), None)
+            ref = orbit = None
+            if r is not None:
+                ref = cross_ratio(*orderings[r])
+                orbit = [mobius_minpoly(ref, *m) for m in ANHARMONIC]
+            sets[quad] = (capped, r, ref, orbit)
+        return sets[quad]
+
     for combo in itertools.combinations(pool, 3):
         points = [branch[i] for i in combo]
         rest = [z for z in range(n) if z not in combo]
-        lams = None
         tops = (0, 0, 0)  # the largest _rational_orbit_heights, 0 for none
         if rational_pool:
             matrix = _cross_ratio_matrix(*points)
             rational = [_rational_orbit_heights(matrix, *coords[z]) for z in rest if z in coords]
             if rational:
                 tops = tuple(map(max, zip(*rational)))
-            minpolys = [mobius_minpoly(branch[z], *matrix) for z in rest if z not in coords]
+            images = [anharmonic_minpolys(mobius_minpoly(branch[z], *matrix))
+                      for z in rest if z not in coords]
+            columns = [([im[pos] for im in images], None) for _, pos in _NORMALIZATIONS]
         else:
-            try:
-                lams = [cross_ratio(*points, branch[z]) for z in rest]
-            except DegreeCapExceeded:
+            # (set entry, the ordering of the set that is (combo, z)) for each z
+            members = []
+            for z in rest:
+                quad = tuple(sorted((*combo, z)))
+                members.append((set_entry(quad), quad.index(z)))
+            if any(capped[t] for (capped, *_), t in members):
                 skipped += len(_NORMALIZATIONS)
                 continue
-            minpolys = [lam.minpoly for lam in lams]
-        images = [anharmonic_minpolys(f) for f in minpolys]
-        for (order, pos), H in zip(_NORMALIZATIONS, tops):
-            polys = [im[pos] for im in images]
+            columns = []
+            for _, pos in _NORMALIZATIONS:
+                images = [(ref, orbit, _SET_IMAGES[r, t, pos])
+                          for (_, r, ref, orbit), t in members]
+                columns.append(([orbit[j] for _, orbit, j in images],
+                                [(ref, j) for ref, _, j in images]))
+        for (order, _), H, (polys, sources) in zip(_NORMALIZATIONS, tops, columns):
             key = max([math.log(H) if H else 0.0] + [_estimated_height(f) for f in polys])
-            candidates.append((key, tuple(combo[i] for i in order), pos, H, polys, rest, lams))
+            candidates.append((key, tuple(combo[i] for i in order), H, polys, rest, sources))
     # best first, so that the bound is tight early; the order decides only
     # how much is pruned, never which candidate wins
     candidates.sort(key=lambda c: c[:2])
 
-    best = None  # (upper bound, triple, pos, rest, resolved lambdas or None)
+    # (upper bound, triple, rest, (reference, ANHARMONIC position) of each
+    # value or None in a rational pool)
+    best = None
     limits: dict[int, tuple] = {}  # degree d -> coefficient_limits(d, best upper bound)
 
     def limit(d: int) -> tuple:
@@ -392,7 +468,7 @@ def _normalization_search(branch: list):
             limits[d] = coefficient_limits(d, best[0])
         return limits[d]
 
-    for _, triple, pos, H, polys, rest, lams in candidates:
+    for _, triple, H, polys, rest, sources in candidates:
         if best is not None and (
             H > limit(1)[0] or any(height_exceeds(f.coeffs, limit(f.degree())) for f in polys)
         ):
@@ -412,18 +488,18 @@ def _normalization_search(branch: list):
         else:
             h_up = lm_max(*uppers)
             if best is None or (h_up, triple) < best[:2]:
-                best = (h_up, triple, pos, rest, lams)
+                best = (h_up, triple, rest, sources)
                 limits.clear()
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    _, triple, pos, rest, lams = best
-    if lams is None:
+    _, triple, rest, sources = best
+    if sources is None:
         values = [cross_ratio(*(branch[i] for i in triple), branch[z]) for z in rest]
     else:
-        values = [anharmonic_orbit(lam, (pos,))[0] for lam in lams]
+        values = [anharmonic_orbit(ref, (j,))[0] for ref, j in sources]
     return triple, list(zip(rest, values)), caveats
 
 

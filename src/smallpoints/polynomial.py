@@ -402,12 +402,13 @@ def _equal_degree_split(f, d: int, p: int, rng) -> list[list[int]]:
             )
 
 
-def _factor_mod_p(f, p) -> list[list[int]]:
-    """Monic irreducible factors of squarefree monic f mod p, deterministic
-    order (the splitting randomness is seeded from the input)."""
+def _factor_mod_p(f, p, blocks) -> list[list[int]]:
+    """Monic irreducible factors of squarefree monic f mod p, given its
+    _distinct_degree(f, p) blocks, in a deterministic order (the splitting
+    randomness is seeded from f and p)."""
     rng = random.Random(hash((p, tuple(f))))
     out = []
-    for block, d in _distinct_degree(f, p):
+    for block, d in blocks:
         out.extend(_equal_degree_split(block, d, p, rng))
     out.sort(key=lambda u: (len(u), tuple(reversed(u))))
     return out
@@ -492,7 +493,8 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
     a handful of candidates to minimize the modular factor count, with the
     factors of f mod that prime.  A candidate's count comes from its
     distinct-degree split alone (a block of degree k holding factors of
-    degree d has k/d of them); only the chosen prime is fully split."""
+    degree d has k/d of them); only the chosen prime is fully split,
+    from the blocks its count was read off."""
     best = None
     found = 0
     p = 2
@@ -505,14 +507,15 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
         if not dfp or len(_pm_gcd(fp, dfp, p)) != 1:
             continue
         monic = _pm_monic(fp, p)
-        count = sum((len(block) - 1) // d for block, d in _distinct_degree(monic, p))
+        blocks = _distinct_degree(monic, p)
+        count = sum((len(block) - 1) // d for block, d in blocks)
         found += 1
         if best is None or count < best[1]:
-            best = (p, count, monic)
+            best = (p, count, monic, blocks)
             if count == 1:
                 break
-    p, _, monic = best
-    return p, _factor_mod_p(monic, p)
+    p, _, monic, blocks = best
+    return p, _factor_mod_p(monic, p, blocks)
 
 
 def _factor_squarefree_int(ints: tuple[int, ...]) -> list[Poly]:

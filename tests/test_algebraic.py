@@ -198,6 +198,19 @@ def test_difference_and_quotient_share_resultant_keys():
             assert alg._op_factors.cache_info().hits == hits + 1
 
 
+def test_sums_and_products_share_one_key_in_either_order():
+    # all sums (products) of the conjugates of a and of b are one set
+    # whichever operand comes first, so the swapped call is a cache hit
+    zoo = _operand_zoo()
+    for x, y in (("sqrt2", "cbrt2"), ("cbrt2_c", "phi"), ("i", "sqrt3")):
+        a, b = zoo[x], zoo[y]
+        for op in (operator.add, operator.mul):
+            want = op(a, b)
+            hits = alg._op_factors.cache_info().hits
+            assert op(b, a) == want, (x, y, op)
+            assert alg._op_factors.cache_info().hits == hits + 1, (x, y, op)
+
+
 def _sympy_coeffs(expr, x) -> tuple:
     """Low-to-high coefficients of the primitive, positive-leading integer
     multiple of a rational polynomial expression in x."""
@@ -328,7 +341,7 @@ def test_analyze_output_survives_clearing_every_table(capsys):
 
     hard = ["y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
     warm = [report(c) for c in hard]
-    for table in _TABLES + (alg._difference,):
+    for table in _TABLES + (alg._difference, alg._pairing_value):
         table.cache_clear()
     assert [report(c) for c in reversed(hard)] == warm[::-1]
     assert all(table.cache_info().currsize for table in _TABLES)

@@ -31,7 +31,7 @@ from smallpoints.curve import (
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
 from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
 from test_algebraic import _chain_cross_ratio
-from test_golden import EXACT_TIES, TIED_IRRATIONAL, fresh_interpreter
+from test_golden import EXACT_TIES, PARTIAL_CAP, TIED_IRRATIONAL, fresh_interpreter
 
 
 def test_parse_rejects_low_degree():
@@ -438,7 +438,10 @@ def _rank(lams, rational_pool: bool):
 def _resolving_search(branch: list):
     """The normalization search ranked on resolved values: every member of
     every anharmonic orbit is resolved, and a triple's rank is _rank of its
-    2g-1 cross-ratios.  Only the orderings with triple[0] < triple[1] are
+    2g-1 cross-ratios.  Outside a rational pool each (triple, z) runs the
+    four-difference chain of its own, so this search shares no pairing
+    with the one it checks, and a triple is skipped when a chain hits the
+    degree cap.  Only the orderings with triple[0] < triple[1] are
     ranked: swapping the points sent to infinity and 0 inverts every
     cross-ratio and keeps its height.  Returns the
     triple, its values, the skipped count and how many ranked triples tie
@@ -460,7 +463,8 @@ def _resolving_search(branch: list):
         for z in (z for z in range(n) if z not in triple):
             if (combo, z) not in orbits:
                 try:
-                    lam = cross_ratio(*(branch[i] for i in combo), branch[z])
+                    chain = cross_ratio if rational_pool else _chain_cross_ratio
+                    lam = chain(*(branch[i] for i in combo), branch[z])
                     orbits[combo, z] = anharmonic_orbit(lam)
                 except DegreeCapExceeded:
                     orbits[combo, z] = None
@@ -496,7 +500,7 @@ SEARCH_CURVES = [
     "y^2 = 133770*x^6 - 515599195933283*x^5 - 43842484064771*x^4"
     " + 4621247902133796*x^3 + 3256846668168204*x^2 - 5538004986411616*x"
     " - 2779168795594240",
-]
+] + PARTIAL_CAP
 
 
 @pytest.mark.parametrize("curve", SEARCH_CURVES)
@@ -751,8 +755,8 @@ def test_search_resolves_only_the_winning_values(monkeypatch):
 
 
 def test_search_resolves_only_the_winning_orbits(monkeypatch):
-    # fewer than three rational points: the cross_ratio chain runs for every
-    # triple, and of the winner's orbits only the kept value is resolved
+    # fewer than three rational points: each winning value is one resolve
+    # of an anharmonic image of its set's reference cross-ratio
     values = []
 
     def counting_orbit(lam, positions=range(6)):
@@ -765,3 +769,51 @@ def test_search_resolves_only_the_winning_orbits(monkeypatch):
     assert len(values) == 2 * a.genus - 1
     assert a.normalization is not None
     assert [r.value for r in a.normalization.records] == values
+
+
+def _rational_four_sets(count: int) -> list[list]:
+    """Seeded sets of four distinct rational points in index order, every
+    other one led by INFINITY, as the branch points of a curve would be."""
+    rng = random.Random("four-point-orderings")
+    sets = []
+    while len(sets) < count:
+        finite = 3 if len(sets) % 2 else 4
+        values = {Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(finite)}
+        if len(values) == finite:
+            sets.append(([INFINITY] if finite == 3 else []) + sorted(values))
+    return sets
+
+
+def test_set_images_match_exact_cross_ratios():
+    # cr of ordering t's triple in each normalization order, with z the
+    # point at position t, is ANHARMONIC[j] of cr of ordering r
+    def image(k, x):
+        a, b, c, d = algebraic_mod.ANHARMONIC[k]
+        return (a * x + b) / (c * x + d)
+
+    order_of = {pos: order for order, pos in curve_mod._NORMALIZATIONS}
+    for points in _rational_four_sets(40):
+        def ordering(t):
+            return [p for i, p in enumerate(points) if i != t] + [points[t]]
+
+        for (r, t, pos), j in curve_mod._SET_IMAGES.items():
+            *triple, z = ordering(t)
+            want = _fraction_cross_ratio(*(triple[i] for i in order_of[pos]), z)
+            assert image(j, _fraction_cross_ratio(*ordering(r))) == want, (points, r, t, pos)
+    assert len(curve_mod._SET_IMAGES) == 4 * 4 * 3
+
+
+def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):
+    # y^2 = x^5 - 1 has six branch points, two of them rational: 20 triples
+    # with 3 values each, but only C(6, 4) = 15 sets of four points
+    quotients = []
+    binary = algebraic_mod._binary
+
+    def counting(a, b, kind):
+        if kind == "div":
+            quotients.append((a, b))
+        return binary(a, b, kind)
+
+    monkeypatch.setattr(algebraic_mod, "_binary", counting)
+    assert analyze_curve("y^2 = x^5 - 1").normalization is not None
+    assert 0 < len(quotients) <= math.comb(6, 4)

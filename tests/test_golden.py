@@ -93,6 +93,14 @@ HARD = [
     "y^2 = x^6 + 1",
 ]
 
+# fewer than three rational branch points, where the degree cap skips some
+# of the triples but not all: 48, 48 and 21 of 60
+PARTIAL_CAP = [
+    "y^2 = x*(x^4 + x + 1)",
+    "y^2 = (x^2 - 3)*(x^3 - 2)*(x - 1)",
+    "y^2 = (x^2 - 2)*(x^3 - x - 1)",
+]
+
 ANALYZE = [
     ["analyze", "--curve", X5X],
     ["analyze", "--curve", X5X, "--abc", "2,2", "--zograf", "--format", "tsv"],
@@ -104,7 +112,7 @@ ANALYZE = [
     # curves with denominators, which parse_curve clears to an integral model
     ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
     ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
-] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL + HARD]
+] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL + HARD + PARTIAL_CAP]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once

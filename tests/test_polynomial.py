@@ -14,6 +14,7 @@ from smallpoints.polynomial import (
     MAX_PARSE_DEGREE,
     Poly,
     _choose_prime,
+    _distinct_degree,
     _factor_mod_p,
     _next_prime,
     _pm_gcd,
@@ -274,7 +275,8 @@ def _choose_prime_by_full_split(ints):
         dfp = _pm_trim([i * v % p for i, v in enumerate(ints)][1:])
         if ints[-1] % p == 0 or not dfp or len(_pm_gcd(fp, dfp, p)) != 1:
             continue
-        units = _factor_mod_p(_pm_monic(fp, p), p)
+        monic = _pm_monic(fp, p)
+        units = _factor_mod_p(monic, p, _distinct_degree(monic, p))
         found += 1
         if best is None or len(units) < len(best[1]):
             best = (p, units)
