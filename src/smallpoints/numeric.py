@@ -273,9 +273,11 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
 
 @lru_cache(maxsize=None)
 def _constant_table(name: str, wp: int, direction: int) -> int:
-    """The constant name ("ln2", "log2_10" or "two_pi") * 2**wp, directed."""
+    """The constant name ("ln2", "log2_10" or "two_pi") * 2**wp, directed.
+    ln 2 takes 64 guard bits, so after the directed shift each end lies
+    within one ulp: the series' rounding errors then stay far below it."""
     if name == "ln2":
-        return _ln_atanh_series(2, 1, wp, direction)
+        return _shift_dir(_ln_atanh_series(2, 1, wp + 64, direction), 64, direction)
     if name == "log2_10":
         # log2 10 = 3 + ln(5/4) / ln 2, ln 2 rounded against direction
         ln54 = _ln_atanh_series(5, 4, wp, direction)

@@ -492,11 +492,11 @@ def test_exp_kernel_brackets_mpmath_across_precisions():
     where the range reduction changes q, and next to 2**-k, which the k
     halvings in _exp_series take to 2**-2k.
     _exp_of_fixed is read at prec = wp, where the reduction by q ln 2,
-    |q| <= 1 here, adds up to twice the width of the cached ln 2 (46 ulps
-    at wp = 64)."""
+    |q| <= 1 here, adds up to twice the width of the cached ln 2, one ulp
+    at every wp."""
     for wp in (64, 160, 600, 2100):
         k = math.isqrt(wp)
-        ln2_width = _constant("ln2", wp, UP) - _constant("ln2", wp, DOWN)
+        assert _constant("ln2", wp, UP) - _constant("ln2", wp, DOWN) == 1
         half_ln2 = _constant("ln2", wp, DOWN) // 2
         cut = 1 << (wp - k)
         args = [0, 1, -1, 1 << (wp // 2), cut - 1, cut, cut + 1, -cut]
@@ -507,7 +507,7 @@ def test_exp_kernel_brackets_mpmath_across_precisions():
             x = Fraction(xf, 2**wp)
             for lo, hi, ulps in (
                 (_exp_of_fixed(xf, wp, wp, DOWN), _exp_of_fixed(xf, wp, wp, UP),
-                 4 + 2 * ln2_width),
+                 6),
                 (lm_exp(x, wp, DOWN), lm_exp(x, wp, UP), 2),
             ):
                 lof, hif = lo.to_fraction(), hi.to_fraction()
