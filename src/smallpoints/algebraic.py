@@ -4,11 +4,13 @@ A value is represented by its minimal polynomial (primitive, irreducible,
 integer coefficients, positive leading coefficient) together with the index
 of its root in a canonical ordering.  The ordering is fixed by one
 certified isolation at _CANONICAL_PRECISION, and every box at a finer
-precision is refined from that canonical box.  Root boxes and heights are
-cached, in tables of bounded size, as pure functions of (minimal
-polynomial, precision), so equal values always canonicalize to the same
-(minpoly, index) pair, equality is a tuple comparison, and no result
-depends on what was computed before or on what a table evicted.
+precision is refined from that canonical box.  A root box is the
+fixed-point box of intervals.py, four ints over 2**w, stored as roots.py
+returns it with its w.  Root boxes and heights are cached, in tables of
+bounded size, as pure functions of (minimal polynomial, precision), so
+equal values always canonicalize to the same (minpoly, index) pair,
+equality is a tuple comparison, and no result depends on what was computed
+before or on what a table evicted.
 
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
 polynomial and stay exact; an operation with one rational operand is one
@@ -19,12 +21,15 @@ one resolve, a box membership search, picks the right irreducible factor
 and root.  The search refines operand boxes until exactly one candidate
 root remains; it terminates because distinct algebraic numbers eventually
 separate.  A resolve, including that of a Mobius image, computes its
-enclosures on integer fixed-point boxes (intervals.fx_*) with outward
-rounding: any enclosure that leaves one candidate names the true one, so
-the rounding can cost a precision doubling but never changes a result.
+enclosures on the same boxes with outward rounding, at grid_bits(p), the
+grid most root boxes at precision p already lie on: any enclosure that
+leaves one candidate names the true one, so the rounding can cost a
+precision doubling but never changes a result.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
-measure, with an exact zero for roots of unity.  A height or an S-unit
+measure, with |alpha|**2 bounds read off the ints of the root boxes, an
+exact zero for roots of unity, and ln max(|p|, |q|) for a rational p/q.
+A height or an S-unit
 flag reads only the minimal polynomial, so weil_height and is_s_unit also
 take a minimal polynomial, and mobius_minpoly and anharmonic_minpolys give
 those of Mobius and anharmonic images without resolving any of them: three
@@ -54,20 +59,17 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-# poly_eval_box stays importable here: the traced benchmark
-# (perfbench/layers.py) wraps it under this module's name
 from .intervals import (
-    Box,
+    fx_abs_sq,
     fx_add,
     fx_affine,
-    fx_box,
     fx_contains_zero,
-    fx_horner,
     fx_intersects,
     fx_inverse,
     fx_mul,
+    fx_regrid,
     fx_sub,
-    poly_eval_box,  # noqa: F401
+    poly_eval_box,
 )
 from .numeric import (
     DEFAULT_PRECISION,
@@ -82,15 +84,12 @@ from .numeric import (
     lm_sum,
 )
 from .polynomial import Poly, cyclotomic_index, factor_over_z
-from .roots import isolate_roots, refine_root_box
+from .roots import grid_bits, isolate_roots, refine_root_box
 
 RESULTANT_DEGREE_CAP = 64
 
 _CANONICAL_PRECISION = 32
 _MAX_RESOLVE_PRECISION = 1 << 16
-# a resolve at precision p works on fixed-point boxes with p + _GUARD_BITS
-# fractional bits, the grid refined root boxes are snapped to
-_GUARD_BITS = 16
 # entries each of the tables _roots_of, _op_factors and _height keeps: far
 # more than a benchmark round fills, yet a long batch cannot grow them
 # without limit.  An entry is a pure function of its key, so an eviction
@@ -119,24 +118,30 @@ INFINITY = _Infinity()
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _roots_of(coeffs: tuple, precision: int) -> tuple[Box, ...]:
-    """Root boxes of the irreducible polynomial with these coefficients, of
-    degree at least 2, in canonical order and at exactly this precision.
-    The order is that of the isolation at _CANONICAL_PRECISION, which any
-    lower precision also returns; finer boxes are refined from it."""
+def _roots_of(coeffs: tuple, precision: int) -> tuple[int, tuple]:
+    """(w, root boxes at w bits) of the irreducible polynomial with these
+    coefficients, of degree at least 2, in canonical order and at exactly
+    this precision.  The order is that of the isolation at
+    _CANONICAL_PRECISION, which any lower precision also returns; finer
+    boxes are refined from it."""
     f = Poly(coeffs)
     if precision <= _CANONICAL_PRECISION:
-        return tuple(isolate_roots(f, _CANONICAL_PRECISION))
-    canonical = _roots_of(coeffs, _CANONICAL_PRECISION)
-    return tuple(refine_root_box(f, b, precision) for b in canonical)
+        w, boxes = isolate_roots(f, _CANONICAL_PRECISION)
+        return w, tuple(boxes)
+    w, canonical = _roots_of(coeffs, _CANONICAL_PRECISION)
+    refined = [refine_root_box(f, b, w, precision) for b in canonical]
+    return refined[0][0], tuple(b for _, b in refined)
 
 
-def _boxes(coeffs: tuple, precision: int) -> tuple[Box, ...]:
-    """Root boxes of an irreducible polynomial at this precision: the
-    exact point of a linear one, never stored in _roots_of, or the
-    _roots_of boxes of one of higher degree."""
+def _boxes(coeffs: tuple, precision: int) -> tuple[int, tuple]:
+    """(w, root boxes at w bits) of an irreducible polynomial at this
+    precision: for a linear one, never stored in _roots_of, the least box
+    at grid_bits(precision) holding its root; for one of higher degree,
+    its _roots_of boxes."""
     if len(coeffs) == 2:
-        return (Box.point(Fraction(-coeffs[0], coeffs[1])),)
+        w = grid_bits(precision)
+        n, d = -coeffs[0] << w, coeffs[1]
+        return w, ((n // d, -(-n // d), 0, 0),)
     return _roots_of(coeffs, precision)
 
 
@@ -170,18 +175,16 @@ class AlgebraicNumber:
     def is_zero(self) -> bool:
         return self.is_rational and self.minpoly[0] == 0
 
-    @property
-    def box(self) -> Box:
-        """The enclosure from the canonical isolation."""
-        return self.refined_box(_CANONICAL_PRECISION)
-
-    def refined_box(self, precision: int) -> Box:
-        """The enclosure at exactly this precision; a point if rational."""
-        return _boxes(self.minpoly.coeffs, precision)[self.index]
+    def refined_box(self, precision: int) -> tuple[int, tuple]:
+        """(w, the enclosure at exactly this precision, at w bits); for a
+        rational, the least box at grid_bits(precision) holding it."""
+        w, boxes = _boxes(self.minpoly.coeffs, precision)
+        return w, boxes[self.index]
 
     def _fixed_box(self, p: int):
-        """refined_box(p) as a fixed-point box with p + _GUARD_BITS bits."""
-        return fx_box(self.refined_box(p), p + _GUARD_BITS)
+        """refined_box(p) at grid_bits(p) bits, the grid of a resolve."""
+        w, box = self.refined_box(p)
+        return fx_regrid(box, w, grid_bits(p))
 
     def sort_key(self):
         return (self.minpoly.degree(), self.minpoly.coeffs, self.index)
@@ -199,10 +202,10 @@ class AlgebraicNumber:
     def __repr__(self):
         if self.is_rational:
             return f"AlgebraicNumber({self.as_fraction()})"
-        m = self.box.mid()
+        w, (a, b, u, v) = self.refined_box(_CANONICAL_PRECISION)
         return (
             f"AlgebraicNumber(deg {self.degree}, root {self.index} "
-            f"~ {float(m[0]):.6g}{float(m[1]):+.6g}i)"
+            f"~ {(a + b) / (2 << w):.6g}{(u + v) / (2 << w):+.6g}i)"
         )
 
     # -- exact unary Mobius arithmetic
@@ -227,7 +230,7 @@ class AlgebraicNumber:
         P = mobius_minpoly(self, a, b, c, d)
 
         def box_fn(p: int):
-            w = p + _GUARD_BITS
+            w = grid_bits(p)
             x = self._fixed_box(p)
             den = fx_inverse(fx_affine(x, c, d, w), w)
             return None if den is None else fx_mul(fx_affine(x, a, b, w), den, w)
@@ -309,22 +312,26 @@ def ensure_algebraic(x) -> AlgebraicNumber:
 def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     """Pick the unique (factor, root) pair compatible with ever sharper
     enclosures of the value.  box_fn(p) returns a fixed-point box with
-    p + _GUARD_BITS fractional bits certain to contain the value, or None
+    grid_bits(p) fractional bits certain to contain the value, or None
     when p is still too coarse to build one.  The true pair always
     qualifies, so any enclosure that leaves one pair gives that pair, and a
-    looser one can only cost another doubling of p."""
+    looser one can only cost another doubling of p.  Root boxes at
+    precision p mostly lie on that grid already; finer ones are rounded
+    outward to it."""
     p = _CANONICAL_PRECISION
     while p <= _MAX_RESOLVE_PRECISION:
         probe = box_fn(p)
         if probe is not None:
-            w = p + _GUARD_BITS
-            live = [h for h in factors if fx_contains_zero(fx_horner(h.coeffs, probe, w))]
-            hits = [
-                (h, i)
-                for h in live
-                for i, rb in enumerate(_boxes(h.coeffs, p))
-                if fx_intersects(fx_box(rb, w), probe)
-            ]
+            w = grid_bits(p)
+            hits = []
+            for h in factors:
+                if not fx_contains_zero(poly_eval_box(h.coeffs, probe, w)):
+                    continue
+                hw, boxes = _boxes(h.coeffs, p)
+                hits += [
+                    (h, i) for i, rb in enumerate(boxes)
+                    if fx_intersects(fx_regrid(rb, hw, w), probe)
+                ]
             if len(hits) == 1:
                 return AlgebraicNumber(*hits[0])
         p *= 2
@@ -440,7 +447,7 @@ def _binary(a: AlgebraicNumber, b: AlgebraicNumber, kind: str) -> AlgebraicNumbe
     def box_fn(p: int):
         # the value's enclosure from its operands' boxes; None until 1/y
         # is bounded
-        w = p + _GUARD_BITS
+        w = grid_bits(p)
         x, y = a._fixed_box(p), b._fixed_box(p)
         if kind == "add":
             return fx_add(x, y)
@@ -687,19 +694,24 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     f = Poly(coeffs)
     if f.lc() == 1 and cyclotomic_index(f) is not None:
         return LogMag.zero(precision, DOWN), LogMag.zero(precision, UP)
+    if len(coeffs) == 2:
+        # the height of p/q in lowest terms is ln max(|p|, |q|)
+        m = max(abs(coeffs[0]), coeffs[1])
+        return lm_log(m, precision, DOWN), lm_log(m, precision, UP)
     n = f.degree()
     an = f.lc()
     wp = precision + 16
     target = Fraction(1, 1 << (precision // 2))
     p = max(64, precision)
     for _ in range(16):
-        boxes = _boxes(coeffs, p)
+        w, boxes = _boxes(coeffs, p)
+        one = 1 << 2 * w  # |alpha|**2 bounds are ints over 2**(2w)
         lo_terms = [lm_log(an, wp, DOWN)]
         hi_terms = [lm_log(an, wp, UP)]
         for b in boxes:
-            s = b.abs_sq()
-            lo_terms.append(lm_div(lm_log(max(Fraction(1), s.lo), wp, DOWN), 2, wp, DOWN))
-            hi_terms.append(lm_div(lm_log(max(Fraction(1), s.hi), wp, UP), 2, wp, UP))
+            s_lo, s_hi = fx_abs_sq(b)
+            lo_terms.append(lm_div(lm_log(Fraction(max(one, s_lo), one), wp, DOWN), 2, wp, DOWN))
+            hi_terms.append(lm_div(lm_log(Fraction(max(one, s_hi), one), wp, UP), 2, wp, UP))
         lo = lm_div(lm_sum(lo_terms, wp, DOWN), n, precision, DOWN)
         hi = lm_div(lm_sum(hi_terms, wp, UP), n, precision, UP)
         if lm_sub(hi, lo, wp, UP) <= target:

@@ -242,13 +242,14 @@ def _point_descriptor(p) -> dict:
         return {"kind": "infinity"}
     if p.is_rational:
         return {"kind": "rational", "value": str(p.as_fraction())}
-    # a 64-bit box: the 32-bit canonical box would print fewer correct digits
-    m = p.refined_box(64).mid()
+    # a 64-bit box: the 32-bit canonical box would print fewer correct digits.
+    # Its centre is (a + b) / 2**(w + 1), and int / int rounds correctly.
+    w, (a, b, u, v) = p.refined_box(64)
     return {
         "kind": "algebraic",
         "minpoly": render_poly(p.minpoly),
         "root_index": p.index,
-        "approx": [float(m[0]), float(m[1])],
+        "approx": [(a + b) / (2 << w), (u + v) / (2 << w)],
     }
 
 

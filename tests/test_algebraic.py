@@ -29,11 +29,16 @@ from smallpoints.algebraic import (
     weil_height,
 )
 from smallpoints.cli import main
-from smallpoints.intervals import Box
 from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
 from smallpoints.polynomial import Poly, factor_over_z, parse_poly
 
 from oracles import DEC_TOL, dec_ln, dec_sqrt
+
+
+def _box(r):
+    """The canonical root box of r as exact (re_lo, re_hi, im_lo, im_hi)."""
+    w, box = r.refined_box(32)
+    return tuple(Fraction(x, 1 << w) for x in box)
 
 
 def _root_where(f, pred):
@@ -43,19 +48,19 @@ def _root_where(f, pred):
 
 
 def sqrt2():
-    return _root_where(parse_poly("x^2 - 2")[0], lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - 2")[0], lambda r: _box(r)[0] > 0)
 
 
 def sqrt3():
-    return _root_where(parse_poly("x^2 - 3")[0], lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - 3")[0], lambda r: _box(r)[0] > 0)
 
 
 def golden():
-    return _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.lo > 0)
+    return _root_where(parse_poly("x^2 - x - 1")[0], lambda r: _box(r)[0] > 0)
 
 
 def imag_unit():
-    return _root_where(parse_poly("x^2 + 1")[0], lambda r: r.box.im.lo > 0)
+    return _root_where(parse_poly("x^2 + 1")[0], lambda r: _box(r)[2] > 0)
 
 
 def _frac(lm: LogMag) -> Fraction:
@@ -83,13 +88,13 @@ def test_add_sqrt2_sqrt3():
     v = sqrt2() + sqrt3()
     assert v.minpoly == parse_poly("x^4 - 10x^2 + 2")[0] + Poly([-1])
     assert v.minpoly == Poly([1, 0, -10, 0, 1])
-    assert v.box.re.lo > 3
+    assert _box(v)[0] > 3
 
 
 def test_mul_sqrt2_sqrt3():
     v = sqrt2() * sqrt3()
     assert v.minpoly == Poly([-6, 0, 1])
-    assert v.box.re.lo > 2
+    assert _box(v)[0] > 2
 
 
 def test_cancellation():
@@ -101,7 +106,7 @@ def test_cancellation():
 
 def test_golden_conjugate_identities():
     phi = golden()
-    bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.hi < 0)
+    bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: _box(r)[1] < 0)
     assert phi + bar == 1
     assert phi * bar == -1
 
@@ -136,11 +141,11 @@ def test_rational_fast_paths():
 
 def _operand_zoo():
     s2, s3, phi, i = sqrt2(), sqrt3(), golden(), imag_unit()
-    s2_bar = _root_where(parse_poly("x^2 - 2")[0], lambda r: r.box.re.hi < 0)
-    phi_bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: r.box.re.hi < 0)
-    i_bar = _root_where(parse_poly("x^2 + 1")[0], lambda r: r.box.im.hi < 0)
-    cbrt2 = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.is_point())
-    cbrt2_c = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.lo > 0)
+    s2_bar = _root_where(parse_poly("x^2 - 2")[0], lambda r: _box(r)[1] < 0)
+    phi_bar = _root_where(parse_poly("x^2 - x - 1")[0], lambda r: _box(r)[1] < 0)
+    i_bar = _root_where(parse_poly("x^2 + 1")[0], lambda r: _box(r)[3] < 0)
+    cbrt2 = _root_where(parse_poly("x^3 - 2")[0], lambda r: _box(r)[2] == _box(r)[3] == 0)
+    cbrt2_c = _root_where(parse_poly("x^3 - 2")[0], lambda r: _box(r)[2] > 0)
     return {
         "sqrt2": s2,
         "-sqrt2": s2_bar,
@@ -308,8 +313,10 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     s2 = sqrt2()
     assert s2 * s2 == 2 and s2 / s2 == 1 and s2 - s2 == 0
     r = AlgebraicNumber.from_rational(Fraction(-3, 5))
-    box = r.refined_box(200)
-    assert box.is_point() and box.intersects(Box.point(Fraction(-3, 5)))
+    # a rational's box is the least one at grid_bits(200) = 216 bits
+    w, (a, b, u, v) = r.refined_box(200)
+    assert w == 216 and u == v == 0 and b - a == 1
+    assert Fraction(a, 1 << w) < Fraction(-3, 5) < Fraction(b, 1 << w)
     weil_height(Fraction(22, 7), 80)
     assert degrees and min(degrees) >= 2
 
@@ -426,7 +433,7 @@ def test_anharmonic_orbit_irrational():
 
 
 def _cubic_root():
-    return _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.lo > 0)
+    return _root_where(parse_poly("x^3 - 2")[0], lambda r: _box(r)[2] > 0)
 
 
 def test_anharmonic_minpolys_are_the_orbit_minpolys(monkeypatch):
@@ -611,7 +618,7 @@ def test_height_roots_of_unity_exact():
     i = imag_unit()
     lo, hi = weil_height(i)
     assert lo.is_zero() and hi.is_zero()
-    z6 = _root_where(parse_poly("x^2 - x + 1")[0], lambda r: r.box.im.lo > 0)
+    z6 = _root_where(parse_poly("x^2 - x + 1")[0], lambda r: _box(r)[2] > 0)
     lo, hi = weil_height(z6)
     assert lo.is_zero() and hi.is_zero()
     for r in (Fraction(1), Fraction(-1), Fraction(0)):
@@ -620,7 +627,7 @@ def test_height_roots_of_unity_exact():
 
 
 def test_height_cbrt2():
-    v = _root_where(parse_poly("x^3 - 2")[0], lambda r: r.box.im.is_point())
+    v = _root_where(parse_poly("x^3 - 2")[0], lambda r: _box(r)[2] == _box(r)[3] == 0)
     lo, hi = weil_height(v)
     want = dec_ln(2) / 3
     assert _frac(lo) <= want + DEC_TOL and want - DEC_TOL <= _frac(hi)
@@ -684,7 +691,7 @@ def test_height_rational_oracle(p, q):
     ).filter(lambda t: t[0] * t[3] - t[1] * t[2] != 0),
 )
 def test_mobius_group_properties(d, abcd):
-    base = _root_where(Poly([-d, 0, 1]), lambda r: r.box.re.lo > 0)
+    base = _root_where(Poly([-d, 0, 1]), lambda r: _box(r)[0] > 0)
     a, b, c, dd = abcd
     v = base.mobius(a, b, c, dd)
     # applying the inverse matrix undoes the transform

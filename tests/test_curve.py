@@ -589,7 +589,8 @@ def test_rational_triple_ignores_the_resultant_degree_cap():
     assert not [c for c in caveats if "degree cap" in c]
 
     def point(p):
-        return complex(*(float(t) for t in p.refined_box(60).mid()))
+        w, (a, b, u, v) = p.refined_box(60)
+        return complex((a + b) / (2 << w), (u + v) / (2 << w))
 
     p1, p2, p3 = (point(branch[i]) for i in triple)
     for z, lam in lams:

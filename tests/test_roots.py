@@ -2,7 +2,8 @@
 
 Locations are pinned against 50+ digit decimal oracles; the structural
 invariants (disjointness, conjugate pairing, radius targets, one root per
-box) are checked on every isolation result.
+box) are checked on every isolation result.  A box is four ints over
+2**w; the tests read it as exact fractions.
 """
 
 import functools
@@ -14,15 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smallpoints import roots
-from smallpoints.intervals import Box, Interval
 from smallpoints.polynomial import Poly, cyclotomic_poly, parse_poly
-from smallpoints.roots import (
-    isolate_roots,
-    krawczyk_test,
-    refine_complex_root,
-    refine_real_root,
-    refine_root_box,
-)
+from smallpoints.roots import isolate_roots, krawczyk_test, refine_root_box
 
 from oracles import DEC_TOL, dec_exp, dec_ln, dec_sqrt
 
@@ -31,99 +25,143 @@ SQRT3 = dec_sqrt(3)
 CBRT2 = dec_exp(dec_ln(2) / 3)
 
 
-def _near(iv: Interval, x: Fraction) -> bool:
-    """x is within oracle tolerance of the interval."""
-    return iv.lo - DEC_TOL <= x <= iv.hi + DEC_TOL
+def _exact(w: int, box) -> tuple:
+    """(re_lo, re_hi, im_lo, im_hi) of a box at w bits, as Fractions."""
+    return tuple(Fraction(x, 1 << w) for x in box)
 
 
-def _box_near(b: Box, re: Fraction, im: Fraction) -> bool:
-    return _near(b.re, re) and _near(b.im, im)
+def _isolate(f: Poly, precision: int = 32) -> list[tuple]:
+    w, boxes = isolate_roots(f, precision)
+    return [_exact(w, b) for b in boxes]
 
 
-def _inside(a: Box, b: Box) -> bool:
+def _near(lo, hi, x: Fraction) -> bool:
+    """x is within oracle tolerance of the interval [lo, hi]."""
+    return lo - DEC_TOL <= x <= hi + DEC_TOL
+
+
+def _box_near(b, re: Fraction, im: Fraction) -> bool:
+    return _near(b[0], b[1], re) and _near(b[2], b[3], im)
+
+
+def _hits(b, re, im=0) -> bool:
+    """The exact box b holds the point re + im i."""
+    return b[0] <= re <= b[1] and b[2] <= im <= b[3]
+
+
+def _inside(a, b) -> bool:
     """a lies inside b, edges included."""
-    return (b.re.lo <= a.re.lo and a.re.hi <= b.re.hi
-            and b.im.lo <= a.im.lo and a.im.hi <= b.im.hi)
+    return b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
 
 
-def _check_invariants(f: Poly, boxes: list[Box], precision: int):
+def _mid(b):
+    return (b[0] + b[1]) / 2, (b[2] + b[3]) / 2
+
+
+def _rad(b):
+    return max(b[1] - b[0], b[3] - b[2]) / 2
+
+
+def _is_flat(b) -> bool:
+    return b[2] == b[3] == 0
+
+
+def _small_enough(b, precision: int) -> bool:
+    m = _mid(b)
+    tol = Fraction(1, 1 << precision)
+    return _rad(b) ** 2 <= tol * tol * max(Fraction(1), m[0] ** 2 + m[1] ** 2)
+
+
+def _check_invariants(f: Poly, boxes: list, precision: int):
     assert len(boxes) == f.degree()
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            assert not boxes[i].intersects(boxes[j])
+            a, b = boxes[i], boxes[j]
+            assert not (a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3])
     # conjugate closure with exact mirroring
-    nonreal = [b for b in boxes if not (b.im.is_point() and b.im.lo == 0)]
+    nonreal = [b for b in boxes if not _is_flat(b)]
     for b in nonreal:
-        assert any(c.re == b.re and c.im == -b.im for c in nonreal)
-    tol = Fraction(1, 1 << precision)
+        assert (b[0], b[1], -b[3], -b[2]) in nonreal
     for b in boxes:
-        m = b.mid()
-        assert b.rad() ** 2 <= tol * tol * max(Fraction(1), m[0] ** 2 + m[1] ** 2)
-    keys = [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes]
-    assert keys == sorted(keys)
+        assert _small_enough(b, precision)
+    assert boxes == sorted(boxes)
 
 
-def _real_intervals(f: Poly) -> list[Interval]:
-    """The flat boxes of isolate_roots as intervals, in increasing order."""
-    return [b.re for b in isolate_roots(f) if b.im.is_point() and b.im.lo == 0]
+def _real_intervals(f: Poly) -> list[tuple]:
+    """The flat boxes of isolate_roots as (lo, hi), in increasing order."""
+    return [b[:2] for b in _isolate(f) if _is_flat(b)]
+
+
+def _refine(f: Poly, precision: int, which=lambda b: True) -> list[tuple]:
+    """Boxes of isolate_roots that pass which, refined to precision, each
+    with the box it came from."""
+    w, boxes = isolate_roots(f)
+    out = []
+    for b in boxes:
+        if which(_exact(w, b)):
+            v, r = refine_root_box(f, b, w, precision)
+            out.append((_exact(v, r), _exact(w, b)))
+    return out
 
 
 def test_isolate_real_sqrt2():
     f = parse_poly("x^2 - 2")[0]
     ivs = _real_intervals(f)
     assert len(ivs) == 2
-    for iv in ivs:
-        assert (iv.lo**2 - 2) * (iv.hi**2 - 2) < 0
-    assert _near(ivs[0], -SQRT2) and _near(ivs[1], SQRT2)
+    for lo, hi in ivs:
+        assert (lo**2 - 2) * (hi**2 - 2) < 0
+    assert _near(*ivs[0], -SQRT2) and _near(*ivs[1], SQRT2)
+
+
+def _flat_above(x):
+    return lambda b: _is_flat(b) and b[0] > x
 
 
 def test_refine_real_sqrt2():
     f = parse_poly("x^2 - 2")[0]
-    iv = _real_intervals(f)[1]
-    r = refine_real_root(f, iv, 80)
-    assert r.width() <= Fraction(2, 1 << 80) * 2
-    assert _near(r, SQRT2)
-    assert abs(r.mid() - SQRT2) <= Fraction(1, 1 << 78)
+    ((r, _),) = _refine(f, 80, _flat_above(0))
+    assert _is_flat(r) and r[1] - r[0] <= Fraction(2, 1 << 80) * 2
+    assert _near(r[0], r[1], SQRT2)
+    assert abs(_mid(r)[0] - SQRT2) <= Fraction(1, 1 << 78)
 
 
 def test_refine_real_cbrt2():
     f = parse_poly("x^3 - 2")[0]
-    (iv,) = _real_intervals(f)
-    r = refine_real_root(f, iv, 100)
-    assert _near(r, CBRT2)
-    assert abs(r.mid() - CBRT2) <= Fraction(1, 1 << 98)
+    ((r, _),) = _refine(f, 100, _is_flat)
+    assert _near(r[0], r[1], CBRT2)
+    assert abs(_mid(r)[0] - CBRT2) <= Fraction(1, 1 << 98)
 
 
 def test_refine_rational_root_exact_or_tight():
     f = parse_poly("x^3 - x")[0]
-    ivs = _real_intervals(f)
-    assert len(ivs) == 3
-    refined = [refine_real_root(f, iv, 60) for iv in ivs]
-    for r, root in zip(refined, (-1, 0, 1)):
-        assert r.lo <= root <= r.hi
+    refined = _refine(f, 60, _is_flat)
+    assert len(refined) == 3
+    for (r, _), root in zip(refined, (-1, 0, 1)):
+        assert r[0] <= root <= r[1]
 
 
 def test_isolate_x2_plus_1():
-    boxes = isolate_roots(parse_poly("x^2 + 1")[0], 40)
-    _check_invariants(parse_poly("x^2 + 1")[0], boxes, 40)
-    assert boxes[0].intersects(Box.point(0, -1))
-    assert boxes[1].intersects(Box.point(0, 1))
+    f = parse_poly("x^2 + 1")[0]
+    boxes = _isolate(f, 40)
+    _check_invariants(f, boxes, 40)
+    assert _hits(boxes[0], 0, -1)
+    assert _hits(boxes[1], 0, 1)
 
 
 def test_isolate_x5_minus_x():
     f = parse_poly("x^5 - x")[0]
-    boxes = isolate_roots(f, 40)
+    boxes = _isolate(f, 40)
     _check_invariants(f, boxes, 40)
     for pt in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]:
-        hits = [b for b in boxes if b.intersects(Box.point(*pt))]
+        hits = [b for b in boxes if _hits(b, *pt)]
         assert len(hits) == 1
-    flats = [b for b in boxes if b.im.is_point() and b.im.lo == 0]
+    flats = [b for b in boxes if _is_flat(b)]
     assert len(flats) == 3
 
 
 def test_isolate_x3_minus_2():
     f = parse_poly("x^3 - 2")[0]
-    boxes = isolate_roots(f, 60)
+    boxes = _isolate(f, 60)
     _check_invariants(f, boxes, 60)
     re_c = -CBRT2 / 2
     im_c = CBRT2 * SQRT3 / 2
@@ -134,7 +172,7 @@ def test_isolate_x3_minus_2():
 
 def test_isolate_cyclotomic_8():
     f = cyclotomic_poly(8)
-    boxes = isolate_roots(f, 50)
+    boxes = _isolate(f, 50)
     _check_invariants(f, boxes, 50)
     h = SQRT2 / 2
     expected = [(-h, -h), (-h, h), (h, -h), (h, h)]
@@ -144,7 +182,7 @@ def test_isolate_cyclotomic_8():
 
 def test_isolate_cyclotomic_12():
     f = cyclotomic_poly(12)
-    boxes = isolate_roots(f, 50)
+    boxes = _isolate(f, 50)
     _check_invariants(f, boxes, 50)
     h = SQRT3 / 2
     half = Fraction(1, 2)
@@ -155,59 +193,58 @@ def test_isolate_cyclotomic_12():
 
 def test_isolate_x5_minus_1():
     f = parse_poly("x^5 - 1")[0]
-    boxes = isolate_roots(f, 40)
+    boxes = _isolate(f, 40)
     _check_invariants(f, boxes, 40)
-    flats = [b for b in boxes if b.im.is_point() and b.im.lo == 0]
-    assert len(flats) == 1 and flats[0].intersects(Box.point(1, 0))
+    flats = [b for b in boxes if _is_flat(b)]
+    assert len(flats) == 1 and _hits(flats[0], 1)
 
 
 def test_close_real_roots_separate():
     f = parse_poly("x - 1")[0] * Poly([-1025, 1024])
-    boxes = isolate_roots(f, 40)
+    boxes = _isolate(f, 40)
     _check_invariants(f, boxes, 40)
-    assert boxes[0].intersects(Box.point(1, 0))
-    assert boxes[1].intersects(Box.point(Fraction(1025, 1024), 0))
+    assert _hits(boxes[0], 1)
+    assert _hits(boxes[1], Fraction(1025, 1024))
 
 
 def test_big_scale_roots():
     f = parse_poly("x^2 + 1000000")[0]
-    boxes = isolate_roots(f, 40)
+    boxes = _isolate(f, 40)
     _check_invariants(f, boxes, 40)
-    assert boxes[0].intersects(Box.point(0, -1000))
-    assert boxes[1].intersects(Box.point(0, 1000))
+    assert _hits(boxes[0], 0, -1000)
+    assert _hits(boxes[1], 0, 1000)
 
 
 def test_krawczyk_direct():
     f = parse_poly("x^2 - 2")[0]
-    hit = Box(Interval(Fraction(13, 10), Fraction(3, 2)), Interval(Fraction(-1, 10), Fraction(1, 10)))
-    assert krawczyk_test(f, hit) is not None
-    empty = Box(Interval(3, 4), Interval(Fraction(-1, 10), Fraction(1, 10)))
-    assert krawczyk_test(f, empty) is None
-    double = Box(Interval(-2, 2), Interval(Fraction(-1, 10), Fraction(1, 10)))
-    assert krawczyk_test(f, double) is None
+    w = 10  # boxes at 2**-10: 13/10 is about 1331 units
+    hit = (1331, 1536, -102, 102)
+    K = krawczyk_test(f, hit, w)
+    assert K is not None and K[0] > hit[0] and K[1] < hit[1]
+    assert Fraction(K[0], 1 << w) <= SQRT2 <= Fraction(K[1], 1 << w)
+    empty = (3 << w, 4 << w, -102, 102)
+    assert krawczyk_test(f, empty, w) is None
+    double = (-2 << w, 2 << w, -102, 102)
+    assert krawczyk_test(f, double, w) is None
 
 
 def test_refine_complex_tightens():
     f = parse_poly("x^2 + 1")[0]
-    coarse = isolate_roots(f, 20)
-    fine = refine_complex_root(f, coarse[1], 90)
-    assert fine.rad() <= Fraction(1, 1 << 89)
-    assert fine.intersects(Box.point(0, 1))
-    assert _inside(fine, coarse[1])
+    ((fine, coarse),) = _refine(f, 90, lambda b: b[2] > 0)
+    assert _rad(fine) <= Fraction(1, 1 << 89)
+    assert _hits(fine, 0, 1)
+    assert _inside(fine, coarse)
 
 
 def test_refine_root_box_dispatch():
     f = parse_poly("x^3 - 2")[0]
-    boxes = isolate_roots(f, 30)
-    for b in boxes:
-        r = refine_root_box(f, b, 70)
+    refined = _refine(f, 70)
+    for r, b in refined:
         assert _inside(r, b)
-        m = r.mid()
-        assert r.rad() ** 2 <= Fraction(1, 1 << 140) * max(
-            Fraction(1), m[0] ** 2 + m[1] ** 2
-        )
-    lower = refine_root_box(f, boxes[0], 70)
-    assert lower.im.hi < 0
+        assert _small_enough(r, 70)
+    # the box below the axis stays the exact mirror of the one above
+    (lower, _), (upper, _), _ = refined
+    assert lower[3] < 0 and lower == (upper[0], upper[1], -upper[3], -upper[2])
 
 
 def test_errors():
@@ -230,9 +267,7 @@ def test_certificate_needs_every_root_once():
 
 def test_deterministic():
     f = cyclotomic_poly(5)
-    a = isolate_roots(f, 40)
-    b = isolate_roots(f, 40)
-    assert all(x.re == y.re and x.im == y.im for x, y in zip(a, b))
+    assert isolate_roots(f, 40) == isolate_roots(f, 40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,12 +285,12 @@ def test_rational_roots_recovered(roots):
     f = Poly([1])
     for r in roots:
         f = f * Poly([-r.numerator, r.denominator])
-    boxes = isolate_roots(f, 24)
+    boxes = _isolate(f, 24)
     _check_invariants(f, boxes, 24)
     for r in roots:
-        hits = [b for b in boxes if b.intersects(Box.point(r))]
+        hits = [b for b in boxes if _hits(b, r)]
         assert len(hits) == 1
-        assert all(b.im.is_point() and b.im.lo == 0 for b in hits)
+        assert all(_is_flat(b) for b in hits)
 
 
 @settings(max_examples=25, deadline=None)
@@ -267,12 +302,79 @@ def test_mixed_real_nonreal(a, rs):
     f = Poly([a, 0, 1])
     for r in rs:
         f = f * Poly([-r, 1])
-    boxes = isolate_roots(f, 20)
+    boxes = _isolate(f, 20)
     _check_invariants(f, boxes, 20)
-    flats = [b for b in boxes if b.im.is_point() and b.im.lo == 0]
+    flats = [b for b in boxes if _is_flat(b)]
     assert len(flats) == len(rs)
     for r in rs:
-        assert any(b.intersects(Box.point(r)) for b in flats)
+        assert any(_hits(b, r) for b in flats)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point Krawczyk test never certifies a box that holds no root or
+# two roots: polynomials with known rational and Gaussian-rational roots,
+# boxes around and between them
+
+
+_small = st.integers(-12, 12).map(lambda n: Fraction(n, 4))
+_point = st.tuples(_small, _small)
+
+
+@st.composite
+def _known_roots(draw):
+    """Distinct rational roots and conjugate pairs of Gaussian-rational ones,
+    as exact points, with the integer polynomial they make."""
+    reals = draw(st.lists(_small, max_size=3, unique=True))
+    pairs = draw(st.lists(_point.filter(lambda z: z[1] > 0), max_size=2, unique=True))
+    pts = [(r, Fraction(0)) for r in reals]
+    for x, y in pairs:
+        pts += [(x, y), (x, -y)]
+    f = Poly([1])
+    for r in reals:
+        f = f * Poly([-r.numerator, r.denominator])
+    for x, y in pairs:
+        # (4x - a)^2 + b^2 with a + bi = 4(x + yi), a Gaussian integer
+        a, b = int(4 * x), int(4 * y)
+        f = f * Poly([a * a + b * b, -8 * a, 16])
+    return pts, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    known=_known_roots(),
+    centre=_point,
+    pick=st.integers(0, 7),
+    log_rad=st.integers(-12, 2),
+    skew=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    w=st.sampled_from([8, 16, 40, 64]),
+)
+def test_krawczyk_never_certifies_zero_or_two_roots(known, centre, pick, log_rad, skew, w):
+    pts, f = known
+    if f.degree() < 1:
+        return
+    # a box about a known root, or about a point between two of them, or
+    # about any point; off-centre by a few units of its radius / 4
+    if pick < len(pts):
+        c = pts[pick]
+    elif pick < 2 * len(pts) - 1:
+        i = pick - len(pts)
+        c = ((pts[i][0] + pts[i + 1][0]) / 2, (pts[i][1] + pts[i + 1][1]) / 2)
+    else:
+        c = centre
+    r = Fraction(2) ** log_rad
+    c = (c[0] + skew[0] * r / 4, c[1] + skew[1] * r / 4)
+    scale = 1 << w
+    box = (
+        (c[0] - r) * scale // 1, -(-(c[0] + r) * scale // 1),
+        (c[1] - r) * scale // 1, -(-(c[1] + r) * scale // 1),
+    )
+    K = krawczyk_test(f, box, w)
+    if K is None:
+        return
+    exact = _exact(w, box)
+    inside = [p for p in pts if _hits(exact, *p)]
+    assert len(inside) == 1, (f, box, w)
+    assert _hits(_exact(w, K), *inside[0])
 
 
 def _random_poly(seed: int, degree: int, constant=None) -> Poly:
@@ -299,15 +401,12 @@ _ORACLE_INPUTS = (
 def test_boxes_hold_the_mpmath_roots(f):
     """Each 60-digit mpmath root lies in exactly one certified box, up to
     the oracle's own 1e-45 relative tolerance."""
-    boxes = isolate_roots(f, 40)
-    _check_invariants(f, boxes, 40)
+    w, boxes = isolate_roots(f, 40)
+    _check_invariants(f, [_exact(w, b) for b in boxes], 40)
     with mpmath.workdps(60):
-        coeffs = [mpmath.mpf(c.numerator) for c in reversed(f.coeffs)]
+        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
         zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=60)
-        edges = [
-            [mpmath.mpf(x.numerator) / x.denominator for x in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)]
-            for b in boxes
-        ]
+        edges = [[mpmath.ldexp(mpmath.mpf(x), -w) for x in b] for b in boxes]
         for z in zs:
             tol = mpmath.mpf(10) ** -45 * max(1, abs(z))
             x, y = mpmath.re(z), mpmath.im(z)
@@ -316,3 +415,16 @@ def test_boxes_hold_the_mpmath_roots(f):
                 if e[0] - tol <= x <= e[1] + tol and e[2] - tol <= y <= e[3] + tol
             ]
             assert len(hits) == 1, (f, z)
+
+
+@pytest.mark.parametrize("f", _ORACLE_INPUTS, ids=range(len(_ORACLE_INPUTS)))
+def test_refinement_reaches_2048_bits(f):
+    """Refinement does not stall at 2048 bits, where the rounding noise of
+    large coefficients and close roots would show: every box gets to the
+    radius target inside its canonical box."""
+    w, boxes = isolate_roots(f)
+    for b in boxes:
+        v, r = refine_root_box(f, b, w, 2048)
+        assert v == 2048 + 16
+        assert _small_enough(_exact(v, r), 2048)
+        assert _inside(_exact(v, r), _exact(w, b))
