@@ -42,6 +42,7 @@ enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -67,15 +68,30 @@ def mode_name(mode: int) -> str:
 # primality and factorization
 
 
+# trial division covers the primes below _TRIAL_LIMIT, in runs of _RUN_LENGTH.
+# Above _PRIME_TEST_BITS one Miller-Rabin base costs more than the gcds with
+# all the run products (5.4 against 4.6 ms at 1024 bits, 33 against 8.6 ms at
+# 2048), so a larger cofactor is not tested until the runs have shrunk it.
+_TRIAL_LIMIT = 10**6
+_RUN_LENGTH = 1024
+_PRIME_TEST_BITS = 1024
+
+
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    limit = 10**6
-    sieve = bytearray([1]) * (limit + 1)
+    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(limit + 1) if sieve[i])
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_LIMIT + 1, p)))
+    return tuple(itertools.compress(range(_TRIAL_LIMIT + 1), sieve))
+
+
+@lru_cache(maxsize=None)
+def _run_product(run: int) -> int:
+    """The product of the primes of one trial-division run, built the first
+    time a cofactor reaches that run."""
+    return math.prod(_small_primes()[run * _RUN_LENGTH : (run + 1) * _RUN_LENGTH])
 
 
 _MR_DETERMINISTIC_LIMIT = 1 << 64
@@ -181,24 +197,64 @@ def _perfect_power(m: int) -> tuple[int, int] | None:
     return None
 
 
-def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
+def _trial_division(n: int, out: dict[int, int]) -> int:
+    """Record in out the prime factors of n >= 1 below 10**6, and any prime
+    cofactor; return the cofactor left, 1 or a composite whose prime factors
+    all exceed 10**6.
 
-    factor(1) is the empty list.  Trial division by all primes below 10**6,
-    then Pollard rho with Miller-Rabin primality on the cofactors.  A
-    cofactor that is a perfect power is split by an integer root first:
-    rho on p**2 needs about sqrt(p) steps, because gcd(x - y, p**2) only
-    exposes p after the sequence cycles mod p.
+    The first run of primes divides n one prime at a time.  Each later run
+    is entered only by a composite cofactor, and one gcd with the run's
+    product skips it when none of its primes divides n (Bernstein, J.
+    Algorithms 54, 2005).  A cofactor with no factor below the run's first
+    prime p is prime when it is below p**2 or passes the primality test,
+    which runs after the first run and after each run that divides n, on
+    cofactors of at most _PRIME_TEST_BITS bits.
     """
-    if n < 1:
-        raise ValueError("factor requires a positive integer")
-    out: dict[int, int] = {}
-    for p in _small_primes():
+    primes = _small_primes()
+    for p in primes[:_RUN_LENGTH]:
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    runs = -(-len(primes) // _RUN_LENGTH)
+    run = 1
+    while n > 1 and run < runs:
+        if n < primes[run * _RUN_LENGTH] ** 2 or (
+            n.bit_length() <= _PRIME_TEST_BITS and is_prime(n)
+        ):
+            out[n] = 1
+            return 1
+        while run < runs:
+            g = math.gcd(n, _run_product(run))
+            run += 1
+            if g > 1:
+                for p in primes[(run - 1) * _RUN_LENGTH : run * _RUN_LENGTH]:
+                    if g % p == 0:
+                        while n % p == 0:
+                            out[p] = out.get(p, 0) + 1
+                            n //= p
+                        g //= p
+                        if g == 1:
+                            break
+                break
+    return n
+
+
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
+
+    factor(1) is the empty list.  Trial division below 10**6 in runs of
+    primes (`_trial_division`), which stops at a prime cofactor, then
+    Pollard rho with Miller-Rabin primality on the cofactors.  A cofactor
+    that is a perfect power is split by an integer root first: rho on p**2
+    needs about sqrt(p) steps, because gcd(x - y, p**2) only exposes p after
+    the sequence cycles mod p.
+    """
+    if n < 1:
+        raise ValueError("factor requires a positive integer")
+    out: dict[int, int] = {}
+    n = _trial_division(n, out)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -21,6 +21,7 @@ from oracles import (
     trial_division_factor,
 )
 from test_golden import fresh_interpreter
+from smallpoints import numeric
 from smallpoints.numeric import (
     DOWN,
     UP,
@@ -96,6 +97,55 @@ def test_factor_splits_prime_powers_without_rho(monkeypatch):
     p, q = 1000003, sympy.nextprime(10**12)
     for n in (p * q**2, p * q**3, q**2, (p * q) ** 2):
         assert factor(n) == sorted(sympy.factorint(n).items()), n
+
+
+def _runs():
+    primes = numeric._small_primes()
+    return [primes[i : i + numeric._RUN_LENGTH] for i in range(0, len(primes), numeric._RUN_LENGTH)]
+
+
+def test_factor_at_trial_division_run_boundaries(monkeypatch):
+    import sympy
+
+    rho = numeric._pollard_rho
+
+    def rho_above_trial_limit(m):
+        # trial division leaves rho no prime below 10**6
+        assert min(sympy.primefactors(m)) > 10**6, m
+        return rho(m)
+
+    monkeypatch.setattr(numeric, "_pollard_rho", rho_above_trial_limit)
+    runs = _runs()
+    assert len(runs) > 3 and runs[-1][-1] == 999983
+    composite_rest = 1000003 * 1000033
+    cases = [
+        999983**2,
+        999983 * 1000003,
+        999983**3 * 7,
+        999999999989,  # the largest prime below 10**12
+        10**12 + 39,  # the least prime above 10**12
+    ]
+    for i in (0, 1, 2, 37, len(runs) - 2, len(runs) - 1):
+        first, last = runs[i][0], runs[i][-1]
+        cases += [first, last, first * last, first * last * composite_rest, last**2 * 1000003]
+        if i + 1 < len(runs):
+            # p * q inside one run and across two runs
+            cases += [runs[i][1] * runs[i][-2], last * runs[i + 1][0], last * runs[i + 1][-1] * 1000003]
+    for n in cases:
+        assert factor(n) == sorted(sympy.factorint(n).items()), n
+    # a run's full product times a prime above 10**6 (too big for factorint)
+    for run, q in ((runs[5], 1000003), (runs[-1], 10**12 + 39)):
+        assert factor(math.prod(run) * q) == [(p, 1) for p in run] + [(q, 1)]
+
+
+def test_factor_prime_cofactor_builds_no_run_product():
+    numeric._run_product.cache_clear()
+    # after the first run of primes the cofactor 10**9 + 7 is prime
+    assert factor(2**5 * 3 * 8161 * (10**9 + 7)) == [(2, 5), (3, 1), (8161, 1), (10**9 + 7, 1)]
+    assert numeric._run_product.cache_info().currsize == 0
+    # a composite cofactor goes through the run products
+    assert factor(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+    assert numeric._run_product.cache_info().currsize == len(_runs()) - 1
 
 
 def test_is_prime():

@@ -13,6 +13,7 @@ from smallpoints.polynomial import (
     MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     Poly,
+    _RECOMBINATION_BOUND,
     _choose_prime,
     _distinct_degree,
     _factor_mod_p,
@@ -266,8 +267,9 @@ def test_factor_irreducible():
 
 
 def _choose_prime_by_full_split(ints):
-    """The first of five usable primes whose full modular split has the
-    fewest factors, stopping early at an irreducible reduction."""
+    """The first usable prime, unless its full modular split has more than
+    _RECOMBINATION_BOUND factors; then the first of up to five usable primes
+    with the fewest factors, stopping at a count within the bound."""
     best, found, p = None, 0, 2
     while found < 5:
         p = _next_prime(p)
@@ -280,7 +282,7 @@ def _choose_prime_by_full_split(ints):
         found += 1
         if best is None or len(units) < len(best[1]):
             best = (p, units)
-            if len(units) == 1:
+            if len(units) <= _RECOMBINATION_BOUND:
                 break
     return best
 
@@ -347,6 +349,40 @@ def test_factor_matches_sympy_structured(parts, c):
     for r, _ in rest:
         g = g * r
     assert factor_over_z(c * q**k * g) == factor_over_z(q * g)
+
+
+def _sympy_poly(expr) -> Poly:
+    x = sympy.Symbol("x")
+    return Poly([int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())])
+
+
+def test_factor_adversarial_inputs_match_sympy(monkeypatch):
+    """Inputs with many factors modulo every prime, against factor_list."""
+    from smallpoints import polynomial
+
+    x = sympy.Symbol("x")
+    for expr in (
+        sympy.swinnerton_dyer_poly(3, x),
+        sympy.swinnerton_dyer_poly(4, x),
+        x**32 + 1,
+        sympy.cyclotomic_poly(105, x) * sympy.cyclotomic_poly(84, x),
+    ):
+        f = _sympy_poly(sympy.expand(expr))
+        fs = factor_over_z(f)
+        assert set(_coeffs(fs)) == _sympy_factors(f), expr
+        _assert_sorted_primitive(fs)
+    # Phi_105 * Phi_84 has 12 factors mod 11, its first usable prime, so
+    # more candidate primes are split
+    splits = []
+
+    def counting(f, p):
+        splits.append(p)
+        return _distinct_degree(f, p)
+
+    monkeypatch.setattr(polynomial, "_distinct_degree", counting)
+    _, units = _choose_prime(list((cyclotomic_poly(105) * cyclotomic_poly(84)).coeffs))
+    assert splits[0] == 11 and len(splits) > 1
+    assert len(units) <= _RECOMBINATION_BOUND < 12
 
 
 # ---------------------------------------------------------------------------
