@@ -297,12 +297,12 @@ def _shift_dir(a: int, shift: int, direction: int) -> int:
 def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     """ln(p/q) * 2**wp directed, for 1 <= p/q <= 2, via 2*atanh((p-q)/(p+q)).
 
-    The upper end p/q = 2 is included because ln 2 itself is this series at
-    z = 1/3 (`_constant_table`).  For any p/q in range z = (p-q)/(p+q) <=
-    1/3, at most 1/3 + 1 ulp once rounded up, so z**2 < 1/9 + 1 ulp and the
-    terms dropped after t <= 2 sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.
-    Every quantity is positive, so a floor is // or >> and a ceiling is the
-    negated floor of the negation.
+    It serves `_ln_of_dyadic`, whose reduced argument p/q lies just above 1.
+    For any p/q in range z = (p-q)/(p+q) <= 1/3, at most 1/3 + 1 ulp once
+    rounded up, so z**2 < 1/9 + 1 ulp and the terms dropped after t <= 2
+    sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.  Every quantity is
+    positive, so a floor is // or >> and a ceiling is the negated floor of
+    the negation.
     """
     if p == q:
         return 0
@@ -327,16 +327,45 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     return 2 * total
 
 
+def _atanh_inv(x: int, wp: int, direction: int) -> int:
+    """2 * atanh(1/x) * 2**wp directed, for an integer x >= 3: the series
+    2 * sum 1 / ((2k+1) * x**(2k+1)), with only small-integer divisions.
+
+    t_k = 2**wp / x**(2k+1) comes from t_(k-1) by one directed division by
+    x**2, and directed divisions compose exactly (floor(floor(a/b)/c) =
+    floor(a/(bc)), the same for ceilings), so t_k is the floor (DOWN) or the
+    ceiling (UP) of its true value and t_k // (2k+1) errs in direction.  The
+    sum stops after the first term with t_k <= 1: every dropped term is
+    positive, so DOWN stays below the series, and after that term they sum
+    below (1/x**2) / (1 - 1/x**2) <= 1/8 of an ulp, so UP adds one ulp for
+    them.  Each kept term errs by under 2 ulps."""
+    x2 = x * x
+    t = _div_dir(1 << wp, x, direction)
+    total = 0
+    k = 1
+    while True:
+        total += _div_dir(t, k, direction)
+        if t <= 1:
+            break
+        t = _div_dir(t, x2, direction)
+        k += 2
+    if direction == UP:
+        total += 1
+    return 2 * total
+
+
 @lru_cache(maxsize=None)
 def _constant_table(name: str, wp: int, direction: int) -> int:
     """The constant name ("ln2", "log2_10" or "two_pi") * 2**wp, directed.
-    ln 2 takes 64 guard bits, so after the directed shift each end lies
-    within one ulp: the series' rounding errors then stay far below it."""
+    ln 2 = 2 atanh(1/3) and ln(5/4) = 2 atanh(1/9) (`_atanh_inv`) take 64
+    guard bits, so after the directed shift each end lies within one ulp:
+    the series' errors, under 2 ulps a term over fewer than wp terms, stay
+    far below it."""
     if name == "ln2":
-        return _shift_dir(_ln_atanh_series(2, 1, wp + 64, direction), 64, direction)
+        return _shift_dir(_atanh_inv(3, wp + 64, direction), 64, direction)
     if name == "log2_10":
         # log2 10 = 3 + ln(5/4) / ln 2, ln 2 rounded against direction
-        ln54 = _ln_atanh_series(5, 4, wp, direction)
+        ln54 = _shift_dir(_atanh_inv(9, wp + 64, direction), 64, direction)
         ln2 = _constant_table("ln2", wp, -direction)
         return (3 << wp) + _div_dir(ln54 << wp, ln2, direction)
     # two_pi, by Machin: pi = 16 atan(1/5) - 4 atan(1/239)

@@ -5,10 +5,15 @@ its denominators once, by parse_poly, and every later stage reads integer
 data.  On top of the ring ops and exact division this module provides the
 pieces the rest of the package leans on: gcds, resultants and
 discriminants, all from one subresultant PRS, the distinct irreducible
-factors over Z by the classical modular route (Cantor-Zassenhaus mod p,
-quadratic Hensel lifting, subset recombination under the Mignotte bound),
-cyclotomic recognition, and a small text format ("x^5 - x") used by the
-CLI.
+factors over Z by the modular route, cyclotomic recognition, and a small
+text format ("x^5 - x") used by the CLI.
+
+Factoring splits f mod one prime p (Cantor-Zassenhaus).  Each linear
+factor x - r mod p is Newton-lifted on f itself to p-adic precision, and
+a rational reconstruction b/a of r that passes an exact test gives the
+factor a*x - b over Z: the rational branch points need nothing more.  The
+factors left over are Hensel-lifted together and recombined in subsets
+under the Mignotte bound, which also finds any root reconstruction missed.
 """
 
 from __future__ import annotations
@@ -473,10 +478,16 @@ def _hensel_tree(f: list[int], lc: int, units: list[list[int]], p: int, modulus:
 
 
 def _mignotte_bound(ints: list[int]) -> int:
-    """Bound on |coefficient| of lc(f) times any monic factor of f."""
+    """Bound on every coefficient of the candidate h = (lc f / lc g) * g for
+    any factor g of f over Z, which recombination and the rational-root lift
+    read off symmetric residues.  With f = g * k, M(k) >= |lc k| gives
+    M(h) = |lc k| * M(g) <= M(f), and M(f) <= ||f||_2 (Landau), so every
+    coefficient obeys |h_j| <= C(deg h, j) * M(h) <= 2**n * ||f||_2 for
+    n = deg f.  h already carries lc f, so no further |lc f| multiplies the
+    bound."""
     n = len(ints) - 1
     norm2 = math.isqrt(sum(v * v for v in ints)) + 1
-    return (1 << n) * norm2 * abs(ints[-1])
+    return (1 << n) * norm2
 
 
 # A count of r modular factors lets the recombination try up to 2**(r-1)
@@ -528,9 +539,73 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
     return p, _factor_mod_p(monic, p, blocks)
 
 
+def _rational_reconstruction(r: int, m: int) -> tuple[int, int] | None:
+    """(b, a) with b = a * r mod m, |b| <= N and 0 < a <= N for N =
+    isqrt(m/2), or None: the first remainder of the extended Euclid on
+    (m, r) at most N, with its cofactor (each remainder r_i = t_i * r mod
+    m).  For odd m, a fraction b/a of that size with a prime to m and
+    b = a * r mod m is unique, and this finds it (Wang, Guy and Davenport,
+    SIGSAM Bull. 16, 1982)."""
+    bound = math.isqrt(m // 2)
+    r0, r1 = m, r
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _eval_mod(ints, x: int, m: int) -> int:
+    v = 0
+    for c in reversed(ints):
+        v = (v * x + c) % m
+    return v
+
+
+def _rational_root_factor(
+    ints: list[int], g: Poly, r: int, p: int, target: int
+) -> Poly | None:
+    """The factor a*x - b of g over Z whose root b/a is congruent to r mod p,
+    if one is found by the time the modulus reaches target (Loos, SIAM J.
+    Comput. 12, 1983).  r is a simple root of ints mod p, and g, a divisor
+    of ints over Z, keeps it.  r is Newton-lifted on ints itself, squaring
+    the modulus at each step: ints' is a unit at r because ints is
+    squarefree mod p.  At each modulus the rational reconstruction of r is
+    accepted only when a divides lc g and g(b/a) * a**deg g is exactly 0.
+    Then gcd(a, b) divides a power of p as well as lc g, which p does not
+    divide, so a*x - b is primitive."""
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    lc = g.lc()
+    m = p
+    while True:
+        pair = _rational_reconstruction(r, m)
+        if pair is not None and lc % pair[1] == 0:
+            b, a = pair
+            # g(b/a) * a**deg g, one integer Horner pass
+            v, w = 0, 1
+            for c in reversed(g.coeffs):
+                v = v * b + c * w
+                w *= a
+            if v == 0:
+                return Poly([-b, a])
+        if m >= target:
+            return None
+        m *= m
+        r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+
+
 def _factor_squarefree_int(ints: tuple[int, ...]) -> list[Poly]:
     """Irreducible factors (primitive, positive lc) of a primitive squarefree
-    integer polynomial of degree >= 1."""
+    integer polynomial of degree >= 1.
+
+    Each linear factor x - r of f mod p first gives its rational root, if f
+    has one there, by `_rational_root_factor`, which divides it out.  The
+    cofactor is congruent mod p to its lc times the units left over, so it
+    is irreducible when at most one is left; otherwise those units are
+    Hensel-lifted and recombined on it, under its own bound."""
     f = Poly(ints).primitive()
     if f.degree() == 1:
         return [f]
@@ -538,13 +613,25 @@ def _factor_squarefree_int(ints: tuple[int, ...]) -> list[Poly]:
     if len(units) == 1:
         return [f]
     target = 2 * _mignotte_bound(ints) + 1
+    out: list[Poly] = []
+    rest = []
+    for u in units:
+        h = _rational_root_factor(ints, f, -u[0] % p, p, target) if len(u) == 2 else None
+        if h is None:
+            rest.append(u)
+        else:
+            out.append(h)
+            f = f.quo(h)
+    if len(rest) <= 1:
+        return out + [f] if f.degree() > 0 else out
+    ints = f.coeffs
+    target = 2 * _mignotte_bound(ints) + 1
     modulus = p
     while modulus < target:
         modulus = modulus * modulus
-    lifted = _hensel_tree(ints, ints[-1], units, p, modulus)
+    lifted = _hensel_tree(ints, ints[-1], rest, p, modulus)
     half = modulus // 2
     remaining = list(range(len(lifted)))
-    out: list[Poly] = []
     c = 1
     while remaining and c <= len(remaining) // 2:
         progressed = False

@@ -27,6 +27,7 @@ from smallpoints.numeric import (
     UP,
     LogMag,
     _constant,
+    _constant_table,
     _exp_of_fixed,
     _ln_of_dyadic,
     _pow_int,
@@ -613,6 +614,26 @@ def test_constants_bracket_oracles():
         mp_ln_two_pi(),
         Fraction(1, 2**160),
     )
+
+
+def test_constant_tables_bracket_mpmath_up_to_the_precision_cap():
+    """The ln 2 and log2 10 table entries at the widths `_constant` asks
+    for, up to 16,448 bits (the 16,384-bit precision cap plus its guard),
+    bracket the mpmath value, ln 2 within one ulp and log2 10 within a few."""
+    import mpmath
+
+    for wp in (64, 128, 192, 1024, 4096, 8256, 16384, 16448):
+        with mpmath.workprec(wp + 128):
+            scale = mpmath.mpf(2) ** wp
+            exact = {
+                "ln2": mpmath.log(2) * scale,
+                "log2_10": mpmath.log(10) / mpmath.log(2) * scale,
+            }
+            for name, width in (("ln2", 1), ("log2_10", 4)):
+                lo = _constant_table(name, wp, DOWN)
+                hi = _constant_table(name, wp, UP)
+                assert lo <= exact[name] <= hi, (name, wp)
+                assert hi - lo <= width, (name, wp, hi - lo)
 
 
 def test_pow_exact_dyadic_cases():

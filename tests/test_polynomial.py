@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -17,6 +18,7 @@ from smallpoints.polynomial import (
     _choose_prime,
     _distinct_degree,
     _factor_mod_p,
+    _mignotte_bound,
     _next_prime,
     _pm_gcd,
     _pm_monic,
@@ -383,6 +385,124 @@ def test_factor_adversarial_inputs_match_sympy(monkeypatch):
     _, units = _choose_prime(list((cyclotomic_poly(105) * cyclotomic_poly(84)).coeffs))
     assert splits[0] == 11 and len(splits) > 1
     assert len(units) <= _RECOMBINATION_BOUND < 12
+
+
+def _seeded_irreducible(rng: random.Random, degree: int) -> Poly:
+    while True:
+        g = Poly([rng.randint(-40, 40) for _ in range(degree)] + [rng.randint(1, 9)])
+        if g[0] and factor_over_z(g) == [g.primitive()]:
+            return g.primitive()
+
+
+def test_factor_rational_roots_times_irreducibles_match_sympy():
+    """Seeded products of rational roots b/a with |b|, a up to 10**6 (so
+    some are too tall to reconstruct before the lift bound) and of
+    irreducible factors of degree 2 to 4, against factor_list."""
+    rng = random.Random(25)
+    for _ in range(40):
+        f = Poly([rng.choice([1, -1, 6])])
+        for _ in range(rng.randint(1, 5)):
+            top = 10 ** rng.randint(0, 6)
+            a, b = rng.randint(1, top), rng.randint(-top, top)
+            f = f * Poly([-b, a]) ** rng.randint(1, 2)
+        for _ in range(rng.randint(0, 2)):
+            f = f * _seeded_irreducible(rng, rng.randint(2, 4))
+        if f.degree() < 1:
+            continue
+        fs = factor_over_z(f)
+        assert set(_coeffs(fs)) == _sympy_factors(f), render_poly(f)
+        _assert_sorted_primitive(fs)
+    # a root too tall for reconstruction at the lift bound: the tree finds it
+    f = (X - 10**6) * (X**2 + 1)
+    assert factor_over_z(f) == [P(-(10**6), 1), P(1, 0, 1)]
+
+
+def test_factor_accepts_no_false_rational_root(monkeypatch):
+    """prod(x - i, i < 8) + 1155 g is congruent to eight distinct linear
+    factors mod 11, its first usable prime (1155 = 3*5*7*11, and f is not
+    squarefree mod 3, 5 or 7), so every one of its modular roots lifts and
+    small reconstructions such as 0, 1 and 2 meet the exact test.  Every
+    factor accepted from a root must divide f."""
+    from smallpoints import polynomial
+
+    accepted = []
+    lift = polynomial._rational_root_factor
+
+    def recording(ints, g, r, p, target):
+        h = lift(ints, g, r, p, target)
+        if h is not None:
+            accepted.append((ints, h))
+        return h
+
+    monkeypatch.setattr(polynomial, "_rational_root_factor", recording)
+    base = Poly.one()
+    for i in range(8):
+        base = base * P(-i, 1)
+    rng = random.Random(1155)
+    for k in range(30):
+        # every third keeps the true root 0
+        g = Poly([rng.randint(-3, 3) for _ in range(8)])
+        if k % 3 == 0:
+            g = P(0, rng.randint(-3, 3))
+        f = base + 1155 * g
+        if poly_gcd(f, f.derivative()).degree() > 0:
+            continue
+        ints = list(f.coeffs)
+        assert _choose_prime(ints)[0] == 11
+        fs = factor_over_z(f)
+        assert set(_coeffs(fs)) == _sympy_factors(f), render_poly(f)
+    for ints, h in accepted:
+        assert Poly(ints).quo(h) is not None
+
+
+def test_rational_roots_need_no_hensel_tree(monkeypatch):
+    """An octic whose eight roots are rational, as every branch point of
+    the rational-root curves is, factors from its modular roots alone; so
+    do the root 0, which reconstructs at the first modulus, and a root
+    whose denominator is lc f."""
+    from smallpoints import polynomial
+
+    def no_tree(*args):
+        raise AssertionError("all-rational input reached the Hensel tree")
+
+    monkeypatch.setattr(polynomial, "_hensel_tree", no_tree)
+    roots = [(3, 1), (-7, 2), (11, 5), (-1, 3), (25, 4), (13, 7), (-50, 9), (17, 1)]
+    f = Poly.one()
+    for b, a in roots:
+        f = f * P(-b, a)
+    linear = sorted((P(-b, a) for b, a in roots), key=lambda h: h.coeffs)
+    assert factor_over_z(f) == linear
+    # x^2 + 3 stays irreducible mod the prime chosen, so once the roots are
+    # out the cofactor is one factor mod p
+    g = f.quo(P(-17, 1)) * P(3, 0, 1)
+    assert factor_over_z(g) == [h for h in linear if h != P(-17, 1)] + [P(3, 0, 1)]
+    assert factor_over_z(X * (7 * X - 3) * (X + 5)) == [P(-3, 7), P(0, 1), P(5, 1)]
+    assert factor_over_z(-X * (7 * X - 3)) == [P(-3, 7), P(0, 1)]
+
+
+def test_mignotte_bound_covers_every_true_factor():
+    """For every factor g of f over Z, h = (lc f / lc g) * g, the candidate
+    recombination and the rational-root lift read off symmetric residues,
+    has every coefficient within _mignotte_bound(f)."""
+    rng = random.Random(2)
+    for _ in range(60):
+        parts = [
+            Poly([rng.randint(-60, 60) for _ in range(d)] + [rng.randint(1, 30)])
+            for d in (rng.choice([1, 1, 2, 3]) for _ in range(rng.randint(2, 5)))
+        ]
+        f = Poly.one()
+        for q in parts:
+            f = f * q
+        bound = _mignotte_bound(list(f.coeffs))
+        for k in range(1, len(parts)):
+            for combo in itertools.combinations(parts, k):
+                g = Poly.one()
+                for q in combo:
+                    g = g * q
+                g = g.primitive()
+                h = Poly([c * f.lc() for c in g.coeffs])
+                assert all(c % g.lc() == 0 for c in h.coeffs)
+                assert max(abs(c) // g.lc() for c in h.coeffs) <= bound
 
 
 # ---------------------------------------------------------------------------
