@@ -41,19 +41,23 @@ Mobius map of the fourth point (_cross_ratio_matrix), so cross_ratio
 resolves it once and mobius_minpoly gives its minimal polynomial with no
 resolve.
 
-For other triples cross_ratio is the quotient of two pairings of its four
-points, products (u - v)(w - x) over a split of the points into two pairs
-(a difference with INFINITY left out).  Four points have three pairings,
-and each is computed once, from cached differences, into a bounded table:
-both differences are oriented later point first in the point_key order,
-so a pairing asked for in the other orientation is the table's value
-under x -> -x.  An entry is None when the degree cap stops a difference
-or the product, so cross_ratio_capped reads off two pairings' degrees,
-with no quotient, whether cross_ratio raises DegreeCapExceeded.
+Any other cross_ratio reads the set of its four points.  With the points
+a, b, c, d in point_key order, the set has three pairings, products over
+a split of the points into two pairs: A = (c-a)(d-b), B = (c-b)(d-a) and
+C = (b-a)(d-c), a difference with INFINITY left out, with A = B + C.
+Each is computed once, from cached differences, into a bounded table,
+and is None when the degree cap stops a difference or the product.  The
+set's cross-ratio cross_ratio(a, b, c, d) = A/B comes from the first of
+A/B, A/C and B/C that the cap allows, so DegreeCapExceeded is raised only
+when all three are capped.  Permuting the four points moves the
+cross-ratio within its anharmonic orbit, the same way for any set
+(PERMUTATION_IMAGES), so every ordering of a set is one Mobius image of
+the set's value, and the set, not the ordering, is the unit of the cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -488,6 +492,26 @@ ANHARMONIC = (
     (1, -1, 1, 0),
 )
 
+
+def _permutation_images() -> dict[tuple[int, ...], int]:
+    """j with cross_ratio(x_s0, x_s1, x_s2, x_s3) equal to ANHARMONIC[j] of
+    cross_ratio(x_0, x_1, x_2, x_3), for every permutation s of four
+    distinct points.  Permuting the points acts on their cross-ratio
+    through the anharmonic group, the same way for any four points, so the
+    table is read off one integer stand-in set, whose cross-ratio 9/7 has
+    six distinct anharmonic images."""
+    stand_in = (0, 1, 3, 7)
+
+    def cr(p1, p2, p3, z):
+        return Fraction((p3 - p1) * (z - p2), (p3 - p2) * (z - p1))
+
+    x = cr(*stand_in)
+    orbit = {(a * x + b) / (c * x + d): j for j, (a, b, c, d) in enumerate(ANHARMONIC)}
+    return {s: orbit[cr(*(stand_in[i] for i in s))] for s in itertools.permutations(range(4))}
+
+
+PERMUTATION_IMAGES = _permutation_images()
+
 # entries each of _difference and _pairing_value keeps: n branch points
 # have n(n-1)/2 differences and 3 C(n, 4) pairings, so this holds several
 # curves' worth, yet a long batch cannot grow them without limit
@@ -525,24 +549,6 @@ def _pairing_value(pairs: tuple) -> AlgebraicNumber | None:
         return None
 
 
-def _pairing(*pairs) -> tuple[AlgebraicNumber | None, bool]:
-    """(u1 - v1)(u2 - v2) for two disjoint pairs of points, as (the
-    canonically oriented product from _pairing_value, whether the product
-    asked for is its negative).  Each pair is oriented later point first in
-    the point_key order and the two pairs are sorted, so the three pairings
-    of a set of four points have one table entry each; a pair with
-    INFINITY flips the sign like any other, which cancels in a
-    cross-ratio."""
-    flips = 0
-    oriented = []
-    for u, v in pairs:
-        if point_key(u) < point_key(v):
-            u, v = v, u
-            flips += 1
-        oriented.append((u, v))
-    return _pairing_value(tuple(sorted(oriented, key=lambda uv: point_key(uv[0])))), flips == 1
-
-
 def _distinct_points(*points) -> list:
     pts = [x if x is INFINITY else ensure_algebraic(x) for x in points]
     if len(set(pts)) < len(pts):
@@ -566,20 +572,25 @@ def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
     return top * y2, -top * x2, bottom * y1, -bottom * x1
 
 
-def _cross_ratio_pairings(q1, q2, q3, w):
-    """(numerator, denominator, flipped) with cross_ratio(q1, q2, q3, w)
-    equal to numerator / denominator, negated when flipped: the pairings
-    (q3 - q1)(w - q2) and (q3 - q2)(w - q1) from the table.  None exactly
-    when cross_ratio raises DegreeCapExceeded: a pairing is capped, or the
-    quotient of two irrational ones needs a resultant beyond the cap."""
-    num, s = _pairing((q3, q1), (w, q2))
-    den, t = _pairing((q3, q2), (w, q1))
-    if num is None or den is None or (
-        not num.is_rational and not den.is_rational
-        and num.degree * den.degree > RESULTANT_DEGREE_CAP
-    ):
-        return None
-    return num, den, s != t
+def _set_cross_ratio(a, b, c, d) -> AlgebraicNumber:
+    """cross_ratio(a, b, c, d) = A/B for four distinct points in point_key
+    order, from the pairings A = (c-a)(d-b), B = (c-b)(d-a) and
+    C = (b-a)(d-c), which satisfy A = B + C: A/B itself, or x/(x-1) of
+    x = A/C, or (x+1)/x of x = B/C, whichever quotient comes first under
+    the degree cap."""
+    A, B, C = ((c, a), (d, b)), ((c, b), (d, a)), ((b, a), (d, c))
+    for num, den, matrix in ((A, B, ANHARMONIC[0]), (A, C, ANHARMONIC[4]), (B, C, (1, 1, 1, 0))):
+        num, den = _pairing_value(num), _pairing_value(den)
+        if num is None or den is None:
+            continue
+        try:
+            value = num / den
+        except DegreeCapExceeded:
+            continue
+        return value.mobius(*matrix)
+    raise DegreeCapExceeded(
+        f"every cross-ratio of the set needs a resultant beyond degree {RESULTANT_DEGREE_CAP}"
+    )
 
 
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
@@ -589,30 +600,20 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     difference with INFINITY is left out.  The four points must be
     distinct, which keeps the value away from 0, 1 and infinity.  For a
     rational or infinite p1, p2, p3 the value is one rational Mobius image
-    of z, a single resolve.  Otherwise it is the quotient of two pairings
-    from the table, and a numerator and denominator of opposite
-    orientations cost one more resolve, of x -> -x."""
-    q1, q2, q3, w = _distinct_points(p1, p2, p3, z)
+    of z, a single resolve.  Otherwise it is the anharmonic image, by
+    PERMUTATION_IMAGES, of the cross-ratio of the four points in point_key
+    order, so every ordering of a set shares one degree cap, and
+    DegreeCapExceeded means all three quotients of its pairings are
+    capped."""
+    q1, q2, q3, w = pts = _distinct_points(p1, p2, p3, z)
     matrix = _cross_ratio_matrix(q1, q2, q3)
     if matrix is not None:
         if w is INFINITY:
             return AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2]))
         return w.mobius(*matrix)
-    pairings = _cross_ratio_pairings(q1, q2, q3, w)
-    if pairings is None:
-        raise DegreeCapExceeded(
-            f"a cross-ratio needs a resultant beyond degree {RESULTANT_DEGREE_CAP}"
-        )
-    num, den, flipped = pairings
-    value = num / den
-    return value.mobius(-1, 0, 0, 1) if flipped else value
-
-
-def cross_ratio_capped(p1, p2, p3, z) -> bool:
-    """Whether cross_ratio(p1, p2, p3, z) raises DegreeCapExceeded, read off
-    the degrees of its two pairings with no quotient taken."""
-    q1, q2, q3, w = _distinct_points(p1, p2, p3, z)
-    return _cross_ratio_matrix(q1, q2, q3) is None and _cross_ratio_pairings(q1, q2, q3, w) is None
+    order = sorted(range(4), key=lambda i: point_key(pts[i]))
+    value = _set_cross_ratio(*(pts[i] for i in order))
+    return value.mobius(*ANHARMONIC[PERMUTATION_IMAGES[tuple(map(order.index, range(4)))]])
 
 
 def _orbit_base(lam) -> AlgebraicNumber:

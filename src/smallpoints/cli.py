@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebraic import algebraic_roots, weil_height
 from .bounds import AbcParams, BoundParams, formula_conditions, full_report
 from .curve import analyze_curve
-from .numeric import DEFAULT_PRECISION
+from .numeric import DEFAULT_PRECISION, decimal_str
 from .polynomial import parse_poly, render_poly
 
 EXIT_OK = 0
@@ -188,7 +188,7 @@ def _tsv_row(curve_text: str, g: int, n_s: int, rep) -> str:
             log10 = rep.comparison["empirical"]["log10_of_bound"]
             emp = "inf" if log10 is None else repr(log10)
         chain = rep.comparison["sharper_chain"]
-    return f"{curve_text}\t{g}\t{n_s}\t{thm}\t{emp}\t{chain}"
+    return f"{curve_text}\t{g}\t{decimal_str(n_s)}\t{thm}\t{emp}\t{chain}"
 
 
 def cmd_analyze(args) -> int:

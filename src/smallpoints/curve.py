@@ -51,11 +51,11 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebraic import (
     ANHARMONIC,
     INFINITY,
+    PERMUTATION_IMAGES,
     AlgebraicNumber,
     DegreeCapExceeded,
     _cross_ratio_matrix,
@@ -64,7 +64,6 @@ from .algebraic import (
     anharmonic_orbit,
     coefficient_limits,
     cross_ratio,
-    cross_ratio_capped,
     height_exceeds,
     is_s_unit,
     mobius_minpoly,
@@ -76,6 +75,7 @@ from .numeric import (
     DOWN,
     UP,
     LogMag,
+    decimal_str,
     factor,
     is_prime_with_certainty,
     lm_exp,
@@ -99,51 +99,16 @@ _SEARCH_PRECISION = 64
 # the triple sent to infinity, 0 and 1; anharmonic_orbit position of their
 # cross-ratio relative to cr(a, b, c, z)): c, b or a goes to 1, and the
 # other two go to infinity and 0 in index order
-_NORMALIZATIONS = (
-    ((0, 1, 2), 0),
-    ((0, 2, 1), 1),
-    ((1, 2, 0), 5),
-)
-
-
-def _set_images() -> dict[tuple[int, int, int], int]:
-    """j with value = ANHARMONIC[j](reference) for every candidate value of
-    a set of four branch points, keyed (r, t, pos).  In the four orderings
-    of the set, t = 0..3 names the point z, in index order, and the other
-    three are the triple in index order; the reference is the cross-ratio
-    of ordering r, and the candidate value that of ordering t's triple in
-    the _NORMALIZATIONS order with anharmonic position pos.  Permuting four
-    points acts on their cross-ratio through the anharmonic group, the same
-    way for any four points, so the table is read off one integer stand-in
-    set, whose anharmonic orbits have six distinct values each."""
-    stand_in = (0, 1, 3, 7)
-
-    def cr(p1, p2, p3, z):
-        return Fraction((p3 - p1) * (z - p2), (p3 - p2) * (z - p1))
-
-    def ordering(t):
-        return [stand_in[i] for i in range(4) if i != t], stand_in[t]
-
-    table = {}
-    for r in range(4):
-        triple, z = ordering(r)
-        x = cr(*triple, z)
-        orbit = {(a * x + b) / (c * x + d): k for k, (a, b, c, d) in enumerate(ANHARMONIC)}
-        if len(orbit) != len(ANHARMONIC):
-            raise ArithmeticError("the stand-in set has a degenerate cross-ratio")
-        for t in range(4):
-            triple, z = ordering(t)
-            for order, pos in _NORMALIZATIONS:
-                table[r, t, pos] = orbit[cr(*(triple[i] for i in order), z)]
-    return table
-
-
-_SET_IMAGES = _set_images()
-# the reference ordering of a set is the first uncapped one in this order:
-# with differences oriented by point_key, which is the index order of the
-# branch points, orderings 3, 2 and 0 take their numerator and denominator
-# pairings in the same orientation, so their cross_ratio needs no x -> -x
-_REFERENCE_ORDER = (3, 2, 0, 1)
+_NORMALIZATIONS = tuple((order, PERMUTATION_IMAGES[(*order, 3)])
+                        for order in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+# j with candidate value ANHARMONIC[j](the cross-ratio of a sorted set of
+# four branch points), keyed (t, pos): z is the set's point t, the other
+# three are the triple in index order, normalized with anharmonic position
+# pos
+_SET_IMAGES = {
+    (t, pos): PERMUTATION_IMAGES[(*([i for i in range(4) if i != t][k] for k in order), t)]
+    for t in range(4) for order, pos in _NORMALIZATIONS
+}
 
 
 def parse_curve(text: str) -> Poly:
@@ -206,9 +171,9 @@ class CurveAnalysis:
             "equation": self.equation,
             "genus": self.genus,
             "leading_coefficient": self.leading_coefficient,
-            "discriminant": str(self.disc),
+            "discriminant": decimal_str(self.disc),
             "s_primes": self.s_primes,
-            "n_s": str(self.n_s),
+            "n_s": decimal_str(self.n_s),
             "branch_points": [_point_descriptor(p) for p in self.branch_points],
             "mu_hat": _enclosure_dict(self.mu_hat),
             "parshin_exceptions": self.parshin_exceptions,
@@ -371,15 +336,15 @@ def _normalization_search(branch: list):
     Outside a rational pool the candidates come from sets of four branch
     points.  The four orderings (triple, z) of a set, and the three
     normalizations of each, have cross-ratios in one anharmonic orbit, so
-    a set resolves one reference cross-ratio, a quotient of two pairings
-    from algebraic's table, and each of its twelve candidate values has the
-    minimal polynomial of an anharmonic image of the reference
-    (_SET_IMAGES), with no resolve.  A triple is skipped, and counted in the
-    degree-cap caveat, exactly when the cross_ratio of one of its
-    (triple, z) would raise DegreeCapExceeded, which cross_ratio_capped
-    reads off the two pairings' degrees.  The winner's 2g-1 values are
-    anharmonic images of their sets' references, one resolve each.  The
-    sets live for one search, so nothing carries over to the next analysis.
+    a set resolves one cross-ratio, that of its points in index order, and
+    each of its twelve candidate values has the minimal polynomial of an
+    anharmonic image of it (_SET_IMAGES), with no resolve.  The degree cap
+    stops a set, not an ordering: cross_ratio raises DegreeCapExceeded
+    only when every quotient of the set's pairings is capped, and a
+    triple is skipped, and counted in the degree-cap caveat, exactly when
+    one of its sets is.  The winner's 2g-1 values are anharmonic images of
+    their sets' cross-ratios, one resolve each.  The sets live for one
+    search, so nothing carries over to the next analysis.
 
     Candidates are ranked by branch and bound, in the order of a floating
     point estimate of their heights (ln H for the rational values).  With u
@@ -406,23 +371,19 @@ def _normalization_search(branch: list):
         )
     candidates = []
     skipped = 0
-    # outside a rational pool, a set of four branch points, sorted -> (the
-    # capped flag of each of its orderings, the reference ordering r or
-    # None when all four are capped, and the minimal polynomials of the
-    # reference's anharmonic orbit, by ANHARMONIC position)
-    sets: dict[tuple, tuple] = {}
+    # outside a rational pool, a set of four branch points, sorted -> (its
+    # cross-ratio, the minimal polynomials of its anharmonic orbit, by
+    # ANHARMONIC position), or None when the degree cap stops it
+    sets: dict[tuple, tuple | None] = {}
 
-    def set_entry(quad: tuple) -> tuple:
+    def set_entry(quad: tuple) -> tuple | None:
         if quad not in sets:
-            pts = [branch[i] for i in quad]
-            orderings = [pts[:t] + pts[t + 1:] + [pts[t]] for t in range(4)]
-            capped = [cross_ratio_capped(*o) for o in orderings]
-            r = next((t for t in _REFERENCE_ORDER if not capped[t]), None)
-            ref = orbit = None
-            if r is not None:
-                ref = cross_ratio(*orderings[r])
-                orbit = [mobius_minpoly(ref, *m) for m in ANHARMONIC]
-            sets[quad] = (capped, r, ref, orbit)
+            try:
+                lam = cross_ratio(*(branch[i] for i in quad))
+            except DegreeCapExceeded:
+                sets[quad] = None
+            else:
+                sets[quad] = (lam, [mobius_minpoly(lam, *m) for m in ANHARMONIC])
         return sets[quad]
 
     for combo in itertools.combinations(pool, 3):
@@ -438,20 +399,17 @@ def _normalization_search(branch: list):
                       for z in rest if z not in coords]
             columns = [([im[pos] for im in images], None) for _, pos in _NORMALIZATIONS]
         else:
-            # (set entry, the ordering of the set that is (combo, z)) for each z
+            # (set entry, the point of the set that is z) for each z
             members = []
             for z in rest:
                 quad = tuple(sorted((*combo, z)))
                 members.append((set_entry(quad), quad.index(z)))
-            if any(capped[t] for (capped, *_), t in members):
+            if any(entry is None for entry, _ in members):
                 skipped += len(_NORMALIZATIONS)
                 continue
-            columns = []
-            for _, pos in _NORMALIZATIONS:
-                images = [(ref, orbit, _SET_IMAGES[r, t, pos])
-                          for (_, r, ref, orbit), t in members]
-                columns.append(([orbit[j] for _, orbit, j in images],
-                                [(ref, j) for ref, _, j in images]))
+            columns = [([orbit[_SET_IMAGES[t, pos]] for (_, orbit), t in members],
+                        [(lam, _SET_IMAGES[t, pos]) for (lam, _), t in members])
+                       for _, pos in _NORMALIZATIONS]
         for (order, _), H, (polys, sources) in zip(_NORMALIZATIONS, tops, columns):
             key = max([math.log(H) if H else 0.0] + [_estimated_height(f) for f in polys])
             candidates.append((key, tuple(combo[i] for i in order), H, polys, rest, sources))

@@ -42,6 +42,7 @@ enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
@@ -62,6 +63,13 @@ _MODE_NAMES = {UP: "up", DOWN: "down"}
 
 def mode_name(mode: int) -> str:
     return _MODE_NAMES[mode]
+
+
+def decimal_str(n: int) -> str:
+    """The decimal digits of an int of any size: str(n) refuses one of more
+    than sys.get_int_max_str_digits() digits (4300 by default), and
+    decimal.Decimal converts it exactly, with no such limit."""
+    return str(decimal.Decimal(n))
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +124,18 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def is_prime_with_certainty(n: int) -> tuple[bool, str]:
     """Primality plus how it was established.
 
-    Below 2**64 the fixed Miller-Rabin base set is deterministic.  Above,
+    Below 37**2 trial division by the base primes settles it, and below
+    2**64 the fixed Miller-Rabin base set is deterministic.  Above,
     64 deterministically seeded pseudo-random bases give error probability
     below 2**-128 and the result is flagged "probabilistic".
     """
-    if n < 2:
-        return False, "deterministic"
-    if n < 4:
-        return True, "deterministic"
-    if n % 2 == 0:
+    if n < 37 * 37:
+        # a composite n below 37**2 has a prime factor below 37
+        return n > 1 and all(n % p for p in _MR_BASES if p * p <= n), "deterministic"
+    if any(n % p == 0 for p in _MR_BASES):
         return False, "deterministic"
     if n < _MR_DETERMINISTIC_LIMIT:
-        for a in _MR_BASES:
-            if a % n and _miller_rabin_witness(n, a):
-                return False, "deterministic"
-        return True, "deterministic"
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return False, "deterministic"
+        return not any(_miller_rabin_witness(n, a) for a in _MR_BASES), "deterministic"
     rng = random.Random(n)
     for _ in range(64):
         a = rng.randrange(2, n - 1)

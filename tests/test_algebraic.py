@@ -531,6 +531,110 @@ def test_rational_triple_cross_ratio_is_one_mobius_image(monkeypatch):
         mobius_minpoly(5, *alg._cross_ratio_matrix(_point(5), _point(0), _point(1)))
 
 
+def _approx(p) -> complex:
+    """The centre of p's 60-bit root box."""
+    w, (a, b, u, v) = p.refined_box(60)
+    return complex((a + b) / (2 << w), (u + v) / (2 << w))
+
+
+def _numeric_cross_ratio(p1, p2, p3, z) -> complex:
+    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) on the points' root box centres,
+    each difference with INFINITY left out."""
+    def product(*pairs):
+        return math.prod(_approx(u) - _approx(v) for u, v in pairs
+                         if u is not INFINITY and v is not INFINITY)
+
+    return product((p3, p1), (z, p2)) / product((p3, p2), (z, p1))
+
+
+def _numeric_match(values, target: complex) -> AlgebraicNumber:
+    """The one value among these whose root box centre is the target,
+    up to rounding."""
+    close = {v for v in values if abs(_approx(v) - target) <= 1e-9 * max(1, abs(target))}
+    assert len(close) == 1, (values, target)
+    return close.pop()
+
+
+def _fraction_cross_ratio(p1, p2, p3, z) -> Fraction:
+    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) in Fractions, each difference with
+    INFINITY left out."""
+    def product(*pairs):
+        return math.prod(u - v for u, v in pairs if u is not INFINITY and v is not INFINITY)
+
+    return Fraction(product((p3, p1), (z, p2))) / product((p3, p2), (z, p1))
+
+
+def _rational_four_sets(count: int) -> list[list]:
+    """Seeded sets of four distinct rational points in index order, every
+    other one led by INFINITY, as the branch points of a curve would be."""
+    rng = random.Random("four-point-orderings")
+    sets = []
+    while len(sets) < count:
+        finite = 3 if len(sets) % 2 else 4
+        values = {Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(finite)}
+        if len(values) == finite:
+            sets.append(([INFINITY] if finite == 3 else []) + sorted(values))
+    return sets
+
+
+def _anharmonic_image(j: int, x: Fraction) -> Fraction:
+    a, b, c, d = alg.ANHARMONIC[j]
+    return (a * x + b) / (c * x + d)
+
+
+def test_permutation_images_match_exact_cross_ratios():
+    assert sorted(alg.PERMUTATION_IMAGES) == list(itertools.permutations(range(4)))
+    for points in _rational_four_sets(40):
+        lam = _fraction_cross_ratio(*points)
+        for s, j in alg.PERMUTATION_IMAGES.items():
+            want = _fraction_cross_ratio(*(points[i] for i in s))
+            assert _anharmonic_image(j, lam) == want, (points, s)
+
+
+def _irrational_four_sets() -> list[list]:
+    """Sets of four points, at least two of them irrational.  The last two
+    are INFINITY and three roots of a product of two cubics: with two roots
+    of the first cubic and one of the second, A/C is over the degree cap
+    and A/B and B/C are under it; with one of the first and two of the
+    second, A/B is the capped quotient."""
+    s2, s3, phi = sqrt2(), sqrt3(), golden()
+    f = parse_poly("x^7 + 13*x^6 + 47*x^5 - 7*x^4 - 214*x^3 + 9*x^2 + 150*x + 25")[0]
+    roots = sorted(algebraic_roots(f), key=alg.point_key)
+    sets = [
+        [INFINITY, Fraction(1, 3), s2, phi],
+        [Fraction(-2), Fraction(5), s2, s3],
+        [INFINITY, s2, 0 - s2, s3],
+        [Fraction(0), s2, s3, phi],
+        [INFINITY, roots[1], roots[2], roots[4]],
+        [INFINITY, roots[1], roots[4], roots[5]],
+    ]
+    return [[p if p is INFINITY else ensure_algebraic(p) for p in points] for points in sets]
+
+
+def test_cross_ratio_on_every_ordering_of_a_set():
+    # the chain where it stays under the degree cap, and the numeric
+    # cross-ratio of the root boxes where it does not
+    capped = 0
+    for points in _irrational_four_sets():
+        for s in itertools.permutations(points):
+            got = cross_ratio(*s)
+            try:
+                assert got == _chain_cross_ratio(*s), s
+            except DegreeCapExceeded:
+                capped += 1
+                assert _numeric_match([got], _numeric_cross_ratio(*s)) == got
+    # a quotient of two pairings is the cross-ratio of 8 of the 24
+    # orderings, and the last two sets each cap one quotient
+    assert capped == 16
+
+
+def test_cross_ratio_of_a_fully_capped_set_raises_in_every_ordering():
+    roots = [r for r in algebraic_roots(parse_poly("x^9 - 2")[0]) if r.degree == 9]
+    for s in itertools.permutations(roots[:4]):
+        with pytest.raises(DegreeCapExceeded):
+            cross_ratio(*s)
+
+
 def _seeded_minpolys(seed: str):
     """Irreducible primitive integer polynomials of degree 1 to 12 with
     positive leading coefficient, a few of each degree."""

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,8 +9,11 @@ import jsonschema
 import pytest
 
 from smallpoints.bounds import BoundParams, pipeline_apriori
+import smallpoints.cli as cli
 from smallpoints.cli import TSV_HEADER, _precision, main
+from smallpoints.curve import analyze_curve
 from test_bounds import REPORT_SCHEMA
+from test_numeric import digits_past_the_int_str_limit
 from test_polynomial import forbid_oversized_polys
 
 X5X = "y^2 = x^5 - x"
@@ -62,6 +66,21 @@ def test_analyze_tsv_shape(capsys):
     assert cells[1] == "2" and cells[2] == "2"
     assert math.isclose(float(cells[3]), 1030102.9996, rel_tol=1e-9)
     assert cells[5] == "apriori"
+
+
+def test_reports_print_ints_past_the_int_str_limit(capsys, monkeypatch):
+    digits, big = digits_past_the_int_str_limit()
+    real = analyze_curve(X5X)
+    monkeypatch.setattr(cli, "analyze_curve",
+                        lambda *args, **kwargs: dataclasses.replace(real, disc=-big))
+    code, out, _ = run(capsys, ["analyze", "--curve", X5X])
+    assert code == 0
+    assert json.loads(out)["curve"]["discriminant"] == "-" + digits
+    monkeypatch.setattr(cli, "analyze_curve",
+                        lambda *args, **kwargs: dataclasses.replace(real, n_s=big))
+    code, out, _ = run(capsys, ["analyze", "--curve", X5X, "--format", "tsv"])
+    assert code == 0
+    assert out.split("\n")[1].split("\t")[2] == digits
 
 
 def test_analyze_genus_too_small_exits_1(capsys):

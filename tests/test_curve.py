@@ -30,7 +30,14 @@ from smallpoints.curve import (
 )
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
 from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
-from test_algebraic import _chain_cross_ratio
+from test_algebraic import (
+    _anharmonic_image,
+    _chain_cross_ratio,
+    _fraction_cross_ratio,
+    _numeric_cross_ratio,
+    _numeric_match,
+    _rational_four_sets,
+)
 from test_golden import EXACT_TIES, PARTIAL_CAP, TIED_IRRATIONAL, fresh_interpreter
 
 
@@ -435,21 +442,38 @@ def _rank(lams, rational_pool: bool):
     return lm_max(*uppers)
 
 
+def _set_orbit(branch: list, quad: tuple):
+    """The anharmonic orbit of the four-difference chain's cross-ratio on
+    the first ordering of this set of four branch points, z = point t for
+    t = 0..3 and the triple in index order, that the degree cap lets
+    through; None when it stops every ordering."""
+    for t in range(4):
+        triple = [branch[i] for k, i in enumerate(quad) if k != t]
+        try:
+            return anharmonic_orbit(_chain_cross_ratio(*triple, branch[quad[t]]))
+        except DegreeCapExceeded:
+            continue
+    return None
+
+
 def _resolving_search(branch: list):
     """The normalization search ranked on resolved values: every member of
     every anharmonic orbit is resolved, and a triple's rank is _rank of its
-    2g-1 cross-ratios.  Outside a rational pool each (triple, z) runs the
-    four-difference chain of its own, so this search shares no pairing
-    with the one it checks, and a triple is skipped when a chain hits the
-    degree cap.  Only the orderings with triple[0] < triple[1] are
-    ranked: swapping the points sent to infinity and 0 inverts every
-    cross-ratio and keeps its height.  Returns the
-    triple, its values, the skipped count and how many ranked triples tie
-    the winner's upper bound."""
+    2g-1 cross-ratios.  Outside a rational pool, each set of four branch
+    points runs the four-difference chain on its first ordering under the
+    degree cap, so this search shares no pairing with the one it checks,
+    and cr(triple, z) is the member of that chain value's orbit whose
+    numeric value, from the points' root boxes, it is.  A triple is skipped
+    when the cap stops every ordering of one of its sets.  Only the
+    orderings with triple[0] < triple[1] are ranked: swapping the points
+    sent to infinity and 0 inverts every cross-ratio and keeps its height.
+    Returns the triple, its values, the skipped count and how many ranked
+    triples tie the winner's upper bound."""
     n = len(branch)
     rational_idx = [i for i, p in enumerate(branch) if p is INFINITY or p.is_rational]
     rational_pool = len(rational_idx) >= 3
     pool = rational_idx if rational_pool else list(range(n))
+    sets = {}
     orbits = {}
     best = None
     skipped = 0
@@ -462,12 +486,15 @@ def _resolving_search(branch: list):
         lams = []
         for z in (z for z in range(n) if z not in triple):
             if (combo, z) not in orbits:
-                try:
-                    chain = cross_ratio if rational_pool else _chain_cross_ratio
-                    lam = chain(*(branch[i] for i in combo), branch[z])
-                    orbits[combo, z] = anharmonic_orbit(lam)
-                except DegreeCapExceeded:
-                    orbits[combo, z] = None
+                points = [branch[i] for i in (*combo, z)]
+                if rational_pool:
+                    orbits[combo, z] = anharmonic_orbit(cross_ratio(*points))
+                else:
+                    quad = tuple(sorted((*combo, z)))
+                    if quad not in sets:
+                        sets[quad] = _set_orbit(branch, quad)
+                    orbits[combo, z] = sets[quad] and anharmonic_orbit(
+                        _numeric_match(sets[quad], _numeric_cross_ratio(*points)))
             if orbits[combo, z] is None:
                 break
             lams.append((z, orbits[combo, z][pos]))
@@ -482,6 +509,8 @@ def _resolving_search(branch: list):
         return None, [], skipped, 0
     return best[1], best[2], skipped, ranks.count(best[0])
 
+
+MIXED_CAPS = "y^2 = x^7 + 13*x^6 + 47*x^5 - 7*x^4 - 214*x^3 + 9*x^2 + 150*x + 25"
 
 SEARCH_CURVES = [
     "y^2 = x^5 - 4*x^3 + 3*x",
@@ -500,6 +529,9 @@ SEARCH_CURVES = [
     "y^2 = 133770*x^6 - 515599195933283*x^5 - 43842484064771*x^4"
     " + 4621247902133796*x^3 + 3256846668168204*x^2 - 5538004986411616*x"
     " - 2779168795594240",
+    # sets of INFINITY, two roots of one cubic and one of the other have
+    # some orderings over the degree cap and others under it
+    MIXED_CAPS,
 ] + PARTIAL_CAP
 
 
@@ -602,15 +634,6 @@ def test_rational_triple_ignores_the_resultant_degree_cap():
             _chain_cross_ratio(*(branch[i] for i in triple), branch[z])
         w = point(branch[z])
         assert abs(point(lam) - (p3 - p1) * (w - p2) / ((p3 - p2) * (w - p1))) < 1e-9
-
-
-def _fraction_cross_ratio(p1, p2, p3, z) -> Fraction:
-    """(p3-p1)(z-p2) / ((p3-p2)(z-p1)) in Fractions, each difference with
-    INFINITY left out."""
-    def product(*pairs):
-        return math.prod(u - v for u, v in pairs if u is not INFINITY and v is not INFINITY)
-
-    return Fraction(product((p3, p1), (z, p2))) / product((p3, p2), (z, p1))
 
 
 def _exact_max_heights(points: list) -> dict:
@@ -772,36 +795,18 @@ def test_search_resolves_only_the_winning_orbits(monkeypatch):
     assert [r.value for r in a.normalization.records] == values
 
 
-def _rational_four_sets(count: int) -> list[list]:
-    """Seeded sets of four distinct rational points in index order, every
-    other one led by INFINITY, as the branch points of a curve would be."""
-    rng = random.Random("four-point-orderings")
-    sets = []
-    while len(sets) < count:
-        finite = 3 if len(sets) % 2 else 4
-        values = {Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(finite)}
-        if len(values) == finite:
-            sets.append(([INFINITY] if finite == 3 else []) + sorted(values))
-    return sets
-
-
 def test_set_images_match_exact_cross_ratios():
     # cr of ordering t's triple in each normalization order, with z the
-    # point at position t, is ANHARMONIC[j] of cr of ordering r
-    def image(k, x):
-        a, b, c, d = algebraic_mod.ANHARMONIC[k]
-        return (a * x + b) / (c * x + d)
-
+    # point at position t, is ANHARMONIC[j] of cr of the sorted set
     order_of = {pos: order for order, pos in curve_mod._NORMALIZATIONS}
+    assert [pos for _, pos in curve_mod._NORMALIZATIONS] == [0, 1, 5]
     for points in _rational_four_sets(40):
-        def ordering(t):
-            return [p for i, p in enumerate(points) if i != t] + [points[t]]
-
-        for (r, t, pos), j in curve_mod._SET_IMAGES.items():
-            *triple, z = ordering(t)
+        lam = _fraction_cross_ratio(*points)
+        for (t, pos), j in curve_mod._SET_IMAGES.items():
+            *triple, z = [p for i, p in enumerate(points) if i != t] + [points[t]]
             want = _fraction_cross_ratio(*(triple[i] for i in order_of[pos]), z)
-            assert image(j, _fraction_cross_ratio(*ordering(r))) == want, (points, r, t, pos)
-    assert len(curve_mod._SET_IMAGES) == 4 * 4 * 3
+            assert _anharmonic_image(j, lam) == want, (points, t, pos)
+    assert len(curve_mod._SET_IMAGES) == 4 * 3
 
 
 def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):

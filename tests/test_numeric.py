@@ -33,6 +33,7 @@ from smallpoints.numeric import (
     _pow_int,
     _round,
     _shift_dir,
+    decimal_str,
     factor,
     is_prime,
     is_prime_with_certainty,
@@ -157,6 +158,36 @@ def test_is_prime():
         assert is_prime(n)
     for n in (-7, 0, 1, 4, 1000001):
         assert not is_prime(n)
+
+
+def test_is_prime_matches_sympy_below_20000(monkeypatch):
+    import sympy
+
+    assert [n for n in range(20000) if is_prime(n)] == list(sympy.primerange(20000))
+    # below 37**2 trial division by the base primes settles it, with no
+    # Miller-Rabin round
+    monkeypatch.setattr(numeric, "_miller_rabin_witness", None)
+    assert [n for n in range(37 * 37) if is_prime(n)] == list(sympy.primerange(37 * 37))
+
+
+def digits_past_the_int_str_limit() -> tuple[str, int]:
+    """A 5,000-digit decimal string and its int, built from 1,000-digit
+    chunks, each under the interpreter's int/str conversion limit: str()
+    of an int over 4300 digits raises ValueError in CPython >= 3.11."""
+    rng = random.Random("digit-limit")
+    chunks = [str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(999))
+              for _ in range(5)]
+    n = 0
+    for chunk in chunks:
+        n = n * 10**1000 + int(chunk)
+    return "".join(chunks), n
+
+
+def test_decimal_str_passes_the_int_str_limit():
+    digits, n = digits_past_the_int_str_limit()
+    assert decimal_str(n) == digits
+    assert decimal_str(-n) == "-" + digits
+    assert [decimal_str(k) for k in (0, 7, -12, 10**20)] == ["0", "7", "-12", "1" + "0" * 20]
 
 
 def test_primality_certainty_flags():
