@@ -45,14 +45,16 @@ Any other cross_ratio reads the set of its four points.  With the points
 a, b, c, d in point_key order, the set has three pairings, products over
 a split of the points into two pairs: A = (c-a)(d-b), B = (c-b)(d-a) and
 C = (b-a)(d-c), a difference with INFINITY left out, with A = B + C.
-Each is computed once, from cached differences, into a bounded table,
-and is None when the degree cap stops a difference or the product.  The
-set's cross-ratio cross_ratio(a, b, c, d) = A/B comes from the first of
-A/B, A/C and B/C that the cap allows, so DegreeCapExceeded is raised only
-when all three are capped.  Permuting the four points moves the
-cross-ratio within its anharmonic orbit, the same way for any set
+The set's cross-ratio cross_ratio(a, b, c, d) = A/B comes from the first
+of A/B, A/C and B/C that the degree cap allows, so DegreeCapExceeded is
+raised only when all three are capped.  Permuting the four points moves
+the cross-ratio within its anharmonic orbit, the same way for any set
 (PERMUTATION_IMAGES), so every ordering of a set is one Mobius image of
 the set's value, and the set, not the ordering, is the unit of the cap.
+set_orbit keeps, per set, that value and the minimal polynomials of its
+orbit in a bounded table, a pure function of the four (minpoly, index)
+pairs like every other table here, so a set is resolved once however
+many orderings, searches or analyses read it.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ RESULTANT_DEGREE_CAP = 64
 
 _CANONICAL_PRECISION = 32
 _MAX_RESOLVE_PRECISION = 1 << 16
-# entries each of the tables _roots_of, _op_factors and _height keeps: far
-# more than a benchmark round fills, yet a long batch cannot grow them
-# without limit.  An entry is a pure function of its key, so an eviction
-# never changes output.
+# entries each table (_roots_of, _op_factors, _height, _difference and
+# set_orbit) keeps: far more than a benchmark round fills, yet a long batch
+# cannot grow them without limit.  An entry is a pure function of its key,
+# so an eviction never changes output.
 _TABLE_CACHE_SIZE = 4096
 
 
@@ -512,11 +514,6 @@ def _permutation_images() -> dict[tuple[int, ...], int]:
 
 PERMUTATION_IMAGES = _permutation_images()
 
-# entries each of _difference and _pairing_value keeps: n branch points
-# have n(n-1)/2 differences and 3 C(n, 4) pairings, so this holds several
-# curves' worth, yet a long batch cannot grow them without limit
-_DIFFERENCE_CACHE_SIZE = 1024
-
 
 def point_key(p) -> tuple:
     """The canonical order of points on the projective line: INFINITY, then
@@ -530,14 +527,13 @@ def point_key(p) -> tuple:
     return (2, p.sort_key())
 
 
-@lru_cache(maxsize=_DIFFERENCE_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _difference(u: AlgebraicNumber, v: AlgebraicNumber) -> AlgebraicNumber:
     """u - v, a pure function of the two (minpoly, index) pairs."""
     return u - v
 
 
-@lru_cache(maxsize=_DIFFERENCE_CACHE_SIZE)
-def _pairing_value(pairs: tuple) -> AlgebraicNumber | None:
+def _pairing(pairs: tuple) -> AlgebraicNumber | None:
     """The product of u - v over the canonically oriented pairs (u, v) of a
     pairing, a difference with INFINITY left out; None when the degree cap
     stops a difference or the product."""
@@ -572,25 +568,26 @@ def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
     return top * y2, -top * x2, bottom * y1, -bottom * x1
 
 
-def _set_cross_ratio(a, b, c, d) -> AlgebraicNumber:
-    """cross_ratio(a, b, c, d) = A/B for four distinct points in point_key
-    order, from the pairings A = (c-a)(d-b), B = (c-b)(d-a) and
-    C = (b-a)(d-c), which satisfy A = B + C: A/B itself, or x/(x-1) of
-    x = A/C, or (x+1)/x of x = B/C, whichever quotient comes first under
-    the degree cap."""
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def set_orbit(a, b, c, d) -> tuple[AlgebraicNumber, tuple[Poly, ...]] | None:
+    """(lam, the minimal polynomials of its anharmonic orbit by ANHARMONIC
+    position) for lam = cross_ratio(a, b, c, d) of four distinct points in
+    point_key order; None when the degree cap stops the set.  lam = A/B,
+    from the pairings A = (c-a)(d-b), B = (c-b)(d-a) and C = (b-a)(d-c),
+    which satisfy A = B + C: A/B itself, or x/(x-1) of x = A/C, or
+    (x+1)/x of x = B/C, whichever quotient comes first under the cap."""
+    pairing = lru_cache(maxsize=None)(_pairing)
     A, B, C = ((c, a), (d, b)), ((c, b), (d, a)), ((b, a), (d, c))
     for num, den, matrix in ((A, B, ANHARMONIC[0]), (A, C, ANHARMONIC[4]), (B, C, (1, 1, 1, 0))):
-        num, den = _pairing_value(num), _pairing_value(den)
+        num, den = pairing(num), pairing(den)
         if num is None or den is None:
             continue
         try:
-            value = num / den
+            lam = (num / den).mobius(*matrix)
         except DegreeCapExceeded:
             continue
-        return value.mobius(*matrix)
-    raise DegreeCapExceeded(
-        f"every cross-ratio of the set needs a resultant beyond degree {RESULTANT_DEGREE_CAP}"
-    )
+        return lam, tuple(mobius_minpoly(lam, *m) for m in ANHARMONIC)
+    return None
 
 
 def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
@@ -601,8 +598,8 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     distinct, which keeps the value away from 0, 1 and infinity.  For a
     rational or infinite p1, p2, p3 the value is one rational Mobius image
     of z, a single resolve.  Otherwise it is the anharmonic image, by
-    PERMUTATION_IMAGES, of the cross-ratio of the four points in point_key
-    order, so every ordering of a set shares one degree cap, and
+    PERMUTATION_IMAGES, of the set_orbit value of the four points in
+    point_key order, so every ordering of a set shares one degree cap, and
     DegreeCapExceeded means all three quotients of its pairings are
     capped."""
     q1, q2, q3, w = pts = _distinct_points(p1, p2, p3, z)
@@ -612,8 +609,12 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
             return AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2]))
         return w.mobius(*matrix)
     order = sorted(range(4), key=lambda i: point_key(pts[i]))
-    value = _set_cross_ratio(*(pts[i] for i in order))
-    return value.mobius(*ANHARMONIC[PERMUTATION_IMAGES[tuple(map(order.index, range(4)))]])
+    entry = set_orbit(*(pts[i] for i in order))
+    if entry is None:
+        raise DegreeCapExceeded(
+            f"every cross-ratio of the set needs a resultant beyond degree {RESULTANT_DEGREE_CAP}"
+        )
+    return entry[0].mobius(*ANHARMONIC[PERMUTATION_IMAGES[tuple(map(order.index, range(4)))]])
 
 
 def _orbit_base(lam) -> AlgebraicNumber:

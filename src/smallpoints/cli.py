@@ -9,9 +9,12 @@ Four commands:
            an aggregate summary
   heights  Weil height enclosures for rationals or polynomial roots
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation
-(a cross-ratio failed its S-unit check, which the theory rules out), 3
-partial batch failure.
+Exit codes: 0 success, 1 input error, 2 internal error: an invariant
+violation (a cross-ratio failed its S-unit check, which the theory rules
+out) or a computation that gave up with a RuntimeError, which analyze
+reports in one "smallpoints: internal error: ..." line, 3 partial batch
+failure: batch writes an error record for each line that was an input
+error or gave up, and goes on.
 """
 
 from __future__ import annotations
@@ -194,10 +197,13 @@ def _tsv_row(curve_text: str, g: int, n_s: int, rep) -> str:
 def cmd_analyze(args) -> int:
     try:
         analysis = analyze_curve(args.curve, precision=args.precision)
+        curve_doc, rep = _analysis_documents(analysis, args)
     except ValueError as exc:
         print(f"smallpoints: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    curve_doc, rep = _analysis_documents(analysis, args)
+    except RuntimeError as exc:
+        print(f"smallpoints: internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     if args.format == "json":
         _emit(json.dumps({"curve": curve_doc, "bounds": rep.to_dict()}, indent=2), args.out)
     else:
@@ -270,9 +276,10 @@ def cmd_batch(args) -> int:
                 raise ValueError("each line must be a JSON object with a string 'curve'")
             analysis = analyze_curve(record["curve"], precision=args.precision)
             curve_doc, rep = _analysis_documents(analysis, args)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RuntimeError) as exc:
             failed += 1
-            out_lines.append(json.dumps({"line": idx + 1, "error": str(exc)}))
+            error = f"internal error: {exc}" if isinstance(exc, RuntimeError) else str(exc)
+            out_lines.append(json.dumps({"line": idx + 1, "error": error}))
             continue
         parshin_total += 1
         if not analysis.parshin_exceptions:

@@ -57,7 +57,6 @@ from .algebraic import (
     INFINITY,
     PERMUTATION_IMAGES,
     AlgebraicNumber,
-    DegreeCapExceeded,
     _cross_ratio_matrix,
     algebraic_roots,
     anharmonic_minpolys,
@@ -68,6 +67,7 @@ from .algebraic import (
     is_s_unit,
     mobius_minpoly,
     point_key,
+    set_orbit,
     weil_height,
 )
 from .numeric import (
@@ -339,12 +339,13 @@ def _normalization_search(branch: list):
     a set resolves one cross-ratio, that of its points in index order, and
     each of its twelve candidate values has the minimal polynomial of an
     anharmonic image of it (_SET_IMAGES), with no resolve.  The degree cap
-    stops a set, not an ordering: cross_ratio raises DegreeCapExceeded
-    only when every quotient of the set's pairings is capped, and a
-    triple is skipped, and counted in the degree-cap caveat, exactly when
-    one of its sets is.  The winner's 2g-1 values are anharmonic images of
-    their sets' cross-ratios, one resolve each.  The sets live for one
-    search, so nothing carries over to the next analysis.
+    stops a set, not an ordering: set_orbit is None only when every
+    quotient of the set's pairings is capped, and a triple is skipped, and
+    counted in the degree-cap caveat, exactly when one of its sets is.
+    The winner's 2g-1 values are anharmonic images of their sets'
+    cross-ratios, one resolve each.  A set's entry is a pure function of
+    its four (minimal polynomial, index) pairs, so a later analysis may
+    read it from the table and its output cannot depend on that.
 
     Candidates are ranked by branch and bound, in the order of a floating
     point estimate of their heights (ln H for the rational values).  With u
@@ -371,21 +372,6 @@ def _normalization_search(branch: list):
         )
     candidates = []
     skipped = 0
-    # outside a rational pool, a set of four branch points, sorted -> (its
-    # cross-ratio, the minimal polynomials of its anharmonic orbit, by
-    # ANHARMONIC position), or None when the degree cap stops it
-    sets: dict[tuple, tuple | None] = {}
-
-    def set_entry(quad: tuple) -> tuple | None:
-        if quad not in sets:
-            try:
-                lam = cross_ratio(*(branch[i] for i in quad))
-            except DegreeCapExceeded:
-                sets[quad] = None
-            else:
-                sets[quad] = (lam, [mobius_minpoly(lam, *m) for m in ANHARMONIC])
-        return sets[quad]
-
     for combo in itertools.combinations(pool, 3):
         points = [branch[i] for i in combo]
         rest = [z for z in range(n) if z not in combo]
@@ -399,11 +385,12 @@ def _normalization_search(branch: list):
                       for z in rest if z not in coords]
             columns = [([im[pos] for im in images], None) for _, pos in _NORMALIZATIONS]
         else:
-            # (set entry, the point of the set that is z) for each z
+            # (set_orbit of the set, the point of the set that is z) for
+            # each z; branch points are in point_key order, so are the sets
             members = []
             for z in rest:
-                quad = tuple(sorted((*combo, z)))
-                members.append((set_entry(quad), quad.index(z)))
+                quad = sorted((*combo, z))
+                members.append((set_orbit(*(branch[i] for i in quad)), quad.index(z)))
             if any(entry is None for entry, _ in members):
                 skipped += len(_NORMALIZATIONS)
                 continue

@@ -720,8 +720,13 @@ MAX_PARSE_DEGREE = 256
 # terms.  Every coefficient of f^e then has numerator and denominator
 # below 2^(e * S + MAX_PARSE_DEGREE), so nested powers of a constant cannot
 # blow up either.  The largest powers the two limits admit, such as
-# (x + 8191)^256, expand in about half a second.
+# (x + 8191)^256, expand in about half a second.  A literal, a product or
+# a sum is rejected before it is built when a numerator or denominator of
+# its coefficients could have more than MAX_PARSE_BITS bits.
 MAX_PARSE_BITS = 1 << 12
+# a literal with more digits than 2^MAX_PARSE_BITS is over the limit, and
+# is rejected before it is converted
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_PARSE_BITS))
 
 _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|\*\*|[-+*^()xX])")
 
@@ -737,8 +742,10 @@ class _PolyParser:
 
     A rational written right before x ("2x", "1/2 x") multiplies it, and a
     power is a non-negative integer.  No power exponent and no product or
-    power degree may exceed MAX_PARSE_DEGREE, and no power size
-    MAX_PARSE_BITS; each is checked before the polynomial is expanded.
+    power degree may exceed MAX_PARSE_DEGREE, no power size
+    MAX_PARSE_BITS, and no numerator or denominator of a literal, product
+    or sum MAX_PARSE_BITS bits; each is checked before the polynomial is
+    expanded.
 
     Each rule returns a pair (f, d) standing for f/d, with f over Z and
     d >= 1 coprime to the content of f; sums and products are brought back
@@ -786,6 +793,10 @@ class _PolyParser:
             elif not first:
                 return total, den
             f, d = self.term()
+            # |a d + b den| for the coefficients a of total and b of f
+            _check_bits(max((abs(a) * d + abs(b) * den for a, b in
+                             itertools.zip_longest(total.coeffs, f.coeffs, fillvalue=0)),
+                            default=0), den * d)
             total, den = _lowest_terms(total * d + f * (-den if sign == "-" else den), den * d)
             first = False
             if self.starts_factor():
@@ -797,6 +808,8 @@ class _PolyParser:
             self.i += 1
             g, e = self.factor()
             _check_degree(f.degree() + g.degree())
+            # each coefficient of f g sums at most min(len) products
+            _check_bits(min(len(f.coeffs), len(g.coeffs)) * _max_abs(f) * _max_abs(g), d * e)
             f, d = _lowest_terms(f * g, d * e)
         return f, d
 
@@ -804,10 +817,7 @@ class _PolyParser:
         tok = self.peek()
         if tok[:1].isdigit():
             self.i += 1
-            try:
-                c = Fraction(tok)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+            c = _literal(tok)
             f = self.x_power() if self.peek() in ("x", "X") else Poly.one()
             return f * c.numerator, c.denominator
         if tok in ("x", "X"):
@@ -841,6 +851,34 @@ class _PolyParser:
             shown = tok if digits <= 20 else f"of {digits} digits"
             raise ValueError(f"exponent {shown} exceeds the limit {MAX_PARSE_DEGREE}")
         return int(tok)
+
+
+def _literal(tok: str) -> Fraction:
+    """The rational a literal writes, its digits counted before it is
+    converted, as power() does."""
+    for part in tok.split("/"):
+        digits = len(part.lstrip("0"))
+        if digits > _MAX_LITERAL_DIGITS:
+            raise ValueError(f"coefficient of {digits} digits, over {MAX_PARSE_BITS} bits, "
+                             f"exceeds the limit {MAX_PARSE_BITS}")
+    try:
+        c = Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {tok!r}") from None
+    _check_bits(c.numerator, c.denominator)
+    return c
+
+
+def _max_abs(f: Poly) -> int:
+    return max(map(abs, f.coeffs), default=0)
+
+
+def _check_bits(numerator: int, denominator: int) -> None:
+    """Reject a numerator or denominator bound of more than MAX_PARSE_BITS
+    bits, before what it bounds is built."""
+    bits = max(abs(numerator).bit_length(), denominator.bit_length())
+    if bits > MAX_PARSE_BITS:
+        raise ValueError(f"coefficient of {bits} bits exceeds the limit {MAX_PARSE_BITS}")
 
 
 def _check_degree(d: int) -> None:

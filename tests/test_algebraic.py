@@ -321,7 +321,7 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     assert degrees and min(degrees) >= 2
 
 
-_TABLES = (alg._roots_of, alg._op_factors, alg._height)
+_TABLES = (alg._roots_of, alg._op_factors, alg._height, alg._difference, alg.set_orbit)
 
 
 def test_tables_are_bounded():
@@ -348,7 +348,7 @@ def test_analyze_output_survives_clearing_every_table(capsys):
 
     hard = ["y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
     warm = [report(c) for c in hard]
-    for table in _TABLES + (alg._difference, alg._pairing_value):
+    for table in _TABLES:
         table.cache_clear()
     assert [report(c) for c in reversed(hard)] == warm[::-1]
     assert all(table.cache_info().currsize for table in _TABLES)

@@ -9,12 +9,13 @@ import jsonschema
 import pytest
 
 from smallpoints.bounds import BoundParams, pipeline_apriori
+import smallpoints.algebraic as algebraic
 import smallpoints.cli as cli
 from smallpoints.cli import TSV_HEADER, _precision, main
 from smallpoints.curve import analyze_curve
 from test_bounds import REPORT_SCHEMA
 from test_numeric import digits_past_the_int_str_limit
-from test_polynomial import forbid_oversized_polys
+from test_polynomial import OVERSIZED_COEFFICIENTS, forbid_oversized_polys
 
 X5X = "y^2 = x^5 - x"
 # x(x-1)(x+1)(x^2+x-1): squarefree, four rational branch points, disc 20
@@ -95,13 +96,45 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     assert err
 
 
-@pytest.mark.parametrize("curve", ["y^2 = x^1000000 - 1", "y^2 = x^5 - ((((2)^256)^256)^256)^256"])
+@pytest.mark.parametrize("curve", [
+    "y^2 = x^1000000 - 1",
+    "y^2 = x^5 - ((((2)^256)^256)^256)^256",
+    *(pytest.param(f"y^2 = {p.values[0]}", id=p.id) for p in OVERSIZED_COEFFICIENTS),
+])
 def test_analyze_oversized_curve_exits_1_before_expanding(monkeypatch, capsys, curve):
     forbid_oversized_polys(monkeypatch)
     code, out, err = run(capsys, ["analyze", "--curve", curve])
     assert code == 1
     assert out == ""
     assert "exceeds the limit" in err
+
+
+ISOLATION_FAILURE = "root isolation did not certify at the precision cap"
+
+
+def isolation_gives_up(monkeypatch, min_degree: int) -> None:
+    """Make root isolation raise, as at its precision cap, on every
+    polynomial of at least this degree, with every algebraic table emptied
+    so that no earlier analysis holds the boxes it would give."""
+    isolate = algebraic.isolate_roots
+
+    def failing(f, *args):
+        if f.degree() >= min_degree:
+            raise RuntimeError(ISOLATION_FAILURE)
+        return isolate(f, *args)
+
+    for table in vars(algebraic).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    monkeypatch.setattr(algebraic, "isolate_roots", failing)
+
+
+def test_analyze_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
+    isolation_gives_up(monkeypatch, 5)
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 2"])
+    assert code == 2
+    assert out == ""
+    assert err == f"smallpoints: internal error: {ISOLATION_FAILURE}\n"
 
 
 def test_analyze_factored_curve_matches_expanded(capsys):
@@ -396,6 +429,20 @@ def test_batch_reports_zero_denominator_line(tmp_path, capsys):
     assert docs[0] == {"line": 1, "error": "zero denominator in coefficient '1/0'"}
     assert docs[1]["curve"]["equation"] == X5X
     assert docs[2]["summary"]["failed"] == 1 and docs[2]["summary"]["parshin_ok"] == "1/1"
+
+
+def test_batch_keeps_going_past_a_computation_giving_up(monkeypatch, tmp_path, capsys):
+    # only y^2 = x^5 - 2 has a branch point of degree 5 to isolate
+    corpus = corpus_file(
+        tmp_path, [json.dumps({"curve": c}) for c in (X5X, "y^2 = x^5 - 2", G2B)]
+    )
+    isolation_gives_up(monkeypatch, 5)
+    code, out, _ = run(capsys, ["batch", corpus])
+    assert code == 3
+    docs = [json.loads(l) for l in out.rstrip("\n").split("\n")]
+    assert docs[1] == {"line": 2, "error": f"internal error: {ISOLATION_FAILURE}"}
+    assert [docs[i]["curve"]["genus"] for i in (0, 2)] == [2, 2]
+    assert docs[3]["summary"]["failed"] == 1 and docs[3]["summary"]["parshin_ok"] == "2/2"
 
 
 def test_batch_empty_file_exits_0(tmp_path, capsys):

@@ -811,7 +811,10 @@ def test_set_images_match_exact_cross_ratios():
 
 def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):
     # y^2 = x^5 - 1 has six branch points, two of them rational: 20 triples
-    # with 3 values each, but only C(6, 4) = 15 sets of four points
+    # with 3 values each, but only C(6, 4) = 15 sets of four points.  The
+    # count is that of a cold set table, which earlier analyses may have
+    # filled.
+    algebraic_mod.set_orbit.cache_clear()
     quotients = []
     binary = algebraic_mod._binary
 
@@ -823,3 +826,21 @@ def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):
     monkeypatch.setattr(algebraic_mod, "_binary", counting)
     assert analyze_curve("y^2 = x^5 - 1").normalization is not None
     assert 0 < len(quotients) <= math.comb(6, 4)
+
+
+def test_repeated_analysis_reads_every_set_from_its_table(monkeypatch):
+    # a set's cross-ratio and orbit are a pure function of its four points,
+    # so a second analysis of the same curve takes no difference, product
+    # or quotient, and reports the same normalization
+    first = analyze_curve("y^2 = x^6 - x")
+    calls = []
+    binary = algebraic_mod._binary
+
+    def counting(a, b, kind):
+        calls.append(kind)
+        return binary(a, b, kind)
+
+    monkeypatch.setattr(algebraic_mod, "_binary", counting)
+    second = analyze_curve("y^2 = x^6 - x")
+    assert calls == []
+    assert second.to_dict() == first.to_dict()

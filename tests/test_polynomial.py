@@ -574,6 +574,19 @@ def test_parse_poly_errors():
             parse_poly(bad)
 
 
+# a literal, a product of two literals over the limit, a product of four
+# within it and a sum of 1/p over pairwise coprime 4001-bit p: each has a
+# coefficient or denominator over MAX_PARSE_BITS that no power limit sees
+OVERSIZED_COEFFICIENTS = [
+    pytest.param(f"x^5 - {3 ** 8000}", MAX_PARSE_BITS, id="3^8000 literal"),
+    pytest.param(f"{10 ** 4000}*{10 ** 4000}*x^5 - 1", MAX_PARSE_BITS, id="10^4000 product"),
+    pytest.param("*".join([str(2 ** 4000)] * 4) + "*x*(x-1)*(x-2)*(x-3)*(x-4)", MAX_PARSE_BITS,
+                 id="2^4000 product"),
+    pytest.param("x^5 + " + " + ".join(f"1/{2 ** 4000 + k}" for k in (-1, 1, 3)), MAX_PARSE_BITS,
+                 id="sum of 1/p"),
+]
+
+
 def forbid_oversized_polys(monkeypatch):
     """Make building any Poly beyond what the parse limits admit fail at
     once: above MAX_PARSE_DEGREE, or with a coefficient of more than
@@ -603,6 +616,7 @@ def forbid_oversized_polys(monkeypatch):
     ("(x + ((2)^256)^256)^256", MAX_PARSE_BITS),
     ("((1/3)^200)^200", MAX_PARSE_BITS),
     ("(x + 8192)^256", MAX_PARSE_BITS),
+    *OVERSIZED_COEFFICIENTS,
 ])
 def test_parse_poly_rejects_oversized_power_before_expanding(monkeypatch, text, limit):
     forbid_oversized_polys(monkeypatch)
