@@ -27,6 +27,14 @@ order, every row and intermediate evaluated once:
 Effective constants the literature proves to exist but never states
 (c1, c2, c3, c*, kappa, c1') default to zero and taint the report with
 an "incomplete constant" caveat unless the caller supplies a value.
+
+The costly factors of the a-priori chain are powers whose base and
+exponent depend on (g, d) alone: nu^(d*nu), nu^(8^g*d*nu), nu^(2*d*nu),
+nu^(d*nu/8), nu^(nu/2), nu^nu and u(g).  They are kept across reports in
+one bounded table, `_pow_up`, keyed by (base, exponent, precision); a
+LogMag is immutable, so one value may serve many reports.  Nothing that
+depends on N_S or D_K is kept, and neither is any rendered string: a
+report renders each of its distinct values once (`BoundReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -162,12 +171,13 @@ class BoundEntry:
         if self.target not in TARGETS:
             raise ValueError(f"unknown bound target {self.target!r}")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, value: dict | None = None) -> dict:
+        """The entry as JSON; value, when given, is its value's rendering."""
         out = {
             "formula_id": self.formula_id,
             "target": self.target,
             "bounds_log_of_target": self.bounds_log_of_target,
-            "value": self.value.to_json_value(),
+            "value": self.value.to_json_value() if value is None else value,
         }
         if self.note is not None:
             out["note"] = self.note
@@ -182,9 +192,19 @@ class BoundReport:
     comparison: dict | None = None
 
     def to_dict(self) -> dict:
+        # eq_general's four entries hold thm_1_1's value: each distinct value
+        # is rendered once, and every entry gets its own copy of the dict
+        rendered: dict[tuple, dict] = {}
+        entries = []
+        for e in self.entries:
+            v = e.value
+            key = (v.sign, v.man, v.exp, v.prec, v.mode)
+            if key not in rendered:
+                rendered[key] = v.to_json_value()
+            entries.append(e.to_dict(dict(rendered[key])))
         out = {
             "inputs": self.inputs,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": entries,
             "caveats": self.caveats,
         }
         if self.comparison is not None:
@@ -203,17 +223,30 @@ def nu(p: BoundParams) -> int:
     return p.d * (5 * p.g) ** 5
 
 
+# The parameter-only powers of the chains, shared by every report.  A
+# bound_grid run fills a few hundred entries; the N_S-dependent powers stay
+# out, since they seldom repeat and would only grow the table.
+_POW_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_POW_CACHE_SIZE)
+def _pow_up(base: int, e: int | Fraction, precision: int) -> LogMag:
+    """base^e rounded up, for a base and exponent fixed by (g, d)."""
+    return lm_pow(base, e, precision, UP)
+
+
 def u_g(g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
     """8^((11g)^3 * 8^g), exact since it is a power of two."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    return lm_pow(2, 3 * (11 * g) ** 3 * 8**g, precision, UP)
+    return _pow_up(2, 3 * (11 * g) ** 3 * 8**g, precision)
 
 
 def _power_product(base1: int, e1, nd: int, e2: int, precision: int) -> LogMag:
     """base1^e1 * nd^e2 upward; the second factor is skipped when nd = 1
-    so the nd = 1 case returns base1^e1 with no extra rounding."""
-    first = lm_pow(base1, e1, precision, UP)
+    so the nd = 1 case returns base1^e1 with no extra rounding.  base1^e1
+    depends on (g, d) alone and comes from `_pow_up`."""
+    first = _pow_up(base1, e1, precision)
     if nd == 1:
         return first
     return lm_mul(first, lm_pow(nd, e2, precision, UP), precision, UP)
@@ -390,7 +423,7 @@ def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogM
     if m.sign < 0:
         raise ValueError("mu must be nonnegative")
     v = nu(p)
-    return lm_mul(lm_pow(v, Fraction(v, 2), precision, UP), m, precision, UP)
+    return lm_mul(_pow_up(v, Fraction(v, 2), precision), m, precision, UP)
 
 
 def hF_from_u_mu(ug: LogMag, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -448,7 +481,7 @@ def mu_upper_abc(
 def prop_abc_i(p: BoundParams, omega, c1, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^nu * Omega + c1; bounds log max(h_NT, h) under abc."""
     v = nu(p)
-    return _plus(lm_mul(lm_pow(v, v, precision, UP), omega, precision, UP), c1, precision)
+    return _plus(lm_mul(_pow_up(v, v, precision), omega, precision, UP), c1, precision)
 
 
 def prop_abc_ii(g: int, ug, omega, c2, precision: int = DEFAULT_PRECISION) -> LogMag:

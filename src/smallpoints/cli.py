@@ -9,6 +9,10 @@ Four commands:
            an aggregate summary
   heights  Weil height enclosures for rationals or polynomial roots
 
+`bound` refuses a genus above 5000 (exit 1): the exponents of u(g) and
+nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
+seconds.
+
 Exit codes: 0 success, 1 input error, 2 internal error: an invariant
 violation (a cross-ratio failed its S-unit check, which the theory rules
 out) or a computation that gave up with a RuntimeError, which analyze
@@ -39,6 +43,12 @@ EXIT_PARTIAL = 3
 # Above 2**14 bits the bound chains slow 4-6x per doubling, so one argument
 # could stall a call or a whole batch; roots caps its precision there too.
 _MAX_PRECISION = 1 << 14
+
+# u(g) and nu^(8^g d nu) have exponents of about 3g bits, and their powers
+# and decimal strings take time quadratic in that: at this genus a `bound`
+# report takes 0.4 s at 128 bits and 6 s with every flag at the precision
+# cap; at 20000 it took 3-19 s, at 50000 24-59 s.
+_MAX_GENUS = 5000
 
 TSV_HEADER = "curve\tg\tN_S\tlog10_thm_bound\tlog10_empirical_bound\tsharper_chain"
 
@@ -123,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="evaluate the bound formulas for given parameters")
     pb.add_argument("--d", type=int, required=True, help="degree of the number field")
-    pb.add_argument("--g", type=int, required=True, help="genus (at least 2)")
+    pb.add_argument("--g", type=int, required=True, help="genus (2 to 5000)")
     pb.add_argument("--ns", type=int, required=True, help="product of the primes in S")
     pb.add_argument("--dk", type=int, default=1, help="absolute discriminant value (default 1)")
     pb.add_argument("--formula", action="append", default=None,
@@ -222,6 +232,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     try:
+        if args.g > _MAX_GENUS:
+            raise ValueError(f"genus must be at most {_MAX_GENUS}")
         p = BoundParams(d=args.d, g=args.g, n_s=args.ns, d_k=args.dk, c_delta=args.cdelta)
     except ValueError as exc:
         print(f"smallpoints: {exc}", file=sys.stderr)

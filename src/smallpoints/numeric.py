@@ -612,11 +612,12 @@ class LogMag:
         return _decimal_string(self, digits)
 
     def to_pair(self) -> tuple[str, str]:
-        """Exact (mantissa-hex, exponent-decimal) pair."""
+        """Exact (mantissa-hex, exponent-decimal) pair; the exponent may have
+        more digits than str accepts (u(g) for large g)."""
         h = hex(self.man)
         if self.sign < 0:
             h = "-" + h
-        return h, str(self.exp)
+        return h, decimal_str(self.exp)
 
     def to_json_value(self) -> dict:
         h, e = self.to_pair()
@@ -887,8 +888,10 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     return _round(s, 1, q - wp, prec, direction)
 
 
+@lru_cache(maxsize=64)
 def lm_ln_two_pi(prec: int, mode: int) -> LogMag:
-    """Directed ln(2*pi)."""
+    """Directed ln(2*pi); a pure function of (prec, mode), so kept in a
+    small table like the constants."""
     wp = prec + 48
     tp = _constant("two_pi", wp, mode)
     total = _ln_of_dyadic(tp, -wp, wp, mode)
@@ -939,7 +942,7 @@ def _decimal_string(x: LogMag, digits: int) -> str:
     s = str(n)
     e10 += len(s) - digits
     sign = "-" if x.sign < 0 else ""
-    return f"{sign}{s[0]}.{s[1:digits]}e{'+' if e10 >= 0 else ''}{e10}"
+    return f"{sign}{s[0]}.{s[1:digits]}e{'+' if e10 >= 0 else ''}{decimal_str(e10)}"
 
 
 def _scaled_floor(m: int, e: int, k: int, wp: int) -> int:

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dec_ln
-from smallpoints import numeric
+from smallpoints import bounds, numeric
 from smallpoints.bounds import (
     ABC_CONSTANTS,
     AbcParams,
@@ -43,9 +45,18 @@ from smallpoints.bounds import (
     zhang_height_bound,
     zograf_degB_bound,
 )
-from smallpoints.numeric import DOWN, UP, LogMag, lm_log, lm_pow
+from smallpoints.cli import main
+from smallpoints.numeric import DOWN, UP, LogMag, decimal_str, lm_log, lm_pow
 
 P2 = BoundParams(d=1, g=2, n_s=2, d_k=1)
+
+# the tables that keep bound-chain values across reports
+_REPORT_TABLES = (bounds._pow_up, numeric.lm_ln_two_pi)
+
+
+def _every_table():
+    """Every lru table of the bounds and numeric modules."""
+    return {f for m in (bounds, numeric) for f in vars(m).values() if hasattr(f, "cache_clear")}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -473,6 +484,18 @@ def test_formula_conditions_name_the_c_delta_formulas():
     assert formula_conditions("thm_9_9") == frozenset()
 
 
+def _count_logs(monkeypatch) -> list:
+    calls = []
+    ln_of_dyadic = numeric._ln_of_dyadic
+
+    def counting(*args):
+        calls.append(args)
+        return ln_of_dyadic(*args)
+
+    monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "g, d, zograf, h_lambda, logs",
     [
@@ -483,19 +506,103 @@ def test_formula_conditions_name_the_c_delta_formulas():
     ],
 )
 def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, logs):
-    calls = []
-    ln_of_dyadic = numeric._ln_of_dyadic
-
-    def counting(*args):
-        calls.append(args)
-        return ln_of_dyadic(*args)
-
-    monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
+    # the count is that of cold tables; earlier tests may have filled them
+    for table in _REPORT_TABLES:
+        table.cache_clear()
+    calls = _count_logs(monkeypatch)
     p = BoundParams(d=d, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
     full_report(
         p, H_Lambda=h_lambda, abc=AbcParams(r=2, epsilon=2), use_zograf=zograf, precision=2048
     )
     assert len(calls) == len(set(calls)) == logs
+
+
+def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch):
+    # nu^(d nu/8), nu^(nu/2) and ln(2 pi) depend on (g, d, precision) alone:
+    # a second report at another N_S takes no log
+    for table in _REPORT_TABLES:
+        table.cache_clear()
+    calls = _count_logs(monkeypatch)
+    counts = []
+    reports = []
+    for n_s in (30, 42):
+        before = len(calls)
+        reports.append(full_report(BoundParams(1, 3, n_s, 1, c_delta=-1000), precision=2048))
+        counts.append(len(calls) - before)
+    assert counts == [3, 0]
+    assert reports[0].entry("lem_5_1").value < reports[1].entry("lem_5_1").value
+
+
+def test_report_tables_are_bounded_and_keep_no_n_s_power():
+    for table in _REPORT_TABLES:
+        assert table.cache_info().maxsize is not None
+    assert bounds._pow_up.cache_info().maxsize == bounds._POW_CACHE_SIZE
+    bounds._pow_up.cache_clear()
+    abc = AbcParams(r=2, epsilon=2)
+    full_report(BoundParams(2, 3, 1, 1, c_delta=-7), abc=abc, use_zograf=True, precision=64)
+    size = bounds._pow_up.cache_info().currsize
+    assert size > 0
+    for n_s in range(2, 40):
+        full_report(BoundParams(2, 3, n_s, n_s + 1, c_delta=-7), abc=abc, use_zograf=True,
+                    precision=64)
+    assert bounds._pow_up.cache_info().currsize == size
+
+
+def test_bound_reports_do_not_depend_on_table_state(capsys):
+    """A seeded grid over g 2-10, d 1-3, precision 64 and 2048, with and
+    without --abc, --cdelta and --zograf, prints the same bytes warm, after
+    every bounds and numeric table is cleared, and in reversed order."""
+    rng = random.Random("bound-tables")
+    flag_sets = [(a, c, z) for a in (0, 1) for c in (0, 1) for z in (0, 1)]
+    grid = []
+    for i in range(2 * 9 * 3):
+        g, d, prec = 2 + i % 9, 1 + i // 9 % 3, (64, 2048)[i // 27]
+        abc, cdelta, zograf = flag_sets[i % 8]
+        argv = ["bound", "--d", str(d), "--g", str(g), "--ns", str(rng.choice((1, 6, 30, 2310))),
+                "--dk", str(rng.choice((1, 3, 7))), "--precision", str(prec)]
+        if abc:
+            argv += ["--abc", rng.choice(("2,2", "3/2,5/4,1"))]
+        if cdelta:
+            argv += ["--cdelta", str(-rng.randint(1, 5000))]
+        if zograf:
+            argv.append("--zograf")
+        grid.append(argv)
+
+    def reports(argvs):
+        out = []
+        for argv in argvs:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    warm = reports(grid)
+    for table in _every_table():
+        table.cache_clear()
+    assert reports(grid) == warm
+    assert reports(grid[::-1]) == warm[::-1]
+
+
+def test_report_renders_each_entry_into_its_own_dict():
+    doc = full_report(BoundParams(1, 3, 6, 1)).to_dict()
+    values = {e["formula_id"] + "/" + e["target"]: e["value"] for e in doc["entries"]}
+    shared = [values["thm_1_1/h"], values["thm_1_1/h_NT"]] + [
+        values["eq_general/" + t] for t in ("e_X", "delta_X", "h_F", "Delta_X")
+    ]
+    assert all(v == shared[0] for v in shared)
+    assert len({id(v) for v in values.values()}) == len(doc["entries"])
+    shared[0]["decimal"] = "changed"
+    assert shared[1]["decimal"] != "changed"
+
+
+def test_report_prints_exponents_past_the_int_str_limit():
+    # u(4800) has a binary exponent of more than 4300 decimal digits
+    ug = u_g(4800)
+    assert len(decimal_str(ug.exp)) > 4300
+    doc = json.loads(json.dumps(full_report(BoundParams(1, 4800, 6, 1)).to_dict()))
+    value = next(e["value"] for e in doc["entries"] if e["formula_id"] == "eq_fhux")
+    assert decimal.Decimal(value["exponent"]) > ug.exp
+    exponent10 = value["decimal"].split("e+")[1]
+    assert len(exponent10) > 4300 and decimal.Decimal(exponent10) > 0
 
 
 def test_entry_rejects_unknown_target():

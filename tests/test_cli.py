@@ -316,6 +316,15 @@ def test_bound_invalid_genus_exits_1(capsys):
     assert err
 
 
+def test_bound_genus_past_the_limit_exits_1_and_below_it_reports(capsys):
+    code, out, err = run(capsys, ["bound", "--d", "1", "--g", str(cli._MAX_GENUS + 1), "--ns", "6"])
+    assert code == 1 and not out
+    assert err == f"smallpoints: genus must be at most {cli._MAX_GENUS}\n"
+    # u(4800) has an exponent of more than 4300 digits, past str's limit
+    code, out, err = run(capsys, ["bound", "--d", "1", "--g", "4800", "--ns", "6"])
+    assert code == 0 and out and not err
+
+
 def test_bound_zograf_enables_empirical_chain(capsys):
     code, out, _ = run(
         capsys, ["bound", "--d", "1", "--g", "2", "--ns", "2", "--zograf"]
