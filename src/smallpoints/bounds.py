@@ -2,10 +2,10 @@
 
 Every published inequality this package evaluates lives here as a pure
 function of the parameter tuple (d, g, N_S, D_K) plus optional empirical
-or conjectural inputs.  All results are LogMag values rounded upward, so
-a reported number is always a true bound for the quantity it names, and
-each report entry says whether the number bounds the quantity itself or
-its natural logarithm.
+inputs.  All results are LogMag values rounded upward, so a reported
+number is always a true bound for the quantity it names, and each report
+entry says whether the number bounds the quantity itself or its natural
+logarithm.
 
 Formula identifiers ("thm_1_1", "lem_4_2", ...) are stable strings fixed
 by the report format; consumers match on them, not on the prose notes.
@@ -13,28 +13,30 @@ by the report format; consumers match on them, not on the prose notes.
 FORMULAS, near the end of this module, is the one list of the bound
 chains: each row gives a formula id, its targets, whether it bounds their
 logarithm, its note, the function that evaluates it, the inputs it reads
-(earlier rows, or the intermediates in SHARED such as ln N_S, u(g) and
-Omega) and the conditions it needs (CONDITIONS: g = 2, d = 1, c_delta
-known, abc given, H_Lambda or zograf).  Two chains are walked in row
-order, every row and intermediate evaluated once:
+(values the chain was given, or earlier rows) and the conditions it needs
+(CONDITIONS: g = 2, d = 1, c_delta known, H_Lambda or zograf).  Two
+chains are walked in row order, every row evaluated once:
 
   * apriori: the three main theorems plus the route through the
-    archimedean invariant mu_X, and the abc-conditional bounds,
+    archimedean invariant mu_X,
   * empirical: Belyi degree from the multiplicative height of the
     branch-point cross-ratios (lem_4_2, or the modular-curve bound when
     the caller asserts it), then lem_4_1 -> lem_4_3 -> lem_4_4_i.
 
-Effective constants the literature proves to exist but never states
-(c1, c2, c3, c*, kappa, c1') default to zero and taint the report with
-an "incomplete constant" caveat unless the caller supplies a value.
+No row reads a constant that the literature proves effective but never
+states.  The bounds conditional on abc each need one (c1, c2, c3, c*,
+kappa or c1'), so none of them is evaluated, and a report's `abc` input
+is always null.  The one delta-invariant constant with a published value,
+-186 in genus 2, is applied; other genera evaluate the c_delta rows only
+when the caller asserts a value.
 
 The costly factors of the a-priori chain are powers whose base and
 exponent depend on (g, d) alone: nu^(d*nu), nu^(8^g*d*nu), nu^(2*d*nu),
-nu^(d*nu/8), nu^(nu/2), nu^nu and u(g).  They are kept across reports in
-one bounded table, `_pow_up`, keyed by (base, exponent, precision); a
-LogMag is immutable, so one value may serve many reports.  Nothing that
-depends on N_S or D_K is kept, and neither is any rendered string: a
-report renders each of its distinct values once (`BoundReport.to_dict`).
+nu^(d*nu/8), nu^(nu/2) and u(g).  They are kept across reports in one
+bounded table, `_pow_up`, keyed by (base, exponent, precision); a LogMag
+is immutable, so one value may serve many reports.  Nothing that depends
+on N_S or D_K is kept, and neither is any rendered string: a report
+renders each of its distinct values once (`BoundReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -120,43 +122,6 @@ class BoundParams:
             object.__setattr__(self, "c_delta", GENUS_TWO_C_DELTA)
         elif self.c_delta is not None:
             object.__setattr__(self, "c_delta", _rational(self.c_delta))
-
-
-@dataclass(frozen=True)
-class AbcParams:
-    """Parameters of the abc conjecture form H <= c * S^r * D^epsilon with
-    r, epsilon > 1, plus the effective-but-unstated constants of the
-    conditional bounds.  A None constant means "use 0 and flag it"."""
-
-    r: Fraction
-    epsilon: Fraction
-    c: Fraction = Fraction(0)
-    c1: Fraction | None = None
-    c2: Fraction | None = None
-    c3: Fraction | None = None
-    c_star: Fraction | None = None
-    kappa: Fraction | None = None
-    c1_prime: Fraction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _rational(self.r))
-        object.__setattr__(self, "epsilon", _rational(self.epsilon))
-        object.__setattr__(self, "c", _rational(self.c))
-        if self.r <= 1 or self.epsilon <= 1:
-            raise ValueError("abc parameters require r > 1 and epsilon > 1")
-        if self.c < 0:
-            raise ValueError("abc constant c must be nonnegative")
-        for name in ("c1", "c2", "c3", "c_star", "kappa", "c1_prime"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _rational(v))
-
-    def constant(self, name: str) -> tuple[Fraction, str | None]:
-        """Value of a named constant plus a caveat when it was defaulted."""
-        v = getattr(self, name)
-        if v is None:
-            return Fraction(0), f"incomplete constant {name} defaulted to 0"
-        return v, None
 
 
 @dataclass
@@ -444,91 +409,10 @@ def weierstrass_sum_bound(hF_bound, g: int, precision: int = DEFAULT_PRECISION) 
     return lm_add(t, LogMag.from_int(293 * g**5, precision, UP), precision, UP)
 
 
-# ---------------------------------------------------------------------------
-# the formulas conditional on abc.  ln_ns, ln_dk and ln_nd are ln N_S,
-# ln D_K and their sum, all rounded up; the chains compute each once.
-
-
-def ln_int(n: int, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """ln n rounded up."""
-    return lm_log(LogMag.from_int(n, precision, UP), precision, UP)
-
-
-def _plus(t: LogMag, c, precision: int) -> LogMag:
-    """t + c for a rational c, rounded up."""
-    return lm_add(t, LogMag.from_fraction(c, precision, UP), precision, UP)
-
-
-def abc_omega(
-    p: BoundParams, a: AbcParams, ln_ns, ln_dk, precision: int = DEFAULT_PRECISION
-) -> LogMag:
-    """Omega = (r + eps/d)*ln N_S + (eps/d)*ln D_K."""
-    eps_d = Fraction(a.epsilon, 1) / p.d
-    t = lm_mul(LogMag.from_fraction(a.r + eps_d, precision, UP), ln_ns, precision, UP)
-    u = lm_mul(LogMag.from_fraction(eps_d, precision, UP), ln_dk, precision, UP)
-    return lm_add(t, u, precision, UP)
-
-
-def mu_upper_abc(
-    p: BoundParams, a: AbcParams, ln_ns, ln_dk, c_star, precision: int = DEFAULT_PRECISION
-) -> LogMag:
-    """(d*r + eps)*ln N_S + eps*ln D_K + c*; bounds d*mu_X under abc."""
-    t = lm_mul(LogMag.from_fraction(p.d * a.r + a.epsilon, precision, UP), ln_ns, precision, UP)
-    u = lm_mul(LogMag.from_fraction(a.epsilon, precision, UP), ln_dk, precision, UP)
-    return _plus(lm_add(t, u, precision, UP), c_star, precision)
-
-
-def prop_abc_i(p: BoundParams, omega, c1, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """nu^nu * Omega + c1; bounds log max(h_NT, h) under abc."""
-    v = nu(p)
-    return _plus(lm_mul(_pow_up(v, v, precision), omega, precision, UP), c1, precision)
-
-
-def prop_abc_ii(g: int, ug, omega, c2, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """u(g)(3g-1)(8g+4) * Omega + c2; bounds the Weierstrass sum under abc."""
-    t = lm_mul(ug, LogMag.from_int((3 * g - 1) * (8 * g + 4), precision, UP), precision, UP)
-    return _plus(lm_mul(t, omega, precision, UP), c2, precision)
-
-
-def prop_abc_iii(ug, omega, c3, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """Genus 2: 6*u(2) * Omega + c3; bounds h under abc (and h_NT <= 4h)."""
-    t = lm_mul(LogMag.from_int(6, precision, UP), ug, precision, UP)
-    return _plus(lm_mul(t, omega, precision, UP), c3, precision)
-
-
 def prop_cyclic_i(hyper_bound, c_delta, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(8^g*d*nu)*(D_K*N_S)^nu - c_delta, i.e. thm_hyper_bound less
     c_delta; bounds h."""
-    return _plus(hyper_bound, -c_delta, precision)
-
-
-def prop_cyclic_ii(
-    g: int, c_delta, ug, omega, c1_prime, precision: int = DEFAULT_PRECISION
-) -> LogMag:
-    """6*u(g)/(g-1) * Omega + c1' - c_delta/(2g-2); bounds h under abc."""
-    t = lm_mul(lm_mul(LogMag.from_int(6, precision, UP), ug, precision, UP), omega, precision, UP)
-    lead = lm_div(t, LogMag.from_int(g - 1, precision, UP), precision, UP)
-    return _plus(lead, c1_prime - c_delta / (2 * g - 2), precision)
-
-
-def lemma_conj_nt(
-    p: BoundParams, a: AbcParams, ln_nd, kappa, precision: int = DEFAULT_PRECISION
-) -> LogMag:
-    """12g^2(g+2eps/d)(ln N_S + ln D_K) - g*c_delta + kappa; bounds h_NT
-    under abc."""
-    slope = p.g + Fraction(2, 1) * a.epsilon / p.d
-    t = lm_mul(LogMag.from_fraction(12 * p.g**2 * slope, precision, UP), ln_nd, precision, UP)
-    return _plus(t, -p.g * p.c_delta + kappa, precision)
-
-
-def lemma_conj_h(
-    p: BoundParams, a: AbcParams, ln_nd, kappa, precision: int = DEFAULT_PRECISION
-) -> LogMag:
-    """(3g/(g-1))(g+2eps/d)(ln N_S + ln D_K) - c_delta/(4(g-1)) + kappa;
-    bounds h under abc."""
-    slope = Fraction(3 * p.g, p.g - 1) * (p.g + Fraction(2, 1) * a.epsilon / p.d)
-    t = lm_mul(LogMag.from_fraction(slope, precision, UP), ln_nd, precision, UP)
-    return _plus(t, -p.c_delta / (4 * (p.g - 1)) + kappa, precision)
+    return lm_add(hyper_bound, LogMag.from_fraction(-c_delta, precision, UP), precision, UP)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +423,9 @@ def lemma_conj_h(
 class Formula:
     """One row of a bound chain.  fn receives the values named in inputs,
     then the precision; its value becomes one entry per target.  An input
-    names an earlier row, a shared intermediate (SHARED), an abc constant,
-    or a value the chain was given.  The row is skipped unless every
-    condition in `when` holds.  Later rows read the value under `name`,
-    which defaults to the formula id."""
+    names an earlier row or a value the chain was given.  The row is
+    skipped unless every condition in `when` holds.  Later rows read the
+    value under `name`, which defaults to the formula id."""
 
     formula_id: str
     targets: tuple[str, ...]
@@ -564,25 +447,10 @@ CONDITIONS = {
         "no delta-invariant constant for genus {g}; the mu-route stops at h_F "
         "and the delta-dependent bounds are omitted",
     ),
-    "abc": (lambda x: x["abc"] is not None, None),
     # the Belyi degree comes from H_Lambda unless zograf is asserted
     "H_Lambda": (lambda x: not x["use_zograf"], None),
     "zograf": (lambda x: x["use_zograf"], None),
 }
-
-# intermediates that several rows read: name -> (fn, inputs), like a row
-SHARED = {
-    "ln_ns": (ln_int, ("n_s",)),
-    "ln_dk": (ln_int, ("d_k",)),
-    "ln_nd": (lambda a, b, precision: lm_add(a, b, precision, UP), ("ln_ns", "ln_dk")),
-    "u_g": (u_g, ("g",)),
-    "omega": (abc_omega, ("p", "abc", "ln_ns", "ln_dk")),
-}
-
-# read from AbcParams.constant, which also gives the caveat for a default
-ABC_CONSTANTS = ("c1", "c2", "c3", "c_star", "kappa", "c1_prime")
-
-_ABC = "conditional on abc"
 
 # Each chain is walked in order; the entries and caveats of a report come
 # out in row order.
@@ -598,7 +466,9 @@ FORMULAS = {
                 genus2_intro_bound, ("n_s",), ("g=2", "d=1")),
         Formula("lem_5_2_i", ("mu_X",), False, None, mu_upper, ("p",)),
         Formula("lem_5_1", ("deg_B",), True, "via lem_5_2_i", degB_from_mu, ("p", "lem_5_2_i")),
-        Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i", hF_from_u_mu, ("u_g", "lem_5_2_i")),
+        Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i",
+                lambda g, mu, precision: hF_from_u_mu(u_g(g, precision), mu, precision),
+                ("g", "lem_5_2_i")),
         Formula("lem_6_2", ("weierstrass_sum",), False, "via eq_fhux",
                 weierstrass_sum_bound, ("eq_fhux", "g")),
         Formula("lem_4_4_ii", ("e_X",), False, "via eq_fhux",
@@ -609,20 +479,6 @@ FORMULAS = {
                 nt_from_h, ("lem_4_3", "g"), ("c_delta",)),
         Formula("prop_5_3_i", ("h",), False, None,
                 prop_cyclic_i, ("thm_1_2", "c_delta"), ("c_delta",)),
-        Formula("prop_5_3_ii", ("h",), False, _ABC, prop_cyclic_ii,
-                ("g", "c_delta", "u_g", "omega", "c1_prime"), ("c_delta", "abc")),
-        Formula("prop_3_4_i", ("h_NT", "h"), True, _ABC,
-                prop_abc_i, ("p", "omega", "c1"), ("abc",)),
-        Formula("prop_3_4_ii", ("weierstrass_sum",), False, _ABC,
-                prop_abc_ii, ("g", "u_g", "omega", "c2"), ("abc",)),
-        Formula("prop_3_4_iii", ("h",), False, _ABC + "; also h_NT <= 4h",
-                prop_abc_iii, ("u_g", "omega", "c3"), ("abc", "g=2")),
-        Formula("lem_5_2_ii", ("mu_X",), False, _ABC + "; the value bounds d*mu_X",
-                mu_upper_abc, ("p", "abc", "ln_ns", "ln_dk", "c_star"), ("abc",)),
-        Formula("lem_4_6_ii", ("h_NT",), False, _ABC,
-                lemma_conj_nt, ("p", "abc", "ln_nd", "kappa"), ("abc", "c_delta")),
-        Formula("lem_4_6_ii", ("h",), False, _ABC,
-                lemma_conj_h, ("p", "abc", "ln_nd", "kappa"), ("abc", "c_delta")),
     ),
     "empirical": (
         Formula("zograf", ("deg_B",), False, "caller asserts a classical congruence modular curve",
@@ -646,24 +502,12 @@ def formula_conditions(formula_id: str) -> frozenset[str]:
 
 
 def _walk(chain: str, p: BoundParams, precision: int, **given):
-    """Evaluate the rows of one chain in order, each row and each shared
-    intermediate at most once.  Returns (entries, caveats)."""
+    """Evaluate the rows of one chain in order, each at most once.
+    Returns (entries, caveats)."""
     values = dict(p=p, d=p.d, g=p.g, n_s=p.n_s, d_k=p.d_k, c_delta=p.c_delta, **given)
     known = dict(values)
     entries: list[BoundEntry] = []
     caveats: list[str] = []
-
-    def get(name):
-        if name not in known:
-            if name in ABC_CONSTANTS:
-                known[name], caveat = known["abc"].constant(name)
-                if caveat:
-                    caveats.append(caveat)
-            else:
-                fn, inputs = SHARED[name]
-                known[name] = fn(*map(get, inputs), precision)
-        return known[name]
-
     for f in FORMULAS[chain]:
         unmet = [c for c in f.when if not CONDITIONS[c][0](values)]
         if unmet:
@@ -672,7 +516,7 @@ def _walk(chain: str, p: BoundParams, precision: int, **given):
                 if caveat and caveat not in caveats:
                     caveats.append(caveat)
             continue
-        value = f.fn(*map(get, f.inputs), precision)
+        value = f.fn(*(known[name] for name in f.inputs), precision)
         known[f.name or f.formula_id] = value
         entries.extend(BoundEntry(f.formula_id, t, value, f.log, f.note) for t in f.targets)
     return entries, caveats
@@ -692,26 +536,15 @@ def _echo_inputs(p: BoundParams, precision: int, extra: dict | None = None) -> d
     return out
 
 
-def _abc_echo(a: AbcParams | None):
-    if a is None:
-        return None
-    out = {"r": str(a.r), "epsilon": str(a.epsilon), "c": str(a.c)}
-    for name in ABC_CONSTANTS:
-        v = getattr(a, name)
-        out[name] = None if v is None else str(v)
-    return out
-
-
 def pipeline_apriori(
     p: BoundParams,
-    abc: AbcParams | None = None,
     eps=Fraction(1),
     precision: int = DEFAULT_PRECISION,
 ) -> BoundReport:
-    """Every bound computable from (d, g, N_S, D_K) alone, plus the
-    conditional ones when abc parameters are supplied."""
-    entries, caveats = _walk("apriori", p, precision, eps=eps, abc=abc)
-    extra = {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": _abc_echo(abc)}
+    """Every bound computable from (d, g, N_S, D_K) alone."""
+    entries, caveats = _walk("apriori", p, precision, eps=eps)
+    # the report format keeps this input, always null (module docstring)
+    extra = {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": None}
     return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)
 
 
@@ -790,7 +623,6 @@ def compare_pipelines(
 def full_report(
     p: BoundParams,
     H_Lambda=None,
-    abc: AbcParams | None = None,
     deg_phi: int = 2,
     use_zograf: bool = False,
     eps=Fraction(1),
@@ -799,7 +631,7 @@ def full_report(
     extra_caveats: list[str] | None = None,
 ) -> BoundReport:
     """Both pipelines merged into a single report with the comparison."""
-    ap = pipeline_apriori(p, abc, eps, precision)
+    ap = pipeline_apriori(p, eps, precision)
     entries = list(ap.entries)
     caveats = list(ap.caveats)
     comparison = None

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .algebraic import algebraic_roots, weil_height
-from .bounds import AbcParams, BoundParams, formula_conditions, full_report
+from .bounds import FORMULAS, BoundParams, formula_conditions, full_report
 from .curve import analyze_curve
 from .numeric import DEFAULT_PRECISION, decimal_str
 from .polynomial import parse_poly, render_poly
@@ -51,6 +51,15 @@ _MAX_PRECISION = 1 << 14
 _MAX_GENUS = 5000
 
 TSV_HEADER = "curve\tg\tN_S\tlog10_thm_bound\tlog10_empirical_bound\tsharper_chain"
+
+_FORMULA_IDS = frozenset(f.formula_id for rows in FORMULAS.values() for f in rows)
+
+# --abc is still accepted, so existing command lines keep working, but each
+# abc-conditional bound needs an effective constant that no source states
+ABC_CAVEAT = (
+    "abc parameters given, but no abc-conditional bound is printed: none of "
+    "their effective constants (c1, c2, c3, c*, kappa, c1') is stated"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,16 +84,19 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _abc(text: str) -> AbcParams:
+def _abc(text: str) -> str:
+    """Check r,eps[,c] of H <= c * S^r * D^eps: r > 1, eps > 1, c >= 0."""
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("--abc expects r,eps or r,eps,c")
     try:
         r, eps = Fraction(parts[0]), Fraction(parts[1])
         c = Fraction(parts[2]) if len(parts) == 3 else Fraction(0)
-        return AbcParams(r=r, epsilon=eps, c=c)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad abc parameters: {text!r}") from exc
+    if r <= 1 or eps <= 1 or c < 0:
+        raise argparse.ArgumentTypeError(f"bad abc parameters: {text!r}")
+    return text
 
 
 def _precision(text: str) -> int:
@@ -108,7 +120,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 def _add_bound_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abc", type=_abc, default=None,
-                   help="abc-conjecture parameters r,eps[,c] (enables conditional bounds)")
+                   help="abc-conjecture parameters r,eps[,c]; checked, but no "
+                        "abc-conditional bound is printed (their constants are unstated)")
     p.add_argument("--cdelta", type=_fraction, default=None,
                    help="asserted lower bound for the delta-invariant minimum")
     p.add_argument("--epsilon", type=_positive_fraction, default=Fraction(1),
@@ -173,10 +186,11 @@ def _analysis_documents(analysis, args):
         H = analysis.normalization.height_multiplicative[1]
     elif not args.zograf:
         extra_caveats.append("no normalization available; empirical pipeline skipped")
+    if args.abc:
+        extra_caveats.append(ABC_CAVEAT)
     rep = full_report(
         p,
         H_Lambda=H,
-        abc=args.abc,
         use_zograf=args.zograf,
         eps=args.epsilon,
         precision=args.precision,
@@ -241,17 +255,19 @@ def cmd_bound(args) -> int:
     rep = full_report(
         p,
         H_Lambda=None,
-        abc=args.abc,
         use_zograf=args.zograf,
         eps=args.epsilon,
         precision=args.precision,
+        extra_caveats=[ABC_CAVEAT] if args.abc else None,
     )
     if args.formula:
         available = {e.formula_id for e in rep.entries}
         for fid in args.formula:
             if fid in available:
                 continue
-            if "c_delta" in formula_conditions(fid) and p.c_delta is None:
+            if fid not in _FORMULA_IDS:
+                print(f"smallpoints: unknown formula {fid}", file=sys.stderr)
+            elif "c_delta" in formula_conditions(fid) and p.c_delta is None:
                 print(
                     f"smallpoints: formula {fid} needs c_delta and no proven value "
                     f"exists for genus {p.g}; pass --cdelta to assert one",

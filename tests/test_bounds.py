@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 from oracles import dec_ln
 from smallpoints import bounds, numeric
 from smallpoints.bounds import (
-    ABC_CONSTANTS,
-    AbcParams,
     BoundEntry,
     BoundParams,
     CONDITIONS,
     FORMULAS,
-    SHARED,
     TARGETS,
-    abc_omega,
     degB_from_mu,
     ex_from_degB,
     formula_conditions,
@@ -28,9 +24,7 @@ from smallpoints.bounds import (
     genus2_intro_bound,
     hF_from_u_mu,
     khadjavi_degB_bound,
-    lemma_conj_nt,
     ln_factorial_upper,
-    ln_int,
     mu_upper,
     noether_ex_bound,
     nt_from_h,
@@ -110,21 +104,6 @@ def test_params_validation():
     assert BoundParams(1, 2, 1, 1).c_delta == Fraction(-186)
     assert BoundParams(1, 3, 1, 1).c_delta is None
     assert BoundParams(1, 3, 1, 1, c_delta=-50).c_delta == Fraction(-50)
-
-
-def test_abc_params_validation():
-    with pytest.raises(ValueError):
-        AbcParams(r=1, epsilon=2)
-    with pytest.raises(ValueError):
-        AbcParams(r=2, epsilon=1)
-    with pytest.raises(ValueError):
-        AbcParams(r=2, epsilon=2, c=-1)
-    a = AbcParams(r=2, epsilon=2)
-    v, cav = a.constant("c1")
-    assert v == 0 and "incomplete constant c1" in cav
-    b = AbcParams(r=2, epsilon=2, c1=Fraction(5))
-    v, cav = b.constant("c1")
-    assert v == 5 and cav is None
 
 
 def test_nu_values():
@@ -283,20 +262,6 @@ def test_mu_upper():
     assert mu_upper(BoundParams(1, 2, 2, 3)) > mu_upper(P2)
 
 
-def test_mu_upper_abc():
-    a = AbcParams(r=2, epsilon=2)
-    rep = pipeline_apriori(P2, abc=a)
-    v = rep.entry("lem_5_2_ii", "mu_X").value
-    oracle = 4 * dec_ln(Fraction(2))
-    assert oracle <= v.to_fraction() <= oracle * (1 + Fraction(1, 10**30))
-    assert "incomplete constant c_star defaulted to 0" in rep.caveats
-    v0 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=a).entry("lem_5_2_ii").value
-    assert v0.to_fraction() == 0
-    rep5 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=AbcParams(r=2, epsilon=2, c_star=5))
-    assert rep5.entry("lem_5_2_ii").value.to_fraction() == 5
-    assert not any("c_star" in c for c in rep5.caveats)
-
-
 def test_degB_from_mu():
     v = degB_from_mu(P2, 1)
     assert v.log10_float() == pytest.approx(250000.0, abs=1e-6)
@@ -320,50 +285,11 @@ def test_weierstrass_sum():
     assert weierstrass_sum_bound(0, 3).to_fraction() == 71199
 
 
-def test_abc_omega_and_prop34():
-    a = AbcParams(r=2, epsilon=2)
-    om = abc_omega(P2, a, ln_int(2), ln_int(1))
-    oracle = 4 * dec_ln(Fraction(2))
-    assert oracle <= om.to_fraction() <= oracle * (1 + Fraction(1, 10**30))
-    rep = pipeline_apriori(P2, abc=a)
-    for target in ("h_NT", "h"):
-        assert abs(rep.entry("prop_3_4_i", target).value.log10_float() - 500000.4429) < 0.001
-    assert {
-        "incomplete constant c1 defaulted to 0",
-        "incomplete constant c2 defaulted to 0",
-        "incomplete constant c3 defaulted to 0",
-    } <= set(rep.caveats)
-    assert rep.entry("prop_3_4_iii", "h")
-    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), abc=a)
-    assert "prop_3_4_iii" not in {e.formula_id for e in rep3.entries}
-    assert not any("c3" in c for c in rep3.caveats)
-    # unit inputs collapse (i) to the supplied c1
-    rep1 = pipeline_apriori(BoundParams(1, 2, 1, 1), abc=AbcParams(r=2, epsilon=2, c1=7))
-    assert rep1.entry("prop_3_4_i", "h").value.to_fraction() == 7
-
-
 def test_prop_cyclic():
     assert pipeline_apriori(P2).entry("prop_5_3_i", "h").value >= thm_hyper_bound(P2)
-    rep0 = pipeline_apriori(BoundParams(1, 2, 1, 1), AbcParams(r=2, epsilon=2))
-    assert rep0.entry("prop_5_3_ii", "h").value.to_fraction() == 93
-    # c1_prime is the first constant the chain reads
-    assert rep0.caveats[0] == "incomplete constant c1_prime defaulted to 0"
-    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), AbcParams(r=2, epsilon=2))
-    assert not {"prop_5_3_i", "prop_5_3_ii"} & {e.formula_id for e in rep3.entries}
+    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1))
+    assert "prop_5_3_i" not in {e.formula_id for e in rep3.entries}
     assert "delta-invariant" in rep3.caveats[0]
-
-
-def test_lemma_conj():
-    rep = pipeline_apriori(P2, abc=AbcParams(r=2, epsilon=2, kappa=0))
-    assert not any("kappa" in c for c in rep.caveats)
-    rep2 = pipeline_apriori(P2, abc=AbcParams(r=2, epsilon=2))
-    assert rep2.caveats[-1] == "incomplete constant kappa defaulted to 0"
-    v = rep2.entry("lem_4_6_ii", "h_NT").value.to_fraction()
-    assert Fraction(5716, 10) < v < Fraction(5717, 10)
-    ln_nd = ln_int(2)
-    assert lemma_conj_nt(P2, AbcParams(r=2, epsilon=2), ln_nd, 0).to_fraction() == v
-    rep3 = pipeline_apriori(BoundParams(1, 3, 2, 1), abc=AbcParams(r=2, epsilon=2))
-    assert "lem_4_6_ii" not in {e.formula_id for e in rep3.entries}
 
 
 def test_pipeline_apriori_genus2():
@@ -392,13 +318,6 @@ def test_pipeline_apriori_genus2():
     assert rep.entry("lem_5_1").bounds_log_of_target is True
     assert rep.entry("thm_1_1", "h").bounds_log_of_target is True
     assert rep.entry("thm_1_3", "h").bounds_log_of_target is False
-
-
-def test_pipeline_apriori_with_abc():
-    rep = pipeline_apriori(P2, abc=AbcParams(r=2, epsilon=2))
-    ids = {e.formula_id for e in rep.entries}
-    assert {"prop_3_4_i", "prop_3_4_ii", "prop_3_4_iii", "lem_5_2_ii", "prop_5_3_ii", "lem_4_6_ii"} <= ids
-    assert any("incomplete constant" in c for c in rep.caveats)
 
 
 def test_pipeline_apriori_genus3_degrades():
@@ -454,7 +373,9 @@ def test_full_report_log10_is_null_past_float_range():
 
 
 def test_formula_table_rows_read_only_what_exists():
-    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "abc", "H_Lambda", "deg_phi", "use_zograf"}
+    # every input is a value the chain was given or an earlier row: no row
+    # reads a constant that nobody supplies
+    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "H_Lambda", "deg_phi", "use_zograf"}
     for chain, rows in FORMULAS.items():
         # conditions every row producing a name is gated on
         gated: dict[str, set] = {}
@@ -467,9 +388,7 @@ def test_formula_table_rows_read_only_what_exists():
                     # a row never reads a value that may have been skipped
                     assert gated[name] <= when, (chain, f.formula_id, name)
                 else:
-                    assert name in given_names | set(SHARED) | set(ABC_CONSTANTS), name
-                if name in ("omega", "abc") or name in ABC_CONSTANTS:
-                    assert "abc" in when, (chain, f.formula_id, name)
+                    assert name in given_names, (chain, f.formula_id, name)
             key = f.name or f.formula_id
             gated[key] = gated[key] & when if key in gated else when
 
@@ -477,7 +396,7 @@ def test_formula_table_rows_read_only_what_exists():
 def test_formula_conditions_name_the_c_delta_formulas():
     ids = {f.formula_id for rows in FORMULAS.values() for f in rows}
     assert {fid for fid in ids if "c_delta" in formula_conditions(fid)} == {
-        "lem_4_4_ii", "lem_4_3", "lem_4_4_i", "prop_5_3_i", "prop_5_3_ii", "lem_4_6_ii"
+        "lem_4_4_ii", "lem_4_3", "lem_4_4_i", "prop_5_3_i"
     }
     assert formula_conditions("thm_1_3") == {"g=2"}
     assert formula_conditions("intro_genus2") == {"g=2", "d=1"}
@@ -496,13 +415,15 @@ def _count_logs(monkeypatch) -> list:
     return calls
 
 
+# each id ends in the count of a report that also took ln N_S and ln D_K;
+# the ids are kept so that the test names stay stable
 @pytest.mark.parametrize(
     "g, d, zograf, h_lambda, logs",
     [
-        pytest.param(5, 3, True, None, 7, id="5-3-True-7"),
-        pytest.param(2, 1, False, None, 3, id="2-1-False-3"),
-        pytest.param(2, 1, False, Fraction(7, 3), 5, id="2-1-False-H-5"),
-        pytest.param(5, 3, True, Fraction(7, 3), 7, id="5-3-True-H-7"),
+        pytest.param(5, 3, True, None, 5, id="5-3-True-7"),
+        pytest.param(2, 1, False, None, 1, id="2-1-False-3"),
+        pytest.param(2, 1, False, Fraction(7, 3), 3, id="2-1-False-H-5"),
+        pytest.param(5, 3, True, Fraction(7, 3), 5, id="5-3-True-H-7"),
     ],
 )
 def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, logs):
@@ -511,9 +432,7 @@ def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, lo
         table.cache_clear()
     calls = _count_logs(monkeypatch)
     p = BoundParams(d=d, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
-    full_report(
-        p, H_Lambda=h_lambda, abc=AbcParams(r=2, epsilon=2), use_zograf=zograf, precision=2048
-    )
+    full_report(p, H_Lambda=h_lambda, use_zograf=zograf, precision=2048)
     assert len(calls) == len(set(calls)) == logs
 
 
@@ -538,13 +457,11 @@ def test_report_tables_are_bounded_and_keep_no_n_s_power():
         assert table.cache_info().maxsize is not None
     assert bounds._pow_up.cache_info().maxsize == bounds._POW_CACHE_SIZE
     bounds._pow_up.cache_clear()
-    abc = AbcParams(r=2, epsilon=2)
-    full_report(BoundParams(2, 3, 1, 1, c_delta=-7), abc=abc, use_zograf=True, precision=64)
+    full_report(BoundParams(2, 3, 1, 1, c_delta=-7), use_zograf=True, precision=64)
     size = bounds._pow_up.cache_info().currsize
     assert size > 0
     for n_s in range(2, 40):
-        full_report(BoundParams(2, 3, n_s, n_s + 1, c_delta=-7), abc=abc, use_zograf=True,
-                    precision=64)
+        full_report(BoundParams(2, 3, n_s, n_s + 1, c_delta=-7), use_zograf=True, precision=64)
     assert bounds._pow_up.cache_info().currsize == size
 
 
@@ -652,9 +569,7 @@ def test_coarser_precision_rounds_further_up():
         lambda prec: mu_upper(P2, prec),
         lambda prec: noether_ex_bound(10, 2, None, prec),
         lambda prec: zhang_height_bound(Fraction(1, 3), 2, Fraction(1, 7), prec),
-        lambda prec: pipeline_apriori(P2, AbcParams(r=2, epsilon=2), precision=prec)
-        .entry("prop_3_4_i", "h")
-        .value,
+        lambda prec: pipeline_apriori(P2, precision=prec).entry("prop_5_3_i", "h").value,
     ]
     for fn in cases:
         assert fn(64) >= fn(256)

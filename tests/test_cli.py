@@ -221,13 +221,39 @@ def test_bound_genus2_report(capsys):
     assert doc.get("comparison") is None
 
 
-def test_bound_abc_flag_adds_conditional_entries(capsys):
-    code, out, _ = run(
-        capsys, ["bound", "--d", "1", "--g", "2", "--ns", "10", "--abc", "2,2,0"]
-    )
+def test_bound_abc_flag_adds_one_caveat_and_no_entry(capsys):
+    base = ["bound", "--d", "1", "--g", "2", "--ns", "30"]
+    code, out, _ = run(capsys, base)
     assert code == 0
-    ids = {e["formula_id"] for e in json.loads(out)["entries"]}
-    assert {"prop_3_4_i", "prop_3_4_ii", "prop_3_4_iii", "lem_5_2_ii"} <= ids
+    plain = json.loads(out)
+    for abc in ("2,2", "3/2,5/4,1", "2,3,7"):
+        code, out, _ = run(capsys, base + ["--abc", abc])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["entries"] == plain["entries"]
+        assert doc["caveats"] == plain["caveats"] + [cli.ABC_CAVEAT]
+        assert doc["inputs"] == plain["inputs"] and doc["inputs"]["abc"] is None
+        assert "defaulted to 0" not in out
+
+
+@pytest.mark.parametrize("curve, flags", [
+    (X5X, ["--zograf"]),
+    ("y^2 = x*(x-1)*(x-2)*(x-3)*(x-5)", []),
+])
+def test_abc_flag_changes_no_bound_and_no_verdict(capsys, curve, flags):
+    argv = ["analyze", "--curve", curve] + flags
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    plain = json.loads(out)["bounds"]
+    code, out, _ = run(capsys, argv + ["--abc", "2,2"])
+    assert code == 0
+    with_abc = json.loads(out)["bounds"]
+    assert with_abc["caveats"] == plain["caveats"] + [cli.ABC_CAVEAT]
+    assert with_abc["comparison"] == plain["comparison"]
+    assert with_abc["entries"] == plain["entries"]
+    if flags:
+        # the abc row lem_4_6_ii once won this comparison with its constant set to 0
+        assert plain["comparison"]["sharper_chain"] == "empirical"
 
 
 def test_bound_genus3_needs_cdelta_for_delta_formulas(capsys):
@@ -275,6 +301,19 @@ def test_bound_unknown_formula_exits_1(capsys):
     )
     assert code == 1
     assert "thm_9_9" in err
+
+
+@pytest.mark.parametrize("fid, message", [
+    ("thm_9_9", "smallpoints: unknown formula thm_9_9"),
+    ("prop_3_4_i", "smallpoints: unknown formula prop_3_4_i"),
+    # a known id that these inputs gate off
+    ("intro_genus2", "smallpoints: no formula intro_genus2 for these inputs"),
+])
+def test_bound_formula_error_tells_unknown_from_gated(capsys, fid, message):
+    code, out, err = run(
+        capsys, ["bound", "--d", "2", "--g", "2", "--ns", "10", "--abc", "2,2", "--formula", fid]
+    )
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize("g, thm_id", [(2, "thm_1_3"), (3, "thm_1_1")])
