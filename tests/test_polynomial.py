@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sylvester_resultant
+from smallpoints.numeric import is_prime
 from smallpoints.polynomial import (
     MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     Poly,
     _RECOMBINATION_BOUND,
+    _ROOTS_BY_EVALUATION_MAX_P,
     _choose_prime,
     _distinct_degree,
+    _equal_degree_split,
     _factor_mod_p,
     _mignotte_bound,
     _next_prime,
     _pm_gcd,
     _pm_monic,
+    _pm_mul,
     _pm_trim,
     cyclotomic_index,
     cyclotomic_poly,
@@ -287,6 +291,39 @@ def _choose_prime_by_full_split(ints):
             if len(units) <= _RECOMBINATION_BOUND:
                 break
     return best
+
+
+def test_linear_blocks_split_as_cantor_zassenhaus_does():
+    # below the threshold a block of linear factors is split by evaluation,
+    # above it by Cantor-Zassenhaus; both give the same sorted factors,
+    # also at the last prime before the threshold and the first past it
+    last = max(q for q in range(3, _ROOTS_BY_EVALUATION_MAX_P + 1) if is_prime(q))
+    first = _next_prime(_ROOTS_BY_EVALUATION_MAX_P)
+    rng = random.Random(32)
+    for p in (3, 5, 7, 13, 61, 67, last, first, _next_prime(first)):
+        for _ in range(6):
+            roots = rng.sample(range(p), rng.randint(1, min(p, 8)))
+            if rng.random() < 0.5 and 0 not in roots:
+                roots[0] = 0
+            f = [1]
+            for r in roots:
+                f = _pm_mul(f, [-r % p, 1], p)
+            # a quadratic factor with no root mod p joins the linear ones
+            while True:
+                q = [rng.randrange(p), rng.randrange(p), 1]
+                if all((q[0] + q[1] * r + r * r) % p for r in range(p)):
+                    break
+            f = _pm_mul(f, q, p)
+            blocks = _distinct_degree(f, p)
+            expected = [
+                u for block, d in blocks
+                for u in _equal_degree_split(block, d, p, random.Random(p))
+            ]
+            expected.sort(key=lambda u: (len(u), tuple(reversed(u))))
+            assert _factor_mod_p(f, p, blocks) == expected, (p, roots, q)
+            assert expected[:len(roots)] == sorted(
+                ([-r % p, 1] for r in roots), key=lambda u: u[0]
+            )
 
 
 def test_choose_prime_counts_factors_from_the_distinct_degree_split():
