@@ -7,10 +7,11 @@ certified isolation at _CANONICAL_PRECISION, and every box at a finer
 precision is refined from that canonical box.  A root box is the
 fixed-point box of intervals.py, four ints over 2**w, stored as roots.py
 returns it with its w.  Root boxes and heights are cached, in tables of
-bounded size, as pure functions of (minimal polynomial, precision), so
-equal values always canonicalize to the same (minpoly, index) pair,
-equality is a tuple comparison, and no result depends on what was computed
-before or on what a table evicted.
+bounded size, as pure functions of (minimal polynomial, precision), or of
+(H, precision) for a rational's height (see weil_height), so equal values
+always canonicalize to the same (minpoly, index) pair, equality is a tuple
+comparison, and no result depends on what was computed before or on what
+a table evicted.
 
 Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
 polynomial and stay exact; an operation with one rational operand is one
@@ -28,11 +29,12 @@ precision doubling but never changes a result.
 
 Weil heights come out as directed (lower, upper) enclosures via the Mahler
 measure, with |alpha|**2 bounds read off the ints of the root boxes, an
-exact zero for roots of unity, and ln max(|p|, |q|) for a rational p/q.
-A height or an S-unit
-flag reads only the minimal polynomial, so weil_height and is_s_unit also
-take a minimal polynomial, and mobius_minpoly and anharmonic_minpolys give
-those of Mobius and anharmonic images without resolving any of them: three
+exact zero for roots of unity, and ln H for a rational p/q, H = max(|p|,
+|q|), from one table entry per (H, precision) that every value sharing H
+reads.  A height or an S-unit flag reads only the minimal polynomial, so
+weil_height and is_s_unit also take a minimal polynomial, and
+mobius_minpoly (which takes one too) and anharmonic_minpolys give those
+of Mobius and anharmonic images without resolving any of them: three
 images, x, 1-x and (x-1)/x, stand for the orbit, whose other three values
 are their inverses.  coefficient_limits and height_exceeds certify from
 the coefficients alone, by Mahler's inequality, that a height lies above a
@@ -96,9 +98,9 @@ RESULTANT_DEGREE_CAP = 64
 
 _CANONICAL_PRECISION = 32
 _MAX_RESOLVE_PRECISION = 1 << 16
-# entries each table (_roots_of, _op_factors, _height, _difference and
-# set_orbit) keeps: far more than a benchmark round fills, yet a long batch
-# cannot grow them without limit.  An entry is a pure function of its key,
+# entries each table (_roots_of, _op_factors, _height, _rational_height,
+# _difference and set_orbit) keeps: far more than a benchmark round fills,
+# yet a long batch cannot grow them without limit.  An entry is a pure function of its key,
 # so an eviction never changes output.
 _TABLE_CACHE_SIZE = 4096
 
@@ -370,8 +372,9 @@ def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
 def mobius_minpoly(alpha, a, b, c, d) -> Poly:
     """The minimal polynomial of (a*alpha + b)/(c*alpha + d), rational a, b,
     c, d with nonzero determinant, read off that of alpha with no resolve
-    of which root the image is."""
-    f = ensure_algebraic(alpha).minpoly
+    of which root the image is.  alpha may be its minimal polynomial
+    (Poly): every conjugate of alpha has the same image polynomial."""
+    f = _minpoly(alpha)
     if b == c == 0 and a == d:
         return f
     P = _mobius_image(f.coeffs, a, b, c, d)
@@ -552,20 +555,29 @@ def _distinct_points(*points) -> list:
     return pts
 
 
-def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
+def _homogeneous(p) -> tuple[int, int]:
+    """Integer homogeneous coordinates (x, y) of INFINITY, (1, 0), or of a
+    rational x/y in lowest terms with y > 0."""
+    return (1, 0) if p is INFINITY else (-p.minpoly[0], p.minpoly[1])
+
+
+def _coordinate_matrix(u1, u2, u3) -> tuple[int, int, int, int]:
     """Integers (a, b, c, d) with cross_ratio(p1, p2, p3, z) = (az + b)/(cz + d)
-    for every z, when p1, p2 and p3 are rational or INFINITY; None
-    otherwise.  With each point in homogeneous coordinates (x : y), INFINITY
-    being (1 : 0), and [i j] = x_i y_j - x_j y_i, the cross-ratio is
-    [3 1][z 2] / ([3 2][z 1]), so no case needs INFINITY left out."""
-    if any(p is not INFINITY and not p.is_rational for p in (p1, p2, p3)):
-        return None
-    (x1, y1), (x2, y2), (x3, y3) = (
-        (1, 0) if p is INFINITY else (-p.minpoly[0], p.minpoly[1])
-        for p in (p1, p2, p3)
-    )
+    for every z, for the rational or infinite points p1, p2, p3 with
+    _homogeneous coordinates u1, u2, u3.  With [i j] = x_i y_j - x_j y_i, the
+    cross-ratio is [3 1][z 2] / ([3 2][z 1]), so no case needs INFINITY left
+    out."""
+    (x1, y1), (x2, y2), (x3, y3) = u1, u2, u3
     top, bottom = x3 * y1 - x1 * y3, x3 * y2 - x2 * y3
     return top * y2, -top * x2, bottom * y1, -bottom * x1
+
+
+def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
+    """The _coordinate_matrix of p1, p2 and p3 when they are rational or
+    INFINITY; None otherwise."""
+    if any(p is not INFINITY and not p.is_rational for p in (p1, p2, p3)):
+        return None
+    return _coordinate_matrix(*map(_homogeneous, (p1, p2, p3)))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -682,24 +694,36 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
 
     Both ends are precision-bit LogMags, lower rounded DOWN and upper UP,
     and the enclosure width is at most 2**-(precision//2).  Roots of unity
-    give an exact [0, 0]; so does any rational with numerator and
-    denominator of absolute value at most 1.
+    give an exact [0, 0].
+
+    A rational p/q in lowest terms has height ln H with H = max(|p|, |q|),
+    so its table is keyed on (H, precision), not on (p, q): p/q, -p/q, q/p,
+    -q/p and every other value sharing H take ln H once, and H = 1 (0, 1
+    and -1) gives the exact [0, 0].  Higher degrees are keyed on (minimal
+    polynomial, precision).
     """
-    return _height(_minpoly(alpha).coeffs, precision)
+    coeffs = _minpoly(alpha).coeffs
+    if len(coeffs) == 2:
+        return _rational_height(max(abs(coeffs[0]), coeffs[1]), precision)
+    return _height(coeffs, precision)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _rational_height(H: int, precision: int) -> tuple[LogMag, LogMag]:
+    """(ln H rounded DOWN, ln H rounded UP) at precision bits: the height
+    of every rational u/v in lowest terms with max(|u|, |v|) = H."""
+    return lm_log(H, precision, DOWN), lm_log(H, precision, UP)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
-    """weil_height of a root of the minimal polynomial with these
-    coefficients.  The logarithms and their sums carry 16 guard bits, and
-    only the final division by the degree rounds to precision."""
+    """weil_height of a root of the minimal polynomial, of degree at least
+    2, with these coefficients.  The logarithms and their sums carry 16
+    guard bits, and only the final division by the degree rounds to
+    precision."""
     f = Poly(coeffs)
     if f.lc() == 1 and cyclotomic_index(f) is not None:
         return LogMag.zero(precision, DOWN), LogMag.zero(precision, UP)
-    if len(coeffs) == 2:
-        # the height of p/q in lowest terms is ln max(|p|, |q|)
-        m = max(abs(coeffs[0]), coeffs[1])
-        return lm_log(m, precision, DOWN), lm_log(m, precision, UP)
     n = f.degree()
     an = f.lc()
     wp = precision + 16

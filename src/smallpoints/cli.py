@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,9 @@ _MAX_GENUS = 5000
 
 TSV_HEADER = "curve\tg\tN_S\tlog10_thm_bound\tlog10_empirical_bound\tsharper_chain"
 
+# argparse's own negative-number pattern, plus integer ratios like -3/4
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+
 _FORMULA_IDS = frozenset(f.formula_id for rows in FORMULAS.values() for f in rows)
 
 # --abc is still accepted, so existing command lines keep working, but each
@@ -63,6 +67,13 @@ ABC_CAVEAT = (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token matching this pattern for a value, not an
+        # option; its own pattern has no "/", so it would read `heights
+        # -3/4` as an unknown option
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # the exit-code contract reserves 2 for invariant violations, so
     # argument errors must not use argparse's default of 2
     def error(self, message):

@@ -23,9 +23,11 @@ leaves the curve unchanged), and every later stage reads integers:
     read on integers: its kept images have heights ln max(|p|, |q|),
     ln max(|q-p|, |q|) and ln max(|p-q|, |p|), and one upper bound on the
     largest of them ranks all of a candidate's rational values, so equal
-    heights rank equal.  An irrational point's cross-ratio gives one
-    minimal polynomial and its anharmonic images: for a rational triple a
-    Mobius image of the point's, and otherwise an anharmonic image of the
+    heights rank equal.  When every branch point is rational, the winner
+    is then the triple of least largest max(|u|, |v|), found on integers
+    alone.  An irrational point's cross-ratio gives one minimal polynomial
+    and its anharmonic images: for a rational triple a Mobius image of the
+    point's, one per set of conjugates, and otherwise an anharmonic image of the
     one cross-ratio resolved for each set of four branch points, since the
     orderings of four points permute their cross-ratio within its
     anharmonic orbit.  Heights are bounded best candidate first, and
@@ -51,13 +53,16 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebraic import (
     ANHARMONIC,
     INFINITY,
     PERMUTATION_IMAGES,
     AlgebraicNumber,
-    _cross_ratio_matrix,
+    _coordinate_matrix,
+    _homogeneous,
+    _rational_height,
     algebraic_roots,
     anharmonic_minpolys,
     anharmonic_orbit,
@@ -283,18 +288,38 @@ def _estimated_height(f: Poly) -> float:
                for k, a in enumerate(f.coeffs) if a) / d
 
 
-def _rational_orbit_heights(matrix: tuple, x: int, y: int) -> tuple[int, int, int]:
-    """exp of the heights of the kept anharmonic images of lambda =
-    (a z + b)/(c z + d), for the cross-ratio matrix (a, b, c, d) and z =
-    x/y (INFINITY being 1/0), in _NORMALIZATIONS order: lambda, 1 - lambda
-    and (lambda - 1)/lambda.  With lambda = p/q in lowest terms, those are
-    p/q, (q - p)/q and (p - q)/p, all in lowest terms, and a rational u/v
-    in lowest terms has height ln max(|u|, |v|)."""
+def _rational_tops(matrix: tuple, points: list) -> tuple[int, int, int]:
+    """exp of the largest heights, over the rational points z = x/y given
+    as (x, y) (INFINITY being (1, 0)), of the kept anharmonic images of
+    lambda = (a z + b)/(c z + d), for the cross-ratio matrix (a, b, c, d),
+    in _NORMALIZATIONS order: lambda, 1 - lambda and (lambda - 1)/lambda;
+    0 for no points.  With lambda = p/q in lowest terms, those are p/q,
+    (q - p)/q and (p - q)/p, all in lowest terms, and a rational u/v in
+    lowest terms has height ln max(|u|, |v|).  One integer loop, no
+    logarithm: ln is monotone, so the largest H is the largest height."""
     a, b, c, d = matrix
-    p, q = a * x + b * y, c * x + d * y
-    g = math.gcd(p, q)
-    p, q, r = abs(p // g), abs(q // g), abs((p - q) // g)
-    return max(p, q), max(r, q), max(r, p)
+    h0 = h1 = h5 = 0
+    for x, y in points:
+        p, q = a * x + b * y, c * x + d * y
+        g = math.gcd(p, q)
+        if g != 1:
+            p //= g
+            q //= g
+        r = abs(p - q)
+        p, q = abs(p), abs(q)
+        if p > h0:
+            h0 = p
+        if q > h0:
+            h0 = q
+        if q > h1:
+            h1 = q
+        if r > h1:
+            h1 = r
+        if r > h5:
+            h5 = r
+        if p > h5:
+            h5 = p
+    return h0, h1, h5
 
 
 def _rational_rank_bits(H: int) -> int:
@@ -304,6 +329,50 @@ def _rational_rank_bits(H: int) -> int:
     switch; at H's bit length plus 16 distinct H never do, so the rank of
     rational values is exact."""
     return max(_SEARCH_PRECISION, H.bit_length() + 16)
+
+
+def _least_rational_triple(points: list) -> tuple[int, int, int]:
+    """The ordered triple, in the three normalizations of each unordered
+    one, whose cross-ratios over the other points have the least largest
+    height, ties going to the lexicographically first; points are the
+    _homogeneous coordinates of an all-rational branch list.  It is the
+    least (H, triple), H read by _rational_tops: the upper bounds
+    _rational_rank_bits gives are strictly increasing in H, so ranking on
+    them picks the same triple, and H itself needs no logarithm."""
+    n = len(points)
+    best = None
+    for combo in itertools.combinations(range(n), 3):
+        matrix = _coordinate_matrix(*(points[i] for i in combo))
+        tops = _rational_tops(matrix, [points[z] for z in range(n) if z not in combo])
+        for (order, _), H in zip(_NORMALIZATIONS, tops):
+            if best is not None and H > best[0]:
+                continue
+            key = (H, tuple(combo[i] for i in order))
+            if best is None or key < best:
+                best = key
+    return best[1]
+
+
+def _winner_values(branch: list, coords: dict, triple: tuple, sources) -> list:
+    """(z, cross_ratio(triple, z)) for the points z outside the winning
+    triple, in index order.  sources, one (reference, ANHARMONIC position)
+    per z, gives each value as one anharmonic image of its set's
+    cross-ratio; None, in a rational pool, reads a rational z's value p/q
+    off the integers of the triple's cross-ratio matrix and resolves an
+    irrational z's Mobius image."""
+    rest = [z for z in range(len(branch)) if z not in triple]
+    if sources is not None:
+        return [(z, anharmonic_orbit(ref, (j,))[0]) for z, (ref, j) in zip(rest, sources)]
+    a, b, c, d = _coordinate_matrix(*(coords[i] for i in triple))
+    values = []
+    for z in rest:
+        if z in coords:
+            x, y = coords[z]
+            lam = AlgebraicNumber.from_rational(Fraction(a * x + b * y, c * x + d * y))
+        else:
+            lam = cross_ratio(*(branch[i] for i in triple), branch[z])
+        values.append((z, lam))
+    return values
 
 
 def _normalization_search(branch: list):
@@ -321,17 +390,29 @@ def _normalization_search(branch: list):
 
     A height reads only a minimal polynomial, so no candidate value is
     resolved to a root.  In a pool of rational points and infinity the
-    cross-ratio of a triple is one integer Mobius map of z, with no
-    resultant, so the degree cap never skips a rational triple.  A rational
-    or infinite z then gives a rational lambda = p/q, read on integers with
-    one gcd: the candidate's rational values have heights ln H_i for
-    integers H_i, and H, their largest, stands for all of them, ranked by
-    one upper bound on ln H read off H alone (_rational_rank_bits).  Equal
-    heights therefore rank equal, whatever the shape of each p/q, distinct
-    ones never do, and an exact tie goes to the triple.  An
-    irrational z gives one Mobius image of its minimal polynomial and the
-    anharmonic images of that.  Only the winner's irrational values are
-    resolved, one Mobius image of z each.
+    cross-ratio of a triple is one integer Mobius map of z
+    (_coordinate_matrix), with no resultant, so the degree cap never skips
+    a rational triple.  A rational or infinite z then gives a rational
+    lambda = p/q, read on integers with one gcd, and one integer loop per
+    triple (_rational_tops) gives H, the largest max(|p|, |q|) of its
+    kept images in each normalization: their heights are ln H_i, so ln H
+    is the largest.  The upper bound on ln H at _rational_rank_bits(H)
+    grows strictly with H, so equal heights rank equal, distinct ones
+    never do, and an exact tie goes to the triple.
+
+    When every branch point is rational, the winner is therefore the least
+    (H, ordered triple), taken directly (_least_rational_triple): no
+    candidate list, logarithm or height call.  Its values p/q come from
+    the same integers.
+
+    A rational pool that also holds irrational points ranks by branch and
+    bound (below).  An irrational z gives one Mobius image of its minimal
+    polynomial and the anharmonic images of that.  Conjugates have one
+    minimal polynomial, and so one image polynomial under a rational
+    Mobius map, so the images are built once per distinct minimal
+    polynomial among the triple's other points, and its H stands for all
+    its rational values through one upper bound on ln H.  Only the
+    winner's irrational values are resolved, one Mobius image of z each.
 
     Outside a rational pool the candidates come from sets of four branch
     points.  The four orderings (triple, z) of a set, and the three
@@ -347,11 +428,11 @@ def _normalization_search(branch: list):
     its four (minimal polynomial, index) pairs, so a later analysis may
     read it from the table and its output cannot depend on that.
 
-    Candidates are ranked by branch and bound, in the order of a floating
-    point estimate of their heights (ln H for the rational values).  With u
-    the best upper bound so far, a normalization is dropped as soon as
-    H > exp(u) or one of its value minimal polynomials, of degree d, has
-    some coefficient |a_k| > C(d, k) exp(d u), the exponential rounded up
+    Branch and bound takes candidates in the order of a floating point
+    estimate of their heights (ln H for the rational values).  With u the
+    best upper bound so far, a normalization is dropped as soon as H >
+    exp(u) or one of its value minimal polynomials, of degree d, has some
+    coefficient |a_k| > C(d, k) exp(d u), the exponential rounded up
     (coefficient_limits, height_exceeds).  By Mahler's inequality that
     value has height above u, so the candidate's own upper bound exceeds u
     and it cannot win.  A survivor stops its heights as soon as one of them
@@ -359,9 +440,11 @@ def _normalization_search(branch: list):
     upper bounds as in an exhaustive ranking, so neither the order nor the
     pruning can move the winner."""
     n = len(branch)
-    # homogeneous coordinates (x, y) of the rational points, INFINITY (1, 0)
-    coords = {i: (1, 0) if p is INFINITY else (-p.minpoly[0], p.minpoly[1])
-              for i, p in enumerate(branch) if p is INFINITY or p.is_rational}
+    coords = {i: _homogeneous(p) for i, p in enumerate(branch)
+              if p is INFINITY or p.is_rational}
+    if len(coords) == n:
+        triple = _least_rational_triple([coords[i] for i in range(n)])
+        return triple, _winner_values(branch, coords, triple, None), []
     rational_pool = len(coords) >= 3
     pool = list(coords) if rational_pool else list(range(n))
     caveats = []
@@ -373,16 +456,12 @@ def _normalization_search(branch: list):
     candidates = []
     skipped = 0
     for combo in itertools.combinations(pool, 3):
-        points = [branch[i] for i in combo]
         rest = [z for z in range(n) if z not in combo]
-        tops = (0, 0, 0)  # the largest _rational_orbit_heights, 0 for none
         if rational_pool:
-            matrix = _cross_ratio_matrix(*points)
-            rational = [_rational_orbit_heights(matrix, *coords[z]) for z in rest if z in coords]
-            if rational:
-                tops = tuple(map(max, zip(*rational)))
-            images = [anharmonic_minpolys(mobius_minpoly(branch[z], *matrix))
-                      for z in rest if z not in coords]
+            matrix = _coordinate_matrix(*(coords[i] for i in combo))
+            tops = _rational_tops(matrix, [coords[z] for z in rest if z in coords])
+            conjugates = dict.fromkeys(branch[z].minpoly for z in rest if z not in coords)
+            images = [anharmonic_minpolys(mobius_minpoly(f, *matrix)) for f in conjugates]
             columns = [([im[pos] for im in images], None) for _, pos in _NORMALIZATIONS]
         else:
             # (set_orbit of the set, the point of the set that is z) for
@@ -394,18 +473,19 @@ def _normalization_search(branch: list):
             if any(entry is None for entry, _ in members):
                 skipped += len(_NORMALIZATIONS)
                 continue
+            tops = (0, 0, 0)
             columns = [([orbit[_SET_IMAGES[t, pos]] for (_, orbit), t in members],
                         [(lam, _SET_IMAGES[t, pos]) for (lam, _), t in members])
                        for _, pos in _NORMALIZATIONS]
         for (order, _), H, (polys, sources) in zip(_NORMALIZATIONS, tops, columns):
             key = max([math.log(H) if H else 0.0] + [_estimated_height(f) for f in polys])
-            candidates.append((key, tuple(combo[i] for i in order), H, polys, rest, sources))
+            candidates.append((key, tuple(combo[i] for i in order), H, polys, sources))
     # best first, so that the bound is tight early; the order decides only
     # how much is pruned, never which candidate wins
     candidates.sort(key=lambda c: c[:2])
 
-    # (upper bound, triple, rest, (reference, ANHARMONIC position) of each
-    # value or None in a rational pool)
+    # (upper bound, triple, (reference, ANHARMONIC position) of each value
+    # or None in a rational pool)
     best = None
     limits: dict[int, tuple] = {}  # degree d -> coefficient_limits(d, best upper bound)
 
@@ -414,39 +494,33 @@ def _normalization_search(branch: list):
             limits[d] = coefficient_limits(d, best[0])
         return limits[d]
 
-    for _, triple, H, polys, rest, sources in candidates:
+    for _, triple, H, polys, sources in candidates:
         if best is not None and (
             H > limit(1)[0] or any(height_exceeds(f.coeffs, limit(f.degree())) for f in polys)
         ):
             continue
-        # (minimal polynomial, bits of its upper bound); H x - 1 stands for
-        # every rational value: its root 1/H has height ln H, the largest of
-        # theirs, and its leading coefficient H > 1 skips the root-of-unity
-        # test of x - H
-        ranked = [(f, _SEARCH_PRECISION) for f in polys]
-        if H:
-            ranked.insert(0, (Poly([-1, H]), _rational_rank_bits(H)))
+        # H's enclosure first: ln H, the largest height of the rational
+        # values, stands for all of them
+        enclosures = itertools.chain(
+            [_rational_height(H, _rational_rank_bits(H))] if H else [],
+            (weil_height(f, _SEARCH_PRECISION) for f in polys))
         uppers = []
-        for f, bits in ranked:
-            uppers.append(weil_height(f, bits)[1])
-            if best is not None and (uppers[-1], triple) > best[:2]:
+        for _, up in enclosures:
+            uppers.append(up)
+            if best is not None and (up, triple) > best[:2]:
                 break
         else:
             h_up = lm_max(*uppers)
             if best is None or (h_up, triple) < best[:2]:
-                best = (h_up, triple, rest, sources)
+                best = (h_up, triple, sources)
                 limits.clear()
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    _, triple, rest, sources = best
-    if sources is None:
-        values = [cross_ratio(*(branch[i] for i in triple), branch[z]) for z in rest]
-    else:
-        values = [anharmonic_orbit(ref, (j,))[0] for ref, j in sources]
-    return triple, list(zip(rest, values)), caveats
+    _, triple, sources = best
+    return triple, _winner_values(branch, coords, triple, sources), caveats
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:

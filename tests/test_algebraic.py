@@ -28,11 +28,13 @@ from smallpoints.algebraic import (
     mobius_minpoly,
     weil_height,
 )
+import smallpoints.curve as curve_mod
 from smallpoints.cli import main
 from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
 from smallpoints.polynomial import Poly, factor_over_z, parse_poly
 
 from oracles import DEC_TOL, dec_ln, dec_sqrt
+from test_golden import EXACT_TIES, SIX, X5X
 
 
 def _box(r):
@@ -321,19 +323,20 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     assert degrees and min(degrees) >= 2
 
 
-_TABLES = (alg._roots_of, alg._op_factors, alg._height, alg._difference, alg.set_orbit)
+_TABLES = (alg._roots_of, alg._op_factors, alg._height, alg._rational_height, alg._difference,
+           alg.set_orbit)
 
 
 def test_tables_are_bounded():
     for table in _TABLES:
         assert table.cache_info().maxsize == alg._TABLE_CACHE_SIZE
     # a stream of more distinct keys than a table holds; linear minimal
-    # polynomials keep each entry cheap
+    # polynomials and rational heights keep each entry cheap
     for k in range(1, alg._TABLE_CACHE_SIZE + 9):
         alg._op_factors((-k, 1), (-1, 1), "add")
-        alg._height((-k, 1), 16)
+        alg._rational_height(k, 16)
     try:
-        for table in (alg._op_factors, alg._height):
+        for table in (alg._op_factors, alg._rational_height):
             info = table.cache_info()
             assert 0 < info.currsize <= info.maxsize
     finally:
@@ -342,16 +345,51 @@ def test_tables_are_bounded():
 
 
 def test_analyze_output_survives_clearing_every_table(capsys):
-    def report(curve):
-        assert main(["analyze", "--curve", curve]) == 0
-        return capsys.readouterr().out
+    """The golden all-rational curves, those with a quadratic factor and
+    one with no real branch point print the same bytes warm, after every
+    lru table of the algebraic and curve modules is cleared, and in
+    reversed order."""
+    def reports(curves):
+        out = []
+        for curve in curves:
+            assert main(["analyze", "--curve", curve]) == 0
+            out.append(capsys.readouterr().out)
+        return out
 
-    hard = ["y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
-    warm = [report(c) for c in hard]
-    for table in _TABLES:
+    curves = [SIX, *EXACT_TIES, X5X, "y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
+    warm = reports(curves)
+    tables = {f for m in (alg, curve_mod) for f in vars(m).values() if hasattr(f, "cache_clear")}
+    assert tables >= set(_TABLES)
+    for table in tables:
         table.cache_clear()
-    assert [report(c) for c in reversed(hard)] == warm[::-1]
+    assert reports(curves) == warm
+    assert reports(curves[::-1]) == warm[::-1]
     assert all(table.cache_info().currsize for table in _TABLES)
+
+
+def _fields(enclosure):
+    """Every field of both LogMags: LogMag equality ignores the rounding
+    mode, and bit-identical output needs it too."""
+    return [(m.sign, m.man, m.exp, m.prec, m.mode) for m in enclosure]
+
+
+def test_rational_heights_take_one_entry_per_h():
+    # p/q, -p/q, q/p and -q/p all have height ln max(|p|, |q|); so do the
+    # other values sharing that H, at one entry per (H, precision)
+    alg._rational_height.cache_clear()
+    entries = 0
+    for p, q, others in [(3, 7, [Fraction(7, 5), -7]), (22, 7, [22, Fraction(-13, 22)]),
+                         (1, 1, [0]), (2**70 + 1, 3, [2**70 + 1])]:
+        for precision in (64, 128, 2048):
+            values = [Fraction(s * a, b) for s in (1, -1) for a, b in ((p, q), (q, p))]
+            got = [_fields(weil_height(v, precision)) for v in values + others]
+            entries += 1
+            assert alg._rational_height.cache_info().currsize == entries
+            assert all(g == got[0] for g in got), (p, q, precision)
+            H = max(p, q)
+            assert got[0] == _fields((lm_log(H, precision, DOWN), lm_log(H, precision, UP)))
+    # H = 1 (0, 1 and -1) is the exact zero of the roots of unity
+    assert _fields(weil_height(1, 64)) == _fields((LogMag.zero(64, DOWN), LogMag.zero(64, UP)))
 
 
 def test_degree_cap():

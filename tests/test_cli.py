@@ -568,6 +568,27 @@ def test_heights_tsv(capsys):
     assert lines[1].startswith("7\t1\t")
 
 
+def test_heights_accepts_negative_rationals(capsys):
+    # argparse's negative-number pattern has no "/", so -3/4 read as an
+    # unknown option and the command lacked its values
+    code, out, _ = run(capsys, ["heights", "-3/4", "-7"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [(d["input"], d["value"], d["degree"]) for d in doc] == [("-3/4", "-3/4", 1),
+                                                                    ("-7", "-7", 1)]
+    lo = float(doc[0]["height"]["lower"]["decimal"])
+    hi = float(doc[0]["height"]["upper"]["decimal"])
+    assert lo <= math.log(4) <= hi
+    # the height of -3/4 is that of 3/4, and "--" still ends the options
+    assert doc[0]["height"] == json.loads(run(capsys, ["heights", "3/4"])[1])[0]["height"]
+    assert run(capsys, ["heights", "--", "-3/4"])[1] == run(capsys, ["heights", "-3/4"])[1]
+    code, out, _ = run(capsys, ["heights", "-3/4", "--format", "tsv"])
+    assert code == 0
+    lines = out.rstrip("\n").split("\n")
+    assert lines[0] == "input\tdegree\theight_lower\theight_upper"
+    assert lines[1].startswith("-3/4\t1\t1.386294361")
+
+
 def test_heights_garbage_exits_1(capsys):
     code, _, err = run(capsys, ["heights", "zebra"])
     assert code == 1

@@ -559,12 +559,51 @@ def _check_search_against_resolving(branch: list) -> int:
     return ties
 
 
+def _large_height_pools(count: int) -> list[Poly]:
+    """Seeded all-rational f of degree 6 or 8 with 8- to 10-digit
+    numerators, so that the H of their triples, the largest max(|u|, |v|)
+    of a normalization's cross-ratios, lies on both sides of 2^48, where
+    _rational_rank_bits switches."""
+    rng = random.Random("rational-pool-large-heights")
+    curves = []
+    for i in range(count):
+        digits = 8 + i % 3
+        roots: set = set()
+        while len(roots) < 6 + 2 * (i % 2):
+            roots.add(Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** digits),
+                               rng.randint(1, 3)))
+        curves.append(math.prod((Poly([-r.numerator, r.denominator]) for r in roots),
+                                start=Poly([1])))
+    return curves
+
+
+def _two_class_pools(count: int) -> list[Poly]:
+    """Seeded f with two to four rational roots times an irreducible
+    quadratic and an irreducible cubic (sympy decides irreducibility), with
+    infinity among the branch points at odd degree: a rational triple's
+    other points then hold two classes of conjugates."""
+    rng = random.Random("rational-pool-two-classes")
+    x = sympy.Symbol("x")
+    curves = []
+    while len(curves) < count:
+        k = 2 + len(curves) % 3
+        quadratic = [rng.randint(-9, 9), rng.randint(-5, 5), 1]
+        cubic = [rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-3, 3), rng.choice((1, 2))]
+        if not all(sympy.Poly(list(reversed(c)), x).is_irreducible for c in (quadratic, cubic)):
+            continue
+        roots = rng.sample(range(-6, 7), k)
+        f = math.prod((Poly([-r, 1]) for r in roots), start=Poly(quadratic) * Poly(cubic))
+        curves.append(f)
+    return curves
+
+
 def _rational_pool_curves(count: int) -> list[Poly]:
     """Seeded squarefree integer f of degree 5 to 8 with at least three
     rational roots, built to force exact ties between triples: roots come
     as +-a pairs, reciprocal pairs a, 1/a (0 pairs with infinity), or
     alone; every third curve carries an irreducible quadratic factor, and
-    odd degree puts infinity among the branch points."""
+    odd degree puts infinity among the branch points.  Then come six
+    all-rational _large_height_pools and four _two_class_pools."""
     rng = random.Random("rational-pool-search")
     curves = []
     while len(curves) < count:
@@ -589,7 +628,7 @@ def _rational_pool_curves(count: int) -> list[Poly]:
                 continue
             f = f * Poly([c, b, 1])
         curves.append(f)
-    return curves
+    return curves + _large_height_pools(6) + _two_class_pools(4)
 
 
 RATIONAL_POOL_CURVES = _rational_pool_curves(24)
@@ -606,6 +645,15 @@ def test_pruned_search_matches_resolving_search_on_rational_pools():
     assert tied >= 5
     assert any(f.degree() % 2 for f in RATIONAL_POOL_CURVES)
     assert any(f.degree() % 2 == 0 for f in RATIONAL_POOL_CURVES)
+    # pools whose triples' H, and whose least H, lie on both sides of 2^48,
+    # and pools with two classes of conjugates
+    heights = [_exact_max_heights([INFINITY if p is INFINITY else p.as_fraction()
+                                   for p in branch_point_list(f, (f.degree() - 1) // 2)])
+               for f in _large_height_pools(6)]
+    assert any(min(h.values()) < 2**48 < max(h.values()) for h in heights)
+    assert any(min(h.values()) > 2**48 for h in heights)
+    for f in _two_class_pools(4):
+        assert sorted(h.degree() for h in factor_over_z(f) if h.degree() > 1) == [2, 3]
 
 
 def test_rational_triple_ignores_the_resultant_degree_cap():
@@ -755,6 +803,45 @@ def test_search_prunes_exact_heights(monkeypatch):
     # normalization: some are dropped on their coefficients alone
     assert 0 < len(calls) < 3 * math.comb(k, 3) * (n - 3)
     assert len(calls) < 3 * math.comb(k, 3)
+
+
+def test_search_builds_images_once_per_conjugate_class(monkeypatch):
+    # per rational triple, one Mobius image per distinct minimal polynomial
+    # among the other irrational points, not one per point: conjugates
+    # share it
+    calls = []
+
+    def counting(alpha, *matrix):
+        calls.append(alpha)
+        return algebraic_mod.mobius_minpoly(alpha, *matrix)
+
+    for f in _two_class_pools(4):
+        branch = branch_point_list(f, (f.degree() - 1) // 2)
+        rational = sum(p is INFINITY or p.is_rational for p in branch)
+        classes = {p.minpoly for p in branch if p is not INFINITY and not p.is_rational}
+        monkeypatch.setattr(curve_mod, "mobius_minpoly", counting)
+        triple, _, _ = _normalization_search(branch)
+        monkeypatch.undo()
+        assert triple is not None
+        assert len(classes) == 2 and len(branch) - rational == 5
+        assert len(calls) == math.comb(rational, 3) * len(classes)
+        calls.clear()
+
+
+def test_all_rational_search_takes_no_height(monkeypatch):
+    # the least H is found on integers: no height enclosure at all
+    calls = []
+
+    def counting_height(alpha, precision=128):
+        calls.append(alpha)
+        return weil_height(alpha, precision)
+
+    monkeypatch.setattr(curve_mod, "weil_height", counting_height)
+    for f in RATIONAL_POOL_CURVES:
+        branch = branch_point_list(f, (f.degree() - 1) // 2)
+        if all(p is INFINITY or p.is_rational for p in branch):
+            assert _normalization_search(branch)[0] is not None
+    assert calls == []
 
 
 def test_search_resolves_only_the_winning_values(monkeypatch):
