@@ -53,8 +53,9 @@ _MAX_GENUS = 5000
 
 TSV_HEADER = "curve\tg\tN_S\tlog10_thm_bound\tlog10_empirical_bound\tsharper_chain"
 
-# argparse's own negative-number pattern, plus integer ratios like -3/4
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+# a value with a leading minus sign: a number like -3/4 or -.5, or a
+# polynomial like -x^2+2 or -(x^2-2); no option of the parser starts so
+_NEGATIVE_NUMBER = re.compile(r"^-[\d.xX(]")
 
 _FORMULA_IDS = frozenset(f.formula_id for rows in FORMULAS.values() for f in rows)
 
@@ -70,8 +71,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes a token matching this pattern for a value, not an
-        # option; its own pattern has no "/", so it would read `heights
-        # -3/4` as an unknown option
+        # option; its own pattern accepts only integers and decimals, so it
+        # would read `heights -3/4` or `heights -x^2+2` as an unknown option
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     # the exit-code contract reserves 2 for invariant violations, so

@@ -21,15 +21,17 @@ Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
 explicit tail bound added on the upper side, so the directed contract holds
 unconditionally rather than with high probability.  The constants ln 2,
-log2 10 and 2*pi come from one cache, `_constant`, keyed by the working
-precision rounded up to a multiple of 64 bits.  Rounding by a power of two is
-a shift: floor(a / 2**s) is a >> s and the ceiling is -((-a) >> s), negative
-a included.  Both series shrink their argument first (Brent & Zimmermann,
-Modern Computer Arithmetic, 4.4): at wp bits, ln takes k ~ sqrt(wp) / 2
-directed integer square roots, so the atanh argument is below 2**-(k+1), and
-exp divides its argument by 2**k and squares the result k times; either
-series then needs about wp / (2k) terms instead of wp / 3.  The series loops
-are written out per direction, with no helper call per term.
+log2 10, 2*pi and ln(2*pi) come from one series routine, `_arc_inv`, and one
+cache, `_constant_table`, keyed by the working precision rounded up to a
+multiple of 64 bits; each entry lies within about one ulp (ln(2*pi) within
+20, far inside the 48 guard bits `lm_ln_two_pi` reads it with).  Rounding by
+a power of two is a shift: floor(a / 2**s) is a >> s and the ceiling is
+-((-a) >> s), negative a included.  The ln and exp series shrink their
+argument first (Brent & Zimmermann, Modern Computer Arithmetic, 4.4): at wp
+bits, ln takes k ~ sqrt(wp) / 2 directed integer square roots, so the atanh
+argument is below 2**-(k+1), and exp divides its argument by 2**k and
+squares the result k times; either series then needs about wp / (2k) terms
+instead of wp / 3.  The series loops make no helper call per term.
 
 A decimal string is the exact |x| truncated toward zero to its significant
 digits, so it depends on the value alone and no kernel's rounding can move
@@ -329,69 +331,68 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     return 2 * total
 
 
-def _atanh_inv(x: int, wp: int, direction: int) -> int:
-    """2 * atanh(1/x) * 2**wp directed, for an integer x >= 3: the series
-    2 * sum 1 / ((2k+1) * x**(2k+1)), with only small-integer divisions.
+def _arc_inv(x: int, s: int, wp: int, direction: int) -> int:
+    """sum s**k / ((2k+1) * x**(2k+1)) * 2**wp directed, for an odd integer
+    x >= 3 and s = +1 or -1: atanh(1/x) for s = 1, atan(1/x) for s = -1.
 
-    t_k = 2**wp / x**(2k+1) comes from t_(k-1) by one directed division by
-    x**2, and directed divisions compose exactly (floor(floor(a/b)/c) =
-    floor(a/(bc)), the same for ceilings), so t_k is the floor (DOWN) or the
-    ceiling (UP) of its true value and t_k // (2k+1) errs in direction.  The
-    sum stops after the first term with t_k <= 1: every dropped term is
-    positive, so DOWN stays below the series, and after that term they sum
-    below (1/x**2) / (1 - 1/x**2) <= 1/8 of an ulp, so UP adds one ulp for
-    them.  Each kept term errs by under 2 ulps."""
+    t_k = floor(2**wp / x**(2k+1)) comes from t_(k-1) by one floor division
+    by x**2, since floor(floor(a/b)/c) = floor(a/(bc)); an odd x never
+    divides 2**wp, so t_k + 1 is the ceiling, and a term rounded up is
+    ceil((t_k + 1) / (2k+1)) = t_k // (2k+1) + 1.  An added term is rounded
+    in direction and a subtracted one against it, so each errs by under 2
+    ulps toward the target.  For s = 1 the sum stops after the first term
+    with t_k = 0: every dropped term is positive, so DOWN stays below the
+    series, and they sum below 1/8 of an ulp, so UP adds one ulp for them.
+    For s = -1 the terms alternate and decrease, so a partial sum ending in
+    an added term is above the series and one ending in a subtracted term
+    below it: the first term with t_k = 0 that ends on the side of direction
+    ends the sum, with no tail."""
     x2 = x * x
-    t = _div_dir(1 << wp, x, direction)
+    t = (1 << wp) // x
     total = 0
+    # +-1 for each term rounded up (a term's sign equals direction, UP = 1
+    # and DOWN = -1), and the s = 1 tail
+    ups = 1 if s > 0 and direction == UP else 0
     k = 1
+    sign = 1
     while True:
-        total += _div_dir(t, k, direction)
-        if t <= 1:
-            break
-        t = _div_dir(t, x2, direction)
+        if sign > 0:
+            total += t // k
+        else:
+            total -= t // k
+        if sign == direction:
+            ups += sign
+        if t == 0 and (s > 0 or sign == direction):
+            return total + ups
+        t //= x2
         k += 2
-    if direction == UP:
-        total += 1
-    return 2 * total
+        sign *= s
 
 
 @lru_cache(maxsize=None)
 def _constant_table(name: str, wp: int, direction: int) -> int:
-    """The constant name ("ln2", "log2_10" or "two_pi") * 2**wp, directed.
-    ln 2 = 2 atanh(1/3) and ln(5/4) = 2 atanh(1/9) (`_atanh_inv`) take 64
-    guard bits, so after the directed shift each end lies within one ulp:
+    """The constant name ("ln2", "log2_10", "two_pi" or "ln_two_pi") * 2**wp,
+    directed.  ln 2 = 2 atanh(1/3), ln(5/4) = 2 atanh(1/9) and, by Machin,
+    2 pi = 32 atan(1/5) - 8 atan(1/239), all from `_arc_inv`, take 64 guard
+    bits, so after the directed shift each end lies within about one ulp:
     the series' errors, under 2 ulps a term over fewer than wp terms, stay
-    far below it."""
+    far below it.  ln(2 pi) is `_ln_of_dyadic` of the 2 pi entry at the same
+    width, about sqrt(wp) / 8 + 3 ulps wide (19 at 16,448 bits): its series'
+    sqrt(wp) terms err by 1/8 ulp each, the two ln 2 of 2 pi's exponent by
+    one ulp each."""
     if name == "ln2":
-        return _shift_dir(_atanh_inv(3, wp + 64, direction), 64, direction)
+        return _shift_dir(2 * _arc_inv(3, 1, wp + 64, direction), 64, direction)
     if name == "log2_10":
         # log2 10 = 3 + ln(5/4) / ln 2, ln 2 rounded against direction
-        ln54 = _shift_dir(_atanh_inv(9, wp + 64, direction), 64, direction)
+        ln54 = _shift_dir(2 * _arc_inv(9, 1, wp + 64, direction), 64, direction)
         ln2 = _constant_table("ln2", wp, -direction)
         return (3 << wp) + _div_dir(ln54 << wp, ln2, direction)
-    # two_pi, by Machin: pi = 16 atan(1/5) - 4 atan(1/239)
-
-    def atan_inv(x: int, d: int) -> int:
-        # Alternating series.  Stopping after an added term gives an upper
-        # bound, after a subtracted term a lower bound; per-term division is
-        # rounded so each kept term errs in the helpful direction.
-        one = 1 << wp
-        total = 0
-        k = 0
-        while True:
-            den = (2 * k + 1) * x ** (2 * k + 1)
-            term = _div_dir(one, den, d if k % 2 == 0 else -d)
-            if k % 2 == 0:
-                total += term
-            else:
-                total -= term
-            if one // den == 0 and k % 2 == (0 if d == UP else 1):
-                break
-            k += 1
-        return total
-
-    return 32 * atan_inv(5, direction) - 8 * atan_inv(239, -direction)
+    if name == "ln_two_pi":
+        two_pi = _constant_table("two_pi", wp, direction)
+        return _ln_of_dyadic(two_pi, -wp, wp, direction)
+    w = wp + 64
+    two_pi = 32 * _arc_inv(5, -1, w, direction) - 8 * _arc_inv(239, -1, w, -direction)
+    return _shift_dir(two_pi, 64, direction)
 
 
 def _constant(name: str, wp: int, direction: int) -> int:
@@ -888,14 +889,10 @@ def _exp_of_fixed(xf: int, wp: int, prec: int, direction: int) -> LogMag:
     return _round(s, 1, q - wp, prec, direction)
 
 
-@lru_cache(maxsize=64)
 def lm_ln_two_pi(prec: int, mode: int) -> LogMag:
-    """Directed ln(2*pi); a pure function of (prec, mode), so kept in a
-    small table like the constants."""
+    """Directed ln(2*pi): the table entry at prec + 48 bits, rounded once."""
     wp = prec + 48
-    tp = _constant("two_pi", wp, mode)
-    total = _ln_of_dyadic(tp, -wp, wp, mode)
-    return _round(total, 1, -wp, prec, mode)
+    return _round(_constant("ln_two_pi", wp, mode), 1, -wp, prec, mode)
 
 
 def lm_max(*values: LogMag) -> LogMag:

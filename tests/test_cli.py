@@ -589,6 +589,30 @@ def test_heights_accepts_negative_rationals(capsys):
     assert lines[1].startswith("-3/4\t1\t1.386294361")
 
 
+@pytest.mark.parametrize(
+    "argv, separated",
+    [
+        (["heights", "-x^2+2"], ["heights", "--", "-x^2+2"]),
+        (["heights", "-(x^2-2)"], ["heights", "--", "-(x^2-2)"]),
+        (["heights", "-2x^3+1"], ["heights", "--", "-2x^3+1"]),
+        (["analyze", "--curve", "-x^5+3"], ["analyze", "--curve=-x^5+3"]),
+    ],
+    ids=["heights-x", "heights-paren", "heights-digit", "analyze-curve"],
+)
+def test_polynomials_with_a_leading_minus_are_values(capsys, argv, separated):
+    # argparse read a token like -x^2+2 as an unknown option and exited 1
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, separated) == (0, out, "")
+
+
+def test_heights_help_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["heights", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: smallpoints heights")
+
+
 def test_heights_garbage_exits_1(capsys):
     code, _, err = run(capsys, ["heights", "zebra"])
     assert code == 1

@@ -648,9 +648,10 @@ def test_constants_bracket_oracles():
 
 
 def test_constant_tables_bracket_mpmath_up_to_the_precision_cap():
-    """The ln 2 and log2 10 table entries at the widths `_constant` asks
-    for, up to 16,448 bits (the 16,384-bit precision cap plus its guard),
-    bracket the mpmath value, ln 2 within one ulp and log2 10 within a few."""
+    """The table entries at the widths `_constant` asks for, up to 16,448
+    bits (the 16,384-bit precision cap plus its guard), bracket the mpmath
+    value: ln 2 and 2 pi within one ulp, log2 10 within a few, and ln(2 pi),
+    the log of the 2 pi entry, within 32."""
     import mpmath
 
     for wp in (64, 128, 192, 1024, 4096, 8256, 16384, 16448):
@@ -659,12 +660,36 @@ def test_constant_tables_bracket_mpmath_up_to_the_precision_cap():
             exact = {
                 "ln2": mpmath.log(2) * scale,
                 "log2_10": mpmath.log(10) / mpmath.log(2) * scale,
+                "two_pi": 2 * mpmath.pi * scale,
+                "ln_two_pi": mpmath.log(2 * mpmath.pi) * scale,
             }
-            for name, width in (("ln2", 1), ("log2_10", 4)):
+            for name, width in (("ln2", 1), ("log2_10", 4), ("two_pi", 1), ("ln_two_pi", 32)):
                 lo = _constant_table(name, wp, DOWN)
                 hi = _constant_table(name, wp, UP)
                 assert lo <= exact[name] <= hi, (name, wp)
                 assert hi - lo <= width, (name, wp, hi - lo)
+
+
+def test_ln_two_pi_is_correctly_rounded():
+    """lm_ln_two_pi(prec, mode) is the prec-bit grid point next to ln(2 pi)
+    in direction mode, at every precision a report may ask for up to 1100
+    bits and at a few up to the cap: ln(2 pi) lies in [1, 2), so the grid
+    is the multiples of 2**(1 - prec)."""
+    import mpmath
+
+    with mpmath.workprec(17000):
+        man, exp = mpmath.log(2 * mpmath.pi).man_exp
+    for prec in [*range(8, 1101), 2048, 2064, 4096, 8192, 16384]:
+        # man * 2**exp is within 2**-16990 of ln(2 pi); floor it at the grid
+        shift = -(exp + prec - 1)
+        down = man >> shift
+        # the oracle's error cannot move the floor across a grid point
+        assert 0 < man - (down << shift) < (1 << shift) - 1, prec
+        for mode, expected in ((DOWN, down), (UP, down + 1)):
+            got = lm_ln_two_pi(prec, mode)
+            assert (got.sign, got.man, got.exp, got.prec, got.mode) == (
+                1, expected, 1, prec, mode
+            ), (prec, mode)
 
 
 def test_pow_exact_dyadic_cases():
