@@ -9,6 +9,11 @@ Four commands:
            an aggregate summary
   heights  Weil height enclosures for rationals or polynomial roots
 
+`analyze`, `bound` and `heights` print JSON through `dumps_indented`: the
+text of json.dumps(doc, indent=2), byte for byte, written without the
+stdlib's pure-Python indented encoder; `batch` prints compact json.dumps
+lines.
+
 `bound` refuses a genus above 5000 (exit 1): the exponents of u(g) and
 nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
 seconds.
@@ -179,6 +184,101 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# json.dumps takes CPython's C encoder only when indent is None, so with
+# indent=2 every report went through json.encoder's generators.  These
+# functions write the same text in one recursive pass, escaping strings
+# with the C escaper.  The recursion is a module-level function that gets
+# the part list's append: a nested closure that calls itself is a reference
+# cycle, and it kept each report's parts alive until the cyclic GC ran.
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+class _NotPlainJSON(Exception):
+    """A key or value of a type that no report holds."""
+
+
+def _json_scalar(v) -> str:
+    t = type(v)
+    if t is int:
+        try:
+            return int.__repr__(v)
+        except ValueError:
+            # past sys.get_int_max_str_digits(), where json.dumps raises
+            return decimal_str(v)
+    if t is float:
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise _NotPlainJSON
+
+
+def _write_json(o, append, indent: str) -> None:
+    """Append the parts of the dict, list or tuple o, whose closing bracket
+    follows indent (a newline and the spaces of o's own level)."""
+    inner = indent + "  "
+    if type(o) is dict:
+        if not o:
+            append("{}")
+            return
+        sep = "{" + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise _NotPlainJSON
+            t = type(v)
+            if t is str:
+                append(f"{sep}{_escape(k)}: {_escape(v)}")
+            elif t is dict or t is list or t is tuple:
+                append(f"{sep}{_escape(k)}: ")
+                _write_json(v, append, inner)
+            else:
+                append(f"{sep}{_escape(k)}: {_json_scalar(v)}")
+            sep = "," + inner
+        append(indent + "}")
+        return
+    if not o:
+        append("[]")
+        return
+    sep = "[" + inner
+    for v in o:
+        t = type(v)
+        if t is str:
+            append(sep + _escape(v))
+        elif t is dict or t is list or t is tuple:
+            append(sep)
+            _write_json(v, append, inner)
+        else:
+            append(sep + _json_scalar(v))
+        sep = "," + inner
+    append(indent + "]")
+
+
+def dumps_indented(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte.  An int past the int/str
+    digit limit, which json.dumps refuses, prints all its digits; a
+    document holding any other type than dict, list, tuple, str, int,
+    float, bool or None, or a key that is not a str, goes to json.dumps."""
+    t = type(obj)
+    try:
+        if t is dict or t is list or t is tuple:
+            parts: list[str] = []
+            _write_json(obj, parts.append, "\n")
+            return "".join(parts)
+        return _escape(obj) if t is str else _json_scalar(obj)
+    except _NotPlainJSON:
+        return json.dumps(obj, indent=2)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -241,7 +341,7 @@ def cmd_analyze(args) -> int:
         print(f"smallpoints: internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if args.format == "json":
-        _emit(json.dumps({"curve": curve_doc, "bounds": rep.to_dict()}, indent=2), args.out)
+        _emit(dumps_indented({"curve": curve_doc, "bounds": rep.to_dict()}), args.out)
     else:
         row = _tsv_row(analysis.equation, analysis.genus, analysis.n_s, rep)
         _emit(TSV_HEADER + "\n" + row, args.out)
@@ -291,7 +391,7 @@ def cmd_bound(args) -> int:
     if args.format == "json":
         if args.formula:
             rep.entries = [e for e in rep.entries if e.formula_id in set(args.formula)]
-        _emit(json.dumps(rep.to_dict(), indent=2), args.out)
+        _emit(dumps_indented(rep.to_dict()), args.out)
     else:
         # the summary row reads the whole report; --formula only filters JSON
         _emit(TSV_HEADER + "\n" + _tsv_row("-", p.g, p.n_s, rep), args.out)
@@ -396,7 +496,7 @@ def cmd_heights(args) -> int:
             print(f"smallpoints: {token!r}: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if args.format == "json":
-        _emit(json.dumps(docs, indent=2), args.out)
+        _emit(dumps_indented(docs), args.out)
     else:
         rows = ["input\tdegree\theight_lower\theight_upper"]
         for d in docs:

@@ -1,19 +1,23 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import dataclasses
+import gc
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from smallpoints.bounds import BoundParams, pipeline_apriori
+from smallpoints.bounds import BoundParams, full_report, pipeline_apriori
 import smallpoints.algebraic as algebraic
 import smallpoints.cli as cli
-from smallpoints.cli import TSV_HEADER, _precision, main
+from smallpoints.cli import TSV_HEADER, _precision, dumps_indented, main
 from smallpoints.curve import analyze_curve
+from smallpoints.numeric import decimal_str
 from test_bounds import REPORT_SCHEMA
+from test_golden import ANALYZE, HEIGHTS, OTHER, _bound_commands
 from test_numeric import digits_past_the_int_str_limit
 from test_polynomial import OVERSIZED_COEFFICIENTS, forbid_oversized_polys
 
@@ -82,6 +86,11 @@ def test_reports_print_ints_past_the_int_str_limit(capsys, monkeypatch):
     code, out, _ = run(capsys, ["analyze", "--curve", X5X, "--format", "tsv"])
     assert code == 0
     assert out.split("\n")[1].split("\t")[2] == digits
+    # the curve report prints N_S as a string, the bound report's echo as a
+    # bare number, which json.dumps refuses past 4300 digits
+    code, out, _ = run(capsys, ["analyze", "--curve", X5X])
+    assert code == 0
+    assert f'"n_s": "{digits}",' in out and f'"n_s": {digits},' in out
 
 
 def test_analyze_genus_too_small_exits_1(capsys):
@@ -656,3 +665,129 @@ def test_exact_zero_height_is_rounded_both_ways(capsys):
     height = json.loads(out)[0]["height"]
     assert height["lower"]["decimal"] == height["upper"]["decimal"] == "0"
     assert (height["lower"]["rounding"], height["upper"]["rounding"]) == ("down", "up")
+
+
+# ---------------------------------------------------------------------------
+# the indented JSON writer
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_STRING_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "Z", " ", "/",
+                 "\u00e9", "\u2028", "\u03bb", "\ud7ff", "\ufffd", "\U0001f600", "\U0010ffff"]
+_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5,
+           1e16, 1e-7, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_STRING_CHARS) for _ in range(rng.randrange(8)))
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        # either sign, up to 4,000 digits: under the int/str digit limit
+        digits = rng.choice([1, 2, 19, 20, 300, 4000])
+        return rng.choice([1, -1]) * rng.randrange(10**digits)
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind == 3:
+        # bools next to the ints that compare equal to them
+        return rng.choice([True, False, 0, 1])
+    if kind == 4:
+        return None
+    return rng.choice([{}, []])
+
+
+def _random_document(rng, depth):
+    """A dict, list or tuple nested up to depth levels, with empty {} and
+    [] possible at every level."""
+    kind = rng.randrange(3)
+    n = rng.randrange(5)
+    items = [
+        _random_document(rng, depth - 1) if depth > 1 and rng.random() < 0.4 else _random_leaf(rng)
+        for _ in range(n)
+    ]
+    if kind == 0:
+        return {_random_string(rng): v for v in items}
+    return items if kind == 1 else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writer_matches_json_dumps_on_random_documents(seed):
+    rng = random.Random(seed)
+    for depth in range(1, 6):
+        doc = _random_document(rng, depth)
+        assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), "", "\"\\\u00e9\U0001f600", 0, -1, 10**4000, True, False, None,
+    -0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
+    [[], {}, [[]], {"": {}}], {"a": ()}, {"a": (1, "b", [True, 1, False, 0])},
+])
+def test_writer_matches_json_dumps_at_the_edges(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, {1.5: 0}, {True: 0, None: 1}, {"a": {2: [3]}},
+    [{"nested": {False: []}}], {"a": dataclasses}, [1, {1, 2}], {(1, 2): 0},
+    {"a": float.__new__(type("F", (float,), {}), 1.5)},
+])
+def test_writer_leaves_other_types_to_json(value):
+    # a key that is not a str or a value of another type sends the whole
+    # document to json.dumps: the same text, or the same exception
+    try:
+        expected = json.dumps(value, indent=2)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dumps_indented(value)
+    else:
+        assert dumps_indented(value) == expected
+
+
+def _json_commands():
+    commands = [a for a in _bound_commands() + ANALYZE + OTHER
+                if a[0] in ("analyze", "bound", "heights") and "tsv" not in a]
+    assert HEIGHTS in commands
+    return commands
+
+
+def test_json_commands_print_the_stdlib_indented_json(capsys):
+    printed = 0
+    for argv in _json_commands():
+        code, out, _ = run(capsys, argv)
+        if code != 0:
+            # an unknown or gated --formula: an error line and no report
+            assert (code, out) == (1, ""), argv
+            continue
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        printed += 1
+    assert printed > 40
+
+
+def test_writer_leaves_no_reference_cycles():
+    # a writer that recursed through a nested closure made every report a
+    # cycle, freed only by the cyclic collector
+    bound = full_report(BoundParams(d=1, g=2, n_s=30, d_k=1)).to_dict()
+    analysis = analyze_curve(X5X)
+    args = cli.build_parser().parse_args(["analyze", "--curve", X5X])
+    curve_doc, rep = cli._analysis_documents(analysis, args)
+    analyze_doc = {"curve": curve_doc, "bounds": rep.to_dict()}
+    gc.collect()
+    gc.disable()
+    try:
+        assert dumps_indented(bound) and dumps_indented(analyze_doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_bound_report_echoes_n_s_past_the_int_str_limit():
+    # json.dumps refuses an int of more than 4300 digits
+    n_s = 7**6000
+    text = dumps_indented(full_report(BoundParams(d=1, g=2, n_s=n_s, d_k=1)).to_dict())
+    assert len(decimal_str(n_s)) == 5071
+    assert f'\n    "n_s": {decimal_str(n_s)},\n' in text
