@@ -35,12 +35,12 @@ exponent depend on (g, d) alone: nu^(d*nu), nu^(8^g*d*nu), nu^(2*d*nu),
 nu^(d*nu/8), nu^(nu/2) and u(g).  They are kept across reports in one
 bounded table, `_pow_up`, keyed by (base, exponent, precision); a LogMag
 is immutable, so one value may serve many reports.  The one other factor,
-(N_S*D_K)^nu, is shared by thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i: each
-report computes it once (`_nd_power`) and hands it to those rows as a
-given value of its a-priori walk, which drops it when the report is done.
-Nothing that depends on N_S or D_K is kept across reports, and neither is
-any rendered string: a report renders each of its distinct values once
-(`BoundReport.to_dict`).
+(N_S*D_K)^nu, is shared by thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i: a
+one-entry table, `_nd_power`, keeps the power of the latest N_S*D_K, so a
+report takes it once and the next report at another N_S*D_K replaces it.
+That entry is the only value depending on N_S or D_K kept across reports,
+and no rendered string is kept: a report renders each of its distinct
+values once (`BoundReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -78,26 +78,17 @@ TARGETS = (
 
 GENUS_TWO_C_DELTA = Fraction(-186)
 
+# the degree of the cover x: X -> P^1; y^2 = f(x) is a double cover
+DEG_PHI = 2
+
 # exact factorial below this, directed Stirling above
 FACTORIAL_EXACT_LIMIT = 2000
-
-
-def _rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
 def _as_logmag(x, precision: int) -> LogMag:
     if isinstance(x, LogMag):
         return x
-    return LogMag.from_fraction(_rational(x), precision, UP)
+    return LogMag.from_fraction(x, precision, UP)
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,7 @@ class BoundParams:
         if self.c_delta is None and self.g == 2:
             object.__setattr__(self, "c_delta", GENUS_TWO_C_DELTA)
         elif self.c_delta is not None:
-            object.__setattr__(self, "c_delta", _rational(self.c_delta))
+            object.__setattr__(self, "c_delta", Fraction(self.c_delta))
 
 
 @dataclass
@@ -211,52 +202,44 @@ def u_g(g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
     return _pow_up(2, 3 * (11 * g) ** 3 * 8**g, precision)
 
 
-def _nd_power(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag | None:
-    """(N_S*D_K)^nu rounded up, or None when N_S*D_K = 1, where the power
-    bounds below skip the factor."""
-    nd = p.n_s * p.d_k
-    return None if nd == 1 else lm_pow(nd, nu(p), precision, UP)
+# thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i of one report share their
+# (N_S*D_K)^nu; the next report at another N_S*D_K replaces it.
+@lru_cache(maxsize=1)
+def _nd_power(nd: int, e: int, precision: int) -> LogMag:
+    """nd^e rounded up, for nd = N_S*D_K and e = nu."""
+    return lm_pow(nd, e, precision, UP)
 
 
-def _power_product(p: BoundParams, e1, precision: int, shared: LogMag | None) -> LogMag:
+def _power_product(p: BoundParams, e1, precision: int) -> LogMag:
     """nu^e1 * (N_S*D_K)^nu upward, one rounding of the product.  The
     second factor is skipped when N_S*D_K = 1, so that case returns nu^e1
     with no extra rounding.  nu^e1 depends on (g, d) alone and comes from
-    `_pow_up`; the second factor is `shared` when the caller already took
-    it for this p and precision, and is computed here otherwise."""
-    first = _pow_up(nu(p), e1, precision)
-    if p.n_s * p.d_k == 1:
+    `_pow_up`, the second factor from `_nd_power`."""
+    v = nu(p)
+    first = _pow_up(v, e1, precision)
+    nd = p.n_s * p.d_k
+    if nd == 1:
         return first
-    if shared is None:
-        shared = _nd_power(p, precision)
-    return lm_mul(first, shared, precision, UP)
+    return lm_mul(first, _nd_power(nd, v, precision), precision, UP)
 
 
-def thm_cyclic_bound(
-    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
-) -> LogMag:
-    """nu^(d*nu) * (N_S*D_K)^nu; bounds log max(h_NT(x), h(x)).  shared,
-    when given, is _nd_power(p, precision)."""
-    return _power_product(p, p.d * nu(p), precision, shared)
+def thm_cyclic_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """nu^(d*nu) * (N_S*D_K)^nu; bounds log max(h_NT(x), h(x))."""
+    return _power_product(p, p.d * nu(p), precision)
 
 
-def thm_hyper_bound(
-    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
-) -> LogMag:
+def thm_hyper_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(8^g*d*nu) * (N_S*D_K)^nu; bounds the Neron-Tate sum over the
-    Weierstrass points.  shared, when given, is _nd_power(p, precision)."""
-    return _power_product(p, 8**p.g * p.d * nu(p), precision, shared)
+    Weierstrass points."""
+    return _power_product(p, 8**p.g * p.d * nu(p), precision)
 
 
-def thm_genus2_bound(
-    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
-) -> LogMag:
+def thm_genus2_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """Genus 2 only: nu^(2*d*nu) * (N_S*D_K)^nu with nu = 10^5 d; bounds
-    max(h_NT(x), h(x)) itself, not its logarithm.  shared, when given, is
-    _nd_power(p, precision)."""
+    max(h_NT(x), h(x)) itself, not its logarithm."""
     if p.g != 2:
         raise ValueError("this bound is specific to genus 2")
-    return _power_product(p, 2 * p.d * nu(p), precision, shared)
+    return _power_product(p, 2 * p.d * nu(p), precision)
 
 
 def genus2_intro_bound(n_s: int, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -344,7 +327,7 @@ def ex_from_degB(degB_bound, g: int, precision: int = DEFAULT_PRECISION) -> LogM
 def zhang_height_bound(ex_bound, g: int, eps, precision: int = DEFAULT_PRECISION) -> LogMag:
     """(e(X) + eps) / (2(g-1)); bounds h(x) for all but finitely many
     algebraic points x, for every eps > 0."""
-    eps = _rational(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     e = _as_logmag(ex_bound, precision)
@@ -382,7 +365,7 @@ def noether_ex_bound(
                 "ineffective constant required: no proven lower bound for the "
                 f"delta-invariant minimum in genus {g}; supply c_delta"
             )
-    c_delta = _rational(c_delta)
+    c_delta = Fraction(c_delta)
     hF = _as_logmag(hF_bound, precision)
     if hF.sign < 0:
         raise ValueError("the Faltings height bound must be nonnegative")
@@ -396,12 +379,9 @@ def noether_ex_bound(
     return lm_add(t, LogMag.from_fraction(-c_delta, precision, UP), precision, UP)
 
 
-def mu_upper(
-    p: BoundParams, precision: int = DEFAULT_PRECISION, shared: LogMag | None = None
-) -> LogMag:
-    """nu^(d*nu/8) * (N_S*D_K)^nu; bounds the archimedean invariant mu_X.
-    shared, when given, is _nd_power(p, precision)."""
-    return _power_product(p, Fraction(p.d * nu(p), 8), precision, shared)
+def mu_upper(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """nu^(d*nu/8) * (N_S*D_K)^nu; bounds the archimedean invariant mu_X."""
+    return _power_product(p, Fraction(p.d * nu(p), 8), precision)
 
 
 def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -413,12 +393,12 @@ def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogM
     return lm_mul(_pow_up(v, Fraction(v, 2), precision), m, precision, UP)
 
 
-def hF_from_u_mu(ug: LogMag, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
-    """u(g) * mu_X, given ug = u(g); bounds the Faltings height of the Jacobian."""
+def hF_from_u_mu(g: int, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
+    """u(g) * mu_X; bounds the Faltings height of the Jacobian."""
     m = _as_logmag(mu, precision)
     if m.sign < 0:
         raise ValueError("mu must be nonnegative")
-    return lm_mul(ug, m, precision, UP)
+    return lm_mul(u_g(g, precision), m, precision, UP)
 
 
 def weierstrass_sum_bound(hF_bound, g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -459,12 +439,6 @@ class Formula:
     name: str | None = None
 
 
-def _reads_nd_power(fn: Callable[..., LogMag]) -> Callable[..., LogMag]:
-    """The row form of a power bound above: it reads the report's one
-    (N_S*D_K)^nu, the given value "nd_power", after p."""
-    return lambda p, shared, precision: fn(p, precision, shared)
-
-
 # condition -> (test on the chain's given values, caveat added once when
 # the condition drops a row)
 CONDITIONS = {
@@ -484,23 +458,17 @@ CONDITIONS = {
 # out in row order.
 FORMULAS = {
     "apriori": (
-        Formula("thm_1_1", ("h_NT", "h"), True, None, _reads_nd_power(thm_cyclic_bound),
-                ("p", "nd_power")),
+        Formula("thm_1_1", ("h_NT", "h"), True, None, thm_cyclic_bound, ("p",)),
         # the same value as thm_1_1, for the four general invariants
         Formula("eq_general", ("e_X", "delta_X", "h_F", "Delta_X"), True, None,
                 lambda v, precision: v, ("thm_1_1",)),
-        Formula("thm_1_2", ("weierstrass_sum",), False, None, _reads_nd_power(thm_hyper_bound),
-                ("p", "nd_power")),
-        Formula("thm_1_3", ("h_NT", "h"), False, None, _reads_nd_power(thm_genus2_bound),
-                ("p", "nd_power"), ("g=2",)),
+        Formula("thm_1_2", ("weierstrass_sum",), False, None, thm_hyper_bound, ("p",)),
+        Formula("thm_1_3", ("h_NT", "h"), False, None, thm_genus2_bound, ("p",), ("g=2",)),
         Formula("intro_genus2", ("h_NT", "h"), False, "packaged form",
                 genus2_intro_bound, ("n_s",), ("g=2", "d=1")),
-        Formula("lem_5_2_i", ("mu_X",), False, None, _reads_nd_power(mu_upper),
-                ("p", "nd_power")),
+        Formula("lem_5_2_i", ("mu_X",), False, None, mu_upper, ("p",)),
         Formula("lem_5_1", ("deg_B",), True, "via lem_5_2_i", degB_from_mu, ("p", "lem_5_2_i")),
-        Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i",
-                lambda g, mu, precision: hF_from_u_mu(u_g(g, precision), mu, precision),
-                ("g", "lem_5_2_i")),
+        Formula("eq_fhux", ("h_F",), False, "via lem_5_2_i", hF_from_u_mu, ("g", "lem_5_2_i")),
         Formula("lem_6_2", ("weierstrass_sum",), False, "via eq_fhux",
                 weierstrass_sum_bound, ("eq_fhux", "g")),
         Formula("lem_4_4_ii", ("e_X",), False, "via eq_fhux",
@@ -554,37 +522,18 @@ def _walk(chain: str, p: BoundParams, precision: int, **given):
     return entries, caveats
 
 
-def _echo_inputs(p: BoundParams, precision: int, extra: dict | None = None) -> dict:
-    out = {
-        "d": p.d,
-        "g": p.g,
-        "n_s": p.n_s,
-        "d_k": p.d_k,
-        "c_delta": None if p.c_delta is None else str(p.c_delta),
-        "precision": precision,
-    }
-    if extra:
-        out.update(extra)
-    return out
-
-
 def pipeline_apriori(
-    p: BoundParams,
-    eps=Fraction(1),
-    precision: int = DEFAULT_PRECISION,
+    p: BoundParams, eps=Fraction(1), precision: int = DEFAULT_PRECISION
 ) -> BoundReport:
-    """Every bound computable from (d, g, N_S, D_K) alone."""
-    # (N_S*D_K)^nu, taken once for the rows that multiply by it
-    entries, caveats = _walk("apriori", p, precision, eps=eps, nd_power=_nd_power(p, precision))
-    # the report format keeps this input, always null (module docstring)
-    extra = {"pipeline": "apriori", "eps": str(_rational(eps)), "abc": None}
-    return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)
+    """Every bound computable from (d, g, N_S, D_K) alone; the report's
+    inputs are left to full_report."""
+    entries, caveats = _walk("apriori", p, precision, eps=eps)
+    return BoundReport(inputs={}, entries=entries, caveats=caveats)
 
 
 def pipeline_empirical(
     p: BoundParams,
     H_Lambda,
-    deg_phi: int = 2,
     use_zograf: bool = False,
     eps=Fraction(1),
     precision: int = DEFAULT_PRECISION,
@@ -592,29 +541,19 @@ def pipeline_empirical(
     """Bound chain driven by the computed cross-ratio height H_Lambda:
     Belyi degree, then e(X), then h, then h_NT.  With use_zograf the
     caller asserts the curve is a classical congruence modular curve and
-    the 128(g+1) degree bound replaces the H_Lambda step."""
+    the 128(g+1) degree bound replaces the H_Lambda step.  The report's
+    inputs are left to full_report."""
     entries, caveats = _walk(
         "empirical", p, precision,
-        eps=eps, H_Lambda=H_Lambda, deg_phi=deg_phi, use_zograf=use_zograf,
+        eps=eps, H_Lambda=H_Lambda, deg_phi=DEG_PHI, use_zograf=use_zograf,
     )
-    extra = {
-        "pipeline": "empirical",
-        "deg_phi": deg_phi,
-        "use_zograf": use_zograf,
-        "eps": str(_rational(eps)),
-        "H_Lambda": None if use_zograf else _as_logmag(H_Lambda, precision).to_json_value(),
-    }
-    return BoundReport(inputs=_echo_inputs(p, precision, extra), entries=entries, caveats=caveats)
+    return BoundReport(inputs={}, entries=entries, caveats=caveats)
 
 
 def _direct_h_entry(report: BoundReport) -> BoundEntry | None:
     """The sharpest entry bounding h itself (not its log)."""
-    best = None
-    for e in report.entries:
-        if e.target == "h" and not e.bounds_log_of_target:
-            if best is None or e.value < best.value:
-                best = e
-    return best
+    direct = [e for e in report.entries if e.target == "h" and not e.bounds_log_of_target]
+    return min(direct, key=lambda e: e.value, default=None)
 
 
 def _log10_or_none(value: LogMag) -> float | None:
@@ -634,18 +573,13 @@ def compare_pipelines(
     ea = _direct_h_entry(apriori)
     ee = _direct_h_entry(empirical)
     out: dict = {}
-    if ea is not None:
-        out["apriori"] = {
-            "formula_id": ea.formula_id,
-            "ln_of_bound": lm_log(ea.value, precision, UP).to_json_value(),
-            "log10_of_bound": _log10_or_none(ea.value),
-        }
-    if ee is not None:
-        out["empirical"] = {
-            "formula_id": ee.formula_id,
-            "ln_of_bound": lm_log(ee.value, precision, UP).to_json_value(),
-            "log10_of_bound": _log10_or_none(ee.value),
-        }
+    for chain, e in (("apriori", ea), ("empirical", ee)):
+        if e is not None:
+            out[chain] = {
+                "formula_id": e.formula_id,
+                "ln_of_bound": lm_log(e.value, precision, UP).to_json_value(),
+                "log10_of_bound": _log10_or_none(e.value),
+            }
     if ea is None or ee is None:
         out["sharper_chain"] = "undetermined"
     else:
@@ -656,34 +590,38 @@ def compare_pipelines(
 def full_report(
     p: BoundParams,
     H_Lambda=None,
-    deg_phi: int = 2,
     use_zograf: bool = False,
     eps=Fraction(1),
     precision: int = DEFAULT_PRECISION,
     extra_inputs: dict | None = None,
     extra_caveats: list[str] | None = None,
 ) -> BoundReport:
-    """Both pipelines merged into a single report with the comparison."""
-    ap = pipeline_apriori(p, eps, precision)
-    entries = list(ap.entries)
-    caveats = list(ap.caveats)
-    comparison = None
-    h_echo = None
+    """Both pipelines merged into a single report with the comparison: the
+    a-priori report, extended by the empirical chain when H_Lambda is given
+    or zograf asserted."""
+    eps = Fraction(eps)
+    rep = pipeline_apriori(p, eps, precision)
     if H_Lambda is not None or use_zograf:
-        em = pipeline_empirical(p, H_Lambda, deg_phi, use_zograf, eps, precision)
-        entries.extend(em.entries)
-        caveats.extend(em.caveats)
-        comparison = compare_pipelines(ap, em, precision)
-        h_echo = em.inputs["H_Lambda"]
-    if h_echo is None and H_Lambda is not None:
-        # the zograf chain ignores H_Lambda, but the report still echoes it
-        h_echo = _as_logmag(H_Lambda, precision).to_json_value()
-    inputs = {k: v for k, v in ap.inputs.items() if k != "pipeline"}
-    inputs["deg_phi"] = deg_phi
-    inputs["use_zograf"] = use_zograf
-    inputs["H_Lambda"] = h_echo
-    if extra_inputs:
-        inputs.update(extra_inputs)
-    if extra_caveats:
-        caveats.extend(extra_caveats)
-    return BoundReport(inputs=inputs, entries=entries, caveats=caveats, comparison=comparison)
+        em = pipeline_empirical(p, H_Lambda, use_zograf, eps, precision)
+        # compared before the empirical entries join the a-priori report
+        rep.comparison = compare_pipelines(rep, em, precision)
+        rep.entries += em.entries
+        rep.caveats += em.caveats
+    rep.caveats += extra_caveats or []
+    rep.inputs = {
+        "d": p.d,
+        "g": p.g,
+        "n_s": p.n_s,
+        "d_k": p.d_k,
+        "c_delta": None if p.c_delta is None else str(p.c_delta),
+        "precision": precision,
+        "eps": str(eps),
+        # the report format keeps this input, always null (module docstring)
+        "abc": None,
+        "deg_phi": DEG_PHI,
+        "use_zograf": use_zograf,
+        # echoed also when the zograf chain ignores it
+        "H_Lambda": None if H_Lambda is None else _as_logmag(H_Lambda, precision).to_json_value(),
+        **(extra_inputs or {}),
+    }
+    return rep

@@ -119,11 +119,13 @@ _SET_IMAGES = {
 def parse_curve(text: str) -> Poly:
     """Read 'y^2 = f(x)' (or just f) and return the integral model.
 
-    Raises ValueError for genus < 2 or a singular model, naming the
-    repeated factor in the singular case.
+    Raises ValueError for the zero polynomial, genus < 2 or a singular
+    model, naming the repeated factor in the singular case.
     """
     m = _EQUATION_RE.match(text)
     f, d = parse_poly(m.group(1) if m else text)
+    if f.is_zero():
+        raise ValueError("the right hand side is the zero polynomial")
     if f.degree() < 5:
         raise ValueError(
             f"genus < 2: the right hand side must have degree at least 5, "

@@ -230,7 +230,7 @@ def test_criterion_7_precision_and_parameter_monotonicity():
             lambda prec: noether_ex_bound(hF, g, c_delta, prec),
             lambda prec: weierstrass_sum_bound(hF, g, prec),
             lambda prec: degB_from_mu(p, mu, prec),
-            lambda prec: hF_from_u_mu(u_g(g, prec), mu, prec),
+            lambda prec: hF_from_u_mu(g, mu, prec),
         ]
         if g == 2:
             formulas.append(lambda prec: thm_genus2_bound(p, prec))

@@ -46,7 +46,7 @@ P2 = BoundParams(d=1, g=2, n_s=2, d_k=1)
 
 # the tables that keep bound-chain values across reports; numeric's constant
 # table also keeps ln(2 pi), but it is keyed by width, not bounded by a size
-_REPORT_TABLES = (bounds._pow_up,)
+_REPORT_TABLES = (bounds._pow_up, bounds._nd_power)
 
 
 def _every_table():
@@ -272,11 +272,10 @@ def test_degB_from_mu():
 
 
 def test_hF_from_mu():
-    ug = u_g(2, 128)
-    assert hF_from_u_mu(ug, 0, 128).to_fraction() == 0
-    v = hF_from_u_mu(ug, 1, 128)
+    assert hF_from_u_mu(2, 0, 128).to_fraction() == 0
+    v = hF_from_u_mu(2, 1, 128)
     assert abs(v.log10_float() - 615430.54) < 0.1
-    v2 = hF_from_u_mu(ug, 2, 128)
+    v2 = hF_from_u_mu(2, 2, 128)
     assert v2.man == v.man and v2.exp == v.exp + 1
 
 
@@ -376,8 +375,7 @@ def test_full_report_log10_is_null_past_float_range():
 def test_formula_table_rows_read_only_what_exists():
     # every input is a value the chain was given or an earlier row: no row
     # reads a constant that nobody supplies
-    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "H_Lambda", "deg_phi", "use_zograf",
-                   "nd_power"}
+    given_names = {"p", "d", "g", "n_s", "d_k", "c_delta", "eps", "H_Lambda", "deg_phi", "use_zograf"}
     for chain, rows in FORMULAS.items():
         # conditions every row producing a name is gated on
         gated: dict[str, set] = {}
@@ -458,6 +456,8 @@ def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch):
 def test_full_report_takes_one_n_s_d_k_power(monkeypatch, g):
     # thm_1_1, thm_1_2, lem_5_2_i and, at g = 2, thm_1_3 all multiply by
     # (N_S*D_K)^nu: a report takes that power once and shares it
+    for table in _REPORT_TABLES:
+        table.cache_clear()
     p = BoundParams(d=1, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
     bases = []
     lm_pow_ = bounds.lm_pow
@@ -488,6 +488,9 @@ def test_report_tables_are_bounded_and_keep_no_n_s_power():
     for n_s in range(2, 40):
         full_report(BoundParams(2, 3, n_s, n_s + 1, c_delta=-7), use_zograf=True, precision=64)
     assert bounds._pow_up.cache_info().currsize == size
+    # the power of N_S*D_K is kept for the latest report alone
+    assert bounds._nd_power.cache_info().maxsize == 1
+    assert bounds._nd_power.cache_info().currsize <= 1
 
 
 def test_bound_reports_do_not_depend_on_table_state(capsys):

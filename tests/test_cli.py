@@ -99,6 +99,12 @@ def test_analyze_genus_too_small_exits_1(capsys):
     assert "genus < 2" in err
 
 
+def test_analyze_zero_curve_names_the_zero_polynomial(capsys):
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = 0"])
+    assert code == 1 and out == ""
+    assert err == "smallpoints: the right hand side is the zero polynomial\n"
+
+
 def test_analyze_unparseable_curve_exits_1(capsys):
     code, _, err = run(capsys, ["analyze", "--curve", "y^2 = zebra"])
     assert code == 1
@@ -484,6 +490,18 @@ def test_batch_reports_zero_denominator_line(tmp_path, capsys):
     assert code == 3
     docs = [json.loads(l) for l in out.rstrip("\n").split("\n")]
     assert docs[0] == {"line": 1, "error": "zero denominator in coefficient '1/0'"}
+    assert docs[1]["curve"]["equation"] == X5X
+    assert docs[2]["summary"]["failed"] == 1 and docs[2]["summary"]["parshin_ok"] == "1/1"
+
+
+def test_batch_reports_zero_curve_line(tmp_path, capsys):
+    corpus = corpus_file(
+        tmp_path, [json.dumps({"curve": "y^2 = 0"}), json.dumps({"curve": X5X})]
+    )
+    code, out, _ = run(capsys, ["batch", corpus])
+    assert code == 3
+    docs = [json.loads(l) for l in out.rstrip("\n").split("\n")]
+    assert docs[0] == {"line": 1, "error": "the right hand side is the zero polynomial"}
     assert docs[1]["curve"]["equation"] == X5X
     assert docs[2]["summary"]["failed"] == 1 and docs[2]["summary"]["parshin_ok"] == "1/1"
 

@@ -117,7 +117,12 @@ ANALYZE = [
     # curves with denominators, which parse_curve clears to an integral model
     ["analyze", "--curve", "y^2 = 1/6*x^5 - 7/4*x + 1/3"],
     ["analyze", "--curve", "y^2 = (2/3*x + 1)^5 + 1/9", "--format", "tsv"],
-] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL + HARD + PARTIAL_CAP]
+] + [["analyze", "--curve", c] for c in EXACT_TIES + TIED_IRRATIONAL + HARD + PARTIAL_CAP] + [
+    # JSON reports of the zograf chain, which ignores H_Lambda but still
+    # echoes it among the inputs
+    ["analyze", "--curve", X5X, "--zograf"],
+    ["analyze", "--curve", "y^2 = x^6 - 1", "--zograf", "--epsilon", "1/3", "--cdelta", "-7"],
+]
 
 # a rational, an irrational, one root of a polynomial, and a polynomial
 # that is not squarefree: each distinct root once
