@@ -18,12 +18,14 @@ lines.
 nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
 seconds.
 
-Exit codes: 0 success, 1 input error, 2 internal error: an invariant
-violation (a cross-ratio failed its S-unit check, which the theory rules
-out) or a computation that gave up with a RuntimeError, which analyze
-reports in one "smallpoints: internal error: ..." line, 3 partial batch
-failure: batch writes an error record for each line that was an input
-error or gave up, and goes on.
+Exit codes, the same for every command: 0 success, 1 input error (a
+ValueError or OSError, reported in one "smallpoints: ..." line), 2
+internal error: an invariant violation (a cross-ratio failed its S-unit
+check, which the theory rules out) or a computation that gave up with a
+RuntimeError, reported in one "smallpoints: internal error: ..." line,
+3 partial batch failure: batch writes an error record for each line
+that was an input error or gave up, and goes on.  Commands raise; only
+`main` turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -330,16 +332,17 @@ def _tsv_row(curve_text: str, g: int, n_s: int, rep) -> str:
     return f"{curve_text}\t{g}\t{decimal_str(n_s)}\t{thm}\t{emp}\t{chain}"
 
 
+def _error_message(exc: Exception) -> str:
+    """What follows "smallpoints: " for an error that ends a command or a
+    batch line: a RuntimeError is a computation that gave up."""
+    if isinstance(exc, RuntimeError):
+        return f"internal error: {exc}"
+    return str(exc)
+
+
 def cmd_analyze(args) -> int:
-    try:
-        analysis = analyze_curve(args.curve, precision=args.precision)
-        curve_doc, rep = _analysis_documents(analysis, args)
-    except ValueError as exc:
-        print(f"smallpoints: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        print(f"smallpoints: internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    analysis = analyze_curve(args.curve, precision=args.precision)
+    curve_doc, rep = _analysis_documents(analysis, args)
     if args.format == "json":
         _emit(dumps_indented({"curve": curve_doc, "bounds": rep.to_dict()}), args.out)
     else:
@@ -357,13 +360,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        if args.g > _MAX_GENUS:
-            raise ValueError(f"genus must be at most {_MAX_GENUS}")
-        p = BoundParams(d=args.d, g=args.g, n_s=args.ns, d_k=args.dk, c_delta=args.cdelta)
-    except ValueError as exc:
-        print(f"smallpoints: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.g > _MAX_GENUS:
+        raise ValueError(f"genus must be at most {_MAX_GENUS}")
+    p = BoundParams(d=args.d, g=args.g, n_s=args.ns, d_k=args.dk, c_delta=args.cdelta)
     rep = full_report(
         p,
         H_Lambda=None,
@@ -378,16 +377,13 @@ def cmd_bound(args) -> int:
             if fid in available:
                 continue
             if fid not in _FORMULA_IDS:
-                print(f"smallpoints: unknown formula {fid}", file=sys.stderr)
-            elif "c_delta" in formula_conditions(fid) and p.c_delta is None:
-                print(
-                    f"smallpoints: formula {fid} needs c_delta and no proven value "
-                    f"exists for genus {p.g}; pass --cdelta to assert one",
-                    file=sys.stderr,
+                raise ValueError(f"unknown formula {fid}")
+            if "c_delta" in formula_conditions(fid) and p.c_delta is None:
+                raise ValueError(
+                    f"formula {fid} needs c_delta and no proven value "
+                    f"exists for genus {p.g}; pass --cdelta to assert one"
                 )
-            else:
-                print(f"smallpoints: no formula {fid} for these inputs", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"no formula {fid} for these inputs")
     if args.format == "json":
         if args.formula:
             rep.entries = [e for e in rep.entries if e.formula_id in set(args.formula)]
@@ -416,10 +412,9 @@ def cmd_batch(args) -> int:
                 raise ValueError("each line must be a JSON object with a string 'curve'")
             analysis = analyze_curve(record["curve"], precision=args.precision)
             curve_doc, rep = _analysis_documents(analysis, args)
-        except (ValueError, KeyError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             failed += 1
-            error = f"internal error: {exc}" if isinstance(exc, RuntimeError) else str(exc)
-            out_lines.append(json.dumps({"line": idx + 1, "error": error}))
+            out_lines.append(json.dumps({"line": idx + 1, "error": _error_message(exc)}))
             continue
         parshin_total += 1
         if not analysis.parshin_exceptions:
@@ -493,8 +488,7 @@ def cmd_heights(args) -> int:
         try:
             docs.extend(_height_documents(token, args.precision))
         except (ValueError, ZeroDivisionError) as exc:
-            print(f"smallpoints: {token!r}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{token!r}: {exc}") from exc
     if args.format == "json":
         _emit(dumps_indented(docs), args.out)
     else:
@@ -524,10 +518,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except OSError as exc:
-        # an unreadable corpus or an unwritable --out path
-        print(f"smallpoints: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ValueError, OSError, RuntimeError) as exc:
+        # OSError: an unreadable corpus or an unwritable --out path
+        print(f"smallpoints: {_error_message(exc)}", file=sys.stderr)
+        return EXIT_INVARIANT if isinstance(exc, RuntimeError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -304,31 +304,28 @@ def _ln_atanh_series(p: int, q: int, wp: int, direction: int) -> int:
     It serves `_ln_of_dyadic`, whose reduced argument p/q lies just above 1.
     For any p/q in range z = (p-q)/(p+q) <= 1/3, at most 1/3 + 1 ulp once
     rounded up, so z**2 < 1/9 + 1 ulp and the terms dropped after t <= 2
-    sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps.  Every quantity is
-    positive, so a floor is // or >> and a ceiling is the negated floor of
-    the negation.
+    sum below t / (1 - z**2) ~ t * 9/8 < 3 ulps: DOWN drops them, UP adds
+    3 ulps.  Every quantity is positive, so DOWN floors each one with //
+    or >>.  UP runs the same loop on the negated t, terms and total:
+    floor(-x) is -ceil(x), so each is the negated ceiling, and negating
+    the total gives the sum rounded up.  The factor z**2 stays positive,
+    rounded up as -floor(-z**2), so t times it keeps t's sign.
     """
     if p == q:
         return 0
+    s = -direction  # 1 for DOWN; UP runs on negated values
     num, den = p - q, p + q
+    t = (s * num << wp) // den
+    z2 = s * ((s * (t * t)) >> wp)
     total = 0
     k = 1
-    if direction == DOWN:
-        t = (num << wp) // den
-        z2 = (t * t) >> wp
-        while t > 2:
-            total += t // k
-            t = (t * z2) >> wp
-            k += 2
-    else:
-        t = -((-num << wp) // den)
-        z2 = -((-t * t) >> wp)
-        while t > 2:
-            total -= -t // k
-            t = -((-t * z2) >> wp)
-            k += 2
-        total += 3
-    return 2 * total
+    while t > 2 or t < -2:
+        total += t // k
+        t = (t * z2) >> wp
+        k += 2
+    if direction == UP:
+        total -= 3
+    return 2 * s * total
 
 
 def _arc_inv(x: int, s: int, wp: int, direction: int) -> int:
@@ -448,34 +445,33 @@ def _exp_series(r: int, wp: int, direction: int) -> int:
     cheaper than a term, so k is twice that of `_ln_of_dyadic`.  At
     w = wp + k + 4 bits r / 2**k is exactly r << 4, so the series argument
     is below 0.74 * 2**-k <= 0.37 and needs about w / (k + 1) terms.
-    Squaring is increasing on positive values, so each square rounded in
-    direction keeps the directed contract.  The squarings scale a relative
-    error by 2**k: the series' roundings, about one ulp per term, its 4 ulp
-    tail bound and the rounded squares come to (terms + 5) * 2**k ulps at w,
-    (terms + 5) / 16 ulps at wp.
+    Every term is positive, so DOWN floors each one with >> and //.  UP
+    runs the same loop on the negated values: floor(-x) is -ceil(x), so
+    each negated term is the negated ceiling, and the negated total is the
+    sum rounded up.  The series stops at a term t <= 2 ulps and the ratio
+    of successive terms is below 0.37, so the dropped terms sum below
+    t / (1 - 0.37) <= 4 ulps: DOWN drops them, UP adds 4 ulps.  Squaring
+    is increasing on positive values, so each square rounded in direction
+    (for UP, the floor of the negated square) keeps the directed contract.
+    The squarings scale a relative error by 2**k: the series' roundings,
+    about one ulp per term, its 4 ulp tail bound and the rounded squares
+    come to (terms + 5) * 2**k ulps at w, (terms + 5) / 16 ulps at wp.
     """
+    s = -direction  # 1 for DOWN; UP runs on negated values
     k = math.isqrt(wp)
     w = wp + k + 4
     r <<= 4
-    total = t = 1 << w
+    total = t = s << w
     i = 1
-    if direction == DOWN:
-        while t > 2:
-            t = ((t * r) >> w) // i
-            total += t
-            i += 1
-        for _ in range(k):
-            total = (total * total) >> w
-        return total >> (w - wp)
-    while t > 2:
-        t = -((((-t) * r) >> w) // i)
+    while t > 2 or t < -2:
+        t = ((t * r) >> w) // i
         total += t
         i += 1
-    # r / 2**k < 0.37 so the dropped terms sum below t / (1 - 0.37) <= 4 ulps
-    total += 4
+    if direction == UP:
+        total -= 4
     for _ in range(k):
-        total = -((-(total * total)) >> w)
-    return -((-total) >> (w - wp))
+        total = (s * (total * total)) >> w
+    return s * (total >> (w - wp))
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,17 @@ def test_bound_genus_past_the_limit_exits_1_and_below_it_reports(capsys):
     assert code == 0 and out and not err
 
 
+def test_bound_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise RuntimeError("bound chain gave up")
+
+    monkeypatch.setattr(cli, "full_report", failing)
+    code, out, err = run(capsys, ["bound", "--d", "1", "--g", "2", "--ns", "30"])
+    assert code == 2
+    assert out == ""
+    assert err == "smallpoints: internal error: bound chain gave up\n"
+
+
 def test_bound_zograf_enables_empirical_chain(capsys):
     code, out, _ = run(
         capsys, ["bound", "--d", "1", "--g", "2", "--ns", "2", "--zograf"]
@@ -520,6 +531,19 @@ def test_batch_keeps_going_past_a_computation_giving_up(monkeypatch, tmp_path, c
     assert docs[3]["summary"]["failed"] == 1 and docs[3]["summary"]["parshin_ok"] == "2/2"
 
 
+def test_batch_line_past_the_int_str_limit_exits_1_in_one_line(monkeypatch, tmp_path, capsys):
+    # batch's compact json.dumps refuses the bound report's bare n_s echo
+    # past 4300 digits; the run ends as an input error, not a traceback
+    _, big = digits_past_the_int_str_limit()
+    real = analyze_curve(X5X)
+    monkeypatch.setattr(cli, "analyze_curve",
+                        lambda *args, **kwargs: dataclasses.replace(real, n_s=big))
+    code, out, err = run(capsys, ["batch", corpus_file(tmp_path, [json.dumps({"curve": X5X})])])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("smallpoints: Exceeds the limit") and err.count("\n") == 1
+
+
 def test_batch_empty_file_exits_0(tmp_path, capsys):
     corpus = corpus_file(tmp_path, [])
     code, out, _ = run(capsys, ["batch", corpus])
@@ -585,6 +609,16 @@ def test_heights_index_out_of_range_exits_1(capsys):
     code, _, err = run(capsys, ["heights", "x^2 - 1/2:5"])
     assert code == 1
     assert err == "smallpoints: 'x^2 - 1/2:5': root index 5 out of range for 2 x^2 - 1\n"
+
+
+def test_heights_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
+    # the rational is done before the quadratic's isolation gives up; no
+    # partial document is printed
+    isolation_gives_up(monkeypatch, 2)
+    code, out, err = run(capsys, ["heights", "3/4", "x^2-2"])
+    assert code == 2
+    assert out == ""
+    assert err == f"smallpoints: internal error: {ISOLATION_FAILURE}\n"
 
 
 def test_heights_tsv(capsys):

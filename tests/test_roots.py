@@ -247,6 +247,60 @@ def test_refine_root_box_dispatch():
     assert lower[3] < 0 and lower == (upper[0], upper[1], -upper[3], -upper[2])
 
 
+def _mp_root(f: Poly, near: complex) -> tuple[Fraction, Fraction]:
+    """The 80-digit mpmath root of f nearest to near, as exact fractions
+    (real part, imaginary part)."""
+    with mpmath.workdps(80):
+        coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
+        zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
+        z = min(zs, key=lambda z: abs(z - near))
+        parts = [mpmath.mpf(mpmath.re(z)), mpmath.mpf(mpmath.im(z))]
+    return tuple(Fraction(m) * Fraction(2) ** e for m, e in (v.man_exp for v in parts))
+
+
+def test_real_refinement_bisects_where_the_derivative_has_a_zero():
+    """On [-1, 5] and then [-1, 2], both holding sqrt 2 alone, f' = 2x
+    contains 0, so interval Newton has no step and refinement bisects: the
+    first time the sign change lies below the midpoint 2, the second time
+    above the midpoint 1/2."""
+    f = parse_poly("x^2 - 2")[0]
+    w = 64
+    box = (-1 << w, 5 << w, 0, 0)
+    v, r = refine_root_box(f, box, w, 100)
+    fine, coarse = _exact(v, r), _exact(w, box)
+    re, im = _mp_root(f, 1.4)
+    assert _is_flat(fine) and _near(fine[0], fine[1], re) and im == 0
+    assert _inside(fine, coarse)
+    assert _small_enough(fine, 100)
+
+
+def test_complex_contraction_splits_when_krawczyk_has_no_image(monkeypatch):
+    """With no Krawczyk image for its first five steps, contraction falls
+    back to splitting the box in quarters and keeping the hull of those
+    that do not provably exclude the root; the refined box still holds
+    the root, lies inside the input box and meets the radius target."""
+    f = parse_poly("x^2 + 2")[0]
+    w = 64
+    box = (-1 << w, 1 << w, 1 << w, 2 << w)  # holds i sqrt 2 alone
+    image = roots._krawczyk_image
+    refused = []
+
+    def no_image_at_first(*args):
+        if len(refused) < 5:
+            refused.append(args)
+            return None
+        return image(*args)
+
+    monkeypatch.setattr(roots, "_krawczyk_image", no_image_at_first)
+    v, r = refine_root_box(f, box, w, 100)
+    assert len(refused) == 5
+    fine, coarse = _exact(v, r), _exact(w, box)
+    re, im = _mp_root(f, 1.4j)
+    assert _box_near(fine, re, im)
+    assert _inside(fine, coarse)
+    assert _small_enough(fine, 100)
+
+
 def test_errors():
     with pytest.raises(ValueError):
         isolate_roots(parse_poly("x^2 + 2x + 1")[0])
