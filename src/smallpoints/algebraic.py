@@ -746,19 +746,21 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     raise RuntimeError("height enclosure did not converge")
 
 
-def _factors_over(m: int, primes) -> bool:
-    m = abs(m)
-    if m == 0:
-        return False
-    for p in primes:
-        while m % p == 0:
-            m //= p
-    return m == 1
+def _divides_power_of(m: int, n: int) -> bool:
+    """Whether every prime of m divides n, for m != 0: gcd(m, n) is divided
+    out of m until the gcd is 1, and then m must be +-1.  No prime is
+    needed, only n."""
+    g = math.gcd(m, n)
+    while g != 1:
+        m //= g
+        g = math.gcd(m, g)
+    return abs(m) == 1
 
 
-def is_s_unit(alpha, primes) -> bool:
+def is_s_unit(alpha, n_s: int) -> bool:
     """S-unit test on alpha, or on a root of alpha when it is a minimal
-    polynomial (Poly): both the leading and the constant coefficient of the
-    minimal polynomial must factor completely over the given primes."""
+    polynomial (Poly), for the set S of the primes of n_s >= 1 (N_S): both
+    the leading and the constant coefficient of the minimal polynomial must
+    be nonzero with every prime in S."""
     f = _minpoly(alpha)
-    return _factors_over(f[0], primes) and _factors_over(f.lc(), primes)
+    return f[0] != 0 and _divides_power_of(f[0], n_s) and _divides_power_of(f.lc(), n_s)

@@ -76,7 +76,13 @@ TARGETS = (
     "weierstrass_sum",
 )
 
-GENUS_TWO_C_DELTA = Fraction(-186)
+
+def c_delta_default(g: int) -> Fraction | None:
+    """The lower bound for the minimum of the delta invariant in genus g
+    used when the caller asserts none: -186 at g = 2, and None, no default,
+    in every other genus."""
+    return Fraction(-186) if g == 2 else None
+
 
 # the degree of the cover x: X -> P^1; y^2 = f(x) is a double cover
 DEG_PHI = 2
@@ -95,8 +101,9 @@ def _as_logmag(x, precision: int) -> LogMag:
 class BoundParams:
     """d = [K:Q], genus g >= 2, N_S = product of the primes in S, and the
     absolute discriminant value D_K >= 1.  c_delta is a lower bound for
-    the minimum of the delta invariant in genus g; it defaults to -186
-    for g = 2 and stays None otherwise until the caller asserts one."""
+    the minimum of the delta invariant in genus g; it defaults to
+    c_delta_default(g), -186 for g = 2 and None otherwise, until the
+    caller asserts one."""
 
     d: int
     g: int
@@ -113,10 +120,8 @@ class BoundParams:
             raise ValueError("N_S must be a positive integer")
         if self.d_k < 1:
             raise ValueError("D_K must be a positive integer")
-        if self.c_delta is None and self.g == 2:
-            object.__setattr__(self, "c_delta", GENUS_TWO_C_DELTA)
-        elif self.c_delta is not None:
-            object.__setattr__(self, "c_delta", Fraction(self.c_delta))
+        c_delta = c_delta_default(self.g) if self.c_delta is None else Fraction(self.c_delta)
+        object.__setattr__(self, "c_delta", c_delta)
 
 
 @dataclass
@@ -355,12 +360,12 @@ def noether_ex_bound(
 ) -> LogMag:
     """12*h_F + 4g*ln(2*pi) - c_delta; bounds e(X) from the Faltings height.
 
-    c_delta is a lower bound for the minimum of the delta invariant; only
-    genus 2 has a published value (-186), so other genera must supply one."""
+    c_delta is a lower bound for the minimum of the delta invariant; None
+    reads c_delta_default(g), which only genus 2 has (-186), so other
+    genera must supply one."""
     if c_delta is None:
-        if g == 2:
-            c_delta = GENUS_TWO_C_DELTA
-        else:
+        c_delta = c_delta_default(g)
+        if c_delta is None:
             raise ValueError(
                 "ineffective constant required: no proven lower bound for the "
                 f"delta-invariant minimum in genus {g}; supply c_delta"

@@ -460,7 +460,10 @@ def _height_documents(token: str, precision: int) -> list[dict]:
     text = token
     if ":" in token:
         text, _, tail = token.rpartition(":")
-        index = int(tail)
+        try:
+            index = int(tail)
+        except ValueError:
+            raise ValueError(f"root index {tail!r} is not an integer") from None
     f, _ = parse_poly(text)
     roots = algebraic_roots(f)
     if index is not None:

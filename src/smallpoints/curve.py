@@ -8,8 +8,11 @@ leaves the curve unchanged), and every later stage reads integers:
   * a finite superset S of the bad primes: 2 together with every prime
     dividing the leading coefficient or the discriminant of f, read off the
     pieces of the one factorization f = c * prod f_i that also gives the
-    branch points: c, lc(f_i), disc(f_i) and res(f_i, f_j), each factored
-    on its own, never lc(f) * disc(f) whole,
+    branch points: c, lc(f_i), disc(f_i) and res(f_i, f_j), each distinct
+    piece factored once on its own, never lc(f) * disc(f) whole.  A prime
+    of S at or above 2^64, where the fixed Miller-Rabin bases stop being
+    deterministic, gets one caveat, in ascending order, and no prime is
+    tested again,
   * the 2g+2 branch points (infinity when deg f is odd, plus the roots of
     f) in a deterministic order,
   * a normalized cross-ratio vector: a Mobius transform sends three branch
@@ -37,7 +40,8 @@ leaves the curve unchanged), and every later stage reads integers:
     the exhaustive one.  Of the candidate values only the chosen triple's
     2g-1 are resolved to a root,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
-    Parshin construction expects to hold without exception,
+    Parshin construction expects to hold without exception, read from N_S
+    alone: the gcd of a coefficient with N_S is divided out until it is 1,
   * an empirical lower estimate mu_hat: the largest height among the
     x-coordinates of the finite Weierstrass points.
 
@@ -78,11 +82,11 @@ from .algebraic import (
 from .numeric import (
     DEFAULT_PRECISION,
     DOWN,
+    MR_DETERMINISTIC_LIMIT,
     UP,
     LogMag,
     decimal_str,
     factor,
-    is_prime_with_certainty,
     lm_exp,
     lm_max,
 )
@@ -232,9 +236,9 @@ def _enclosure_dict(enc: tuple[LogMag, LogMag]) -> dict:
 def bad_prime_superset(
     f: Poly, factors: list[Poly], disc: int
 ) -> tuple[list[int], int, list[str]]:
-    """S = {2} union the primes of lc(f) and of disc(f), with caveats when a
-    prime's primality is only probabilistic: lc primes ascending, then disc
-    primes ascending.
+    """S = {2} union the primes of lc(f) and of disc(f), ascending, with N_S
+    = prod S and one caveat per prime of S at or above
+    MR_DETERMINISTIC_LIMIT (2^64), whose primality is only probabilistic.
 
     Both are read off the pieces of f = c * prod f_i, where factors are the
     distinct irreducible f_i (f is squarefree):
@@ -242,30 +246,23 @@ def bad_prime_superset(
         lc(f)   = c * prod lc(f_i)
         disc(f) = c^(2n-2) * prod disc(f_i) * prod_{i<j} res(f_i, f_j)^2
 
-    A large prime of a resultant is then factored once in a small piece,
-    not split off squared from one big integer by Pollard rho.  The
+    Each distinct |piece| is factored once, so a large prime of a resultant
+    is found in a small piece, not split off squared from one big integer
+    by Pollard rho, and no prime that factor returns is tested again.  The
     product of the lc(f_i) must divide lc(f), and the pieces must multiply
     to disc exactly, sign included; RuntimeError otherwise."""
     if disc == 0:
         raise ValueError("discriminant is zero; the model is singular")
     c, rest = divmod(f.lc(), math.prod(h.lc() for h in factors))
-    lc_pieces = [c] + [h.lc() for h in factors]
     discs = [discriminant(h) for h in factors if h.degree() >= 2]
     resultants = [resultant(g, h) for g, h in itertools.combinations(factors, 2)]
     product = math.prod(discs, start=c ** (2 * f.degree() - 2)) * math.prod(resultants) ** 2
-    disc_pieces = [c] + discs + resultants
     if rest or product != disc:
         raise RuntimeError("the factors of f do not reproduce its discriminant")
-    primes = {2}
-    caveats = []
-    for pieces in (lc_pieces, disc_pieces):
-        found = sorted({p for m in {abs(m) for m in pieces} - {1} for p, _ in factor(m)})
-        for p in found:
-            _, kind = is_prime_with_certainty(p)
-            if kind == "probabilistic":
-                caveats.append(f"primality of {p} in S is probabilistic")
-        primes.update(found)
-    s = sorted(primes)
+    pieces = {abs(m) for m in (c, *(h.lc() for h in factors), *discs, *resultants)} - {1}
+    s = sorted({2}.union(*({p for p, _ in factor(m)} for m in pieces)))
+    caveats = [f"primality of {p} in S is probabilistic"
+               for p in s if p >= MR_DETERMINISTIC_LIMIT]
     return s, math.prod(s), caveats
 
 
@@ -548,8 +545,8 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
                 z_index=z,
                 value=lam,
                 height=(lo, hi),
-                lambda_s_unit=is_s_unit(lam, s_primes),
-                one_minus_s_unit=is_s_unit(mobius_minpoly(lam, *ANHARMONIC[1]), s_primes),
+                lambda_s_unit=is_s_unit(lam, n_s),
+                one_minus_s_unit=is_s_unit(mobius_minpoly(lam, *ANHARMONIC[1]), n_s),
             )
             records.append(rec)
         for idx, rec in enumerate(records):

@@ -104,7 +104,10 @@ def _run_product(run: int) -> int:
     return math.prod(_small_primes()[run * _RUN_LENGTH : (run + 1) * _RUN_LENGTH])
 
 
-_MR_DETERMINISTIC_LIMIT = 1 << 64
+# below this limit the fixed Miller-Rabin bases decide primality; a prime
+# at or above it is known only probabilistically, and callers that report
+# how a prime was found flag it by this one comparison
+MR_DETERMINISTIC_LIMIT = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -136,7 +139,7 @@ def is_prime_with_certainty(n: int) -> tuple[bool, str]:
         return n > 1 and all(n % p for p in _MR_BASES if p * p <= n), "deterministic"
     if any(n % p == 0 for p in _MR_BASES):
         return False, "deterministic"
-    if n < _MR_DETERMINISTIC_LIMIT:
+    if n < MR_DETERMINISTIC_LIMIT:
         return not any(_miller_rabin_witness(n, a) for a in _MR_BASES), "deterministic"
     rng = random.Random(n)
     for _ in range(64):

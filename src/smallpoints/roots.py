@@ -273,30 +273,44 @@ _MAX_BITS = 1 << 14
 
 
 def _start_exponent(c: list[int]) -> int:
-    """Least k >= -32 with |c_n| 2^(kn) > sum |c_i| 2^(ki) over i < n: then
-    2^k exceeds the Cauchy radius, so every root has modulus below 2^k."""
+    """Least k with |c_n| 2^(kn) > sum |c_i| 2^(ki) over i < n: then 2^k
+    exceeds the Cauchy radius, so every root has modulus below 2^k.  The
+    test holds at every k above its least one, so the scan starts at -32,
+    moves up while it fails and then down while it holds one step lower.
+    For c_n x^n it holds at every k, and -32 is kept."""
     n = len(c) - 1
-    k = -32
-    while True:
+
+    def holds(k: int) -> bool:
         low = min(0, k) * n  # scales both sides to integers
         lower = sum(abs(ci) << (k * i - low) for i, ci in enumerate(c[:n]))
-        if abs(c[n]) << (k * n - low) > lower:
-            return k
+        return abs(c[n]) << (k * n - low) > lower
+
+    k = -32
+    while not holds(k):
         k += 1
+    if any(c[:n]):
+        while holds(k - 1):
+            k -= 1
+    return k
 
 
-def _start_points(c: list[int], w: int) -> list[tuple[int, int]]:
-    """n points on the circle of radius 2^k, turned off the real axis so
-    that none is real and no two are conjugate.  Only their spread
+def _start_points(c: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """(w, n points at w bits on the circle of radius 2^k), k from
+    _start_exponent, turned off the real axis so that none is real and no
+    two are conjugate.  w doubles from _START_BITS until w + k >= 32, so
+    the circle lies well inside the 2^-w grid.  Only the points' spread
     matters, so cosines and sines rounded to 30 bits will do."""
     n = len(c) - 1
     k = _start_exponent(c)
+    w = _START_BITS
+    while w + k < 32:
+        w *= 2
     pts = []
     for j in range(n):
         t = 2 * math.pi * j / n + 0.7
         a, b = round(math.cos(t) * (1 << 30)), round(math.sin(t) * (1 << 30))
         pts.append(((a << (k + w)) >> 30, (b << (k + w)) >> 30))
-    return pts
+    return w, pts
 
 
 def _aberth(c: list[int], z: list[tuple[int, int]], w: int) -> list[tuple[int, int]]:
@@ -388,8 +402,7 @@ def isolate_roots(f: Poly, precision: int = 32):
     _require_squarefree(f)
     df = f.derivative()
     c = list(f.coeffs)
-    w = _START_BITS
-    z = _start_points(c, w)
+    w, z = _start_points(c)
     while True:
         z = _aberth(c, z, w)
         found = _certify(f, df, z, w)

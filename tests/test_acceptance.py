@@ -143,7 +143,7 @@ def test_criterion_5_s_unit_predicate_vs_brute_force():
         s = rng.choice(s_sets)
         x = Fraction(p, q)
         expected = _factored_s_unit(x.numerator, s) and _factored_s_unit(x.denominator, s)
-        assert is_s_unit(x, s) == expected
+        assert is_s_unit(x, math.prod(s)) == expected
         true_seen += expected
         false_seen += not expected
     assert true_seen > 50 and false_seen > 50
@@ -168,7 +168,7 @@ def test_criterion_5_s_unit_predicate_vs_brute_force():
         if disc >= 0 and math.isqrt(disc) ** 2 == disc:
             continue  # reducible; the predicate under test is about degree 2
         roots = algebraic_roots(Poly([c, b, a]))
-        verdicts = {is_s_unit(r, s) for r in roots}
+        verdicts = {is_s_unit(r, math.prod(s)) for r in roots}
         assert len(verdicts) == 1  # conjugates share the minimal polynomial
         got = verdicts.pop()
 

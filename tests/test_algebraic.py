@@ -741,8 +741,8 @@ def test_coefficient_limits_certify_a_height_above_the_bound():
 def test_height_and_s_unit_read_a_minimal_polynomial():
     for value in (golden(), _cubic_root(), AlgebraicNumber.from_rational(Fraction(-8, 9))):
         assert weil_height(value.minpoly, 64) == weil_height(value, 64)
-        for primes in ([], [2], [2, 3]):
-            assert is_s_unit(value.minpoly, primes) == is_s_unit(value, primes)
+        for n_s in (1, 2, 6):
+            assert is_s_unit(value.minpoly, n_s) == is_s_unit(value, n_s)
 
 
 GOLDEN_HEIGHT = dec_ln((1 + dec_sqrt(5)) / 2) / 2
@@ -793,15 +793,53 @@ def test_height_conjugates_agree():
 
 
 def test_s_units():
-    assert is_s_unit(Fraction(8, 9), [2, 3])
-    assert not is_s_unit(Fraction(10), [2, 3])
-    assert is_s_unit(Fraction(1), [])
-    assert is_s_unit(Fraction(-1), [])
-    assert not is_s_unit(Fraction(0), [2, 3, 5])
-    assert is_s_unit(golden(), [])
+    assert is_s_unit(Fraction(8, 9), 6)
+    assert not is_s_unit(Fraction(10), 6)
+    assert is_s_unit(Fraction(1), 1)
+    assert is_s_unit(Fraction(-1), 1)
+    assert not is_s_unit(Fraction(0), 30)
+    assert is_s_unit(golden(), 1)
     v = sqrt2() / 2  # minpoly 2x^2 - 1
-    assert is_s_unit(v, [2])
-    assert not is_s_unit(v, [3])
+    assert is_s_unit(v, 2)
+    assert not is_s_unit(v, 3)
+
+
+def _s_unit_by_primes(x: Fraction, primes: set) -> bool:
+    """x is nonzero and every prime of its numerator and denominator, read
+    off sympy's factorint, is in primes."""
+    return x != 0 and (set(sympy.factorint(abs(x.numerator)))
+                       | set(sympy.factorint(x.denominator))) <= primes
+
+
+def test_s_unit_by_gcd_with_n_s_matches_the_prime_rule():
+    """is_s_unit reads S only through N_S = prod S.  On seeded prime sets
+    and seeded rationals (0, +-1, S-units, near misses one off an S-unit or
+    one prime outside S away from it, and plain integers) it agrees with
+    the rule on the primes themselves."""
+    rng = random.Random(39)
+    pool = list(sympy.primerange(2, 50)) + [1000003, 2**31 - 1]
+    true_seen = false_seen = 0
+    for _ in range(60):
+        primes = set(rng.sample(pool, rng.randint(0, 5)))
+        n_s = math.prod(primes)
+        outside = [q for q in pool if q not in primes]
+
+        def s_part() -> int:
+            return math.prod(q ** rng.randint(0, 3) for q in primes)
+
+        values = [Fraction(0), Fraction(1), Fraction(-1)]
+        for _ in range(12):
+            u = rng.choice((-1, 1)) * s_part()
+            values += [Fraction(u, s_part()), Fraction(u + rng.choice((-1, 1)), s_part()),
+                       Fraction(u * rng.choice(outside), s_part()),
+                       Fraction(u, s_part() * rng.choice(outside)),
+                       Fraction(rng.randint(-10**6, 10**6))]
+        for x in values:
+            want = _s_unit_by_primes(x, primes)
+            assert is_s_unit(x, n_s) == want, (x, sorted(primes))
+            true_seen += want
+            false_seen += not want
+    assert true_seen > 500 and false_seen > 500
 
 
 def test_infinity_singleton():

@@ -611,6 +611,22 @@ def test_heights_index_out_of_range_exits_1(capsys):
     assert err == "smallpoints: 'x^2 - 1/2:5': root index 5 out of range for 2 x^2 - 1\n"
 
 
+def test_heights_root_index_not_an_integer_exits_1(capsys):
+    code, out, err = run(capsys, ["heights", "x^2-2:a"])
+    assert (code, out) == (1, "")
+    assert err == "smallpoints: 'x^2-2:a': root index 'a' is not an integer\n"
+
+
+def test_analyze_flags_a_probabilistic_prime_once(capsys):
+    # p = 2^64 + 13 divides lc f and disc f = 5^5 p^4
+    p = 18446744073709551629
+    code, out, _ = run(capsys, ["analyze", "--curve", f"y^2 = {p}*x^5 - 1"])
+    assert code == 0
+    caveats = json.loads(out)["curve"]["caveats"]
+    assert caveats.count(f"primality of {p} in S is probabilistic") == 1
+    assert caveats[0] == f"primality of {p} in S is probabilistic"
+
+
 def test_heights_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
     # the rational is done before the quadratic's isolation gives up; no
     # partial document is printed

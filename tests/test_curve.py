@@ -29,7 +29,14 @@ from smallpoints.curve import (
     parse_curve,
 )
 from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
-from smallpoints.polynomial import Poly, discriminant, factor_over_z, parse_poly, render_poly
+from smallpoints.polynomial import (
+    Poly,
+    discriminant,
+    factor_over_z,
+    parse_poly,
+    render_poly,
+    resultant,
+)
 from test_algebraic import (
     _anharmonic_image,
     _chain_cross_ratio,
@@ -147,15 +154,15 @@ def test_bad_prime_superset_includes_two():
 
 def _whole_number_rule(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
     """S, N_S and caveats from factoring |lc| and |disc| each as one integer:
-    the rule the factorization pieces replace, kept as their reference."""
+    the rule the factorization pieces replace, kept as their reference.  A
+    prime of S is flagged once, in S order, when is_prime_with_certainty
+    proves it only probabilistically."""
     primes = {2}
-    caveats = []
     for m in (abs(lc), abs(disc)):
-        for p, _ in factor(m):
-            if is_prime_with_certainty(p)[1] == "probabilistic":
-                caveats.append(f"primality of {p} in S is probabilistic")
-            primes.add(p)
+        primes.update(p for p, _ in factor(m))
     s = sorted(primes)
+    caveats = [f"primality of {p} in S is probabilistic"
+               for p in s if is_prime_with_certainty(p)[1] == "probabilistic"]
     return s, math.prod(s), caveats
 
 
@@ -262,6 +269,51 @@ def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
     assert (s, n_s) == (sorted(want), math.prod(want))
     assert caveats == [f"primality of {p} in S is probabilistic"]
     assert rho_calls == []
+
+
+@pytest.mark.parametrize("curve", [
+    S_CURVES[0],
+    "y^2 = 6*x^5 + 12*x^4 + 6*x - 18",  # |c| = 6 is an lc piece and a disc piece
+    "y^2 = (2*x - 3)*(5*x + 1)*(x^2 + 1)*(x^2 - 2)",
+    f"y^2 = {2**64 + 13}*x^5 - 1",  # a probabilistic prime in lc and disc
+    f"y^2 = x*(x-1)*(x-2)*(x-3)*(x-{2**64 + 13})",
+])
+def test_bad_primes_factor_each_piece_once_and_test_no_prime_again(monkeypatch, curve):
+    """Every primality test bad_prime_superset runs is one that factor makes
+    on the distinct |pieces|, each factored once: no prime that factor
+    returns is tested again to decide its caveat."""
+    f = parse_curve(curve)
+    factors, disc = _factors(f), discriminant(f)
+    c = f.lc() // math.prod(h.lc() for h in factors)
+    pieces = {abs(m) for m in (
+        c, *(h.lc() for h in factors),
+        *(discriminant(h) for h in factors if h.degree() >= 2),
+        *(resultant(g, h) for g, h in itertools.combinations(factors, 2)))} - {1}
+    real_test, real_factor = numeric_mod.is_prime_with_certainty, numeric_mod.factor
+    tests, factored = [], []
+
+    def counting_test(n):
+        tests.append(n)
+        return real_test(n)
+
+    def recording_factor(m):
+        factored.append(m)
+        return real_factor(m)
+
+    # wherever the package holds numeric's primality test, calls are counted
+    for mod in (numeric_mod, curve_mod):
+        for name, value in list(vars(mod).items()):
+            if value is real_test:
+                monkeypatch.setattr(mod, name, counting_test)
+    monkeypatch.setattr(curve_mod, "factor", recording_factor)
+    s, _, caveats = bad_prime_superset(f, factors, disc)
+    in_superset = len(tests)
+    assert sorted(factored) == sorted(pieces)
+    for m in pieces:
+        real_factor(m)
+    assert in_superset == len(tests) - in_superset
+    assert caveats == [f"primality of {p} in S is probabilistic"
+                       for p in s if p >= numeric_mod.MR_DETERMINISTIC_LIMIT]
 
 
 @pytest.mark.parametrize(

@@ -247,15 +247,23 @@ def test_refine_root_box_dispatch():
     assert lower[3] < 0 and lower == (upper[0], upper[1], -upper[3], -upper[2])
 
 
+def _mp_parts(z) -> tuple[Fraction, Fraction]:
+    """(real part, imaginary part) of an mpmath number as exact fractions;
+    man_exp gives |mantissa|, so the sign is read separately."""
+    out = []
+    for v in (mpmath.mpf(mpmath.re(z)), mpmath.mpf(mpmath.im(z))):
+        m, e = v.man_exp
+        out.append((-1 if v < 0 else 1) * Fraction(m) * Fraction(2) ** e)
+    return tuple(out)
+
+
 def _mp_root(f: Poly, near: complex) -> tuple[Fraction, Fraction]:
     """The 80-digit mpmath root of f nearest to near, as exact fractions
     (real part, imaginary part)."""
     with mpmath.workdps(80):
         coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
         zs = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
-        z = min(zs, key=lambda z: abs(z - near))
-        parts = [mpmath.mpf(mpmath.re(z)), mpmath.mpf(mpmath.im(z))]
-    return tuple(Fraction(m) * Fraction(2) ** e for m, e in (v.man_exp for v in parts))
+        return _mp_parts(min(zs, key=lambda z: abs(z - near)))
 
 
 def test_real_refinement_bisects_where_the_derivative_has_a_zero():
@@ -312,11 +320,76 @@ def test_certificate_needs_every_root_once():
     """The count and disjointness checks are what prove no root is missing."""
     f = parse_poly("x^3 - 2x")[0]
     c = [int(x) for x in f.coeffs]
-    z = roots._aberth(c, roots._start_points(c, 64), 64)
+    w, z = roots._start_points(c)
+    assert w == 64
+    z = roots._aberth(c, z, w)
     assert roots._certify(f, f.derivative(), z, 64) is not None
     # a root left out; a root counted twice in place of another
     assert roots._certify(f, f.derivative(), z[:2], 64) is None
     assert roots._certify(f, f.derivative(), [z[0], z[0], z[1]], 64) is None
+
+
+# all four roots have modulus about 2^-817: 5 - c1 x + c4 x^4, with c1 of
+# 821 bits and c4 of 3273
+TINY_ROOTS_QUARTIC = Poly([5, -(2**820 + 3), 0, 0, 2**3272 + 1])
+
+
+def _least_cauchy_exponent(f: Poly) -> int:
+    """The least k with |c_n| 2^(kn) > sum over i < n of |c_i| 2^(ki), by
+    exact Fraction arithmetic, searched from a bound on the root moduli."""
+    c = f.coeffs
+    n = len(c) - 1
+
+    def holds(k):
+        two = Fraction(2) ** k
+        return abs(c[n]) * two**n > sum(abs(ci) * two**i for i, ci in enumerate(c[:n]))
+
+    k = max(abs(x).bit_length() for x in c) + 1
+    while holds(k - 1):
+        k -= 1
+    assert holds(k)
+    return k
+
+
+@pytest.mark.parametrize("f", [
+    Poly([3, -(2**41), 2**80]),  # a conjugate pair of modulus 3^(1/2) 2^-40
+    TINY_ROOTS_QUARTIC,
+    Poly([-(2**800) * 5, 2**800 - 5, 1]),  # roots 5 and -2^800
+    parse_poly("x^3 - 2x")[0],
+])
+def test_start_exponent_is_the_least_cauchy_exponent(f):
+    k = roots._start_exponent(list(f.coeffs))
+    assert k == _least_cauchy_exponent(f)
+    # the roots of f(2^k X) lie inside the unit circle
+    with mpmath.workdps(80):
+        scaled = [mpmath.ldexp(c, k * i) for i, c in enumerate(f.coeffs)]
+        zs = mpmath.polyroots(scaled[::-1], maxsteps=200, extraprec=80)
+        assert max(abs(z) for z in zs) < 1
+    # the start circle lies on the start grid; the 64-bit grid is kept
+    # wherever k >= -32
+    w, _ = roots._start_points(list(f.coeffs))
+    assert w + k >= 32 and (w == 64 or w // 2 + k < 32)
+    assert (w == 64) == (k >= -32)
+
+
+def test_tiny_roots_certify_in_boxes_holding_the_mpmath_roots():
+    """Isolation starts at the Cauchy exponent, about -817, on a grid fine
+    enough for it, so it certifies where a start circle of radius 2^-32
+    gave up at the precision cap.  The quartic is solved in mpmath after
+    x = 2^-817 X, whose coefficients are near 16, 8 and 5."""
+    f = TINY_ROOTS_QUARTIC
+    boxes = _isolate(f)
+    _check_invariants(f, boxes, 32)
+    with mpmath.workdps(80):
+        scaled = [mpmath.ldexp(f[4], -4 * 817), 0, 0, mpmath.ldexp(f[1], -817), 5]
+        zs = [z * mpmath.ldexp(1, -817)
+              for z in mpmath.polyroots(scaled, maxsteps=200, extraprec=80)]
+        parts = [_mp_parts(z) for z in zs]
+    # the boxes are narrower than the mpmath roots' 10^-80 relative error
+    tol = Fraction(1, 10**75) * Fraction(2) ** -817
+    hits = sorted(i for re, im in parts for i, b in enumerate(boxes)
+                  if b[0] - tol <= re <= b[1] + tol and b[2] - tol <= im <= b[3] + tol)
+    assert hits == [0, 1, 2, 3]
 
 
 def test_deterministic():
