@@ -39,9 +39,11 @@ images, x, 1-x and (x-1)/x, stand for the orbit, whose other three values
 are their inverses.  coefficient_limits and height_exceeds certify from
 the coefficients alone, by Mahler's inequality, that a height lies above a
 bound.  The cross-ratio of a rational or infinite triple is one integer
-Mobius map of the fourth point (_cross_ratio_matrix), so cross_ratio
-resolves it once and mobius_minpoly gives its minimal polynomial with no
-resolve.
+Mobius map (a, b, c, d) of the fourth point (_cross_ratio_matrix).  A
+rational or infinite fourth point with homogeneous coordinates (x, y) then
+has the rational cross-ratio (ax + by)/(cx + dy), read on integers; an
+irrational one is resolved once, and mobius_minpoly gives its minimal
+polynomial with no resolve.
 
 Any other cross_ratio reads the set of its four points.  With the points
 a, b, c, d in point_key order, the set has three pairings, products over
@@ -608,18 +610,22 @@ def cross_ratio(p1, p2, p3, z) -> AlgebraicNumber:
     coordinates a point at infinity makes both factors 1 (or both -1), so a
     difference with INFINITY is left out.  The four points must be
     distinct, which keeps the value away from 0, 1 and infinity.  For a
-    rational or infinite p1, p2, p3 the value is one rational Mobius image
-    of z, a single resolve.  Otherwise it is the anharmonic image, by
-    PERMUTATION_IMAGES, of the set_orbit value of the four points in
-    point_key order, so every ordering of a set shares one degree cap, and
-    DegreeCapExceeded means all three quotients of its pairings are
-    capped."""
+    rational or infinite p1, p2, p3 with integer matrix (a, b, c, d)
+    (_cross_ratio_matrix), a rational or infinite z with homogeneous
+    coordinates (x, y) gives (ax + by)/(cx + dy) on integers, and an
+    irrational z the Mobius image of z, a single resolve.  Otherwise the
+    value is the anharmonic image, by PERMUTATION_IMAGES, of the set_orbit
+    value of the four points in point_key order, so every ordering of a set
+    shares one degree cap, and DegreeCapExceeded means all three quotients
+    of its pairings are capped."""
     q1, q2, q3, w = pts = _distinct_points(p1, p2, p3, z)
     matrix = _cross_ratio_matrix(q1, q2, q3)
     if matrix is not None:
-        if w is INFINITY:
-            return AlgebraicNumber.from_rational(Fraction(matrix[0], matrix[2]))
-        return w.mobius(*matrix)
+        if w is not INFINITY and not w.is_rational:
+            return w.mobius(*matrix)
+        a, b, c, d = matrix
+        x, y = _homogeneous(w)
+        return AlgebraicNumber.from_rational(Fraction(a * x + b * y, c * x + d * y))
     order = sorted(range(4), key=lambda i: point_key(pts[i]))
     entry = set_orbit(*(pts[i] for i in order))
     if entry is None:

@@ -37,8 +37,10 @@ leaves the curve unchanged), and every later stage reads integers:
     branch and bound skips every normalization whose integers or
     coefficients alone (Mahler's inequality) certify a height above the
     best upper bound so far: such a candidate cannot win, so the choice is
-    the exhaustive one.  Of the candidate values only the chosen triple's
-    2g-1 are resolved to a root,
+    the exhaustive one.  The search carries minimal polynomials only; the
+    chosen triple's 2g-1 values are then cross_ratio(triple, z), the one
+    definition of a cross-ratio, which resolves each irrational value once
+    and reads a rational one on integers,
   * S-unit flags for each cross-ratio lambda and 1-lambda, which the
     Parshin construction expects to hold without exception, read from N_S
     alone: the gcd of a coefficient with N_S is divided out until it is 1,
@@ -57,7 +59,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebraic import (
     ANHARMONIC,
@@ -69,6 +70,8 @@ from .algebraic import (
     _rational_height,
     algebraic_roots,
     anharmonic_minpolys,
+    # not called here; perfbench/layers.py wraps it under this name, and
+    # tests/test_bench_layers.py checks that the name resolves
     anharmonic_orbit,
     coefficient_limits,
     cross_ratio,
@@ -352,26 +355,11 @@ def _least_rational_triple(points: list) -> tuple[int, int, int]:
     return best[1]
 
 
-def _winner_values(branch: list, coords: dict, triple: tuple, sources) -> list:
+def _winner_values(branch: list, triple: tuple) -> list:
     """(z, cross_ratio(triple, z)) for the points z outside the winning
-    triple, in index order.  sources, one (reference, ANHARMONIC position)
-    per z, gives each value as one anharmonic image of its set's
-    cross-ratio; None, in a rational pool, reads a rational z's value p/q
-    off the integers of the triple's cross-ratio matrix and resolves an
-    irrational z's Mobius image."""
-    rest = [z for z in range(len(branch)) if z not in triple]
-    if sources is not None:
-        return [(z, anharmonic_orbit(ref, (j,))[0]) for z, (ref, j) in zip(rest, sources)]
-    a, b, c, d = _coordinate_matrix(*(coords[i] for i in triple))
-    values = []
-    for z in rest:
-        if z in coords:
-            x, y = coords[z]
-            lam = AlgebraicNumber.from_rational(Fraction(a * x + b * y, c * x + d * y))
-        else:
-            lam = cross_ratio(*(branch[i] for i in triple), branch[z])
-        values.append((z, lam))
-    return values
+    triple, in index order."""
+    return [(z, cross_ratio(*(branch[i] for i in triple), branch[z]))
+            for z in range(len(branch)) if z not in triple]
 
 
 def _normalization_search(branch: list):
@@ -401,8 +389,7 @@ def _normalization_search(branch: list):
 
     When every branch point is rational, the winner is therefore the least
     (H, ordered triple), taken directly (_least_rational_triple): no
-    candidate list, logarithm or height call.  Its values p/q come from
-    the same integers.
+    candidate list, logarithm or height call.
 
     A rational pool that also holds irrational points ranks by branch and
     bound (below).  An irrational z gives one Mobius image of its minimal
@@ -410,8 +397,7 @@ def _normalization_search(branch: list):
     minimal polynomial, and so one image polynomial under a rational
     Mobius map, so the images are built once per distinct minimal
     polynomial among the triple's other points, and its H stands for all
-    its rational values through one upper bound on ln H.  Only the
-    winner's irrational values are resolved, one Mobius image of z each.
+    its rational values through one upper bound on ln H.
 
     Outside a rational pool the candidates come from sets of four branch
     points.  The four orderings (triple, z) of a set, and the three
@@ -421,11 +407,10 @@ def _normalization_search(branch: list):
     anharmonic image of it (_SET_IMAGES), with no resolve.  The degree cap
     stops a set, not an ordering: set_orbit is None only when every
     quotient of the set's pairings is capped, and a triple is skipped, and
-    counted in the degree-cap caveat, exactly when one of its sets is.
-    The winner's 2g-1 values are anharmonic images of their sets'
-    cross-ratios, one resolve each.  A set's entry is a pure function of
-    its four (minimal polynomial, index) pairs, so a later analysis may
-    read it from the table and its output cannot depend on that.
+    counted in the degree-cap caveat, exactly when one of its sets is.  A
+    set's entry is a pure function of its four (minimal polynomial, index)
+    pairs, so a later analysis may read it from the table and its output
+    cannot depend on that.
 
     Branch and bound takes candidates in the order of a floating point
     estimate of their heights (ln H for the rational values).  With u the
@@ -437,13 +422,20 @@ def _normalization_search(branch: list):
     and it cannot win.  A survivor stops its heights as soon as one of them
     loses to the best.  Any candidate that could win or tie gets the same
     upper bounds as in an exhaustive ranking, so neither the order nor the
-    pruning can move the winner."""
+    pruning can move the winner.
+
+    Candidates and the best so far carry minimal polynomials only, no
+    value.  The winner's values are cross_ratio(triple, z) for each z
+    outside it (_winner_values): on integers for a rational z of a
+    rational triple, else one resolve each, a Mobius image of z for a
+    rational triple and, for any other, an anharmonic image of the set's
+    cross-ratio, whose set_orbit entry the search has just stored."""
     n = len(branch)
     coords = {i: _homogeneous(p) for i, p in enumerate(branch)
               if p is INFINITY or p.is_rational}
     if len(coords) == n:
         triple = _least_rational_triple([coords[i] for i in range(n)])
-        return triple, _winner_values(branch, coords, triple, None), []
+        return triple, _winner_values(branch, triple), []
     rational_pool = len(coords) >= 3
     pool = list(coords) if rational_pool else list(range(n))
     caveats = []
@@ -461,7 +453,7 @@ def _normalization_search(branch: list):
             tops = _rational_tops(matrix, [coords[z] for z in rest if z in coords])
             conjugates = dict.fromkeys(branch[z].minpoly for z in rest if z not in coords)
             images = [anharmonic_minpolys(mobius_minpoly(f, *matrix)) for f in conjugates]
-            columns = [([im[pos] for im in images], None) for _, pos in _NORMALIZATIONS]
+            columns = [[im[pos] for im in images] for _, pos in _NORMALIZATIONS]
         else:
             # (set_orbit of the set, the point of the set that is z) for
             # each z; branch points are in point_key order, so are the sets
@@ -473,19 +465,16 @@ def _normalization_search(branch: list):
                 skipped += len(_NORMALIZATIONS)
                 continue
             tops = (0, 0, 0)
-            columns = [([orbit[_SET_IMAGES[t, pos]] for (_, orbit), t in members],
-                        [(lam, _SET_IMAGES[t, pos]) for (lam, _), t in members])
+            columns = [[orbit[_SET_IMAGES[t, pos]] for (_, orbit), t in members]
                        for _, pos in _NORMALIZATIONS]
-        for (order, _), H, (polys, sources) in zip(_NORMALIZATIONS, tops, columns):
+        for (order, _), H, polys in zip(_NORMALIZATIONS, tops, columns):
             key = max([math.log(H) if H else 0.0] + [_estimated_height(f) for f in polys])
-            candidates.append((key, tuple(combo[i] for i in order), H, polys, sources))
+            candidates.append((key, tuple(combo[i] for i in order), H, polys))
     # best first, so that the bound is tight early; the order decides only
     # how much is pruned, never which candidate wins
     candidates.sort(key=lambda c: c[:2])
 
-    # (upper bound, triple, (reference, ANHARMONIC position) of each value
-    # or None in a rational pool)
-    best = None
+    best = None  # (upper bound, triple)
     limits: dict[int, tuple] = {}  # degree d -> coefficient_limits(d, best upper bound)
 
     def limit(d: int) -> tuple:
@@ -493,7 +482,7 @@ def _normalization_search(branch: list):
             limits[d] = coefficient_limits(d, best[0])
         return limits[d]
 
-    for _, triple, H, polys, sources in candidates:
+    for _, triple, H, polys in candidates:
         if best is not None and (
             H > limit(1)[0] or any(height_exceeds(f.coeffs, limit(f.degree())) for f in polys)
         ):
@@ -506,20 +495,19 @@ def _normalization_search(branch: list):
         uppers = []
         for _, up in enclosures:
             uppers.append(up)
-            if best is not None and (up, triple) > best[:2]:
+            if best is not None and (up, triple) > best:
                 break
         else:
             h_up = lm_max(*uppers)
-            if best is None or (h_up, triple) < best[:2]:
-                best = (h_up, triple, sources)
+            if best is None or (h_up, triple) < best:
+                best = (h_up, triple)
                 limits.clear()
     if skipped:
         caveats.append(f"{skipped} candidate triples skipped by the degree cap")
     if best is None:
         caveats.append("no feasible normalization triple under the degree cap")
         return None, [], caveats
-    _, triple, sources = best
-    return triple, _winner_values(branch, coords, triple, sources), caveats
+    return best[1], _winner_values(branch, best[1]), caveats
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:

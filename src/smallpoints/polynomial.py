@@ -761,12 +761,17 @@ class _PolyParser:
 
         sum     := [sign] term (sign term)*
         term    := factor ("*" factor)*
-        factor  := rational [x-power] | x-power | "(" sum ")" [power]
+        factor  := integer [power] [x-power] | fraction [x-power] | x-power
+                   | "(" sum ")" [power]
         x-power := x [power]
         power   := ("^" | "**") digits
 
-    A rational written right before x ("2x", "1/2 x") multiplies it, and a
-    power is a non-negative integer.  No power exponent and no product or
+    A number written right before x ("2x", "1/2 x", "2^3x") multiplies it,
+    and a power is a non-negative integer.  An integer's power is checked
+    as that of its parenthesized form, so "2^10" and "(2)^10" are one
+    polynomial under the same limits; a fraction literal such as "3/2"
+    takes a power only in parentheses, "(3/2)^2", since "3/2^2" would read
+    as 3/(2^2) in ordinary notation.  No power exponent and no product or
     power degree may exceed MAX_PARSE_DEGREE, no power size
     MAX_PARSE_BITS, and no numerator or denominator of a literal, product
     or sum MAX_PARSE_BITS bits; each is checked before the polynomial is
@@ -843,6 +848,13 @@ class _PolyParser:
         if tok[:1].isdigit():
             self.i += 1
             c = _literal(tok)
+            if self.peek() in ("^", "**"):
+                e = self.power()
+                if "/" in tok:
+                    raise ValueError(f"a power of the fraction {tok} needs parentheses: "
+                                     f"write ({tok})^{e}")
+                _check_power(Poly([c.numerator]), 1, e)
+                c = Fraction(c.numerator**e)
             f = self.x_power() if self.peek() in ("x", "X") else Poly.one()
             return f * c.numerator, c.denominator
         if tok in ("x", "X"):

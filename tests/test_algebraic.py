@@ -569,6 +569,28 @@ def test_rational_triple_cross_ratio_is_one_mobius_image(monkeypatch):
         mobius_minpoly(5, *alg._cross_ratio_matrix(_point(5), _point(0), _point(1)))
 
 
+def test_rational_cross_ratio_is_read_on_integers(monkeypatch):
+    # a rational or infinite z of a rational or infinite triple: every
+    # ordering of each set, so INFINITY takes each of the four positions,
+    # equals the Fraction oracle with no Mobius resolve
+    mobius_calls = []
+    mobius = AlgebraicNumber.mobius
+
+    def counting(self, *matrix):
+        mobius_calls.append(matrix)
+        return mobius(self, *matrix)
+
+    monkeypatch.setattr(AlgebraicNumber, "mobius", counting)
+    infinity_at = set()
+    for points in _rational_four_sets(20):
+        for s in itertools.permutations(points):
+            got = cross_ratio(*(_point(p) for p in s))
+            assert got.as_fraction() == _fraction_cross_ratio(*s), s
+            infinity_at.update(i for i, p in enumerate(s) if p is INFINITY)
+    assert mobius_calls == []
+    assert infinity_at == {0, 1, 2, 3}
+
+
 def _approx(p) -> complex:
     """The centre of p's 60-bit root box."""
     w, (a, b, u, v) = p.refined_box(60)

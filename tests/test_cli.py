@@ -111,6 +111,18 @@ def test_analyze_unparseable_curve_exits_1(capsys):
     assert err
 
 
+def test_analyze_integer_power_prints_the_expanded_report(capsys):
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 2^10"])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["analyze", "--curve", "y^2 = x^5 - 1024"])[1]
+
+
+def test_analyze_power_of_a_fraction_literal_exits_1(capsys):
+    code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 3/2^2"])
+    assert code == 1 and out == ""
+    assert "write (3/2)^2" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("curve", [
     "y^2 = x^1000000 - 1",
     "y^2 = x^5 - ((((2)^256)^256)^256)^256",

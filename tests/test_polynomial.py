@@ -606,7 +606,7 @@ def test_parse_poly():
 
 def test_parse_poly_errors():
     for bad in ("", "x + + 3", "y^2", "x^-2", "1.5x", "x 3", "(x-1", "(x-1)^-2",
-                "(x-1)^(1/2)", "(x-1)(x+1)", "2^3", "x^2^3", "()", "x*", "(x-1)^"):
+                "(x-1)^(1/2)", "(x-1)(x+1)", "2^3^2", "x^2^3", "()", "x*", "(x-1)^"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 
@@ -693,6 +693,29 @@ def test_parse_poly_products_and_powers():
     assert parse_poly("(2/3*x + 1/3)^2") == (P(1, 4, 4), 9)
     assert parse_poly("(x^2 + 1)^0 * 7") == (P(7), 1)
     assert parse_poly("((x))^2*3x") == (P(0, 0, 0, 3), 1)
+
+
+def test_parse_poly_integer_literals_take_a_power():
+    assert parse_poly("2^10") == parse_poly("(2)^10") == (P(1024), 1)
+    assert parse_poly("10**3") == (P(1000), 1)
+    assert parse_poly("2^3x^5 - 1") == (P(-1, 0, 0, 0, 0, 8), 1)
+    assert parse_poly("x^5 - 2^10") == parse_poly("x^5 - 1024")
+    assert parse_poly("(2^63)^2") == parse_poly("((2)^63)^2") == (P(2 ** 126), 1)
+    # the same limits, with the same messages, as the parenthesized form
+    for bare, parenthesized in (("2^257", "(2)^257"), ("(2^63)^64", "((2)^63)^64"),
+                                ("2^1000000", "(2)^1000000")):
+        with pytest.raises(ValueError) as want:
+            parse_poly(parenthesized)
+        with pytest.raises(ValueError) as got:
+            parse_poly(bare)
+        assert str(got.value) == str(want.value), bare
+    # the tokenizer holds 3/2 as one literal, which ordinary notation would
+    # read as 3/(2^2): the message asks for parentheses
+    with pytest.raises(ValueError, match=re.escape("write (3/2)^2")):
+        parse_poly("3/2^2")
+    with pytest.raises(ValueError, match=re.escape("write (4/2)^3")):
+        parse_poly("4/2^3")
+    assert parse_poly("(3/2)^2") == (P(9), 4)
 
 
 def _sympy_coeffs(text: str) -> list:
