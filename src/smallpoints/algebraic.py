@@ -89,6 +89,7 @@ from .numeric import (
     lm_div,
     lm_exp,
     lm_log,
+    lm_log_ends,
     lm_mul,
     lm_sub,
     lm_sum,
@@ -717,8 +718,9 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _rational_height(H: int, precision: int) -> tuple[LogMag, LogMag]:
     """(ln H rounded DOWN, ln H rounded UP) at precision bits: the height
-    of every rational u/v in lowest terms with max(|u|, |v|) = H."""
-    return lm_log(H, precision, DOWN), lm_log(H, precision, UP)
+    of every rational u/v in lowest terms with max(|u|, |v|) = H, both
+    ends from one run of the ln kernel."""
+    return lm_log_ends(H, precision)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -726,20 +728,23 @@ def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     """weil_height of a root of the minimal polynomial, of degree at least
     2, with these coefficients.  The logarithms and their sums carry 16
     guard bits, and only the final division by the degree rounds to
-    precision."""
+    precision.  ln of the leading coefficient is taken once, both ends
+    from one run of the ln kernel, whatever precision the root boxes need;
+    each root's log is taken once per box precision, one end each."""
     f = Poly(coeffs)
     if f.lc() == 1 and cyclotomic_index(f) is not None:
         return LogMag.zero(precision, DOWN), LogMag.zero(precision, UP)
     n = f.degree()
     an = f.lc()
     wp = precision + 16
+    ln_an = lm_log_ends(an, wp)
     target = Fraction(1, 1 << (precision // 2))
     p = max(64, precision)
     for _ in range(16):
         w, boxes = _boxes(coeffs, p)
         one = 1 << 2 * w  # |alpha|**2 bounds are ints over 2**(2w)
-        lo_terms = [lm_log(an, wp, DOWN)]
-        hi_terms = [lm_log(an, wp, UP)]
+        lo_terms = [ln_an[0]]
+        hi_terms = [ln_an[1]]
         for b in boxes:
             s_lo, s_hi = fx_abs_sq(b)
             lo_terms.append(lm_div(lm_log(Fraction(max(one, s_lo), one), wp, DOWN), 2, wp, DOWN))

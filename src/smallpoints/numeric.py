@@ -24,22 +24,27 @@ unconditionally rather than with high probability.  The constants ln 2,
 log2 10, 2*pi and ln(2*pi) come from one series routine, `_arc_inv`, and one
 cache, `_constant_table`, keyed by the working precision rounded up to a
 multiple of 64 bits; each entry lies within about one ulp (ln(2*pi) within
-20, far inside the 48 guard bits `lm_ln_two_pi` reads it with).  Rounding by
-a power of two is a shift: floor(a / 2**s) is a >> s and the ceiling is
--((-a) >> s), negative a included.  The ln and exp series shrink their
-argument first (Brent & Zimmermann, Modern Computer Arithmetic, 4.4): at wp
-bits, ln takes k ~ sqrt(wp) / 2 directed integer square roots, so the atanh
-argument is below 2**-(k+1), and exp divides its argument by 2**k and
-squares the result k times; either series then needs about wp / (2k) terms
-instead of wp / 3.  The series loops make no helper call per term.
+a few, far inside the 48 guard bits `lm_ln_two_pi` reads it with).
+Rounding by a power of two is a shift: floor(a / 2**s) is a >> s and the
+ceiling is -((-a) >> s), negative a included.  The ln and exp series shrink
+their argument first (Brent & Zimmermann, Modern Computer Arithmetic, 4.4).
+At w bits, ln multiplies its mantissa by factors 1 - 2**-j, j = 2, 5, 8, ...
+up to r ~ sqrt(w), each step a shift and a subtraction, and adds their logs
+from a second cache, `_reduction_table`, also one per 64-bit width class;
+the atanh argument is then below 2**(2-r), so the series needs about w / 2r
+terms instead of w / 3.  exp divides its argument by 2**k, k ~ sqrt(w), and
+squares the result k times, so its series needs about w / k terms.  The
+series loops make no helper call per term.  A ln error bound is stated, so
+one DOWN run gives both ends of a log (`lm_log_ends`).
 
 A decimal string is the exact |x| truncated toward zero to its significant
 digits, so it depends on the value alone and no kernel's rounding can move
 it: 1/2 prints as 5.000...e-1, and a DOWN value just below 1157 prints as
 1.1569999...e+3, never above the bound it shows.  Moderate exponents are
 scaled exactly with integers; huge or tiny values evaluate 2**frac by one
-directed exp, with the working precision raised until both ends of the
-enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
+DOWN exp series, whose stated error gives the upper end too, with the
+working precision raised until both ends of the enclosure truncate alike
+(Ziv, ACM TOMS 17, 1991).
 """
 
 from __future__ import annotations
@@ -377,9 +382,9 @@ def _constant_table(name: str, wp: int, direction: int) -> int:
     bits, so after the directed shift each end lies within about one ulp:
     the series' errors, under 2 ulps a term over fewer than wp terms, stay
     far below it.  ln(2 pi) is `_ln_of_dyadic` of the 2 pi entry at the same
-    width, about sqrt(wp) / 8 + 3 ulps wide (19 at 16,448 bits): its series'
-    sqrt(wp) terms err by 1/8 ulp each, the two ln 2 of 2 pi's exponent by
-    one ulp each."""
+    width: 2 pi lies in [4, 8), so each end is within 2 * 2 + 2 = 6 ulps of
+    the log of its entry, which the entry's one ulp moves by under one; the
+    ends measure 3 to 4 ulps apart at every width up to 16,448 bits."""
     if name == "ln2":
         return _shift_dir(2 * _arc_inv(3, 1, wp + 64, direction), 64, direction)
     if name == "log2_10":
@@ -403,25 +408,67 @@ def _constant(name: str, wp: int, direction: int) -> int:
     return _shift_dir(_constant_table(name, wpb, direction), wpb - wp, direction)
 
 
-def _sqrt_dir(a: int, wp: int, direction: int) -> int:
-    """sqrt(a * 2**-wp) * 2**wp directed, for a >= 0."""
-    n = a << wp
-    r = math.isqrt(n)
-    if direction == UP and r * r != n:
-        r += 1
-    return r
+@lru_cache(maxsize=None)
+def _reduction_table(wp: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The steps of `_ln_of_dyadic`'s reduction at wp bits: pairs (j,
+    -ln(1 - 2**-j) * 2**wp) for j = 2, 5, 8, ... up to isqrt(wp), as a
+    tuple rounded DOWN and one rounded UP, each entry within one ulp.
+
+    -ln(1 - y) = atanh(y) - ln(1 - y**2) / 2, so entry j is atanh(2**-j)
+    plus half of entry 2j; the j and their doublings up to W = wp + 64
+    form the set ks.  atanh(2**-k) is the sum over odd n of 2**-kn / n,
+    whose term at W bits is floor(2**(W-2n) / n) >> (k-2) n, so one
+    division per n serves every k.  n runs downward, so each sum grows
+    from its smallest term.  One run of floors gives both ends: a term or
+    a halving floored errs by under one, the terms with kn > W sum below
+    one, and so does half the entry of a k past W/2.  So each lower sum
+    plus its count of terms, one for the dropped ones and the ceiling of
+    the upper half-entry is an upper bound, and the two lie far less than
+    2**64 apart, so after the 64-bit shift, floor and ceiling, each end is
+    within one ulp.  Every third j keeps the build short: about 27 ms at
+    16,512 bits, against about 38 ms for every j, once per width class."""
+    js = range(2, math.isqrt(wp) + 1, 3)
+    big = wp + 64
+    ks = sorted({j << i for j in js for i in range(big.bit_length()) if j << i <= big})
+    sums = dict.fromkeys(ks, 0)
+    for n in range((big // 2 - 1) | 1, 0, -2):
+        head = (1 << (big - 2 * n)) // n
+        for k in ks:
+            if k * n > big:
+                break
+            sums[k] += head >> ((k - 2) * n)
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for k in reversed(ks):
+        # (big // k + 1) // 2 odd n have kn <= big
+        lo[k] = sums[k] + (lo[2 * k] >> 1 if 2 * k in lo else 0)
+        hi[k] = sums[k] + (big // k + 1) // 2 + 1 + (-(-hi[2 * k] >> 1) if 2 * k in hi else 1)
+    return (tuple((j, lo[j] >> 64) for j in js),
+            tuple((j, -(-hi[j] >> 64)) for j in js))
 
 
 def _ln_of_dyadic(m: int, e: int, wp: int, direction: int) -> int:
-    """ln(m * 2**e) * 2**wp directed, for any positive integer m.
+    """ln(m * 2**e) * 2**wp directed, for any positive integer m.  Either
+    end lies within 2 |b| + 2 ulps of the exact value, b = e + bits(m) - 1
+    the binary exponent, so a DOWN result plus that is an UP one
+    (`lm_log_ends`).
 
-    The mantissa ratio x = m / 2**(bl-1) in [1, 2) is reduced by k square
-    roots, ln x = 2**k ln(x**(2**-k)), at w = wp + k + 4 bits.  Then the
-    atanh argument is below 2**-(k+1), so the series needs about w / (2k)
-    terms instead of wp / 3.  Each root is rounded in direction and sqrt is
-    increasing, so the directed contract carries over; the series' 3 ulp
-    tail bound at w becomes 3 * 2**k ulps at w after the scaling, which is
-    3/16 of an ulp at wp.
+    b ln 2 takes ln 2 directed at wp, within two ulps.  The mantissa ratio
+    x = m / 2**(b-e) in [1, 2) is reduced at w = wp + bits(wp) + 8 bits,
+    rounded up to a multiple of 64, by shift and subtract (Brent &
+    Zimmermann, Modern Computer Arithmetic, 4.4): for j = 2, 5, 8, ... up
+    to r = isqrt(w), while x (1 - 2**-j) stays at least 1, x takes that
+    value and the sum takes -ln(1 - 2**-j) from `_reduction_table`.  After
+    the steps at j, x < 1 / (1 - 2**-j), so the next j, three larger,
+    takes at most nine steps, and the residual is below 1 + 2**(3-r): the
+    atanh argument is below 2**(2-r) and the series needs about w / (2r)
+    terms.  DOWN subtracts the ceiling of x / 2**j and UP its floor, so
+    the residual errs in direction, as does every table entry: the
+    contract carries over.  At w, the first rounding of x and each step
+    err by under one ulp, each entry by about one, and the series by under
+    4 T + 12 for its T <= w / (2r - 4) + 1 terms, together under
+    8 sqrt(w) + 48 ulps, which the final shift by at least bits(wp) + 8
+    bits leaves below one ulp at wp.
     """
     bl = m.bit_length()
     binexp = e + bl - 1
@@ -431,13 +478,20 @@ def _ln_of_dyadic(m: int, e: int, wp: int, direction: int) -> int:
     else:
         total = 0
     if m != 1 << (bl - 1):
-        k = max(1, math.isqrt(wp) // 2)
-        w = wp + k + 4
+        w = -(-(wp + wp.bit_length() + 8) // 64) * 64
+        one = 1 << w
+        down = direction == DOWN
         x = _shift_dir(m, bl - 1 - w, direction)
-        for _ in range(k):
-            x = _sqrt_dir(x, w, direction)
-        series = _ln_atanh_series(x, 1 << w, w, direction)
-        total += _shift_dir(series << k, w - wp, direction)
+        reduced = 0
+        for j, entry in _reduction_table(w)[not down]:
+            # x (1 - 2**-j) rounded in direction
+            y = x + (-x >> j) if down else x - (x >> j)
+            while y >= one:
+                x = y
+                reduced += entry
+                y = x + (-x >> j) if down else x - (x >> j)
+        series = _ln_atanh_series(x, one, w, direction)
+        total += _shift_dir(reduced + series, w - wp, direction)
     return total
 
 
@@ -445,9 +499,9 @@ def _exp_series(r: int, wp: int, direction: int) -> int:
     """exp(r * 2**-wp) * 2**wp directed, for 0 <= r < 0.74 * 2**wp.
 
     exp(r) = exp(r / 2**k) ** (2**k), with k = isqrt(wp): a square is
-    cheaper than a term, so k is twice that of `_ln_of_dyadic`.  At
-    w = wp + k + 4 bits r / 2**k is exactly r << 4, so the series argument
-    is below 0.74 * 2**-k <= 0.37 and needs about w / (k + 1) terms.
+    cheaper than a term.  At w = wp + k + 4 bits r / 2**k is exactly
+    r << 4, so the series argument is below 0.74 * 2**-k <= 0.37 and it
+    takes T <= w // k + 1 terms.
     Every term is positive, so DOWN floors each one with >> and //.  UP
     runs the same loop on the negated values: floor(-x) is -ceil(x), so
     each negated term is the negated ceiling, and the negated total is the
@@ -457,8 +511,11 @@ def _exp_series(r: int, wp: int, direction: int) -> int:
     is increasing on positive values, so each square rounded in direction
     (for UP, the floor of the negated square) keeps the directed contract.
     The squarings scale a relative error by 2**k: the series' roundings,
-    about one ulp per term, its 4 ulp tail bound and the rounded squares
-    come to (terms + 5) * 2**k ulps at w, (terms + 5) / 16 ulps at wp.
+    under 1.25 ulps a term (a floored term carries 0.37 / i of the error
+    of the one before), its 4 ulp tail bound and the rounded squares come
+    to a relative error under (1.25 T + 5) * 2**(k-w).  So where exp(r) < 2
+    a result errs by under (5 T + 20) / 32 ulps at wp, and one more for the
+    final shift.
     """
     s = -direction  # 1 for DOWN; UP runs on negated values
     k = math.isqrt(wp)
@@ -838,14 +895,27 @@ def lm_log(x, prec: int, mode: int) -> LogMag:
     Cost grows with the bit length of the exponent integer, which stays tiny
     (a few dozen bits) even for the largest bound values in this package.
     """
-    x = _coerce(x, prec, mode)
-    if x.sign <= 0:
+    return lm_log_ends(_coerce(x, prec, mode), prec)[mode == UP]
+
+
+def lm_log_ends(x, prec: int) -> tuple[LogMag, LogMag]:
+    """(ln x rounded DOWN, ln x rounded UP) of a positive value, each end
+    what lm_log gives.  x is rounded to prec bits DOWN for the lower end and
+    UP for the upper one; when both are x itself, as for a LogMag or an int
+    of at most prec bits, one DOWN run of the kernel at wp = prec + 48 +
+    bits(exponent) gives both ends, the upper one plus the kernel's stated
+    error, 2 |b| + 2 ulps at wp."""
+    lo, hi = _coerce(x, prec, DOWN), _coerce(x, prec, UP)
+    if lo.sign <= 0:
         raise ValueError("log requires a positive value")
-    if x._cmp(1) == 0:
-        return LogMag(0, 0, 0, prec, mode)
-    wp = prec + 48 + abs(x.exp).bit_length()
-    total = _ln_of_dyadic(x.man, x.exp - x.prec, wp, mode)
-    return _round(total, 1, -wp, prec, mode)
+    if lo._cmp(hi) != 0:
+        return lm_log_ends(lo, prec)[0], lm_log_ends(hi, prec)[1]
+    if lo._cmp(1) == 0:
+        return LogMag(0, 0, 0, prec, DOWN), LogMag(0, 0, 0, prec, UP)
+    wp = prec + 48 + abs(lo.exp).bit_length()
+    total = _ln_of_dyadic(lo.man, lo.exp - lo.prec, wp, DOWN)
+    return (_round(total, 1, -wp, prec, DOWN),
+            _round(total + 2 * abs(lo.exp - 1) + 2, 1, -wp, prec, UP))
 
 
 _EXP_ARG_LIMIT = 1 << 16
@@ -946,11 +1016,17 @@ def _scaled_floor(m: int, e: int, k: int, wp: int) -> int:
 
     The value is m * 2**(t_int + f) for t = e + k log2 10 split at an
     integer t_int.  With log2 10 directed at w = wp + bits(k) bits, t has an
-    enclosure about 2**-wp wide; f's ends, rounded outward to wp bits, lie
-    in [0, 1 + 2**-wp], and 2**f = exp(f ln 2), f ln 2 < 0.7, is one
-    directed `_exp_series` at each end.  If the two ends floor to different
-    integers, wp doubles: the value is not an integer, so some wp separates
-    it from both neighbours (Ziv, ACM TOMS 17, 1991).
+    enclosure about 2**-wp wide; f's ends, rounded outward to wp bits, are
+    f_lo in [0, 1) and f_hi, a few ulps above.  One DOWN `_exp_series` at
+    a = floor(f_lo ln 2), ln 2 rounded DOWN, gives lo <= 2**f_lo, and both
+    ends come from it: with ln 2 within two ulps, f_lo ln 2 - a < 3 ulps,
+    and with T <= (wp + q + 4) // q + 1 terms, q = isqrt(wp), the series is
+    below exp(a) by under err = (5 T + 20) / 32 + 1 ulps.  So
+    2**f_hi < (lo + err) exp((3 + 0.7 (f_hi - f_lo)) 2**-wp), and as
+    exp(y) <= 1 + 2 y for y <= 1, hi = (lo + err) (1 + 2 (f_hi - f_lo + 3)
+    2**-wp), rounded up, is above it.  If lo and hi floor to different
+    integers, wp doubles: the value is not an integer, so some wp
+    separates it from both neighbours (Ziv, ACM TOMS 17, 1991).
     """
     while True:
         w = wp + abs(k).bit_length()
@@ -961,7 +1037,9 @@ def _scaled_floor(m: int, e: int, k: int, wp: int) -> int:
         f_lo = (t_lo - (t_int << w)) >> (w - wp)
         f_hi = -(((t_int << w) - t_hi) >> (w - wp))
         lo = _exp_series((f_lo * _constant("ln2", wp, DOWN)) >> wp, wp, DOWN)
-        hi = _exp_series(-((-f_hi * _constant("ln2", wp, UP)) >> wp), wp, UP)
+        q = math.isqrt(wp)
+        top = lo + _div_dir(5 * ((wp + q + 4) // q + 1) + 20, 32, UP) + 1
+        hi = top + _shift_dir(top * 2 * (f_hi - f_lo + 3), wp, UP)
         n_lo = _shift_dir(m * lo, wp - t_int, DOWN)
         n_hi = _shift_dir(m * hi, wp - t_int, DOWN)
         if n_lo == n_hi:

@@ -392,6 +392,39 @@ def test_rational_heights_take_one_entry_per_h():
     assert _fields(weil_height(1, 64)) == _fields((LogMag.zero(64, DOWN), LogMag.zero(64, UP)))
 
 
+def test_heights_take_each_log_once(monkeypatch):
+    """A rational height takes ln H in one run of the ln kernel, both ends
+    from it, unless H has more bits than the precision and rounds two ways;
+    a height of higher degree takes ln of the leading coefficient once,
+    whatever box precisions its roots need.  Both roots of 3x^2 - 2 lie
+    inside the unit circle, so that log is its only one."""
+    import smallpoints.numeric as numeric
+
+    calls = []
+    kernel = numeric._ln_of_dyadic
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
+    alg._rational_height.cache_clear()
+    alg._height.cache_clear()
+    for H, precision, runs in ((7, 64, 1), (999983, 128, 1), (2**70 + 1, 2048, 1),
+                               (2**70 + 1, 64, 2)):
+        calls.clear()
+        lo, hi = alg._rational_height(H, precision)
+        assert len(calls) == runs, (H, precision)
+        assert lo.to_fraction() <= dec_ln(H) + DEC_TOL and hi.to_fraction() >= dec_ln(H) - DEC_TOL
+        assert _fields((lo, hi)) == _fields((lm_log(H, precision, DOWN), lm_log(H, precision, UP)))
+    calls.clear()
+    lo, hi = alg._height((-2, 0, 3), 128)
+    assert len(calls) == 1
+    assert lo.to_fraction() <= dec_ln(3) / 2 + DEC_TOL and hi.to_fraction() >= dec_ln(3) / 2 - DEC_TOL
+    alg._rational_height.cache_clear()
+    alg._height.cache_clear()
+
+
 def test_degree_cap():
     r = algebraic_roots(parse_poly("x^9 - 2")[0])
     a = [x for x in r if x.degree == 9][0]

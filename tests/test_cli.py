@@ -15,6 +15,7 @@ import smallpoints.algebraic as algebraic
 import smallpoints.cli as cli
 from smallpoints.cli import TSV_HEADER, _precision, dumps_indented, main
 from smallpoints.curve import analyze_curve
+import smallpoints.numeric as numeric
 from smallpoints.numeric import decimal_str
 from test_bounds import REPORT_SCHEMA
 from test_golden import ANALYZE, HEIGHTS, OTHER, _bound_commands
@@ -30,6 +31,21 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--d", "2", "--g", "5", "--ns", "30030", "--precision", "2048", "--cdelta", "-7",
+     "--zograf"],
+    ["analyze", "--curve", "y^2 = x^5 - x", "--precision", "512"],
+])
+def test_output_does_not_depend_on_the_constant_tables(capsys, argv):
+    """A report printed right after the constant and ln reduction tables
+    are emptied is byte for byte the one printed again from warm tables."""
+    numeric._constant_table.cache_clear()
+    numeric._reduction_table.cache_clear()
+    cold = run(capsys, argv)
+    assert numeric._reduction_table.cache_info().currsize
+    assert cold[0] == 0 and cold == run(capsys, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from smallpoints.numeric import (
     _ln_atanh_series,
     _ln_of_dyadic,
     _pow_int,
+    _reduction_table,
     _round,
+    _scaled_floor,
     _shift_dir,
     decimal_str,
     factor,
@@ -44,6 +46,7 @@ from smallpoints.numeric import (
     lm_exp,
     lm_ln_two_pi,
     lm_log,
+    lm_log_ends,
     lm_max,
     lm_mul,
     lm_pow,
@@ -569,6 +572,95 @@ def test_ln_kernel_brackets_mpmath_across_precisions():
                 assert hi - lo <= 4 * (abs(binexp) + 1) + 64, (wp, m, binexp)
 
 
+def test_ln_kernel_lies_within_its_stated_bound():
+    """At the working widths of 64-bit to 16,384-bit reports, each end of
+    _ln_of_dyadic brackets the mpmath value within the 2 |b| + 2 ulps its
+    docstring states, b the binary exponent: at the mantissa 2**(wp-1) + 1,
+    whose ratio to 2**(wp-1) lies below every reduction step, at 2**wp - 1,
+    where the steps start next to 2, and at seeded random ones."""
+    rng = random.Random(41)
+    for wp in (64, 176, 2110, 8256, 16448):
+        h = 1 << (wp - 1)
+        for m in (h + 1, 2 * h - 1, rng.randrange(h, 2 * h), rng.randrange(h, 2 * h)):
+            for binexp in (0, -1, 10**6):
+                e = binexp - (wp - 1)
+                exact = mp_ln_dyadic_fixed(m, e, wp)
+                lo = _ln_of_dyadic(m, e, wp, DOWN)
+                hi = _ln_of_dyadic(m, e, wp, UP)
+                bound = 2 * abs(binexp) + 2
+                assert lo <= exact <= hi, (wp, m, binexp)
+                assert exact - lo < bound and hi - exact < bound, (wp, m, binexp)
+
+
+def test_reduction_table_brackets_mpmath():
+    """Every -ln(1 - 2**-j) entry, at the widths the ln kernel runs at for
+    the working precisions above, brackets the mpmath value, each pair at
+    most two ulps wide, for j = 2, 5, 8, ... up to isqrt(width)."""
+    import mpmath
+
+    for w in (64, 192, 2176, 8320, 16512):
+        down, up = _reduction_table(w)
+        js = list(range(2, math.isqrt(w) + 1, 3))
+        assert [j for j, _ in down] == [j for j, _ in up] == js
+        with mpmath.workprec(w + 128):
+            scale = mpmath.mpf(2) ** w
+            for (j, lo), (_, hi) in zip(down, up):
+                exact = -mpmath.log1p(-mpmath.mpf(2) ** -j) * scale
+                assert lo <= exact <= hi and hi - lo <= 2, (w, j)
+
+
+def _mp_scaled_floor(m: int, e: int, k: int, digits: int) -> int:
+    """floor(m * 2**e * 10**k) from mpmath at four times the digits of the
+    floor, for values far from an integer."""
+    import mpmath
+
+    with mpmath.workdps(4 * digits):
+        return int(mpmath.floor(mpmath.mpf(m) * mpmath.mpf(2) ** e * mpmath.mpf(10) ** k))
+
+
+def test_scaled_floor_is_exact():
+    """_scaled_floor returns floor(m * 2**e * 10**k) exactly, scaled to
+    about 26 digits as a 24-digit decimal string asks: against integer
+    arithmetic where 2**e * 10**k can be formed, and against mpmath on
+    towers such as 10**(3 * 10**8), its inverse and u(g)."""
+    from smallpoints.bounds import u_g
+
+    rng = random.Random(4141)
+    for e, k in ((-5000, 1400), (6000, -1800), (-300, 60), (1000, -280), (-40000, 12000)):
+        for _ in range(5):
+            m = rng.randrange(1 << 127, 1 << 128) | 1
+            exact = (m * 10 ** max(k, 0) << max(e, 0)) // (10 ** max(-k, 0) << max(-e, 0))
+            assert _scaled_floor(m, e, k, 128) == exact, (m, e, k)
+    towers = [lm_pow(10, 3 * 10**8, 128, mode) for mode in (UP, DOWN)]
+    towers += [lm_pow(10, -3 * 10**8, 128, mode) for mode in (UP, DOWN)]
+    towers += [lm_pow(7, 10**5, 128, UP)] + [u_g(g, 128) for g in (2, 3, 5)]
+    for x in towers:
+        m, e = x.man, x.exp - x.prec
+        k = 25 - math.floor(x.log10_float())
+        n = _scaled_floor(m, e, k, 4 * 24 + 32)
+        assert 10**24 <= n < 10**27
+        assert n == _mp_scaled_floor(m, e, k, 27), x
+
+
+def test_scaled_floor_doubles_its_precision_next_to_an_integer(monkeypatch):
+    """A value 10**-31 (below 2**-100) above or below an integer cannot be
+    told from it at 64 bits: Ziv's loop doubles the precision, one exp
+    series per pass, and returns the exact floor."""
+    calls = []
+    series = numeric._exp_series
+
+    def counting(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(numeric, "_exp_series", counting)
+    for n, d in ((10**6 + 7, 1), (10**6 + 7, -1), (3**40, 1)):
+        calls.clear()
+        m = n * 10**31 + d
+        assert _scaled_floor(m, 0, -31, 64) == (n if d > 0 else n - 1)
+        assert [wp for _, wp, _ in calls][:2] == [64, 128], calls
+
+
 def test_exp_kernel_brackets_mpmath_across_precisions():
     """_exp_of_fixed and lm_exp, at working precisions from the smallest
     LogMag ones up to those of 2048-bit bound reports, bracket the mpmath
@@ -681,6 +773,41 @@ def test_series_kernels_match_their_two_loop_form():
         q = rng.choice((1 << (wp + 8), rng.randint(1, 1 << (wp + 8)), rng.randint(1, 50)))
         p = rng.choice((q, q + 1, 2 * q - 1, 2 * q, rng.randint(q, 2 * q)))
         check(r, p, q, wp)
+
+
+def test_log_ends_are_lm_logs_from_one_kernel_run(monkeypatch):
+    """lm_log_ends gives what lm_log gives DOWN and UP, from one run of the
+    ln kernel when the argument is exact at the precision, and from one
+    run per end when it rounds two ways."""
+    calls = []
+    kernel = numeric._ln_of_dyadic
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
+    cases = [(3, 1), (10**6 + 3, 1), (LogMag.from_fraction(Fraction(22, 7), 64, UP), 1),
+             (lm_pow(10, 3 * 10**8, 128, UP), 1), (Fraction(1, 1024), 1),
+             (Fraction(22, 7), 2), (2**200 + 1, 2)]
+    for x, runs in cases:
+        calls.clear()
+        lo, hi = lm_log_ends(x, 128)
+        assert len(calls) == runs, x
+        for end, mode in ((lo, DOWN), (hi, UP)):
+            want = lm_log(x, 128, mode)
+            assert (end.sign, end.man, end.exp, end.prec, end.mode) == (
+                want.sign, want.man, want.exp, want.prec, mode), (x, mode)
+        assert lo < hi
+    # ln x a tiny step above a grid point g: the DOWN run may fall below
+    # g, and only its stated error takes the UP end past g
+    for prec in (64, 128, 2048):
+        g = LogMag(1, (3 << (prec - 2)) + 1, 1, prec, DOWN)
+        lo, hi = lm_log_ends(lm_exp(g, prec + 80, UP), prec)
+        assert lo <= g < hi, prec
+    assert [v.is_zero() for v in lm_log_ends(1, 64)] == [True, True]
+    with pytest.raises(ValueError):
+        lm_log_ends(0, 64)
 
 
 def test_log_of_one_is_exact_zero():
