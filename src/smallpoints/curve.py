@@ -123,11 +123,14 @@ _SET_IMAGES = {
 }
 
 
-def parse_curve(text: str) -> Poly:
-    """Read 'y^2 = f(x)' (or just f) and return the integral model.
+def parse_curve(text: str) -> tuple[Poly, int]:
+    """Read 'y^2 = f(x)' (or just f) and return the integral model with its
+    discriminant.
 
     Raises ValueError for the zero polynomial, genus < 2 or a singular
-    model, naming the repeated factor in the singular case.
+    model, naming the repeated factor in the singular case.  The
+    discriminant decides squarefreeness, so a gcd with f' runs only on a
+    singular model, to name its repeated factors.
     """
     m = _EQUATION_RE.match(text)
     f, d = parse_poly(m.group(1) if m else text)
@@ -140,11 +143,12 @@ def parse_curve(text: str) -> Poly:
         )
     # y -> y/d turns y^2 = f/d into the integral model y^2 = d^2 (f/d) = d f
     f = f * d
-    g = poly_gcd(f, f.derivative())
-    if g.degree() > 0:
+    disc = discriminant(f)
+    if disc == 0:
+        g = poly_gcd(f, f.derivative())
         names = ", ".join(render_poly(h) for h in factor_over_z(g))
         raise ValueError(f"singular model: repeated factor {names}")
-    return f
+    return f, disc
 
 
 @dataclass
@@ -511,9 +515,8 @@ def _normalization_search(branch: list):
 
 
 def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
-    f = parse_curve(text)
+    f, disc = parse_curve(text)
     genus = (f.degree() - 1) // 2
-    disc = discriminant(f)
     branch = branch_point_list(f, genus)
     # the distinct minimal polynomials of the branch points are the
     # irreducible factors of f, so f is factored over Z only once

@@ -83,30 +83,63 @@ def decimal_str(n: int) -> str:
 # primality and factorization
 
 
-# trial division covers the primes below _TRIAL_LIMIT, in runs of _RUN_LENGTH.
-# Above _PRIME_TEST_BITS one Miller-Rabin base costs more than the gcds with
-# all the run products (5.4 against 4.6 ms at 1024 bits, 33 against 8.6 ms at
-# 2048), so a larger cofactor is not tested until the runs have shrunk it.
+# Trial division covers the primes below _TRIAL_LIMIT in _RUNS runs by
+# interval: run 0 holds the primes below _RUN_WIDTH, and run r >= 1 those
+# in [r * _RUN_WIDTH, (r + 1) * _RUN_WIDTH), cut off at _TRIAL_LIMIT.  No
+# table of all the primes is kept: run r >= 1 is sieved with the primes of
+# run 0 (which reach past sqrt(_TRIAL_LIMIT)) the first time a composite
+# cofactor reaches it, and only its product is cached.  Above
+# _PRIME_TEST_BITS one Miller-Rabin base costs more than the gcds with all
+# the run products (3.4 against 3.9 ms at 1024 bits, 6.1 against 4.7 ms at
+# 1280 and 22 against 6.8 ms at 2048 on a 2-vCPU VM, Python 3.11.7), so a
+# larger cofactor is not tested until the runs have shrunk it.
 _TRIAL_LIMIT = 10**6
-_RUN_LENGTH = 1024
+_RUN_WIDTH = 1 << 13
+_RUNS = -(-_TRIAL_LIMIT // _RUN_WIDTH)
 _PRIME_TEST_BITS = 1024
 
 
 @lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
+def _first_run() -> tuple[int, ...]:
+    """The primes below _RUN_WIDTH: run 0, and the base primes of the
+    sieves of the later runs."""
+    sieve = bytearray([1]) * _RUN_WIDTH
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
+    for p in range(2, math.isqrt(_RUN_WIDTH - 1) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_LIMIT + 1, p)))
-    return tuple(itertools.compress(range(_TRIAL_LIMIT + 1), sieve))
+            sieve[p * p :: p] = bytes(len(range(p * p, _RUN_WIDTH, p)))
+    return tuple(itertools.compress(range(_RUN_WIDTH), sieve))
+
+
+def _run_primes(run: int) -> list[int]:
+    """The primes of run >= 1, ascending, by a sieve over the odd numbers
+    of its interval [lo, hi).  Entry i stands for lo + 2i + 1, and an odd
+    base prime p < lo crosses out its odd multiples from the one i with
+    2i + lo + 1 = 0 mod p, i = -(lo + 1) (p + 1)/2 mod p, copying its zeros
+    from one buffer."""
+    lo = run * _RUN_WIDTH
+    hi = min(lo + _RUN_WIDTH, _TRIAL_LIMIT)
+    size = (hi - lo) // 2
+    sieve = bytearray([1]) * size
+    zeros = memoryview(bytes(size))
+    for p in _first_run()[1:]:
+        if p * p >= hi:
+            break
+        i = -(lo + 1) * ((p + 1) // 2) % p
+        sieve[i::p] = zeros[: (size - 1 - i) // p + 1]
+    return list(itertools.compress(range(lo + 1, hi, 2), sieve))
 
 
 @lru_cache(maxsize=None)
 def _run_product(run: int) -> int:
-    """The product of the primes of one trial-division run, built the first
-    time a cofactor reaches that run."""
-    return math.prod(_small_primes()[run * _RUN_LENGTH : (run + 1) * _RUN_LENGTH])
+    """The product of the primes of run >= 1, sieved the first time a
+    cofactor reaches that run: math.prod over 64 primes at a time, then a
+    binary product tree, since math.prod over a whole run is quadratic in
+    its length."""
+    xs, k = _run_primes(run), 64
+    while len(xs) > 1:
+        xs, k = [math.prod(xs[i : i + k]) for i in range(0, len(xs), k)], 2
+    return xs[0]
 
 
 # below this limit the fixed Miller-Rabin bases decide primality; a prime
@@ -214,34 +247,33 @@ def _trial_division(n: int, out: dict[int, int]) -> int:
     cofactor; return the cofactor left, 1 or a composite whose prime factors
     all exceed 10**6.
 
-    The first run of primes divides n one prime at a time.  Each later run
-    is entered only by a composite cofactor, and one gcd with the run's
-    product skips it when none of its primes divides n (Bernstein, J.
-    Algorithms 54, 2005).  A cofactor with no factor below the run's first
-    prime p is prime when it is below p**2 or passes the primality test,
-    which runs after the first run and after each run that divides n, on
-    cofactors of at most _PRIME_TEST_BITS bits.
+    The primes of run 0 divide n one at a time.  Each later run r is entered
+    only by a composite cofactor, and one gcd with the run's product skips
+    it when none of its primes divides n (Bernstein, J. Algorithms 54,
+    2005); a gcd > 1 sieves the run again to name its primes.  A cofactor
+    entering run r has no prime factor below r * _RUN_WIDTH, so it is prime
+    when it is below (r * _RUN_WIDTH)**2 or passes the primality test, which
+    runs after run 0 and after each run that divides n, on cofactors of at
+    most _PRIME_TEST_BITS bits.
     """
-    primes = _small_primes()
-    for p in primes[:_RUN_LENGTH]:
+    for p in _first_run():
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    runs = -(-len(primes) // _RUN_LENGTH)
     run = 1
-    while n > 1 and run < runs:
-        if n < primes[run * _RUN_LENGTH] ** 2 or (
+    while n > 1 and run < _RUNS:
+        if n < (run * _RUN_WIDTH) ** 2 or (
             n.bit_length() <= _PRIME_TEST_BITS and is_prime(n)
         ):
             out[n] = 1
             return 1
-        while run < runs:
+        while run < _RUNS:
             g = math.gcd(n, _run_product(run))
             run += 1
             if g > 1:
-                for p in primes[(run - 1) * _RUN_LENGTH : run * _RUN_LENGTH]:
+                for p in _run_primes(run - 1):
                     if g % p == 0:
                         while n % p == 0:
                             out[p] = out.get(p, 0) + 1
@@ -256,12 +288,14 @@ def _trial_division(n: int, out: dict[int, int]) -> int:
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
 
-    factor(1) is the empty list.  Trial division below 10**6 in runs of
-    primes (`_trial_division`), which stops at a prime cofactor, then
-    Pollard rho with Miller-Rabin primality on the cofactors.  A cofactor
-    that is a perfect power is split by an integer root first: rho on p**2
-    needs about sqrt(p) steps, because gcd(x - y, p**2) only exposes p after
-    the sequence cycles mod p.
+    factor(1) is the empty list.  Trial division by every prime below
+    10**6, in runs by interval that are sieved when a cofactor first
+    reaches them (`_trial_division`), stops at a prime cofactor; Pollard
+    rho with Miller-Rabin primality then splits the cofactor left, all of
+    whose prime factors exceed 10**6.  A cofactor that is a perfect power
+    is split by an integer root first: rho on p**2 needs about sqrt(p)
+    steps, because gcd(x - y, p**2) only exposes p after the sequence
+    cycles mod p.
     """
     if n < 1:
         raise ValueError("factor requires a positive integer")

@@ -739,15 +739,16 @@ def cyclotomic_index(f: Poly) -> int | None:
 # The largest degree parse_poly builds, far above any curve the pipeline
 # can analyze; anything larger is rejected before it is built.
 MAX_PARSE_DEGREE = 256
-# The largest power size parse_poly builds: a power f^e is rejected before
-# it is expanded when e * S exceeds this, with S the total bit length of
-# the numerators and denominators of the coefficients of f in lowest
-# terms.  Every coefficient of f^e then has numerator and denominator
-# below 2^(e * S + MAX_PARSE_DEGREE), so nested powers of a constant cannot
-# blow up either.  The largest powers the two limits admit, such as
-# (x + 8191)^256, expand in about half a second.  A literal, a product or
-# a sum is rejected before it is built when a numerator or denominator of
-# its coefficients could have more than MAX_PARSE_BITS bits.
+# The largest power size parse_poly builds: a power f^e of a nonconstant
+# f is rejected before it is expanded when e * S exceeds this, with S the
+# total bit length of the numerators and denominators of the coefficients
+# of f in lowest terms.  Every coefficient of f^e then has numerator and
+# denominator below 2^(e * S + MAX_PARSE_DEGREE).  The largest powers the
+# two limits admit, such as (x + 8191)^256, expand in about half a second.
+# A power of a constant is capped by its size alone, like a literal: a
+# literal, a product, a sum or a constant power is rejected when a
+# numerator or denominator of its coefficients has more than
+# MAX_PARSE_BITS bits, checked before it is built.
 MAX_PARSE_BITS = 1 << 12
 # a literal with more digits than 2^MAX_PARSE_BITS is over the limit, and
 # is rejected before it is converted
@@ -771,11 +772,13 @@ class _PolyParser:
     as that of its parenthesized form, so "2^10" and "(2)^10" are one
     polynomial under the same limits; a fraction literal such as "3/2"
     takes a power only in parentheses, "(3/2)^2", since "3/2^2" would read
-    as 3/(2^2) in ordinary notation.  No power exponent and no product or
-    power degree may exceed MAX_PARSE_DEGREE, no power size
-    MAX_PARSE_BITS, and no numerator or denominator of a literal, product
-    or sum MAX_PARSE_BITS bits; each is checked before the polynomial is
-    expanded.
+    as 3/(2^2) in ordinary notation.  No power of x or of a nonconstant
+    polynomial may have an exponent or degree over MAX_PARSE_DEGREE, and no
+    product a degree over it; no such power may have a size over
+    MAX_PARSE_BITS; and no numerator or denominator of a literal, product,
+    sum or constant power may have more than MAX_PARSE_BITS bits, so
+    "2^4000" parses as its 1205-digit literal does.  Each is checked before
+    the polynomial is expanded.
 
     Each rule returns a pair (f, d) standing for f/d, with f over Z and
     d >= 1 coprime to the content of f; sums and products are brought back
@@ -849,12 +852,11 @@ class _PolyParser:
             self.i += 1
             c = _literal(tok)
             if self.peek() in ("^", "**"):
-                e = self.power()
+                e = self.power(MAX_PARSE_BITS)
                 if "/" in tok:
                     raise ValueError(f"a power of the fraction {tok} needs parentheses: "
                                      f"write ({tok})^{e}")
-                _check_power(Poly([c.numerator]), 1, e)
-                c = Fraction(c.numerator**e)
+                c = Fraction(_constant_power(c.numerator, 1, e)[0])
             f = self.x_power() if self.peek() in ("x", "X") else Poly.one()
             return f * c.numerator, c.denominator
         if tok in ("x", "X"):
@@ -865,6 +867,9 @@ class _PolyParser:
             if self.peek() != ")":
                 raise self.error()
             self.i += 1
+            if inner.degree() <= 0:
+                n, d = _constant_power(inner[0], d, self.power(MAX_PARSE_BITS))
+                return Poly([n]), d
             e = self.power()
             _check_power(inner, d, e)
             return inner**e, d**e
@@ -874,7 +879,11 @@ class _PolyParser:
         self.i += 1
         return Poly([0] * self.power() + [1])
 
-    def power(self) -> int:
+    def power(self, limit: int = MAX_PARSE_DEGREE) -> int:
+        """The exponent of an optional power, at most limit: MAX_PARSE_DEGREE
+        for x or a nonconstant polynomial, MAX_PARSE_BITS for a constant,
+        since a larger exponent takes every constant but 0 and +-1 past
+        MAX_PARSE_BITS bits."""
         if self.peek() not in ("^", "**"):
             return 1
         self.i += 1
@@ -884,9 +893,9 @@ class _PolyParser:
         self.i += 1
         # count the digits first, so a huge exponent is never converted
         digits = len(tok.lstrip("0"))
-        if digits > len(str(MAX_PARSE_DEGREE)) or int(tok) > MAX_PARSE_DEGREE:
+        if digits > len(str(limit)) or int(tok) > limit:
             shown = tok if digits <= 20 else f"of {digits} digits"
-            raise ValueError(f"exponent {shown} exceeds the limit {MAX_PARSE_DEGREE}")
+            raise ValueError(f"exponent {shown} exceeds the limit {limit}")
         return int(tok)
 
 
@@ -941,6 +950,21 @@ def _check_power(f: Poly, d: int, e: int) -> None:
         size += (c // g).bit_length() + (d // g).bit_length()
     if size * e > MAX_PARSE_BITS:
         raise ValueError(f"power of {size * e} coefficient bits exceeds the limit {MAX_PARSE_BITS}")
+
+
+def _constant_power(n: int, d: int, e: int) -> tuple[int, int]:
+    """(n^e, d^e) for a constant n/d in lowest terms, capped by size: with b
+    the larger bit length of |n| and d, the power has at least (b - 1) e + 1
+    bits, so it is rejected when that exceeds MAX_PARSE_BITS; otherwise it
+    has at most b e, about twice the limit, and is built and checked
+    exactly."""
+    bits = max(abs(n).bit_length(), d.bit_length())
+    if (bits - 1) * e + 1 > MAX_PARSE_BITS:
+        raise ValueError(f"power of at least {(bits - 1) * e + 1} coefficient bits "
+                         f"exceeds the limit {MAX_PARSE_BITS}")
+    n, d = n**e, d**e
+    _check_bits(n, d)
+    return n, d
 
 
 def parse_poly(text: str) -> tuple[Poly, int]:

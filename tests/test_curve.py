@@ -64,6 +64,29 @@ def test_parse_rejects_singular_model():
     assert str(exc.value) == "singular model: repeated factor x - 2, x^2 + 1"
 
 
+def test_squarefree_model_takes_one_discriminant_and_no_gcd(monkeypatch):
+    # squarefreeness is read off disc f, which analyze_curve reuses; the
+    # gcd with f' runs only on a singular model, to name its factors
+    discs = []
+    real_gcd = curve_mod.poly_gcd
+
+    def counting_discriminant(f):
+        discs.append(f)
+        return discriminant(f)
+
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd on a squarefree model")
+
+    monkeypatch.setattr(curve_mod, "discriminant", counting_discriminant)
+    monkeypatch.setattr(curve_mod, "poly_gcd", no_gcd)
+    a = analyze_curve("y^2 = x^5 - x")
+    # bad_prime_superset takes the discriminants of the factors of f
+    assert discs.count(a.f) == 1 and a.disc == -256
+    monkeypatch.setattr(curve_mod, "poly_gcd", real_gcd)
+    with pytest.raises(ValueError, match="singular model: repeated factor x - 1"):
+        parse_curve("y^2 = x^5 - 2*x^4 + x^3")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_curve("y^2 = not a polynomial")
@@ -73,17 +96,18 @@ def test_parse_accepts_equation_and_bare_forms():
     a = parse_curve("y^2 = x^5 - x")
     b = parse_curve("y**2 = x^5 - x")
     c = parse_curve("x^5 - x")
-    assert a == b == c == Poly([0, -1, 0, 0, 0, 1])
+    # disc(x^5 - x) = -256 (sympy.discriminant)
+    assert a == b == c == (Poly([0, -1, 0, 0, 0, 1]), -256)
 
 
 def test_parse_clears_denominators():
-    assert parse_curve("y^2 = 1/4*x^5 - 1/4*x") == Poly([0, -4, 0, 0, 0, 4])
-    assert parse_curve("y^2 = 1/6*x^5 - 7/4*x + 1/3") == Poly([48, -252, 0, 0, 0, 24])
+    assert parse_curve("y^2 = 1/4*x^5 - 1/4*x")[0] == Poly([0, -4, 0, 0, 0, 4])
+    assert parse_curve("y^2 = 1/6*x^5 - 7/4*x + 1/3")[0] == Poly([48, -252, 0, 0, 0, 24])
     # the model is d^2 times the text polynomial f/d: y -> y/d
     for text in ("1/4*x^5 - 1/4*x", "1/6*x^5 - 7/4*x + 1/3", "(2/3*x + 1)^5 + 1/9",
                  "3/5*x^6 - 2/7*x + 1/35", "(1/2*x - 1/3)^2*(x^3 + 1) + 1/5", "2*x^5 - 6"):
         f, d = parse_poly(text)
-        model = parse_curve(f"y^2 = {text}")
+        model, _ = parse_curve(f"y^2 = {text}")
         assert [Fraction(c) for c in model.coeffs] == [d * d * Fraction(c, d) for c in f.coeffs]
 
 
@@ -120,7 +144,7 @@ def test_genus_three_curve():
 
 
 def test_branch_points_odd_degree():
-    f = parse_curve("y^2 = x^5 - x")
+    f, _ = parse_curve("y^2 = x^5 - x")
     pts = branch_point_list(f, 2)
     assert len(pts) == 6
     assert pts[0] is INFINITY
@@ -131,7 +155,7 @@ def test_branch_points_odd_degree():
 
 
 def test_branch_points_even_degree():
-    f = parse_curve("y^2 = x^6 - 1")
+    f, _ = parse_curve("y^2 = x^6 - 1")
     pts = branch_point_list(f, 2)
     assert len(pts) == 6
     assert INFINITY not in pts
@@ -222,7 +246,7 @@ S_CURVES = _seeded_curves(24) + [
 
 @pytest.mark.parametrize("curve", S_CURVES)
 def test_bad_primes_match_whole_number_rule_and_sympy(curve):
-    f = parse_curve(curve)
+    f, _ = parse_curve(curve)
     lc, disc = f.lc(), discriminant(f)
     got = bad_prime_superset(f, _factors(f), disc)
     assert got == _whole_number_rule(lc, disc)
@@ -235,7 +259,7 @@ def test_bad_primes_match_whole_number_rule_and_sympy(curve):
 
 
 def test_lc_prime_outside_disc_is_in_s():
-    f = parse_curve("y^2 = 3*x^5 + x^4 + 1")
+    f, _ = parse_curve("y^2 = 3*x^5 + x^4 + 1")
     disc = discriminant(f)
     assert disc % 3 != 0
     assert 3 in bad_prime_superset(f, _factors(f), disc)[0]
@@ -261,7 +285,7 @@ def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
     # one such prime
     rho_calls = []
     monkeypatch.setattr(numeric_mod, "_pollard_rho", rho_calls.append)
-    f = parse_curve(f"y^2 = x*(x-1)*(x-2)*(x-3)*(x-{p})")
+    f, _ = parse_curve(f"y^2 = x*(x-1)*(x-2)*(x-3)*(x-{p})")
     s, n_s, caveats = bad_prime_superset(f, _factors(f), discriminant(f))
     want = {2, 3, p}
     for k in (1, 2, 3):
@@ -282,7 +306,7 @@ def test_bad_primes_factor_each_piece_once_and_test_no_prime_again(monkeypatch, 
     """Every primality test bad_prime_superset runs is one that factor makes
     on the distinct |pieces|, each factored once: no prime that factor
     returns is tested again to decide its caveat."""
-    f = parse_curve(curve)
+    f, _ = parse_curve(curve)
     factors, disc = _factors(f), discriminant(f)
     c = f.lc() // math.prod(h.lc() for h in factors)
     pieces = {abs(m) for m in (
@@ -326,7 +350,7 @@ def test_bad_primes_factor_each_piece_once_and_test_no_prime_again(monkeypatch, 
     ],
 )
 def test_bad_primes_reject_factors_that_miss_the_discriminant(corrupt):
-    f = parse_curve("y^2 = 3*x^5 - 3*x")
+    f, _ = parse_curve("y^2 = 3*x^5 - 3*x")
     with pytest.raises(RuntimeError, match="discriminant"):
         bad_prime_superset(f, corrupt(_factors(f)), discriminant(f))
 
@@ -340,7 +364,7 @@ QUADRATIC_FACTOR_CURVE = (
 
 
 def test_bad_primes_need_no_pollard_rho_and_one_factorization(monkeypatch):
-    f = parse_curve(QUADRATIC_FACTOR_CURVE)
+    f, _ = parse_curve(QUADRATIC_FACTOR_CURVE)
     rho_calls = []
     factored = []
 
@@ -589,7 +613,7 @@ SEARCH_CURVES = [
 
 @pytest.mark.parametrize("curve", SEARCH_CURVES)
 def test_search_matches_ranking_on_resolved_values(curve):
-    f = parse_curve(curve)
+    f, _ = parse_curve(curve)
     branch = branch_point_list(f, (f.degree() - 1) // 2)
     _check_search_against_resolving(branch)
 
@@ -712,7 +736,7 @@ def test_rational_triple_ignores_the_resultant_degree_cap():
     The four-difference chain still hits the cap on those values; where
     it stays under the cap it agrees exactly, and elsewhere the values are
     checked against the cross-ratio of the branch points' numeric roots."""
-    f = parse_curve("y^2 = x*(x-1)*(x-2)*(x^9-2)*(x^2-3)")
+    f, _ = parse_curve("y^2 = x*(x-1)*(x-2)*(x^9-2)*(x^2-3)")
     branch = branch_point_list(f, (f.degree() - 1) // 2)
     triple, lams, caveats = _normalization_search(branch)
     assert triple is not None and len(lams) == len(branch) - 3
@@ -808,7 +832,7 @@ EXACT_TIE_CURVES = list(zip(EXACT_TIES, [(0, 5, 7), (3, 6, 7)], [1975, 55]))
 
 @pytest.mark.parametrize("curve, triple, least", EXACT_TIE_CURVES)
 def test_exact_ties_go_to_the_first_triple(curve, triple, least):
-    f = parse_curve(curve)
+    f, _ = parse_curve(curve)
     branch = branch_point_list(f, (f.degree() - 1) // 2)
     assert _check_search_against_exact_heights(branch)[0] == least
     assert analyze_curve(curve).normalization.triple == triple
@@ -835,7 +859,7 @@ def test_rational_rank_separates_consecutive_heights():
 
 
 def test_search_prunes_exact_heights(monkeypatch):
-    f = parse_curve("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)")
+    f, _ = parse_curve("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)")
     branch = branch_point_list(f, (f.degree() - 1) // 2)
     n = len(branch)
     k = sum(p is INFINITY or p.is_rational for p in branch)
@@ -906,7 +930,7 @@ def test_search_resolves_only_the_winning_values(monkeypatch):
 
     for text in ("y^2 = x*(x - 1)*(x + 2)*(x - 3)*(x + 4)*(x^2 + x + 7)",
                  "y^2 = (x^2 - 2)*(x^3 - 3*x + 1)*(x - 5)*(x + 1)*(x - 2)"):
-        f = parse_curve(text)
+        f, _ = parse_curve(text)
         branch = branch_point_list(f, (f.degree() - 1) // 2)
         monkeypatch.setattr(algebraic_mod, "_resolve_among", counting)
         triple, lams, _ = _normalization_search(branch)

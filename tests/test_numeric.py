@@ -107,8 +107,13 @@ def test_factor_splits_prime_powers_without_rho(monkeypatch):
 
 
 def _runs():
-    primes = numeric._small_primes()
-    return [primes[i : i + numeric._RUN_LENGTH] for i in range(0, len(primes), numeric._RUN_LENGTH)]
+    # the trial-division runs by interval, from sympy: run 0 below the
+    # width, run r in [r * width, (r + 1) * width), cut off at 10**6
+    import sympy
+
+    width = numeric._RUN_WIDTH
+    bounds = list(range(0, 10**6, width)) + [10**6]
+    return [list(sympy.primerange(max(lo, 2), hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def test_factor_at_trial_division_run_boundaries(monkeypatch):
@@ -153,6 +158,32 @@ def test_factor_prime_cofactor_builds_no_run_product():
     # a composite cofactor goes through the run products
     assert factor(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
     assert numeric._run_product.cache_info().currsize == len(_runs()) - 1
+
+
+def test_run_primes_are_sympys():
+    runs = _runs()
+    assert len(runs) == numeric._RUNS
+    assert list(numeric._first_run()) == runs[0]
+    for run in range(1, len(runs)):
+        assert numeric._run_primes(run) == runs[run], run
+
+
+_FACTOR_PEAK = """
+import tracemalloc
+from smallpoints.numeric import factor
+
+tracemalloc.start()
+assert factor(2**5 * 3 * 8161 * (10**9 + 7)) == [(2, 5), (3, 1), (8161, 1), (10**9 + 7, 1)]
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_factor_in_a_fresh_process_builds_no_prime_table():
+    # the first factor call of a process allocates run 0 and no table of
+    # every prime below 10**6 (about 3.5 MB)
+    proc = fresh_interpreter(["-c", _FACTOR_PEAK], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256 * 1024
 
 
 def test_is_prime():

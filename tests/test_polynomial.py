@@ -645,7 +645,10 @@ def forbid_oversized_polys(monkeypatch):
     ("x^" + "1" + "0" * 30, MAX_PARSE_DEGREE),
     ("(x+1)^100000", MAX_PARSE_DEGREE),
     ("x^5 - (x^2 + 1)^" + "9" * 40, MAX_PARSE_DEGREE),
-    ("(2)^1000000", MAX_PARSE_DEGREE),
+    ("(2)^1000000", MAX_PARSE_BITS),
+    ("2^4097", MAX_PARSE_BITS),
+    ("x^5 - (2^64)^65", MAX_PARSE_BITS),
+    ("x^5 - 3^2585", MAX_PARSE_BITS),
     ("x^200 * x^200", MAX_PARSE_DEGREE),
     ("(x^3 - 1)^100", MAX_PARSE_DEGREE),
     ("3*((x^2 + 1)^10)^20", MAX_PARSE_DEGREE),
@@ -673,15 +676,17 @@ def test_parse_poly_accepts_degree_up_to_the_limit():
 
 def test_parse_poly_accepts_power_size_up_to_the_limit():
     # 2^1020 has 1021 bits, so x + 2^1020 has size (1021 + 1) + (1 + 1) bits
-    # and its 4th power is at MAX_PARSE_BITS; 2^63 has size 64 + 1 bits
+    # and its 4th power is at MAX_PARSE_BITS; a constant power is capped by
+    # its own bits, so (2^63)^64 = 2^4032 and 3^2560 (4058 bits) parse
     assert MAX_PARSE_BITS == 4096
     c = 2 ** 1020
     assert parse_poly(f"(x + {c})^4") == (Poly([c, 1]) ** 4, 1)
     assert parse_poly("((2)^63)^63") == (Poly([2 ** (63 * 63)]), 1)
+    assert parse_poly("((2)^63)^64") == (Poly([2 ** (63 * 64)]), 1)
     assert parse_poly("((1/3)^256)^10") == (Poly([1]), 3 ** 2560)
     # the size is read in lowest terms: 1/6 + 1/6 counts as 1/3
     assert parse_poly("((1/6 + 1/6)^256)^10") == (Poly([1]), 3 ** 2560)
-    for text in (f"(x + {2 * c})^4", "((2)^63)^64", "((1/3)^256)^11", "((1/6 + 1/6)^256)^11"):
+    for text in (f"(x + {2 * c})^4", "((2)^64)^65", "((1/3)^256)^11", "((1/6 + 1/6)^256)^11"):
         with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PARSE_BITS}$"):
             parse_poly(text)
 
@@ -702,7 +707,7 @@ def test_parse_poly_integer_literals_take_a_power():
     assert parse_poly("x^5 - 2^10") == parse_poly("x^5 - 1024")
     assert parse_poly("(2^63)^2") == parse_poly("((2)^63)^2") == (P(2 ** 126), 1)
     # the same limits, with the same messages, as the parenthesized form
-    for bare, parenthesized in (("2^257", "(2)^257"), ("(2^63)^64", "((2)^63)^64"),
+    for bare, parenthesized in (("2^4097", "(2)^4097"), ("(2^64)^65", "((2)^64)^65"),
                                 ("2^1000000", "(2)^1000000")):
         with pytest.raises(ValueError) as want:
             parse_poly(parenthesized)
@@ -716,6 +721,28 @@ def test_parse_poly_integer_literals_take_a_power():
     with pytest.raises(ValueError, match=re.escape("write (4/2)^3")):
         parse_poly("4/2^3")
     assert parse_poly("(3/2)^2") == (P(9), 4)
+
+
+def test_parse_poly_caps_constant_powers_by_size():
+    # a power of a constant is checked against MAX_PARSE_BITS, like the
+    # literal it equals, not against MAX_PARSE_DEGREE
+    assert parse_poly("x^5 - 2^4000") == parse_poly(f"x^5 - {2 ** 4000}")
+    assert parse_poly("2^4095") == (P(2 ** 4095), 1)
+    assert parse_poly("3^2584") == (P(3 ** 2584), 1)  # 4096 bits
+    assert parse_poly("(2/3)^300*x") == (P(0, 2 ** 300), 3 ** 300)
+    assert parse_poly("(x - x + 1)^4096") == parse_poly("1^4096") == (P(1), 1)
+    # at least (bits - 1) e + 1 bits, or the exact bits of the power
+    for text, message in (("2^4096", "power of at least 4097 coefficient bits"),
+                          ("(2^64)^65", "power of at least 4161 coefficient bits"),
+                          ("3^2585", "coefficient of 4098 bits"),
+                          ("2^4097", "exponent 4097"),
+                          ("(1/2)^4096", "power of at least 4097 coefficient bits")):
+        with pytest.raises(ValueError, match=re.escape(f"{message} exceeds the limit {MAX_PARSE_BITS}")):
+            parse_poly(text)
+    # powers of x and of a nonconstant polynomial keep the degree cap
+    for text in ("x^257", "(x + 1)^257", "(x - x + x)^257"):
+        with pytest.raises(ValueError, match=f"exponent 257 exceeds the limit {MAX_PARSE_DEGREE}$"):
+            parse_poly(text)
 
 
 def _sympy_coeffs(text: str) -> list:
