@@ -46,8 +46,7 @@ values once (`BoundReport.to_dict`).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,44 +96,64 @@ def _as_logmag(x, precision: int) -> LogMag:
     return LogMag.from_fraction(x, precision, UP)
 
 
-@dataclass(frozen=True)
 class BoundParams:
     """d = [K:Q], genus g >= 2, N_S = product of the primes in S, and the
     absolute discriminant value D_K >= 1.  c_delta is a lower bound for
     the minimum of the delta invariant in genus g; it defaults to
     c_delta_default(g), -186 for g = 2 and None otherwise, until the
-    caller asserts one."""
+    caller asserts one.  Instances are immutable."""
 
-    d: int
-    g: int
-    n_s: int
-    d_k: int
-    c_delta: Fraction | None = None
+    __slots__ = ("d", "g", "n_s", "d_k", "c_delta")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, g: int, n_s: int, d_k: int, c_delta: Fraction | None = None):
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.g < 2:
+        if g < 2:
             raise ValueError("g must be at least 2")
-        if self.n_s < 1:
+        if n_s < 1:
             raise ValueError("N_S must be a positive integer")
-        if self.d_k < 1:
+        if d_k < 1:
             raise ValueError("D_K must be a positive integer")
-        c_delta = c_delta_default(self.g) if self.c_delta is None else Fraction(self.c_delta)
-        object.__setattr__(self, "c_delta", c_delta)
+        c_delta = c_delta_default(g) if c_delta is None else Fraction(c_delta)
+        for name, value in zip(self.__slots__, (d, g, n_s, d_k, c_delta)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BoundParams is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not BoundParams:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"BoundParams({args})"
 
 
-@dataclass
 class BoundEntry:
-    formula_id: str
-    target: str
-    value: LogMag
-    bounds_log_of_target: bool
-    note: str | None = None
+    """One reported bound: formula_id's value bounds target, or its natural
+    logarithm when bounds_log_of_target is set."""
 
-    def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown bound target {self.target!r}")
+    __slots__ = ("formula_id", "target", "value", "bounds_log_of_target", "note")
+
+    def __init__(self, formula_id: str, target: str, value: LogMag,
+                 bounds_log_of_target: bool, note: str | None = None):
+        if target not in TARGETS:
+            raise ValueError(f"unknown bound target {target!r}")
+        self.formula_id = formula_id
+        self.target = target
+        self.value = value
+        self.bounds_log_of_target = bounds_log_of_target
+        self.note = note
 
     def to_dict(self, value: dict | None = None) -> dict:
         """The entry as JSON; value, when given, is its value's rendering."""
@@ -149,12 +168,18 @@ class BoundEntry:
         return out
 
 
-@dataclass
 class BoundReport:
-    inputs: dict
-    entries: list[BoundEntry]
-    caveats: list[str] = field(default_factory=list)
-    comparison: dict | None = None
+    """The entries and caveats of one report, its inputs, and the chain
+    comparison when the empirical chain ran."""
+
+    __slots__ = ("inputs", "entries", "caveats", "comparison")
+
+    def __init__(self, inputs: dict, entries: list[BoundEntry],
+                 caveats: list[str] | None = None, comparison: dict | None = None):
+        self.inputs = inputs
+        self.entries = entries
+        self.caveats = [] if caveats is None else caveats
+        self.comparison = comparison
 
     def to_dict(self) -> dict:
         # eq_general's four entries hold thm_1_1's value: each distinct value
@@ -426,22 +451,15 @@ def prop_cyclic_i(hyper_bound, c_delta, precision: int = DEFAULT_PRECISION) -> L
 # the formula table
 
 
-@dataclass(frozen=True)
-class Formula:
-    """One row of a bound chain.  fn receives the values named in inputs,
-    then the precision; its value becomes one entry per target.  An input
-    names an earlier row or a value the chain was given.  The row is
-    skipped unless every condition in `when` holds.  Later rows read the
-    value under `name`, which defaults to the formula id."""
-
-    formula_id: str
-    targets: tuple[str, ...]
-    log: bool
-    note: str | None
-    fn: Callable[..., LogMag]
-    inputs: tuple[str, ...]
-    when: tuple[str, ...] = ()
-    name: str | None = None
+# One row of a bound chain.  fn receives the values named in inputs, then
+# the precision; its value becomes one entry per target.  An input names
+# an earlier row or a value the chain was given.  The row is skipped
+# unless every condition in `when` holds.  Later rows read the value under
+# `name`, which defaults to the formula id.
+Formula = namedtuple(
+    "Formula", ("formula_id", "targets", "log", "note", "fn", "inputs", "when", "name"),
+    defaults=((), None),
+)
 
 
 # condition -> (test on the chain's given values, caveat added once when

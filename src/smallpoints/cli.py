@@ -26,6 +26,15 @@ RuntimeError, reported in one "smallpoints: internal error: ..." line,
 3 partial batch failure: batch writes an error record for each line
 that was an input error or gave up, and goes on.  Commands raise; only
 `main` turns an exception into an exit code.
+
+Each command loads only the modules it calls, since a process runs one
+command and compiling the rest would cost more than a `bound` report:
+`bound` loads `numeric` and `bounds`, which this module imports;
+`heights` adds `polynomial`, `intervals`, `roots` and `algebraic`; and
+`analyze` and `batch` add `curve`.  They reach `curve` only through this
+module's `analyze_curve`, which imports it on the first call and is
+looked up at call time, so it is the one seam where a caller replaces
+or wraps the curve analysis.
 """
 
 from __future__ import annotations
@@ -37,11 +46,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebraic import algebraic_roots, weil_height
 from .bounds import FORMULAS, BoundParams, formula_conditions, full_report
-from .curve import analyze_curve
 from .numeric import DEFAULT_PRECISION, decimal_str
-from .polynomial import parse_poly, render_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -332,6 +338,14 @@ def _tsv_row(curve_text: str, g: int, n_s: int, rep) -> str:
     return f"{curve_text}\t{g}\t{decimal_str(n_s)}\t{thm}\t{emp}\t{chain}"
 
 
+def analyze_curve(text: str, precision: int = DEFAULT_PRECISION):
+    """curve.analyze_curve, importing `curve` on the first call (module
+    docstring)."""
+    from . import curve
+
+    return curve.analyze_curve(text, precision=precision)
+
+
 def _error_message(exc: Exception) -> str:
     """What follows "smallpoints: " for an error that ends a command or a
     batch line: a RuntimeError is a computation that gave up."""
@@ -443,6 +457,9 @@ def cmd_batch(args) -> int:
 
 
 def _height_documents(token: str, precision: int) -> list[dict]:
+    from .algebraic import algebraic_roots, weil_height
+    from .polynomial import parse_poly, render_poly
+
     try:
         value = Fraction(token)
         lo, hi = weil_height(value, precision)

@@ -250,11 +250,13 @@ def _trial_division(n: int, out: dict[int, int]) -> int:
     The primes of run 0 divide n one at a time.  Each later run r is entered
     only by a composite cofactor, and one gcd with the run's product skips
     it when none of its primes divides n (Bernstein, J. Algorithms 54,
-    2005); a gcd > 1 sieves the run again to name its primes.  A cofactor
-    entering run r has no prime factor below r * _RUN_WIDTH, so it is prime
-    when it is below (r * _RUN_WIDTH)**2 or passes the primality test, which
-    runs after run 0 and after each run that divides n, on cofactors of at
-    most _PRIME_TEST_BITS bits.
+    2005).  A gcd g > 1 is a product of distinct primes of the run, each at
+    least lo = r * _RUN_WIDTH, so below lo**2 it is the one prime of the run
+    dividing n; only a g >= lo**2 sieves the run again to name its primes.
+    A cofactor entering run r has no prime factor below lo, so it is prime
+    when it is below lo**2 or passes the primality test, which runs after
+    run 0 and after each run that divides n, on cofactors of at most
+    _PRIME_TEST_BITS bits.
     """
     for p in _first_run():
         if p * p > n:
@@ -271,9 +273,10 @@ def _trial_division(n: int, out: dict[int, int]) -> int:
             return 1
         while run < _RUNS:
             g = math.gcd(n, _run_product(run))
+            lo = run * _RUN_WIDTH
             run += 1
             if g > 1:
-                for p in _run_primes(run - 1):
+                for p in (g,) if g < lo * lo else _run_primes(run - 1):
                     if g % p == 0:
                         while n % p == 0:
                             out[p] = out.get(p, 0) + 1

@@ -275,22 +275,27 @@ _MAX_BITS = 1 << 14
 def _start_exponent(c: list[int]) -> int:
     """Least k with |c_n| 2^(kn) > sum |c_i| 2^(ki) over i < n: then 2^k
     exceeds the Cauchy radius, so every root has modulus below 2^k.  The
-    test holds at every k above its least one, so the scan starts at -32,
-    moves up while it fails and then down while it holds one step lower.
-    For c_n x^n it holds at every k, and -32 is kept."""
+    test holds at every k above its least one, and it holds at
+
+        k0 = max over c_i != 0, i < n, of ceil((b_i - b_n + 1 + b(n)) / (n - i)),
+
+    b the bit length: there each term |c_i| 2^(ki) < 2^(b_i + ki) is at
+    most 2^(kn + b_n - 1 - b(n)), and n < 2^b(n) of them sum below
+    2^(b_n - 1) 2^(kn) <= |c_n| 2^(kn).  So k steps down from k0 while the
+    test holds one lower.  For c_n x^n it holds at every k, and -32 is kept."""
     n = len(c) - 1
+    if not any(c[:n]):
+        return -32
 
     def holds(k: int) -> bool:
         low = min(0, k) * n  # scales both sides to integers
         lower = sum(abs(ci) << (k * i - low) for i, ci in enumerate(c[:n]))
         return abs(c[n]) << (k * n - low) > lower
 
-    k = -32
-    while not holds(k):
-        k += 1
-    if any(c[:n]):
-        while holds(k - 1):
-            k -= 1
+    top = abs(c[n]).bit_length() - 1 - n.bit_length()
+    k = max(-((top - abs(ci).bit_length()) // (n - i)) for i, ci in enumerate(c[:n]) if ci)
+    while holds(k - 1):
+        k -= 1
     return k
 
 

@@ -107,6 +107,22 @@ def test_params_validation():
     assert BoundParams(1, 3, 1, 1, c_delta=-50).c_delta == Fraction(-50)
 
 
+def test_params_are_immutable_values():
+    p = BoundParams(1, 2, 30, 1)
+    assert p == BoundParams(d=1, g=2, n_s=30, d_k=1, c_delta=-186)
+    assert hash(p) == hash(BoundParams(1, 2, 30, 1))
+    assert p != BoundParams(1, 2, 30, 5)
+    assert repr(p) == "BoundParams(d=1, g=2, n_s=30, d_k=1, c_delta=Fraction(-186, 1))"
+    for name in ("d", "c_delta"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p == BoundParams(1, 2, 30, 1)
+
+
 def test_nu_values():
     assert nu(P2) == 100000
     assert nu(BoundParams(2, 2, 1, 1)) == 200000

@@ -18,7 +18,7 @@ from smallpoints.curve import analyze_curve
 import smallpoints.numeric as numeric
 from smallpoints.numeric import decimal_str
 from test_bounds import REPORT_SCHEMA
-from test_golden import ANALYZE, HEIGHTS, OTHER, _bound_commands
+from test_golden import ANALYZE, HEIGHTS, OTHER, _bound_commands, fresh_interpreter
 from test_numeric import digits_past_the_int_str_limit
 from test_polynomial import OVERSIZED_COEFFICIENTS, forbid_oversized_polys
 
@@ -887,3 +887,26 @@ def test_bound_report_echoes_n_s_past_the_int_str_limit():
     text = dumps_indented(full_report(BoundParams(d=1, g=2, n_s=n_s, d_k=1)).to_dict())
     assert len(decimal_str(n_s)) == 5071
     assert f'\n    "n_s": {decimal_str(n_s)},\n' in text
+
+
+_LAZY_IMPORTS = """
+import sys
+from smallpoints import cli
+
+curve_stack = [f"smallpoints.{m}" for m in ("curve", "algebraic", "polynomial", "roots", "intervals")]
+assert cli.main(["bound", "--d", "1", "--g", "2", "--ns", "30"]) == 0
+loaded = [m for m in curve_stack + ["dataclasses"] if m in sys.modules]
+assert not loaded, loaded
+assert cli.main(["heights", "3/4", "x^2-2"]) == 0
+assert "smallpoints.curve" not in sys.modules
+from smallpoints import BoundParams, analyze_curve, full_report
+from smallpoints import *
+assert analyze_curve("y^2 = x^5 - x").genus == 2
+print("ok")
+"""
+
+
+def test_bound_and_heights_import_no_curve_module():
+    proc = fresh_interpreter(["-c", _LAZY_IMPORTS], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

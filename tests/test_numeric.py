@@ -160,6 +160,28 @@ def test_factor_prime_cofactor_builds_no_run_product():
     assert numeric._run_product.cache_info().currsize == len(_runs()) - 1
 
 
+def test_one_prime_in_a_run_is_divided_out_without_a_sieve(monkeypatch):
+    import sympy
+
+    runs = _runs()
+    for run in range(1, numeric._RUNS):
+        numeric._run_product(run)
+    sieved = []
+    run_primes = numeric._run_primes
+    monkeypatch.setattr(numeric, "_run_primes", lambda run: sieved.append(run) or run_primes(run))
+    rest = 1000003 * 1000033
+    for i in (1, 2, 37, len(runs) - 1):
+        for p in (runs[i][0], runs[i][-1]):
+            assert factor(p * rest) == [(p, 1), (1000003, 1), (1000033, 1)]
+            assert factor(p**3 * 1000003) == [(p, 3), (1000003, 1)]
+    assert sieved == []
+    # two primes of one run have a product above lo**2: the run is sieved
+    for i in (1, 37, len(runs) - 1):
+        for n in (runs[i][0] * runs[i][-1], runs[i][1] ** 2 * runs[i][-2] * rest):
+            assert factor(n) == sorted(sympy.factorint(n).items()), n
+    assert sieved == [1, 1, 37, 37, len(runs) - 1, len(runs) - 1]
+
+
 def test_run_primes_are_sympys():
     runs = _runs()
     assert len(runs) == numeric._RUNS

@@ -372,6 +372,43 @@ def test_start_exponent_is_the_least_cauchy_exponent(f):
     assert (w == 64) == (k >= -32)
 
 
+def _scanned_start_exponent(c):
+    # the least Cauchy exponent by a linear scan: up from -32 while the
+    # test fails, then down while it holds one lower; -32 for c_n x^n
+    n = len(c) - 1
+
+    def holds(k):
+        two = Fraction(2) ** k
+        return abs(c[n]) * two**n > sum(abs(ci) * two**i for i, ci in enumerate(c[:n]))
+
+    k = -32
+    while not holds(k):
+        k += 1
+    if any(c[:n]):
+        while holds(k - 1):
+            k -= 1
+    return k
+
+
+def test_start_exponent_matches_a_linear_scan():
+    rng = random.Random(43)
+    below = above = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        spread = rng.choice([4, 40, 300])
+        c = [0 if i < n and rng.random() < 0.3
+             else rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.randint(1, spread))
+             for i in range(n + 1)]
+        k = roots._start_exponent(c)
+        assert k == _scanned_start_exponent(c), c
+        below += k < -32
+        above += k > 32
+    # both tails of the scan are reached
+    assert below and above
+    for c in ([0, 0, 5], [0, 0, 0, -1], [1], [3, 2**200]):
+        assert roots._start_exponent(c) == _scanned_start_exponent(c), c
+
+
 def test_tiny_roots_certify_in_boxes_holding_the_mpmath_roots():
     """Isolation starts at the Cauchy exponent, about -817, on a grid fine
     enough for it, so it certifies where a start circle of radius 2^-32
