@@ -106,6 +106,9 @@ _MAX_RESOLVE_PRECISION = 1 << 16
 # yet a long batch cannot grow them without limit.  An entry is a pure function of its key,
 # so an eviction never changes output.
 _TABLE_CACHE_SIZE = 4096
+# models the curve module's model table (curve._analyze_model) keeps, on
+# the same terms; its docstring gives the memory of an entry
+_MODEL_CACHE_SIZE = 512
 
 
 class DegreeCapExceeded(Exception):

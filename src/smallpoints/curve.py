@@ -51,6 +51,22 @@ Equal upper bounds fall back to the lexicographically first triple, so the
 whole analysis is deterministic; on the rational values of a rational
 triple equal bounds mean equal heights, so an exact tie goes to the first
 triple too.
+
+Each integral model is analyzed once per process.  The model table
+(_analyze_model) is keyed by the model f that parse_curve returns, so every
+spelling of one f shares an entry.  An entry holds the model's
+precision-independent part as immutable values: the genus, the branch
+points, S with N_S and its caveats, and the search's triple, caveats and
+winning (z, cross-ratio) pairs.  None of it reads the report's precision:
+S and N_S are integers, a branch point or cross-ratio is an exact (minimal
+polynomial, index) pair whose order is fixed at one canonical precision,
+and the search ranks at _SEARCH_PRECISION (or _rational_rank_bits)
+whatever precision is asked for.  Each call then reads the heights, the
+S-unit flags, h_max, the multiplicative height and mu_hat at its own
+precision into a fresh CurveAnalysis, so no caller can change an entry.
+The table keeps the _MODEL_CACHE_SIZE (512) most recently used models.  An
+entry is a pure function of its key, so an eviction never changes output,
+and an analysis that raises leaves no entry.
 """
 
 from __future__ import annotations
@@ -58,9 +74,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebraic import (
+    _MODEL_CACHE_SIZE,
     ANHARMONIC,
     INFINITY,
     PERMUTATION_IMAGES,
@@ -151,38 +168,61 @@ def parse_curve(text: str) -> tuple[Poly, int]:
     return f, disc
 
 
-@dataclass
 class CrossRatioRecord:
-    z_index: int
-    value: AlgebraicNumber
-    height: tuple[LogMag, LogMag]
-    lambda_s_unit: bool
-    one_minus_s_unit: bool
+    """The cross-ratio of the branch point z_index under the normalizing
+    triple: its value, height enclosure and S-unit flags."""
+
+    __slots__ = ("z_index", "value", "height", "lambda_s_unit", "one_minus_s_unit")
+
+    def __init__(self, z_index: int, value: AlgebraicNumber, height: tuple[LogMag, LogMag],
+                 lambda_s_unit: bool, one_minus_s_unit: bool):
+        self.z_index = z_index
+        self.value = value
+        self.height = height
+        self.lambda_s_unit = lambda_s_unit
+        self.one_minus_s_unit = one_minus_s_unit
 
 
-@dataclass
 class Normalization:
-    triple: tuple[int, int, int]
-    records: list[CrossRatioRecord]
-    h_max: tuple[LogMag, LogMag]
-    height_multiplicative: tuple[LogMag, LogMag]
+    """The chosen triple, a record per other branch point, and the largest
+    height, also as a multiplicative height."""
+
+    __slots__ = ("triple", "records", "h_max", "height_multiplicative")
+
+    def __init__(self, triple: tuple[int, int, int], records: list[CrossRatioRecord],
+                 h_max: tuple[LogMag, LogMag], height_multiplicative: tuple[LogMag, LogMag]):
+        self.triple = triple
+        self.records = records
+        self.h_max = h_max
+        self.height_multiplicative = height_multiplicative
 
 
-@dataclass
 class CurveAnalysis:
-    equation: str
-    f: Poly
-    genus: int
-    leading_coefficient: int
-    disc: int
-    s_primes: list[int]
-    n_s: int
-    branch_points: list
-    normalization: Normalization | None
-    mu_hat: tuple[LogMag, LogMag]
-    parshin_exceptions: list[int]
-    caveats: list[str] = field(default_factory=list)
-    precision: int = DEFAULT_PRECISION
+    """One curve's report at one precision.  analyze_curve builds a fresh
+    instance per call, so a caller may change it without touching the
+    model table."""
+
+    __slots__ = ("equation", "f", "genus", "leading_coefficient", "disc", "s_primes", "n_s",
+                 "branch_points", "normalization", "mu_hat", "parshin_exceptions", "caveats",
+                 "precision")
+
+    def __init__(self, equation: str, f: Poly, genus: int, leading_coefficient: int, disc: int,
+                 s_primes: list[int], n_s: int, branch_points: list,
+                 normalization: Normalization | None, mu_hat: tuple[LogMag, LogMag],
+                 parshin_exceptions: list[int], caveats: list[str], precision: int):
+        self.equation = equation
+        self.f = f
+        self.genus = genus
+        self.leading_coefficient = leading_coefficient
+        self.disc = disc
+        self.s_primes = s_primes
+        self.n_s = n_s
+        self.branch_points = branch_points
+        self.normalization = normalization
+        self.mu_hat = mu_hat
+        self.parshin_exceptions = parshin_exceptions
+        self.caveats = caveats
+        self.precision = precision
 
     def to_dict(self) -> dict:
         out = {
@@ -514,28 +554,43 @@ def _normalization_search(branch: list):
     return best[1], _winner_values(branch, best[1]), caveats
 
 
-def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
-    f, disc = parse_curve(text)
+@lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _analyze_model(f: Poly, disc: int) -> tuple:
+    """The precision-independent analysis of the integral model f, with
+    disc = disc(f), as immutable values: (equation, genus, branch points,
+    S, N_S, caveats, normalizing triple or None, (z, cross-ratio) pairs).
+    disc is a function of f, so the table is keyed by the model.  An entry
+    with its key, counting every object it reaches, measured 1.8-2.8 KB on
+    the seven hard_repeat curves, 3.0-5.6 KB on rational_batch's 72 curves
+    of degree 5-8 and 4.5 KB on y^2 = x^5 - 3^1000, so a full table of
+    such models holds a few MB; it grows with the size of f and disc."""
     genus = (f.degree() - 1) // 2
     branch = branch_point_list(f, genus)
     # the distinct minimal polynomials of the branch points are the
     # irreducible factors of f, so f is factored over Z only once
     factors = list(dict.fromkeys(p.minpoly for p in branch if p is not INFINITY))
     s_primes, n_s, caveats = bad_prime_superset(f, factors, disc)
-
     triple, lams, norm_caveats = _normalization_search(branch)
-    caveats.extend(norm_caveats)
+    return ("y^2 = " + render_poly(f), genus, tuple(branch), tuple(s_primes), n_s,
+            tuple(caveats + norm_caveats), triple, tuple(lams))
+
+
+def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysis:
+    """The report of the curve y^2 = f(x) at precision bits: the model
+    table's analysis (_analyze_model), with the heights, S-unit flags and
+    mu_hat at precision in a fresh CurveAnalysis."""
+    f, disc = parse_curve(text)
+    equation, genus, branch, s_primes, n_s, caveats, triple, lams = _analyze_model(f, disc)
 
     normalization = None
     parshin_exceptions: list[int] = []
     if triple is not None:
         records = []
         for z, lam in lams:
-            lo, hi = weil_height(lam, precision)
             rec = CrossRatioRecord(
                 z_index=z,
                 value=lam,
-                height=(lo, hi),
+                height=weil_height(lam, precision),
                 lambda_s_unit=is_s_unit(lam, n_s),
                 one_minus_s_unit=is_s_unit(mobius_minpoly(lam, *ANHARMONIC[1]), n_s),
             )
@@ -555,22 +610,21 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
             ),
         )
 
-    finite = [p for p in branch if p is not INFINITY]
-    heights = [weil_height(p, precision) for p in finite]
+    heights = [weil_height(p, precision) for p in branch if p is not INFINITY]
     mu_hat = (lm_max(*[h[0] for h in heights]), lm_max(*[h[1] for h in heights]))
 
     return CurveAnalysis(
-        equation="y^2 = " + render_poly(f),
+        equation=equation,
         f=f,
         genus=genus,
         leading_coefficient=f.lc(),
         disc=disc,
-        s_primes=s_primes,
+        s_primes=list(s_primes),
         n_s=n_s,
-        branch_points=branch,
+        branch_points=list(branch),
         normalization=normalization,
         mu_hat=mu_hat,
         parshin_exceptions=parshin_exceptions,
-        caveats=caveats,
+        caveats=list(caveats),
         precision=precision,
     )

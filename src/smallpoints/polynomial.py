@@ -532,6 +532,33 @@ def _next_prime(p: int) -> int:
     return p
 
 
+def _squarefree_mod(ints, p: int) -> bool:
+    """Whether the integer polynomial with these coefficients, low to high,
+    stays squarefree of the same degree modulo p, a prime not dividing its
+    leading coefficient: gcd(f, f') = 1 mod p."""
+    fp = _pm_trim([v % p for v in ints])
+    dfp = _pm_trim([i * v % p for i, v in enumerate(ints)][1:])
+    return bool(dfp) and len(_pm_gcd(fp, dfp, p)) == 1
+
+
+def _squarefree_at_first_prime(ints) -> bool:
+    """_squarefree_mod at the first odd prime p not dividing the leading
+    coefficient, the first that _choose_prime tries.  True proves the
+    polynomial squarefree over Q: a square g^2 dividing it would reduce to
+    a square of the same degree dividing it mod p."""
+    p = 3
+    while ints[-1] % p == 0:
+        p = _next_prime(p)
+    return _squarefree_mod(ints, p)
+
+
+def is_squarefree(f: Poly) -> bool:
+    """Whether a nonconstant f has no repeated factor over Q: decided mod
+    the first prime (_squarefree_at_first_prime) for most inputs, and by
+    gcd(f, f') over Z for the rest."""
+    return _squarefree_at_first_prime(f.coeffs) or poly_gcd(f, f.derivative()).degree() == 0
+
+
 def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
     """The first odd prime keeping the degree and squarefreeness of f, with
     the factors of f mod that prime.  Only when its modular factor count
@@ -548,11 +575,9 @@ def _choose_prime(ints: list[int]) -> tuple[int, list[list[int]]]:
         p = _next_prime(p)
         if ints[-1] % p == 0:
             continue
-        fp = _pm_trim([v % p for v in ints])
-        dfp = _pm_trim([i * v % p for i, v in enumerate(ints)][1:])
-        if not dfp or len(_pm_gcd(fp, dfp, p)) != 1:
+        if not _squarefree_mod(ints, p):
             continue
-        monic = _pm_monic(fp, p)
+        monic = _pm_monic(_pm_trim([v % p for v in ints]), p)
         blocks = _distinct_degree(monic, p)
         count = sum((len(block) - 1) // d for block, d in blocks)
         found += 1
@@ -686,13 +711,16 @@ def _factor_squarefree_int(ints: tuple[int, ...]) -> list[Poly]:
 def factor_over_z(f: Poly) -> list[Poly]:
     """The distinct irreducible factors of f over Q, those of its squarefree
     part f / gcd(f, f'): primitive integer polynomials with positive leading
-    coefficient, sorted by (degree, coefficients).  A constant has none."""
+    coefficient, sorted by (degree, coefficients).  A constant has none.
+    The gcd runs only when f is not squarefree mod the first prime
+    (_squarefree_at_first_prime), so a curve's model is factored as it is."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 1:
         return []
-    part = f.quo(poly_gcd(f, f.derivative())).primitive()
-    factors = _factor_squarefree_int(part.coeffs)
+    if not _squarefree_at_first_prime(f.coeffs):
+        f = f.quo(poly_gcd(f, f.derivative()))
+    factors = _factor_squarefree_int(f.primitive().coeffs)
     return sorted(factors, key=lambda h: (h.degree(), h.coeffs))
 
 

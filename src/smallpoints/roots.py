@@ -46,7 +46,7 @@ from .intervals import (
     fx_sub,
     poly_eval_box,
 )
-from .polynomial import Poly, poly_gcd
+from .polynomial import Poly, is_squarefree
 
 
 def grid_bits(precision: int) -> int:
@@ -60,7 +60,7 @@ def grid_bits(precision: int) -> int:
 def _require_squarefree(f: Poly) -> None:
     if f.degree() < 1:
         raise ValueError("need a nonconstant polynomial")
-    if poly_gcd(f, f.derivative()).degree() != 0:
+    if not is_squarefree(f):
         raise ValueError("polynomial must be squarefree")
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -941,7 +942,10 @@ def test_search_resolves_only_the_winning_values(monkeypatch):
 
 def test_search_resolves_only_the_winning_orbits(monkeypatch):
     # fewer than three rational points: every winning value is one
-    # cross_ratio call, and the records hold exactly those values
+    # cross_ratio call, and the records hold exactly those values.  The
+    # count is that of a fresh analysis, which an earlier one of the same
+    # model would have left in the model table.
+    curve_mod._analyze_model.cache_clear()
     values = []
 
     def counting_cross_ratio(*points):
@@ -973,8 +977,9 @@ def test_set_images_match_exact_cross_ratios():
 def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):
     # y^2 = x^5 - 1 has six branch points, two of them rational: 20 triples
     # with 3 values each, but only C(6, 4) = 15 sets of four points.  The
-    # count is that of a cold set table, which earlier analyses may have
-    # filled.
+    # count is that of a cold model and set table, which earlier analyses
+    # may have filled.
+    curve_mod._analyze_model.cache_clear()
     algebraic_mod.set_orbit.cache_clear()
     quotients = []
     binary = algebraic_mod._binary
@@ -1005,3 +1010,126 @@ def test_repeated_analysis_reads_every_set_from_its_table(monkeypatch):
     second = analyze_curve("y^2 = x^6 - x")
     assert calls == []
     assert second.to_dict() == first.to_dict()
+
+
+# the model table: one precision-independent analysis per integral model
+
+X6X_SPELLINGS = ("y^2 = x^6 - x", "y^2 = (x^6 - x)")
+MODEL_PRECISIONS = (64, 128, 512)
+
+
+def _empty_tables():
+    """Empty the model table and every algebraic table, as in a fresh
+    process."""
+    curve_mod._analyze_model.cache_clear()
+    for table in vars(algebraic_mod).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments
+    in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_model_is_searched_once(monkeypatch):
+    # two spellings of one model at three precisions: one search
+    curve_mod._analyze_model.cache_clear()
+    searches = _counting(monkeypatch, curve_mod, "_normalization_search")
+    reports = {}
+    for precision in MODEL_PRECISIONS:
+        for text in X6X_SPELLINGS:
+            reports.setdefault(precision, set()).add(
+                json.dumps(analyze_curve(text, precision).to_dict()))
+    assert len(searches) == 1
+    assert all(len(texts) == 1 for texts in reports.values())
+
+
+def _cli_report(capsys, text: str, precision: int) -> str:
+    from smallpoints.cli import main
+
+    assert main(["analyze", "--curve", text, "--precision", str(precision)]) == 0
+    return capsys.readouterr().out
+
+
+def test_reports_in_either_precision_order_match_fresh_processes(capsys):
+    fresh = {}
+    for precision in MODEL_PRECISIONS:
+        proc = fresh_interpreter(["-m", "smallpoints.cli", "analyze", "--curve", X6X_SPELLINGS[0],
+                                  "--precision", str(precision)], timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fresh[precision] = proc.stdout
+    for order in (MODEL_PRECISIONS, MODEL_PRECISIONS[::-1]):
+        _empty_tables()
+        for precision in order:
+            for text in X6X_SPELLINGS:
+                assert _cli_report(capsys, text, precision) == fresh[precision], (order, text)
+
+
+def test_evicted_model_is_recomputed_with_the_same_bytes(monkeypatch):
+    # a table of two models: the third evicts the first, which is then
+    # analyzed again from scratch
+    small = lru_cache(maxsize=2)(curve_mod._analyze_model.__wrapped__)
+    monkeypatch.setattr(curve_mod, "_analyze_model", small)
+    searches = _counting(monkeypatch, curve_mod, "_normalization_search")
+    curves = ["y^2 = x^6 - x", "y^2 = x^5 - x", "y^2 = x^5 - 1"]
+    first = [json.dumps(analyze_curve(text).to_dict()) for text in curves]
+    assert len(searches) == 3 and small.cache_info().currsize == 2
+    assert json.dumps(analyze_curve(curves[0]).to_dict()) == first[0]
+    assert len(searches) == 4
+    # the model it evicted in turn, x^5 - x, is recomputed too
+    assert json.dumps(analyze_curve(curves[1]).to_dict()) == first[1]
+    assert len(searches) == 5
+
+
+def test_model_that_raises_raises_again(monkeypatch):
+    # an analysis that raises leaves no entry: the next call recomputes it,
+    # raises again, and once the cause is gone it succeeds
+    curve_mod._analyze_model.cache_clear()
+    calls = []
+
+    def giving_up(*args):
+        calls.append(args)
+        raise RuntimeError("gave up")
+
+    monkeypatch.setattr(curve_mod, "bad_prime_superset", giving_up)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="gave up"):
+            analyze_curve("y^2 = x^5 - x")
+    assert len(calls) == 2 and curve_mod._analyze_model.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert analyze_curve("y^2 = x^5 - x").n_s == 2
+
+
+def test_analyses_share_no_mutable_state():
+    # each call builds its own CurveAnalysis, so a caller's change does not
+    # reach the next report
+    first = analyze_curve("y^2 = x^6 - x")
+    text = json.dumps(first.to_dict())
+    first.caveats.append("changed")
+    first.s_primes.clear()
+    first.branch_points.pop()
+    first.normalization.records.pop()
+    assert json.dumps(analyze_curve("y^2 = x^6 - x").to_dict()) == text
+
+
+@pytest.mark.parametrize("text", ["y^2 = x^5 - x", "y^2 = x^5 - 2", "y^2 = x^6 - x"])
+def test_analysis_takes_no_squarefree_gcd_of_the_model(monkeypatch, text):
+    # parse_curve proves the model squarefree (disc f != 0), so neither
+    # factoring it nor isolating its roots takes gcd(f, f')
+    import smallpoints.polynomial as polynomial_mod
+
+    f, _ = parse_curve(text)
+    _empty_tables()
+    gcds = _counting(monkeypatch, polynomial_mod, "poly_gcd")
+    analyze_curve(text)
+    assert [args for args in gcds if args[0] == f] == []

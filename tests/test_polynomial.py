@@ -32,6 +32,7 @@ from smallpoints.polynomial import (
     discriminant,
     euler_phi,
     factor_over_z,
+    is_squarefree,
     parse_poly,
     poly_gcd,
     render_poly,
@@ -264,6 +265,21 @@ def test_factor_multiplicities_and_content():
     assert factor_over_z(P(-2)) == []
     with pytest.raises(ValueError):
         factor_over_z(Poly.zero())
+
+
+@pytest.mark.parametrize("f, squarefree", [
+    (P(0, -1, 0, 0, 0, 1), True),        # x^5 - x: squarefree mod 3
+    (P(-3, 0, 1), True),                 # x^2 - 3 = x^2 mod 3: the gcd decides
+    (P(-2, 0, 3), True),                 # 3x^2 - 2: 3 divides lc, so mod 5
+    (P(1, 0, -2, 0, 1), False),          # (x^2 - 1)^2
+    ((X - 1) ** 2 * (X + 2), False),     # (x - 1)^2 (x + 2) = x^3 - 3x + 2
+    (9 * X**2 + 6 * X + 1, False),       # (3x + 1)^2, lc 9
+    (P(5, 7), True),
+])
+def test_is_squarefree(f, squarefree):
+    x = sympy.Symbol("x")
+    assert sympy.Poly(list(reversed(f.coeffs)), x).is_sqf is squarefree
+    assert is_squarefree(f) is squarefree
 
 
 def test_factor_irreducible():
