@@ -33,14 +33,14 @@ when the caller asserts a value.
 The costly factors of the a-priori chain are powers whose base and
 exponent depend on (g, d) alone: nu^(d*nu), nu^(8^g*d*nu), nu^(2*d*nu),
 nu^(d*nu/8), nu^(nu/2) and u(g).  They are kept across reports in one
-bounded table, `_pow_up`, keyed by (base, exponent, precision); a LogMag
-is immutable, so one value may serve many reports.  The one other factor,
-(N_S*D_K)^nu, is shared by thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i: a
-one-entry table, `_nd_power`, keeps the power of the latest N_S*D_K, so a
-report takes it once and the next report at another N_S*D_K replaces it.
-That entry is the only value depending on N_S or D_K kept across reports,
-and no rendered string is kept: a report renders each of its distinct
-values once (`BoundReport.to_dict`).
+bounded table, `_pow_up`, keyed by (base, the exponent's numerator and
+denominator, precision); a LogMag is immutable, so one value may serve
+many reports.  The one other factor, (N_S*D_K)^nu, is shared by thm_1_1,
+thm_1_2, thm_1_3 and lem_5_2_i: a one-entry table, `_nd_power`, keeps the
+power of the latest N_S*D_K, so a report takes it once and the next report
+at another N_S*D_K replaces it.  That entry is the only value depending on
+N_S or D_K kept across reports, and no rendered string is kept: a report
+renders each of its distinct values once (`BoundReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -168,6 +168,20 @@ class BoundEntry:
         return out
 
 
+def _entry(formula_id: str, target: str, value: LogMag, bounds_log_of_target: bool,
+           note: str | None, _new=object.__new__) -> BoundEntry:
+    """A BoundEntry without the public constructor's check: `_walk` makes
+    one for each target of a FORMULAS row, and every such target is in
+    TARGETS (tests/test_bounds.py checks the table)."""
+    e = _new(BoundEntry)
+    e.formula_id = formula_id
+    e.target = target
+    e.value = value
+    e.bounds_log_of_target = bounds_log_of_target
+    e.note = note
+    return e
+
+
 class BoundReport:
     """The entries and caveats of one report, its inputs, and the chain
     comparison when the empirical chain ran."""
@@ -220,16 +234,17 @@ _POW_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_POW_CACHE_SIZE)
-def _pow_up(base: int, e: int | Fraction, precision: int) -> LogMag:
-    """base^e rounded up, for a base and exponent fixed by (g, d)."""
-    return lm_pow(base, e, precision, UP)
+def _pow_up(base: int, num: int, den: int, precision: int) -> LogMag:
+    """base^(num/den) rounded up, for a base and exponent fixed by (g, d).
+    The exponent comes as two ints, so a key hashes and compares in C."""
+    return lm_pow(base, num if den == 1 else Fraction(num, den), precision, UP)
 
 
 def u_g(g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
     """8^((11g)^3 * 8^g), exact since it is a power of two."""
     if g < 2:
         raise ValueError("g must be at least 2")
-    return _pow_up(2, 3 * (11 * g) ** 3 * 8**g, precision)
+    return _pow_up(2, 3 * (11 * g) ** 3 * 8**g, 1, precision)
 
 
 # thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i of one report share their
@@ -240,13 +255,13 @@ def _nd_power(nd: int, e: int, precision: int) -> LogMag:
     return lm_pow(nd, e, precision, UP)
 
 
-def _power_product(p: BoundParams, e1, precision: int) -> LogMag:
-    """nu^e1 * (N_S*D_K)^nu upward, one rounding of the product.  The
-    second factor is skipped when N_S*D_K = 1, so that case returns nu^e1
-    with no extra rounding.  nu^e1 depends on (g, d) alone and comes from
-    `_pow_up`, the second factor from `_nd_power`."""
+def _power_product(p: BoundParams, num: int, den: int, precision: int) -> LogMag:
+    """nu^(num/den) * (N_S*D_K)^nu upward, one rounding of the product.
+    The second factor is skipped when N_S*D_K = 1, so that case returns
+    nu^(num/den) with no extra rounding.  The first factor depends on
+    (g, d) alone and comes from `_pow_up`, the second from `_nd_power`."""
     v = nu(p)
-    first = _pow_up(v, e1, precision)
+    first = _pow_up(v, num, den, precision)
     nd = p.n_s * p.d_k
     if nd == 1:
         return first
@@ -255,13 +270,13 @@ def _power_product(p: BoundParams, e1, precision: int) -> LogMag:
 
 def thm_cyclic_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(d*nu) * (N_S*D_K)^nu; bounds log max(h_NT(x), h(x))."""
-    return _power_product(p, p.d * nu(p), precision)
+    return _power_product(p, p.d * nu(p), 1, precision)
 
 
 def thm_hyper_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(8^g*d*nu) * (N_S*D_K)^nu; bounds the Neron-Tate sum over the
     Weierstrass points."""
-    return _power_product(p, 8**p.g * p.d * nu(p), precision)
+    return _power_product(p, 8**p.g * p.d * nu(p), 1, precision)
 
 
 def thm_genus2_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -269,7 +284,7 @@ def thm_genus2_bound(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogM
     max(h_NT(x), h(x)) itself, not its logarithm."""
     if p.g != 2:
         raise ValueError("this bound is specific to genus 2")
-    return _power_product(p, 2 * p.d * nu(p), precision)
+    return _power_product(p, 2 * p.d * nu(p), 1, precision)
 
 
 def genus2_intro_bound(n_s: int, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -357,7 +372,8 @@ def ex_from_degB(degB_bound, g: int, precision: int = DEFAULT_PRECISION) -> LogM
 def zhang_height_bound(ex_bound, g: int, eps, precision: int = DEFAULT_PRECISION) -> LogMag:
     """(e(X) + eps) / (2(g-1)); bounds h(x) for all but finitely many
     algebraic points x, for every eps > 0."""
-    eps = Fraction(eps)
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     e = _as_logmag(ex_bound, precision)
@@ -395,7 +411,8 @@ def noether_ex_bound(
                 "ineffective constant required: no proven lower bound for the "
                 f"delta-invariant minimum in genus {g}; supply c_delta"
             )
-    c_delta = Fraction(c_delta)
+    if type(c_delta) is not Fraction:
+        c_delta = Fraction(c_delta)
     hF = _as_logmag(hF_bound, precision)
     if hF.sign < 0:
         raise ValueError("the Faltings height bound must be nonnegative")
@@ -411,7 +428,7 @@ def noether_ex_bound(
 
 def mu_upper(p: BoundParams, precision: int = DEFAULT_PRECISION) -> LogMag:
     """nu^(d*nu/8) * (N_S*D_K)^nu; bounds the archimedean invariant mu_X."""
-    return _power_product(p, Fraction(p.d * nu(p), 8), precision)
+    return _power_product(p, p.d * nu(p), 8, precision)
 
 
 def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -420,7 +437,7 @@ def degB_from_mu(p: BoundParams, mu, precision: int = DEFAULT_PRECISION) -> LogM
     if m.sign < 0:
         raise ValueError("mu must be nonnegative")
     v = nu(p)
-    return lm_mul(_pow_up(v, Fraction(v, 2), precision), m, precision, UP)
+    return lm_mul(_pow_up(v, v, 2, precision), m, precision, UP)
 
 
 def hF_from_u_mu(g: int, mu, precision: int = DEFAULT_PRECISION) -> LogMag:
@@ -526,22 +543,25 @@ def formula_conditions(formula_id: str) -> frozenset[str]:
 
 def _walk(chain: str, p: BoundParams, precision: int, **given):
     """Evaluate the rows of one chain in order, each at most once.
-    Returns (entries, caveats)."""
-    values = dict(p=p, d=p.d, g=p.g, n_s=p.n_s, d_k=p.d_k, c_delta=p.c_delta, **given)
-    known = dict(values)
+    Returns (entries, caveats).  One dict holds the chain's given values
+    and the rows' values: no row name is a given name, so the conditions
+    and caveats read the given values alone."""
+    known = dict(p=p, d=p.d, g=p.g, n_s=p.n_s, d_k=p.d_k, c_delta=p.c_delta, **given)
     entries: list[BoundEntry] = []
     caveats: list[str] = []
-    for f in FORMULAS[chain]:
-        unmet = [c for c in f.when if not CONDITIONS[c][0](values)]
-        if unmet:
-            for c in unmet:
-                caveat = CONDITIONS[c][1] and CONDITIONS[c][1].format(**values)
-                if caveat and caveat not in caveats:
-                    caveats.append(caveat)
-            continue
-        value = f.fn(*(known[name] for name in f.inputs), precision)
-        known[f.name or f.formula_id] = value
-        entries.extend(BoundEntry(f.formula_id, t, value, f.log, f.note) for t in f.targets)
+    for formula_id, targets, log, note, fn, inputs, when, name in FORMULAS[chain]:
+        if when:
+            unmet = [c for c in when if not CONDITIONS[c][0](known)]
+            if unmet:
+                for c in unmet:
+                    caveat = CONDITIONS[c][1] and CONDITIONS[c][1].format(**known)
+                    if caveat and caveat not in caveats:
+                        caveats.append(caveat)
+                continue
+        value = fn(*[known[i] for i in inputs], precision)
+        known[name or formula_id] = value
+        for t in targets:
+            entries.append(_entry(formula_id, t, value, log, note))
     return entries, caveats
 
 
@@ -621,8 +641,11 @@ def full_report(
 ) -> BoundReport:
     """Both pipelines merged into a single report with the comparison: the
     a-priori report, extended by the empirical chain when H_Lambda is given
-    or zograf asserted."""
-    eps = Fraction(eps)
+    or zograf asserted.  eps becomes a Fraction here, once per report, as
+    c_delta did in BoundParams; the rows read both without converting
+    them again."""
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
     rep = pipeline_apriori(p, eps, precision)
     if H_Lambda is not None or use_zograf:
         em = pipeline_empirical(p, H_Lambda, use_zograf, eps, precision)

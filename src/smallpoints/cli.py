@@ -12,7 +12,8 @@ Four commands:
 `analyze`, `bound` and `heights` print JSON through `dumps_indented`: the
 text of json.dumps(doc, indent=2), byte for byte, written without the
 stdlib's pure-Python indented encoder; `batch` prints compact json.dumps
-lines.
+lines, and a line that json.dumps refuses, for an int past the int/str
+digit limit, in the same layout from the same writer (`dumps_compact`).
 
 `bound` refuses a genus above 5000 (exit 1): the exponents of u(g) and
 nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
@@ -233,8 +234,11 @@ def _json_scalar(v) -> str:
 
 def _write_json(o, append, indent: str) -> None:
     """Append the parts of the dict, list or tuple o, whose closing bracket
-    follows indent (a newline and the spaces of o's own level)."""
-    inner = indent + "  "
+    follows indent (a newline and the spaces of o's own level).  An empty
+    indent writes json.dumps' compact layout: one line, ", " between
+    members."""
+    inner = indent + "  " if indent else ""
+    comma = "," + inner if indent else ", "
     if type(o) is dict:
         if not o:
             append("{}")
@@ -251,7 +255,7 @@ def _write_json(o, append, indent: str) -> None:
                 _write_json(v, append, inner)
             else:
                 append(f"{sep}{_escape(k)}: {_json_scalar(v)}")
-            sep = "," + inner
+            sep = comma
         append(indent + "}")
         return
     if not o:
@@ -267,7 +271,7 @@ def _write_json(o, append, indent: str) -> None:
             _write_json(v, append, inner)
         else:
             append(sep + _json_scalar(v))
-        sep = "," + inner
+        sep = comma
     append(indent + "]")
 
 
@@ -285,6 +289,19 @@ def dumps_indented(obj) -> str:
         return _escape(obj) if t is str else _json_scalar(obj)
     except _NotPlainJSON:
         return json.dumps(obj, indent=2)
+
+
+def dumps_compact(doc: dict) -> str:
+    """json.dumps(doc), the compact one-line text `batch` prints.  Where
+    json.dumps refuses an int past the int/str digit limit (a ValueError),
+    the writer of `dumps_indented` writes the same layout with all its
+    digits."""
+    try:
+        return json.dumps(doc)
+    except ValueError:
+        parts: list[str] = []
+        _write_json(doc, parts.append, "")
+        return "".join(parts)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -434,7 +451,7 @@ def cmd_batch(args) -> int:
         if not analysis.parshin_exceptions:
             parshin_ok += 1
         log10s.append(_thm_log10(rep, analysis.genus))
-        out_lines.append(json.dumps({"curve": curve_doc, "bounds": rep.to_dict()}))
+        out_lines.append(dumps_compact({"curve": curve_doc, "bounds": rep.to_dict()}))
         tsv_rows.append(_tsv_row(analysis.equation, analysis.genus, analysis.n_s, rep))
     summary = {
         "total": parshin_total + failed,

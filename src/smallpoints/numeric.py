@@ -12,10 +12,20 @@ values, and one rounded DOWN is <=; the result records its own prec and mode.
 Every LogMag is made by one function, `_round(n, d, e, prec, direction)`: the
 prec-bit directed rounding of the exact rational (n/d) * 2**e.  `_exact` reads
 any operand (LogMag, int, Fraction) as such a triple, so lm_add, lm_sub,
-lm_mul and lm_div hand `_round` the exact result and round once.  The
+lm_mul and lm_div hand `_round` the exact result and round once; LogMag,
+int and Fraction operands take paths chosen by their exact type.  The
 prec-bit values form a fixed grid and an exact value has exactly one nearest
 grid point on each side, so the bits of a result depend only on the exact
 value and the direction, not on how the value was formed.
+
+`_round` and negation build their results through `_logmag`, a private
+constructor that sets the five slots without the public constructor's
+checks.  Its invariant: the mantissa is normalized to [2**(prec-1),
+2**prec), or mantissa and exponent are 0 when the sign is, the precision is
+at least MIN_PRECISION and the mode is UP or DOWN.  `_round` checks the
+precision and mode it is given and normalizes the mantissa it builds, and
+negation copies a value that holds them.  The public constructor keeps
+every check.
 
 Transcendental operations (ln, exp, ln 2, ln(2*pi)) are evaluated in integer
 fixed point with every intermediate rounded in the requested direction and an
@@ -41,10 +51,13 @@ A decimal string is the exact |x| truncated toward zero to its significant
 digits, so it depends on the value alone and no kernel's rounding can move
 it: 1/2 prints as 5.000...e-1, and a DOWN value just below 1157 prints as
 1.1569999...e+3, never above the bound it shows.  Moderate exponents are
-scaled exactly with integers; huge or tiny values evaluate 2**frac by one
-DOWN exp series, whose stated error gives the upper end too, with the
-working precision raised until both ends of the enclosure truncate alike
-(Ziv, ACM TOMS 17, 1991).
+scaled exactly with integers; huge or tiny values evaluate 2**f, f in
+[0, 1), as T[j] exp(r ln 2): j is the top 8 bits of f, T[j] = 2**(j/256)
+rounded DOWN comes from a third cache, `_two_power_table`, filled entry by
+entry on first use and keyed by width, and the Taylor series of exp at
+r ln 2 < 2**-8 needs no squarings.  The stated error of both factors gives
+the upper end too, and the working precision is raised until both ends of
+the enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
 """
 
 from __future__ import annotations
@@ -76,7 +89,10 @@ def decimal_str(n: int) -> str:
     """The decimal digits of an int of any size: str(n) refuses one of more
     than sys.get_int_max_str_digits() digits (4300 by default), and
     decimal.Decimal converts it exactly, with no such limit."""
-    return str(decimal.Decimal(n))
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +622,7 @@ class LogMag:
     def __setattr__(self, *a):
         raise AttributeError("LogMag is immutable")
 
-    # -- constructors
+    # -- constructors (the operations build their results with `_logmag`)
 
     @staticmethod
     def zero(prec: int, mode: int) -> "LogMag":
@@ -622,7 +638,10 @@ class LogMag:
 
     @staticmethod
     def from_fraction(value, prec: int, mode: int) -> "LogMag":
-        fr = Fraction(value)
+        t = type(value)
+        if t is int:
+            return _round(value, 1, 0, prec, mode)
+        fr = value if t is Fraction else Fraction(value)
         return _round(fr.numerator, fr.denominator, 0, prec, mode)
 
     # -- exact views
@@ -696,9 +715,7 @@ class LogMag:
 
     def __neg__(self):
         """Exact negation; the recorded direction flips with the sign."""
-        if self.sign == 0:
-            return LogMag(0, 0, 0, self.prec, -self.mode)
-        return LogMag(-self.sign, self.man, self.exp, self.prec, -self.mode)
+        return _logmag(-self.sign, self.man, self.exp, self.prec, -self.mode)
 
     # -- rendering
 
@@ -714,13 +731,14 @@ class LogMag:
         return h, decimal_str(self.exp)
 
     def to_json_value(self) -> dict:
-        h, e = self.to_pair()
+        """The decimal string, the exact pair of `to_pair` and the
+        precision and rounding, in the report's key order."""
         return {
-            "decimal": self.to_decimal_string(),
-            "mantissa_hex": h,
-            "exponent": e,
+            "decimal": _decimal_string(self, 24),
+            "mantissa_hex": hex(self.man) if self.sign >= 0 else "-" + hex(self.man),
+            "exponent": decimal_str(self.exp),
             "precision": self.prec,
-            "rounding": mode_name(self.mode),
+            "rounding": _MODE_NAMES[self.mode],
         }
 
     def log10_float(self) -> float:
@@ -741,23 +759,46 @@ class LogMag:
         )
 
 
+def _logmag(sign: int, man: int, exp: int, prec: int, mode: int, _new=object.__new__,
+            _sign=LogMag.sign.__set__, _man=LogMag.man.__set__, _exp=LogMag.exp.__set__,
+            _prec=LogMag.prec.__set__, _mode=LogMag.mode.__set__) -> LogMag:
+    """The private constructor of `_round`'s and negation's results: the
+    public one without its checks and its object.__setattr__ calls, for
+    fields that already hold its invariant (module docstring).  The slot
+    setters are bound as defaults, so each is a local lookup."""
+    x = _new(LogMag)
+    _sign(x, sign)
+    _man(x, man)
+    _exp(x, exp)
+    _prec(x, prec)
+    _mode(x, mode)
+    return x
+
+
 def _exact(x) -> tuple[int, int, int]:
     """(n, d, e) with d > 0 and exact value (n/d) * 2**e: a LogMag, an int, or
     anything Fraction accepts."""
-    if isinstance(x, LogMag):
+    t = type(x)
+    if t is LogMag:
         return x.sign * x.man, 1, x.exp - x.prec
-    if isinstance(x, int):
+    if t is int:
         return x, 1, 0
-    fr = Fraction(x)
+    fr = x if t is Fraction else Fraction(x)
     return fr.numerator, fr.denominator, 0
 
 
 def _round(n: int, d: int, e: int, prec: int, direction: int) -> LogMag:
     """The prec-bit LogMag next to (n/d) * 2**e in direction; d > 0.  With
     2**(b-1) <= |n|/d < 2**b the magnitude |n|/d * 2**(prec-b) is rounded by
-    a shift and a sticky-bit test when d == 1, else by one directed division."""
+    a shift and a sticky-bit test when d == 1, else by one directed division.
+    It checks prec and direction as the public constructor does; the
+    mantissa it builds is normalized, so the result takes `_logmag`."""
+    if direction != UP and direction != DOWN:
+        raise ValueError("rounding mode must be UP or DOWN")
+    if prec < MIN_PRECISION:
+        raise ValueError("precision too small")
     if n == 0:
-        return LogMag(0, 0, 0, prec, direction)
+        return _logmag(0, 0, 0, prec, direction)
     sign = 1 if n > 0 else -1
     mag_dir = direction * sign
     a = abs(n)
@@ -765,7 +806,7 @@ def _round(n: int, d: int, e: int, prec: int, direction: int) -> LogMag:
         b = a.bit_length()
         shift = b - prec
         if shift <= 0:
-            return LogMag(sign, a << -shift, e + b, prec, direction)
+            return _logmag(sign, a << -shift, e + b, prec, direction)
         q = a >> shift
         if mag_dir == UP and a & ((1 << shift) - 1):
             q += 1
@@ -775,15 +816,15 @@ def _round(n: int, d: int, e: int, prec: int, direction: int) -> LogMag:
             b += 1
         shift = b - prec
         q = _div_dir(a << max(0, -shift), d << max(0, shift), mag_dir)
-    if q == 1 << prec:
-        # rounding away from zero carried into a new leading bit
+    if q >> prec:
+        # rounding away from zero carried into a new leading bit: q = 2**prec
         q >>= 1
         b += 1
-    return LogMag(sign, q, e + b, prec, direction)
+    return _logmag(sign, q, e + b, prec, direction)
 
 
 def _coerce(x, prec: int, mode: int) -> LogMag:
-    if isinstance(x, LogMag):
+    if type(x) is LogMag:
         return x
     if isinstance(x, (int, Fraction)):
         return _round(*_exact(x), prec, mode)
@@ -797,11 +838,11 @@ def lm_add(a, b, prec: int, mode: int) -> LogMag:
     a = _coerce(a, prec, mode)
     b = _coerce(b, prec, mode)
     if a.sign == 0:
-        return _round(*_exact(b), prec, mode)
+        return _round(b.sign * b.man, 1, b.exp - b.prec, prec, mode)
+    ma, ea = a.sign * a.man, a.exp - a.prec
     if b.sign == 0:
-        return _round(*_exact(a), prec, mode)
-    ma, ea = a.dyadic()
-    mb, eb = b.dyadic()
+        return _round(ma, 1, ea, prec, mode)
+    mb, eb = b.sign * b.man, b.exp - b.prec
     if ea < eb:
         ma, ea, mb, eb = mb, eb, ma, ea
     gap = ea - eb
@@ -822,6 +863,9 @@ def lm_sub(a, b, prec: int, mode: int) -> LogMag:
 
 def lm_mul(a, b, prec: int, mode: int) -> LogMag:
     """Directed a * b: the exact product of the operand values, rounded once."""
+    if type(a) is LogMag and type(b) is LogMag:
+        return _round(a.sign * b.sign * a.man * b.man, 1,
+                      a.exp - a.prec + b.exp - b.prec, prec, mode)
     na, da, ea = _exact(a)
     nb, db, eb = _exact(b)
     return _round(na * nb, da * db, ea + eb, prec, mode)
@@ -829,6 +873,9 @@ def lm_mul(a, b, prec: int, mode: int) -> LogMag:
 
 def lm_div(a, b, prec: int, mode: int) -> LogMag:
     """Directed a / b: the exact quotient of the operand values, rounded once."""
+    if type(a) is LogMag and type(b) is LogMag and b.sign:
+        return _round(a.sign * b.sign * a.man, b.man,
+                      a.exp - a.prec - b.exp + b.prec, prec, mode)
     na, da, ea = _exact(a)
     nb, db, eb = _exact(b)
     if nb == 0:
@@ -855,7 +902,7 @@ def lm_pow(base, e, prec: int, mode: int) -> LogMag:
         if not isinstance(base, LogMag):
             # x**e is not increasing in x everywhere: for x > 0 it decreases
             # when e < 0, for x < 0 the parity of e matters too
-            fr = Fraction(base)
+            fr = base if type(base) is int else Fraction(base)
             if fr < 0:
                 d = mode if (e % 2 == 1) == (e > 0) else -mode
             else:
@@ -897,33 +944,37 @@ def _pow_int(base: LogMag, e: int, prec: int, mode: int) -> LogMag:
         inv = _pow_int(base, -e, prec, -mode)
         return lm_div(LogMag.one(prec, mode), inv, prec, mode)
     sign = -1 if (base.sign < 0 and e % 2) else 1
-    up = (mode if sign > 0 else -mode) == UP
     work = prec + 8
     # square-and-multiply on the magnitude from the low bit of e, every
-    # product trimmed to work bits toward the magnitude's direction
-    cm, ce = base.man, base.exp - base.prec
+    # product trimmed to work bits toward the magnitude's direction.  cm
+    # and am hold t times their magnitudes, t = -1 when these round UP and
+    # 1 when DOWN: t times a product of two is t times the product of the
+    # magnitudes, and as floor(-x) is -ceil(x) one floor shift trims it
+    # either way, with no test of the direction
+    t = -1 if (mode if sign > 0 else -mode) == UP else 1
+    cm, ce = t * base.man, base.exp - base.prec
     am = ae = 0
     while True:
         if e & 1:
             if am:
-                am *= cm
+                am = t * (am * cm)
                 ae += ce
                 s = am.bit_length() - work
                 if s > 0:
-                    am = -((-am) >> s) if up else am >> s
+                    am >>= s
                     ae += s
             else:
                 am, ae = cm, ce
         e >>= 1
         if not e:
             break
-        cm *= cm
+        cm = t * (cm * cm)
         ce *= 2
         s = cm.bit_length() - work
         if s > 0:
-            cm = -((-cm) >> s) if up else cm >> s
+            cm >>= s
             ce += s
-    return _round(sign * am, 1, ae, prec, mode)
+    return _round(sign * t * am, 1, ae, prec, mode)
 
 
 def lm_log(x, prec: int, mode: int) -> LogMag:
@@ -1035,8 +1086,8 @@ def _decimal_string(x: LogMag, digits: int) -> str:
     digits = max(digits, 2)
     m, e = x.man, x.exp - x.prec
     a = x.exp - 1
-    w = a.bit_length() + 64
-    e10 = (a << w) // _constant("log2_10", w, UP if a > 0 else DOWN)
+    w = -(-(a.bit_length() + 64) // 64) * 64
+    e10 = (a << w) // _constant_table("log2_10", w, UP if a > 0 else DOWN)
     k = digits - 1 - e10
     if abs(x.exp) <= 2 * x.prec + 4 * digits + 128:
         n = (m * 10 ** max(k, 0) << max(e, 0)) // (10 ** max(-k, 0) << max(-e, 0))
@@ -1048,34 +1099,77 @@ def _decimal_string(x: LogMag, digits: int) -> str:
     return f"{sign}{s[0]}.{s[1:digits]}e{'+' if e10 >= 0 else ''}{decimal_str(e10)}"
 
 
+@lru_cache(maxsize=None)
+def _two_power_table(j: int, wp: int) -> int:
+    """2**(j/256) * 2**wp rounded DOWN, for 0 <= j < 256 and wp a multiple
+    of 64: one entry per (j, width), made the first time `_scaled_floor`
+    reads it.  It is a DOWN `_exp_series` at W = wp + 64 bits of
+    floor(j ln 2 / 256), ln 2 rounded DOWN, shifted down by 64 bits.  The
+    argument is below j ln 2 / 256 by under 3 ulps at W, which lowers the
+    value, below 2, by under 6, and the series errs by under (5 T + 20) /
+    32 + 1 ulps for its T < 2 sqrt(W) terms: together far below 2**14
+    ulps, so the entry is below 2**(j/256) by under one ulp and a 2**-50
+    part of one."""
+    w = wp + 64
+    return _exp_series((j * _constant("ln2", w, DOWN)) >> 8, w, DOWN) >> 64
+
+
+def _exp_near_zero(r: int, wp: int) -> int:
+    """exp(r * 2**-wp) * 2**wp rounded DOWN, for 0 <= r < 2**(wp - 8): the
+    Taylor series, every term floored, with no argument reduction.
+
+    The ratio of successive terms is below 2**-8 ln 2 < 0.003, so a term
+    floored errs by under one ulp plus 0.003 of the error of the one
+    before, under 1.01 ulps in all.  The sum stops after a term <= 2 ulps,
+    and the dropped terms sum below 0.01 ulps.  A term t_i is at most
+    2**(wp - 8.5 i), so at most wp // 8 + 1 terms follow the leading one,
+    and the sum is below the exact value by under 1.01 (wp // 8 + 1) +
+    0.01 ulps."""
+    total = t = 1 << wp
+    i = 1
+    while t > 2:
+        t = ((t * r) >> wp) // i
+        total += t
+        i += 1
+    return total
+
+
 def _scaled_floor(m: int, e: int, k: int, wp: int) -> int:
     """floor(m * 2**e * 10**k) for m > 0 and a value that is not an integer.
 
-    The value is m * 2**(t_int + f) for t = e + k log2 10 split at an
-    integer t_int.  With log2 10 directed at w = wp + bits(k) bits, t has an
-    enclosure about 2**-wp wide; f's ends, rounded outward to wp bits, are
-    f_lo in [0, 1) and f_hi, a few ulps above.  One DOWN `_exp_series` at
-    a = floor(f_lo ln 2), ln 2 rounded DOWN, gives lo <= 2**f_lo, and both
-    ends come from it: with ln 2 within two ulps, f_lo ln 2 - a < 3 ulps,
-    and with T <= (wp + q + 4) // q + 1 terms, q = isqrt(wp), the series is
-    below exp(a) by under err = (5 T + 20) / 32 + 1 ulps.  So
-    2**f_hi < (lo + err) exp((3 + 0.7 (f_hi - f_lo)) 2**-wp), and as
-    exp(y) <= 1 + 2 y for y <= 1, hi = (lo + err) (1 + 2 (f_hi - f_lo + 3)
-    2**-wp), rounded up, is above it.  If lo and hi floor to different
-    integers, wp doubles: the value is not an integer, so some wp
-    separates it from both neighbours (Ziv, ACM TOMS 17, 1991).
+    Every width is a multiple of 64 bits, wp rounded up first, so each
+    pass reads its table entries as they are.  The value is m * 2**(t_int
+    + f) for t = e + k log2 10 split at an integer t_int.  With log2 10
+    directed at w >= wp + bits(k) bits, t has an enclosure about 2**-wp
+    wide; f's ends, rounded outward to wp bits, are f_lo in [0, 1) and
+    f_hi, a few ulps above.  2**f_lo = 2**(j/256) * exp(r ln 2), j the top
+    8 bits of f_lo and r < 2**-8 the rest.  The first factor is T,
+    `_two_power_table`'s entry: T <= 2**(j/256) and below it by under 2
+    ulps.  The second is S, `_exp_near_zero` of a = floor(r ln 2), ln 2
+    rounded DOWN: with ln 2 within two ulps, r ln 2 - a < 1.01 ulps, and S
+    is below exp(a) by under E = 1.01 (wp // 8 + 1) + 0.01 ulps.  So lo =
+    floor(T S 2**-wp) <= 2**f_lo, and as T < 2 and S < 1.003 (in units of
+    2**wp), (T + 2)(S + E) 2**-wp < lo + 1 + 2.01 + 2 E + 0.01 <= top =
+    lo + 3 (wp // 8) + 6.  Then 2**f_hi < top exp((1.01 + 0.7 (f_hi -
+    f_lo)) 2**-wp), and as exp(y) <= 1 + 2 y for y <= 1, hi = top (1 + 2
+    (f_hi - f_lo + 3) 2**-wp), rounded up, is above it.  If lo and hi
+    floor to different integers, wp doubles: the value is not an integer,
+    so some wp separates it from both neighbours (Ziv, ACM TOMS 17,
+    1991).
     """
+    wp = -(-wp // 64) * 64
     while True:
-        w = wp + abs(k).bit_length()
+        w = -(-(wp + abs(k).bit_length()) // 64) * 64
         lo_dir = DOWN if k >= 0 else UP
-        t_lo = (e << w) + k * _constant("log2_10", w, lo_dir)
-        t_hi = (e << w) + k * _constant("log2_10", w, -lo_dir)
+        t_lo = (e << w) + k * _constant_table("log2_10", w, lo_dir)
+        t_hi = (e << w) + k * _constant_table("log2_10", w, -lo_dir)
         t_int = t_lo >> w
         f_lo = (t_lo - (t_int << w)) >> (w - wp)
         f_hi = -(((t_int << w) - t_hi) >> (w - wp))
-        lo = _exp_series((f_lo * _constant("ln2", wp, DOWN)) >> wp, wp, DOWN)
-        q = math.isqrt(wp)
-        top = lo + _div_dir(5 * ((wp + q + 4) // q + 1) + 20, 32, UP) + 1
+        j = f_lo >> (wp - 8)
+        a = ((f_lo - (j << (wp - 8))) * _constant_table("ln2", wp, DOWN)) >> wp
+        lo = _two_power_table(j, wp) * _exp_near_zero(a, wp) >> wp
+        top = lo + 3 * (wp // 8) + 6
         hi = top + _shift_dir(top * 2 * (f_hi - f_lo + 3), wp, UP)
         n_lo = _shift_dir(m * lo, wp - t_int, DOWN)
         n_hi = _shift_dir(m * hi, wp - t_int, DOWN)

@@ -406,6 +406,8 @@ def test_formula_table_rows_read_only_what_exists():
                 else:
                     assert name in given_names, (chain, f.formula_id, name)
             key = f.name or f.formula_id
+            # _walk keeps the given values and the rows' values in one dict
+            assert key not in given_names, (chain, key)
             gated[key] = gated[key] & when if key in gated else when
 
 

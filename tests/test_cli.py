@@ -1,10 +1,12 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
+import contextlib
 import dataclasses
 import gc
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -39,12 +41,15 @@ def run(capsys, argv):
     ["analyze", "--curve", "y^2 = x^5 - x", "--precision", "512"],
 ])
 def test_output_does_not_depend_on_the_constant_tables(capsys, argv):
-    """A report printed right after the constant and ln reduction tables
-    are emptied is byte for byte the one printed again from warm tables."""
+    """A report printed right after the constant, ln reduction and
+    2**(j/256) tables are emptied is byte for byte the one printed again
+    from warm tables."""
     numeric._constant_table.cache_clear()
     numeric._reduction_table.cache_clear()
+    numeric._two_power_table.cache_clear()
     cold = run(capsys, argv)
     assert numeric._reduction_table.cache_info().currsize
+    assert numeric._two_power_table.cache_info().currsize
     assert cold[0] == 0 and cold == run(capsys, argv)
 
 
@@ -568,16 +573,35 @@ def test_batch_keeps_going_past_a_computation_giving_up(monkeypatch, tmp_path, c
     assert docs[3]["summary"]["failed"] == 1 and docs[3]["summary"]["parshin_ok"] == "2/2"
 
 
-def test_batch_line_past_the_int_str_limit_exits_1_in_one_line(monkeypatch, tmp_path, capsys):
-    # batch's compact json.dumps refuses the bound report's bare n_s echo
-    # past 4300 digits; the run ends as an input error, not a traceback
-    _, big = digits_past_the_int_str_limit()
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """A context in which int and str convert any number of digits, so that
+    json.loads and json.dumps take a line past the default limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_batch_line_past_the_int_str_limit_prints_every_digit(monkeypatch, tmp_path, capsys):
+    # json.dumps refuses the bound report's bare n_s echo past 4300 digits;
+    # batch writes that line in the same compact layout, every digit printed
+    digits, big = digits_past_the_int_str_limit()
     monkeypatch.setattr(cli, "analyze_curve",
                         lambda *args, **kwargs: altered_analysis(n_s=big))
-    code, out, err = run(capsys, ["batch", corpus_file(tmp_path, [json.dumps({"curve": X5X})])])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("smallpoints: Exceeds the limit") and err.count("\n") == 1
+    corpus = corpus_file(tmp_path, [json.dumps({"curve": X5X}), json.dumps({"curve": X5X})])
+    code, out, err = run(capsys, ["batch", corpus])
+    assert (code, err) == (0, "")
+    lines = out.rstrip("\n").split("\n")
+    assert len(lines) == 3 and lines[0] == lines[1]
+    with unlimited_int_digits():
+        record = json.loads(lines[0])
+        assert lines[0] == json.dumps(record)
+    assert record["bounds"]["inputs"]["n_s"] == big
+    assert record["curve"]["n_s"] == digits
+    assert json.loads(lines[2])["summary"]["parshin_ok"] == "2/2"
 
 
 def test_batch_empty_file_exits_0(tmp_path, capsys):
@@ -824,6 +848,28 @@ def test_writer_matches_json_dumps_on_random_documents(seed):
     for depth in range(1, 6):
         doc = _random_document(rng, depth)
         assert dumps_indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_compact_writer_matches_json_dumps_on_random_documents(seed):
+    rng = random.Random(f"compact/{seed}")
+    for depth in range(1, 6):
+        doc = _random_document(rng, depth)
+        parts = []
+        cli._write_json(doc, parts.append, "")
+        assert "".join(parts) == json.dumps(doc)
+        assert cli.dumps_compact(doc) == json.dumps(doc)
+
+
+def test_dumps_compact_prints_ints_past_the_int_str_limit():
+    digits, big = digits_past_the_int_str_limit()
+    doc = {"a": [big, -big, {"b": (1.5, None, "\u00e9")}], "c": {}, "d": []}
+    with pytest.raises(ValueError):
+        json.dumps(doc)
+    text = cli.dumps_compact(doc)
+    with unlimited_int_digits():
+        assert text == json.dumps(doc)
+    assert f"[{digits}, -{digits}, " in text
 
 
 @pytest.mark.parametrize("value", [

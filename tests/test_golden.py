@@ -11,7 +11,8 @@ It prints each key whose digest changed, was added or was removed.
 
 Every command runs in process.  Output depends on the argv alone, so the
 `analyze` commands are checked twice, in list order and then reversed,
-against the same digests.  A `batch` corpus is named relative to this
+and the `bound` commands also in two seeded shuffled orders, each against
+the same digests.  A `batch` corpus is named relative to this
 directory, so its key is the same in every checkout.
 """
 
@@ -21,6 +22,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +189,16 @@ def test_golden_file_covers_every_command():
 
 def test_bound_output_matches_golden():
     _check(_bound_commands())
+
+
+def test_bound_output_matches_golden_in_shuffled_orders():
+    # one process, two seeded orders: each command runs after a different
+    # history of the process-wide tables (powers, N_S*D_K power, constants,
+    # the 2**(j/256) entries)
+    for seed in (1, 2):
+        commands = _bound_commands()
+        random.Random(f"golden-bound/{seed}").shuffle(commands)
+        _check(commands)
 
 
 def test_analyze_output_matches_golden():

@@ -289,6 +289,48 @@ def test_immutable():
         x.man = 5
 
 
+def _fields(x: LogMag) -> tuple:
+    return x.sign, x.man, x.exp, x.prec, x.mode
+
+
+@given(n=st.integers(-(2**300), 2**300), d=st.integers(1, 2**200),
+       e=st.integers(-(10**6), 10**6), prec=st.integers(numeric.MIN_PRECISION, 600),
+       direction=st.sampled_from([UP, DOWN]))
+@example(n=2**64 - 1, d=1, e=0, prec=8, direction=UP)  # the carry into a new bit
+@example(n=-(2**64 - 1), d=3, e=5, prec=8, direction=DOWN)
+@example(n=0, d=7, e=9, prec=8, direction=DOWN)
+def test_round_results_pass_the_public_constructor_checks(n, d, e, prec, direction):
+    """`_round` and negation build LogMags through the private constructor,
+    which skips the checks: every result still has a normalized mantissa
+    (zero mantissa and exponent at zero), a precision of at least
+    MIN_PRECISION and mode UP or DOWN, so the public constructor accepts
+    its fields and rebuilds the same value, and it is immutable."""
+    for x in (_round(n, d, e, prec, direction), -_round(n, d, e, prec, direction)):
+        assert type(x) is LogMag
+        assert x.prec == prec >= numeric.MIN_PRECISION and x.mode in (UP, DOWN)
+        if n == 0:
+            assert (x.sign, x.man, x.exp) == (0, 0, 0)
+        else:
+            assert 2 ** (prec - 1) <= x.man < 2**prec and x.sign in (1, -1)
+        assert _fields(LogMag(*_fields(x))) == _fields(x)
+        with pytest.raises(AttributeError):
+            x.man = 5
+    assert _round(n, d, e, prec, direction).mode == direction
+
+
+def test_round_checks_what_the_public_constructor_checks():
+    for args in ((1, 1, 0, numeric.MIN_PRECISION - 1, UP), (0, 1, 0, 7, DOWN)):
+        with pytest.raises(ValueError, match="precision too small"):
+            _round(*args)
+        with pytest.raises(ValueError, match="precision too small"):
+            LogMag(1 if args[0] else 0, 64, 0, args[3], args[4])
+    for mode in (0, 2, None):
+        with pytest.raises(ValueError, match="rounding mode"):
+            _round(3, 1, 0, 64, mode)
+        with pytest.raises(ValueError, match="rounding mode"):
+            LogMag(1, 1 << 63, 0, 64, mode)
+
+
 def test_comparisons():
     a = LogMag.from_int(5, 128, UP)
     assert a == 5
@@ -695,23 +737,42 @@ def test_scaled_floor_is_exact():
         assert n == _mp_scaled_floor(m, e, k, 27), x
 
 
+def test_decimal_kernels_meet_their_stated_bounds():
+    """Each 2**(j/256) entry at wp bits is floor(2**(wp + j/256)), checked
+    exactly as T**256 <= 2**(256 wp + j) < (T + 1)**256, and
+    `_exp_near_zero` lies below exp(r 2**-wp) 2**wp by under its stated
+    1.01 (wp // 8 + 1) + 0.01 ulps, at the ends of its domain and on
+    seeded arguments, against mpmath."""
+    for wp in (64, 128, 192, 512):
+        for j in (0, 1, 2, 127, 128, 200, 254, 255):
+            t = numeric._two_power_table(j, wp)
+            assert t**256 <= 2 ** (256 * wp + j) < (t + 1) ** 256, (wp, j)
+    rng = random.Random(20261021)
+    for wp in (64, 128, 256, 2048):
+        bound = Fraction(101, 100) * (wp // 8 + 1) + Fraction(1, 100)
+        for r in [0, 1, (1 << (wp - 8)) - 1] + [rng.randrange(1 << (wp - 8)) for _ in range(30)]:
+            below = mp_exp_fixed(r, wp) * 2**wp - numeric._exp_near_zero(r, wp)
+            assert 0 <= below < bound, (wp, r, float(below))
+
+
 def test_scaled_floor_doubles_its_precision_next_to_an_integer(monkeypatch):
     """A value 10**-31 (below 2**-100) above or below an integer cannot be
     told from it at 64 bits: Ziv's loop doubles the precision, one exp
-    series per pass, and returns the exact floor."""
+    series per pass (`_exp_near_zero`, after the 2**(j/256) table), and
+    returns the exact floor."""
     calls = []
-    series = numeric._exp_series
+    series = numeric._exp_near_zero
 
     def counting(*args):
         calls.append(args)
         return series(*args)
 
-    monkeypatch.setattr(numeric, "_exp_series", counting)
+    monkeypatch.setattr(numeric, "_exp_near_zero", counting)
     for n, d in ((10**6 + 7, 1), (10**6 + 7, -1), (3**40, 1)):
         calls.clear()
         m = n * 10**31 + d
         assert _scaled_floor(m, 0, -31, 64) == (n if d > 0 else n - 1)
-        assert [wp for _, wp, _ in calls][:2] == [64, 128], calls
+        assert [wp for _, wp in calls][:2] == [64, 128], calls
 
 
 def test_exp_kernel_brackets_mpmath_across_precisions():
