@@ -93,6 +93,7 @@ from .numeric import (
     lm_mul,
     lm_sub,
     lm_sum,
+    table,
 )
 from .polynomial import Poly, cyclotomic_index, factor_over_z
 from .roots import grid_bits, isolate_roots, refine_root_box
@@ -101,14 +102,11 @@ RESULTANT_DEGREE_CAP = 64
 
 _CANONICAL_PRECISION = 32
 _MAX_RESOLVE_PRECISION = 1 << 16
-# entries each table (_roots_of, _op_factors, _height, _rational_height,
-# _difference and set_orbit) keeps: far more than a benchmark round fills,
-# yet a long batch cannot grow them without limit.  An entry is a pure function of its key,
-# so an eviction never changes output.
+# entries each of this module's tables (every `table` below) keeps: far
+# more than a benchmark round fills, yet a long batch cannot grow them
+# without limit.  An entry is a pure function of its key (numeric's
+# registry), so an eviction never changes output.
 _TABLE_CACHE_SIZE = 4096
-# models the curve module's model table (curve._analyze_model) keeps, on
-# the same terms; its docstring gives the memory of an entry
-_MODEL_CACHE_SIZE = 512
 
 
 class DegreeCapExceeded(Exception):
@@ -131,7 +129,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def _roots_of(coeffs: tuple, precision: int) -> tuple[int, tuple]:
     """(w, root boxes at w bits) of the irreducible polynomial with these
     coefficients, of degree at least 2, in canonical order and at exactly
@@ -416,7 +414,7 @@ def _from_power_sums(P: list[int]) -> list[int]:
     return C
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def _op_factors(f_coeffs: tuple, g_coeffs: tuple, kind: str) -> tuple[Poly, ...]:
     """Irreducible factors of the degree m*n polynomial whose roots, with
     multiplicity, are all sums (or products) of a root of f and a root of g.
@@ -536,7 +534,7 @@ def point_key(p) -> tuple:
     return (2, p.sort_key())
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def _difference(u: AlgebraicNumber, v: AlgebraicNumber) -> AlgebraicNumber:
     """u - v, a pure function of the two (minpoly, index) pairs."""
     return u - v
@@ -586,7 +584,7 @@ def _cross_ratio_matrix(p1, p2, p3) -> tuple[int, int, int, int] | None:
     return _coordinate_matrix(*map(_homogeneous, (p1, p2, p3)))
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def set_orbit(a, b, c, d) -> tuple[AlgebraicNumber, tuple[Poly, ...]] | None:
     """(lam, the minimal polynomials of its anharmonic orbit by ANHARMONIC
     position) for lam = cross_ratio(a, b, c, d) of four distinct points in
@@ -718,7 +716,7 @@ def weil_height(alpha, precision: int = DEFAULT_PRECISION) -> tuple[LogMag, LogM
     return _height(coeffs, precision)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def _rational_height(H: int, precision: int) -> tuple[LogMag, LogMag]:
     """(ln H rounded DOWN, ln H rounded UP) at precision bits: the height
     of every rational u/v in lowest terms with max(|u|, |v|) = H, both
@@ -726,7 +724,7 @@ def _rational_height(H: int, precision: int) -> tuple[LogMag, LogMag]:
     return lm_log_ends(H, precision)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@table(_TABLE_CACHE_SIZE)
 def _height(coeffs: tuple, precision: int) -> tuple[LogMag, LogMag]:
     """weil_height of a root of the minimal polynomial, of degree at least
     2, with these coefficients.  The logarithms and their sums carry 16

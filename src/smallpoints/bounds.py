@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .numeric import (
     DEFAULT_PRECISION,
@@ -61,6 +60,7 @@ from .numeric import (
     lm_ln_two_pi,
     lm_mul,
     lm_pow,
+    table,
 )
 
 TARGETS = (
@@ -233,7 +233,7 @@ def nu(p: BoundParams) -> int:
 _POW_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=_POW_CACHE_SIZE)
+@table(_POW_CACHE_SIZE)
 def _pow_up(base: int, num: int, den: int, precision: int) -> LogMag:
     """base^(num/den) rounded up, for a base and exponent fixed by (g, d).
     The exponent comes as two ints, so a key hashes and compares in C."""
@@ -249,7 +249,7 @@ def u_g(g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
 
 # thm_1_1, thm_1_2, thm_1_3 and lem_5_2_i of one report share their
 # (N_S*D_K)^nu; the next report at another N_S*D_K replaces it.
-@lru_cache(maxsize=1)
+@table(1)
 def _nd_power(nd: int, e: int, precision: int) -> LogMag:
     """nd^e rounded up, for nd = N_S*D_K and e = nu."""
     return lm_pow(nd, e, precision, UP)

@@ -41,14 +41,13 @@ or wraps the curve analysis.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
 from .bounds import FORMULAS, BoundParams, formula_conditions, full_report
-from .numeric import DEFAULT_PRECISION, decimal_str
+from .numeric import DEFAULT_PRECISION, decimal_str, table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -157,7 +156,7 @@ def _add_bound_flags(p: argparse.ArgumentParser) -> None:
                         "128(g+1) Belyi degree bound")
 
 
-@functools.cache
+@table(None)
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls, and
     # building costs about a fifth of a `bound` report

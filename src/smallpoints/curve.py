@@ -74,10 +74,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
 
 from .algebraic import (
-    _MODEL_CACHE_SIZE,
     ANHARMONIC,
     INFINITY,
     PERMUTATION_IMAGES,
@@ -109,6 +107,7 @@ from .numeric import (
     factor,
     lm_exp,
     lm_max,
+    table,
 )
 from .polynomial import (
     Poly,
@@ -123,6 +122,7 @@ from .polynomial import (
 _EQUATION_RE = re.compile(r"^\s*y\s*(?:\^|\*\*)\s*2\s*=\s*(.+)$", re.IGNORECASE)
 
 _SEARCH_PRECISION = 64
+_MODEL_CACHE_SIZE = 512
 
 # the three normalizations of a sorted triple (a, b, c) as (positions in
 # the triple sent to infinity, 0 and 1; anharmonic_orbit position of their
@@ -554,7 +554,7 @@ def _normalization_search(branch: list):
     return best[1], _winner_values(branch, best[1]), caveats
 
 
-@lru_cache(maxsize=_MODEL_CACHE_SIZE)
+@table(_MODEL_CACHE_SIZE)
 def _analyze_model(f: Poly, disc: int) -> tuple:
     """The precision-independent analysis of the integral model f, with
     disc = disc(f), as immutable values: (equation, genus, branch points,

@@ -58,6 +58,11 @@ entry on first use and keyed by width, and the Taylor series of exp at
 r ln 2 < 2**-8 needs no squarings.  The stated error of both factors gives
 the upper end too, and the working precision is raised until both ends of
 the enclosure truncate alike (Ziv, ACM TOMS 17, 1991).
+
+Every process-wide table of the package is a functools.lru_cache made by
+`table(maxsize)`, which records it, so `clear_tables()` empties them all
+as in a fresh process.  An entry must be a pure function of its key, so
+that no output depends on what the process computed before.
 """
 
 from __future__ import annotations
@@ -95,6 +100,23 @@ def decimal_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+_TABLES = []
+
+
+def table(maxsize: int | None):
+    """functools.lru_cache(maxsize), recorded for `clear_tables`."""
+    def record(f):
+        _TABLES.append(lru_cache(maxsize=maxsize)(f))
+        return _TABLES[-1]
+    return record
+
+
+def clear_tables() -> None:
+    """Empty every table made by `table`, as in a fresh process."""
+    for cached in _TABLES:
+        cached.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # primality and factorization
 
@@ -115,7 +137,7 @@ _RUNS = -(-_TRIAL_LIMIT // _RUN_WIDTH)
 _PRIME_TEST_BITS = 1024
 
 
-@lru_cache(maxsize=1)
+@table(1)
 def _first_run() -> tuple[int, ...]:
     """The primes below _RUN_WIDTH: run 0, and the base primes of the
     sieves of the later runs."""
@@ -146,7 +168,7 @@ def _run_primes(run: int) -> list[int]:
     return list(itertools.compress(range(lo + 1, hi, 2), sieve))
 
 
-@lru_cache(maxsize=None)
+@table(None)
 def _run_product(run: int) -> int:
     """The product of the primes of run >= 1, sieved the first time a
     cofactor reaches that run: math.prod over 64 primes at a time, then a
@@ -427,7 +449,7 @@ def _arc_inv(x: int, s: int, wp: int, direction: int) -> int:
         sign *= s
 
 
-@lru_cache(maxsize=None)
+@table(None)
 def _constant_table(name: str, wp: int, direction: int) -> int:
     """The constant name ("ln2", "log2_10", "two_pi" or "ln_two_pi") * 2**wp,
     directed.  ln 2 = 2 atanh(1/3), ln(5/4) = 2 atanh(1/9) and, by Machin,
@@ -461,7 +483,7 @@ def _constant(name: str, wp: int, direction: int) -> int:
     return _shift_dir(_constant_table(name, wpb, direction), wpb - wp, direction)
 
 
-@lru_cache(maxsize=None)
+@table(None)
 def _reduction_table(wp: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The steps of `_ln_of_dyadic`'s reduction at wp bits: pairs (j,
     -ln(1 - 2**-j) * 2**wp) for j = 2, 5, 8, ... up to isqrt(wp), as a
@@ -722,17 +744,9 @@ class LogMag:
     def to_decimal_string(self, digits: int = 24) -> str:
         return _decimal_string(self, digits)
 
-    def to_pair(self) -> tuple[str, str]:
-        """Exact (mantissa-hex, exponent-decimal) pair; the exponent may have
-        more digits than str accepts (u(g) for large g)."""
-        h = hex(self.man)
-        if self.sign < 0:
-            h = "-" + h
-        return h, decimal_str(self.exp)
-
     def to_json_value(self) -> dict:
-        """The decimal string, the exact pair of `to_pair` and the
-        precision and rounding, in the report's key order."""
+        """The decimal string, the exact hex mantissa and decimal exponent (of
+        any length: u(g) for large g), precision and rounding, in key order."""
         return {
             "decimal": _decimal_string(self, 24),
             "mantissa_hex": hex(self.man) if self.sign >= 0 else "-" + hex(self.man),
@@ -1099,7 +1113,7 @@ def _decimal_string(x: LogMag, digits: int) -> str:
     return f"{sign}{s[0]}.{s[1:digits]}e{'+' if e10 >= 0 else ''}{decimal_str(e10)}"
 
 
-@lru_cache(maxsize=None)
+@table(None)
 def _two_power_table(j: int, wp: int) -> int:
     """2**(j/256) * 2**wp rounded DOWN, for 0 <= j < 256 and wp a multiple
     of 64: one entry per (j, width), made the first time `_scaled_floor`

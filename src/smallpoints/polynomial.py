@@ -23,10 +23,9 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .numeric import factor as int_factor
-from .numeric import is_prime
+from .numeric import is_prime, table
 
 
 def _as_poly(other) -> "Poly":
@@ -728,7 +727,7 @@ def factor_over_z(f: Poly) -> list[Poly]:
 # cyclotomic recognition
 
 
-@lru_cache(maxsize=None)
+@table(None)
 def cyclotomic_poly(m: int) -> Poly:
     """The m-th cyclotomic polynomial, from x**m - 1 by dividing out the
     lower Phi_d."""

@@ -28,13 +28,12 @@ from smallpoints.algebraic import (
     mobius_minpoly,
     weil_height,
 )
-import smallpoints.curve as curve_mod
-from smallpoints.cli import main
 from smallpoints.numeric import DOWN, UP, LogMag, lm_div, lm_exp, lm_log, lm_mul
 from smallpoints.polynomial import Poly, factor_over_z, parse_poly
 
 from oracles import DEC_TOL, dec_ln, dec_sqrt
 from test_golden import EXACT_TIES, SIX, X5X
+from test_history import check_history_free
 
 
 def _box(r):
@@ -323,48 +322,29 @@ def test_linear_minpolys_bypass_the_root_table(monkeypatch):
     assert degrees and min(degrees) >= 2
 
 
-_TABLES = (alg._roots_of, alg._op_factors, alg._height, alg._rational_height, alg._difference,
-           alg.set_orbit)
-
-
-def test_tables_are_bounded():
-    for table in _TABLES:
+def test_tables_are_bounded(fresh_tables):
+    for table in (alg._roots_of, alg._op_factors, alg._height, alg._rational_height,
+                  alg._difference, alg.set_orbit):
         assert table.cache_info().maxsize == alg._TABLE_CACHE_SIZE
     # a stream of more distinct keys than a table holds; linear minimal
     # polynomials and rational heights keep each entry cheap
     for k in range(1, alg._TABLE_CACHE_SIZE + 9):
         alg._op_factors((-k, 1), (-1, 1), "add")
         alg._rational_height(k, 16)
-    try:
-        for table in (alg._op_factors, alg._rational_height):
-            info = table.cache_info()
-            assert 0 < info.currsize <= info.maxsize
-    finally:
-        for table in _TABLES:
-            table.cache_clear()
+    for table in (alg._op_factors, alg._rational_height):
+        info = table.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
 
-def test_analyze_output_survives_clearing_every_table(capsys):
+def test_analyze_output_survives_clearing_every_table():
     """The golden all-rational curves, those with a quadratic factor and
-    one with no real branch point print the same bytes warm, after every
-    lru table of the algebraic and curve modules is cleared, and in
-    reversed order."""
-    def reports(curves):
-        out = []
-        for curve in curves:
-            assert main(["analyze", "--curve", curve]) == 0
-            out.append(capsys.readouterr().out)
-        return out
-
+    one with no real branch point print, in list order and reversed, the
+    bytes each prints right after every table is emptied, and those cold
+    runs refill every algebraic table."""
     curves = [SIX, *EXACT_TIES, X5X, "y^2 = x^5 - 4*x^3 + 3*x", "y^2 = x^6 + 1"]
-    warm = reports(curves)
-    tables = {f for m in (alg, curve_mod) for f in vars(m).values() if hasattr(f, "cache_clear")}
-    assert tables >= set(_TABLES)
-    for table in tables:
-        table.cache_clear()
-    assert reports(curves) == warm
-    assert reports(curves[::-1]) == warm[::-1]
-    assert all(table.cache_info().currsize for table in _TABLES)
+    filled = check_history_free([["analyze", "--curve", c] for c in curves], [])
+    assert filled >= {alg._roots_of, alg._op_factors, alg._height, alg._rational_height,
+                      alg._difference, alg.set_orbit}
 
 
 def _fields(enclosure):
@@ -392,7 +372,7 @@ def test_rational_heights_take_one_entry_per_h():
     assert _fields(weil_height(1, 64)) == _fields((LogMag.zero(64, DOWN), LogMag.zero(64, UP)))
 
 
-def test_heights_take_each_log_once(monkeypatch):
+def test_heights_take_each_log_once(monkeypatch, fresh_tables):
     """A rational height takes ln H in one run of the ln kernel, both ends
     from it, unless H has more bits than the precision and rounds two ways;
     a height of higher degree takes ln of the leading coefficient once,
@@ -408,8 +388,6 @@ def test_heights_take_each_log_once(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(numeric, "_ln_of_dyadic", counting)
-    alg._rational_height.cache_clear()
-    alg._height.cache_clear()
     for H, precision, runs in ((7, 64, 1), (999983, 128, 1), (2**70 + 1, 2048, 1),
                                (2**70 + 1, 64, 2)):
         calls.clear()
@@ -421,8 +399,6 @@ def test_heights_take_each_log_once(monkeypatch):
     lo, hi = alg._height((-2, 0, 3), 128)
     assert len(calls) == 1
     assert lo.to_fraction() <= dec_ln(3) / 2 + DEC_TOL and hi.to_fraction() >= dec_ln(3) / 2 - DEC_TOL
-    alg._rational_height.cache_clear()
-    alg._height.cache_clear()
 
 
 def test_degree_cap():

@@ -1,7 +1,6 @@
 import decimal
 import json
 import math
-import random
 from fractions import Fraction
 
 import jsonschema
@@ -39,19 +38,10 @@ from smallpoints.bounds import (
     zhang_height_bound,
     zograf_degB_bound,
 )
-from smallpoints.cli import main
 from smallpoints.numeric import DOWN, UP, LogMag, decimal_str, lm_log, lm_pow
+from test_history import _bound_grid, check_history_free
 
 P2 = BoundParams(d=1, g=2, n_s=2, d_k=1)
-
-# the tables that keep bound-chain values across reports; numeric's constant
-# table also keeps ln(2 pi), but it is keyed by width, not bounded by a size
-_REPORT_TABLES = (bounds._pow_up, bounds._nd_power)
-
-
-def _every_table():
-    """Every lru table of the bounds and numeric modules."""
-    return {f for m in (bounds, numeric) for f in vars(m).values() if hasattr(f, "cache_clear")}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -444,21 +434,16 @@ def _count_logs(monkeypatch) -> list:
         pytest.param(5, 3, True, Fraction(7, 3), 5, id="5-3-True-H-7"),
     ],
 )
-def test_full_report_takes_each_log_once(monkeypatch, g, d, zograf, h_lambda, logs):
-    # the count is that of cold tables; earlier tests may have filled them
-    for table in (*_REPORT_TABLES, numeric._constant_table):
-        table.cache_clear()
+def test_full_report_takes_each_log_once(monkeypatch, fresh_tables, g, d, zograf, h_lambda, logs):
     calls = _count_logs(monkeypatch)
     p = BoundParams(d=d, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
     full_report(p, H_Lambda=h_lambda, use_zograf=zograf, precision=2048)
     assert len(calls) == len(set(calls)) == logs
 
 
-def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch):
+def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch, fresh_tables):
     # nu^(d nu/8), nu^(nu/2) and ln(2 pi) depend on (g, d, precision) alone:
     # a second report at another N_S takes no log
-    for table in (*_REPORT_TABLES, numeric._constant_table):
-        table.cache_clear()
     calls = _count_logs(monkeypatch)
     counts = []
     reports = []
@@ -471,11 +456,9 @@ def test_parameter_only_powers_are_taken_once_across_reports(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [2, 3])
-def test_full_report_takes_one_n_s_d_k_power(monkeypatch, g):
+def test_full_report_takes_one_n_s_d_k_power(monkeypatch, fresh_tables, g):
     # thm_1_1, thm_1_2, lem_5_2_i and, at g = 2, thm_1_3 all multiply by
     # (N_S*D_K)^nu: a report takes that power once and shares it
-    for table in _REPORT_TABLES:
-        table.cache_clear()
     p = BoundParams(d=1, g=g, n_s=30, d_k=7, c_delta=None if g == 2 else -1000)
     bases = []
     lm_pow_ = bounds.lm_pow
@@ -496,8 +479,6 @@ def test_full_report_takes_one_n_s_d_k_power(monkeypatch, g):
 
 
 def test_report_tables_are_bounded_and_keep_no_n_s_power():
-    for table in _REPORT_TABLES:
-        assert table.cache_info().maxsize is not None
     assert bounds._pow_up.cache_info().maxsize == bounds._POW_CACHE_SIZE
     bounds._pow_up.cache_clear()
     full_report(BoundParams(2, 3, 1, 1, c_delta=-7), use_zograf=True, precision=64)
@@ -511,38 +492,12 @@ def test_report_tables_are_bounded_and_keep_no_n_s_power():
     assert bounds._nd_power.cache_info().currsize <= 1
 
 
-def test_bound_reports_do_not_depend_on_table_state(capsys):
+def test_bound_reports_do_not_depend_on_table_state():
     """A seeded grid over g 2-10, d 1-3, precision 64 and 2048, with and
-    without --abc, --cdelta and --zograf, prints the same bytes warm, after
-    every bounds and numeric table is cleared, and in reversed order."""
-    rng = random.Random("bound-tables")
-    flag_sets = [(a, c, z) for a in (0, 1) for c in (0, 1) for z in (0, 1)]
-    grid = []
-    for i in range(2 * 9 * 3):
-        g, d, prec = 2 + i % 9, 1 + i // 9 % 3, (64, 2048)[i // 27]
-        abc, cdelta, zograf = flag_sets[i % 8]
-        argv = ["bound", "--d", str(d), "--g", str(g), "--ns", str(rng.choice((1, 6, 30, 2310))),
-                "--dk", str(rng.choice((1, 3, 7))), "--precision", str(prec)]
-        if abc:
-            argv += ["--abc", rng.choice(("2,2", "3/2,5/4,1"))]
-        if cdelta:
-            argv += ["--cdelta", str(-rng.randint(1, 5000))]
-        if zograf:
-            argv.append("--zograf")
-        grid.append(argv)
-
-    def reports(argvs):
-        out = []
-        for argv in argvs:
-            assert main(argv) == 0
-            out.append(capsys.readouterr().out)
-        return out
-
-    warm = reports(grid)
-    for table in _every_table():
-        table.cache_clear()
-    assert reports(grid) == warm
-    assert reports(grid[::-1]) == warm[::-1]
+    without --abc, --cdelta and --zograf, prints, in grid order and
+    reversed, the bytes each report prints right after every table is
+    emptied."""
+    check_history_free(_bound_grid(), [])
 
 
 def test_report_renders_each_entry_into_its_own_dict():

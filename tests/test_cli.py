@@ -21,6 +21,7 @@ import smallpoints.numeric as numeric
 from smallpoints.numeric import decimal_str
 from test_bounds import REPORT_SCHEMA
 from test_golden import ANALYZE, HEIGHTS, OTHER, _bound_commands, fresh_interpreter
+from test_history import check_history_free
 from test_numeric import digits_past_the_int_str_limit
 from test_polynomial import OVERSIZED_COEFFICIENTS, forbid_oversized_polys
 
@@ -40,17 +41,12 @@ def run(capsys, argv):
      "--zograf"],
     ["analyze", "--curve", "y^2 = x^5 - x", "--precision", "512"],
 ])
-def test_output_does_not_depend_on_the_constant_tables(capsys, argv):
-    """A report printed right after the constant, ln reduction and
-    2**(j/256) tables are emptied is byte for byte the one printed again
-    from warm tables."""
-    numeric._constant_table.cache_clear()
-    numeric._reduction_table.cache_clear()
-    numeric._two_power_table.cache_clear()
-    cold = run(capsys, argv)
-    assert numeric._reduction_table.cache_info().currsize
-    assert numeric._two_power_table.cache_info().currsize
-    assert cold[0] == 0 and cold == run(capsys, argv)
+def test_output_does_not_depend_on_the_constant_tables(argv):
+    """A report printed right after every table, the constant, ln
+    reduction and 2**(j/256) tables among them, is emptied is byte for
+    byte the one printed again from warm tables, and refills those two."""
+    filled = check_history_free([argv], [])
+    assert {numeric._reduction_table, numeric._two_power_table} <= filled
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +167,8 @@ ISOLATION_FAILURE = "root isolation did not certify at the precision cap"
 
 def isolation_gives_up(monkeypatch, min_degree: int) -> None:
     """Make root isolation raise, as at its precision cap, on every
-    polynomial of at least this degree, with every algebraic table emptied
-    so that no earlier analysis holds the boxes it would give."""
+    polynomial of at least this degree.  Callers take the fresh_tables
+    fixture, so that no earlier analysis holds the boxes it would give."""
     isolate = algebraic.isolate_roots
 
     def failing(f, *args):
@@ -180,13 +176,10 @@ def isolation_gives_up(monkeypatch, min_degree: int) -> None:
             raise RuntimeError(ISOLATION_FAILURE)
         return isolate(f, *args)
 
-    for table in vars(algebraic).values():
-        if hasattr(table, "cache_clear"):
-            table.cache_clear()
     monkeypatch.setattr(algebraic, "isolate_roots", failing)
 
 
-def test_analyze_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
+def test_analyze_computation_giving_up_exits_2_in_one_line(monkeypatch, fresh_tables, capsys):
     isolation_gives_up(monkeypatch, 5)
     code, out, err = run(capsys, ["analyze", "--curve", "y^2 = x^5 - 2"])
     assert code == 2
@@ -559,7 +552,7 @@ def test_batch_reports_zero_curve_line(tmp_path, capsys):
     assert docs[2]["summary"]["failed"] == 1 and docs[2]["summary"]["parshin_ok"] == "1/1"
 
 
-def test_batch_keeps_going_past_a_computation_giving_up(monkeypatch, tmp_path, capsys):
+def test_batch_keeps_going_past_a_computation_giving_up(monkeypatch, fresh_tables, tmp_path, capsys):
     # only y^2 = x^5 - 2 has a branch point of degree 5 to isolate
     corpus = corpus_file(
         tmp_path, [json.dumps({"curve": c}) for c in (X5X, "y^2 = x^5 - 2", G2B)]
@@ -687,7 +680,7 @@ def test_analyze_flags_a_probabilistic_prime_once(capsys):
     assert caveats[0] == f"primality of {p} in S is probabilistic"
 
 
-def test_heights_computation_giving_up_exits_2_in_one_line(monkeypatch, capsys):
+def test_heights_computation_giving_up_exits_2_in_one_line(monkeypatch, fresh_tables, capsys):
     # the rational is done before the quadratic's isolation gives up; no
     # partial document is printed
     isolation_gives_up(monkeypatch, 2)

@@ -940,12 +940,10 @@ def test_search_resolves_only_the_winning_values(monkeypatch):
         resolves.clear()
 
 
-def test_search_resolves_only_the_winning_orbits(monkeypatch):
+def test_search_resolves_only_the_winning_orbits(monkeypatch, fresh_tables):
     # fewer than three rational points: every winning value is one
-    # cross_ratio call, and the records hold exactly those values.  The
-    # count is that of a fresh analysis, which an earlier one of the same
-    # model would have left in the model table.
-    curve_mod._analyze_model.cache_clear()
+    # cross_ratio call, and the records hold exactly those values, in a
+    # fresh analysis, not one from the model table
     values = []
 
     def counting_cross_ratio(*points):
@@ -974,13 +972,10 @@ def test_set_images_match_exact_cross_ratios():
     assert len(curve_mod._SET_IMAGES) == 4 * 3
 
 
-def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch):
+def test_search_takes_one_quotient_per_set_of_four_points(monkeypatch, fresh_tables):
     # y^2 = x^5 - 1 has six branch points, two of them rational: 20 triples
-    # with 3 values each, but only C(6, 4) = 15 sets of four points.  The
-    # count is that of a cold model and set table, which earlier analyses
-    # may have filled.
-    curve_mod._analyze_model.cache_clear()
-    algebraic_mod.set_orbit.cache_clear()
+    # with 3 values each, but only C(6, 4) = 15 sets of four points, from
+    # cold model and set tables
     quotients = []
     binary = algebraic_mod._binary
 
@@ -1018,15 +1013,6 @@ X6X_SPELLINGS = ("y^2 = x^6 - x", "y^2 = (x^6 - x)")
 MODEL_PRECISIONS = (64, 128, 512)
 
 
-def _empty_tables():
-    """Empty the model table and every algebraic table, as in a fresh
-    process."""
-    curve_mod._analyze_model.cache_clear()
-    for table in vars(algebraic_mod).values():
-        if hasattr(table, "cache_clear"):
-            table.cache_clear()
-
-
 def _counting(monkeypatch, module, name: str) -> list:
     """Replace module.name by a wrapper that records each call's arguments
     in the returned list."""
@@ -1041,9 +1027,8 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_one_model_is_searched_once(monkeypatch):
+def test_one_model_is_searched_once(monkeypatch, fresh_tables):
     # two spellings of one model at three precisions: one search
-    curve_mod._analyze_model.cache_clear()
     searches = _counting(monkeypatch, curve_mod, "_normalization_search")
     reports = {}
     for precision in MODEL_PRECISIONS:
@@ -1069,7 +1054,7 @@ def test_reports_in_either_precision_order_match_fresh_processes(capsys):
         assert proc.returncode == 0, proc.stderr
         fresh[precision] = proc.stdout
     for order in (MODEL_PRECISIONS, MODEL_PRECISIONS[::-1]):
-        _empty_tables()
+        numeric_mod.clear_tables()
         for precision in order:
             for text in X6X_SPELLINGS:
                 assert _cli_report(capsys, text, precision) == fresh[precision], (order, text)
@@ -1123,13 +1108,12 @@ def test_analyses_share_no_mutable_state():
 
 
 @pytest.mark.parametrize("text", ["y^2 = x^5 - x", "y^2 = x^5 - 2", "y^2 = x^6 - x"])
-def test_analysis_takes_no_squarefree_gcd_of_the_model(monkeypatch, text):
+def test_analysis_takes_no_squarefree_gcd_of_the_model(monkeypatch, fresh_tables, text):
     # parse_curve proves the model squarefree (disc f != 0), so neither
     # factoring it nor isolating its roots takes gcd(f, f')
     import smallpoints.polynomial as polynomial_mod
 
     f, _ = parse_curve(text)
-    _empty_tables()
     gcds = _counting(monkeypatch, polynomial_mod, "poly_gcd")
     analyze_curve(text)
     assert [args for args in gcds if args[0] == f] == []
