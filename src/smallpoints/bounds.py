@@ -39,8 +39,9 @@ many reports.  The one other factor, (N_S*D_K)^nu, is shared by thm_1_1,
 thm_1_2, thm_1_3 and lem_5_2_i: a one-entry table, `_nd_power`, keeps the
 power of the latest N_S*D_K, so a report takes it once and the next report
 at another N_S*D_K replaces it.  That entry is the only value depending on
-N_S or D_K kept across reports, and no rendered string is kept: a report
-renders each of its distinct values once (`BoundReport.to_dict`).
+N_S or D_K kept across reports, and no rendered string is kept: the
+command line writes a report's JSON from its entries, each distinct value
+once (`cli._write_report`).
 """
 
 from __future__ import annotations
@@ -155,18 +156,6 @@ class BoundEntry:
         self.bounds_log_of_target = bounds_log_of_target
         self.note = note
 
-    def to_dict(self, value: dict | None = None) -> dict:
-        """The entry as JSON; value, when given, is its value's rendering."""
-        out = {
-            "formula_id": self.formula_id,
-            "target": self.target,
-            "bounds_log_of_target": self.bounds_log_of_target,
-            "value": self.value.to_json_value() if value is None else value,
-        }
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
 
 def _entry(formula_id: str, target: str, value: LogMag, bounds_log_of_target: bool,
            note: str | None, _new=object.__new__) -> BoundEntry:
@@ -194,26 +183,6 @@ class BoundReport:
         self.entries = entries
         self.caveats = [] if caveats is None else caveats
         self.comparison = comparison
-
-    def to_dict(self) -> dict:
-        # eq_general's four entries hold thm_1_1's value: each distinct value
-        # is rendered once, and every entry gets its own copy of the dict
-        rendered: dict[tuple, dict] = {}
-        entries = []
-        for e in self.entries:
-            v = e.value
-            key = (v.sign, v.man, v.exp, v.prec, v.mode)
-            if key not in rendered:
-                rendered[key] = v.to_json_value()
-            entries.append(e.to_dict(dict(rendered[key])))
-        out = {
-            "inputs": self.inputs,
-            "entries": entries,
-            "caveats": self.caveats,
-        }
-        if self.comparison is not None:
-            out["comparison"] = self.comparison
-        return out
 
     def entry(self, formula_id: str, target: str | None = None) -> BoundEntry:
         for e in self.entries:

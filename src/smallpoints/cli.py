@@ -14,6 +14,8 @@ text of json.dumps(doc, indent=2), byte for byte, written without the
 stdlib's pure-Python indented encoder; `batch` prints compact json.dumps
 lines, and a line that json.dumps refuses, for an int past the int/str
 digit limit, in the same layout from the same writer (`dumps_compact`).
+A bound report is written straight from its entries, in either layout,
+with no document built for it first (`_write_report`).
 
 `bound` refuses a genus above 5000 (exit 1): the exponents of u(g) and
 nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
@@ -46,7 +48,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .bounds import FORMULAS, BoundParams, formula_conditions, full_report
+from .bounds import FORMULAS, BoundParams, BoundReport, formula_conditions, full_report
 from .numeric import DEFAULT_PRECISION, decimal_str, table
 
 EXIT_OK = 0
@@ -232,10 +234,12 @@ def _json_scalar(v) -> str:
 
 
 def _write_json(o, append, indent: str) -> None:
-    """Append the parts of the dict, list or tuple o, whose closing bracket
-    follows indent (a newline and the spaces of o's own level).  An empty
-    indent writes json.dumps' compact layout: one line, ", " between
-    members."""
+    """Append the parts of the dict, list, tuple or BoundReport o, whose
+    closing bracket follows indent (a newline and the spaces of o's own
+    level).  An empty indent writes json.dumps' compact layout: one line,
+    ", " between members."""
+    if type(o) is BoundReport:
+        return _write_report(o, append, indent)
     inner = indent + "  " if indent else ""
     comma = "," + inner if indent else ", "
     if type(o) is dict:
@@ -249,7 +253,7 @@ def _write_json(o, append, indent: str) -> None:
             t = type(v)
             if t is str:
                 append(f"{sep}{_escape(k)}: {_escape(v)}")
-            elif t is dict or t is list or t is tuple:
+            elif t is dict or t is list or t is tuple or t is BoundReport:
                 append(f"{sep}{_escape(k)}: ")
                 _write_json(v, append, inner)
             else:
@@ -265,7 +269,7 @@ def _write_json(o, append, indent: str) -> None:
         t = type(v)
         if t is str:
             append(sep + _escape(v))
-        elif t is dict or t is list or t is tuple:
+        elif t is dict or t is list or t is tuple or t is BoundReport:
             append(sep)
             _write_json(v, append, inner)
         else:
@@ -274,33 +278,73 @@ def _write_json(o, append, indent: str) -> None:
     append(indent + "]")
 
 
+def _write_report(rep, append, indent: str) -> None:
+    """`_write_json` of a BoundReport's document: {"inputs", "entries",
+    "caveats"} and "comparison" when it has one; each entry {"formula_id",
+    "target", "bounds_log_of_target", "value"} and "note" when it has one,
+    in one f-string; a value as LogMag.to_json_value, rendered once for the
+    entries that share it (one row's targets, eq_general's after thm_1_1's)."""
+    i1, i2, i3, i4 = (indent + "  " * k if indent else "" for k in (1, 2, 3, 4))
+    c1, c2, c3, c4 = ("," + i if indent else ", " for i in (i1, i2, i3, i4))
+    append("{" + i1 + '"inputs": ')
+    _write_json(rep.inputs, append, i1)
+    append(c1 + '"entries": ' + ("[" if rep.entries else "[]"))
+    sep = i2
+    value = text = None
+    for e in rep.entries:
+        if e.value is not value:
+            value = e.value
+            dec, man, exp, prec, rnd = value.to_json_value().values()
+            text = (f'{{{i4}"decimal": {_escape(dec)}{c4}"mantissa_hex": {_escape(man)}'
+                    f'{c4}"exponent": {_escape(exp)}{c4}"precision": {prec}'
+                    f'{c4}"rounding": {_escape(rnd)}{i3}}}')
+        note = "" if e.note is None else f'{c3}"note": {_escape(e.note)}'
+        append(f'{sep}{{{i3}"formula_id": {_escape(e.formula_id)}{c3}"target": '
+               f'{_escape(e.target)}{c3}"bounds_log_of_target": '
+               f'{_json_scalar(e.bounds_log_of_target)}{c3}"value": {text}{note}{i2}}}')
+        sep = c2
+    if rep.entries:
+        append(i1 + "]")
+    append(c1 + '"caveats": ')
+    _write_json(rep.caveats, append, i1)
+    if rep.comparison is not None:
+        append(c1 + '"comparison": ')
+        _write_json(rep.comparison, append, i1)
+    append(indent + "}")
+
+
+def _dumps(o, indent: str) -> str:
+    parts: list[str] = []
+    _write_json(o, parts.append, indent)
+    return "".join(parts)
+
+
 def dumps_indented(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte.  An int past the int/str
-    digit limit, which json.dumps refuses, prints all its digits; a
-    document holding any other type than dict, list, tuple, str, int,
-    float, bool or None, or a key that is not a str, goes to json.dumps."""
+    """json.dumps(obj, indent=2), byte for byte, where a BoundReport stands
+    for its document (`_write_report`).  An int past the int/str digit
+    limit, which json.dumps refuses, prints all its digits; a document
+    holding any other type than dict, list, tuple, str, int, float, bool
+    or None, or a key that is not a str, goes to json.dumps."""
     t = type(obj)
     try:
-        if t is dict or t is list or t is tuple:
-            parts: list[str] = []
-            _write_json(obj, parts.append, "\n")
-            return "".join(parts)
+        if t is dict or t is list or t is tuple or t is BoundReport:
+            return _dumps(obj, "\n")
         return _escape(obj) if t is str else _json_scalar(obj)
     except _NotPlainJSON:
         return json.dumps(obj, indent=2)
 
 
-def dumps_compact(doc: dict) -> str:
-    """json.dumps(doc), the compact one-line text `batch` prints.  Where
-    json.dumps refuses an int past the int/str digit limit (a ValueError),
-    the writer of `dumps_indented` writes the same layout with all its
-    digits."""
-    try:
-        return json.dumps(doc)
-    except ValueError:
-        parts: list[str] = []
-        _write_json(doc, parts.append, "")
-        return "".join(parts)
+def dumps_compact(doc) -> str:
+    """json.dumps(doc), the compact one-line text `batch` prints, of a dict
+    or a BoundReport.  A report, and a document that json.dumps refuses for
+    an int past the int/str digit limit (a ValueError), go to the writer of
+    `dumps_indented`, which prints all the digits."""
+    if type(doc) is not BoundReport:
+        try:
+            return json.dumps(doc)
+        except ValueError:
+            pass
+    return _dumps(doc, "")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -374,7 +418,7 @@ def cmd_analyze(args) -> int:
     analysis = analyze_curve(args.curve, precision=args.precision)
     curve_doc, rep = _analysis_documents(analysis, args)
     if args.format == "json":
-        _emit(dumps_indented({"curve": curve_doc, "bounds": rep.to_dict()}), args.out)
+        _emit(dumps_indented({"curve": curve_doc, "bounds": rep}), args.out)
     else:
         row = _tsv_row(analysis.equation, analysis.genus, analysis.n_s, rep)
         _emit(TSV_HEADER + "\n" + row, args.out)
@@ -416,8 +460,9 @@ def cmd_bound(args) -> int:
             raise ValueError(f"no formula {fid} for these inputs")
     if args.format == "json":
         if args.formula:
-            rep.entries = [e for e in rep.entries if e.formula_id in set(args.formula)]
-        _emit(dumps_indented(rep.to_dict()), args.out)
+            wanted = set(args.formula)
+            rep.entries = [e for e in rep.entries if e.formula_id in wanted]
+        _emit(dumps_indented(rep), args.out)
     else:
         # the summary row reads the whole report; --formula only filters JSON
         _emit(TSV_HEADER + "\n" + _tsv_row("-", p.g, p.n_s, rep), args.out)
@@ -450,7 +495,8 @@ def cmd_batch(args) -> int:
         if not analysis.parshin_exceptions:
             parshin_ok += 1
         log10s.append(_thm_log10(rep, analysis.genus))
-        out_lines.append(dumps_compact({"curve": curve_doc, "bounds": rep.to_dict()}))
+        curve_json = dumps_compact(curve_doc)  # through json.dumps' C encoder
+        out_lines.append(f'{{"curve": {curve_json}, "bounds": {dumps_compact(rep)}}}')
         tsv_rows.append(_tsv_row(analysis.equation, analysis.genus, analysis.n_s, rep))
     summary = {
         "total": parshin_total + failed,

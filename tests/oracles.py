@@ -199,3 +199,26 @@ def mp_decimal_truncation(man: int, e: int, digits: int) -> str:
     assert len(found) == 1, found
     s = str(n)
     return f"{s[0]}.{s[1:]}e{'+' if e10 >= 0 else ''}{e10}"
+
+
+def report_document(rep) -> dict:
+    """The JSON document of a bounds.BoundReport, built as plain dicts for
+    json.dumps: {"inputs", "entries", "caveats"} and "comparison" when the
+    report has one; each entry {"formula_id", "target",
+    "bounds_log_of_target", "value"} and "note" when it has one, its value
+    rendered into a dict of its own by LogMag.to_json_value."""
+    entries = []
+    for e in rep.entries:
+        entry = {
+            "formula_id": e.formula_id,
+            "target": e.target,
+            "bounds_log_of_target": e.bounds_log_of_target,
+            "value": e.value.to_json_value(),
+        }
+        if e.note is not None:
+            entry["note"] = e.note
+        entries.append(entry)
+    doc = {"inputs": rep.inputs, "entries": entries, "caveats": rep.caveats}
+    if rep.comparison is not None:
+        doc["comparison"] = rep.comparison
+    return doc

@@ -38,10 +38,17 @@ from smallpoints.bounds import (
     zhang_height_bound,
     zograf_degB_bound,
 )
+from smallpoints.cli import dumps_indented
 from smallpoints.numeric import DOWN, UP, LogMag, decimal_str, lm_log, lm_pow
 from test_history import _bound_grid, check_history_free
 
 P2 = BoundParams(d=1, g=2, n_s=2, d_k=1)
+
+
+def printed(rep) -> dict:
+    """The document that the command line prints for a report."""
+    return json.loads(dumps_indented(rep))
+
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -355,15 +362,15 @@ def test_full_report_comparison():
     assert cmp["sharper_chain"] == "apriori"
     assert cmp["empirical"]["log10_of_bound"] == pytest.approx(2.896e58, rel=1e-3)
     assert cmp["apriori"]["log10_of_bound"] < 1.1e6
-    jsonschema.validate(instance=rep.to_dict(), schema=REPORT_SCHEMA)
-    text = json.dumps(rep.to_dict())
+    jsonschema.validate(instance=printed(rep), schema=REPORT_SCHEMA)
+    text = dumps_indented(rep)
     assert json.loads(text)["comparison"]["sharper_chain"] == "apriori"
 
 
 def test_full_report_genus3_comparison_undetermined():
     rep = full_report(BoundParams(1, 3, 6, 1), H_Lambda=1)
     assert rep.comparison["sharper_chain"] == "undetermined"
-    jsonschema.validate(instance=rep.to_dict(), schema=REPORT_SCHEMA)
+    jsonschema.validate(instance=printed(rep), schema=REPORT_SCHEMA)
 
 
 def test_full_report_log10_is_null_past_float_range():
@@ -373,7 +380,7 @@ def test_full_report_log10_is_null_past_float_range():
     assert empirical["formula_id"] == "lem_4_3"
     assert empirical["log10_of_bound"] is None
     assert empirical["ln_of_bound"]["rounding"] == "up"
-    json.dumps(rep.to_dict(), allow_nan=False)
+    json.dumps(printed(rep), allow_nan=False)
     rep5 = full_report(BoundParams(d=1, g=5, n_s=30, d_k=1), H_Lambda=12)
     assert math.isfinite(rep5.comparison["empirical"]["log10_of_bound"])
 
@@ -501,7 +508,7 @@ def test_bound_reports_do_not_depend_on_table_state():
 
 
 def test_report_renders_each_entry_into_its_own_dict():
-    doc = full_report(BoundParams(1, 3, 6, 1)).to_dict()
+    doc = printed(full_report(BoundParams(1, 3, 6, 1)))
     values = {e["formula_id"] + "/" + e["target"]: e["value"] for e in doc["entries"]}
     shared = [values["thm_1_1/h"], values["thm_1_1/h_NT"]] + [
         values["eq_general/" + t] for t in ("e_X", "delta_X", "h_F", "Delta_X")
@@ -516,7 +523,7 @@ def test_report_prints_exponents_past_the_int_str_limit():
     # u(4800) has a binary exponent of more than 4300 decimal digits
     ug = u_g(4800)
     assert len(decimal_str(ug.exp)) > 4300
-    doc = json.loads(json.dumps(full_report(BoundParams(1, 4800, 6, 1)).to_dict()))
+    doc = printed(full_report(BoundParams(1, 4800, 6, 1)))
     value = next(e["value"] for e in doc["entries"] if e["formula_id"] == "eq_fhux")
     assert decimal.Decimal(value["exponent"]) > ug.exp
     exponent10 = value["decimal"].split("e+")[1]

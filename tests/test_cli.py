@@ -3,16 +3,19 @@
 import contextlib
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from smallpoints.bounds import BoundParams, full_report, pipeline_apriori
+from oracles import report_document
+from smallpoints.bounds import BoundParams, BoundReport, full_report, pipeline_apriori
 import smallpoints.algebraic as algebraic
 import smallpoints.cli as cli
 from smallpoints.cli import TSV_HEADER, _precision, dumps_indented, main
@@ -914,11 +917,11 @@ def test_json_commands_print_the_stdlib_indented_json(capsys):
 def test_writer_leaves_no_reference_cycles():
     # a writer that recursed through a nested closure made every report a
     # cycle, freed only by the cyclic collector
-    bound = full_report(BoundParams(d=1, g=2, n_s=30, d_k=1)).to_dict()
+    bound = full_report(BoundParams(d=1, g=2, n_s=30, d_k=1))
     analysis = analyze_curve(X5X)
     args = cli.build_parser().parse_args(["analyze", "--curve", X5X])
     curve_doc, rep = cli._analysis_documents(analysis, args)
-    analyze_doc = {"curve": curve_doc, "bounds": rep.to_dict()}
+    analyze_doc = {"curve": curve_doc, "bounds": rep}
     gc.collect()
     gc.disable()
     try:
@@ -931,9 +934,76 @@ def test_writer_leaves_no_reference_cycles():
 def test_bound_report_echoes_n_s_past_the_int_str_limit():
     # json.dumps refuses an int of more than 4300 digits
     n_s = 7**6000
-    text = dumps_indented(full_report(BoundParams(d=1, g=2, n_s=n_s, d_k=1)).to_dict())
+    text = dumps_indented(full_report(BoundParams(d=1, g=2, n_s=n_s, d_k=1)))
     assert len(decimal_str(n_s)) == 5071
     assert f'\n    "n_s": {decimal_str(n_s)},\n' in text
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _one_or_prime_product(rng) -> int:
+    return 1 if rng.random() < 0.3 else math.prod(rng.sample(_PRIMES, rng.randrange(1, 7)))
+
+
+def _writer_grid():
+    """Seeded reports: g 2-12, d 1-3, N_S and D_K each 1 or a product of
+    primes, c_delta asserted or not, zograf on or off, eps != 1, H_Lambda
+    echoed or not, precision 32 to 2048, and the caveats and the curve that
+    `analyze` adds; last, an N_S past the int/str digit limit."""
+    rng = random.Random("report writer")
+    for _ in range(60):
+        g, d = rng.randrange(2, 13), rng.randrange(1, 4)
+        c_delta = rng.choice([None, Fraction(-rng.randrange(1, 1000), rng.randrange(1, 9))])
+        h_lambda = rng.choice([None, 1, Fraction(rng.randrange(10**6, 10**9), rng.randrange(1, 999))])
+        extras = rng.choice([{}, {"extra_inputs": {"curve": "y^2 = x^5 - x"},
+                                  "extra_caveats": [cli.ABC_CAVEAT]}])
+        yield full_report(
+            BoundParams(d, g, _one_or_prime_product(rng), _one_or_prime_product(rng), c_delta),
+            H_Lambda=h_lambda,
+            use_zograf=rng.random() < 0.5,
+            eps=rng.choice([Fraction(1, 3), Fraction(5, 2), Fraction(1, 10**6)]),
+            precision=rng.choice([32, 64, 128, 512, 2048]),
+            **extras,
+        )
+    yield full_report(BoundParams(1, 2, 7**6000 * 11, 3), H_Lambda=12, precision=64)
+
+
+def _layouts(rep) -> tuple[list[str], list[str]]:
+    """The writer's texts of rep at depths 0 and 1 (in a dict and in a
+    list), indented and compact, and the texts json.dumps writes for the
+    oracle's document in the same places, which json.dumps writes only
+    without the int/str digit limit."""
+    written = [dumps_indented(rep), dumps_indented({"curve": {}, "bounds": rep}),
+               dumps_indented([rep]), cli.dumps_compact(rep)]
+    doc = report_document(rep)
+    with unlimited_int_digits():
+        expected = [json.dumps(doc, indent=2), json.dumps({"curve": {}, "bounds": doc}, indent=2),
+                    json.dumps([doc], indent=2), json.dumps(doc)]
+    return written, expected
+
+
+def test_report_writer_matches_the_oracle_document():
+    for rep in _writer_grid():
+        written, expected = _layouts(rep)
+        assert written == expected, rep.inputs
+
+
+def test_every_formula_subset_prints_the_oracle_document(capsys):
+    argv = ["bound", "--d", "2", "--g", "3", "--ns", "30", "--dk", "7", "--epsilon", "1/5",
+            "--precision", "64"]
+    rep = full_report(BoundParams(2, 3, 30, 7), eps=Fraction(1, 5), precision=64)
+    ids = list(dict.fromkeys(e.formula_id for e in rep.entries))
+    assert len(ids) == 7 and any(e.note for e in rep.entries)
+    for k in range(len(ids) + 1):
+        for chosen in itertools.combinations(ids, k):
+            sub = BoundReport(rep.inputs, [e for e in rep.entries if e.formula_id in chosen],
+                              rep.caveats, rep.comparison)
+            written, expected = _layouts(sub)
+            assert written == expected, chosen
+            if chosen:
+                code, out, _ = run(capsys, argv + [a for f in chosen for a in ("--formula", f)])
+                assert (code, out) == (0, expected[0] + "\n"), chosen
 
 
 _LAZY_IMPORTS = """
