@@ -23,6 +23,12 @@ chains are walked in row order, every row evaluated once:
     branch-point cross-ratios (lem_4_2, or the modular-curve bound when
     the caller asserts it), then lem_4_1 -> lem_4_3 -> lem_4_4_i.
 
+BoundParams is a named tuple whose __new__ checks the parameters and
+fills in the genus-2 c_delta; _make and _replace go through it too.  A
+BoundEntry, of which a report builds one per target of each row, and a
+BoundReport, which full_report extends in place, are __slots__ classes:
+an entry's constructor checks its target against TARGETS.
+
 No row reads a constant that the literature proves effective but never
 states.  The bounds conditional on abc each need one (c1, c2, c3, c*,
 kappa or c1'), so none of them is evaluated, and a report's `abc` input
@@ -64,7 +70,7 @@ from .numeric import (
     table,
 )
 
-TARGETS = (
+TARGETS = frozenset((
     "h",
     "h_NT",
     "e_X",
@@ -74,7 +80,7 @@ TARGETS = (
     "deg_B",
     "mu_X",
     "weierstrass_sum",
-)
+))
 
 
 def c_delta_default(g: int) -> Fraction | None:
@@ -97,16 +103,17 @@ def _as_logmag(x, precision: int) -> LogMag:
     return LogMag.from_fraction(x, precision, UP)
 
 
-class BoundParams:
+class BoundParams(namedtuple("BoundParams", ("d", "g", "n_s", "d_k", "c_delta"))):
     """d = [K:Q], genus g >= 2, N_S = product of the primes in S, and the
     absolute discriminant value D_K >= 1.  c_delta is a lower bound for
     the minimum of the delta invariant in genus g; it defaults to
     c_delta_default(g), -186 for g = 2 and None otherwise, until the
-    caller asserts one.  Instances are immutable."""
+    caller asserts one.  A named tuple, so immutable; every construction,
+    _make and _replace included, goes through the checks of __new__."""
 
-    __slots__ = ("d", "g", "n_s", "d_k", "c_delta")
+    __slots__ = ()
 
-    def __init__(self, d: int, g: int, n_s: int, d_k: int, c_delta: Fraction | None = None):
+    def __new__(cls, d: int, g: int, n_s: int, d_k: int, c_delta: Fraction | None = None):
         if d < 1:
             raise ValueError("d must be a positive integer")
         if g < 2:
@@ -116,28 +123,11 @@ class BoundParams:
         if d_k < 1:
             raise ValueError("D_K must be a positive integer")
         c_delta = c_delta_default(g) if c_delta is None else Fraction(c_delta)
-        for name, value in zip(self.__slots__, (d, g, n_s, d_k, c_delta)):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (d, g, n_s, d_k, c_delta))
 
-    def __setattr__(self, *a):
-        raise AttributeError("BoundParams is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not BoundParams:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"BoundParams({args})"
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class BoundEntry:
@@ -155,20 +145,6 @@ class BoundEntry:
         self.value = value
         self.bounds_log_of_target = bounds_log_of_target
         self.note = note
-
-
-def _entry(formula_id: str, target: str, value: LogMag, bounds_log_of_target: bool,
-           note: str | None, _new=object.__new__) -> BoundEntry:
-    """A BoundEntry without the public constructor's check: `_walk` makes
-    one for each target of a FORMULAS row, and every such target is in
-    TARGETS (tests/test_bounds.py checks the table)."""
-    e = _new(BoundEntry)
-    e.formula_id = formula_id
-    e.target = target
-    e.value = value
-    e.bounds_log_of_target = bounds_log_of_target
-    e.note = note
-    return e
 
 
 class BoundReport:
@@ -362,26 +338,13 @@ def nt_from_h(h_bound, g: int, precision: int = DEFAULT_PRECISION) -> LogMag:
     return lm_mul(LogMag.from_int(2 * g * (g - 1), precision, UP), h, precision, UP)
 
 
-def noether_ex_bound(
-    hF_bound,
-    g: int,
-    c_delta: Fraction | None,
-    precision: int = DEFAULT_PRECISION,
-) -> LogMag:
+def noether_ex_bound(hF_bound, g: int, c_delta: Fraction,
+                     precision: int = DEFAULT_PRECISION) -> LogMag:
     """12*h_F + 4g*ln(2*pi) - c_delta; bounds e(X) from the Faltings height.
 
-    c_delta is a lower bound for the minimum of the delta invariant; None
-    reads c_delta_default(g), which only genus 2 has (-186), so other
-    genera must supply one."""
-    if c_delta is None:
-        c_delta = c_delta_default(g)
-        if c_delta is None:
-            raise ValueError(
-                "ineffective constant required: no proven lower bound for the "
-                f"delta-invariant minimum in genus {g}; supply c_delta"
-            )
-    if type(c_delta) is not Fraction:
-        c_delta = Fraction(c_delta)
+    c_delta is a lower bound for the minimum of the delta invariant, as
+    BoundParams holds it; the chain evaluates this row only when it is
+    known."""
     hF = _as_logmag(hF_bound, precision)
     if hF.sign < 0:
         raise ValueError("the Faltings height bound must be nonnegative")
@@ -530,7 +493,7 @@ def _walk(chain: str, p: BoundParams, precision: int, **given):
         value = fn(*[known[i] for i in inputs], precision)
         known[name or formula_id] = value
         for t in targets:
-            entries.append(_entry(formula_id, t, value, log, note))
+            entries.append(BoundEntry(formula_id, t, value, log, note))
     return entries, caveats
 
 

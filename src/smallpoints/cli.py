@@ -211,11 +211,8 @@ class _NotPlainJSON(Exception):
 def _json_scalar(v) -> str:
     t = type(v)
     if t is int:
-        try:
-            return int.__repr__(v)
-        except ValueError:
-            # past sys.get_int_max_str_digits(), where json.dumps raises
-            return decimal_str(v)
+        # every digit, also past the int/str limit, where json.dumps raises
+        return decimal_str(v)
     if t is float:
         if v != v:
             return "NaN"

@@ -64,6 +64,8 @@ and the search ranks at _SEARCH_PRECISION (or _rational_rank_bits)
 whatever precision is asked for.  Each call then reads the heights, the
 S-unit flags, h_max, the multiplicative height and mu_hat at its own
 precision into a fresh CurveAnalysis, so no caller can change an entry.
+The analysis and its Normalization and CrossRatioRecords are named tuples:
+their fields cannot be reassigned, and _replace gives a changed copy.
 The table keeps the _MODEL_CACHE_SIZE (512) most recently used models.  An
 entry is a pure function of its key, so an eviction never changes output,
 and an analysis that raises leaves no entry.
@@ -74,12 +76,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 
 from .algebraic import (
     ANHARMONIC,
     INFINITY,
     PERMUTATION_IMAGES,
-    AlgebraicNumber,
     _coordinate_matrix,
     _homogeneous,
     _rational_height,
@@ -106,7 +108,6 @@ from .numeric import (
     decimal_str,
     factor,
     lm_exp,
-    lm_max,
     table,
 )
 from .polynomial import (
@@ -168,61 +169,26 @@ def parse_curve(text: str) -> tuple[Poly, int]:
     return f, disc
 
 
-class CrossRatioRecord:
-    """The cross-ratio of the branch point z_index under the normalizing
-    triple: its value, height enclosure and S-unit flags."""
+# The cross-ratio of the branch point z_index under the normalizing
+# triple: its value, height enclosure and S-unit flags.
+CrossRatioRecord = namedtuple(
+    "CrossRatioRecord", ("z_index", "value", "height", "lambda_s_unit", "one_minus_s_unit"))
 
-    __slots__ = ("z_index", "value", "height", "lambda_s_unit", "one_minus_s_unit")
-
-    def __init__(self, z_index: int, value: AlgebraicNumber, height: tuple[LogMag, LogMag],
-                 lambda_s_unit: bool, one_minus_s_unit: bool):
-        self.z_index = z_index
-        self.value = value
-        self.height = height
-        self.lambda_s_unit = lambda_s_unit
-        self.one_minus_s_unit = one_minus_s_unit
+# The chosen triple, a record per other branch point, and the largest
+# height, also as a multiplicative height.
+Normalization = namedtuple("Normalization", ("triple", "records", "h_max", "height_multiplicative"))
 
 
-class Normalization:
-    """The chosen triple, a record per other branch point, and the largest
-    height, also as a multiplicative height."""
+class CurveAnalysis(namedtuple("CurveAnalysis", (
+        "equation", "f", "genus", "leading_coefficient", "disc", "s_primes", "n_s",
+        "branch_points", "normalization", "mu_hat", "parshin_exceptions", "caveats",
+        "precision"))):
+    """One curve's report at one precision, a named tuple: its fields
+    cannot be reassigned, and _replace gives a changed copy.
+    analyze_curve builds a fresh instance, with fresh lists, per call, so
+    no caller can change the model table through it."""
 
-    __slots__ = ("triple", "records", "h_max", "height_multiplicative")
-
-    def __init__(self, triple: tuple[int, int, int], records: list[CrossRatioRecord],
-                 h_max: tuple[LogMag, LogMag], height_multiplicative: tuple[LogMag, LogMag]):
-        self.triple = triple
-        self.records = records
-        self.h_max = h_max
-        self.height_multiplicative = height_multiplicative
-
-
-class CurveAnalysis:
-    """One curve's report at one precision.  analyze_curve builds a fresh
-    instance per call, so a caller may change it without touching the
-    model table."""
-
-    __slots__ = ("equation", "f", "genus", "leading_coefficient", "disc", "s_primes", "n_s",
-                 "branch_points", "normalization", "mu_hat", "parshin_exceptions", "caveats",
-                 "precision")
-
-    def __init__(self, equation: str, f: Poly, genus: int, leading_coefficient: int, disc: int,
-                 s_primes: list[int], n_s: int, branch_points: list,
-                 normalization: Normalization | None, mu_hat: tuple[LogMag, LogMag],
-                 parshin_exceptions: list[int], caveats: list[str], precision: int):
-        self.equation = equation
-        self.f = f
-        self.genus = genus
-        self.leading_coefficient = leading_coefficient
-        self.disc = disc
-        self.s_primes = s_primes
-        self.n_s = n_s
-        self.branch_points = branch_points
-        self.normalization = normalization
-        self.mu_hat = mu_hat
-        self.parshin_exceptions = parshin_exceptions
-        self.caveats = caveats
-        self.precision = precision
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -542,7 +508,7 @@ def _normalization_search(branch: list):
             if best is not None and (up, triple) > best:
                 break
         else:
-            h_up = lm_max(*uppers)
+            h_up = max(uppers)
             if best is None or (h_up, triple) < best:
                 best = (h_up, triple)
                 limits.clear()
@@ -598,8 +564,8 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         for idx, rec in enumerate(records):
             if not (rec.lambda_s_unit and rec.one_minus_s_unit):
                 parshin_exceptions.append(idx)
-        h_lo = lm_max(*[r.height[0] for r in records])
-        h_hi = lm_max(*[r.height[1] for r in records])
+        h_lo = max([r.height[0] for r in records])
+        h_hi = max([r.height[1] for r in records])
         normalization = Normalization(
             triple=triple,
             records=records,
@@ -611,7 +577,7 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         )
 
     heights = [weil_height(p, precision) for p in branch if p is not INFINITY]
-    mu_hat = (lm_max(*[h[0] for h in heights]), lm_max(*[h[1] for h in heights]))
+    mu_hat = (max([h[0] for h in heights]), max([h[1] for h in heights]))
 
     return CurveAnalysis(
         equation=equation,

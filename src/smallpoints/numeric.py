@@ -1066,14 +1066,6 @@ def lm_ln_two_pi(prec: int, mode: int) -> LogMag:
     return _round(_constant("ln_two_pi", wp, mode), 1, -wp, prec, mode)
 
 
-def lm_max(*values: LogMag) -> LogMag:
-    best = values[0]
-    for v in values[1:]:
-        if v > best:
-            best = v
-    return best
-
-
 def lm_sum(values, prec: int, mode: int) -> LogMag:
     """Directed sum, each partial sum rounded in mode; the empty sum is 0."""
     total = LogMag.zero(prec, mode)

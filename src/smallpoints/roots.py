@@ -129,11 +129,9 @@ def _interior(x, y) -> bool:
     return y[0] < x[0] and x[1] < y[1] and y[2] < x[2] and x[3] < y[3]
 
 
-def krawczyk_test(f: Poly, box, w: int, df: Poly | None = None):
+def krawczyk_test(f: Poly, box, w: int, df: Poly):
     """A box at w bits, inside box (also at w bits), certified to hold the
-    unique root of f in box, or None when certification fails."""
-    if df is None:
-        df = f.derivative()
+    unique root of f in box, or None when certification fails; df is f'."""
     c, dc = f.coeffs, df.coeffs
     W = w + _guard_bits(c, dc, box, w)
     B = fx_regrid(box, w, W)

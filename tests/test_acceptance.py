@@ -13,6 +13,7 @@ import sympy
 from smallpoints.algebraic import algebraic_roots, is_s_unit, weil_height
 from smallpoints.bounds import (
     BoundParams,
+    c_delta_default,
     degB_from_mu,
     ex_from_degB,
     full_report,
@@ -53,7 +54,7 @@ def test_criterion_1_genus2_bound_dominated_by_packaged_form():
 def test_criterion_2_noether_packaging_within_linear_envelope():
     start = time.monotonic()
     for hF in (0, 1, 10, 10**3, 10**6):
-        value = noether_ex_bound(Fraction(hF), 2, None)
+        value = noether_ex_bound(Fraction(hF), 2, c_delta_default(2))
         assert value.to_fraction() <= 12 * hF + 201
     assert time.monotonic() - start < 1.0
 
@@ -227,7 +228,7 @@ def test_criterion_7_precision_and_parameter_monotonicity():
             lambda prec: ex_from_degB(degB, g, prec),
             lambda prec: zhang_height_bound(e, g, Fraction(1), prec),
             lambda prec: nt_from_h(h, g, prec),
-            lambda prec: noether_ex_bound(hF, g, c_delta, prec),
+            lambda prec: noether_ex_bound(hF, g, p.c_delta, prec),
             lambda prec: weierstrass_sum_bound(hF, g, prec),
             lambda prec: degB_from_mu(p, mu, prec),
             lambda prec: hF_from_u_mu(g, mu, prec),

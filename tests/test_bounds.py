@@ -16,6 +16,7 @@ from smallpoints.bounds import (
     CONDITIONS,
     FORMULAS,
     TARGETS,
+    c_delta_default,
     degB_from_mu,
     ex_from_degB,
     formula_conditions,
@@ -118,6 +119,13 @@ def test_params_are_immutable_values():
     with pytest.raises(AttributeError):
         p.extra = 1
     assert p == BoundParams(1, 2, 30, 1)
+    # _replace and _make construct through the same checks
+    assert p._replace(n_s=7) == BoundParams(1, 2, 7, 1)
+    assert BoundParams._make((1, 3, 1, 1, None)).c_delta is None
+    with pytest.raises(ValueError):
+        p._replace(g=1)
+    with pytest.raises(ValueError):
+        BoundParams._make((1, 1, 1, 1, None))
 
 
 def test_nu_values():
@@ -248,9 +256,9 @@ def test_nt_from_h():
 
 
 def test_noether_genus2():
-    v = noether_ex_bound(0, 2, None)
+    v = noether_ex_bound(0, 2, c_delta_default(2))
     assert Fraction(2007, 10) < v.to_fraction() < Fraction(20071, 100)
-    v1 = noether_ex_bound(1, 2, None)
+    v1 = noether_ex_bound(1, 2, c_delta_default(2))
     assert abs(float(v1.to_fraction()) - 212.703) < 0.001
     v0 = noether_ex_bound(0, 2, 0)
     assert abs(float(v0.to_fraction()) - 14.703) < 0.001
@@ -259,13 +267,19 @@ def test_noether_genus2():
 def test_noether_packaging_inequality():
     # the packaged form 12 h_F + 201 dominates at every scale
     for hf in (0, 1, 10, 1000, 10**6):
-        v = noether_ex_bound(hf, 2, None)
+        v = noether_ex_bound(hf, 2, c_delta_default(2))
         assert v.to_fraction() <= 12 * hf + 201
 
 
 def test_noether_needs_constant_beyond_genus_two():
-    with pytest.raises(ValueError, match="ineffective constant required"):
-        noether_ex_bound(0, 3, None)
+    # genus 3 has no default c_delta, so the chain omits the row with a
+    # caveat until the caller asserts one
+    rep = pipeline_apriori(BoundParams(1, 3, 1, 1))
+    assert "lem_4_4_ii" not in {e.formula_id for e in rep.entries}
+    assert any("no delta-invariant constant for genus 3" in c for c in rep.caveats)
+    rep = pipeline_apriori(BoundParams(1, 3, 1, 1, c_delta=-1000))
+    hF = rep.entry("eq_fhux").value
+    assert rep.entry("lem_4_4_ii").value == noether_ex_bound(hF, 3, Fraction(-1000))
     assert noether_ex_bound(0, 3, -1000).to_fraction() > 1000
 
 
@@ -563,7 +577,8 @@ def test_monotone_in_height_inputs(h1, bump2):
     h2 = h1 + bump2
     assert khadjavi_degB_bound(1, 2, 2, h1, 64) <= khadjavi_degB_bound(1, 2, 2, h2, 64)
     assert zhang_height_bound(h1, 2, 1, 64) <= zhang_height_bound(h2, 2, 1, 64)
-    assert noether_ex_bound(h1, 2, None, 64) <= noether_ex_bound(h2, 2, None, 64)
+    assert noether_ex_bound(h1, 2, c_delta_default(2), 64) <= noether_ex_bound(
+        h2, 2, c_delta_default(2), 64)
     assert weierstrass_sum_bound(h1, 2, 64) <= weierstrass_sum_bound(h2, 2, 64)
 
 
@@ -575,7 +590,7 @@ def test_coarser_precision_rounds_further_up():
         lambda prec: thm_genus2_bound(P2, prec),
         lambda prec: khadjavi_degB_bound(1, 2, 2, phi_ish, prec),
         lambda prec: mu_upper(P2, prec),
-        lambda prec: noether_ex_bound(10, 2, None, prec),
+        lambda prec: noether_ex_bound(10, 2, c_delta_default(2), prec),
         lambda prec: zhang_height_bound(Fraction(1, 3), 2, Fraction(1, 7), prec),
         lambda prec: pipeline_apriori(P2, precision=prec).entry("prop_5_3_i", "h").value,
     ]

@@ -29,7 +29,7 @@ from smallpoints.curve import (
     branch_point_list,
     parse_curve,
 )
-from smallpoints.numeric import factor, is_prime_with_certainty, lm_max
+from smallpoints.numeric import factor, is_prime_with_certainty
 from smallpoints.polynomial import (
     Poly,
     discriminant,
@@ -516,7 +516,7 @@ def _rank(lams, rational_pool: bool):
     if rational:
         H = max(max(abs(r.numerator), r.denominator) for r in rational)
         uppers.append(weil_height(Poly([-1, H]), _rational_rank_bits(H))[1])
-    return lm_max(*uppers)
+    return max(uppers)
 
 
 def _set_orbit(branch: list, quad: tuple):
@@ -1104,6 +1104,22 @@ def test_analyses_share_no_mutable_state():
     first.s_primes.clear()
     first.branch_points.pop()
     first.normalization.records.pop()
+    assert json.dumps(analyze_curve("y^2 = x^6 - x").to_dict()) == text
+
+
+def test_analyses_are_immutable_and_replace_copies():
+    first = analyze_curve("y^2 = x^6 - x")
+    text = json.dumps(first.to_dict())
+    for name in ("n_s", "caveats", "normalization"):
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
+    with pytest.raises(AttributeError):
+        first.extra = 1
+    with pytest.raises(AttributeError):
+        first.normalization.records[0].lambda_s_unit = False
+    changed = first._replace(n_s=7, caveats=["changed"], normalization=None)
+    assert (changed.n_s, changed.caveats, changed.normalization) == (7, ["changed"], None)
+    assert json.dumps(first.to_dict()) == text
     assert json.dumps(analyze_curve("y^2 = x^6 - x").to_dict()) == text
 
 

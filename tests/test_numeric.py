@@ -47,7 +47,6 @@ from smallpoints.numeric import (
     lm_ln_two_pi,
     lm_log,
     lm_log_ends,
-    lm_max,
     lm_mul,
     lm_pow,
     lm_sub,
@@ -1075,7 +1074,6 @@ def test_coarse_up_dominates_fine_up():
 
 def test_max_and_sum():
     xs = [LogMag.from_int(n, 128, UP) for n in (3, -5, 7, 2)]
-    assert lm_max(*xs) == 7
     assert lm_sum(xs, 128, UP) == 7
     assert lm_sum([], prec=64, mode=UP).is_zero()
     with pytest.raises(TypeError):

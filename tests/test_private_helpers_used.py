@@ -1,9 +1,10 @@
-"""Every private module-level name in the package is used by the package.
+"""Every module-level name in the package is used by the package.
 
-A `_`-prefixed function, class or constant defined at module level in
-`src/smallpoints` must be referenced somewhere in the package outside its own
-definition.  Callers in tests do not count: a helper that only tests call is
-dead code that the tests keep alive.
+A function, class or constant defined at module level in `src/smallpoints`
+must be referenced somewhere in the package outside its own definition.
+Callers in tests do not count: a helper that only tests call is dead code
+that the tests keep alive.  The one exception is `numeric.clear_tables`,
+the documented hook that empties the process-wide tables between tests.
 """
 
 import ast
@@ -34,7 +35,9 @@ def _referenced_names(stmt: ast.stmt) -> set[str]:
     return out
 
 
-def test_every_private_module_name_is_used_in_the_package():
+def _unused_names() -> list[tuple[str, str]]:
+    """(module, name) for each module-level name, dunders aside, that no
+    other top-level statement of the package references."""
     definitions = []  # (name, where) with where = (module, statement index)
     users: dict[str, set] = {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -45,11 +48,19 @@ def test_every_private_module_name_is_used_in_the_package():
             for n in _referenced_names(stmt):
                 users.setdefault(n, set()).add(where)
     assert definitions, f"no modules found under {PACKAGE}"
-    unused = [
-        f"{where[0]}: {name}"
+    return [
+        (where[0], name)
         for name, where in definitions
-        if name.startswith("_")
-        and not name.startswith("__")
-        and not users.get(name, set()) - {where}
+        if not name.startswith("__") and not users.get(name, set()) - {where}
     ]
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    unused = [u for u in _unused_names() if u[1].startswith("_")]
     assert not unused, f"private names the package never uses: {unused}"
+
+
+def test_every_public_module_name_is_used_in_the_package():
+    unused = [u for u in _unused_names() if not u[1].startswith("_")]
+    assert unused == [("numeric.py", "clear_tables")], (
+        f"public names the package never uses: {unused}")

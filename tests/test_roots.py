@@ -219,13 +219,13 @@ def test_krawczyk_direct():
     f = parse_poly("x^2 - 2")[0]
     w = 10  # boxes at 2**-10: 13/10 is about 1331 units
     hit = (1331, 1536, -102, 102)
-    K = krawczyk_test(f, hit, w)
+    K = krawczyk_test(f, hit, w, f.derivative())
     assert K is not None and K[0] > hit[0] and K[1] < hit[1]
     assert Fraction(K[0], 1 << w) <= SQRT2 <= Fraction(K[1], 1 << w)
     empty = (3 << w, 4 << w, -102, 102)
-    assert krawczyk_test(f, empty, w) is None
+    assert krawczyk_test(f, empty, w, f.derivative()) is None
     double = (-2 << w, 2 << w, -102, 102)
-    assert krawczyk_test(f, double, w) is None
+    assert krawczyk_test(f, double, w, f.derivative()) is None
 
 
 def test_refine_complex_tightens():
@@ -532,7 +532,7 @@ def test_krawczyk_never_certifies_zero_or_two_roots(known, centre, pick, log_rad
         (c[0] - r) * scale // 1, -(-(c[0] + r) * scale // 1),
         (c[1] - r) * scale // 1, -(-(c[1] + r) * scale // 1),
     )
-    K = krawczyk_test(f, box, w)
+    K = krawczyk_test(f, box, w, f.derivative())
     if K is None:
         return
     exact = _exact(w, box)
