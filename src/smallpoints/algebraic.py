@@ -13,9 +13,10 @@ always canonicalize to the same (minpoly, index) pair, equality is a tuple
 comparison, and no result depends on what was computed before or on what
 a table evicted.
 
-Unary rational Mobius transforms (ax+b)/(cx+d) act directly on the minimal
-polynomial and stay exact; an operation with one rational operand is one
-such transform of the other.  Sums, differences, products and quotients of
+Unary Mobius transforms (ax+b)/(cx+d), with integer a, b, c, d, act
+directly on the minimal polynomial and stay exact; an operation with one
+rational operand n/m is one such transform of the other, its matrix
+written with n and m.  Sums, differences, products and quotients of
 two irrational values are resultant kinds: the polynomial of all sums (or
 products) of conjugates is built from Newton power sums and factored, and
 one resolve, a box membership search, picks the right irreducible factor
@@ -223,9 +224,8 @@ class AlgebraicNumber:
     # -- exact unary Mobius arithmetic
 
     def mobius(self, a, b, c, d) -> "AlgebraicNumber":
-        """The value (a*x + b)/(c*x + d) with rational a, b, c, d and
+        """The value (a*x + b)/(c*x + d) with integer a, b, c, d and
         nonzero determinant; the identity gives back this very value."""
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
         if a * d - b * c == 0:
             raise ValueError("mobius transform must be invertible")
         if b == c == 0 and a == d:
@@ -238,7 +238,6 @@ class AlgebraicNumber:
             return AlgebraicNumber.from_rational((a * r + b) / den)
         # for c != 0 the leading coefficient is (-c)^n f(-d/c) != 0 because
         # f is irreducible of degree >= 2, so the degree never drops
-        a, b, c, d = _integer_matrix(a, b, c, d)
         P = mobius_minpoly(self, a, b, c, d)
 
         def box_fn(p: int):
@@ -291,14 +290,17 @@ def _arith(a, b, kind: str):
         raise ZeroDivisionError("division by zero algebraic number")
     if a.is_rational and b.is_rational:
         return AlgebraicNumber.from_rational(_OPS[kind](a.as_fraction(), b.as_fraction()))
+    # with r = n/m, m > 0, the integer matrix of x op r or r op x
     if b.is_rational:
         x, r = a, b.as_fraction()
-        matrix = {"add": (1, r, 0, 1), "sub": (1, -r, 0, 1),
-                  "mul": (r, 0, 0, 1), "div": (1, 0, 0, r)}
+        n, m = r.numerator, r.denominator
+        matrix = {"add": (m, n, 0, m), "sub": (m, -n, 0, m),
+                  "mul": (n, 0, 0, m), "div": (m, 0, 0, n)}
     elif a.is_rational:
         x, r = b, a.as_fraction()
-        matrix = {"add": (1, r, 0, 1), "sub": (-1, r, 0, 1),
-                  "mul": (r, 0, 0, 1), "div": (0, r, 1, 0)}
+        n, m = r.numerator, r.denominator
+        matrix = {"add": (m, n, 0, m), "sub": (-m, n, 0, m),
+                  "mul": (n, 0, 0, m), "div": (0, n, m, 0)}
     else:
         return _binary(a, b, kind)
     if r == 0 and kind in ("mul", "div"):
@@ -350,20 +352,11 @@ def _resolve_among(factors: tuple[Poly, ...], box_fn) -> AlgebraicNumber:
     raise RuntimeError("could not resolve which root the value is")
 
 
-def _integer_matrix(a, b, c, d) -> tuple[int, int, int, int]:
-    """A rational Mobius matrix scaled to integers, the same map."""
-    if all(type(t) is int for t in (a, b, c, d)):
-        return a, b, c, d
-    den = math.lcm(*(Fraction(t).denominator for t in (a, b, c, d)))
-    return tuple(int(Fraction(t) * den) for t in (a, b, c, d))
-
-
 def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
     """Primitive part of sum f_i (dx - b)^i (a - cx)^(n-i), whose roots are
     the images (ax + b)/(cx + d) of the roots of the integer polynomial f
-    with these coefficients: one homogeneous Horner pass over the integer
-    coefficients, with a, b, c, d scaled to integers first."""
-    a, b, c, d = _integer_matrix(a, b, c, d)
+    with these coefficients, for integer a, b, c, d: one homogeneous Horner
+    pass over the integer coefficients."""
     acc, vpow = [coeffs[-1]], [1]
     for fi in reversed(coeffs[:-1]):
         # acc * (dx - b) + f_i (a - cx)^(n-i), with vpow tracking the power
@@ -374,7 +367,7 @@ def _mobius_image(coeffs: tuple, a, b, c, d) -> Poly:
 
 
 def mobius_minpoly(alpha, a, b, c, d) -> Poly:
-    """The minimal polynomial of (a*alpha + b)/(c*alpha + d), rational a, b,
+    """The minimal polynomial of (a*alpha + b)/(c*alpha + d), integer a, b,
     c, d with nonzero determinant, read off that of alpha with no resolve
     of which root the image is.  alpha may be its minimal polynomial
     (Poly): every conjugate of alpha has the same image polynomial."""

@@ -45,9 +45,9 @@ many reports.  The one other factor, (N_S*D_K)^nu, is shared by thm_1_1,
 thm_1_2, thm_1_3 and lem_5_2_i: a one-entry table, `_nd_power`, keeps the
 power of the latest N_S*D_K, so a report takes it once and the next report
 at another N_S*D_K replaces it.  That entry is the only value depending on
-N_S or D_K kept across reports, and no rendered string is kept: the
-command line writes a report's JSON from its entries, each distinct value
-once (`cli._write_report`).
+N_S or D_K kept across reports.  A report holds values, never text: its
+entries, the H_Lambda echo and the comparison's ln_of_bound are LogMags,
+and the command line alone writes them as JSON (`cli._write_report`).
 """
 
 from __future__ import annotations
@@ -552,7 +552,7 @@ def compare_pipelines(
         if e is not None:
             out[chain] = {
                 "formula_id": e.formula_id,
-                "ln_of_bound": lm_log(e.value, precision, UP).to_json_value(),
+                "ln_of_bound": lm_log(e.value, precision, UP),
                 "log10_of_bound": _log10_or_none(e.value),
             }
     if ea is None or ee is None:
@@ -599,7 +599,7 @@ def full_report(
         "deg_phi": DEG_PHI,
         "use_zograf": use_zograf,
         # echoed also when the zograf chain ignores it
-        "H_Lambda": None if H_Lambda is None else _as_logmag(H_Lambda, precision).to_json_value(),
+        "H_Lambda": None if H_Lambda is None else _as_logmag(H_Lambda, precision),
         **(extra_inputs or {}),
     }
     return rep

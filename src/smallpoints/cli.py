@@ -9,13 +9,18 @@ Four commands:
            an aggregate summary
   heights  Weil height enclosures for rationals or polynomial roots
 
-`analyze`, `bound` and `heights` print JSON through `dumps_indented`: the
-text of json.dumps(doc, indent=2), byte for byte, written without the
-stdlib's pure-Python indented encoder; `batch` prints compact json.dumps
-lines, and a line that json.dumps refuses, for an int past the int/str
-digit limit, in the same layout from the same writer (`dumps_compact`).
-A bound report is written straight from its entries, in either layout,
-with no document built for it first (`_write_report`).
+This module is the only one that turns values into JSON text.  The other
+modules hand it values: a bound report (bounds.BoundReport) and a curve
+analysis (curve.CurveAnalysis) hold LogMags, never rendered strings, and
+the documents built here (`_curve_document`, `_height_documents`) hold
+them too.  One writer prints them all: `analyze`, `bound` and `heights`
+through `dumps_indented`, byte for byte the text that json.dumps writes
+with indent=2, and `batch`, its records, error lines and summary alike,
+through `dumps_compact`, the text that json.dumps writes by default.  The writer spells a
+LogMag's object once (`_logmag_json`), writes a bound report straight
+from its entries with each distinct value rendered once
+(`_write_report`), prints every digit of an int past the int/str digit
+limit, and raises TypeError on a type or key that no report holds.
 
 `bound` refuses a genus above 5000 (exit 1): the exponents of u(g) and
 nu^(8^g d nu) grow like 3g bits, and past that a report takes more than
@@ -49,7 +54,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import FORMULAS, BoundParams, BoundReport, formula_conditions, full_report
-from .numeric import DEFAULT_PRECISION, decimal_str, table
+from .numeric import DEFAULT_PRECISION, LogMag, decimal_str, mode_name, table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -194,18 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# json.dumps takes CPython's C encoder only when indent is None, so with
-# indent=2 every report went through json.encoder's generators.  These
-# functions write the same text in one recursive pass, escaping strings
-# with the C escaper.  The recursion is a module-level function that gets
-# the part list's append: a nested closure that calls itself is a reference
+# The package's one JSON writer: every report, line and document the
+# commands print goes through _dumps, indented or compact.  It writes the
+# text that json.dumps writes, with indent=2 or by default, in one
+# recursive pass, escaping strings with the C escaper, and it knows two
+# types of the package besides JSON's own: a BoundReport, written from
+# its entries (_write_report), and a LogMag, one five-key object
+# (_logmag_json).  The recursion is a module-level function that gets the
+# part list's append: a nested closure that calls itself is a reference
 # cycle, and it kept each report's parts alive until the cyclic GC ran.
 _escape = json.encoder.encode_basestring_ascii
 _INF = float("inf")
-
-
-class _NotPlainJSON(Exception):
-    """A key or value of a type that no report holds."""
 
 
 def _json_scalar(v) -> str:
@@ -227,7 +231,22 @@ def _json_scalar(v) -> str:
         return "true"
     if v is False:
         return "false"
-    raise _NotPlainJSON
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _logmag_json(x: LogMag, indent: str) -> str:
+    """The object of the LogMag x, whose closing brace follows indent:
+    "decimal", its value truncated to 24 significant digits; "mantissa_hex"
+    and "exponent", the exact signed mantissa and the binary exponent in
+    decimal (of any length), so that the value is mantissa_hex *
+    2**(exponent - precision); "precision"; and "rounding", up or down.
+    No string of it needs escaping."""
+    inner = indent + "  " if indent else ""
+    c = "," + inner if indent else ", "
+    man = hex(x.man) if x.sign >= 0 else "-" + hex(x.man)
+    return (f'{{{inner}"decimal": "{x.to_decimal_string()}"{c}"mantissa_hex": "{man}"'
+            f'{c}"exponent": "{decimal_str(x.exp)}"{c}"precision": {x.prec}'
+            f'{c}"rounding": "{mode_name(x.mode)}"{indent}}}')
 
 
 def _write_json(o, append, indent: str) -> None:
@@ -246,10 +265,12 @@ def _write_json(o, append, indent: str) -> None:
         sep = "{" + inner
         for k, v in o.items():
             if type(k) is not str:
-                raise _NotPlainJSON
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             t = type(v)
             if t is str:
                 append(f"{sep}{_escape(k)}: {_escape(v)}")
+            elif t is LogMag:
+                append(f"{sep}{_escape(k)}: {_logmag_json(v, inner)}")
             elif t is dict or t is list or t is tuple or t is BoundReport:
                 append(f"{sep}{_escape(k)}: ")
                 _write_json(v, append, inner)
@@ -266,6 +287,8 @@ def _write_json(o, append, indent: str) -> None:
         t = type(v)
         if t is str:
             append(sep + _escape(v))
+        elif t is LogMag:
+            append(sep + _logmag_json(v, inner))
         elif t is dict or t is list or t is tuple or t is BoundReport:
             append(sep)
             _write_json(v, append, inner)
@@ -279,10 +302,10 @@ def _write_report(rep, append, indent: str) -> None:
     """`_write_json` of a BoundReport's document: {"inputs", "entries",
     "caveats"} and "comparison" when it has one; each entry {"formula_id",
     "target", "bounds_log_of_target", "value"} and "note" when it has one,
-    in one f-string; a value as LogMag.to_json_value, rendered once for the
-    entries that share it (one row's targets, eq_general's after thm_1_1's)."""
-    i1, i2, i3, i4 = (indent + "  " * k if indent else "" for k in (1, 2, 3, 4))
-    c1, c2, c3, c4 = ("," + i if indent else ", " for i in (i1, i2, i3, i4))
+    in one f-string, its value's object rendered once for the entries
+    that share it (one row's targets, eq_general's after thm_1_1's)."""
+    i1, i2, i3 = (indent + "  " * k if indent else "" for k in (1, 2, 3))
+    c1, c2, c3 = ("," + i if indent else ", " for i in (i1, i2, i3))
     append("{" + i1 + '"inputs": ')
     _write_json(rep.inputs, append, i1)
     append(c1 + '"entries": ' + ("[" if rep.entries else "[]"))
@@ -291,10 +314,7 @@ def _write_report(rep, append, indent: str) -> None:
     for e in rep.entries:
         if e.value is not value:
             value = e.value
-            dec, man, exp, prec, rnd = value.to_json_value().values()
-            text = (f'{{{i4}"decimal": {_escape(dec)}{c4}"mantissa_hex": {_escape(man)}'
-                    f'{c4}"exponent": {_escape(exp)}{c4}"precision": {prec}'
-                    f'{c4}"rounding": {_escape(rnd)}{i3}}}')
+            text = _logmag_json(value, i3)
         note = "" if e.note is None else f'{c3}"note": {_escape(e.note)}'
         append(f'{sep}{{{i3}"formula_id": {_escape(e.formula_id)}{c3}"target": '
                f'{_escape(e.target)}{c3}"bounds_log_of_target": '
@@ -311,36 +331,32 @@ def _write_report(rep, append, indent: str) -> None:
 
 
 def _dumps(o, indent: str) -> str:
-    parts: list[str] = []
-    _write_json(o, parts.append, indent)
-    return "".join(parts)
+    t = type(o)
+    if t is dict or t is list or t is tuple or t is BoundReport:
+        parts: list[str] = []
+        _write_json(o, parts.append, indent)
+        return "".join(parts)
+    if t is str:
+        return _escape(o)
+    if t is LogMag:
+        return _logmag_json(o, indent)
+    return _json_scalar(o)
 
 
 def dumps_indented(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, where a BoundReport stands
-    for its document (`_write_report`).  An int past the int/str digit
-    limit, which json.dumps refuses, prints all its digits; a document
-    holding any other type than dict, list, tuple, str, int, float, bool
-    or None, or a key that is not a str, goes to json.dumps."""
-    t = type(obj)
-    try:
-        if t is dict or t is list or t is tuple or t is BoundReport:
-            return _dumps(obj, "\n")
-        return _escape(obj) if t is str else _json_scalar(obj)
-    except _NotPlainJSON:
-        return json.dumps(obj, indent=2)
+    """What json.dumps writes with indent=2, byte for byte, for a document
+    of dicts with str keys, lists, tuples, strs, ints, floats, bools and
+    None, in which a BoundReport stands for its document (`_write_report`)
+    and a LogMag for its object (`_logmag_json`).  An int past the int/str digit
+    limit prints all its digits.  Any other type, a subclass of one of
+    these included, or a key that is not a str, raises TypeError."""
+    return _dumps(obj, "\n")
 
 
 def dumps_compact(doc) -> str:
-    """json.dumps(doc), the compact one-line text `batch` prints, of a dict
-    or a BoundReport.  A report, and a document that json.dumps refuses for
-    an int past the int/str digit limit (a ValueError), go to the writer of
-    `dumps_indented`, which prints all the digits."""
-    if type(doc) is not BoundReport:
-        try:
-            return json.dumps(doc)
-        except ValueError:
-            pass
+    """What json.dumps writes by default: the compact one-line layout of
+    the same writer, for the same documents as `dumps_indented`; the lines
+    `batch` prints."""
     return _dumps(doc, "")
 
 
@@ -374,7 +390,67 @@ def _analysis_documents(analysis, args):
         extra_inputs={"curve": analysis.equation},
         extra_caveats=extra_caveats,
     )
-    return analysis.to_dict(), rep
+    return _curve_document(analysis), rep
+
+
+def _enclosure(pair: tuple) -> dict:
+    return {"lower": pair[0], "upper": pair[1]}
+
+
+def _curve_document(a) -> dict:
+    """The "curve" document of the CurveAnalysis a: its invariants, the
+    branch points and cross-ratios as point objects, and each height
+    enclosure as {"lower", "upper"}.  Like `_height_documents`, it imports
+    `algebraic` and `polynomial` when called, so a `bound` process loads
+    neither."""
+    from .algebraic import INFINITY
+    from .polynomial import render_poly
+
+    def point(p) -> dict:
+        if p is INFINITY:
+            return {"kind": "infinity"}
+        if p.is_rational:
+            return {"kind": "rational", "value": str(p.as_fraction())}
+        # a 64-bit box: the 32-bit canonical box would print fewer correct
+        # digits.  Its centre is (x0 + x1) / 2**(w + 1), and int / int
+        # rounds correctly.
+        w, (x0, x1, y0, y1) = p.refined_box(64)
+        return {
+            "kind": "algebraic",
+            "minpoly": render_poly(p.minpoly),
+            "root_index": p.index,
+            "approx": [(x0 + x1) / (2 << w), (y0 + y1) / (2 << w)],
+        }
+
+    nz = a.normalization
+    return {
+        "equation": a.equation,
+        "genus": a.genus,
+        "leading_coefficient": a.leading_coefficient,
+        "discriminant": decimal_str(a.disc),
+        "s_primes": a.s_primes,
+        "n_s": decimal_str(a.n_s),
+        "branch_points": [point(p) for p in a.branch_points],
+        "mu_hat": _enclosure(a.mu_hat),
+        "parshin_exceptions": a.parshin_exceptions,
+        "caveats": a.caveats,
+        "precision": a.precision,
+        "normalization": None if nz is None else {
+            "triple": nz.triple,
+            "records": [
+                {
+                    "z_index": r.z_index,
+                    "lambda": point(r.value),
+                    "height": _enclosure(r.height),
+                    "lambda_s_unit": r.lambda_s_unit,
+                    "one_minus_lambda_s_unit": r.one_minus_s_unit,
+                }
+                for r in nz.records
+            ],
+            "h_max": _enclosure(nz.h_max),
+            "height_multiplicative": _enclosure(nz.height_multiplicative),
+        },
+    }
 
 
 def _thm_log10(rep, g: int) -> float:
@@ -486,14 +562,13 @@ def cmd_batch(args) -> int:
             curve_doc, rep = _analysis_documents(analysis, args)
         except (ValueError, RuntimeError) as exc:
             failed += 1
-            out_lines.append(json.dumps({"line": idx + 1, "error": _error_message(exc)}))
+            out_lines.append(dumps_compact({"line": idx + 1, "error": _error_message(exc)}))
             continue
         parshin_total += 1
         if not analysis.parshin_exceptions:
             parshin_ok += 1
         log10s.append(_thm_log10(rep, analysis.genus))
-        curve_json = dumps_compact(curve_doc)  # through json.dumps' C encoder
-        out_lines.append(f'{{"curve": {curve_json}, "bounds": {dumps_compact(rep)}}}')
+        out_lines.append(dumps_compact({"curve": curve_doc, "bounds": rep}))
         tsv_rows.append(_tsv_row(analysis.equation, analysis.genus, analysis.n_s, rep))
     summary = {
         "total": parshin_total + failed,
@@ -503,11 +578,11 @@ def cmd_batch(args) -> int:
         "max_log10_thm_bound": max(log10s) if log10s else None,
     }
     if args.format == "json":
-        out_lines.append(json.dumps({"summary": summary}))
+        out_lines.append(dumps_compact({"summary": summary}))
         _emit("\n".join(out_lines), args.out)
     else:
         _emit("\n".join([TSV_HEADER] + tsv_rows), args.out)
-        print(json.dumps({"summary": summary}), file=sys.stderr)
+        print(dumps_compact({"summary": summary}), file=sys.stderr)
     if failed:
         return EXIT_PARTIAL
     if parshin_ok < parshin_total:
@@ -521,13 +596,12 @@ def _height_documents(token: str, precision: int) -> list[dict]:
 
     try:
         value = Fraction(token)
-        lo, hi = weil_height(value, precision)
         return [
             {
                 "input": token,
                 "value": str(value),
                 "degree": 1,
-                "height": {"lower": lo.to_json_value(), "upper": hi.to_json_value()},
+                "height": _enclosure(weil_height(value, precision)),
             }
         ]
     except (ValueError, ZeroDivisionError):
@@ -547,15 +621,14 @@ def _height_documents(token: str, precision: int) -> list[dict]:
             raise ValueError(f"root index {index} out of range for {render_poly(f)}")
         roots = [roots[index]]
     docs = []
-    for i, r in enumerate(roots):
-        lo, hi = weil_height(r, precision)
+    for r in roots:
         docs.append(
             {
                 "input": token,
                 "minpoly": render_poly(r.minpoly),
                 "root_index": r.index,
                 "degree": r.degree,
-                "height": {"lower": lo.to_json_value(), "upper": hi.to_json_value()},
+                "height": _enclosure(weil_height(r, precision)),
             }
         )
     return docs
@@ -578,8 +651,8 @@ def cmd_heights(args) -> int:
                     [
                         d["input"],
                         str(d["degree"]),
-                        d["height"]["lower"]["decimal"],
-                        d["height"]["upper"]["decimal"],
+                        d["height"]["lower"].to_decimal_string(),
+                        d["height"]["upper"].to_decimal_string(),
                     ]
                 )
             )

@@ -64,8 +64,11 @@ and the search ranks at _SEARCH_PRECISION (or _rational_rank_bits)
 whatever precision is asked for.  Each call then reads the heights, the
 S-unit flags, h_max, the multiplicative height and mu_hat at its own
 precision into a fresh CurveAnalysis, so no caller can change an entry.
-The analysis and its Normalization and CrossRatioRecords are named tuples:
-their fields cannot be reassigned, and _replace gives a changed copy.
+The analysis and its Normalization and CrossRatioRecords are named tuples
+of immutable values, tuples where a field holds several: no field can be
+reassigned or changed in place, an analysis hashes by value, and _replace
+gives a changed copy.  Rendering an analysis is the command line's job
+(cli._curve_document).
 The table keeps the _MODEL_CACHE_SIZE (512) most recently used models.  An
 entry is a pure function of its key, so an eviction never changes output,
 and an analysis that raises leaves no entry.
@@ -104,8 +107,6 @@ from .numeric import (
     DOWN,
     MR_DETERMINISTIC_LIMIT,
     UP,
-    LogMag,
-    decimal_str,
     factor,
     lm_exp,
     table,
@@ -179,71 +180,12 @@ CrossRatioRecord = namedtuple(
 Normalization = namedtuple("Normalization", ("triple", "records", "h_max", "height_multiplicative"))
 
 
-class CurveAnalysis(namedtuple("CurveAnalysis", (
-        "equation", "f", "genus", "leading_coefficient", "disc", "s_primes", "n_s",
-        "branch_points", "normalization", "mu_hat", "parshin_exceptions", "caveats",
-        "precision"))):
-    """One curve's report at one precision, a named tuple: its fields
-    cannot be reassigned, and _replace gives a changed copy.
-    analyze_curve builds a fresh instance, with fresh lists, per call, so
-    no caller can change the model table through it."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        out = {
-            "equation": self.equation,
-            "genus": self.genus,
-            "leading_coefficient": self.leading_coefficient,
-            "discriminant": decimal_str(self.disc),
-            "s_primes": self.s_primes,
-            "n_s": decimal_str(self.n_s),
-            "branch_points": [_point_descriptor(p) for p in self.branch_points],
-            "mu_hat": _enclosure_dict(self.mu_hat),
-            "parshin_exceptions": self.parshin_exceptions,
-            "caveats": self.caveats,
-            "precision": self.precision,
-        }
-        if self.normalization is None:
-            out["normalization"] = None
-        else:
-            nz = self.normalization
-            out["normalization"] = {
-                "triple": list(nz.triple),
-                "records": [
-                    {
-                        "z_index": r.z_index,
-                        "lambda": _point_descriptor(r.value),
-                        "height": _enclosure_dict(r.height),
-                        "lambda_s_unit": r.lambda_s_unit,
-                        "one_minus_lambda_s_unit": r.one_minus_s_unit,
-                    }
-                    for r in nz.records
-                ],
-                "h_max": _enclosure_dict(nz.h_max),
-                "height_multiplicative": _enclosure_dict(nz.height_multiplicative),
-            }
-        return out
-
-
-def _point_descriptor(p) -> dict:
-    if p is INFINITY:
-        return {"kind": "infinity"}
-    if p.is_rational:
-        return {"kind": "rational", "value": str(p.as_fraction())}
-    # a 64-bit box: the 32-bit canonical box would print fewer correct digits.
-    # Its centre is (a + b) / 2**(w + 1), and int / int rounds correctly.
-    w, (a, b, u, v) = p.refined_box(64)
-    return {
-        "kind": "algebraic",
-        "minpoly": render_poly(p.minpoly),
-        "root_index": p.index,
-        "approx": [(a + b) / (2 << w), (u + v) / (2 << w)],
-    }
-
-
-def _enclosure_dict(enc: tuple[LogMag, LogMag]) -> dict:
-    return {"lower": enc[0].to_json_value(), "upper": enc[1].to_json_value()}
+# One curve's report at one precision; analyze_curve builds a fresh one
+# per call, from the model table's immutable values.
+CurveAnalysis = namedtuple("CurveAnalysis", (
+    "equation", "f", "genus", "leading_coefficient", "disc", "s_primes", "n_s",
+    "branch_points", "normalization", "mu_hat", "parshin_exceptions", "caveats",
+    "precision"))
 
 
 def bad_prime_superset(
@@ -549,21 +491,19 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
     equation, genus, branch, s_primes, n_s, caveats, triple, lams = _analyze_model(f, disc)
 
     normalization = None
-    parshin_exceptions: list[int] = []
+    parshin_exceptions = ()
     if triple is not None:
-        records = []
-        for z, lam in lams:
-            rec = CrossRatioRecord(
+        records = tuple(
+            CrossRatioRecord(
                 z_index=z,
                 value=lam,
                 height=weil_height(lam, precision),
                 lambda_s_unit=is_s_unit(lam, n_s),
                 one_minus_s_unit=is_s_unit(mobius_minpoly(lam, *ANHARMONIC[1]), n_s),
             )
-            records.append(rec)
-        for idx, rec in enumerate(records):
-            if not (rec.lambda_s_unit and rec.one_minus_s_unit):
-                parshin_exceptions.append(idx)
+            for z, lam in lams)
+        parshin_exceptions = tuple(idx for idx, rec in enumerate(records)
+                                   if not (rec.lambda_s_unit and rec.one_minus_s_unit))
         h_lo = max([r.height[0] for r in records])
         h_hi = max([r.height[1] for r in records])
         normalization = Normalization(
@@ -585,12 +525,12 @@ def analyze_curve(text: str, precision: int = DEFAULT_PRECISION) -> CurveAnalysi
         genus=genus,
         leading_coefficient=f.lc(),
         disc=disc,
-        s_primes=list(s_primes),
+        s_primes=s_primes,
         n_s=n_s,
-        branch_points=list(branch),
+        branch_points=branch,
         normalization=normalization,
         mu_hat=mu_hat,
         parshin_exceptions=parshin_exceptions,
-        caveats=list(caveats),
+        caveats=caveats,
         precision=precision,
     )

@@ -202,31 +202,23 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_prime_with_certainty(n: int) -> tuple[bool, str]:
-    """Primality plus how it was established.
+def is_prime(n: int) -> bool:
+    """Primality of n.
 
     Below 37**2 trial division by the base primes settles it, and below
-    2**64 the fixed Miller-Rabin base set is deterministic.  Above,
-    64 deterministically seeded pseudo-random bases give error probability
-    below 2**-128 and the result is flagged "probabilistic".
+    MR_DETERMINISTIC_LIMIT (2**64) the fixed Miller-Rabin base set is
+    deterministic.  Above, 64 deterministically seeded pseudo-random bases
+    give error probability below 2**-128 for a prime answer.
     """
     if n < 37 * 37:
         # a composite n below 37**2 has a prime factor below 37
-        return n > 1 and all(n % p for p in _MR_BASES if p * p <= n), "deterministic"
+        return n > 1 and all(n % p for p in _MR_BASES if p * p <= n)
     if any(n % p == 0 for p in _MR_BASES):
-        return False, "deterministic"
+        return False
     if n < MR_DETERMINISTIC_LIMIT:
-        return not any(_miller_rabin_witness(n, a) for a in _MR_BASES), "deterministic"
+        return not any(_miller_rabin_witness(n, a) for a in _MR_BASES)
     rng = random.Random(n)
-    for _ in range(64):
-        a = rng.randrange(2, n - 1)
-        if _miller_rabin_witness(n, a):
-            return False, "deterministic"
-    return True, "probabilistic"
-
-
-def is_prime(n: int) -> bool:
-    return is_prime_with_certainty(n)[0]
+    return not any(_miller_rabin_witness(n, rng.randrange(2, n - 1)) for _ in range(64))
 
 
 def _pollard_rho(n: int) -> int:
@@ -743,17 +735,6 @@ class LogMag:
 
     def to_decimal_string(self, digits: int = 24) -> str:
         return _decimal_string(self, digits)
-
-    def to_json_value(self) -> dict:
-        """The decimal string, the exact hex mantissa and decimal exponent (of
-        any length: u(g) for large g), precision and rounding, in key order."""
-        return {
-            "decimal": _decimal_string(self, 24),
-            "mantissa_hex": hex(self.man) if self.sign >= 0 else "-" + hex(self.man),
-            "exponent": decimal_str(self.exp),
-            "precision": self.prec,
-            "rounding": _MODE_NAMES[self.mode],
-        }
 
     def log10_float(self) -> float:
         """log10 of |value| as a plain float, for summary columns only."""

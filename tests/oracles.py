@@ -201,24 +201,45 @@ def mp_decimal_truncation(man: int, e: int, digits: int) -> str:
     return f"{s[0]}.{s[1:]}e{'+' if e10 >= 0 else ''}{e10}"
 
 
+def logmag_document(x) -> dict:
+    """A LogMag's JSON object, spelled out here from its fields: the
+    decimal string (24 significant digits, truncated), the signed hex
+    mantissa and the binary exponent, so that the value is mantissa_hex *
+    2**(exponent - precision), the precision and the rounding direction."""
+    return {
+        "decimal": x.to_decimal_string(24),
+        "mantissa_hex": ("-" if x.sign < 0 else "") + hex(x.man),
+        "exponent": str(x.exp),
+        "precision": x.prec,
+        "rounding": "up" if x.mode > 0 else "down",
+    }
+
+
 def report_document(rep) -> dict:
     """The JSON document of a bounds.BoundReport, built as plain dicts for
     json.dumps: {"inputs", "entries", "caveats"} and "comparison" when the
     report has one; each entry {"formula_id", "target",
-    "bounds_log_of_target", "value"} and "note" when it has one, its value
-    rendered into a dict of its own by LogMag.to_json_value."""
+    "bounds_log_of_target", "value"} and "note" when it has one.  Every
+    LogMag, an entry's value, the inputs' H_Lambda echo and a chain's
+    ln_of_bound in the comparison, becomes a logmag_document."""
     entries = []
     for e in rep.entries:
         entry = {
             "formula_id": e.formula_id,
             "target": e.target,
             "bounds_log_of_target": e.bounds_log_of_target,
-            "value": e.value.to_json_value(),
+            "value": logmag_document(e.value),
         }
         if e.note is not None:
             entry["note"] = e.note
         entries.append(entry)
-    doc = {"inputs": rep.inputs, "entries": entries, "caveats": rep.caveats}
+    inputs = dict(rep.inputs)
+    if inputs.get("H_Lambda") is not None:
+        inputs["H_Lambda"] = logmag_document(inputs["H_Lambda"])
+    doc = {"inputs": inputs, "entries": entries, "caveats": rep.caveats}
     if rep.comparison is not None:
-        doc["comparison"] = rep.comparison
+        doc["comparison"] = {
+            k: {**v, "ln_of_bound": logmag_document(v["ln_of_bound"])} if type(v) is dict else v
+            for k, v in rep.comparison.items()
+        }
     return doc

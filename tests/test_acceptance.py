@@ -257,10 +257,10 @@ def test_criterion_7_precision_and_parameter_monotonicity():
 def test_criterion_8_x5x_empirical_belyi_degree_end_to_end():
     start = time.monotonic()
     analysis = analyze_curve("y^2 = x^5 - x")
-    assert analysis.s_primes == [2]
+    assert analysis.s_primes == (2,)
     assert analysis.n_s == 2
     assert analysis.disc == -256
-    assert analysis.parshin_exceptions == []
+    assert analysis.parshin_exceptions == ()
     H_lo, H_hi = analysis.normalization.height_multiplicative
     assert H_lo._cmp(1) == 0 and H_hi._cmp(1) == 0
 

@@ -266,8 +266,9 @@ def test_mobius_image_matches_sympy():
         (1, 2, 3, 4),
         (-1, 0, 0, 1),
         (0, 1, 1, 0),
-        (Fraction(1, 2), -3, 2, Fraction(5, 3)),
-        (2, Fraction(-1, 7), 0, 3),
+        # (1/2, -3, 2, 5/3) and (2, -1/7, 0, 3) scaled to integers
+        (3, -18, 12, 10),
+        (14, -1, 0, 21),
     ]
     for text in ("x^2 - 2", "3x^3 - x + 5", "2x^5 + x^4 - 3x^2 + 7"):
         f = parse_poly(text)[0]
@@ -519,7 +520,7 @@ def test_anharmonic_minpolys_are_the_orbit_minpolys(monkeypatch):
 
 
 def test_mobius_minpoly_is_the_resolved_image_minpoly():
-    matrices = [(1, 0, 0, 1), (-1, 1, 0, 1), (1, -1, 1, 0), (2, Fraction(-1, 3), 5, 7)]
+    matrices = [(1, 0, 0, 1), (-1, 1, 0, 1), (1, -1, 1, 0), (6, -1, 15, 21)]
     for lam in (sqrt2(), golden(), _cubic_root(), AlgebraicNumber.from_rational(Fraction(-4, 9))):
         for m in matrices:
             assert mobius_minpoly(lam, *m) == lam.mobius(*m).minpoly, (lam, m)

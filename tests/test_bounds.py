@@ -338,8 +338,8 @@ def test_pipeline_apriori_genus2():
     assert ("prop_5_3_i", "h") in ids
     assert not any(e.formula_id.startswith("prop_3_4") for e in rep.entries)
     assert rep.caveats == []
-    for e in rep.entries:
-        assert e.value.to_json_value()["rounding"] == "up"
+    for e, printed_entry in zip(rep.entries, printed(rep)["entries"]):
+        assert printed_entry["value"]["rounding"] == "up"
         assert e.value.sign >= 0
     # the log-of-deg_B entry is flagged as such
     assert rep.entry("lem_5_1").bounds_log_of_target is True
@@ -359,8 +359,8 @@ def test_pipeline_empirical():
     rep = pipeline_empirical(P2, H_Lambda=1)
     ids = [e.formula_id for e in rep.entries]
     assert ids == ["lem_4_2", "lem_4_1", "lem_4_3", "lem_4_4_i"]
-    for e in rep.entries:
-        assert e.value.to_json_value()["rounding"] == "up"
+    for e in printed(rep)["entries"]:
+        assert e["value"]["rounding"] == "up"
 
 
 def test_pipeline_empirical_zograf():
@@ -393,7 +393,7 @@ def test_full_report_log10_is_null_past_float_range():
     empirical = rep.comparison["empirical"]
     assert empirical["formula_id"] == "lem_4_3"
     assert empirical["log10_of_bound"] is None
-    assert empirical["ln_of_bound"]["rounding"] == "up"
+    assert printed(rep)["comparison"]["empirical"]["ln_of_bound"]["rounding"] == "up"
     json.dumps(printed(rep), allow_nan=False)
     rep5 = full_report(BoundParams(d=1, g=5, n_s=30, d_k=1), H_Lambda=12)
     assert math.isfinite(rep5.comparison["empirical"]["log10_of_bound"])

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import gc
@@ -14,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import report_document
+from oracles import logmag_document, report_document
 from smallpoints.bounds import BoundParams, BoundReport, full_report, pipeline_apriori
 import smallpoints.algebraic as algebraic
 import smallpoints.cli as cli
@@ -878,15 +879,13 @@ def test_writer_matches_json_dumps_at_the_edges(value):
     {"a": float.__new__(type("F", (float,), {}), 1.5)},
 ])
 def test_writer_leaves_other_types_to_json(value):
-    # a key that is not a str or a value of another type sends the whole
-    # document to json.dumps: the same text, or the same exception
-    try:
-        expected = json.dumps(value, indent=2)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            dumps_indented(value)
-    else:
-        assert dumps_indented(value) == expected
+    # a key that is not a str, or a value of a type that no report holds
+    # (a set, a module, a subclass of float), is not the writer's: it raises
+    # TypeError, where json.dumps would convert some of them
+    with pytest.raises(TypeError):
+        dumps_indented(value)
+    with pytest.raises(TypeError):
+        cli.dumps_compact(value)
 
 
 def _json_commands():
@@ -907,6 +906,37 @@ def test_json_commands_print_the_stdlib_indented_json(capsys):
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
         printed += 1
     assert printed > 40
+
+
+def test_writer_prints_a_logmag_as_the_oracle_object():
+    # at the top, in a list and in a dict, indented and compact: zero, a
+    # negative value rounded down, and exponents of one to over 4300 digits
+    values = [numeric.LogMag.zero(64, numeric.UP),
+              numeric.LogMag.from_fraction(Fraction(-22, 7), 32, numeric.DOWN),
+              numeric.lm_pow(Fraction(3, 7), 41, 128, numeric.DOWN),
+              numeric.lm_pow(2, 10**4400, 512, numeric.UP)]
+    for x in values:
+        doc = [x, {"value": x, "pair": (x, [x])}]
+        with unlimited_int_digits():
+            oracle = logmag_document(x)
+            oracle_doc = [oracle, {"value": oracle, "pair": [oracle, [oracle]]}]
+            for obj, want in ((x, oracle), (doc, oracle_doc)):
+                assert dumps_indented(obj) == json.dumps(want, indent=2)
+                assert cli.dumps_compact(obj) == json.dumps(want)
+
+
+def test_cli_is_the_one_json_writer():
+    # no module calls json.dumps, and only cli imports json at all: for
+    # json.loads of batch lines and for the C string escaper
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        names |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        dumps = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and n.attr in ("dump", "dumps") and isinstance(n.value, ast.Name)
+                 and n.value.id == "json"]
+        assert dumps == [], path.name
+        assert ("json" in names) == (path.name == "cli.py"), path.name
 
 
 def test_writer_leaves_no_reference_cycles():
@@ -967,12 +997,12 @@ def _writer_grid():
 def _layouts(rep) -> tuple[list[str], list[str]]:
     """The writer's texts of rep at depths 0 and 1 (in a dict and in a
     list), indented and compact, and the texts json.dumps writes for the
-    oracle's document in the same places, which json.dumps writes only
-    without the int/str digit limit."""
+    oracle's document in the same places, which the oracle builds and
+    json.dumps writes only without the int/str digit limit."""
     written = [dumps_indented(rep), dumps_indented({"curve": {}, "bounds": rep}),
                dumps_indented([rep]), cli.dumps_compact(rep)]
-    doc = report_document(rep)
     with unlimited_int_digits():
+        doc = report_document(rep)
         expected = [json.dumps(doc, indent=2), json.dumps({"curve": {}, "bounds": doc}, indent=2),
                     json.dumps([doc], indent=2), json.dumps(doc)]
     return written, expected

@@ -29,7 +29,8 @@ from smallpoints.curve import (
     branch_point_list,
     parse_curve,
 )
-from smallpoints.numeric import factor, is_prime_with_certainty
+from smallpoints.cli import _curve_document, dumps_compact
+from smallpoints.numeric import MR_DETERMINISTIC_LIMIT, factor, is_prime
 from smallpoints.polynomial import (
     Poly,
     discriminant,
@@ -117,23 +118,23 @@ def test_invariants_x5_minus_x():
     assert a.genus == 2
     assert a.leading_coefficient == 1
     assert a.disc == -256
-    assert a.s_primes == [2]
+    assert a.s_primes == (2,)
     assert a.n_s == 2
-    assert a.caveats == []
+    assert a.caveats == ()
 
 
 def test_invariants_x5_minus_1():
     a = analyze_curve("y^2 = x^5 - 1")
     assert a.genus == 2
     assert a.disc == 3125
-    assert a.s_primes == [2, 5]
+    assert a.s_primes == (2, 5)
     assert a.n_s == 10
 
 
 def test_invariants_x6_minus_1():
     a = analyze_curve("y^2 = x^6 - 1")
     assert a.genus == 2
-    assert a.s_primes == [2, 3]
+    assert a.s_primes == (2, 3)
     assert a.n_s == 6
 
 
@@ -141,7 +142,7 @@ def test_genus_three_curve():
     a = analyze_curve("y^2 = x^7 - x")
     assert a.genus == 3
     assert len(a.branch_points) == 8
-    assert a.parshin_exceptions == []
+    assert a.parshin_exceptions == ()
 
 
 def test_branch_points_odd_degree():
@@ -180,14 +181,14 @@ def test_bad_prime_superset_includes_two():
 def _whole_number_rule(lc: int, disc: int) -> tuple[list[int], int, list[str]]:
     """S, N_S and caveats from factoring |lc| and |disc| each as one integer:
     the rule the factorization pieces replace, kept as their reference.  A
-    prime of S is flagged once, in S order, when is_prime_with_certainty
-    proves it only probabilistically."""
+    prime of S is flagged once, in S order, when it is at or above
+    MR_DETERMINISTIC_LIMIT, where is_prime is only probabilistic."""
     primes = {2}
     for m in (abs(lc), abs(disc)):
         primes.update(p for p, _ in factor(m))
     s = sorted(primes)
     caveats = [f"primality of {p} in S is probabilistic"
-               for p in s if is_prime_with_certainty(p)[1] == "probabilistic"]
+               for p in s if p >= MR_DETERMINISTIC_LIMIT]
     return s, math.prod(s), caveats
 
 
@@ -272,9 +273,9 @@ def test_probabilistic_prime_of_a_linear_factor_keeps_its_caveat():
     # number rule splits as a perfect power
     a = analyze_curve(f"y^2 = x*(x - {p})*(x - {2 * p})*(x - {3 * p})*(x - {4 * p})")
     want = _whole_number_rule(a.leading_coefficient, a.disc)
-    assert (a.s_primes, a.n_s) == want[:2] == ([2, 3, p], 6 * p)
+    assert (list(a.s_primes), a.n_s) == want[:2] == ([2, 3, p], 6 * p)
     assert want[2] == [f"primality of {p} in S is probabilistic"]
-    assert a.caveats[:1] == want[2]
+    assert list(a.caveats[:1]) == want[2]
 
 
 def test_resultant_primes_are_factored_piece_by_piece(monkeypatch):
@@ -314,7 +315,7 @@ def test_bad_primes_factor_each_piece_once_and_test_no_prime_again(monkeypatch, 
         c, *(h.lc() for h in factors),
         *(discriminant(h) for h in factors if h.degree() >= 2),
         *(resultant(g, h) for g, h in itertools.combinations(factors, 2)))} - {1}
-    real_test, real_factor = numeric_mod.is_prime_with_certainty, numeric_mod.factor
+    real_test, real_factor = is_prime, numeric_mod.factor
     tests, factored = [], []
 
     def counting_test(n):
@@ -384,7 +385,7 @@ def test_bad_primes_need_no_pollard_rho_and_one_factorization(monkeypatch):
     a = analyze_curve(QUADRATIC_FACTOR_CURVE)
     assert rho_calls == []
     assert factored.count(f) == 1
-    assert (a.s_primes, a.n_s) == _whole_number_rule(a.leading_coefficient, a.disc)[:2]
+    assert (list(a.s_primes), a.n_s) == _whole_number_rule(a.leading_coefficient, a.disc)[:2]
 
 
 def test_normalization_x5_minus_x_is_exactly_trivial():
@@ -395,7 +396,7 @@ def test_normalization_x5_minus_x_is_exactly_trivial():
     assert nz.h_max[1].sign == 0
     lo, hi = nz.height_multiplicative
     assert lo.to_fraction() == 1 and hi.to_fraction() == 1
-    assert a.parshin_exceptions == []
+    assert a.parshin_exceptions == ()
     assert all(r.lambda_s_unit and r.one_minus_s_unit for r in nz.records)
 
 
@@ -407,7 +408,7 @@ def test_normalization_x5_minus_1():
     assert nz.h_max[0].to_fraction() <= phi_h + DEC_TOL
     assert nz.h_max[1].to_fraction() >= phi_h - DEC_TOL
     assert abs(nz.h_max[1].to_fraction() - phi_h) < Fraction(1, 10**20)
-    assert a.parshin_exceptions == []
+    assert a.parshin_exceptions == ()
 
 
 def _dec_sqrt5():
@@ -431,7 +432,7 @@ def test_rational_branch_curves_have_no_parshin_exceptions():
         "3*x^5 - 3*x",
     ):
         a = analyze_curve(f"y^2 = {rhs}")
-        assert a.parshin_exceptions == [], rhs
+        assert a.parshin_exceptions == (), rhs
         assert a.normalization is not None
 
 
@@ -448,12 +449,17 @@ def test_mu_hat_zero_for_unit_branch_points():
     assert a.mu_hat[0].sign == 0 and a.mu_hat[1].sign == 0
 
 
+def _printed(a) -> str:
+    """The compact JSON text of the analysis a, as `batch` prints it."""
+    return dumps_compact(_curve_document(a))
+
+
 def _cold_analysis(curve: str) -> str:
     """JSON of the curve's analysis in a fresh interpreter."""
     code = (
-        "import json, sys\n"
-        "from smallpoints.curve import analyze_curve\n"
-        "print(json.dumps(analyze_curve(sys.argv[1]).to_dict()))"
+        "import sys\n"
+        "from smallpoints import cli\n"
+        "print(cli.dumps_compact(cli._curve_document(cli.analyze_curve(sys.argv[1]))))"
     )
     proc = fresh_interpreter(["-c", code, curve], timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -471,17 +477,16 @@ def test_analysis_is_deterministic():
     ]
     for curve, other in zip(curves, curves[1:] + curves[:1]):
         cold = _cold_analysis(curve)
-        first = json.dumps(analyze_curve(curve).to_dict())
-        warm = json.dumps(analyze_curve(curve).to_dict())
+        first = _printed(analyze_curve(curve))
+        warm = _printed(analyze_curve(curve))
         analyze_curve(other)
-        after_other = json.dumps(analyze_curve(curve).to_dict())
+        after_other = _printed(analyze_curve(curve))
         assert first == warm == after_other == cold, curve
 
 
-def test_to_dict_is_json_serializable():
+def test_curve_document_is_json_serializable():
     a = analyze_curve("y^2 = x^5 - x")
-    text = json.dumps(a.to_dict())
-    back = json.loads(text)
+    back = json.loads(_printed(a))
     assert back["genus"] == 2
     assert back["s_primes"] == [2]
     assert back["discriminant"] == "-256"
@@ -1004,7 +1009,7 @@ def test_repeated_analysis_reads_every_set_from_its_table(monkeypatch):
     monkeypatch.setattr(algebraic_mod, "_binary", counting)
     second = analyze_curve("y^2 = x^6 - x")
     assert calls == []
-    assert second.to_dict() == first.to_dict()
+    assert _printed(second) == _printed(first)
 
 
 # the model table: one precision-independent analysis per integral model
@@ -1034,7 +1039,7 @@ def test_one_model_is_searched_once(monkeypatch, fresh_tables):
     for precision in MODEL_PRECISIONS:
         for text in X6X_SPELLINGS:
             reports.setdefault(precision, set()).add(
-                json.dumps(analyze_curve(text, precision).to_dict()))
+                _printed(analyze_curve(text, precision)))
     assert len(searches) == 1
     assert all(len(texts) == 1 for texts in reports.values())
 
@@ -1067,12 +1072,12 @@ def test_evicted_model_is_recomputed_with_the_same_bytes(monkeypatch):
     monkeypatch.setattr(curve_mod, "_analyze_model", small)
     searches = _counting(monkeypatch, curve_mod, "_normalization_search")
     curves = ["y^2 = x^6 - x", "y^2 = x^5 - x", "y^2 = x^5 - 1"]
-    first = [json.dumps(analyze_curve(text).to_dict()) for text in curves]
+    first = [_printed(analyze_curve(text)) for text in curves]
     assert len(searches) == 3 and small.cache_info().currsize == 2
-    assert json.dumps(analyze_curve(curves[0]).to_dict()) == first[0]
+    assert _printed(analyze_curve(curves[0])) == first[0]
     assert len(searches) == 4
     # the model it evicted in turn, x^5 - x, is recomputed too
-    assert json.dumps(analyze_curve(curves[1]).to_dict()) == first[1]
+    assert _printed(analyze_curve(curves[1])) == first[1]
     assert len(searches) == 5
 
 
@@ -1096,20 +1101,25 @@ def test_model_that_raises_raises_again(monkeypatch):
 
 
 def test_analyses_share_no_mutable_state():
-    # each call builds its own CurveAnalysis, so a caller's change does not
-    # reach the next report
+    # an analysis holds immutable values all the way down, so it hashes by
+    # value and no caller can change a field in place, nor through it the
+    # next report
     first = analyze_curve("y^2 = x^6 - x")
-    text = json.dumps(first.to_dict())
-    first.caveats.append("changed")
-    first.s_primes.clear()
-    first.branch_points.pop()
-    first.normalization.records.pop()
-    assert json.dumps(analyze_curve("y^2 = x^6 - x").to_dict()) == text
+    text = _printed(first)
+    assert first.caveats and first.normalization.records
+    assert hash(first) == hash(analyze_curve("y^2 = x^6 - x"))
+    for mutate in (lambda: first.caveats.append("changed"), lambda: first.s_primes.clear(),
+                   lambda: first.branch_points.pop(), lambda: first.normalization.records.pop(),
+                   lambda: first.parshin_exceptions.append(0)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert _printed(first) == text
+    assert _printed(analyze_curve("y^2 = x^6 - x")) == text
 
 
 def test_analyses_are_immutable_and_replace_copies():
     first = analyze_curve("y^2 = x^6 - x")
-    text = json.dumps(first.to_dict())
+    text = _printed(first)
     for name in ("n_s", "caveats", "normalization"):
         with pytest.raises(AttributeError):
             setattr(first, name, None)
@@ -1119,8 +1129,8 @@ def test_analyses_are_immutable_and_replace_copies():
         first.normalization.records[0].lambda_s_unit = False
     changed = first._replace(n_s=7, caveats=["changed"], normalization=None)
     assert (changed.n_s, changed.caveats, changed.normalization) == (7, ["changed"], None)
-    assert json.dumps(first.to_dict()) == text
-    assert json.dumps(analyze_curve("y^2 = x^6 - x").to_dict()) == text
+    assert _printed(first) == text
+    assert _printed(analyze_curve("y^2 = x^6 - x")) == text
 
 
 @pytest.mark.parametrize("text", ["y^2 = x^5 - x", "y^2 = x^5 - 2", "y^2 = x^6 - x"])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -22,8 +23,10 @@ from oracles import (
 )
 from test_golden import fresh_interpreter
 from smallpoints import numeric
+from smallpoints.cli import dumps_indented
 from smallpoints.numeric import (
     DOWN,
+    MR_DETERMINISTIC_LIMIT,
     UP,
     LogMag,
     _constant,
@@ -40,7 +43,6 @@ from smallpoints.numeric import (
     decimal_str,
     factor,
     is_prime,
-    is_prime_with_certainty,
     lm_add,
     lm_div,
     lm_exp,
@@ -248,11 +250,10 @@ def test_decimal_str_passes_the_int_str_limit():
 
 
 def test_primality_certainty_flags():
-    assert is_prime_with_certainty(2**61 - 1) == (True, "deterministic")
-    ok, how = is_prime_with_certainty(2**89 - 1)
-    assert ok and how == "probabilistic"
-    ok, how = is_prime_with_certainty((2**61 - 1) ** 2)
-    assert not ok
+    # a prime is known only probabilistically exactly at or above the limit
+    assert is_prime(2**61 - 1) and 2**61 - 1 < MR_DETERMINISTIC_LIMIT
+    assert is_prime(2**89 - 1) and 2**89 - 1 >= MR_DETERMINISTIC_LIMIT
+    assert not is_prime((2**61 - 1) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,7 +1083,7 @@ def test_max_and_sum():
 
 def test_pair_roundtrip_is_exact():
     x = lm_pow(Fraction(3, 7), 41, prec=128, mode=DOWN)
-    j = x.to_json_value()
+    j = json.loads(dumps_indented(x))
     h, e = j["mantissa_hex"], j["exponent"]
     man = int(h, 16)
     assert Fraction(man, 2**x.prec) * Fraction(2) ** int(e) == abs(x.to_fraction())
@@ -1091,7 +1092,7 @@ def test_pair_roundtrip_is_exact():
 
 def test_json_value_fields():
     x = LogMag.from_fraction(Fraction(-22, 7), prec=64, mode=DOWN)
-    j = x.to_json_value()
+    j = json.loads(dumps_indented(x))
     assert set(j) == {"decimal", "mantissa_hex", "exponent", "precision", "rounding"}
     assert j["precision"] == 64
     assert j["rounding"] == "down"
